@@ -11,10 +11,10 @@ import (
 // in the window length on benign frames. It is the stage-1 analogue of
 // evt.RefitPolicy, and the exactness contract is the same shape:
 //
-//   - Benign frames take the incremental path: cached per-layer activations
-//     are shifted one row, only the entering edge of the window (the
-//     trailing Cone rows per encoder layer) is recomputed, and the decoder
-//     reconstructs the newest timestep only.
+//   - Benign frames take the incremental path: the cached per-layer
+//     activation rings advance one position, only the entering edge of the
+//     window (the trailing Cone rows per encoder layer) is recomputed, and
+//     the decoder reconstructs the newest timestep only.
 //   - A full exact recompute runs every Every frames, whenever the input
 //     jumps by more than DriftTolerance between consecutive frames, after
 //     any cache invalidation (Swap, RestoreState, hygiene-repaired frames),
@@ -95,14 +95,21 @@ type IncrementalStats struct {
 
 // incrementalState is the per-detector cache behind the incremental path:
 // one temporalCapture per stage-1 forward (per variate in univariate mode),
-// a rolling stage-1 error matrix, precomputed trigonometry for the exact
-// window-local position rotation, and allocation-free row scratch.
+// the time-embedding parts every forward shares, a rolling stage-1 error
+// matrix, precomputed trigonometry for the exact window-local position
+// rotation, and allocation-free row scratch.
 type incrementalState struct {
 	pol IncrementalPolicy
 
 	caps []*temporalCapture
-	e    *tensor.Dense // N×ω rolling stage-1 errors (separate from the
-	// scratch's e so GraphSnapshot's exact recompute cannot clobber it)
+	// Ring heads of every capture's W-row and ω-row matrices: the physical
+	// row holding logical row 0. All captures slide in lockstep, so one pair
+	// serves them all; every exact rebuild resets both to 0.
+	headL, headS int
+	te           timeEmbedCache // θ is data-independent: one copy serves every variate
+	// e is the N×ω rolling stage-1 error matrix (separate from the scratch's
+	// e so GraphSnapshot's exact recompute cannot clobber it).
+	e *tensor.Dense
 
 	// Trig constants: a window-local position shift of −1 rotates every
 	// cached θ by exactly −f_j, so (sinθ, cosθ) advance by the angle
@@ -158,6 +165,11 @@ func newIncrementalState(m *Model, pol IncrementalPolicy) *incrementalState {
 		for i := 0; i < nCaps; i++ {
 			inc.caps = append(inc.caps, tm.newTemporalCapture(w, omega))
 		}
+		inc.te = timeEmbedCache{
+			sinL: tensor.New(w, dm), cosL: tensor.New(w, dm),
+			sinS: tensor.New(omega, dm), cosS: tensor.New(omega, dm),
+		}
+		inc.caps[0].te = &inc.te // where the tape refresh's captured pass writes them
 		inc.sinF = make([]float64, dm)
 		inc.cosF = make([]float64, dm)
 		inc.sinA = make([]float64, dm)
@@ -227,6 +239,7 @@ func (inc *incrementalState) score(s *StreamDetector) []float64 {
 // (refreshRows); the tape path remains as the reference and serves the
 // shapes the row path cannot (no temporal module, non-contiguous positions).
 func (inc *incrementalState) refresh(s *StreamDetector) []float64 {
+	inc.headL, inc.headS = 0, 0 // both rebuilds write logical = physical
 	if s.m.cfg.usesTemporal() && inc.refreshRows(s) {
 		return s.scores
 	}
@@ -274,19 +287,18 @@ func (inc *incrementalState) refreshRows(s *StreamDetector) bool {
 	}
 	// Time embedding, evaluated directly: θ[l][j] = phase[l][j] + dt[l]·α[j]
 	// elementwise, exactly the tape's Add(phase, MatMul(dt, α)).
-	te := inc.caps[0]
 	alpha := tm.te.Alpha.Value.Data
-	fillTE(te.sinL, te.cosL, phL, wt.dtL, alpha)
-	fillTE(te.sinS, te.cosS, phS, wt.dtS, alpha)
+	fillTE(inc.te.sinL, inc.te.cosL, phL, wt.dtL, alpha)
+	fillTE(inc.te.sinS, inc.te.cosS, phS, wt.dtS, alpha)
 
 	slot := sc.slots[0]
 	if m.cfg.multivariateInput() {
 		long, short := m.longShort(p, 0, w-1, slot)
-		inc.refreshStage1(m, te, te, long, short, sc.e, -1)
+		inc.refreshStage1(m, inc.caps[0], long, short, sc.e, -1)
 	} else {
 		for v := 0; v < m.n; v++ {
 			long, short := m.longShort(p, v, w-1, slot)
-			inc.refreshStage1(m, inc.caps[v], te, long, short, sc.e, v)
+			inc.refreshStage1(m, inc.caps[v], long, short, sc.e, v)
 		}
 	}
 	final := m.noiseScores(sc.e, s.dyn, sc)
@@ -300,12 +312,14 @@ func (inc *incrementalState) refreshRows(s *StreamDetector) bool {
 }
 
 // refreshStage1 rebuilds one stage-1 forward over the whole window with the
-// row kernels, writing every activation ring of capture c and the stage-1
-// errors e = y − ŷ1 into the rows of e. v is the variate owning the rows
-// (−1 in multivariate mode, where one pass reconstructs every variate and
-// the error write transposes like reconstruct does).
-func (inc *incrementalState) refreshStage1(m *Model, c, te *temporalCapture, long, short, e *tensor.Dense, v int) {
+// row kernels, writing every activation ring of capture c (at head 0, which
+// refresh has just set) and the stage-1 errors e = y − ŷ1 into the rows of
+// e. v is the variate owning the rows (−1 in multivariate mode, where one
+// pass reconstructs every variate and the error write transposes like
+// reconstruct does).
+func (inc *incrementalState) refreshStage1(m *Model, c *temporalCapture, long, short, e *tensor.Dense, v int) {
 	tm := m.temporal
+	te := &inc.te
 	dm := tm.te.dm
 	w, omega := c.encP.Rows, c.decP.Rows
 
@@ -381,7 +395,7 @@ func (inc *incrementalState) refreshStage1(m *Model, c, te *temporalCapture, lon
 // cone and the row refresh.
 func (inc *incrementalState) encodeRow(layer *encoderLayer, x []float64, kc, vc *tensor.Dense, r int, out []float64) {
 	layer.attn.Wq.ApplyRow(inc.qRow, x)
-	layer.attn.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, kc, vc, r, true)
+	layer.attn.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, kc, vc, inc.headL, r, true)
 	layer.attn.Wo.ApplyRow(inc.rowA, inc.ctxRow)
 	for j := range inc.rowA {
 		inc.rowA[j] += x[j]
@@ -401,14 +415,14 @@ func (inc *incrementalState) encodeRow(layer *encoderLayer, x []float64, kc, vc 
 // mirroring the tape's band-mask rule.
 func (inc *incrementalState) decodeRow(tm *temporalModule, c *temporalCapture, id []float64, r int, square bool) {
 	tm.decSelf.Wq.ApplyRow(inc.qRow, id)
-	tm.decSelf.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, c.selfK, c.selfV, r, true)
+	tm.decSelf.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, c.selfK, c.selfV, inc.headS, r, true)
 	tm.decSelf.Wo.ApplyRow(inc.rowB, inc.ctxRow)
 	for j := range inc.rowB {
 		inc.rowB[j] += id[j]
 	}
 	tm.decLN1.ApplyRow(inc.rowB, inc.rowB)
 	tm.decCross.Wq.ApplyRow(inc.qRow, inc.rowB)
-	tm.decCross.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, c.oeK, c.oeV, r, square)
+	tm.decCross.AttendRow(inc.ctxRow, inc.attnScores, inc.qRow, c.oeK, c.oeV, inc.headL, r, square)
 	tm.decCross.Wo.ApplyRow(inc.rowC, inc.ctxRow)
 	for j := range inc.rowC {
 		inc.rowC[j] += inc.rowB[j]
@@ -475,15 +489,20 @@ func (inc *incrementalState) push(s *StreamDetector) {
 	if m.cfg.usesTemporal() {
 		prev := (s.count - 2 + w) % w
 		dtNew := (s.times[slot] - s.times[prev]) / m.dtScale
-		// θ is data-independent, so the rotated time-embedding rings of
-		// cap 0 serve every variate's pass this frame.
-		te := inc.caps[0]
-		inc.rotateTE(m, te, dtNew)
+		inc.rotateTE(m, dtNew)
+		// Slide every ring one position: the slot of the row that left the
+		// window becomes the entering row's.
+		if inc.headL++; inc.headL == w {
+			inc.headL = 0
+		}
+		if inc.headS++; inc.headS == omega {
+			inc.headS = 0
+		}
 		if m.cfg.multivariateInput() {
 			for v := 0; v < n; v++ {
 				inc.xRow[v] = s.data[v][slot]
 			}
-			inc.pushTemporal(m, te, te)
+			inc.pushTemporal(m, inc.caps[0])
 			for v := 0; v < n; v++ {
 				erow := inc.e.Row(v)
 				copy(erow, erow[1:])
@@ -492,7 +511,7 @@ func (inc *incrementalState) push(s *StreamDetector) {
 		} else {
 			for v := 0; v < n; v++ {
 				inc.xRow[0] = s.data[v][slot]
-				inc.pushTemporal(m, inc.caps[v], te)
+				inc.pushTemporal(m, inc.caps[v])
 				erow := inc.e.Row(v)
 				copy(erow, erow[1:])
 				erow[omega-1] = s.data[v][slot] - inc.yRow[0]
@@ -511,10 +530,11 @@ func (inc *incrementalState) push(s *StreamDetector) {
 	inc.scoreStage2(s)
 }
 
-// rotateTE advances the cached time-embedding (sinθ, cosθ) rings by one
+// rotateTE advances the cached time-embedding (sinθ, cosθ) rows by one
 // position: retained rows rotate by exactly −f_j per dimension, the row-0
 // interval pin and the entering row are recomputed directly.
-func (inc *incrementalState) rotateTE(m *Model, c *temporalCapture, dtNew float64) {
+func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
+	c := &inc.te
 	dm := m.temporal.te.dm
 	w, omega := c.sinL.Rows, c.sinS.Rows
 	rotateRows(c.sinL, c.cosL, inc.sinF, inc.cosF)
@@ -542,7 +562,7 @@ func (inc *incrementalState) rotateTE(m *Model, c *temporalCapture, dtNew float6
 	copy(c.cosS.Row(omega-1), cl)
 }
 
-// rotateRows shifts a (sin, cos) ring up one row while rotating each
+// rotateRows shifts a (sin, cos) pair up one row while rotating each
 // retained element by −f_j: sin(θ−f) = sinθ·cosF − cosθ·sinF and
 // cos(θ−f) = cosθ·cosF + sinθ·sinF.
 func rotateRows(sin, cos *tensor.Dense, sinF, cosF []float64) {
@@ -557,21 +577,21 @@ func rotateRows(sin, cos *tensor.Dense, sinF, cosF []float64) {
 	}
 }
 
-// pushTemporal advances one stage-1 forward by a frame: ring-shift every
-// cache, re-project the entering row, recompute the trailing cone through
-// the encoder stack, and run the decoder for the newest timestep only.
-// c carries the variate's caches; te carries the (shared) rotated
-// time-embedding rings. The entering input row is in inc.xRow and the
-// reconstructed newest row lands in inc.yRow.
-func (inc *incrementalState) pushTemporal(m *Model, c, te *temporalCapture) {
+// pushTemporal advances one stage-1 forward by a frame, the ring heads
+// already moved: re-project the entering row, recompute the trailing cone
+// through the encoder stack, and run the decoder for the newest timestep
+// only. c carries the variate's rings. The entering input row is in inc.xRow
+// and the reconstructed newest row lands in inc.yRow.
+func (inc *incrementalState) pushTemporal(m *Model, c *temporalCapture) {
 	tm := m.temporal
+	te := &inc.te
 	dm := tm.te.dm
 	w, omega := c.encP.Rows, c.decP.Rows
+	hl, hs := inc.headL, inc.headS
 	cone, shortCone := inc.pol.Cone, inc.pol.ShortCone
 
-	// Encoder input projection ring: shift, re-project the entering row.
-	shiftRowsUp(c.encP)
-	tm.encProj.ApplyRow(c.encP.Row(w-1), inc.xRow)
+	// Encoder input projection of the entering row.
+	tm.encProj.ApplyRow(ringRow(c.encP, hl, w-1), inc.xRow)
 
 	// Rebuild the trailing cone's input rows IE = encProj(x) + TE from the
 	// caches, then push them through every encoder layer, refreshing each
@@ -581,19 +601,17 @@ func (inc *incrementalState) pushTemporal(m *Model, c, te *temporalCapture) {
 	for i := 0; i < cone; i++ {
 		r := coneStart + i
 		dst := in.Row(i)
-		ep, sr, cr := c.encP.Row(r), te.sinL.Row(r), te.cosL.Row(r)
+		ep, sr, cr := ringRow(c.encP, hl, r), te.sinL.Row(r), te.cosL.Row(r)
 		for j := 0; j < dm; j++ {
 			dst[j] = ep[j] + (sr[j] + cr[j])
 		}
 	}
 	for li, layer := range tm.enc {
 		kc, vc := c.enc[li].k, c.enc[li].v
-		shiftRowsUp(kc)
-		shiftRowsUp(vc)
 		for i := 0; i < cone; i++ {
 			r := coneStart + i
-			layer.attn.Wk.ApplyRow(kc.Row(r), in.Row(i))
-			layer.attn.Wv.ApplyRow(vc.Row(r), in.Row(i))
+			layer.attn.Wk.ApplyRow(ringRow(kc, hl, r), in.Row(i))
+			layer.attn.Wv.ApplyRow(ringRow(vc, hl, r), in.Row(i))
 		}
 		for i := 0; i < cone; i++ {
 			inc.encodeRow(layer, in.Row(i), kc, vc, coneStart+i, out.Row(i))
@@ -602,38 +620,29 @@ func (inc *incrementalState) pushTemporal(m *Model, c, te *temporalCapture) {
 	}
 	// in now holds the encoder output's cone rows; refresh the decoder
 	// cross-attention K/V ring from them.
-	shiftRowsUp(c.oeK)
-	shiftRowsUp(c.oeV)
 	for i := 0; i < cone; i++ {
 		r := coneStart + i
-		tm.decCross.Wk.ApplyRow(c.oeK.Row(r), in.Row(i))
-		tm.decCross.Wv.ApplyRow(c.oeV.Row(r), in.Row(i))
+		tm.decCross.Wk.ApplyRow(ringRow(c.oeK, hl, r), in.Row(i))
+		tm.decCross.Wv.ApplyRow(ringRow(c.oeV, hl, r), in.Row(i))
 	}
 
 	// Decoder rings: input projection and self-attention K/V.
-	shiftRowsUp(c.decP)
-	tm.decProj.ApplyRow(c.decP.Row(omega-1), inc.xRow)
-	shiftRowsUp(c.selfK)
-	shiftRowsUp(c.selfV)
+	tm.decProj.ApplyRow(ringRow(c.decP, hs, omega-1), inc.xRow)
+	id := inc.rowA
 	for i := 0; i < shortCone; i++ {
 		r := omega - shortCone + i
-		dst := inc.rowA
-		dp, sr, cr := c.decP.Row(r), te.sinS.Row(r), te.cosS.Row(r)
+		dp, sr, cr := ringRow(c.decP, hs, r), te.sinS.Row(r), te.cosS.Row(r)
 		for j := 0; j < dm; j++ {
-			dst[j] = dp[j] + (sr[j] + cr[j])
+			id[j] = dp[j] + (sr[j] + cr[j])
 		}
-		tm.decSelf.Wk.ApplyRow(c.selfK.Row(r), dst)
-		tm.decSelf.Wv.ApplyRow(c.selfV.Row(r), dst)
+		tm.decSelf.Wk.ApplyRow(ringRow(c.selfK, hs, r), id)
+		tm.decSelf.Wv.ApplyRow(ringRow(c.selfV, hs, r), id)
 	}
 
 	// Decoder forward, newest row only (older short-window timesteps keep
-	// the error columns scored when they were newest).
-	idLast := inc.rowA
-	dp, sr, cr := c.decP.Row(omega-1), te.sinS.Row(omega-1), te.cosS.Row(omega-1)
-	for j := 0; j < dm; j++ {
-		idLast[j] = dp[j] + (sr[j] + cr[j])
-	}
-	inc.decodeRow(tm, c, idLast, omega-1, omega == w)
+	// the error columns scored when they were newest). The cone loop ended on
+	// row ω−1, so id already holds its input embedding.
+	inc.decodeRow(tm, c, id, omega-1, omega == w)
 }
 
 // scoreStage2 turns the rolling error matrix into the newest timestep's
@@ -680,8 +689,11 @@ func (inc *incrementalState) scoreStage2(s *StreamDetector) {
 	}
 }
 
-// shiftRowsUp drops row 0 and moves every other row up one slot; the freed
-// last row is left to be overwritten by the caller.
-func shiftRowsUp(t *tensor.Dense) {
-	copy(t.Data, t.Data[t.Cols:])
+// ringRow returns logical row r of a ring whose logical row 0 is physical
+// row head.
+func ringRow(t *tensor.Dense, head, r int) []float64 {
+	if r += head; r >= t.Rows {
+		r -= t.Rows
+	}
+	return t.Row(r)
 }

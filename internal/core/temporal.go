@@ -102,24 +102,39 @@ type windowTimes struct {
 
 // capLayer holds one encoder layer's cached key/value projection rings
 // (W×d_m each): the K = x·W_K and V = x·W_V matrices of the layer's most
-// recent captured forward, shifted row-wise as the window slides.
+// recent captured forward.
 type capLayer struct {
 	k, v *tensor.Dense
 }
 
-// temporalCapture snapshots the intermediate activations of one stage-1
-// forward pass that the incremental streaming path reuses across pushes.
-// Every tensor is overwritten in full by the next captured (exact) forward
-// and mutated row-wise by the benign incremental path in between; the two
-// uses share storage by design, so a refresh is also a cache rebuild.
+// temporalCapture holds the intermediate activations of one stage-1 forward
+// pass that the incremental streaming path reuses across pushes. Every
+// matrix is a ring over window positions: logical row r sits at physical row
+// (head+r) mod rows, with one head per window length kept by the owning
+// incrementalState. An exact forward overwrites every ring in full at head 0
+// (logical = physical); the benign incremental path advances the heads by
+// one and rewrites only the entering rows. The two uses share storage by
+// design, so a refresh is also a cache rebuild.
 type temporalCapture struct {
 	encP         *tensor.Dense // W×d_m encoder input projection encProj(x)
-	sinL, cosL   *tensor.Dense // W×d_m time-embedding sin(θ)/cos(θ), long window
 	enc          []capLayer    // per encoder layer K/V rings
 	oeK, oeV     *tensor.Dense // W×d_m decoder cross-attention K/V of the encoder output
 	decP         *tensor.Dense // ω×d_m decoder input projection decProj(x)
-	sinS, cosS   *tensor.Dense // ω×d_m time-embedding parts, short window
 	selfK, selfV *tensor.Dense // ω×d_m decoder self-attention K/V
+
+	// te, when non-nil, also receives the pass's time-embedding parts. θ is
+	// data-independent, so a detector keeps one timeEmbedCache and attaches
+	// it to its first capture only.
+	te *timeEmbedCache
+}
+
+// timeEmbedCache holds sin(θ) and cos(θ) of the time embedding for the long
+// window (W×d_m) and its short suffix (ω×d_m), in logical row order. The
+// incremental path rotates every retained row by one position per push, so
+// these are rewritten in full each frame and are not rings.
+type timeEmbedCache struct {
+	sinL, cosL *tensor.Dense
+	sinS, cosS *tensor.Dense
 }
 
 // newTemporalCapture allocates a capture for the module's geometry. w and
@@ -128,10 +143,8 @@ func (m *temporalModule) newTemporalCapture(w, omega int) *temporalCapture {
 	dm := m.te.dm
 	c := &temporalCapture{
 		encP: tensor.New(w, dm),
-		sinL: tensor.New(w, dm), cosL: tensor.New(w, dm),
-		oeK: tensor.New(w, dm), oeV: tensor.New(w, dm),
-		decP: tensor.New(omega, dm),
-		sinS: tensor.New(omega, dm), cosS: tensor.New(omega, dm),
+		oeK:  tensor.New(w, dm), oeV: tensor.New(w, dm),
+		decP:  tensor.New(omega, dm),
 		selfK: tensor.New(omega, dm), selfV: tensor.New(omega, dm),
 	}
 	for range m.enc {
@@ -161,11 +174,13 @@ func (m *temporalModule) forwardCap(t *ag.Tape, long, short *tensor.Dense, wt wi
 	id := t.Add(decP, teS)
 	if cache != nil {
 		cache.encP.CopyFrom(encP.Value)
-		cache.sinL.CopyFrom(sinL.Value)
-		cache.cosL.CopyFrom(cosL.Value)
 		cache.decP.CopyFrom(decP.Value)
-		cache.sinS.CopyFrom(sinS.Value)
-		cache.cosS.CopyFrom(cosS.Value)
+		if te := cache.te; te != nil {
+			te.sinL.CopyFrom(sinL.Value)
+			te.cosL.CopyFrom(cosL.Value)
+			te.sinS.CopyFrom(sinS.Value)
+			te.cosS.CopyFrom(cosS.Value)
+		}
 	}
 
 	// Encoder over the long context (Eq. 5–7).

@@ -265,7 +265,10 @@ type Engine struct {
 	pendCond *sync.Cond
 	pending  int
 
-	routerErrs    atomic.Uint64 // frames that failed routing (no shard saw them)
+	// routerErrs counts frames that failed routing (no shard saw them). It is
+	// its own allocation so the receiver Close leaves on the Samples channel
+	// can keep counting late samples without keeping the engine reachable.
+	routerErrs    *atomic.Uint64
 	routerDropped atomic.Uint64 // routing errors dropped from the Errors channel
 
 	tapped   atomic.Bool // an alarm tap owns the Alarms channel
@@ -290,6 +293,8 @@ func New(cfg Config) *Engine {
 		done:   make(chan struct{}),
 		stop:   make(chan struct{}),
 		start:  time.Now(),
+
+		routerErrs: new(atomic.Uint64),
 	}
 	e.pendCond = sync.NewCond(&e.pendMu)
 	for i := 0; i < cfg.Shards; i++ {
@@ -705,12 +710,14 @@ func (e *Engine) Close() {
 	// producer racing Close can never park forever on a send. Late
 	// samples are counted as routing errors (the Errors channel is about
 	// to close, so they cannot be reported there). The goroutine exits
-	// when the producer closes the channel.
-	go func() {
-		for range e.in {
-			e.routerErrs.Add(1)
+	// when the producer closes the channel; until then it holds only the
+	// channel and the counter, so a closed engine whose producer never
+	// closes Samples is still collectable — tenants, caches and all.
+	go func(in <-chan Sample, late *atomic.Uint64) {
+		for range in {
+			late.Add(1)
 		}
-	}()
+	}(e.in, e.routerErrs)
 	e.Flush()
 	close(e.stop)
 	e.workerWG.Wait()

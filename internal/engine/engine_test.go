@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -438,6 +439,45 @@ func TestEngineCloseUnblocksProducers(t *testing.T) {
 		t.Fatal("producer still blocked after Close")
 	}
 	wg.Wait()
+}
+
+// TestEngineCloseReleasesEngine pins what Close leaves behind: a producer
+// that keeps Samples() open after Close (it may never close it) still has a
+// receiver — late samples are counted in Totals().Errors — but that receiver
+// must not keep the engine, its tenants or their state reachable.
+func TestEngineCloseReleasesEngine(t *testing.T) {
+	collected := make(chan struct{})
+	// The engine lives only inside this call; the producer's channel is all
+	// that escapes it.
+	samples := func() chan<- engine.Sample {
+		e := engine.New(engine.Config{Shards: 1, Workers: 1})
+		backend := &chattyBackend{n: 1}
+		runtime.SetFinalizer(backend, func(*chattyBackend) { close(collected) })
+		if _, err := e.SubscribeBackend("t", backend); err != nil {
+			t.Fatal(err)
+		}
+		_, wg := collectAlarms(e)
+		in := e.Samples()
+		e.Close()
+		wg.Wait()
+		in <- engine.Sample{Sub: "t", Frame: core.Frame{Time: 1, Magnitudes: []float64{0}}}
+		for deadline := time.Now().Add(10 * time.Second); e.Totals().Errors != 1; {
+			if time.Now().After(deadline) {
+				t.Fatalf("late sample not counted: Totals().Errors = %d, want 1", e.Totals().Errors)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return in
+	}()
+	for i := 0; i < 2; i++ {
+		runtime.GC()
+	}
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a closed engine's tenant is still reachable while Samples() stays open")
+	}
+	close(samples) // lets the late-sample receiver exit
 }
 
 // chattyBackend is a stub StreamBackend that raises exactly one alarm

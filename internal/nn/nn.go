@@ -57,31 +57,6 @@ func (l *Linear) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 	return t.AddRow(t.MatMul(x, t.Param(l.W)), t.Param(l.B))
 }
 
-// ApplyRow applies the layer to the single row x (length in), writing
-// x·W + b into dst (length out) without recording onto a tape — the
-// incremental streaming path's entry point for re-projecting only the
-// rows that entered the window. The accumulation mirrors the tape MatMul
-// kernel (input-major with zero-skip, bias added in a second pass), so
-// the result is bit-identical to the matching row of Forward.
-func (l *Linear) ApplyRow(dst, x []float64) {
-	w := l.W.Value
-	for j := range dst {
-		dst[j] = 0
-	}
-	for k, xv := range x {
-		if xv == 0 {
-			continue
-		}
-		wrow := w.Row(k)
-		for j, wv := range wrow {
-			dst[j] += xv * wv
-		}
-	}
-	for j, bv := range l.B.Value.Data {
-		dst[j] += bv
-	}
-}
-
 // Params implements Module.
 func (l *Linear) Params() []*ag.Param { return []*ag.Param{l.W, l.B} }
 
@@ -210,72 +185,6 @@ func (m *MultiHeadAttention) ForwardKV(t *ag.Tape, query, key, value *ag.Node) (
 		cat = t.ConcatCols(heads...)
 	}
 	return m.Wo.Forward(t, cat), k, v
-}
-
-// AttendRow computes one query row of scaled dot-product attention against
-// full key/value matrices (rows are key positions, pre-head-split dm-wide),
-// writing the concatenated per-head context — the input to Wo — into ctx
-// (length Dim). scores is caller scratch of length ≥ k.Rows. qPos is the
-// query's row position in the attended sequence; the band restriction
-// applies only when square is true, mirroring Forward's bandMask rule
-// (banded self-attention, unbanded cross-attention).
-//
-// The arithmetic mirrors the tape kernels op for op: per-cell dot products
-// in ascending key-dimension order, the 1/√d_k scale applied after the
-// dot, max-subtracted softmax, and zero-skip accumulation over value rows
-// in ascending key order (out-of-band tape cells are exact zeros — their
-// −1e9-masked exponentials underflow — so restricting the loops to the
-// band is value-preserving). A row computed here from exact K/V is
-// bit-identical to the corresponding row of Forward.
-func (m *MultiHeadAttention) AttendRow(ctx, scores, q []float64, k, v *tensor.Dense, qPos int, square bool) {
-	rows := k.Rows
-	jlo, jhi := 0, rows
-	if m.Band > 0 && square {
-		if jlo = qPos - m.Band; jlo < 0 {
-			jlo = 0
-		}
-		if jhi = qPos + m.Band + 1; jhi > rows {
-			jhi = rows
-		}
-	}
-	dk := m.Dim / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
-	for h := 0; h < m.Heads; h++ {
-		lo := h * dk
-		for j := jlo; j < jhi; j++ {
-			krow := k.Row(j)
-			var s float64
-			for c := 0; c < dk; c++ {
-				s += q[lo+c] * krow[lo+c]
-			}
-			scores[j] = s * scale
-		}
-		mx := math.Inf(-1)
-		for j := jlo; j < jhi; j++ {
-			if scores[j] > mx {
-				mx = scores[j]
-			}
-		}
-		var sum float64
-		for j := jlo; j < jhi; j++ {
-			e := math.Exp(scores[j] - mx)
-			scores[j] = e
-			sum += e
-		}
-		for c := 0; c < dk; c++ {
-			ctx[lo+c] = 0
-		}
-		for j := jlo; j < jhi; j++ {
-			p := scores[j] / sum
-			if p == 0 {
-				continue
-			}
-			vrow := v.Row(j)
-			for c := 0; c < dk; c++ {
-				ctx[lo+c] += p * vrow[lo+c]
-			}
-		}
-	}
 }
 
 // AttentionWeights runs the forward pass and additionally returns the

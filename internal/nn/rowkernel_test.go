@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -15,16 +17,24 @@ import (
 
 func TestLinearApplyRowMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	l := NewLinear("l", 7, 5, rng)
-	x := tensor.Randn(9, 7, 1, rng)
-	tp := ag.NewTape()
-	out := l.Forward(tp, tp.Const(x))
-	dst := make([]float64, 5)
-	for r := 0; r < x.Rows; r++ {
-		l.ApplyRow(dst, x.Row(r))
-		for j, v := range dst {
-			if v != out.Value.At(r, j) {
-				t.Fatalf("row %d col %d: ApplyRow %v != Forward %v", r, j, v, out.Value.At(r, j))
+	// 5 and 12 leave a remainder after the kernel's 8-column blocks; 16 is
+	// the benchmark's model width.
+	for _, out := range []int{5, 12, 16} {
+		l := NewLinear("l", 7, out, rng)
+		for j := range l.B.Value.Data {
+			l.B.Value.Data[j] = rng.NormFloat64()
+		}
+		x := tensor.Randn(9, 7, 1, rng)
+		x.Set(3, 2, 0) // the zero-skip
+		tp := ag.NewTape()
+		fwd := l.Forward(tp, tp.Const(x))
+		dst := make([]float64, out)
+		for r := 0; r < x.Rows; r++ {
+			l.ApplyRow(dst, x.Row(r))
+			for j, v := range dst {
+				if v != fwd.Value.At(r, j) {
+					t.Fatalf("out %d row %d col %d: ApplyRow %v != Forward %v", out, r, j, v, fwd.Value.At(r, j))
+				}
 			}
 		}
 	}
@@ -96,7 +106,7 @@ func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense,
 	scores := make([]float64, k.Value.Rows)
 	for r := 0; r < query.Rows; r++ {
 		m.Wq.ApplyRow(q, query.Row(r))
-		m.AttendRow(ctx, scores, q, k.Value, v.Value, r, square)
+		m.AttendRow(ctx, scores, q, k.Value, v.Value, 0, r, square)
 		m.Wo.ApplyRow(dst, ctx)
 		for j, got := range dst {
 			if got != out.Value.At(r, j) {
@@ -118,5 +128,211 @@ func TestAttendRowMatchesForward(t *testing.T) {
 		attendAllRows(t, m, x, nil, true)
 		// Cross-attention (query and key lengths differ: band ignored).
 		attendAllRows(t, m, short, x, false)
+	}
+}
+
+// applyRowRef and attendRowRef are the row kernels as they stood before they
+// were blocked and ring-indexed: one cell at a time through tensor.Dense.Row,
+// keys in physical order. They are the oracle for the operation order every
+// output cell must keep.
+
+func applyRowRef(l *Linear, dst, x []float64) {
+	w := l.W.Value
+	for j := range dst {
+		dst[j] = 0
+	}
+	for k, xv := range x {
+		if xv == 0 {
+			continue
+		}
+		wrow := w.Row(k)
+		for j, wv := range wrow {
+			dst[j] += xv * wv
+		}
+	}
+	for j, bv := range l.B.Value.Data {
+		dst[j] += bv
+	}
+}
+
+func attendRowRef(m *MultiHeadAttention, ctx, scores, q []float64, k, v *tensor.Dense, qPos int, square bool) {
+	rows := k.Rows
+	jlo, jhi := 0, rows
+	if m.Band > 0 && square {
+		if jlo = qPos - m.Band; jlo < 0 {
+			jlo = 0
+		}
+		if jhi = qPos + m.Band + 1; jhi > rows {
+			jhi = rows
+		}
+	}
+	dk := m.Dim / m.Heads
+	scale := 1 / math.Sqrt(float64(dk))
+	for h := 0; h < m.Heads; h++ {
+		lo := h * dk
+		for j := jlo; j < jhi; j++ {
+			krow := k.Row(j)
+			var s float64
+			for c := 0; c < dk; c++ {
+				s += q[lo+c] * krow[lo+c]
+			}
+			scores[j] = s * scale
+		}
+		mx := math.Inf(-1)
+		for j := jlo; j < jhi; j++ {
+			if scores[j] > mx {
+				mx = scores[j]
+			}
+		}
+		var sum float64
+		for j := jlo; j < jhi; j++ {
+			e := math.Exp(scores[j] - mx)
+			scores[j] = e
+			sum += e
+		}
+		for c := 0; c < dk; c++ {
+			ctx[lo+c] = 0
+		}
+		for j := jlo; j < jhi; j++ {
+			p := scores[j] / sum
+			if p == 0 {
+				continue
+			}
+			vrow := v.Row(j)
+			for c := 0; c < dk; c++ {
+				ctx[lo+c] += p * vrow[lo+c]
+			}
+		}
+	}
+}
+
+// sameBits reports the first index at which two rows differ in any bit.
+func sameBits(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// sprinkleZeros sets roughly one cell in five to an exact zero (half of them
+// negative zero), so both kernels' zero-skips are taken.
+func sprinkleZeros(x []float64, rng *rand.Rand) {
+	for i := range x {
+		switch rng.Intn(10) {
+		case 0:
+			x[i] = 0
+		case 1:
+			x[i] = math.Copysign(0, -1)
+		}
+	}
+}
+
+func TestApplyRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, out := range []int{1, 5, 8, 12, 16, 33, 64} {
+		for _, in := range []int{1, 7, 16, 32} {
+			l := NewLinear("l", in, out, rng)
+			for j := range l.B.Value.Data {
+				l.B.Value.Data[j] = rng.NormFloat64()
+			}
+			got, want := make([]float64, out), make([]float64, out)
+			for trial := 0; trial < 8; trial++ {
+				x := tensor.Randn(1, in, 1, rng).Data
+				sprinkleZeros(x, rng)
+				applyRowRef(l, want, x)
+				l.ApplyRow(got, x)
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("in %d out %d col %d: ApplyRow %v != reference %v", in, out, j, got[j], want[j])
+				}
+			}
+		}
+	}
+}
+
+// rotated returns the physically rotated copy of a logical-order matrix that
+// a ring with the given head holds: logical row j sits at row (head+j) mod rows.
+func rotated(logical *tensor.Dense, head int) *tensor.Dense {
+	out := tensor.New(logical.Rows, logical.Cols)
+	for j := 0; j < logical.Rows; j++ {
+		copy(out.Row((head+j)%logical.Rows), logical.Row(j))
+	}
+	return out
+}
+
+func TestAttendRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	const heads = 2
+	for _, dk := range []int{1, 3, 4, 8, 16} {
+		for _, rows := range []int{1, 5, 11} {
+			for _, band := range []int{0, 2} {
+				for _, square := range []bool{true, false} {
+					name := fmt.Sprintf("dk%d/rows%d/band%d/square%v", dk, rows, band, square)
+					dm := heads * dk
+					m := NewMultiHeadAttention("attn", dm, heads, rng)
+					m.Band = band
+					k := tensor.Randn(rows, dm, 1, rng)
+					v := tensor.Randn(rows, dm, 1, rng)
+					sprinkleZeros(v.Data, rng)
+					want, got := make([]float64, dm), make([]float64, dm)
+					scratchRef, scratch := make([]float64, rows), make([]float64, rows)
+					for qPos := 0; qPos < rows; qPos++ {
+						q := tensor.Randn(1, dm, 1, rng).Data
+						sprinkleZeros(q, rng)
+						attendRowRef(m, want, scratchRef, q, k, v, qPos, square)
+						for head := 0; head < rows; head++ {
+							m.AttendRow(got, scratch, q, rotated(k, head), rotated(v, head), head, qPos, square)
+							if c, ok := sameBits(got, want); !ok {
+								t.Fatalf("%s qPos %d head %d cell %d: AttendRow %v != reference %v", name, qPos, head, c, got[c], want[c])
+							}
+						}
+						// Documented aliasing: ctx may be q itself.
+						alias := append([]float64(nil), q...)
+						m.AttendRow(alias, scratch, alias, k, v, 0, qPos, square)
+						if c, ok := sameBits(alias, want); !ok {
+							t.Fatalf("%s qPos %d cell %d: ctx aliasing q gives %v, want %v", name, qPos, c, alias[c], want[c])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAttendRowUnderflowSkip drives a softmax row whose far keys underflow
+// to p == 0 exactly, so the context loop's zero-skip is taken mid-ring — on
+// both sides of the wrap — and must leave the same bits as the reference.
+func TestAttendRowUnderflowSkip(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const rows, dm = 9, 8
+	m := NewMultiHeadAttention("attn", dm, 1, rng)
+	k := tensor.Randn(rows, dm, 1, rng)
+	v := tensor.Randn(rows, dm, 1, rng)
+	q := tensor.Randn(1, dm, 1, rng).Data
+	// Keys 2 and 6 align with a huge query: every other key's exponential
+	// underflows to zero against them.
+	for _, j := range []int{2, 6} {
+		for c := range q {
+			k.Set(j, c, 4000*q[c])
+		}
+	}
+	want, got := make([]float64, dm), make([]float64, dm)
+	scratchRef, scratch := make([]float64, rows), make([]float64, rows)
+	attendRowRef(m, want, scratchRef, q, k, v, 0, false)
+	zeros := 0
+	for _, e := range scratchRef {
+		if e == 0 {
+			zeros++
+		}
+	}
+	if zeros == 0 {
+		t.Fatal("no softmax cell underflowed; the p == 0 skip is not exercised")
+	}
+	for head := 0; head < rows; head++ {
+		m.AttendRow(got, scratch, q, rotated(k, head), rotated(v, head), head, 0, false)
+		if c, ok := sameBits(got, want); !ok {
+			t.Fatalf("head %d cell %d: AttendRow %v != reference %v", head, c, got[c], want[c])
+		}
 	}
 }
