@@ -122,6 +122,7 @@ func main() {
 		agg.Reconnects += st.Reconnects
 		agg.BlockedWaits += st.BlockedWaits
 		agg.Drains += st.Drains
+		agg.Writes += st.Writes
 	}
 	fmt.Fprintf(os.Stderr,
 		"done: %d frames over %d tenants in %s (%.0f frames/s): %d acked, %d resent, %d reconnects, %d drains, %d credit stalls\n",
@@ -129,11 +130,12 @@ func main() {
 		float64(agg.Sent)/elapsed.Seconds(), agg.Acked, agg.Resent,
 		agg.Reconnects, agg.Drains, agg.BlockedWaits)
 	if s := latency.Snapshot(); s.Count > 0 {
-		fmt.Fprintf(os.Stderr, "send→ack latency: p50 %s, p99 %s, p99.9 %s (mean %s over %d acked)\n",
+		fmt.Fprintf(os.Stderr, "send→ack latency: p50 %s, p99 %s, p99.9 %s (mean %s over %d acked); %.1f frames per write\n",
 			time.Duration(s.Quantile(0.5)).Round(time.Microsecond),
 			time.Duration(s.Quantile(0.99)).Round(time.Microsecond),
 			time.Duration(s.Quantile(0.999)).Round(time.Microsecond),
-			time.Duration(s.Mean()).Round(time.Microsecond), s.Count)
+			time.Duration(s.Mean()).Round(time.Microsecond), s.Count,
+			float64(agg.Sent+agg.Resent)/float64(max(agg.Writes, 1)))
 	}
 	if failed.Load() > 0 {
 		os.Exit(1)

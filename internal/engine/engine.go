@@ -261,9 +261,9 @@ type Engine struct {
 	done   chan struct{} // closed first on shutdown: stops the router
 	stop   chan struct{} // closed after drain: stops idle workers
 
-	pendMu   sync.Mutex
+	pendMu   sync.Mutex // held only to park in Flush and to wake it
 	pendCond *sync.Cond
-	pending  int
+	pending  atomic.Int64 // frames accepted and not yet scored
 
 	// routerErrs counts frames that failed routing (no shard saw them). It is
 	// its own allocation so the receiver Close leaves on the Samples channel
@@ -381,7 +381,7 @@ func (e *Engine) SubscribeBackend(id string, det core.StreamBackend) (*Subscript
 	sh.mu.Lock()
 	sh.subsN++
 	sh.mu.Unlock()
-	return &Subscription{ID: id, sub: sub}, nil
+	return &Subscription{ID: id, e: e, sub: sub}, nil
 }
 
 func (sh *shard) subsCount() int {
@@ -403,13 +403,23 @@ func (e *Engine) Ingest(id string, f core.Frame) error {
 	if sub == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSubscription, id)
 	}
-	if len(f.Magnitudes) != sub.n {
-		return fmt.Errorf("engine: frame for %q has %d stars, detector expects %d", id, len(f.Magnitudes), sub.n)
-	}
 	return e.enqueue(sub, f)
 }
 
+// Ingest is Engine.Ingest for a caller that already holds the tenant's
+// handle — a connection serving one tenant — and so skips the lookup by
+// id under the engine's lock.
+func (s *Subscription) Ingest(f core.Frame) error {
+	if s.e.closed.Load() {
+		return ErrClosed
+	}
+	return s.e.enqueue(s.sub, f)
+}
+
 func (e *Engine) enqueue(sub *subscription, f core.Frame) error {
+	if len(f.Magnitudes) != sub.n {
+		return fmt.Errorf("engine: frame for %q has %d stars, detector expects %d", sub.id, len(f.Magnitudes), sub.n)
+	}
 	sh := sub.shard
 	sh.mu.Lock()
 	for sh.count == len(sh.queue) && !sh.closed {
@@ -661,13 +671,16 @@ func (e *Engine) drain(sh *shard) {
 	e.addPending(-len(batch))
 }
 
+// addPending moves the in-flight count and wakes Flush when it reaches
+// zero. Flush reads the count and parks under pendMu, so taking pendMu
+// for the broadcast is what keeps a wake-up from slipping between its
+// check and its park; every other move is one atomic add.
 func (e *Engine) addPending(d int) {
-	e.pendMu.Lock()
-	e.pending += d
-	if e.pending == 0 {
+	if e.pending.Add(int64(d)) == 0 {
+		e.pendMu.Lock()
 		e.pendCond.Broadcast()
+		e.pendMu.Unlock()
 	}
-	e.pendMu.Unlock()
 }
 
 // Flush blocks until every frame accepted so far by Ingest has been
@@ -676,7 +689,7 @@ func (e *Engine) addPending(d int) {
 // Alarms channel must be drained concurrently or Flush may never return.
 func (e *Engine) Flush() {
 	e.pendMu.Lock()
-	for e.pending > 0 {
+	for e.pending.Load() > 0 {
 		e.pendCond.Wait()
 	}
 	e.pendMu.Unlock()

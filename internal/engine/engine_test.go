@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -588,6 +589,57 @@ func TestEngineSlowAlarmConsumerBackpressure(t *testing.T) {
 	}
 }
 
+// TestEngineFlushVsIngest pins Flush's contract while other producers keep
+// ingesting: when a producer's Flush returns, every frame that producer
+// handed in — by id or through its handle — has been scored. The in-flight
+// count is an atomic that takes the Flush lock only on reaching zero, so
+// the wake-up that must not be lost is the one racing a Flush about to
+// park.
+func TestEngineFlushVsIngest(t *testing.T) {
+	const producers, rounds, burst = 4, 300, 3
+	e := engine.New(engine.Config{Shards: 2, Workers: 2, QueueDepth: 4, BatchSize: 2})
+	_, alarms := collectAlarms(e)
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		id := fmt.Sprintf("p%d", p)
+		sub, err := e.SubscribeBackend(id, &chattyBackend{n: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f := core.Frame{Magnitudes: make([]float64, 1)}
+			for r := 0; r < rounds; r++ {
+				for b := 0; b < burst; b++ {
+					f.Time = float64(r*burst + b)
+					var err error
+					if b%2 == 0 {
+						err = sub.Ingest(f)
+					} else {
+						err = e.Ingest(id, f)
+					}
+					if err != nil {
+						t.Errorf("%s: ingest: %v", id, err)
+						return
+					}
+				}
+				e.Flush()
+				if got, want := sub.Stats().Frames, uint64((r+1)*burst); got != want {
+					t.Errorf("%s: Flush returned with %d of %d frames scored", id, got, want)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	e.Close()
+	alarms.Wait()
+	if got := e.Totals().Frames; got != producers*rounds*burst {
+		t.Fatalf("engine scored %d frames, want %d", got, producers*rounds*burst)
+	}
+}
+
 // TestEngineTap covers the alarm-tap contract: the tap consumes every
 // alarm in channel order, its final hook runs before Close returns, and
 // a second tap is rejected.
@@ -633,7 +685,8 @@ func TestEngineTap(t *testing.T) {
 func TestEngineSubscribeAndIngestErrors(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 1, Workers: 1})
-	if _, err := e.Subscribe("a", m); err != nil {
+	sub, err := e.Subscribe("a", m)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Subscribe("a", m); !errors.Is(err, engine.ErrDuplicateSubscription) {
@@ -645,11 +698,17 @@ func TestEngineSubscribeAndIngestErrors(t *testing.T) {
 	if err := e.Ingest("a", core.Frame{Magnitudes: make([]float64, 2)}); err == nil {
 		t.Fatal("expected width error")
 	}
+	if err := sub.Ingest(core.Frame{Magnitudes: make([]float64, 2)}); err == nil {
+		t.Fatal("expected width error through the handle")
+	}
 	_, wg := collectAlarms(e)
 	e.Close()
 	wg.Wait()
 	if err := e.Ingest("a", core.Frame{Magnitudes: make([]float64, d.Test.N())}); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("ingest after close: got %v", err)
+	}
+	if err := sub.Ingest(core.Frame{Magnitudes: make([]float64, d.Test.N())}); !errors.Is(err, engine.ErrClosed) {
+		t.Fatalf("ingest through the handle after close: got %v", err)
 	}
 	if _, err := e.Subscribe("b", m); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("subscribe after close: got %v", err)

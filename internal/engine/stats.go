@@ -133,6 +133,7 @@ type SubscriptionStats struct {
 type Subscription struct {
 	// ID is the tenant identifier passed to Subscribe.
 	ID  string
+	e   *Engine
 	sub *subscription
 }
 

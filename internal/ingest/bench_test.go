@@ -1,11 +1,9 @@
 package ingest_test
 
 import (
-	"net"
 	"testing"
 
 	"aero/internal/core"
-	"aero/internal/engine"
 	"aero/internal/ingest"
 )
 
@@ -16,37 +14,8 @@ import (
 // b.SetBytes reports wire throughput.
 func BenchmarkIngestRoundTrip(b *testing.B) {
 	const variates = 5
-	gb := &gateBackend{n: variates}
-	e := engine.New(engine.Config{Shards: 1, Workers: 1, QueueDepth: 64, BatchSize: 8})
-	sub, err := e.SubscribeBackend("bench", gb)
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for range e.Alarms() {
-		}
-	}()
-	subs := map[string]*engine.Subscription{"bench": sub}
-	srv, err := ingest.NewServer(ingest.ServerConfig{
-		Engine: e,
-		Lookup: func(tenant string) (*engine.Subscription, error) { return subs[tenant], nil },
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
-
-	c, err := ingest.Dial(ingest.ClientConfig{
-		Addr: l.Addr().String(), Tenant: "bench", Variates: variates, Window: 256,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	r := startWireRig(b, variates, b.N, nil)
+	c := r.dial(b, ingest.ClientConfig{})
 	frame := core.Frame{Magnitudes: make([]float64, variates)}
 
 	b.SetBytes(int64(ingest.DataWireSize(variates)))
@@ -66,8 +35,5 @@ func BenchmarkIngestRoundTrip(b *testing.B) {
 	if err := c.Close(); err != nil {
 		b.Fatal(err)
 	}
-	srv.Close()
-	e.Close()
-	l.Close()
-	<-serveDone
+	r.stop()
 }

@@ -68,18 +68,23 @@ type ClientStats struct {
 	Resent uint64
 	// Reconnects counts successful re-handshakes.
 	Reconnects uint64
-	// BlockedWaits counts Send calls that had to park on credit or
-	// window exhaustion — the client-visible face of engine backpressure.
+	// BlockedWaits counts Send calls that had to park on credit, window
+	// or write-buffer exhaustion — the client-visible face of engine
+	// backpressure.
 	BlockedWaits uint64
 	// Drains counts drain notices received.
 	Drains uint64
+	// Writes counts socket writes; frames sent per write is the group
+	// commit's batching factor (Sent+Resent over Writes).
+	Writes uint64
 }
 
 // ErrClientClosed is returned by Send after Close.
 var ErrClientClosed = errors.New("ingest: client closed")
 
 // pendFrame is one sent-but-unacknowledged frame, owned by the client
-// for retransmission.
+// for retransmission. Slots live in a ring and keep their magnitude
+// buffer across reuse.
 type pendFrame struct {
 	seq    uint64
 	time   float64
@@ -87,23 +92,31 @@ type pendFrame struct {
 	sentNs int64 // Send timestamp for ack-latency measurement; 0 when untimed
 }
 
+// minWriteBuf is the smallest per-connection write buffer (there are two:
+// one filling, one in flight): about 88 eight-variate frames, more than a
+// default credit window holds.
+const minWriteBuf = 8 << 10
+
 // Client is one tenant's connection to the ingest server: an ordered,
 // credit-controlled, exactly-once frame stream. Send blocks while the
 // server is out of credit (protocol-level backpressure) and transparently
 // rides out drains and restarts by reconnecting and resending the
 // unacknowledged suffix. Clients are safe for use by one sender
-// goroutine; the reader goroutine is internal.
+// goroutine; the reader and writer goroutines are internal.
 type Client struct {
-	cfg ClientConfig
+	cfg       ClientConfig
+	frameSize int // wire size of one Data message at cfg.Variates
 
 	mu        sync.Mutex
-	cond      *sync.Cond
+	cond      *sync.Cond // state changes Send, Flush, Close and redial wait on
+	wake      *sync.Cond // the live connection's writer parks here; a retired one never parks again
 	conn      net.Conn
-	bw        *bufio.Writer
+	wq        []byte // messages encoded since the writer last took the buffer; fixed capacity
 	credits   int
 	nextSeq   uint64
-	pending   []pendFrame // in seq order; released by cumulative acks
-	free      [][]float64 // recycled magnitude buffers
+	pending   []pendFrame // ring of Window slots in seq order; released by cumulative acks
+	pendHead  int
+	pendN     int
 	ackedUp   uint64
 	byeUp     uint64 // ByeAck watermark (0 until received)
 	closed    bool
@@ -115,11 +128,12 @@ type Client struct {
 }
 
 // Dial connects, performs the tenant handshake, and starts the ack
-// reader.
+// reader and the connection's writer.
 func Dial(cfg ClientConfig) (*Client, error) {
 	cfg = cfg.withDefaults()
-	c := &Client{cfg: cfg}
+	c := &Client{cfg: cfg, frameSize: DataWireSize(cfg.Variates), pending: make([]pendFrame, cfg.Window)}
 	c.cond = sync.NewCond(&c.mu)
+	c.wake = sync.NewCond(&c.mu)
 	conn, credits, err := c.handshake()
 	if err != nil {
 		return nil, err
@@ -174,87 +188,126 @@ type readerConn struct {
 	br *bufio.Reader
 }
 
-// install adopts a fresh connection under c.mu and starts its reader.
+// install adopts a fresh connection under c.mu and starts its reader and
+// its writer. Each connection gets its own pair of write buffers: a
+// retired connection's writer may still be inside Write with one of them.
 func (c *Client) install(conn net.Conn, credits int) {
+	size := max(minWriteBuf, c.frameSize)
 	c.conn = conn
-	c.bw = bufio.NewWriterSize(conn, 32<<10)
+	c.wq = make([]byte, 0, size)
 	c.credits = credits
 	c.dead = false
 	go c.readLoop(conn)
+	go c.writeLoop(conn, make([]byte, 0, size))
 	c.cond.Broadcast()
 }
 
 // Send delivers one frame in order, blocking while the server's credit
-// grant or the local window is exhausted — the protocol-level face of
-// the engine's backpressure. The magnitudes are copied; the caller may
-// reuse the slice. Send never drops: a frame accepted by Send is
-// retransmitted across drains and reconnects until acknowledged.
+// grant, the local window or the write buffer is exhausted — the
+// protocol-level face of the engine's backpressure. The magnitudes are
+// copied; the caller may reuse the slice. Send never drops: a frame
+// accepted by Send is retransmitted across drains and reconnects until
+// acknowledged.
+//
+// Send only encodes the frame into the connection's write buffer and
+// signals the writer, so a TCP stall cannot lock the ack reader out;
+// write failures surface through the reconnect path, which retransmits
+// the frame from pending.
 func (c *Client) Send(f core.Frame) error {
 	if len(f.Magnitudes) != c.cfg.Variates {
 		return fmt.Errorf("ingest: frame has %d variates, client declared %d", len(f.Magnitudes), c.cfg.Variates)
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	waited := false
-	for !c.closed && c.err == nil && (c.dead || c.resending || c.credits <= 0 || len(c.pending) >= c.cfg.Window) {
+	for !c.closed && c.err == nil && (c.dead || c.resending || c.pendN >= len(c.pending) || !c.canQueue()) {
 		if !c.dead && !waited {
 			waited = true
 			c.stats.BlockedWaits++
 		}
 		c.cond.Wait()
 	}
-	if c.closed || c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
+	if c.err != nil {
+		return c.err
+	}
+	if c.closed {
+		return ErrClientClosed
+	}
+	if err := c.queueData(c.nextSeq+1, f.Time, f.Magnitudes); err != nil {
 		return err
 	}
 	c.nextSeq++
-	seq := c.nextSeq
-	mags := c.getBuf(len(f.Magnitudes))
-	copy(mags, f.Magnitudes)
-	var sentNs int64
+	p := c.slot(c.pendN)
+	p.seq, p.time, p.sentNs = c.nextSeq, f.Time, 0
+	p.mags = append(p.mags[:0], f.Magnitudes...)
 	if c.cfg.Latency != nil {
-		sentNs = metrics.Now()
+		p.sentNs = metrics.Now()
 	}
-	c.pending = append(c.pending, pendFrame{seq: seq, time: f.Time, mags: mags, sentNs: sentNs})
-	c.credits--
+	c.pendN++
 	c.stats.Sent++
-	bw, conn := c.bw, c.conn
-	c.mu.Unlock()
-
-	// The write happens outside c.mu so a TCP stall cannot lock the ack
-	// reader out; write failures surface through the reader's reconnect
-	// path, which retransmits this frame from pending.
-	if err := writeFrame(bw, conn, seq, f.Time, mags); err != nil {
-		c.onConnError(conn, err)
-	}
 	return nil
 }
 
-// writeFrame encodes and flushes one Data message.
-func writeFrame(bw *bufio.Writer, conn net.Conn, seq uint64, t float64, mags []float64) error {
-	buf, err := AppendMsg(nil, &Msg{Type: MsgData, Seq: seq, Time: t, Mags: mags})
+// slot returns the ring slot i places past the oldest pending frame,
+// 0 ≤ i ≤ Window. Caller holds c.mu.
+func (c *Client) slot(i int) *pendFrame {
+	if i += c.pendHead; i >= len(c.pending) {
+		i -= len(c.pending)
+	}
+	return &c.pending[i]
+}
+
+// canQueue reports whether one more Data message may go out now: a
+// credit to spend and room for it in the write buffer. Caller holds c.mu.
+func (c *Client) canQueue() bool {
+	return c.credits > 0 && len(c.wq)+c.frameSize <= cap(c.wq)
+}
+
+// queueData spends one credit encoding a Data message in place at the end
+// of the write buffer and signals the writer. Caller holds c.mu and has
+// checked canQueue.
+func (c *Client) queueData(seq uint64, t float64, mags []float64) error {
+	buf, err := AppendMsg(c.wq, &Msg{Type: MsgData, Seq: seq, Time: t, Mags: mags})
 	if err != nil {
 		return err
 	}
-	conn.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if _, err := bw.Write(buf); err != nil {
-		return err
-	}
-	return bw.Flush()
+	c.wq = buf
+	c.credits--
+	c.wake.Signal()
+	return nil
 }
 
-func (c *Client) getBuf(n int) []float64 {
-	if k := len(c.free); k > 0 {
-		b := c.free[k-1]
-		c.free = c.free[:k-1]
-		if cap(b) >= n {
-			return b[:n]
+// writeLoop is the connection's only writer — a group commit clocked by
+// the socket itself: each pass takes everything queued while the previous
+// Write was in flight and sends it in one Write. A lone frame finds the
+// writer parked and goes out at once; a saturating sender fills the
+// buffer for as long as a write takes and pays one syscall for the lot.
+// Nothing is stranded, because every queued byte is followed by a signal
+// and the writer re-checks the buffer before it parks.
+func (c *Client) writeLoop(conn net.Conn, spare []byte) {
+	c.mu.Lock()
+	for {
+		for len(c.wq) == 0 && conn == c.conn && !c.dead {
+			c.wake.Wait()
 		}
+		if conn != c.conn || c.dead {
+			c.mu.Unlock()
+			return
+		}
+		buf := c.wq
+		c.wq = spare[:0]
+		c.stats.Writes++
+		if len(buf)+c.frameSize > cap(buf) {
+			c.cond.Broadcast() // whoever parked on the full buffer has room again
+		}
+		c.mu.Unlock()
+		if _, err := conn.Write(buf); err != nil {
+			c.onConnError(conn, err)
+			return
+		}
+		spare = buf
+		c.mu.Lock()
 	}
-	return make([]float64, n)
 }
 
 // readLoop consumes server messages for one connection's lifetime.
@@ -283,7 +336,7 @@ func (c *Client) readLoop(conn net.Conn) {
 			if conn == c.conn {
 				c.stats.Drains++
 				c.release(m.UpTo)
-				c.markDead(conn)
+				c.markDead()
 			}
 			c.mu.Unlock()
 			conn.Close()
@@ -298,66 +351,67 @@ func (c *Client) readLoop(conn net.Conn) {
 			c.mu.Unlock()
 			return
 		case MsgError:
-			c.failTerminal(fmt.Errorf("ingest: server error (code %d): %s", m.Code, m.Text))
-			conn.Close()
+			err := fmt.Errorf("ingest: server error (code %d): %s", m.Code, m.Text)
+			c.failTerminal(err)
+			c.onConnError(conn, err)
 			return
 		}
 	}
 }
 
-// release drops acknowledged frames from the resend buffer. Caller holds
-// c.mu.
+// release drops acknowledged frames from the resend ring. Caller holds
+// c.mu and broadcasts.
 func (c *Client) release(upTo uint64) {
 	if upTo <= c.ackedUp {
 		return
 	}
-	n := 0
 	var now int64
 	if c.cfg.Latency != nil {
 		now = metrics.Now() // one clock read covers the whole ack batch
 	}
-	for n < len(c.pending) && c.pending[n].seq <= upTo {
-		if p := &c.pending[n]; p.sentNs != 0 {
-			c.cfg.Latency.Record(now - p.sentNs)
+	for c.pendN > 0 && c.pending[c.pendHead].seq <= upTo {
+		if sent := c.pending[c.pendHead].sentNs; sent != 0 {
+			c.cfg.Latency.Record(now - sent)
 		}
-		c.free = append(c.free, c.pending[n].mags)
-		n++
-	}
-	if n > 0 {
-		c.stats.Acked += uint64(n)
-		c.pending = c.pending[:copy(c.pending, c.pending[n:])]
+		if c.pendHead++; c.pendHead == len(c.pending) {
+			c.pendHead = 0
+		}
+		c.pendN--
+		c.stats.Acked++
 	}
 	c.ackedUp = upTo
-	c.cond.Broadcast()
 }
 
-// onConnError retires a failed connection and starts the redial loop.
+// onConnError retires a failed connection and, unless the client is
+// closed or failed, starts the redial loop.
 func (c *Client) onConnError(conn net.Conn, err error) {
 	c.mu.Lock()
-	if conn != c.conn || c.closed || c.err != nil {
-		c.mu.Unlock()
-		return
+	if conn == c.conn && !c.dead {
+		if !c.closed && c.err == nil {
+			c.cfg.Logf("ingest: connection lost: %v", err)
+		}
+		c.markDead()
 	}
-	c.cfg.Logf("ingest: connection lost: %v", err)
-	c.markDead(conn)
 	c.mu.Unlock()
 	conn.Close()
 }
 
-// markDead flags the current connection unusable and spawns the redial
-// loop (at most one). Caller holds c.mu.
-func (c *Client) markDead(conn net.Conn) {
-	if c.dead || c.closed {
+// markDead flags the current connection unusable, releases its writer and
+// spawns the redial loop (at most one). Caller holds c.mu.
+func (c *Client) markDead() {
+	if c.dead {
 		return
 	}
 	c.dead = true
-	c.cond.Broadcast()
-	if c.cfg.RedialAttempts > 0 {
-		go c.redial()
-	} else {
-		c.err = errors.New("ingest: connection lost and reconnection disabled")
-		c.cond.Broadcast()
+	c.wake.Signal()
+	if !c.closed && c.err == nil {
+		if c.cfg.RedialAttempts > 0 {
+			go c.redial()
+		} else {
+			c.err = errors.New("ingest: connection lost and reconnection disabled")
+		}
 	}
+	c.cond.Broadcast()
 }
 
 // redial reconnects with exponential backoff and retransmits the
@@ -374,42 +428,7 @@ func (c *Client) redial() {
 
 		conn, credits, err := c.handshake()
 		if err == nil {
-			c.mu.Lock()
-			resend := make([]pendFrame, len(c.pending))
-			copy(resend, c.pending)
-			c.stats.Reconnects++
-			c.stats.Resent += uint64(len(resend))
-			// The resending flag keeps Send parked until the whole
-			// unacknowledged suffix is back on the wire, so new frames can
-			// never overtake a retransmission.
-			c.resending = len(resend) > 0
-			c.install(conn, credits)
-			bw := c.bw
-			c.mu.Unlock()
-			for i := range resend {
-				c.mu.Lock()
-				for c.credits <= 0 && !c.closed && c.err == nil && conn == c.conn {
-					c.cond.Wait()
-				}
-				stale := conn != c.conn || c.closed || c.err != nil
-				if !stale {
-					c.credits--
-				}
-				c.mu.Unlock()
-				if stale {
-					return
-				}
-				if err := writeFrame(bw, conn, resend[i].seq, resend[i].time, resend[i].mags); err != nil {
-					c.onConnError(conn, err)
-					return
-				}
-			}
-			c.mu.Lock()
-			if conn == c.conn {
-				c.resending = false
-				c.cond.Broadcast()
-			}
-			c.mu.Unlock()
+			c.resend(conn, credits)
 			return
 		}
 		c.cfg.Logf("ingest: redial %d/%d failed: %v", attempt, c.cfg.RedialAttempts, err)
@@ -422,6 +441,42 @@ func (c *Client) redial() {
 			delay *= 2
 		}
 	}
+}
+
+// resend adopts a redialed connection and puts the unacknowledged suffix
+// back on the wire through the same queue Send uses, as credit and buffer
+// space allow. The resending flag keeps Send parked until the whole
+// suffix is queued, so new frames can never overtake a retransmission.
+func (c *Client) resend(conn net.Conn, credits int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		conn.Close()
+		return
+	}
+	c.stats.Reconnects++
+	c.install(conn, credits)
+	c.resending = true
+	for seq := c.ackedUp + 1; seq <= c.nextSeq; seq++ {
+		for conn == c.conn && !c.dead && !c.closed && c.err == nil && !c.canQueue() {
+			c.cond.Wait()
+		}
+		if conn != c.conn || c.dead || c.closed || c.err != nil {
+			return // a later redial, or nobody, finishes the job
+		}
+		if seq <= c.ackedUp {
+			continue
+		}
+		p := c.slot(int(seq - c.pending[c.pendHead].seq))
+		if err := c.queueData(p.seq, p.time, p.mags); err != nil {
+			c.err = err // Send encoded this very frame once already
+			c.cond.Broadcast()
+			return
+		}
+		c.stats.Resent++
+	}
+	c.resending = false
+	c.cond.Broadcast()
 }
 
 // failTerminal records a fatal error and wakes every waiter.
@@ -439,13 +494,13 @@ func (c *Client) failTerminal(err error) {
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for len(c.pending) > 0 && c.err == nil && !c.closed {
+	for c.pendN > 0 && c.err == nil && !c.closed {
 		c.cond.Wait()
 	}
 	if c.err != nil {
 		return c.err
 	}
-	if len(c.pending) > 0 {
+	if c.pendN > 0 {
 		return ErrClientClosed
 	}
 	return nil
@@ -463,33 +518,30 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.cond.Broadcast()
-	conn, bw := c.conn, c.bw
-	last := c.nextSeq
-	clean := flushErr == nil && !c.dead && conn != nil
-	c.mu.Unlock()
-
-	if clean {
-		if buf, err := AppendMsg(nil, &Msg{Type: MsgBye, UpTo: last}); err == nil {
-			conn.SetWriteDeadline(time.Now().Add(5 * time.Second))
-			if _, werr := bw.Write(buf); werr == nil {
-				bw.Flush()
+	conn, last := c.conn, c.nextSeq
+	if flushErr == nil && !c.dead {
+		if buf, err := AppendMsg(c.wq, &Msg{Type: MsgBye, UpTo: last}); err == nil {
+			c.wq = buf
+			c.wake.Signal()
+			// Wait for the reader to surface ByeAck; delivery is already
+			// guaranteed by the ack watermark, so this is only a courtesy
+			// to the server's connection teardown, and a bounded one.
+			expired := false
+			timer := time.AfterFunc(2*time.Second, func() {
+				c.mu.Lock()
+				expired = true
+				c.cond.Broadcast()
+				c.mu.Unlock()
+			})
+			for c.byeUp < last && !c.dead && !expired {
+				c.cond.Wait()
 			}
+			timer.Stop()
 		}
-		// Give the reader a moment to surface ByeAck; delivery is already
-		// guaranteed by the ack watermark, so this is only a courtesy to
-		// the server's connection teardown.
-		deadline := time.Now().Add(2 * time.Second)
-		c.mu.Lock()
-		for c.byeUp < last && time.Now().Before(deadline) {
-			c.mu.Unlock()
-			time.Sleep(5 * time.Millisecond)
-			c.mu.Lock()
-		}
-		c.mu.Unlock()
 	}
-	if conn != nil {
-		conn.Close()
-	}
+	c.markDead() // releases the writer; a closed client does not redial
+	c.mu.Unlock()
+	conn.Close()
 	return flushErr
 }
 
@@ -504,5 +556,5 @@ func (c *Client) Stats() ClientStats {
 func (c *Client) Pending() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.pending)
+	return c.pendN
 }

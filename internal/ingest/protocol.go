@@ -193,14 +193,20 @@ func DecodeMsg(buf []byte, m *Msg) (int, error) {
 // the reusable payload buffer. The CRC is verified before any body byte
 // is interpreted.
 func ReadMsg(br *bufio.Reader, m *Msg, scratch *[]byte) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	// The length is peeked in the reader's own buffer: a local array
+	// handed to io.ReadFull escapes, one allocation per message.
+	hdr, err := br.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n < 1 || n > MaxPayload {
 		return fmt.Errorf("%w: payload length %d", ErrTooLarge, n)
 	}
+	br.Discard(4) // cannot fail: the four bytes are buffered
 	need := int(n) + 4
 	if cap(*scratch) < need {
 		*scratch = make([]byte, need)

@@ -221,7 +221,7 @@ func (s *Server) Serve(l net.Listener) error {
 		// Drain holds while collecting the connection set — so a conn
 		// either lands in the set (and is cut and drained) or is refused;
 		// none can slip past the drain barrier.
-		sc := &serverConn{s: s, c: c, br: bufio.NewReaderSize(c, 64<<10), bw: bufio.NewWriterSize(c, 32<<10)}
+		sc := &serverConn{s: s, c: c, br: bufio.NewReaderSize(c, 64<<10)}
 		s.mu.Lock()
 		if s.draining.Load() || s.closed.Load() {
 			s.mu.Unlock()
@@ -360,12 +360,11 @@ type serverConn struct {
 	s  *Server
 	c  net.Conn
 	br *bufio.Reader
-	bw *bufio.Writer
 
-	wmu sync.Mutex // serializes writes (reader acks vs drain notice)
+	wmu  sync.Mutex // serializes writes (reader acks vs drain notice)
+	wbuf []byte     // encode buffer reused by every send; guarded by wmu
 
 	sub   *engine.Subscription
-	subID string
 	width int
 
 	pmu      sync.Mutex
@@ -404,7 +403,7 @@ func (sc *serverConn) run() {
 		sc.fail(CodeUnknownTenant, fmt.Sprintf("unknown tenant %q", m.Tenant))
 		return
 	}
-	sc.sub, sc.subID = sub, m.Tenant
+	sc.sub = sub
 	sc.width = m.Variates
 	grant := sc.grantSize(0)
 	sc.granted = grant
@@ -500,7 +499,7 @@ func (sc *serverConn) handleData(m *Msg, idle bool) bool {
 	if obs != nil {
 		tIn = metrics.Now()
 	}
-	if err := sc.s.cfg.Engine.Ingest(sc.subID, core.Frame{Time: m.Time, Magnitudes: m.Mags}); err != nil {
+	if err := sc.sub.Ingest(core.Frame{Time: m.Time, Magnitudes: m.Mags}); err != nil {
 		sc.pmu.Unlock()
 		sc.fail(CodeIngest, err.Error())
 		return false
@@ -575,30 +574,40 @@ func (sc *serverConn) ackedCut() uint64 {
 	return sc.acked
 }
 
+// drainLinger bounds how long a drained connection keeps discarding
+// inbound bytes while it waits for the client to close its side.
+const drainLinger = 2 * time.Second
+
 // finishDrain sends the final cumulative ack and the drain notice, then
-// closes the connection. The client releases ≤ upTo and resends the rest
-// to the successor.
+// half-closes: the client releases ≤ upTo and resends the rest to the
+// successor. The socket itself stays open and the reader goroutine keeps
+// discarding until the client hangs up or drainLinger passes — closing
+// with frames still unread in the receive buffer makes the kernel answer
+// with RST, and an RST destroys the notice in the client's receive queue.
 func (sc *serverConn) finishDrain(upTo uint64) {
 	sc.send(&Msg{Type: MsgAck, UpTo: upTo, Credits: 0})
 	sc.send(&Msg{Type: MsgDrain, UpTo: upTo})
-	// Closing unblocks the reader goroutine; discard mode keeps the
-	// close from being counted as a protocol error.
-	sc.c.Close()
+	if hc, ok := sc.c.(interface{ CloseWrite() error }); ok {
+		hc.CloseWrite()
+	}
+	// The deadline also wakes a reader parked in Read; discard mode keeps
+	// its expiry from being counted as a protocol error.
+	sc.c.SetReadDeadline(time.Now().Add(drainLinger))
 }
 
-// send writes one message under the write lock and flushes it.
+// send encodes one message into the connection's reused buffer and
+// writes it under the write lock.
 func (sc *serverConn) send(m *Msg) error {
 	sc.wmu.Lock()
 	defer sc.wmu.Unlock()
-	buf, err := AppendMsg(nil, m)
+	buf, err := AppendMsg(sc.wbuf[:0], m)
 	if err != nil {
 		return err
 	}
+	sc.wbuf = buf
 	sc.c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	if _, err := sc.bw.Write(buf); err != nil {
-		return err
-	}
-	return sc.bw.Flush()
+	_, err = sc.c.Write(buf)
+	return err
 }
 
 // fail reports a protocol violation to the peer and counts it.
