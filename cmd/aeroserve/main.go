@@ -135,7 +135,7 @@ func main() {
 	shards := flag.Int("shards", 0, "engine shards (0 = default)")
 	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
-	statsEvery := flag.Duration("stats", 2*time.Second, "stats print interval")
+	statsEvery := flag.Duration("stats", 2*time.Second, "stats print interval (0 = no periodic stats line)")
 	quiet := flag.Bool("quiet", false, "suppress per-alarm (and per-incident) output")
 	triage := flag.Bool("triage", false, "triage the alarm flood into a ranked incident feed (dedup → episodes → cross-tenant correlation → ranking)")
 	triageBucket := flag.Float64("triage-bucket", 0, "triage dedup time-bucket in feed time units (0 = 4 frame periods)")
@@ -164,6 +164,12 @@ func main() {
 		os.Exit(1)
 	}
 
+	if *statsEvery < 0 {
+		// As the flag package reports a value it cannot parse.
+		fmt.Fprintf(os.Stderr, "invalid value %v for flag -stats: must not be negative\n", *statsEvery)
+		flag.Usage()
+		os.Exit(2)
+	}
 	spec, ok := aero.LookupBackend(*kindFlag)
 	if !ok {
 		fail("unknown backend %q (have %v)", *kindFlag, aero.BackendKinds())
@@ -717,11 +723,15 @@ func main() {
 	// Periodic stats.
 	statsDone := make(chan struct{})
 	go func() {
-		tick := time.NewTicker(*statsEvery)
-		defer tick.Stop()
+		var tickC <-chan time.Time // nil, so never ready, with -stats 0
+		if *statsEvery > 0 {
+			tick := time.NewTicker(*statsEvery)
+			defer tick.Stop()
+			tickC = tick.C
+		}
 		for {
 			select {
-			case <-tick.C:
+			case <-tickC:
 				t := eng.Totals()
 				line := fmt.Sprintf("stats: %d frames scored (%.0f/s), %d alarms (%d blocked), %d errors (%d reports dropped), %d queued",
 					t.Frames, t.FramesPerSec, t.Alarms, t.AlarmsBlocked, t.Errors, t.ErrorsDropped, t.QueueDepth)

@@ -345,6 +345,10 @@ func TestIncrementalErrorBound(t *testing.T) {
 // frame the incremental machinery must be invisible — raw scores and alarms
 // bit-identical to the detector with the path disabled.
 func TestIncrementalExactModeBitIdentical(t *testing.T) {
+	eachKernelPath(t, testIncrementalExactModeBitIdentical)
+}
+
+func testIncrementalExactModeBitIdentical(t *testing.T) {
 	m, d := shared(t)
 	ex, err := NewStreamDetector(m)
 	if err != nil {
@@ -478,6 +482,10 @@ func TestTimeEmbeddingPhaseCache(t *testing.T) {
 // heads already advanced), both must leave the same scores, the same shared
 // time-embedding parts and the same rings at head 0, bit for bit.
 func TestRefreshTapeMatchesRows(t *testing.T) {
+	eachKernelPath(t, testRefreshTapeMatchesRows)
+}
+
+func testRefreshTapeMatchesRows(t *testing.T) {
 	m, d := shared(t)
 	rows, err := NewStreamDetector(m)
 	if err != nil {

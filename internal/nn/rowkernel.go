@@ -17,6 +17,12 @@ import (
 // the inputs. A kernel that re-associates a sum, folds the 1/√d_k scale into
 // the dot product, multiplies by a reciprocal instead of dividing, or fuses a
 // multiply-add changes score bits (core's TestStreamScoreBitsPinned).
+//
+// The same freedom is what the amd64 vector leaves (rowkernel_amd64.s) use:
+// independent cells ride the lanes of one register, each lane performing the
+// operations below with separate multiply and add instructions. The Go loops
+// in this file are the portable implementation, the remainder handler and the
+// oracle; useVector is the single dispatch point, decided once at init.
 
 // ApplyRow applies the layer to the single row x (length in), writing
 // x·W + b into dst (length out) without recording onto a tape. dst must not
@@ -89,15 +95,8 @@ func (m *MultiHeadAttention) AttendRow(ctx, scores, q []float64, k, v *tensor.De
 				mx = s
 			}
 		}
-		var sum float64
-		for j, s := range probs {
-			e := math.Exp(s - mx)
-			probs[j] = e
-			sum += e
-		}
-		for j, e := range probs {
-			probs[j] = e / sum
-		}
+		sum := expSumRow(probs, mx)
+		divideRow(probs, sum)
 		ch := ctx[lo : lo+dk]
 		for c := range ch {
 			ch[c] = 0
@@ -107,12 +106,53 @@ func (m *MultiHeadAttention) AttendRow(ctx, scores, q []float64, k, v *tensor.De
 	}
 }
 
+// expSumRow replaces every s in row by exp(s − mx) and returns the sum of the
+// results, added from zero in ascending order. The vector leaf takes leading
+// groups of four while every s − mx in the group is in [−708, 0]; math.Exp
+// takes the rest — the results are the same bits, so where the split falls
+// is invisible.
+func expSumRow(row []float64, mx float64) float64 {
+	j := 0
+	if useVector {
+		j = expRows4(row, mx)
+	}
+	var sum float64
+	for _, e := range row[:j] {
+		sum += e
+	}
+	for ; j < len(row); j++ {
+		e := math.Exp(row[j] - mx)
+		row[j] = e
+		sum += e
+	}
+	return sum
+}
+
+// divideRow divides every cell of row by d (a division, not a multiplication
+// by the reciprocal).
+func divideRow(row []float64, d float64) {
+	j := 0
+	if useVector {
+		j = divRows4(row, d)
+	}
+	for ; j < len(row); j++ {
+		row[j] /= d
+	}
+}
+
 // dotRows writes dst[i] = scale·(q · row i) for len(dst) consecutive rows of
 // a row-major matrix: row i is the len(q) values at rows[i*stride:]. Each dot
 // product sums from zero in ascending dimension and is scaled afterwards;
-// four rows share one pass over q.
+// four rows share one pass over q (on the vector path, one row per lane for
+// the leading groups of four when len(q) is a multiple of four).
 func dotRows(dst, q, rows []float64, stride int, scale float64) {
 	i, o := 0, 0
+	if useVector && len(dst) >= 4 && len(q) > 0 && len(q)%4 == 0 {
+		n := len(dst) &^ 3
+		r := rows[:(n-1)*stride+len(q)] // the one bounds check
+		i = dotRows4(dst, q, &r[0], stride, scale)
+		o = i * stride
+	}
 	for ; i+4 <= len(dst); i += 4 {
 		r0 := rows[o:][:len(q)]
 		r1 := rows[o+stride:][:len(q)]
@@ -149,9 +189,14 @@ func dotRows(dst, q, rows []float64, stride int, scale float64) {
 // both halves of the streaming forward's arithmetic: a projection (coef the
 // input row, rows the weight matrix) and an attention context (coef the
 // softmax row, rows the value ring). Eight cells are carried in registers
-// per pass over coef; a narrower remainder accumulates in place.
+// per pass over coef (on the vector path, one per lane); a narrower remainder
+// accumulates in place.
 func addScaledRows(acc, coef, rows []float64, stride int) {
 	c := 0
+	if useVector && len(acc) >= 8 && len(coef) > 0 {
+		r := rows[:(len(coef)-1)*stride+len(acc)&^7] // the one bounds check
+		c = addScaledBlocks(acc, coef, &r[0], stride)
+	}
 	for ; c+8 <= len(acc); c += 8 {
 		a := acc[c : c+8 : c+8]
 		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]

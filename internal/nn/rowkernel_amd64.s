@@ -1,0 +1,338 @@
+#include "textflag.h"
+
+// AVX2 leaves of the row kernels (rowkernel.go). Each YMM lane carries one
+// independent output cell through exactly the float64 operations the Go
+// loops apply to it, in the same order: multiply and add are separate
+// instructions everywhere except inside the exp replica, whose FMA sequence
+// is math.archExp's own. None of these reads or writes a byte outside the
+// operands its Go caller has bounds-checked.
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int
+//
+// For every complete block of eight cells of acc, one cell per lane:
+// acc[c] += Σ_i coef[i]·rows[i*stride+c], ascending i, skipping coef[i] == ±0
+// as Go's `cv != 0` does (a NaN coefficient multiplies). Two blocks share a
+// pass over coef while two are left, so four add chains are in flight rather
+// than two. Returns how many cells it covered.
+TEXT ·addScaledBlocks(SB), NOSPLIT, $0-72
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), BX
+	MOVQ coef_base+24(FP), R9
+	MOVQ coef_len+32(FP), R10
+	MOVQ rows+48(FP), R11
+	MOVQ stride+56(FP), R8
+	SHLQ $3, R8
+	ANDQ $~7, BX
+	MOVQ BX, ret+64(FP)
+	TESTQ R10, R10
+	JZ   done
+wide:
+	CMPQ BX, $16
+	JLT  narrow
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD 64(DI), Y2
+	VMOVUPD 96(DI), Y3
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+loop16:
+	MOVQ (SI), AX
+	SHLQ $1, AX // sign shifted out: zero iff the coefficient is +0 or −0
+	JZ   next16
+	VBROADCASTSD (SI), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VMULPD 64(DX), Y4, Y7
+	VMULPD 96(DX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+next16:
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loop16
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R11
+	SUBQ $16, BX
+	JMP  wide
+narrow:
+	CMPQ BX, $8
+	JLT  done
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+loop8:
+	MOVQ (R9), AX
+	SHLQ $1, AX
+	JZ   next8
+	VBROADCASTSD (R9), Y4
+	VMULPD (R11), Y4, Y5
+	VMULPD 32(R11), Y4, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+next8:
+	ADDQ $8, R9
+	ADDQ R8, R11
+	DECQ R10
+	JNZ  loop8
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+done:
+	VZEROUPPER
+	RET
+
+// DOT4 adds dimensions AX/8 … AX/8+3 of the dot products of four rows, one
+// row per lane, to sum: sum += q[c]·row[c] for the four c in ascending
+// order, with q[c] broadcast in Y12–Y15. The rows are base, base+R8,
+// base+2·R8 and base+R10 (R10 = 3·R8). Their 4×4 block is transposed on the
+// way in — the loads pair the 128-bit halves, so only the four unpacks
+// shuffle — leaving each dimension of the four rows in one register.
+// Clobbers Y0–Y7; base is restored.
+#define DOT4(base, sum) \
+	VMOVUPD (base)(AX*1), X0; \
+	VMOVUPD 16(base)(AX*1), X2; \
+	ADDQ R8, base; \
+	VMOVUPD (base)(AX*1), X1; \
+	VMOVUPD 16(base)(AX*1), X3; \
+	ADDQ R8, base; \
+	VINSERTF128 $1, (base)(AX*1), Y0, Y0; \
+	VINSERTF128 $1, 16(base)(AX*1), Y2, Y2; \
+	ADDQ R8, base; \
+	VINSERTF128 $1, (base)(AX*1), Y1, Y1; \
+	VINSERTF128 $1, 16(base)(AX*1), Y3, Y3; \
+	SUBQ R10, base; \
+	VUNPCKLPD Y1, Y0, Y4; \
+	VUNPCKHPD Y1, Y0, Y5; \
+	VUNPCKLPD Y3, Y2, Y6; \
+	VUNPCKHPD Y3, Y2, Y7; \
+	VMULPD Y4, Y12, Y4; \
+	VMULPD Y5, Y13, Y5; \
+	VMULPD Y6, Y14, Y6; \
+	VMULPD Y7, Y15, Y7; \
+	VADDPD Y4, sum, sum; \
+	VADDPD Y5, sum, sum; \
+	VADDPD Y6, sum, sum; \
+	VADDPD Y7, sum, sum
+
+#define BROADCASTQ4 \
+	VBROADCASTSD (SI)(AX*1), Y12; \
+	VBROADCASTSD 8(SI)(AX*1), Y13; \
+	VBROADCASTSD 16(SI)(AX*1), Y14; \
+	VBROADCASTSD 24(SI)(AX*1), Y15
+
+// func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int
+//
+// dst[i] = scale·(q · row i) for every complete group of four rows, one row
+// per lane: every lane sums q[c]·row[c] from zero in ascending c and is
+// scaled afterwards, as the Go loop does. len(q) must be a positive multiple
+// of four. Returns how many cells it has written.
+TEXT ·dotRows4(SB), NOSPLIT, $0-80
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ q_base+24(FP), SI
+	MOVQ q_len+32(FP), R9
+	MOVQ rows+48(FP), DX
+	MOVQ stride+56(FP), R8
+	SHLQ $3, R8
+	SHLQ $3, R9
+	ANDQ $~3, CX
+	MOVQ CX, ret+72(FP)
+	LEAQ (R8)(R8*2), R10
+	// Eight rows a pass while eight are left: two independent add chains.
+pair:
+	CMPQ CX, $8
+	JLT  group
+	LEAQ (DX)(R8*4), BX
+	VXORPD Y8, Y8, Y8
+	VXORPD Y9, Y9, Y9
+	XORQ AX, AX
+pairdims:
+	BROADCASTQ4
+	DOT4(DX, Y8)
+	DOT4(BX, Y9)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  pairdims
+	VBROADCASTSD scale+64(FP), Y15
+	VMULPD Y15, Y8, Y8
+	VMULPD Y15, Y9, Y9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ $64, DI
+	LEAQ (BX)(R8*4), DX
+	SUBQ $8, CX
+	JMP  pair
+group:
+	CMPQ CX, $4
+	JLT  done
+	VXORPD Y8, Y8, Y8
+	XORQ AX, AX
+dims:
+	BROADCASTQ4
+	DOT4(DX, Y8)
+	ADDQ $32, AX
+	CMPQ AX, R9
+	JLT  dims
+	VBROADCASTSD scale+64(FP), Y15
+	VMULPD Y15, Y8, Y8
+	VMOVUPD Y8, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// The constants of math.archExp (exp_amd64.s, after SLEEF), each four lanes
+// wide so it can be a memory operand. The decimal literals are the ones
+// archExp is assembled from; the init-time self-check compares the results.
+#define LANES4(off, v) \
+	DATA expconst<>+(off+0)(SB)/8, v; \
+	DATA expconst<>+(off+8)(SB)/8, v; \
+	DATA expconst<>+(off+16)(SB)/8, v; \
+	DATA expconst<>+(off+24)(SB)/8, v
+
+#define LOG2E  0
+#define LN2U   32
+#define LN2L   64
+#define SIXTEENTH 96
+#define C8     128
+#define C7     160
+#define C6     192
+#define C5     224
+#define C4     256
+#define C3     288
+#define HALF   320
+#define ONE    352
+#define TWO    384
+#define EXPMIN 416
+#define BIAS   448
+
+LANES4(LOG2E, $1.4426950408889634073599246810018920)
+LANES4(LN2U, $0.69314718055966295651160180568695068359375)
+LANES4(LN2L, $0.28235290563031577122588448175013436025525412068e-12)
+LANES4(SIXTEENTH, $0.0625)
+LANES4(C8, $2.4801587301587301587e-5)
+LANES4(C7, $1.9841269841269841270e-4)
+LANES4(C6, $1.3888888888888888889e-3)
+LANES4(C5, $8.3333333333333333333e-3)
+LANES4(C4, $4.1666666666666666667e-2)
+LANES4(C3, $1.6666666666666666667e-1)
+LANES4(HALF, $0.5)
+LANES4(ONE, $1.0)
+LANES4(TWO, $2.0)
+LANES4(EXPMIN, $-708.0)
+DATA expconst<>+(BIAS+0)(SB)/4, $0x3FF
+DATA expconst<>+(BIAS+4)(SB)/4, $0x3FF
+DATA expconst<>+(BIAS+8)(SB)/4, $0x3FF
+DATA expconst<>+(BIAS+12)(SB)/4, $0x3FF
+GLOBL expconst<>(SB), RODATA|NOPTR, $464
+
+// func expRows4(p []float64, mx float64) int
+//
+// p[j] = exp(p[j] − mx) four at a time from j = 0, as math.archExp's FMA
+// path computes it lane for lane. Stops before the first group of four that
+// is incomplete or holds a lane whose p[j] − mx is outside [−708, 0] (NaN
+// included) — the range in which archExp takes neither its non-finite,
+// overflow nor denormal exits — and returns how many cells it has written.
+TEXT ·expRows4(SB), NOSPLIT, $0-40
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	VBROADCASTSD mx+24(FP), Y15
+	VXORPD Y14, Y14, Y14
+	XORQ BX, BX
+	SUBQ $4, CX
+	JLT  done
+group:
+	VMOVUPD (DI)(BX*8), Y0
+	VSUBPD Y15, Y0, Y0
+	VCMPPD $0x1D, expconst<>+EXPMIN(SB), Y0, Y1 // x >= −708, ordered
+	VCMPPD $0x12, Y14, Y0, Y2                   // x <= 0, ordered
+	VANDPD Y1, Y2, Y1
+	VMOVMSKPD Y1, AX
+	CMPL AX, $0xF
+	JNE  done
+	// n = round(x·log2 e); x −= n·ln 2 in two parts
+	VMULPD expconst<>+LOG2E(SB), Y0, Y1
+	VCVTPD2DQY Y1, X2
+	VCVTDQ2PD X2, Y1
+	VFNMADD231PD expconst<>+LN2U(SB), Y1, Y0
+	VFNMADD231PD expconst<>+LN2L(SB), Y1, Y0
+	VMULPD expconst<>+SIXTEENTH(SB), Y0, Y0
+	// x /= 16 above; Taylor series by Horner, seven fused steps
+	VMOVUPD expconst<>+C8(SB), Y1
+	VFMADD213PD expconst<>+C7(SB), Y0, Y1
+	VFMADD213PD expconst<>+C6(SB), Y0, Y1
+	VFMADD213PD expconst<>+C5(SB), Y0, Y1
+	VFMADD213PD expconst<>+C4(SB), Y0, Y1
+	VFMADD213PD expconst<>+C3(SB), Y0, Y1
+	VFMADD213PD expconst<>+HALF(SB), Y0, Y1
+	VFMADD213PD expconst<>+ONE(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	// undo the /16: y ← y·(y + 2), four times, the last with the + 1 fused
+	VADDPD expconst<>+TWO(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expconst<>+TWO(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expconst<>+TWO(SB), Y0, Y1
+	VMULPD Y1, Y0, Y0
+	VADDPD expconst<>+TWO(SB), Y0, Y1
+	VFMADD213PD expconst<>+ONE(SB), Y1, Y0
+	// · 2ⁿ: n + 1023 ≥ 2 in this range, so the exponent field is normal
+	VPADDD expconst<>+BIAS(SB), X2, X2
+	VPMOVZXDQ X2, Y2
+	VPSLLQ $52, Y2, Y2
+	VMULPD Y2, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLE  group
+done:
+	VZEROUPPER
+	MOVQ BX, ret+32(FP)
+	RET
+
+// func divRows4(p []float64, d float64) int
+//
+// p[j] /= d for every complete group of four; returns how many cells it
+// divided.
+TEXT ·divRows4(SB), NOSPLIT, $0-40
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	VBROADCASTSD d+24(FP), Y1
+	ANDQ $~3, CX
+	XORQ BX, BX
+	JMP  test
+group:
+	VMOVUPD (DI)(BX*8), Y0
+	VDIVPD Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(BX*8)
+	ADDQ $4, BX
+test:
+	CMPQ BX, CX
+	JLT  group
+	VZEROUPPER
+	MOVQ CX, ret+32(FP)
+	RET

@@ -14,8 +14,14 @@ import (
 // AttendRow kernels instead of tape forwards. These tests pin the contract
 // those kernels advertise: fed the exact inputs, every row they produce is
 // bit-identical to the corresponding row of the tape forward — no epsilon.
+// Every test runs on both kernel paths (eachKernelPath) against one set of
+// expected values.
 
 func TestLinearApplyRowMatchesForward(t *testing.T) {
+	eachKernelPath(t, testLinearApplyRowMatchesForward)
+}
+
+func testLinearApplyRowMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// 5 and 12 leave a remainder after the kernel's 8-column blocks; 16 is
 	// the benchmark's model width.
@@ -41,6 +47,10 @@ func TestLinearApplyRowMatchesForward(t *testing.T) {
 }
 
 func TestLayerNormApplyRowMatchesForward(t *testing.T) {
+	eachKernelPath(t, testLayerNormApplyRowMatchesForward)
+}
+
+func testLayerNormApplyRowMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	ln := NewLayerNorm("ln", 8)
 	// Perturb gain/bias away from identity so the test sees them applied.
@@ -70,7 +80,9 @@ func TestLayerNormApplyRowMatchesForward(t *testing.T) {
 	}
 }
 
-func TestFFNApplyRowMatchesForward(t *testing.T) {
+func TestFFNApplyRowMatchesForward(t *testing.T) { eachKernelPath(t, testFFNApplyRowMatchesForward) }
+
+func testFFNApplyRowMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	f := NewFFN("f", 6, 10, 4, rng)
 	x := tensor.Randn(5, 6, 1, rng)
@@ -117,7 +129,9 @@ func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense,
 	}
 }
 
-func TestAttendRowMatchesForward(t *testing.T) {
+func TestAttendRowMatchesForward(t *testing.T) { eachKernelPath(t, testAttendRowMatchesForward) }
+
+func testAttendRowMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := tensor.Randn(12, 8, 1, rng)
 	short := tensor.Randn(5, 8, 1, rng)
@@ -229,7 +243,9 @@ func sprinkleZeros(x []float64, rng *rand.Rand) {
 	}
 }
 
-func TestApplyRowMatchesReference(t *testing.T) {
+func TestApplyRowMatchesReference(t *testing.T) { eachKernelPath(t, testApplyRowMatchesReference) }
+
+func testApplyRowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for _, out := range []int{1, 5, 8, 12, 16, 33, 64} {
 		for _, in := range []int{1, 7, 16, 32} {
@@ -261,7 +277,9 @@ func rotated(logical *tensor.Dense, head int) *tensor.Dense {
 	return out
 }
 
-func TestAttendRowMatchesReference(t *testing.T) {
+func TestAttendRowMatchesReference(t *testing.T) { eachKernelPath(t, testAttendRowMatchesReference) }
+
+func testAttendRowMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	const heads = 2
 	for _, dk := range []int{1, 3, 4, 8, 16} {
@@ -303,7 +321,9 @@ func TestAttendRowMatchesReference(t *testing.T) {
 // TestAttendRowUnderflowSkip drives a softmax row whose far keys underflow
 // to p == 0 exactly, so the context loop's zero-skip is taken mid-ring — on
 // both sides of the wrap — and must leave the same bits as the reference.
-func TestAttendRowUnderflowSkip(t *testing.T) {
+func TestAttendRowUnderflowSkip(t *testing.T) { eachKernelPath(t, testAttendRowUnderflowSkip) }
+
+func testAttendRowUnderflowSkip(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const rows, dm = 9, 8
 	m := NewMultiHeadAttention("attn", dm, 1, rng)
@@ -335,4 +355,48 @@ func TestAttendRowUnderflowSkip(t *testing.T) {
 			t.Fatalf("head %d cell %d: AttendRow %v != reference %v", head, c, got[c], want[c])
 		}
 	}
+}
+
+// Working numbers for the two kernels at the serving benchmark's shape
+// (bench/workloads.go: 48 keys, model width 16, 2 heads, FFN hidden 32), on
+// both paths. MAC/ns counts multiply-adds only; no claim rests on these.
+
+func BenchmarkAttendRow(b *testing.B) {
+	const rows, dm, heads = 48, 16, 2
+	rng := rand.New(rand.NewSource(31))
+	m := NewMultiHeadAttention("attn", dm, heads, rng)
+	k := tensor.Randn(rows, dm, 1, rng)
+	v := tensor.Randn(rows, dm, 1, rng)
+	q := tensor.Randn(1, dm, 1, rng).Data
+	ctx, scores := make([]float64, dm), make([]float64, rows)
+	eachKernelPath(b, func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			m.AttendRow(ctx, scores, q, k, v, i%rows, 0, false)
+		}
+		reportRow(b, 2*rows*dm) // q·K and p·V
+	})
+}
+
+func BenchmarkApplyRow(b *testing.B) {
+	rng := rand.New(rand.NewSource(32))
+	for _, out := range []int{16, 32} {
+		const in = 16
+		l := NewLinear("l", in, out, rng)
+		x := tensor.Randn(1, in, 1, rng).Data
+		dst := make([]float64, out)
+		b.Run(fmt.Sprintf("%dto%d", in, out), func(b *testing.B) {
+			eachKernelPath(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					l.ApplyRow(dst, x)
+				}
+				reportRow(b, in*out)
+			})
+		})
+	}
+}
+
+func reportRow(b *testing.B, macs int) {
+	ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	b.ReportMetric(ns, "ns/row")
+	b.ReportMetric(float64(macs)/ns, "MAC/ns")
 }
