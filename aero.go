@@ -92,17 +92,17 @@ type Alarm = core.Alarm
 // NewStreamDetector wraps a fitted model for online, frame-at-a-time
 // detection with bounded memory. The steady-state scoring path is
 // allocation-free: the window lives in a fixed circular buffer and all
-// tensors/tapes are reused from a per-detector scratch.
+// tensors are reused from a per-detector scratch.
 func NewStreamDetector(m *Model) (*StreamDetector, error) {
 	return core.NewStreamDetector(m)
 }
 
-// NewStreamDetectorWorkers is NewStreamDetector with an explicit bound
-// on the per-frame scoring fan-out; multi-detector hosts (the engine,
-// DSPOT-wrapped tenants) pass 1 so cross-tenant parallelism alone
-// saturates the cores.
-func NewStreamDetectorWorkers(m *Model, workers int) (*StreamDetector, error) {
-	return core.NewStreamDetectorWorkers(m, workers)
+// NewStreamDetectorWorkers is NewStreamDetector. Its second argument is
+// accepted and unused: scoring a frame is one goroutine on every path.
+//
+// Deprecated: use NewStreamDetector.
+func NewStreamDetectorWorkers(m *Model, _ int) (*StreamDetector, error) {
+	return core.NewStreamDetector(m)
 }
 
 // StreamBackend is the pluggable contract of the streaming pipeline:

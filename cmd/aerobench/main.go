@@ -1,30 +1,18 @@
-// Command aerobench regenerates the paper's tables and figures and runs
-// the targeted micro-benchmarks.
+// Command aerobench regenerates the paper's tables and figures.
 //
 // Usage:
 //
 //	aerobench -exp table2 -scale small
 //	aerobench -exp all -scale paper > results.txt
-//	aerobench -exp bench -json BENCH_train.json
 //
 // Experiments: table1, table2, table3, table4, fig5, fig6, fig7, fig8,
-// fig9, fig10, bench, all. Scale "small" finishes in minutes on a laptop;
-// "paper" uses the paper's dataset sizes and hyperparameters. "bench" runs
-// the training, streaming, lifecycle and triage micro-benchmarks
-// (ScaleTiny shapes, matching BenchmarkAEROTraining, BenchmarkStreamPush,
-// BenchmarkDetectorSnapshot/Restore, BenchmarkSubscriptionSwap and
-// BenchmarkTriagePush in bench_test.go); snapshot sizes surface as the
-// snapshot-bytes metric.
-// It also measures per-backend streaming throughput — one warm Push per
-// registered backend kind, static and DSPOT-wrapped (matching
-// BenchmarkBackendStreamPush) — as BackendPush/<kind> entries, and the
-// network ingest path — one frame per op over a loopback socket through
-// the wire protocol, credit flow control and batched acks (matching
-// BenchmarkIngestRoundTrip in internal/ingest) — as IngestRoundTrip.
+// fig9, fig10, all. Scale "small" finishes in minutes on a laptop; "paper"
+// uses the paper's dataset sizes and hyperparameters. Working numbers for
+// the hot paths come from go test -bench; performance claims from bench/.
 //
-// With -json FILE, a machine-readable summary — per-experiment wall times
-// and per-benchmark ns/op, B/op and allocs/op — is written to FILE, so CI
-// and tooling can track regressions without scraping table output.
+// With -json FILE, a machine-readable summary of per-experiment wall times
+// is written to FILE, so CI and tooling can track regressions without
+// scraping table output.
 //
 // With -cpuprofile FILE / -memprofile FILE, a CPU profile of the selected
 // experiments and a post-run heap profile are written for go tool pprof.
@@ -34,20 +22,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
-	"math/rand"
-	"net"
 	"os"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
-	"testing"
 	"time"
 
-	"aero"
-	"aero/internal/dataset"
-	"aero/internal/evt"
 	"aero/internal/experiments"
 )
 
@@ -57,554 +37,20 @@ type experimentResult struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// benchResult is one -json entry for a micro-benchmark. Extra carries
-// benchmark-reported custom metrics (e.g. snapshot-bytes for the
-// lifecycle snapshot/restore benchmarks).
-type benchResult struct {
-	Name        string             `json:"name"`
-	Iterations  int                `json:"iterations"`
-	NsPerOp     float64            `json:"ns_per_op"`
-	BytesPerOp  int64              `json:"bytes_per_op"`
-	AllocsPerOp int64              `json:"allocs_per_op"`
-	Extra       map[string]float64 `json:"extra,omitempty"`
-}
-
 // report is the -json document.
 type report struct {
 	GOOS        string             `json:"goos"`
 	GOARCH      string             `json:"goarch"`
 	Scale       string             `json:"scale"`
 	Experiments []experimentResult `json:"experiments,omitempty"`
-	Benchmarks  []benchResult      `json:"benchmarks,omitempty"`
-}
-
-// benchDataset generates the tiny micro-benchmark field, matching
-// benchDataset in bench_test.go.
-func benchDataset() *dataset.Dataset {
-	return dataset.SyntheticConfig{
-		Name: "bench", N: 6, TrainLen: 350, TestLen: 300,
-		NoiseVariates: 4, AnomalySegments: 1, NoisePct: 2,
-		VariableFrac: 0.5, Seed: 3,
-	}.Generate()
-}
-
-// benchModel trains the micro-benchmark model on d with the ScaleTiny
-// hyperparameters of bench_test.go. The dataset is generated once by the
-// caller so the measured loop covers exactly what BenchmarkAEROTraining
-// measures: model construction plus Fit.
-func benchModel(d *dataset.Dataset) (*aero.Model, error) {
-	c := aero.SmallConfig()
-	c.LongWindow = 48
-	c.ShortWindow = 16
-	c.MaxEpochs = 3
-	c.TrainStride = 24
-	c.EvalStride = 16
-	m, err := aero.New(c, d.Train.N())
-	if err != nil {
-		return nil, err
-	}
-	if err := m.Fit(d.Train); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// runMicroBenchmarks executes the training and streaming benchmarks via
-// testing.Benchmark and returns their results.
-func runMicroBenchmarks(w *os.File) ([]benchResult, error) {
-	var out []benchResult
-	record := func(name string, r testing.BenchmarkResult) {
-		res := benchResult{
-			Name:        name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			res.Extra = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				res.Extra[k] = v
-			}
-		}
-		out = append(out, res)
-		fmt.Fprintf(w, "%-18s %12.0f ns/op %12d B/op %9d allocs/op",
-			name, res.NsPerOp, res.BytesPerOp, res.AllocsPerOp)
-		for k, v := range res.Extra {
-			if math.Abs(v) < 1 { // fractional metrics (e.g. refresh_rate)
-				fmt.Fprintf(w, " %12.4f %s", v, k)
-			} else {
-				fmt.Fprintf(w, " %12.0f %s", v, k)
-			}
-		}
-		fmt.Fprintln(w)
-	}
-
-	d := benchDataset()
-	var benchErr error
-	record("AEROTraining", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := benchModel(d); err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	m, err := benchModel(d)
-	if err != nil {
-		return nil, err
-	}
-	s, err := aero.NewStreamDetector(m)
-	if err != nil {
-		return nil, err
-	}
-	frame := aero.Frame{Magnitudes: make([]float64, d.Test.N())}
-	t := 0
-	push := func() error {
-		idx := t % d.Test.Len()
-		frame.Time = float64(t)
-		for v := 0; v < d.Test.N(); v++ {
-			frame.Magnitudes[v] = d.Test.Data[v][idx]
-		}
-		_, err := s.Push(frame)
-		t++
-		return err
-	}
-	for i := 0; i < m.Config().LongWindow+8; i++ {
-		if err := push(); err != nil {
-			return nil, err
-		}
-	}
-	// Full-recompute cost first: disable the incremental schedule so every
-	// push runs the whole tape forward, then restore the production default.
-	// The StreamPush row below measures the default incremental path and
-	// carries this exact-mode cost (full_recompute_ns) plus the fraction of
-	// frames the schedule recomputed exactly (refresh_rate) as extras, so
-	// the reuse win and its safety margin read straight off one row.
-	s.SetIncrementalPolicy(aero.IncrementalPolicy{})
-	full := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := push(); err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-		}
-	})
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	fullNs := float64(full.T.Nanoseconds()) / float64(full.N)
-	s.SetIncrementalPolicy(aero.DefaultIncrementalPolicy())
-	for i := 0; i < 8; i++ { // settle back into incremental steady state
-		if err := push(); err != nil {
-			return nil, err
-		}
-	}
-	p50, p99, err := latencyPercentiles(push, 512)
-	if err != nil {
-		return nil, err
-	}
-	bare := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		st0 := s.IncrementalStats()
-		for i := 0; i < b.N; i++ {
-			if err := push(); err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-		}
-		if frames := s.IncrementalStats().Frames - st0.Frames; frames > 0 {
-			inc := s.IncrementalStats().Incremental - st0.Incremental
-			b.ReportMetric(float64(frames-inc)/float64(frames), "refresh_rate")
-		}
-		b.ReportMetric(fullNs, "full_recompute_ns")
-		b.ReportMetric(p50, "p50_ns")
-		b.ReportMetric(p99, "p99_ns")
-	})
-	record("StreamPush", bare)
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	// The same push under the engine's panic-containment guard; the extra
-	// metric carries the unguarded cost so the containment tax is readable
-	// straight off the row (it should be ~0: the guard's defer/recover is
-	// open-coded and allocation-free on the benign path).
-	bareNs := float64(bare.T.Nanoseconds()) / float64(bare.N)
-	record("GuardedPush", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			idx := t % d.Test.Len()
-			frame.Time = float64(t)
-			for v := 0; v < d.Test.N(); v++ {
-				frame.Magnitudes[v] = d.Test.Data[v][idx]
-			}
-			if _, err := aero.GuardPush(s, frame); err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-			t++
-		}
-		b.ReportMetric(bareNs, "bare_ns_per_op")
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	// Lifecycle benchmarks: warm-state snapshot/restore and engine-level
-	// model hot-swap (matching BenchmarkDetectorSnapshot/Restore and
-	// BenchmarkSubscriptionSwap in bench_test.go).
-	blob, err := s.SnapshotState()
-	if err != nil {
-		return nil, err
-	}
-	record("DetectorSnapshot", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if blob, benchErr = s.SnapshotState(); benchErr != nil {
-				b.Skip(benchErr)
-			}
-		}
-		b.ReportMetric(float64(len(blob)), "snapshot-bytes")
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-	fresh, err := aero.NewStreamDetector(m)
-	if err != nil {
-		return nil, err
-	}
-	record("DetectorRestore", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchErr = fresh.RestoreState(blob); benchErr != nil {
-				b.Skip(benchErr)
-			}
-		}
-		b.ReportMetric(float64(len(blob)), "snapshot-bytes")
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	tmpDir, err := os.MkdirTemp("", "aerobench-swap-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmpDir)
-	twinPath := filepath.Join(tmpDir, "twin.json")
-	if err := m.Save(twinPath); err != nil {
-		return nil, err
-	}
-	twin, err := aero.Load(twinPath)
-	if err != nil {
-		return nil, err
-	}
-	e := aero.NewEngine(aero.EngineConfig{Shards: 1, Workers: 1})
-	go func() {
-		for range e.Alarms() {
-		}
-	}()
-	sub, err := e.Subscribe("swap-bench", m)
-	if err != nil {
-		return nil, err
-	}
-	warm := aero.Frame{Magnitudes: make([]float64, d.Test.N())}
-	for i := 0; i < m.Config().LongWindow+8; i++ {
-		warm.Time = float64(i)
-		for v := 0; v < d.Test.N(); v++ {
-			warm.Magnitudes[v] = d.Test.Data[v][i%d.Test.Len()]
-		}
-		if err := e.Ingest("swap-bench", warm); err != nil {
-			return nil, err
-		}
-	}
-	e.Flush()
-	models := [2]*aero.Model{twin, m}
-	record("SubscriptionSwap", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if benchErr = sub.Swap(models[i%2]); benchErr != nil {
-				b.Skip(benchErr)
-			}
-		}
-	}))
-	e.Close()
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	// Triage: one benign-path alarm through the four-stage pipeline —
-	// dedup probe plus episode extension across 8 warm tenants (matching
-	// BenchmarkTriagePush in bench_test.go).
-	tp := aero.NewTriagePipeline(aero.TriageConfig{
-		BucketWidth: 1, EpisodeGap: 4, MaxEpisodeLen: math.MaxFloat64 / 4, Window: 2,
-	})
-	const triageTenants = 8
-	var triageIDs [triageTenants]string
-	for i := range triageIDs {
-		triageIDs[i] = fmt.Sprintf("field-%d", i)
-	}
-	tt, ti := 0, 0
-	triagePush := func() {
-		a := aero.EngineAlarm{Sub: triageIDs[ti%triageTenants], Alarm: aero.Alarm{Variate: 0, Time: float64(tt), Score: 1}}
-		if len(tp.Push(a)) != 0 {
-			benchErr = fmt.Errorf("benign triage push emitted incidents")
-		}
-		if ti++; ti%triageTenants == 0 {
-			tt++
-		}
-	}
-	for i := 0; i < 8*triageTenants; i++ {
-		triagePush()
-	}
-	record("TriagePush", testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			triagePush()
-		}
-	}))
-	if benchErr != nil {
-		return nil, benchErr
-	}
-
-	// Network ingest: one op is one frame through the full wire path —
-	// client encode, TCP loopback, CRC check, engine ingest, batched ack,
-	// credit top-up — against a no-op backend so the row isolates
-	// transport + engine cost (matching BenchmarkIngestRoundTrip in
-	// internal/ingest). wire-bytes is the frame's on-the-wire size.
-	ingestRes, err := benchIngestRoundTrip()
-	if err != nil {
-		return nil, fmt.Errorf("bench IngestRoundTrip: %w", err)
-	}
-	record("IngestRoundTrip", ingestRes)
-
-	// SPOT step paths (matching BenchmarkSPOTStep in internal/evt): the
-	// benign O(1) common case, the amortized in-tail update under the
-	// default refit policy, and exact mode's full Grimshaw fit per
-	// exceedance — the per-step price the refit policy amortizes away.
-	spotCalib := make([]float64, 3000)
-	{
-		rng := rand.New(rand.NewSource(81))
-		for i := range spotCalib {
-			spotCalib[i] = math.Abs(rng.NormFloat64())
-		}
-	}
-	spotBench := func(policy aero.RefitPolicy, benign bool) (testing.BenchmarkResult, error) {
-		s := evt.NewSPOT(0.99, 1e-3)
-		s.Policy = policy
-		if err := s.Fit(spotCalib); err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-		return testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if benign {
-					_, _ = s.Step(0.1)
-				} else {
-					_, _ = s.Step(s.TailThreshold() + 0.001 + 0.0001*float64(i%7))
-				}
-			}
-		}), nil
-	}
-	for _, sb := range []struct {
-		name   string
-		policy aero.RefitPolicy
-		benign bool
-	}{
-		{"SPOTStep/benign", aero.DefaultRefitPolicy(), true},
-		{"SPOTStep/exceedance", aero.DefaultRefitPolicy(), false},
-		{"SPOTStep/refit", aero.ExactRefitPolicy(), false},
-	} {
-		res, err := spotBench(sb.policy, sb.benign)
-		if err != nil {
-			return nil, fmt.Errorf("bench %s: %w", sb.name, err)
-		}
-		record(sb.name, res)
-	}
-
-	// Per-backend streaming throughput: one op is one warm Push through
-	// each registered backend kind, with its static fitted threshold and
-	// wrapped in the DSPOT adaptive-alarming stage (the stage overhead is
-	// the difference between the two rows).
-	aeroArtifact, err := m.MarshalBytes()
-	if err != nil {
-		return nil, err
-	}
-	for _, kind := range aero.BackendKinds() {
-		spec, _ := aero.LookupBackend(kind)
-		artifact := aeroArtifact
-		if kind != "aero" {
-			opts := aero.SmallBackendOptions()
-			if artifact, err = spec.Train(d.Train, opts); err != nil {
-				return nil, fmt.Errorf("train %s: %w", kind, err)
-			}
-		}
-		for _, adaptive := range []bool{false, true} {
-			det, err := openBenchBackend(spec, artifact, adaptive, d)
-			if err != nil {
-				return nil, fmt.Errorf("open %s: %w", kind, err)
-			}
-			res, err := benchBackendPush(det, d)
-			if err != nil {
-				return nil, fmt.Errorf("bench %s: %w", kind, err)
-			}
-			record("BackendPush/"+det.Kind(), res)
-		}
-	}
-	return out, nil
-}
-
-// sinkBackend is the no-op detector behind the IngestRoundTrip row: it
-// accepts every frame instantly so the measurement is pure transport +
-// engine overhead.
-type sinkBackend struct{ n int }
-
-func (s *sinkBackend) Kind() string                             { return "sink" }
-func (s *sinkBackend) Variates() int                            { return s.n }
-func (s *sinkBackend) Ready() bool                              { return true }
-func (s *sinkBackend) Threshold() float64                       { return math.Inf(1) }
-func (s *sinkBackend) LastTime() (float64, bool)                { return 0, false }
-func (s *sinkBackend) PushScores(aero.Frame) ([]float64, error) { return nil, nil }
-func (s *sinkBackend) Push(aero.Frame) ([]aero.Alarm, error)    { return nil, nil }
-func (s *sinkBackend) SwapArtifact([]byte) error                { return nil }
-func (s *sinkBackend) SnapshotState() ([]byte, error)           { return []byte{1}, nil }
-func (s *sinkBackend) RestoreState([]byte) error                { return nil }
-
-// benchIngestRoundTrip builds a loopback server + client pair around a
-// sink backend and measures one frame per op through the wire protocol.
-func benchIngestRoundTrip() (testing.BenchmarkResult, error) {
-	const variates = 5
-	e := aero.NewEngine(aero.EngineConfig{Shards: 1, Workers: 1, QueueDepth: 64, BatchSize: 8})
-	defer e.Close()
-	go func() {
-		for range e.Alarms() {
-		}
-	}()
-	sub, err := e.SubscribeBackend("bench", &sinkBackend{n: variates})
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	srv, err := aero.NewIngestServer(aero.IngestServerConfig{
-		Engine: e,
-		Lookup: func(tenant string) (*aero.Subscription, error) { return sub, nil },
-	})
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer l.Close()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
-	defer func() { srv.Close(); <-serveDone }()
-
-	c, err := aero.DialIngest(aero.IngestClientConfig{
-		Addr: l.Addr().String(), Tenant: "bench", Variates: variates, Window: 256,
-	})
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	defer c.Close()
-	frame := aero.Frame{Magnitudes: make([]float64, variates)}
-	var benchErr error
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			frame.Time = float64(i)
-			if err := c.Send(frame); err != nil {
-				benchErr = err
-				b.Skip(err)
-			}
-		}
-		if err := c.Flush(); err != nil {
-			benchErr = err
-			b.Skip(err)
-		}
-		b.ReportMetric(float64(aero.IngestDataWireSize(variates)), "wire-bytes")
-	})
-	return res, benchErr
-}
-
-// openBenchBackend opens one serving backend, optionally wrapped in a
-// DSPOT stage calibrated on the training split.
-func openBenchBackend(spec aero.BackendSpec, artifact []byte, adaptive bool, d *dataset.Dataset) (aero.StreamBackend, error) {
-	if adaptive {
-		return aero.OpenAdaptiveBackend(spec, artifact, aero.DefaultDSPOTConfig(), d.Train)
-	}
-	return spec.Open(artifact)
-}
-
-// benchBackendPush warms the backend past every adapter's window and
-// measures one steady-state Push.
-func benchBackendPush(det aero.StreamBackend, d *dataset.Dataset) (testing.BenchmarkResult, error) {
-	frame := aero.Frame{Magnitudes: make([]float64, d.Test.N())}
-	t := 0
-	var pushErr error
-	push := func() error {
-		idx := t % d.Test.Len()
-		frame.Time = float64(t)
-		for v := 0; v < d.Test.N(); v++ {
-			frame.Magnitudes[v] = d.Test.Data[v][idx]
-		}
-		_, err := det.Push(frame)
-		t++
-		return err
-	}
-	for i := 0; i < 2*128; i++ { // past the largest adapter window
-		if err := push(); err != nil {
-			return testing.BenchmarkResult{}, err
-		}
-	}
-	p50, p99, err := latencyPercentiles(push, 512)
-	if err != nil {
-		return testing.BenchmarkResult{}, err
-	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := push(); err != nil {
-				pushErr = err
-				b.Skip(err)
-			}
-		}
-		b.ReportMetric(p50, "p50_ns")
-		b.ReportMetric(p99, "p99_ns")
-	})
-	return res, pushErr
-}
-
-// latencyPercentiles times n warm pushes in a separate pre-pass — never
-// inside a recorded testing.Benchmark loop, where the two clock reads per
-// op would inflate the ns/op rows — and returns the per-push p50/p99 in
-// nanoseconds (log-linear bucket midpoints, ≤6.25% relative error).
-func latencyPercentiles(push func() error, n int) (p50, p99 float64, err error) {
-	h := aero.NewMetricsHistogram()
-	for i := 0; i < n; i++ {
-		t0 := aero.MetricsNow()
-		if err = push(); err != nil {
-			return 0, 0, err
-		}
-		h.Record(aero.MetricsNow() - t0)
-	}
-	s := h.Snapshot()
-	return float64(s.Quantile(0.5)), float64(s.Quantile(0.99)), nil
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table1..table4, fig5..fig10, bench, all")
+	exp := flag.String("exp", "all", "experiment to run: table1..table4, fig5..fig10, all")
 	scale := flag.String("scale", "small", "compute scale: small or paper")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 	seed := flag.Int64("seed", 0, "seed offset for datasets and models")
-	jsonPath := flag.String("json", "", "write machine-readable results (experiment times, benchmark numbers) to this file")
+	jsonPath := flag.String("json", "", "write machine-readable results (experiment times) to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the selected experiments finish")
 	flag.Parse()
@@ -670,12 +116,8 @@ func main() {
 	} else {
 		for _, name := range strings.Split(*exp, ",") {
 			name = strings.TrimSpace(name)
-			if name == "bench" {
-				selected = append(selected, name)
-				continue
-			}
 			if _, ok := runners[name]; !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s, bench or all)\n", name, strings.Join(order, ", "))
+				fmt.Fprintf(os.Stderr, "unknown experiment %q (want %s or all)\n", name, strings.Join(order, ", "))
 				os.Exit(2)
 			}
 			selected = append(selected, name)
@@ -686,16 +128,7 @@ func main() {
 	start := time.Now()
 	for _, name := range selected {
 		t0 := time.Now()
-		if name == "bench" {
-			results, err := runMicroBenchmarks(os.Stdout)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "bench: %v\n", err)
-				os.Exit(1)
-			}
-			rep.Benchmarks = results
-		} else {
-			runners[name]()
-		}
+		runners[name]()
 		secs := time.Since(t0).Seconds()
 		rep.Experiments = append(rep.Experiments, experimentResult{Name: name, Seconds: secs})
 		fmt.Printf("[%s done in %.1fs]\n", name, secs)

@@ -893,7 +893,7 @@ func main() {
 // spec.
 func openBackend(spec aero.BackendSpec, isAERO bool, model *aero.Model, artifact []byte) (aero.StreamBackend, error) {
 	if isAERO {
-		return aero.NewStreamDetectorWorkers(model, 1)
+		return aero.NewStreamDetector(model)
 	}
 	return spec.Open(artifact)
 }

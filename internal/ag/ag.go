@@ -11,13 +11,11 @@
 // single goroutine in a fixed tape order — the flush applies the same
 // additions in the same sequence as Backward would, without locking.
 //
-// Tapes come in two flavours, both arena-backed. NewTape records op
-// metadata for differentiation: node values and gradients are drawn from
-// positional tensor.Arenas, so after Reset a same-shape
-// forward/backward step reuses every buffer — the training mode is
-// allocation-free in steady state. NewInferenceTape skips gradient
-// bookkeeping entirely — the streaming hot path. Both flavours compute
-// bit-identical values.
+// A tape is a gradient tape: node values and gradients are drawn from
+// positional tensor.Arenas, so after Reset a same-shape forward/backward
+// step reuses every buffer and training is allocation-free in steady state.
+// Inference does not go through a tape at all — AERO scores with the row
+// kernels in internal/nn, and the tape is their reference in tests.
 //
 // The operator set is the minimum needed for the models in this repository:
 // Transformer encoder–decoders, GRUs, VAEs, graph convolutions and
@@ -137,31 +135,17 @@ type Tape struct {
 	parents []*Node // backing storage for concat-op operand lists
 
 	arena *tensor.Arena // operation output values
-	grads *tensor.Arena // node gradients (grad tapes only)
-	grad  bool          // record op metadata for Backward
+	grads *tensor.Arena // node gradients
 }
 
-// NewTape returns an empty gradient-recording tape. Node values and
-// gradients are drawn from positional arenas: after Reset, re-running a
-// forward/backward pass of the same shape reuses every buffer, so
-// steady-state training steps allocate nothing. Values and gradients
-// produced before a Reset are invalidated by the next pass.
+// NewTape returns an empty tape. Node values and gradients are drawn from
+// positional arenas: after Reset, re-running a forward/backward pass of the
+// same shape reuses every buffer, so steady-state training steps allocate
+// nothing. Values and gradients produced before a Reset are invalidated by
+// the next pass.
 func NewTape() *Tape {
-	return &Tape{arena: tensor.NewArena(), grads: tensor.NewArena(), grad: true}
+	return &Tape{arena: tensor.NewArena(), grads: tensor.NewArena()}
 }
-
-// NewInferenceTape returns a forward-only tape whose operation outputs are
-// drawn from an internal arena: after Reset, re-running a forward pass of
-// the same shape reuses every buffer instead of allocating. Backward must
-// not be called on it, and values produced before a Reset are invalidated
-// by the next pass.
-func NewInferenceTape() *Tape {
-	return &Tape{arena: tensor.NewArena()}
-}
-
-// Gradient reports whether the tape records gradient metadata (false for
-// inference tapes).
-func (t *Tape) Gradient() bool { return t.grad }
 
 // alloc returns the arena-backed, zeroed output buffer for one operation.
 func (t *Tape) alloc(r, c int) *tensor.Dense {
@@ -195,24 +179,20 @@ func (t *Tape) newNode() *Node {
 	return n
 }
 
-// node registers a freshly computed value. Op metadata is attached by the
-// caller only when t.grad is set.
+// node registers a freshly computed value; the caller attaches the op
+// record.
 func (t *Tape) node(v *tensor.Dense) *Node {
 	n := t.newNode()
 	n.Value = v
-	if t.grad {
-		t.nodes = append(t.nodes, n)
-	}
+	t.nodes = append(t.nodes, n)
 	return n
 }
 
-// record attaches the op record to a node on gradient tapes. It returns
-// the node for chaining.
+// record attaches the op record to a node. It returns the node for
+// chaining.
 func (t *Tape) record(n *Node, op opKind, a, b *Node) *Node {
-	if t.grad {
-		n.op = op
-		n.a, n.b = a, b
-	}
+	n.op = op
+	n.a, n.b = a, b
 	return n
 }
 
@@ -226,16 +206,13 @@ func (t *Tape) Const(v *tensor.Dense) *Node {
 // accumulated into p.Grad.
 func (t *Tape) Param(p *Param) *Node {
 	n := t.node(p.Value)
-	if t.grad {
-		n.param = p
-	}
+	n.param = p
 	return n
 }
 
 // Backward seeds loss (which must be 1×1) with gradient 1, propagates
 // gradients through the tape in reverse order, and accumulates parameter
-// gradients into their Params under each parameter's lock. It panics on
-// inference tapes.
+// gradients into their Params under each parameter's lock.
 func (t *Tape) Backward(loss *Node) {
 	t.backward(loss, true)
 }
@@ -250,9 +227,6 @@ func (t *Tape) BackwardGrads(loss *Node) {
 }
 
 func (t *Tape) backward(loss *Node, applyParams bool) {
-	if !t.grad {
-		panic("ag: Backward on an inference tape")
-	}
 	if loss.Value.Rows != 1 || loss.Value.Cols != 1 {
 		panic(fmt.Sprintf("ag: Backward expects scalar loss, got %dx%d", loss.Value.Rows, loss.Value.Cols))
 	}
@@ -518,9 +492,7 @@ func (t *Tape) Reset() {
 	t.parents = t.parents[:0]
 	t.nused = 0
 	t.arena.Reset()
-	if t.grads != nil {
-		t.grads.Reset()
-	}
+	t.grads.Reset()
 }
 
 // Len reports the number of operations recorded (useful in tests).
@@ -687,12 +659,10 @@ func (t *Tape) SliceRows(a *Node, lo, hi int) *Node {
 // recordParents stashes a variadic operand list in the tape-owned parents
 // slice (reused across Resets) and stores its range on the node.
 func (t *Tape) recordParents(n *Node, op opKind, parts []*Node) *Node {
-	if t.grad {
-		n.op = op
-		n.i0 = len(t.parents)
-		n.i1 = len(parts)
-		t.parents = append(t.parents, parts...)
-	}
+	n.op = op
+	n.i0 = len(t.parents)
+	n.i1 = len(parts)
+	t.parents = append(t.parents, parts...)
 	return n
 }
 
@@ -836,9 +806,7 @@ func (t *Tape) Dropout(a *Node, rate float64, rng *rand.Rand, train bool) *Node 
 		}
 	}
 	n := t.record(t.node(v), opDropout, a, nil)
-	if t.grad {
-		n.aux = mask
-	}
+	n.aux = mask
 	return n
 }
 
@@ -876,13 +844,9 @@ func (t *Tape) LayerNormRows(a, gain, bias *Node, eps float64) *Node {
 	if gain.Value.Cols != cols || bias.Value.Cols != cols {
 		panic("ag: layernorm gain/bias width mismatch")
 	}
-	// xhat and invStd are only needed by the backward pass; inference
-	// tapes skip them and fold the normalization into one loop.
-	var xhat, invStd *tensor.Dense
-	if t.grad {
-		xhat = t.alloc(rows, cols)
-		invStd = t.alloc(rows, 1)
-	}
+	// xhat and invStd are saved for the backward pass.
+	xhat := t.alloc(rows, cols)
+	invStd := t.alloc(rows, 1)
 	v := t.alloc(rows, cols)
 	for i := 0; i < rows; i++ {
 		src := a.Value.Row(i)
@@ -899,26 +863,16 @@ func (t *Tape) LayerNormRows(a, gain, bias *Node, eps float64) *Node {
 		va /= float64(cols)
 		is := 1 / math.Sqrt(va+eps)
 		dst := v.Row(i)
-		if t.grad {
-			invStd.Data[i] = is
-			xh := xhat.Row(i)
-			for j, x := range src {
-				xh[j] = (x - mean) * is
-				dst[j] = xh[j]*gain.Value.Data[j] + bias.Value.Data[j]
-			}
-		} else {
-			for j, x := range src {
-				xh := (x - mean) * is
-				dst[j] = xh*gain.Value.Data[j] + bias.Value.Data[j]
-			}
+		invStd.Data[i] = is
+		xh := xhat.Row(i)
+		for j, x := range src {
+			xh[j] = (x - mean) * is
+			dst[j] = xh[j]*gain.Value.Data[j] + bias.Value.Data[j]
 		}
 	}
-	n := t.node(v)
-	if t.grad {
-		n.op = opLayerNorm
-		n.a, n.b, n.c = a, gain, bias
-		n.aux, n.aux2 = xhat, invStd
-	}
+	n := t.record(t.node(v), opLayerNorm, a, gain)
+	n.c = bias
+	n.aux, n.aux2 = xhat, invStd
 	return n
 }
 

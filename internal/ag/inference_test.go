@@ -7,7 +7,7 @@ import (
 	"aero/internal/tensor"
 )
 
-// buildForward exercises every operator family the streaming hot path
+// buildForward exercises every operator family a Transformer forward
 // relies on: matmuls, broadcasts, slices, concatenation, softmax,
 // layernorm and pointwise nonlinearities.
 func buildForward(t *Tape, x *tensor.Dense, w, gain, bias *Param) *tensor.Dense {
@@ -33,26 +33,12 @@ func inferenceFixture() (*tensor.Dense, *Param, *Param, *Param) {
 	return x, w, gain, bias
 }
 
-// TestInferenceTapeMatchesGradTape asserts the arena-backed forward pass
-// is bit-identical to the gradient-recording one.
-func TestInferenceTapeMatchesGradTape(t *testing.T) {
-	x, w, gain, bias := inferenceFixture()
-	want := buildForward(NewTape(), x, w, gain, bias)
-	inf := NewInferenceTape()
-	for pass := 0; pass < 3; pass++ {
-		inf.Reset()
-		got := buildForward(inf, x, w, gain, bias)
-		if !tensor.Equal(want, got, 0) {
-			t.Fatalf("pass %d: inference tape diverges from grad tape", pass)
-		}
-	}
-}
-
 // TestInferenceTapeSteadyStateAllocs asserts that re-running a fixed-shape
-// forward pass after Reset allocates nothing.
+// forward-only pass after Reset allocates nothing: every operation output
+// comes back out of the tape's arena.
 func TestInferenceTapeSteadyStateAllocs(t *testing.T) {
 	x, w, gain, bias := inferenceFixture()
-	inf := NewInferenceTape()
+	inf := NewTape()
 	buildForward(inf, x, w, gain, bias) // warm the arena and node chunks
 	allocs := testing.AllocsPerRun(32, func() {
 		inf.Reset()
@@ -61,19 +47,6 @@ func TestInferenceTapeSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Fatalf("steady-state inference pass allocates %.1f objects, want 0", allocs)
 	}
-}
-
-// TestInferenceTapeBackwardPanics pins the contract that inference tapes
-// cannot be differentiated.
-func TestInferenceTapeBackwardPanics(t *testing.T) {
-	inf := NewInferenceTape()
-	loss := inf.SumAll(inf.Const(tensor.New(2, 2)))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic from Backward on inference tape")
-		}
-	}()
-	inf.Backward(loss)
 }
 
 // TestArenaReusesBuffers checks positional reuse and regrowth semantics.

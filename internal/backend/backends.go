@@ -30,8 +30,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			// Single-slot: engine hosts supply cross-tenant parallelism.
-			return core.NewStreamDetectorWorkers(m, 1)
+			return core.NewStreamDetector(m)
 		},
 	})
 	Register(Spec{

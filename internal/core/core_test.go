@@ -434,7 +434,7 @@ func TestPropagateRemovesSelfLoops(t *testing.T) {
 		{3, 3},
 		{9, 9},
 	})
-	h := propagate(a, y)
+	h := propagateInto(a, y, tensor.New(3, 2))
 	// Row 0 borrows only from node 1 (self excluded): expect 3.
 	if math.Abs(h.At(0, 0)-3) > 1e-9 {
 		t.Fatalf("row 0 = %v, want 3 (neighbour value)", h.At(0, 0))
@@ -447,13 +447,13 @@ func TestPropagateRemovesSelfLoops(t *testing.T) {
 func TestDynamicGraphStateSmooths(t *testing.T) {
 	d := newDynamicGraphState(2)
 	sparse := tensorFromRows([][]float64{{1, 0}, {0, 1}})
-	first := d.next(sparse)
+	first := d.nextInto(sparse, tensor.New(2, 2))
 	// After one step, off-diagonal should still be near the initial 1.
 	if first.At(0, 1) < 0.8 {
 		t.Fatalf("dynamic graph forgot history too fast: %v", first.At(0, 1))
 	}
 	for i := 0; i < 100; i++ {
-		d.next(sparse)
+		d.nextInto(sparse, first)
 	}
 	if d.a.At(0, 1) > 0.01 {
 		t.Fatalf("dynamic graph should converge to observations: %v", d.a.At(0, 1))

@@ -6,7 +6,6 @@ import (
 
 	"aero/internal/ag"
 	"aero/internal/dataset"
-	"aero/internal/tensor"
 )
 
 // fitIncVariant trains a small model of the given variant on a fresh
@@ -473,70 +472,6 @@ func TestTimeEmbeddingPhaseCache(t *testing.T) {
 			if want := te.freq[j] * p; fb.Value.At(l, j) != want {
 				t.Fatalf("fallback phase[%d][%d] = %v, want %v", l, j, fb.Value.At(l, j), want)
 			}
-		}
-	}
-}
-
-// TestRefreshTapeMatchesRows keeps the tape-backed refresh honest as the
-// reference for the row-kernel one: from the same mid-stream state (ring
-// heads already advanced), both must leave the same scores, the same shared
-// time-embedding parts and the same rings at head 0, bit for bit.
-func TestRefreshTapeMatchesRows(t *testing.T) {
-	eachKernelPath(t, testRefreshTapeMatchesRows)
-}
-
-func testRefreshTapeMatchesRows(t *testing.T) {
-	m, d := shared(t)
-	rows, err := NewStreamDetector(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape, err := NewStreamDetector(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < m.Config().LongWindow+5; i++ {
-		pushAt(t, rows, d, i)
-		pushAt(t, tape, d, i)
-	}
-	if rows.inc.headL == 0 || rows.inc.headS == 0 {
-		t.Fatalf("ring heads %d/%d did not advance; the rebuild is not exercised mid-ring", rows.inc.headL, rows.inc.headS)
-	}
-	rows.inc.headL, rows.inc.headS = 0, 0
-	if !rows.inc.refreshRows(rows) {
-		t.Fatal("row refresh declined a contiguous window")
-	}
-	tape.inc.headL, tape.inc.headS = 0, 0
-	tape.inc.refreshTape(tape)
-
-	same := func(name string, a, b *tensor.Dense) {
-		t.Helper()
-		for i := range a.Data {
-			if math.Float64bits(a.Data[i]) != math.Float64bits(b.Data[i]) {
-				t.Fatalf("%s[%d]: rows %v != tape %v", name, i, a.Data[i], b.Data[i])
-			}
-		}
-	}
-	for v := range rows.scores {
-		if math.Float64bits(rows.scores[v]) != math.Float64bits(tape.scores[v]) {
-			t.Fatalf("variate %d: row-refresh score %v != tape-refresh score %v", v, rows.scores[v], tape.scores[v])
-		}
-	}
-	same("sinL", rows.inc.te.sinL, tape.inc.te.sinL)
-	same("cosL", rows.inc.te.cosL, tape.inc.te.cosL)
-	same("sinS", rows.inc.te.sinS, tape.inc.te.sinS)
-	same("cosS", rows.inc.te.cosS, tape.inc.te.cosS)
-	for v, rc := range rows.inc.caps {
-		tc := tape.inc.caps[v]
-		same("encP", rc.encP, tc.encP)
-		same("decP", rc.decP, tc.decP)
-		same("oeK", rc.oeK, tc.oeK)
-		same("oeV", rc.oeV, tc.oeV)
-		same("selfK", rc.selfK, tc.selfK)
-		same("selfV", rc.selfV, tc.selfV)
-		for li := range rc.enc {
-			same("enc.k", rc.enc[li].k, tc.enc[li].k)
-			same("enc.v", rc.enc[li].v, tc.enc[li].v)
 		}
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sync"
 
-	"aero/internal/ag"
 	"aero/internal/dataset"
 	"aero/internal/evt"
 	"aero/internal/stats"
@@ -78,20 +77,12 @@ func (m *Model) prepare(s *dataset.Series) *prepared {
 }
 
 // times assembles the window-local positions and normalized intervals for
-// the window ending at index end. A non-nil buf supplies the slices so
-// repeated calls do not allocate; both the scoring scratch and the training
-// scratch thread their own buffer through here.
+// the window ending at index end into buf's slices and returns them; the
+// scoring scratch and the training scratch each thread their own buffer
+// through here.
 func (m *Model) times(p *prepared, end int, buf *windowTimes) windowTimes {
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
-	var wt windowTimes
-	if buf != nil {
-		wt = *buf
-	} else {
-		wt = windowTimes{
-			posL: make([]float64, w), dtL: make([]float64, w),
-			posS: make([]float64, omega), dtS: make([]float64, omega),
-		}
-	}
+	wt := *buf
 	start := end - w + 1
 	for i := 0; i < w; i++ {
 		idx := start + i
@@ -107,262 +98,23 @@ func (m *Model) times(p *prepared, end int, buf *windowTimes) windowTimes {
 	return wt
 }
 
-// longShort extracts the long (W×inDim) and short (ω×inDim) input matrices
-// for the window ending at end. In univariate mode inDim is 1 and v selects
-// the variate; in multivariate mode v is ignored and columns are variates.
-// A non-nil slot supplies reusable input buffers.
-func (m *Model) longShort(p *prepared, v, end int, slot *varSlot) (long, short *tensor.Dense) {
+// longShort fills the long (W×inDim) and short (ω×inDim) input matrices for
+// the window ending at end. In univariate mode inDim is 1 and v selects the
+// variate; in multivariate mode v is ignored and columns are variates.
+func (m *Model) longShort(p *prepared, v, end int, long, short *tensor.Dense) {
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
 	if m.cfg.multivariateInput() {
-		if slot != nil {
-			long, short = slot.long, slot.short
-		} else {
-			long, short = tensor.New(w, m.n), tensor.New(omega, m.n)
-		}
 		for i := 0; i < w; i++ {
 			for vv := 0; vv < m.n; vv++ {
 				long.Set(i, vv, p.data[vv][end-w+1+i])
 			}
 		}
 		copy(short.Data, long.Data[(w-omega)*m.n:])
-		return long, short
-	}
-	if slot != nil {
-		long, short = slot.long, slot.short
-	} else {
-		long, short = tensor.New(w, 1), tensor.New(omega, 1)
+		return
 	}
 	src := window.Slice(p.data[v], end, w)
 	copy(long.Data, src)
 	copy(short.Data, src[w-omega:])
-	return long, short
-}
-
-// yShort returns the normalized short-window targets as an N×ω matrix
-// (rows are variates), the layout stage 2 works in.
-func (m *Model) yShort(p *prepared, end int, sc *scratch) *tensor.Dense {
-	omega := m.cfg.ShortWindow
-	var y *tensor.Dense
-	if sc != nil {
-		y = sc.y
-	} else {
-		y = tensor.New(m.n, omega)
-	}
-	for v := 0; v < m.n; v++ {
-		copy(y.Row(v), window.Slice(p.data[v], end, omega))
-	}
-	return y
-}
-
-// reconstruct runs the stage-1 forward for every variate and returns
-// Ŷ1 as an N×ω matrix. The result carries no gradients; training uses
-// stage1Step instead. Returns the all-zero matrix for VariantNoTemporal.
-// With a scratch, all buffers and tapes are reused and the fan-out follows
-// the scratch's slots instead of spawning ad-hoc workers.
-func (m *Model) reconstruct(p *prepared, end int, sc *scratch) *tensor.Dense {
-	omega := m.cfg.ShortWindow
-	var out *tensor.Dense
-	if sc != nil {
-		out = sc.yhat1
-		out.Zero()
-	} else {
-		out = tensor.New(m.n, omega)
-	}
-	if !m.cfg.usesTemporal() {
-		return out
-	}
-	var wtBuf *windowTimes
-	if sc != nil {
-		wtBuf = &sc.wt
-	}
-	wt := m.times(p, end, wtBuf)
-	if m.cfg.multivariateInput() {
-		t, slot := m.inferenceTape(sc, 0)
-		long, short := m.longShort(p, 0, end, slot)
-		pred := m.temporal.forwardCap(t, long, short, wt, sc.capFor(0)) // ω×N
-		for v := 0; v < m.n; v++ {
-			for i := 0; i < omega; i++ {
-				out.Set(v, i, pred.Value.At(i, v))
-			}
-		}
-		return out
-	}
-	if sc != nil {
-		if len(sc.slots) == 1 {
-			// Closure-free sequential path: keeps the single-slot case
-			// (training, streaming) allocation-free — a closure here would
-			// heap-box its captures on every window.
-			slot := sc.slots[0]
-			for v := 0; v < m.n; v++ {
-				slot.tape.Reset()
-				long, short := m.longShort(p, v, end, slot)
-				pred := m.temporal.forwardCap(slot.tape, long, short, wt, sc.capFor(v)) // ω×1
-				copy(out.Row(v), pred.Value.Data)
-			}
-			return out
-		}
-		m.reconstructFan(p, end, wt, sc, out)
-		return out
-	}
-	m.parallelVariates(func(v int) {
-		t := ag.NewInferenceTape()
-		long, short := m.longShort(p, v, end, nil)
-		pred := m.temporal.forward(t, long, short, wt) // ω×1
-		copy(out.Row(v), pred.Value.Data)
-	})
-	return out
-}
-
-// reconstructFan is the multi-slot stage-1 fan-out of reconstruct, split
-// out so the sequential path above stays free of closure captures.
-func (m *Model) reconstructFan(p *prepared, end int, wt windowTimes, sc *scratch, out *tensor.Dense) {
-	sc.runSlots(m.n, func(v int, slot *varSlot) {
-		slot.tape.Reset()
-		long, short := m.longShort(p, v, end, slot)
-		pred := m.temporal.forwardCap(slot.tape, long, short, wt, sc.capFor(v)) // ω×1
-		copy(out.Row(v), pred.Value.Data)
-	})
-}
-
-// inferenceTape returns a reset forward-only tape, drawn from the scratch
-// slot i when available.
-func (m *Model) inferenceTape(sc *scratch, i int) (*ag.Tape, *varSlot) {
-	if sc != nil {
-		slot := sc.slots[i]
-		slot.tape.Reset()
-		return slot.tape, slot
-	}
-	return ag.NewInferenceTape(), nil
-}
-
-// stage1Errors computes E = Y − Ŷ1 for the window ending at end — the
-// quantity both the scoring path and the graph-snapshot path are built on.
-func (m *Model) stage1Errors(p *prepared, end int, sc *scratch) *tensor.Dense {
-	y := m.yShort(p, end, sc)
-	yhat1 := m.reconstruct(p, end, sc)
-	if sc != nil {
-		e := sc.e
-		for i := range e.Data {
-			e.Data[i] = y.Data[i] - yhat1.Data[i]
-		}
-		return e
-	}
-	return y.Sub(yhat1)
-}
-
-// adjacency returns the graph for the window given its stage-1 errors,
-// respecting the graph ablation variants. dyn is non-nil only for
-// VariantDynamicGraph.
-func (m *Model) adjacency(e *tensor.Dense, dyn *dynamicGraphState, sc *scratch) *tensor.Dense {
-	switch m.cfg.Variant {
-	case VariantStaticGraph:
-		if sc != nil {
-			sc.adj.Fill(1)
-			return sc.adj
-		}
-		return completeGraph(m.n)
-	case VariantDynamicGraph:
-		if sc != nil {
-			return dyn.nextInto(windowGraphInto(e, sc.adj), sc.adj)
-		}
-		return dyn.next(windowGraph(e))
-	default:
-		if sc != nil {
-			return windowGraphInto(e, sc.adj)
-		}
-		return windowGraph(e)
-	}
-}
-
-// windowScores computes the final per-point anomaly scores
-// |Y − Ŷ1 − Ŷ2| for one window (N×ω), plus the intermediate stage-1
-// errors. dyn is the evolving-graph state for the dynamic ablation. With a
-// non-nil scratch the returned tensors are owned by the scratch and remain
-// valid only until its next use. The nil-scratch path is the allocating
-// reference implementation: every production caller passes a scratch, and
-// TestScratchScoringMatchesAllocatingPath pins the two paths bit-identical
-// so they cannot silently diverge.
-func (m *Model) windowScores(p *prepared, end int, dyn *dynamicGraphState, sc *scratch) (final, e1 *tensor.Dense) {
-	e := m.stage1Errors(p, end, sc)
-	return m.noiseScores(e, dyn, sc), e
-}
-
-// noiseScores is windowScores' second stage — graph propagation and noise
-// reconstruction over already-computed stage-1 errors. It is split out so
-// the incremental refresh path can feed it row-kernel-derived errors and
-// stay bit-identical to the tape path: both run literally this code.
-func (m *Model) noiseScores(e *tensor.Dense, dyn *dynamicGraphState, sc *scratch) (final *tensor.Dense) {
-	if !m.cfg.usesNoise() {
-		if sc != nil {
-			final = sc.final
-			for i := range final.Data {
-				final.Data[i] = math.Abs(e.Data[i])
-			}
-			return final
-		}
-		return e.Apply(math.Abs)
-	}
-	a := m.adjacency(e, dyn, sc)
-	// Propagate the stage-1 *error patterns* (Algorithm 1: M2(Y−Ŷ1, Y);
-	// §III-D: a noise-affected variate "can be effectively reconstructed
-	// using the error patterns of other similarly affected variates").
-	var h *tensor.Dense
-	if sc != nil {
-		h = propagateInto(a, e, sc.h)
-	} else {
-		h = propagate(a, e)
-	}
-	var t *ag.Tape
-	if sc != nil {
-		t = sc.noiseTape
-		t.Reset()
-	} else {
-		t = ag.NewInferenceTape()
-	}
-	yhat2 := m.noise.forward(t, h)
-	if sc != nil {
-		final = sc.final
-	} else {
-		final = tensor.New(e.Rows, e.Cols)
-	}
-	for i := range final.Data {
-		final.Data[i] = math.Abs(e.Data[i] - yhat2.Value.Data[i])
-	}
-	return final
-}
-
-// parallelVariates runs f(v) for every variate using the configured worker
-// count.
-func (m *Model) parallelVariates(f func(v int)) {
-	workers := m.cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.n {
-		workers = m.n
-	}
-	if workers <= 1 {
-		for v := 0; v < m.n; v++ {
-			f(v)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for v := range ch {
-				f(v)
-			}
-		}()
-	}
-	for v := 0; v < m.n; v++ {
-		ch <- v
-	}
-	close(ch)
-	wg.Wait()
 }
 
 // Fit trains the model on the (unsupervised) training series following
@@ -409,8 +161,8 @@ func (m *Model) Fit(train *dataset.Series) error {
 // prepared series, following Algorithm 2 with the configured EvalStride.
 // Timestamps before the first full window score zero.
 //
-// Every worker owns one scratch, so window scoring reuses its buffers and
-// tapes instead of re-allocating per window; each window writes a disjoint
+// Every worker owns one scratch, so window scoring reuses its buffers
+// instead of re-allocating per window; each window writes a disjoint
 // score range ((prevEnd, end], clipped to the short window), which makes
 // the copy-out safe to run inside the workers.
 func (m *Model) scoreSeries(p *prepared) [][]float64 {
@@ -458,8 +210,8 @@ func (m *Model) scoreSeries(p *prepared) [][]float64 {
 }
 
 // parallelWindows runs f(i, sc) for i in [0, n) on the configured worker
-// pool; each worker owns a single-slot scratch so stage-1 forwards run
-// sequentially within a window while windows proceed in parallel.
+// pool; each worker owns a scratch, so a window's forward is one goroutine
+// while windows proceed in parallel.
 func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 	workers := m.cfg.Workers
 	if workers <= 0 {
@@ -494,17 +246,32 @@ func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 	wg.Wait()
 }
 
+// checkSeries is the validation Scores, StageErrors and GraphAt share: a
+// fitted model, the variate count it was built for, at least one full
+// window, and one value per timestamp in every row.
+func (m *Model) checkSeries(s *dataset.Series) error {
+	if !m.trained {
+		return fmt.Errorf("core: model not fitted")
+	}
+	if s.N() != m.n {
+		return fmt.Errorf("core: model built for %d variates, series has %d", m.n, s.N())
+	}
+	if s.Len() < m.cfg.LongWindow {
+		return fmt.Errorf("core: series length %d shorter than window %d", s.Len(), m.cfg.LongWindow)
+	}
+	for v, row := range s.Data {
+		if len(row) != s.Len() {
+			return fmt.Errorf("core: variate %d has %d values for %d timestamps", v, len(row), s.Len())
+		}
+	}
+	return nil
+}
+
 // Scores returns anomaly scores (N×T) for a series. The model must have
 // been fitted.
 func (m *Model) Scores(s *dataset.Series) ([][]float64, error) {
-	if !m.trained {
-		return nil, fmt.Errorf("core: model not fitted")
-	}
-	if s.N() != m.n {
-		return nil, fmt.Errorf("core: model built for %d variates, series has %d", m.n, s.N())
-	}
-	if s.Len() < m.cfg.LongWindow {
-		return nil, fmt.Errorf("core: series length %d shorter than window %d", s.Len(), m.cfg.LongWindow)
+	if err := m.checkSeries(s); err != nil {
+		return nil, err
 	}
 	return m.scoreSeries(m.prepare(s)), nil
 }
@@ -536,8 +303,8 @@ func (m *Model) Detect(s *dataset.Series) ([][]bool, error) {
 // final error |Y − Ŷ1 − Ŷ2| per variate and timestamp — the series
 // visualized in the paper's Fig. 9.
 func (m *Model) StageErrors(s *dataset.Series) (stage1, final [][]float64, err error) {
-	if !m.trained {
-		return nil, nil, fmt.Errorf("core: model not fitted")
+	if err := m.checkSeries(s); err != nil {
+		return nil, nil, err
 	}
 	p := m.prepare(s)
 	T := len(p.time)
@@ -577,12 +344,13 @@ func (m *Model) StageErrors(s *dataset.Series) (stage1, final [][]float64, err e
 // self-loop removal) for the window ending at index end — the structure
 // visualized in the paper's Fig. 8.
 func (m *Model) GraphAt(s *dataset.Series, end int) (*tensor.Dense, error) {
-	if !m.trained {
-		return nil, fmt.Errorf("core: model not fitted")
+	if err := m.checkSeries(s); err != nil {
+		return nil, err
 	}
 	if end < m.cfg.LongWindow-1 || end >= s.Len() {
 		return nil, fmt.Errorf("core: window end %d out of range [%d, %d)", end, m.cfg.LongWindow-1, s.Len())
 	}
 	p := m.prepare(s)
-	return windowGraph(m.stage1Errors(p, end, nil)), nil
+	sc := m.newScratch(1)
+	return windowGraph(m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)), nil
 }

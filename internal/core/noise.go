@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"aero/internal/ag"
+	"aero/internal/nn"
 	"aero/internal/stats"
 	"aero/internal/tensor"
 )
@@ -22,8 +23,7 @@ import (
 // is the signed stage-1 residual Y − Ŷ1 ∈ (−1, 1), which a sigmoid could
 // not reach.
 type noiseModule struct {
-	W *ag.Param // ω×ω
-	B *ag.Param // 1×ω
+	nn.Linear // W_θ (ω×ω) and b_θ (1×ω)
 }
 
 func newNoiseModule(omega int, seed int64) *noiseModule {
@@ -35,19 +35,20 @@ func newNoiseModule(omega int, seed int64) *noiseModule {
 	for i := range rngW.Data {
 		rngW.Data[i] = (r.Float64()*2 - 1) * s * 0.1
 	}
-	return &noiseModule{
+	return &noiseModule{nn.Linear{
 		W: ag.NewParam("gcn.W", rngW),
 		B: ag.NewParam("gcn.b", tensor.New(1, omega)),
-	}
+	}}
 }
 
 // forward applies the graph convolution to the pre-propagated features
-// H = D̃⁻¹ÃY (N×ω), returning Ŷ2 (N×ω).
+// H = D̃⁻¹ÃY (N×ω) on a tape, returning Ŷ2 (N×ω). Training runs it;
+// noiseScores computes the same rows with Linear.ApplyRow and tanh.
 func (nm *noiseModule) forward(t *ag.Tape, h *tensor.Dense) *ag.Node {
-	return t.Tanh(t.AddRow(t.MatMul(t.Const(h), t.Param(nm.W)), t.Param(nm.B)))
+	return t.Tanh(nm.Linear.Forward(t, t.Const(h)))
 }
 
-func (nm *noiseModule) params() []*ag.Param { return []*ag.Param{nm.W, nm.B} }
+func (nm *noiseModule) params() []*ag.Param { return nm.Params() }
 
 // windowGraph computes the window-wise learned graph structure (Eq. 12–13):
 // the adjacency A_t whose entries are the pairwise cosine similarities of
@@ -97,14 +98,9 @@ func newDynamicGraphState(n int) *dynamicGraphState {
 	return &dynamicGraphState{a: completeGraph(n), decay: 0.9}
 }
 
-// next evolves the state with the current window similarities and returns
-// the smoothed adjacency.
-func (d *dynamicGraphState) next(sim *tensor.Dense) *tensor.Dense {
-	return d.nextInto(sim, tensor.New(d.a.Rows, d.a.Cols))
-}
-
-// nextInto is next writing the smoothed adjacency into dst, which may
-// alias sim (sim is fully consumed before dst is written).
+// nextInto evolves the state with the current window similarities and
+// writes the smoothed adjacency into dst, which may alias sim (sim is fully
+// consumed before dst is written).
 func (d *dynamicGraphState) nextInto(sim, dst *tensor.Dense) *tensor.Dense {
 	for i := range d.a.Data {
 		d.a.Data[i] = d.decay*d.a.Data[i] + (1-d.decay)*sim.Data[i]
@@ -113,16 +109,12 @@ func (d *dynamicGraphState) nextInto(sim, dst *tensor.Dense) *tensor.Dense {
 	return dst
 }
 
-// propagate computes H = D̃⁻¹ Ã Y with self-loops removed (Ã = A − I) and
-// degrees clamped away from zero. Rows whose total similarity to other
-// variates is ~0 (isolated variates, e.g. a lone true anomaly) produce a
-// zero feature row: nothing can be borrowed from neighbours, which is
-// exactly the mechanism that keeps true anomalies badly reconstructed.
-func propagate(a, y *tensor.Dense) *tensor.Dense {
-	return propagateInto(a, y, tensor.New(a.Rows, y.Cols))
-}
-
-// propagateInto is propagate writing into a caller-supplied N×ω buffer.
+// propagateInto computes H = D̃⁻¹ Ã Y with self-loops removed (Ã = A − I)
+// and degrees clamped away from zero into the caller-supplied N×ω buffer h.
+// Rows whose total similarity to other variates is ~0 (isolated variates,
+// e.g. a lone true anomaly) produce a zero feature row: nothing can be
+// borrowed from neighbours, which is exactly the mechanism that keeps true
+// anomalies badly reconstructed.
 func propagateInto(a, y, h *tensor.Dense) *tensor.Dense {
 	n := a.Rows
 	h.Zero()

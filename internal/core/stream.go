@@ -15,7 +15,7 @@ import (
 //
 // The hot path is allocation-free in steady state: frames are normalized
 // on insertion, the ring never grows, and all scoring buffers (window
-// views, time metadata, tensors, autodiff tapes) live in a per-detector
+// views, time metadata, tensors, activation rings) live in a per-detector
 // scratch that is reused on every Push.
 //
 // A StreamDetector is not safe for concurrent use; the engine package
@@ -36,14 +36,13 @@ type StreamDetector struct {
 
 	dyn *dynamicGraphState // only for VariantDynamicGraph models
 
-	workers  int // scoring fan-out bound, kept so Swap can rebuild the scratch
-	sc       *scratch
 	prep     prepared    // chronological window view, rebuilt per score
 	prepData [][]float64 // backing storage for prep.data
 	scores   []float64   // per-variate score of the newest frame
 	alarms   []Alarm     // Push's reusable alarm buffer
 
-	inc *incrementalState // nil when the incremental path is disabled
+	inc  *incrementalState // the forward's scratch, caches and policy
+	snap *scratch          // GraphSnapshot's own scratch, allocated on first use
 }
 
 // Frame is one observation instant: the magnitudes of all stars at Time.
@@ -59,18 +58,8 @@ type Alarm struct {
 	Score   float64
 }
 
-// NewStreamDetector returns an online detector backed by the fitted model,
-// scoring with the model's configured worker fan-out.
+// NewStreamDetector returns an online detector backed by the fitted model.
 func NewStreamDetector(m *Model) (*StreamDetector, error) {
-	return NewStreamDetectorWorkers(m, 0)
-}
-
-// NewStreamDetectorWorkers is NewStreamDetector with an explicit bound on
-// the per-frame scoring fan-out (<= 0 uses the model's configuration).
-// Multi-detector hosts like the engine pass 1: cross-tenant parallelism
-// already saturates the cores, and a single-slot detector keeps the push
-// path strictly allocation-free (no per-frame goroutines).
-func NewStreamDetectorWorkers(m *Model, workers int) (*StreamDetector, error) {
 	if !m.trained {
 		return nil, fmt.Errorf("core: streaming requires a fitted model")
 	}
@@ -80,8 +69,6 @@ func NewStreamDetectorWorkers(m *Model, workers int) (*StreamDetector, error) {
 		times:    make([]float64, w),
 		data:     make([][]float64, m.n),
 		raw:      make([][]float64, m.n),
-		workers:  workers,
-		sc:       m.newScratch(workers),
 		prepData: make([][]float64, m.n),
 		scores:   make([]float64, m.n),
 		alarms:   make([]Alarm, 0, m.n),
@@ -102,15 +89,12 @@ func NewStreamDetectorWorkers(m *Model, workers int) (*StreamDetector, error) {
 // SetIncrementalPolicy installs an incremental streaming policy (see
 // IncrementalPolicy), rebuilding the activation caches from scratch; the
 // next scored frame runs a full exact pass that repopulates them. The zero
-// policy disables the incremental path. Accumulated stats are preserved.
+// policy disables the incremental path and drops the counters; otherwise
+// accumulated stats are preserved.
 func (s *StreamDetector) SetIncrementalPolicy(pol IncrementalPolicy) {
 	var st IncrementalStats
-	if s.inc != nil {
+	if s.inc != nil && pol.enabled() {
 		st = s.inc.stats
-	}
-	if !pol.enabled() {
-		s.inc = nil
-		return
 	}
 	s.inc = newIncrementalState(s.m, pol)
 	s.inc.stats = st
@@ -118,41 +102,17 @@ func (s *StreamDetector) SetIncrementalPolicy(pol IncrementalPolicy) {
 
 // IncrementalPolicy returns the active incremental policy (the zero value
 // when disabled).
-func (s *StreamDetector) IncrementalPolicy() IncrementalPolicy {
-	if s.inc == nil {
-		return IncrementalPolicy{}
-	}
-	return s.inc.pol
-}
+func (s *StreamDetector) IncrementalPolicy() IncrementalPolicy { return s.inc.pol }
 
-// IncrementalStats reports how scored frames were served so far.
-func (s *StreamDetector) IncrementalStats() IncrementalStats {
-	if s.inc == nil {
-		return IncrementalStats{}
-	}
-	return s.inc.stats
-}
+// IncrementalStats reports how scored frames were served so far (all zero
+// while the incremental path is disabled).
+func (s *StreamDetector) IncrementalStats() IncrementalStats { return s.inc.stats }
 
 // InvalidateIncremental drops every cached activation; the next scored
 // frame runs a full exact pass. Hosts call it whenever the window contents
 // changed behind the detector's back (e.g. the engine's frame hygiene
 // repaired a frame in place).
-func (s *StreamDetector) InvalidateIncremental() {
-	if s.inc != nil {
-		s.inc.valid = false
-	}
-}
-
-// rebuildIncremental re-sizes the caches for the current model (geometry
-// may change across Swap) while preserving the policy and stats.
-func (s *StreamDetector) rebuildIncremental() {
-	if s.inc != nil {
-		pol := s.inc.pol
-		st := s.inc.stats
-		s.inc = newIncrementalState(s.m, pol)
-		s.inc.stats = st
-	}
-}
+func (s *StreamDetector) InvalidateIncremental() { s.inc.valid = false }
 
 // Kind implements StreamBackend: the AERO backend kind tag.
 func (s *StreamDetector) Kind() string { return KindAERO }
@@ -221,7 +181,7 @@ func (s *StreamDetector) PushScores(f Frame) ([]float64, error) {
 	if !s.Ready() {
 		return nil, nil
 	}
-	return s.scoreLast(), nil
+	return s.inc.score(s), nil
 }
 
 // window linearizes the rings into the reusable chronological prepared
@@ -237,24 +197,6 @@ func (s *StreamDetector) window() *prepared {
 	}
 	s.prep.data = s.prepData
 	return &s.prep
-}
-
-// scoreLast returns the final anomaly score of the last timestamp per
-// variate: the incremental path (with its exact alarm-boundary guard) when
-// enabled, the full two-stage forward otherwise. The returned slice is
-// reused by the next call.
-func (s *StreamDetector) scoreLast() []float64 {
-	if s.inc != nil {
-		return s.inc.score(s)
-	}
-	w := s.m.cfg.LongWindow
-	p := s.window()
-	final, _ := s.m.windowScores(p, w-1, s.dyn, s.sc)
-	omega := s.m.cfg.ShortWindow
-	for v := 0; v < s.m.n; v++ {
-		s.scores[v] = final.At(v, omega-1)
-	}
-	return s.scores
 }
 
 // Swap installs a different fitted model into the warm detector without
@@ -285,7 +227,6 @@ func (s *StreamDetector) Swap(m *Model) error {
 	}
 	w := m.cfg.LongWindow
 	s.m = m
-	s.sc = m.newScratch(s.workers)
 	switch {
 	case m.cfg.Variant != VariantDynamicGraph:
 		s.dyn = nil
@@ -304,8 +245,10 @@ func (s *StreamDetector) Swap(m *Model) error {
 		}
 	}
 	// Cached activations belong to the old weights (and possibly the old
-	// geometry): rebuild, so the next frame scores with a full exact pass.
-	s.rebuildIncremental()
+	// geometry): rebuild under the same policy, so the next frame scores
+	// with a full exact pass.
+	s.SetIncrementalPolicy(s.inc.pol)
+	s.snap = nil
 	return nil
 }
 
@@ -345,11 +288,18 @@ func (s *StreamDetector) Replay(series *dataset.Series) ([]Alarm, error) {
 // GraphSnapshot returns the current window-wise learned adjacency, for
 // live monitoring dashboards (Fig. 8 in real time). The matrix is a fresh
 // copy owned by the caller. Returns an error before the window is warm.
+//
+// A snapshot is an observation: it recomputes the window's stage-1 errors
+// exactly, in a scratch of its own, and leaves the detector's caches,
+// evolving graph and counters as they were.
 func (s *StreamDetector) GraphSnapshot() (*tensor.Dense, error) {
 	if !s.Ready() {
 		return nil, fmt.Errorf("core: window not yet full (%d/%d frames)", s.count, s.m.cfg.LongWindow)
 	}
-	w := s.m.cfg.LongWindow
+	if s.snap == nil {
+		s.snap = s.m.newScratch(1)
+	}
+	end := s.m.cfg.LongWindow - 1
 	p := s.window()
-	return windowGraph(s.m.stage1Errors(p, w-1, s.sc)), nil
+	return windowGraph(s.m.stage1Errors(p, end, s.m.times(p, end, &s.snap.wt), s.snap)), nil
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"aero/internal/dataset"
@@ -113,28 +114,79 @@ func TestStreamReplayMatchesBatchAtWindowEnds(t *testing.T) {
 	}
 }
 
+// TestStreamGraphSnapshot pins GraphSnapshot as an observation. Two
+// detectors replay one feed, one of them snapshotting every 7th frame: their
+// score bits and serving counters must stay equal throughout (the snapshot's
+// exact recompute touches no ring, head, TE cache, rolling error, evolving
+// graph or counter), and every snapshot must equal Model.GraphAt on the same
+// window bit for bit. The dynamic-graph variant is the one whose EWMA a
+// careless snapshot would advance.
 func TestStreamGraphSnapshot(t *testing.T) {
-	m, d := shared(t)
-	s, err := NewStreamDetector(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := Frame{Magnitudes: make([]float64, d.Test.N())}
-	for t2 := 0; t2 < m.Config().LongWindow; t2++ {
-		frame.Time = d.Test.Time[t2]
-		for v := range frame.Magnitudes {
-			frame.Magnitudes[v] = d.Test.Data[v][t2]
-		}
-		if _, err := s.Push(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g, err := s.GraphSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Rows != d.Test.N() || g.Cols != d.Test.N() {
-		t.Fatal("graph shape wrong")
+	for _, variant := range []Variant{VariantFull, VariantDynamicGraph} {
+		t.Run(variant.String(), func(t *testing.T) {
+			m, d := fitIncVariant(t, variant)
+			w := m.Config().LongWindow
+			quiet, err := NewStreamDetector(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			observed, err := NewStreamDetector(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := observed.GraphSnapshot(); err == nil {
+				t.Fatal("expected an error before the window is warm")
+			}
+			// A series whose first timestamp is the window's own, so GraphAt
+			// sees the interval pin the streaming window has at row 0.
+			win := &dataset.Series{Time: make([]float64, w), Data: make([][]float64, d.Test.N())}
+			snapshots := 0
+			frame := Frame{Magnitudes: make([]float64, d.Test.N())}
+			for i := 0; i < d.Test.Len(); i++ {
+				frame.Time = d.Test.Time[i]
+				for v := range frame.Magnitudes {
+					frame.Magnitudes[v] = d.Test.Data[v][i]
+				}
+				want, err := quiet.PushScores(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := observed.PushScores(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("frame %d variate %d: score %v after snapshots, %v without", i, v, got[v], want[v])
+					}
+				}
+				if gs, ws := observed.IncrementalStats(), quiet.IncrementalStats(); gs != ws {
+					t.Fatalf("frame %d: serving counters %+v after snapshots, %+v without", i, gs, ws)
+				}
+				if i < w-1 || i%7 != 0 {
+					continue
+				}
+				g, err := observed.GraphSnapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				copy(win.Time, d.Test.Time[i-w+1:i+1])
+				for v := range win.Data {
+					win.Data[v] = d.Test.Data[v][i-w+1 : i+1]
+				}
+				ref, err := m.GraphAt(win, w-1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if g.Rows != d.Test.N() || !tensor.Equal(g, ref, 0) {
+					t.Fatalf("frame %d: snapshot differs from GraphAt on the same window", i)
+				}
+				snapshots++
+			}
+			if st := observed.IncrementalStats(); snapshots < 10 || st.Incremental == 0 {
+				t.Fatalf("%d snapshots, %d incremental frames: the check is vacuous", snapshots, st.Incremental)
+			}
+		})
 	}
 }
 
@@ -169,26 +221,6 @@ func TestStreamPushSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(64, push)
 	if allocs > 2 {
 		t.Fatalf("steady-state Push allocates %.1f objects/frame, want <= 2", allocs)
-	}
-}
-
-// TestScratchScoringMatchesAllocatingPath asserts the scratch-backed
-// scoring pipeline is bit-identical to the allocating one: same windows,
-// same floats, no tolerance.
-func TestScratchScoringMatchesAllocatingPath(t *testing.T) {
-	m, d := shared(t)
-	p := m.prepare(d.Test)
-	sc := m.newScratch(0)
-	w := m.Config().LongWindow
-	for _, end := range []int{w - 1, w + 7, w + 8, d.Test.Len() - 1} {
-		fresh, e1Fresh := m.windowScores(p, end, nil, nil)
-		reused, e1Reused := m.windowScores(p, end, nil, sc)
-		if !tensor.Equal(fresh, reused, 0) {
-			t.Fatalf("end %d: scratch final scores differ from allocating path", end)
-		}
-		if !tensor.Equal(e1Fresh, e1Reused, 0) {
-			t.Fatalf("end %d: scratch stage-1 errors differ from allocating path", end)
-		}
 	}
 }
 

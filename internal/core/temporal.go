@@ -30,17 +30,8 @@ func newEncoderLayer(name string, dm, heads, hidden, band int, rng *rand.Rand) *
 }
 
 func (e *encoderLayer) forward(t *ag.Tape, x *ag.Node) *ag.Node {
-	out, _, _ := e.forwardKV(t, x)
-	return out
-}
-
-// forwardKV is forward additionally returning the layer's key/value
-// projection nodes, so the streaming capture path can cache them across
-// pushes. forward delegates here; the two cannot diverge.
-func (e *encoderLayer) forwardKV(t *ag.Tape, x *ag.Node) (out, k, v *ag.Node) {
-	attnOut, k, v := e.attn.ForwardKV(t, x, x, x)
-	m := e.ln1.Forward(t, t.Add(x, attnOut))
-	return e.ln2.Forward(t, t.Add(m, e.ffn.Forward(t, m))), k, v
+	m := e.ln1.Forward(t, t.Add(x, e.attn.Forward(t, x, x, x)))
+	return e.ln2.Forward(t, t.Add(m, e.ffn.Forward(t, m)))
 }
 
 func (e *encoderLayer) params() []*ag.Param {
@@ -100,19 +91,27 @@ type windowTimes struct {
 	posS, dtS []float64
 }
 
-// capLayer holds one encoder layer's cached key/value projection rings
-// (W×d_m each): the K = x·W_K and V = x·W_V matrices of the layer's most
-// recent captured forward.
+// newWindowTimes allocates the slices for long/short window lengths w and
+// omega; Model.times fills them.
+func newWindowTimes(w, omega int) windowTimes {
+	return windowTimes{
+		posL: make([]float64, w), dtL: make([]float64, w),
+		posS: make([]float64, omega), dtS: make([]float64, omega),
+	}
+}
+
+// capLayer holds one encoder layer's key/value projection rings (W×d_m
+// each): K = x·W_K and V = x·W_V of the layer's input.
 type capLayer struct {
 	k, v *tensor.Dense
 }
 
-// temporalCapture holds the intermediate activations of one stage-1 forward
-// pass that the incremental streaming path reuses across pushes. Every
-// matrix is a ring over window positions: logical row r sits at physical row
-// (head+r) mod rows, with one head per window length kept by the owning
-// incrementalState. An exact forward overwrites every ring in full at head 0
-// (logical = physical); the benign incremental path advances the heads by
+// temporalCapture holds the intermediate activations of one stage-1 row
+// forward (stage1Rows), which the incremental streaming path reuses across
+// pushes. Every matrix is a ring over window positions: logical row r sits
+// at physical row (head+r) mod rows, with one head per window length kept by
+// the owning scratch. An exact forward overwrites every ring in full at head
+// 0 (logical = physical); the benign incremental path advances the heads by
 // one and rewrites only the entering rows. The two uses share storage by
 // design, so a refresh is also a cache rebuild.
 type temporalCapture struct {
@@ -121,15 +120,11 @@ type temporalCapture struct {
 	oeK, oeV     *tensor.Dense // W×d_m decoder cross-attention K/V of the encoder output
 	decP         *tensor.Dense // ω×d_m decoder input projection decProj(x)
 	selfK, selfV *tensor.Dense // ω×d_m decoder self-attention K/V
-
-	// te, when non-nil, also receives the pass's time-embedding parts. θ is
-	// data-independent, so a detector keeps one timeEmbedCache and attaches
-	// it to its first capture only.
-	te *timeEmbedCache
 }
 
 // timeEmbedCache holds sin(θ) and cos(θ) of the time embedding for the long
-// window (W×d_m) and its short suffix (ω×d_m), in logical row order. The
+// window (W×d_m) and its short suffix (ω×d_m), in logical row order. θ is
+// data-independent, so one cache serves every variate of a window. The
 // incremental path rotates every retained row by one position per push, so
 // these are rewritten in full each frame and are not rings.
 type timeEmbedCache struct {
@@ -153,59 +148,25 @@ func (m *temporalModule) newTemporalCapture(w, omega int) *temporalCapture {
 	return c
 }
 
-// forward reconstructs the short window. long is W×inDim, short is ω×inDim
-// (rows are timesteps); the result is ω×inDim in [0, 1].
+// forward reconstructs the short window on a tape. long is W×inDim, short is
+// ω×inDim (rows are timesteps); the result is ω×inDim in [0, 1]. Training
+// runs it; inference runs the same arithmetic through stage1Rows, which
+// TestRowForwardMatchesTape holds to this function bit for bit.
 func (m *temporalModule) forward(t *ag.Tape, long, short *tensor.Dense, wt windowTimes) *ag.Node {
-	return m.forwardCap(t, long, short, wt, nil)
-}
-
-// forwardCap is forward optionally copying the intermediate activations the
-// incremental streaming path reuses into cache (no capture when nil). The
-// op sequence is identical to the historical forward — the capture copies
-// read already-computed node values — so captured and plain passes produce
-// bit-identical outputs.
-func (m *temporalModule) forwardCap(t *ag.Tape, long, short *tensor.Dense, wt windowTimes, cache *temporalCapture) *ag.Node {
 	// Input embeddings IE/ID = proj(x) + TE (Eq. 4).
-	encP := m.encProj.Forward(t, t.Const(long))
-	teL, sinL, cosL := m.te.ForwardParts(t, wt.posL, wt.dtL)
-	ie := t.Add(encP, teL)
-	decP := m.decProj.Forward(t, t.Const(short))
-	teS, sinS, cosS := m.te.ForwardParts(t, wt.posS, wt.dtS)
-	id := t.Add(decP, teS)
-	if cache != nil {
-		cache.encP.CopyFrom(encP.Value)
-		cache.decP.CopyFrom(decP.Value)
-		if te := cache.te; te != nil {
-			te.sinL.CopyFrom(sinL.Value)
-			te.cosL.CopyFrom(cosL.Value)
-			te.sinS.CopyFrom(sinS.Value)
-			te.cosS.CopyFrom(cosS.Value)
-		}
-	}
+	ie := t.Add(m.encProj.Forward(t, t.Const(long)), m.te.Forward(t, wt.posL, wt.dtL))
+	id := t.Add(m.decProj.Forward(t, t.Const(short)), m.te.Forward(t, wt.posS, wt.dtS))
 
 	// Encoder over the long context (Eq. 5–7).
 	oe := ie
-	for i, layer := range m.enc {
-		var k, v *ag.Node
-		oe, k, v = layer.forwardKV(t, oe)
-		if cache != nil {
-			cache.enc[i].k.CopyFrom(k.Value)
-			cache.enc[i].v.CopyFrom(v.Value)
-		}
+	for _, layer := range m.enc {
+		oe = layer.forward(t, oe)
 	}
 
 	// Decoder: masked-free self-attention on the short window, then
 	// cross-attention using the encoder output as keys/values (Eq. 8).
-	selfOut, selfK, selfV := m.decSelf.ForwardKV(t, id, id, id)
-	md := m.decLN1.Forward(t, t.Add(id, selfOut))
-	crossOut, oeK, oeV := m.decCross.ForwardKV(t, md, oe, oe)
-	od := m.decLN2.Forward(t, t.Add(md, crossOut))
-	if cache != nil {
-		cache.selfK.CopyFrom(selfK.Value)
-		cache.selfV.CopyFrom(selfV.Value)
-		cache.oeK.CopyFrom(oeK.Value)
-		cache.oeV.CopyFrom(oeV.Value)
-	}
+	md := m.decLN1.Forward(t, t.Add(id, m.decSelf.Forward(t, id, id, id)))
+	od := m.decLN2.Forward(t, t.Add(md, m.decCross.Forward(t, md, oe, oe)))
 
 	// Output head with sigmoid normalization (Eq. 9).
 	return t.Sigmoid(m.outFFN.Forward(t, od))

@@ -29,7 +29,7 @@ type TimeEmbedding struct {
 	// window-local and contiguous (model.times emits 0..W−1 for the long
 	// window and w−ω..w−1 for its suffix), so the matrix is a pure
 	// function of the window shape and can be computed once and shared by
-	// every forward pass — training, batch scoring and streaming alike.
+	// every forward pass, the tape's and the row kernels' alike.
 	// Lock-free reads, like nn's band-mask cache.
 	phases sync.Map // phaseKey -> *tensor.Dense
 }
@@ -57,25 +57,39 @@ func NewTimeEmbedding(dm int) *TimeEmbedding {
 // Forward produces the L×d_m embedding for absolute positions pos and
 // intervals dt (both length L).
 func (te *TimeEmbedding) Forward(t *ag.Tape, pos, dt []float64) *ag.Node {
-	emb, _, _ := te.ForwardParts(t, pos, dt)
-	return emb
-}
-
-// ForwardParts is Forward additionally returning the sin(θ) and cos(θ)
-// nodes. The incremental streaming path caches their values and advances
-// them across pushes: a window-local position shift of −1 rotates every
-// retained θ by exactly −f_j per dimension, so (sinθ, cosθ) update by the
-// angle-difference identities without re-evaluating any trigonometry.
-func (te *TimeEmbedding) ForwardParts(t *ag.Tape, pos, dt []float64) (emb, sin, cos *ag.Node) {
 	L := len(pos)
 	phase := te.phase(t, pos)
 	// Learnable part: dtCol (L×1) · α (1×d_m).
 	dtCol := t.Buffer(L, 1)
 	copy(dtCol.Data, dt)
 	theta := t.Add(phase, t.MatMul(t.Const(dtCol), t.Param(te.Alpha)))
-	sin = t.Sin(theta)
-	cos = t.Cos(theta)
-	return t.Add(sin, cos), sin, cos
+	return t.Add(t.Sin(theta), t.Cos(theta))
+}
+
+// sinCos is Forward without a tape, keeping the two halves apart: it writes
+// sin(θ) and cos(θ) (L×d_m each) for θ[l][j] = f_j·pos_l + dt_l·α_j, the
+// same per-cell arithmetic as Forward's Add/MatMul/Sin/Cos chain. The
+// streaming detector keeps the halves because a window-local position shift
+// of −1 rotates every retained θ by exactly −f_j, so (sinθ, cosθ) advance by
+// the angle-difference identities without re-evaluating any trigonometry.
+func (te *TimeEmbedding) sinCos(sin, cos *tensor.Dense, pos, dt []float64) {
+	phase := te.cachedPhase(pos)
+	if phase == nil {
+		// Scattered positions have no shared matrix: stage the products in
+		// sin, whose cells are each read before they are overwritten.
+		te.fillPhase(sin, pos)
+		phase = sin
+	}
+	alpha := te.Alpha.Value.Data
+	for l := range pos {
+		sr, cr, ph := sin.Row(l), cos.Row(l), phase.Row(l)
+		d := dt[l]
+		for j := range sr {
+			th := ph[j] + d*alpha[j]
+			sr[j] = math.Sin(th)
+			cr[j] = math.Cos(th)
+		}
+	}
 }
 
 // phase returns the constant matrix phase[l][j] = f_j·pos_l as a tape node,
@@ -94,8 +108,8 @@ func (te *TimeEmbedding) phase(t *ag.Tape, pos []float64) *ag.Node {
 
 // cachedPhase returns the shared constant phase matrix for a contiguous
 // position vector, or nil when the positions are non-contiguous (no model
-// path emits that shape). The matrix is shared across passes — callers
-// must treat it as read-only.
+// path emits that shape; callers fill their own). The matrix is shared
+// across passes — callers must treat it as read-only.
 func (te *TimeEmbedding) cachedPhase(pos []float64) *tensor.Dense {
 	L := len(pos)
 	p0 := pos[0]

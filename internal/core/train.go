@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"sync"
 
 	"aero/internal/ag"
@@ -23,6 +24,31 @@ type trainScratch struct {
 	losses []float64
 }
 
+// varSlot is the per-goroutine state of one stage-1 training pass: a tape
+// plus the long/short input windows.
+type varSlot struct {
+	tape  *ag.Tape
+	long  *tensor.Dense
+	short *tensor.Dense
+}
+
+// trainWorkers resolves the stage-1 training fan-out: the configured worker
+// count (GOMAXPROCS when unset), clamped to the variate count; multivariate
+// input forces 1 (its single forward pass has nothing to fan out).
+func (m *Model) trainWorkers() int {
+	workers := m.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > m.n {
+		workers = m.n
+	}
+	if m.cfg.multivariateInput() {
+		workers = 1
+	}
+	return workers
+}
+
 // newTrainScratch sizes a training scratch for the model's window geometry
 // and configured worker count.
 func (m *Model) newTrainScratch() *trainScratch {
@@ -31,12 +57,9 @@ func (m *Model) newTrainScratch() *trainScratch {
 	if m.cfg.multivariateInput() {
 		inDim = m.n
 	}
-	workers := m.clampWorkers(0)
+	workers := m.trainWorkers()
 	ts := &trainScratch{
-		wt: windowTimes{
-			posL: make([]float64, w), dtL: make([]float64, w),
-			posS: make([]float64, omega), dtS: make([]float64, omega),
-		},
+		wt:     newWindowTimes(w, omega),
 		losses: make([]float64, m.n),
 	}
 	for i := 0; i < workers; i++ {
@@ -97,9 +120,9 @@ func (m *Model) stage1Step(p *prepared, end int, opt *nn.Adam, params []*ag.Para
 		slot := ts.slots[0]
 		t := slot.tape
 		t.Reset()
-		long, short := m.longShort(p, 0, end, slot)
-		pred := m.temporal.forward(t, long, short, wt)
-		loss := t.MSE(pred, t.Const(short))
+		m.longShort(p, 0, end, slot.long, slot.short)
+		pred := m.temporal.forward(t, slot.long, slot.short, wt)
+		loss := t.MSE(pred, t.Const(slot.short))
 		t.Backward(loss)
 		opt.Step(params)
 		return loss.Value.Data[0]
@@ -147,9 +170,9 @@ func (m *Model) stage1Chunk(p *prepared, base, hi, end int, wt windowTimes, ts *
 func (m *Model) stage1Variate(p *prepared, v, end int, wt windowTimes, slot *varSlot, losses []float64) {
 	t := slot.tape
 	t.Reset()
-	long, short := m.longShort(p, v, end, slot)
-	pred := m.temporal.forward(t, long, short, wt)
-	loss := t.MSE(pred, t.Const(short))
+	m.longShort(p, v, end, slot.long, slot.short)
+	pred := m.temporal.forward(t, slot.long, slot.short, wt)
+	loss := t.MSE(pred, t.Const(slot.short))
 	t.BackwardGrads(loss)
 	losses[v] = loss.Value.Data[0]
 }
@@ -162,10 +185,10 @@ func (m *Model) trainStage2(p *prepared) int {
 	opt.MaxGradNorm = 5
 	insts := window.Indices(len(p.time), m.cfg.LongWindow, m.cfg.TrainStride)
 	// The frozen stage-1 forwards and graph building reuse one scratch
-	// across all windows, and the stage-2 backward reuses one grad tape;
-	// each window's tensors are consumed (forward + backward) before the
-	// next window overwrites them.
-	sc := m.newScratch(0)
+	// across all windows, and the stage-2 backward reuses one tape; each
+	// window's tensors are consumed (forward + backward) before the next
+	// window overwrites them.
+	sc := m.newScratch(1)
 	tape := ag.NewTape()
 
 	best := math.Inf(1)
@@ -180,7 +203,7 @@ func (m *Model) trainStage2(p *prepared) int {
 		for _, inst := range insts {
 			// Stage-1 outputs are treated as constants: the temporal
 			// module is frozen during stage 2 (Algorithm 1, line 7).
-			e := m.stage1Errors(p, inst.End, sc)
+			e := m.stage1Errors(p, inst.End, m.times(p, inst.End, &sc.wt), sc)
 			a := m.adjacency(e, dyn, sc)
 			h := propagateInto(a, e, sc.h)
 			tape.Reset()

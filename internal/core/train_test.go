@@ -124,11 +124,11 @@ func TestStage2StepSteadyStateAllocs(t *testing.T) {
 	params := m.noise.params()
 	opt := nn.NewAdam(m.cfg.LR)
 	opt.MaxGradNorm = 5
-	sc := m.newScratch(0)
+	sc := m.newScratch(1)
 	tape := ag.NewTape()
 	end := m.cfg.LongWindow - 1
 	step := func() {
-		e := m.stage1Errors(p, end, sc)
+		e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
 		a := m.adjacency(e, nil, sc)
 		h := propagateInto(a, e, sc.h)
 		tape.Reset()

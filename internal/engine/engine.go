@@ -326,10 +326,7 @@ func (e *Engine) Subscribe(id string, m *core.Model) (*Subscription, error) {
 	if e.closed.Load() {
 		return nil, ErrClosed
 	}
-	// Single-slot detectors: the worker pool supplies cross-tenant
-	// parallelism, so per-frame fan-out inside a detector would only
-	// oversubscribe cores and allocate per-push goroutines.
-	det, err := core.NewStreamDetectorWorkers(m, 1)
+	det, err := core.NewStreamDetector(m)
 	if err != nil {
 		return nil, err
 	}

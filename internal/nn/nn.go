@@ -84,7 +84,7 @@ func (l *LayerNorm) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 }
 
 // ApplyRow normalizes the single row x into dst (dst may alias x),
-// mirroring the tape's inference-mode LayerNormRows kernel bit for bit.
+// mirroring the tape's LayerNormRows kernel bit for bit.
 func (l *LayerNorm) ApplyRow(dst, x []float64) {
 	gain, bias := l.Gain.Value.Data, l.Bias.Value.Data
 	cols := float64(len(x))
@@ -144,18 +144,9 @@ func NewMultiHeadAttention(name string, dm, heads int, rng *rand.Rand) *MultiHea
 // Forward computes attention with separate query/key/value inputs
 // (self-attention passes the same node three times). Rows are timesteps.
 func (m *MultiHeadAttention) Forward(t *ag.Tape, query, key, value *ag.Node) *ag.Node {
-	out, _, _ := m.ForwardKV(t, query, key, value)
-	return out
-}
-
-// ForwardKV is Forward additionally returning the pre-head-split key and
-// value projection nodes (T_k×dm). Streaming callers cache their values
-// across pushes and re-project only the entering rows; Forward delegates
-// here, so the two paths cannot diverge.
-func (m *MultiHeadAttention) ForwardKV(t *ag.Tape, query, key, value *ag.Node) (out, k, v *ag.Node) {
 	q := m.Wq.Forward(t, query)
-	k = m.Wk.Forward(t, key)
-	v = m.Wv.Forward(t, value)
+	k := m.Wk.Forward(t, key)
+	v := m.Wv.Forward(t, value)
 	dk := m.Dim / m.Heads
 	scale := 1 / math.Sqrt(float64(dk))
 	var headsBuf [8]*ag.Node // avoids a per-forward slice alloc for typical head counts
@@ -184,7 +175,7 @@ func (m *MultiHeadAttention) ForwardKV(t *ag.Tape, query, key, value *ag.Node) (
 	} else {
 		cat = t.ConcatCols(heads...)
 	}
-	return m.Wo.Forward(t, cat), k, v
+	return m.Wo.Forward(t, cat)
 }
 
 // AttentionWeights runs the forward pass and additionally returns the

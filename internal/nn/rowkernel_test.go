@@ -106,12 +106,13 @@ func testFFNApplyRowMatchesForward(t *testing.T) {
 func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense, square bool) {
 	t.Helper()
 	tp := ag.NewTape()
-	var out, k, v *ag.Node
 	if square {
-		out, k, v = m.ForwardKV(tp, tp.Const(query), tp.Const(query), tp.Const(query))
-	} else {
-		out, k, v = m.ForwardKV(tp, tp.Const(query), tp.Const(kv), tp.Const(kv))
+		kv = query
 	}
+	out := m.Forward(tp, tp.Const(query), tp.Const(kv), tp.Const(kv))
+	// The K/V matrices the row kernel attends over, projected the way
+	// Forward projects them.
+	k, v := m.Wk.Forward(tp, tp.Const(kv)), m.Wv.Forward(tp, tp.Const(kv))
 	q := make([]float64, m.Dim)
 	ctx := make([]float64, m.Dim)
 	dst := make([]float64, m.Dim)
