@@ -189,7 +189,7 @@ func BenchmarkAblationEvalStride(b *testing.B) {
 // through StreamDetector.Push — the per-frame hot path of §III-F. The
 // detector is warmed past one full long window before timing so the
 // numbers reflect the scoring path, not the warmup appends. Which row-kernel
-// path the host took is decided once at internal/nn's init: the AVX2 leaves
+// path the host took is decided once at internal/tensor's init: the AVX2 leaves
 // on amd64 with AVX2+FMA, the Go loops anywhere else and under
 // GODEBUG=cpu.fma=off (internal/nn's BenchmarkAttendRow/BenchmarkApplyRow
 // time both side by side).

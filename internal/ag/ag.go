@@ -15,7 +15,8 @@
 // positional tensor.Arenas, so after Reset a same-shape forward/backward
 // step reuses every buffer and training is allocation-free in steady state.
 // Inference does not go through a tape at all — AERO scores with the row
-// kernels in internal/nn, and the tape is their reference in tests.
+// forms in internal/nn, and the tape is their reference in tests. Both run
+// their multiply-adds and softmax on internal/tensor's row kernels.
 //
 // The operator set is the minimum needed for the models in this repository:
 // Transformer encoder–decoders, GRUs, VAEs, graph convolutions and
@@ -812,7 +813,9 @@ func (t *Tape) Dropout(a *Node, rate float64, rng *rand.Rand, train bool) *Node 
 
 // --- row-wise structured ops ---------------------------------------------------
 
-// SoftmaxRows applies a numerically stable softmax to each row of a.
+// SoftmaxRows applies a numerically stable softmax to each row of a: every
+// cell is exp(x − max) divided by the row's sum of those, added in ascending
+// order — the same two leaves nn's AttendRow runs.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
@@ -824,15 +827,8 @@ func (t *Tape) SoftmaxRows(a *Node) *Node {
 				mx = x
 			}
 		}
-		var sum float64
-		for j, x := range src {
-			e := math.Exp(x - mx)
-			dst[j] = e
-			sum += e
-		}
-		for j := range dst {
-			dst[j] /= sum
-		}
+		copy(dst, src)
+		tensor.DivideRow(dst, tensor.ExpSumRow(dst, mx))
 	}
 	return t.record(t.node(v), opSoftmaxRows, a, nil)
 }

@@ -5,34 +5,11 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-	_ "unsafe" // go:linkname
 )
 
-// nnUseVector is internal/nn's row-kernel dispatch variable. It is
-// unexported there on purpose (no knob); the identity tests reach it by
-// linkname to run the same expected values over both kernel paths.
-//
-//go:linkname nnUseVector aero/internal/nn.useVector
-var nnUseVector bool
-
-// eachKernelPath runs f twice: on nn's vector leaves (skipped where nn's init
-// probe said no) and on its Go loops.
-func eachKernelPath(t *testing.T, f func(t *testing.T)) {
-	probed := nnUseVector
-	defer func() { nnUseVector = probed }()
-	t.Run("vector", func(t *testing.T) {
-		if !probed {
-			t.Skip("internal/nn's probe chose the Go loops on this host: nothing to compare")
-		}
-		f(t)
-	})
-	nnUseVector = false
-	t.Run("scalar", f)
-}
-
 // TestVectorPathSelfCheck re-runs TestStreamScoreBitsPinned in a child with
-// GODEBUG=cpu.fma=off. The CPU still has FMA — nn's CPUID probe says yes —
-// but math.Exp has left its fused path, so nn's init self-check must notice
+// GODEBUG=cpu.fma=off. The CPU still has FMA — tensor's CPUID probe says yes —
+// but math.Exp has left its fused path, so tensor's init self-check must notice
 // that its packed exp no longer reproduces it and leave the dispatch
 // variable false (the child skips every "vector" half), and the scores must
 // be the ones the noFMA column pins.

@@ -15,7 +15,7 @@ import (
 // included, which the golden tests (alarms against the exact twin) never see.
 // The hashes were recorded at the commit before the row kernels were blocked
 // and the activation caches became rings; a kernel that reorders one float64
-// operation in one output cell changes them, and they hold on nn's vector
+// operation in one output cell changes them, and they hold on tensor's vector
 // leaves and on its Go loops alike.
 //
 // There are two columns because math.Exp is two functions on amd64: with

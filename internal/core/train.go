@@ -184,11 +184,18 @@ func (m *Model) trainStage2(p *prepared) int {
 	opt := nn.NewAdam(m.cfg.LR)
 	opt.MaxGradNorm = 5
 	insts := window.Indices(len(p.time), m.cfg.LongWindow, m.cfg.TrainStride)
-	// The frozen stage-1 forwards and graph building reuse one scratch
-	// across all windows, and the stage-2 backward reuses one tape; each
-	// window's tensors are consumed (forward + backward) before the next
-	// window overwrites them.
+	// Stage 1 is frozen during stage 2 (Algorithm 1, line 7), so a window's
+	// error matrix E = Y − Ŷ1 is the same in every epoch: the frozen forward
+	// runs once per window, here, and the epochs index the copies. They are
+	// windows·N·ω float64s together, and garbage once training returns.
 	sc := m.newScratch(1)
+	errs := make([]*tensor.Dense, len(insts))
+	for i, inst := range insts {
+		errs[i] = m.stage1Errors(p, inst.End, m.times(p, inst.End, &sc.wt), sc).Clone()
+	}
+	// Graph building reuses the scratch across all windows, and the stage-2
+	// backward reuses one tape; each window's tensors are consumed (forward
+	// + backward) before the next window overwrites them.
 	tape := ag.NewTape()
 
 	best := math.Inf(1)
@@ -200,18 +207,8 @@ func (m *Model) trainStage2(p *prepared) int {
 			dyn = newDynamicGraphState(m.n)
 		}
 		var epochLoss float64
-		for _, inst := range insts {
-			// Stage-1 outputs are treated as constants: the temporal
-			// module is frozen during stage 2 (Algorithm 1, line 7).
-			e := m.stage1Errors(p, inst.End, m.times(p, inst.End, &sc.wt), sc)
-			a := m.adjacency(e, dyn, sc)
-			h := propagateInto(a, e, sc.h)
-			tape.Reset()
-			pred := m.noise.forward(tape, h)
-			loss := tape.MSE(pred, tape.Const(e)) // loss2 = Y − Ŷ1 − Ŷ2 (Eq. 16)
-			tape.Backward(loss)
-			opt.Step(params)
-			epochLoss += loss.Value.Data[0]
+		for _, e := range errs {
+			epochLoss += m.stage2Step(e, dyn, sc, tape, opt, params)
 		}
 		epochLoss /= float64(len(insts))
 		m.cfg.Logf("stage2 epoch %d loss %.6f", epoch, epochLoss)
@@ -224,4 +221,18 @@ func (m *Model) trainStage2(p *prepared) int {
 		}
 	}
 	return epoch
+}
+
+// stage2Step runs one optimizer step of the noise module on one window's
+// stage-1 errors e — a constant to the tape — and returns the loss. Every
+// buffer comes from sc and tape, so a steady-state step allocates nothing.
+func (m *Model) stage2Step(e *tensor.Dense, dyn *dynamicGraphState, sc *scratch, tape *ag.Tape, opt *nn.Adam, params []*ag.Param) float64 {
+	a := m.adjacency(e, dyn, sc)
+	h := propagateInto(a, e, sc.h)
+	tape.Reset()
+	pred := m.noise.forward(tape, h)
+	loss := tape.MSE(pred, tape.Const(e)) // loss2 = Y − Ŷ1 − Ŷ2 (Eq. 16)
+	tape.Backward(loss)
+	opt.Step(params)
+	return loss.Value.Data[0]
 }

@@ -59,6 +59,10 @@ func fitWithWorkers(t *testing.T, workers int) (*Model, [][]float64) {
 // gradients are always flushed in ascending variate order no matter which
 // goroutine computed them.
 func TestTrainingDeterministicAcrossWorkers(t *testing.T) {
+	eachKernelPath(t, testTrainingDeterministicAcrossWorkers)
+}
+
+func testTrainingDeterministicAcrossWorkers(t *testing.T) {
 	ref, refScores := fitWithWorkers(t, 1)
 	for _, workers := range []int{2, 3, 5} {
 		m, scores := fitWithWorkers(t, workers)
@@ -129,13 +133,7 @@ func TestStage2StepSteadyStateAllocs(t *testing.T) {
 	end := m.cfg.LongWindow - 1
 	step := func() {
 		e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
-		a := m.adjacency(e, nil, sc)
-		h := propagateInto(a, e, sc.h)
-		tape.Reset()
-		pred := m.noise.forward(tape, h)
-		loss := tape.MSE(pred, tape.Const(e))
-		tape.Backward(loss)
-		opt.Step(params)
+		m.stage2Step(e, nil, sc, tape, opt, params)
 	}
 	step() // warm
 	allocs := testing.AllocsPerRun(16, step)

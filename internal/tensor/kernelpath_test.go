@@ -1,4 +1,4 @@
-package nn
+package tensor
 
 // pathRunner is what *testing.T and *testing.B share.
 type pathRunner[T any] interface {

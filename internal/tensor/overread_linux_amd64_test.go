@@ -1,0 +1,96 @@
+package tensor
+
+import (
+	"math/rand"
+	"syscall"
+	"testing"
+	"unsafe"
+)
+
+// guarded returns n float64s whose last byte is the last byte before a
+// PROT_NONE page: a load or store past the slice faults instead of reading a
+// neighbour. The Go callers of the vector leaves bounds-check once; this is
+// the check on the assembly.
+func guarded(t *testing.T, rng *rand.Rand, n int) []float64 {
+	t.Helper()
+	page := syscall.Getpagesize()
+	pages := (n*8+page-1)/page + 1
+	mem, err := syscall.Mmap(-1, 0, (pages+1)*page, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_ANON|syscall.MAP_PRIVATE)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = syscall.Munmap(mem) }) // test teardown: nothing to do about a failure
+	if err := syscall.Mprotect(mem[pages*page:], syscall.PROT_NONE); err != nil {
+		t.Fatal(err)
+	}
+	s := unsafe.Slice((*float64)(unsafe.Pointer(&mem[pages*page-n*8])), n)
+	for i := range s {
+		s[i] = rng.NormFloat64()
+	}
+	return s
+}
+
+func TestVectorKernelsStayInBounds(t *testing.T) {
+	needVector(t)
+	rng := rand.New(rand.NewSource(43))
+
+	// AddScaledRows: every accumulator width mod 8 around one, two and three
+	// blocks, every coefficient count around the loop's zero case, rows
+	// ending exactly where the last block of the last row does.
+	for width := 8; width <= 33; width++ {
+		for nCoef := 0; nCoef <= 9; nCoef++ {
+			for _, stride := range []int{width, width + 5} {
+				acc := guarded(t, rng, width)
+				coef := guarded(t, rng, nCoef)
+				nRows := 0
+				if nCoef > 0 {
+					nRows = (nCoef-1)*stride + width
+				}
+				rows := guarded(t, rng, nRows)
+				want := append([]float64(nil), acc...)
+				scalarly(func() { AddScaledRows(want, coef, rows, stride) })
+				AddScaledRows(acc, coef, rows, stride)
+				if j, ok := sameBits(acc, want); !ok {
+					t.Fatalf("width %d coef %d cell %d: vector %v != Go loop %v", width, nCoef, j, acc[j], want[j])
+				}
+			}
+		}
+	}
+
+	// DotRows: every row count mod 8 (pairs of groups, one group, remainder).
+	for _, dk := range []int{4, 8, 16} {
+		for n := 0; n <= 25; n++ {
+			for _, stride := range []int{dk, 2 * dk} {
+				dst := guarded(t, rng, n)
+				q := guarded(t, rng, dk)
+				nRows := 0
+				if n > 0 {
+					nRows = (n-1)*stride + dk
+				}
+				rows := guarded(t, rng, nRows)
+				want := make([]float64, n)
+				scalarly(func() { DotRows(want, q, rows, stride, 0.25) })
+				DotRows(dst, q, rows, stride, 0.25)
+				if j, ok := sameBits(dst, want); !ok {
+					t.Fatalf("dk %d rows %d row %d: vector %v != Go loop %v", dk, n, j, dst[j], want[j])
+				}
+			}
+		}
+	}
+
+	// The softmax leaves: every length mod 4.
+	for n := 0; n <= 17; n++ {
+		row := guarded(t, rng, n)
+		want := append([]float64(nil), row...)
+		var wantSum float64
+		scalarly(func() {
+			wantSum = ExpSumRow(want, 3)
+			DivideRow(want, wantSum)
+		})
+		sum := ExpSumRow(row, 3)
+		DivideRow(row, sum)
+		if j, ok := sameBits(row, want); !ok || sum != wantSum {
+			t.Fatalf("softmax row of %d, cell %d: vector %v != Go loops %v (sums %v, %v)", n, j, row[j], want[j], sum, wantSum)
+		}
+	}
+}

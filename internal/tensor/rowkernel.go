@@ -1,0 +1,150 @@
+package tensor
+
+import "math"
+
+// Row kernels: the four leaves every multiply-add, softmax exponential and
+// softmax division in the library runs on — the matmul family in tensor.go
+// and the tape's SoftmaxRows (training), nn's ApplyRow/AttendRow (the
+// streaming forward).
+//
+// Each output cell sees a fixed sequence of float64 operations — products
+// summed in ascending order, multiply and add never fused, a division where
+// a division is written. The only freedom taken is across cells, which are
+// independent: several are carried in registers through one pass over the
+// inputs. A kernel that re-associates a sum, folds a scale into a dot
+// product, multiplies by a reciprocal instead of dividing, or fuses a
+// multiply-add changes trained weights and score bits
+// (TestTrainingBitIdentityGolden, core's TestStreamScoreBitsPinned).
+//
+// The same freedom is what the amd64 vector leaves (rowkernel_amd64.s) use:
+// independent cells ride the lanes of one register, each lane performing the
+// operations below with separate multiply and add instructions. The Go loops
+// in this file are the portable implementation, the remainder handler and the
+// oracle; useVector is the single dispatch point, decided once at init.
+
+// ExpSumRow replaces every s in row by exp(s − mx) and returns the sum of the
+// results, added from zero in ascending order. The vector leaf takes leading
+// groups of four while every s − mx in the group is in [−708, 0]; math.Exp
+// takes the rest — the results are the same bits, so where the split falls
+// is invisible.
+func ExpSumRow(row []float64, mx float64) float64 {
+	j := 0
+	if useVector {
+		j = expRows4(row, mx)
+	}
+	var sum float64
+	for _, e := range row[:j] {
+		sum += e
+	}
+	for ; j < len(row); j++ {
+		e := math.Exp(row[j] - mx)
+		row[j] = e
+		sum += e
+	}
+	return sum
+}
+
+// DivideRow divides every cell of row by d (a division, not a multiplication
+// by the reciprocal).
+func DivideRow(row []float64, d float64) {
+	j := 0
+	if useVector {
+		j = divRows4(row, d)
+	}
+	for ; j < len(row); j++ {
+		row[j] /= d
+	}
+}
+
+// DotRows writes dst[i] = scale·(q · row i) for len(dst) consecutive rows of
+// a row-major matrix: row i is the len(q) values at rows[i*stride:]. Each dot
+// product sums from zero in ascending dimension and is scaled afterwards;
+// four rows share one pass over q (on the vector path, one row per lane for
+// the leading groups of four when len(q) is a multiple of four).
+func DotRows(dst, q, rows []float64, stride int, scale float64) {
+	i, o := 0, 0
+	if useVector && len(dst) >= 4 && len(q) > 0 && len(q)%4 == 0 {
+		n := len(dst) &^ 3
+		r := rows[:(n-1)*stride+len(q)] // the one bounds check
+		i = dotRows4(dst, q, &r[0], stride, scale)
+		o = i * stride
+	}
+	for ; i+4 <= len(dst); i += 4 {
+		r0 := rows[o:][:len(q)]
+		r1 := rows[o+stride:][:len(q)]
+		r2 := rows[o+2*stride:][:len(q)]
+		r3 := rows[o+3*stride:][:len(q)]
+		var s0, s1, s2, s3 float64
+		for c, qv := range q {
+			s0 += qv * r0[c]
+			s1 += qv * r1[c]
+			s2 += qv * r2[c]
+			s3 += qv * r3[c]
+		}
+		d := dst[i : i+4 : i+4]
+		d[0] = s0 * scale
+		d[1] = s1 * scale
+		d[2] = s2 * scale
+		d[3] = s3 * scale
+		o += 4 * stride
+	}
+	for ; i < len(dst); i++ {
+		r := rows[o:][:len(q)]
+		var s float64
+		for c, qv := range q {
+			s += qv * r[c]
+		}
+		dst[i] = s * scale
+		o += stride
+	}
+}
+
+// AddScaledRows adds Σ_i coef[i]·row i into acc, where row i is the len(acc)
+// values at rows[i*stride:]. Each cell of acc accumulates in ascending i and
+// skips coef[i] == 0, continuing from the value acc already holds. It is a
+// projection (coef the input row, rows the weight matrix), an attention
+// context (coef the softmax row, rows the value ring) and every row of a
+// matrix product (coef a row of the left operand, rows the right operand).
+// Eight cells are carried in registers per pass over coef (on the vector
+// path, one per lane); a narrower remainder accumulates in place.
+func AddScaledRows(acc, coef, rows []float64, stride int) {
+	c := 0
+	if useVector && len(acc) >= 8 && len(coef) > 0 {
+		r := rows[:(len(coef)-1)*stride+len(acc)&^7] // the one bounds check
+		c = addScaledBlocks(acc, coef, &r[0], stride)
+	}
+	for ; c+8 <= len(acc); c += 8 {
+		a := acc[c : c+8 : c+8]
+		a0, a1, a2, a3, a4, a5, a6, a7 := a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7]
+		o := c
+		for _, cv := range coef {
+			if cv != 0 {
+				r := rows[o : o+8 : o+8]
+				a0 += cv * r[0]
+				a1 += cv * r[1]
+				a2 += cv * r[2]
+				a3 += cv * r[3]
+				a4 += cv * r[4]
+				a5 += cv * r[5]
+				a6 += cv * r[6]
+				a7 += cv * r[7]
+			}
+			o += stride
+		}
+		a[0], a[1], a[2], a[3], a[4], a[5], a[6], a[7] = a0, a1, a2, a3, a4, a5, a6, a7
+	}
+	if c == len(acc) {
+		return
+	}
+	tail := acc[c:]
+	o := c
+	for _, cv := range coef {
+		if cv != 0 {
+			r := rows[o:][:len(tail)]
+			for j, rv := range r {
+				tail[j] += cv * rv
+			}
+		}
+		o += stride
+	}
+}

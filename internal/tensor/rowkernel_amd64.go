@@ -1,15 +1,17 @@
-package nn
+package tensor
 
 import "math"
 
-// useVector is the row kernels' one dispatch point: true when the CPU and
-// the OS support AVX2 and FMA and the packed exp reproduces math.Exp bit for
-// bit on a fixed table. Written once, here (tests force it off to run the Go
-// loops as the oracle). The second condition is what keeps rows, tape and
-// pinned score bits together: math.Exp leaves its FMA path under
-// GODEBUG=cpu.fma=off, and a later Go release may change it altogether —
-// either way the packed replica no longer matches and every row goes back
-// to the Go loops instead of splitting from the tape.
+// useVector is the kernels' one dispatch point: true when the CPU and the OS
+// support AVX2 and FMA and the packed exp reproduces math.Exp bit for bit on
+// a fixed table. Written once, here (tests force it off to run the Go loops
+// as the oracle). The second condition is what keeps every softmax cell one
+// function of its argument: ExpSumRow hands the cells its leaf declines to
+// math.Exp, the pinned training and score bits were recorded from math.Exp,
+// and math.Exp leaves its FMA path under GODEBUG=cpu.fma=off (a later Go
+// release may change it altogether) — either way the packed replica no
+// longer matches and every row, training and streaming alike, goes back to
+// the Go loops.
 var useVector = cpuHasAVX2FMA() && packedExpMatchesMathExp()
 
 //go:noescape

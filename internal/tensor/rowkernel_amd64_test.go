@@ -1,4 +1,4 @@
-package nn
+package tensor
 
 import (
 	"math"
@@ -21,16 +21,16 @@ func needVector(t *testing.T) {
 	}
 }
 
-// expSumBoth runs expSumRow on both paths over copies of row and fails on
+// expSumBoth runs ExpSumRow on both paths over copies of row and fails on
 // the first bit that differs; it returns how many leading cells the vector
 // leaf itself took.
 func expSumBoth(t *testing.T, row []float64, mx float64) int {
 	t.Helper()
 	want := append([]float64(nil), row...)
 	var wantSum float64
-	scalarly(func() { wantSum = expSumRow(want, mx) })
+	scalarly(func() { wantSum = ExpSumRow(want, mx) })
 	got := append([]float64(nil), row...)
-	gotSum := expSumRow(got, mx)
+	gotSum := ExpSumRow(got, mx)
 	if j, ok := sameBits(got, want); !ok {
 		t.Fatalf("exp(%v − %v) at cell %d of %d: vector path %#x, math.Exp %#x",
 			row[j], mx, j, len(row), math.Float64bits(got[j]), math.Float64bits(want[j]))
@@ -123,8 +123,8 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		}
 		got := append([]float64(nil), r...)
 		want := append([]float64(nil), r...)
-		divideRow(got, 3.7)
-		scalarly(func() { divideRow(want, 3.7) })
+		DivideRow(got, 3.7)
+		scalarly(func() { DivideRow(want, 3.7) })
 		if j, ok := sameBits(got, want); !ok {
 			t.Fatalf("row of %d cell %d: packed divide %v != scalar %v", n, j, got[j], want[j])
 		}
@@ -171,9 +171,9 @@ func TestVectorKernelsSpecialValues(t *testing.T) {
 				acc[i] = pick(0.1)
 			}
 			want := append([]float64(nil), acc...)
-			scalarly(func() { addScaledRows(want, coef, rows, stride) })
+			scalarly(func() { AddScaledRows(want, coef, rows, stride) })
 			got := append([]float64(nil), acc...)
-			addScaledRows(got, coef, rows, stride)
+			AddScaledRows(got, coef, rows, stride)
 			if j, ok := sameBits(got, want); !ok {
 				t.Fatalf("width %d trial %d cell %d: vector %#x != Go loop %#x (coef %v)",
 					width, trial, j, math.Float64bits(got[j]), math.Float64bits(want[j]), coef)
@@ -181,7 +181,7 @@ func TestVectorKernelsSpecialValues(t *testing.T) {
 		}
 	}
 
-	// dotRows: the same factors through the transposing kernel.
+	// DotRows: the same factors through the transposing kernel.
 	for _, dk := range []int{4, 8, 12} {
 		for trial := 0; trial < 400; trial++ {
 			n := 1 + rng.Intn(19)
@@ -195,8 +195,8 @@ func TestVectorKernelsSpecialValues(t *testing.T) {
 				rows[i] = pick(0.2)
 			}
 			want, got := make([]float64, n), make([]float64, n)
-			scalarly(func() { dotRows(want, q, rows, stride, 0.5) })
-			dotRows(got, q, rows, stride, 0.5)
+			scalarly(func() { DotRows(want, q, rows, stride, 0.5) })
+			DotRows(got, q, rows, stride, 0.5)
 			if j, ok := sameBits(got, want); !ok {
 				t.Fatalf("dk %d rows %d row %d: vector %#x != Go loop %#x",
 					dk, n, j, math.Float64bits(got[j]), math.Float64bits(want[j]))

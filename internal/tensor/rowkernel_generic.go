@@ -1,0 +1,21 @@
+//go:build !amd64
+
+package tensor
+
+// The Go loops in rowkernel.go are the only implementation off amd64:
+// useVector is never true here (a variable only so tests dispatch the same
+// way on every architecture), and the vector leaves exist so the dispatch
+// compiles.
+var useVector = false
+
+func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func expRows4(p []float64, mx float64) int { panic("tensor: no vector kernels on this architecture") }
+
+func divRows4(p []float64, d float64) int { panic("tensor: no vector kernels on this architecture") }

@@ -2,17 +2,16 @@
 // set of BLAS-like kernels the rest of the library is built on.
 //
 // The package is deliberately minimal: a Dense value is a shape plus a flat
-// backing slice, every operation is explicit about allocation, and the only
-// concurrency is an optional goroutine fan-out inside MatMul for large
-// products. All higher-level semantics (autodiff, layers) live above it.
+// backing slice, every operation is explicit about allocation, and nothing
+// here starts a goroutine. The matrix products are row loops over the row
+// kernels (rowkernel.go), which the layers above also call directly. All
+// higher-level semantics (autodiff, layers) live above it.
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Dense is a dense row-major matrix. A Dense with Rows == 1 doubles as a
@@ -216,10 +215,6 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// parallelThreshold is the flop count above which MatMul fans out across
-// goroutines. Chosen empirically; small products are faster single-threaded.
-const parallelThreshold = 1 << 19
-
 // MatMul returns m · o.
 func (m *Dense) MatMul(o *Dense) *Dense {
 	if m.Cols != o.Rows {
@@ -250,63 +245,16 @@ func (m *Dense) MatMulTInto(o, out *Dense) {
 			m.Rows, m.Cols, o.Rows, o.Cols, out.Rows, out.Cols))
 	}
 	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := 0; j < o.Rows; j++ {
-			orow := o.Data[j*o.Cols : (j+1)*o.Cols]
-			var s float64
-			for k, mv := range mrow {
-				s += mv * orow[k]
-			}
-			out.Data[i*out.Cols+j] = s
-		}
+		DotRows(out.Row(i), m.Row(i), o.Data, o.Cols, 1)
 	}
 }
 
-// matMulInto computes out = m · o, assuming out is zeroed and correctly sized.
+// matMulInto computes out = m · o, assuming out is zeroed and correctly
+// sized: each cell's products summed in ascending k, skipping m's zeros,
+// continuing from the zeroed cell.
 func (m *Dense) matMulInto(o, out *Dense) {
-	work := m.Rows * m.Cols * o.Cols
-	if work >= parallelThreshold && m.Rows > 1 {
-		nw := runtime.GOMAXPROCS(0)
-		if nw > m.Rows {
-			nw = m.Rows
-		}
-		var wg sync.WaitGroup
-		chunk := (m.Rows + nw - 1) / nw
-		for w := 0; w < nw; w++ {
-			lo, hi := w*chunk, (w+1)*chunk
-			if hi > m.Rows {
-				hi = m.Rows
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(lo, hi int) {
-				defer wg.Done()
-				matMulRange(m, o, out, lo, hi)
-			}(lo, hi)
-		}
-		wg.Wait()
-		return
-	}
-	matMulRange(m, o, out, 0, m.Rows)
-}
-
-// matMulRange computes rows [lo, hi) of out = m·o with an ikj loop order
-// that keeps the inner loop streaming over contiguous memory.
-func matMulRange(m, o, out *Dense, lo, hi int) {
-	for i := lo; i < hi; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := o.Data[k*o.Cols : (k+1)*o.Cols]
-			for j, bv := range brow {
-				orow[j] += mv * bv
-			}
-		}
+	for i := 0; i < m.Rows; i++ {
+		AddScaledRows(out.Row(i), m.Row(i), o.Data, o.Cols)
 	}
 }
 
@@ -317,29 +265,41 @@ func (m *Dense) MatMulT(o *Dense) *Dense {
 	return out
 }
 
+// The accumulating kernels form each output row's products from zero in a
+// fixed stack buffer and add the buffer into out once, which is the per-cell
+// "dot product in k order, then the single add" that keeps them bit-identical
+// to the product followed by AddInPlace. Outputs wider than sumChunk walk the
+// buffer across the row, and TMatMul's strided left operand is gathered
+// gatherChunk coefficients at a time, so no shape allocates.
+const (
+	sumChunk    = 64
+	gatherChunk = 256
+)
+
+// addInto adds sums into the equally long dst.
+func addInto(dst, sums []float64) {
+	for j, s := range sums {
+		dst[j] += s
+	}
+}
+
 // MatMulAddInto computes out += m · o into the caller-supplied buffer.
 // It is the accumulating kernel the gradient replay path is built on:
 // backward steps add into existing gradient buffers instead of
-// materialising a product and then summing it. Each cell's dot product is
-// accumulated in k order before the single add, so the result is
-// bit-identical to MatMul followed by AddInPlace.
+// materialising a product and then summing it.
 func (m *Dense) MatMulAddInto(o, out *Dense) {
 	if m.Cols != o.Rows || out.Rows != m.Rows || out.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: matmul-add-into shape mismatch %dx%d · %dx%d -> %dx%d",
 			m.Rows, m.Cols, o.Rows, o.Cols, out.Rows, out.Cols))
 	}
+	var buf [sumChunk]float64
 	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < out.Cols; j++ {
-			var s float64
-			for k, mv := range mrow {
-				if mv == 0 {
-					continue
-				}
-				s += mv * o.Data[k*o.Cols+j]
-			}
-			orow[j] += s
+		mrow, orow := m.Row(i), out.Row(i)
+		for j := 0; j < len(orow); j += sumChunk {
+			sums := buf[:min(sumChunk, len(orow)-j)]
+			clear(sums)
+			AddScaledRows(sums, mrow, o.Data[min(j, len(o.Data)):], o.Cols) // o is empty when k is 0
+			addInto(orow[j:], sums)
 		}
 	}
 }
@@ -351,40 +311,47 @@ func (m *Dense) MatMulTAddInto(o, out *Dense) {
 		panic(fmt.Sprintf("tensor: matmulT-add-into shape mismatch %dx%d · (%dx%d)ᵀ -> %dx%d",
 			m.Rows, m.Cols, o.Rows, o.Cols, out.Rows, out.Cols))
 	}
+	var buf [sumChunk]float64
 	for i := 0; i < m.Rows; i++ {
-		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := 0; j < o.Rows; j++ {
-			orow := o.Data[j*o.Cols : (j+1)*o.Cols]
-			var s float64
-			for k, mv := range mrow {
-				s += mv * orow[k]
-			}
-			out.Data[i*out.Cols+j] += s
+		mrow, orow := m.Row(i), out.Row(i)
+		for j := 0; j < len(orow); j += sumChunk {
+			sums := buf[:min(sumChunk, len(orow)-j)]
+			DotRows(sums, mrow, o.Data[j*o.Cols:], o.Cols, 1)
+			addInto(orow[j:], sums)
 		}
 	}
 }
 
+// gatherCol copies m[k0+k][col] into coef[k] for every k: a run of one column
+// of m as the contiguous coefficient row AddScaledRows takes.
+func gatherCol(coef []float64, m *Dense, col, k0 int) {
+	at := k0*m.Cols + col
+	for k := range coef {
+		coef[k] = m.Data[at]
+		at += m.Cols
+	}
+}
+
 // TMatMulAddInto computes out += mᵀ · o without materialising the
-// transpose or a temporary product. Like MatMulAddInto, per-cell dot
-// products are accumulated in k order before the single add, so the result
-// is bit-identical to TMatMul followed by AddInPlace.
+// transpose or a temporary product.
 func (m *Dense) TMatMulAddInto(o, out *Dense) {
 	if m.Rows != o.Rows || out.Rows != m.Cols || out.Cols != o.Cols {
 		panic(fmt.Sprintf("tensor: tmatmul-add-into shape mismatch (%dx%d)ᵀ · %dx%d -> %dx%d",
 			m.Rows, m.Cols, o.Rows, o.Cols, out.Rows, out.Cols))
 	}
+	var buf [sumChunk]float64
+	var col [gatherChunk]float64
 	for i := 0; i < m.Cols; i++ {
-		dst := out.Data[i*out.Cols : (i+1)*out.Cols]
-		for j := 0; j < o.Cols; j++ {
-			var s float64
-			for k := 0; k < m.Rows; k++ {
-				mv := m.Data[k*m.Cols+i]
-				if mv == 0 {
-					continue
-				}
-				s += mv * o.Data[k*o.Cols+j]
+		orow := out.Row(i)
+		for j := 0; j < len(orow); j += sumChunk {
+			sums := buf[:min(sumChunk, len(orow)-j)]
+			clear(sums)
+			for k := 0; k < m.Rows; k += gatherChunk {
+				coef := col[:min(gatherChunk, m.Rows-k)]
+				gatherCol(coef, m, i, k)
+				AddScaledRows(sums, coef, o.Data[k*o.Cols+j:], o.Cols)
 			}
-			dst[j] += s
+			addInto(orow[j:], sums)
 		}
 	}
 }
@@ -409,17 +376,12 @@ func (m *Dense) TMatMul(o *Dense) *Dense {
 		panic(fmt.Sprintf("tensor: tmatmul shape mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
 	}
 	out := New(m.Cols, o.Cols)
-	for k := 0; k < m.Rows; k++ {
-		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
-		orow := o.Data[k*o.Cols : (k+1)*o.Cols]
-		for i, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			dst := out.Data[i*out.Cols : (i+1)*out.Cols]
-			for j, ov := range orow {
-				dst[j] += mv * ov
-			}
+	var col [gatherChunk]float64
+	for i := 0; i < m.Cols; i++ {
+		for k := 0; k < m.Rows; k += gatherChunk {
+			coef := col[:min(gatherChunk, m.Rows-k)]
+			gatherCol(coef, m, i, k)
+			AddScaledRows(out.Row(i), coef, o.Data[k*o.Cols:], o.Cols)
 		}
 	}
 	return out

@@ -93,19 +93,6 @@ func TestMatMulTransposedVariants(t *testing.T) {
 	}
 }
 
-func TestParallelMatMulMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	// Big enough to cross parallelThreshold.
-	a := Randn(128, 96, 1, rng)
-	b := Randn(96, 80, 1, rng)
-	got := a.MatMul(b)
-	want := New(128, 80)
-	matMulRange(a, b, want, 0, a.Rows)
-	if !Equal(got, want, 1e-10) {
-		t.Fatal("parallel matmul differs from serial")
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -239,5 +226,229 @@ func BenchmarkMatMul256(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		x.MatMul(y)
+	}
+}
+
+// The matmul family as it stood before it ran on the row kernels: one output
+// cell at a time, verbatim. These loops are the oracle for the operation
+// order every cell must keep — which products, in which order, which skipped,
+// what the sum starts from — independent of the leaves the kernels now share
+// with nn's row forms.
+
+func matMulRef(m, o, out *Dense) {
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for k, mv := range mrow {
+			if mv == 0 {
+				continue
+			}
+			brow := o.Data[k*o.Cols : (k+1)*o.Cols]
+			for j, bv := range brow {
+				orow[j] += mv * bv
+			}
+		}
+	}
+}
+
+func matMulTRef(m, o, out *Dense) {
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j := 0; j < o.Rows; j++ {
+			orow := o.Data[j*o.Cols : (j+1)*o.Cols]
+			var s float64
+			for k, mv := range mrow {
+				s += mv * orow[k]
+			}
+			out.Data[i*out.Cols+j] = s
+		}
+	}
+}
+
+func matMulAddRef(m, o, out *Dense) {
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		orow := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := 0; j < out.Cols; j++ {
+			var s float64
+			for k, mv := range mrow {
+				if mv == 0 {
+					continue
+				}
+				s += mv * o.Data[k*o.Cols+j]
+			}
+			orow[j] += s
+		}
+	}
+}
+
+func matMulTAddRef(m, o, out *Dense) {
+	for i := 0; i < m.Rows; i++ {
+		mrow := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j := 0; j < o.Rows; j++ {
+			orow := o.Data[j*o.Cols : (j+1)*o.Cols]
+			var s float64
+			for k, mv := range mrow {
+				s += mv * orow[k]
+			}
+			out.Data[i*out.Cols+j] += s
+		}
+	}
+}
+
+func tMatMulAddRef(m, o, out *Dense) {
+	for i := 0; i < m.Cols; i++ {
+		dst := out.Data[i*out.Cols : (i+1)*out.Cols]
+		for j := 0; j < o.Cols; j++ {
+			var s float64
+			for k := 0; k < m.Rows; k++ {
+				mv := m.Data[k*m.Cols+i]
+				if mv == 0 {
+					continue
+				}
+				s += mv * o.Data[k*o.Cols+j]
+			}
+			dst[j] += s
+		}
+	}
+}
+
+func tMatMulRef(m, o, out *Dense) {
+	for k := 0; k < m.Rows; k++ {
+		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
+		orow := o.Data[k*o.Cols : (k+1)*o.Cols]
+		for i, mv := range mrow {
+			if mv == 0 {
+				continue
+			}
+			dst := out.Data[i*out.Cols : (i+1)*out.Cols]
+			for j, ov := range orow {
+				dst[j] += mv * ov
+			}
+		}
+	}
+}
+
+// matMulFamily lists the six kernels beside their references. Each computes
+// an R×C output over an inner dimension K from a left operand R×K (K×R when
+// tLeft) and a right operand K×C (C×K when tRight); accumulates says whether
+// out's prior content is part of the result (the others overwrite it or
+// require it zeroed).
+var matMulFamily = []struct {
+	name          string
+	tLeft, tRight bool
+	accumulates   bool
+	kernel, ref   func(m, o, out *Dense)
+}{
+	{"MatMulInto", false, false, false, (*Dense).MatMulInto, matMulRef},
+	{"MatMulTInto", false, true, false, (*Dense).MatMulTInto, matMulTRef},
+	{"MatMulAddInto", false, false, true, (*Dense).MatMulAddInto, matMulAddRef},
+	{"MatMulTAddInto", false, true, true, (*Dense).MatMulTAddInto, matMulTAddRef},
+	{"TMatMulAddInto", true, false, true, (*Dense).TMatMulAddInto, tMatMulAddRef},
+	{"TMatMul", true, false, false, func(m, o, out *Dense) { out.CopyFrom(m.TMatMul(o)) }, tMatMulRef},
+}
+
+// sameBits reports the first index at which two rows differ in any bit.
+func sameBits(a, b []float64) (int, bool) {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return i, false
+		}
+	}
+	return 0, true
+}
+
+// TestMatMulFamilyMatchesReference holds the six kernels to their references
+// bit for bit, on both kernel paths, over shapes on both sides of every block,
+// lane group and stack chunk. The plain fill sprinkles ±0 over both operands
+// (the skip is taken, and not taken where the reference has none); the
+// special fill adds NaN and ±Inf to both, so a skipped coefficient is the
+// difference between a finite cell and a NaN. Every NaN in play has the one
+// bit pattern x86 itself produces (see TestVectorKernelsSpecialValues).
+func TestMatMulFamilyMatchesReference(t *testing.T) {
+	eachKernelPath(t, testMatMulFamilyMatchesReference)
+}
+
+func testMatMulFamilyMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(51))
+	nan := math.Float64frombits(0xfff8_0000_0000_0000)
+	special := []float64{nan, math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64}
+	fill := func(rows, cols int, pSpecial float64) *Dense {
+		d := Randn(rows, cols, 1, rng)
+		for i := range d.Data {
+			switch p := rng.Float64(); {
+			case p < 0.1:
+				d.Data[i] = 0
+			case p < 0.2:
+				d.Data[i] = math.Copysign(0, -1)
+			case p < 0.2+pSpecial:
+				d.Data[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return d
+	}
+	for _, r := range []int{1, 3, 4, 5, 48} {
+		for _, k := range []int{0, 1, 7, 8, 48, 300} {
+			for _, c := range []int{1, 5, 8, 12, 16, 33, 64, 65, 130} {
+				for _, pSpecial := range []float64{0, 0.05} {
+					for _, f := range matMulFamily {
+						m, o := fill(r, k, pSpecial), fill(k, c, pSpecial)
+						if f.tLeft {
+							m = fill(k, r, pSpecial)
+						}
+						if f.tRight {
+							o = fill(c, k, pSpecial)
+						}
+						got := New(r, c)
+						if f.accumulates {
+							got = fill(r, c, 0)
+						}
+						want := got.Clone()
+						f.kernel(m, o, got)
+						f.ref(m, o, want)
+						if i, ok := sameBits(got.Data, want.Data); !ok {
+							t.Fatalf("%s %dx%d over k=%d (special %v) cell (%d,%d): kernel %#x != reference %#x",
+								f.name, r, c, k, pSpecial > 0, i/c, i%c, math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// Working numbers for the family at the serving benchmark's training shapes
+// (bench/workloads.go: 48-step windows, model width 16, 2 heads of 8, FFN
+// hidden 32), on both paths. MAC/ns counts multiply-adds only; no claim rests
+// on these.
+func BenchmarkMatMulFamily(b *testing.B) {
+	rng := rand.New(rand.NewSource(52))
+	for _, bc := range []struct {
+		name       string
+		m, o, out  *Dense
+		macs       int
+		kernel     func(m, o, out *Dense)
+		zeroBefore bool
+	}{
+		{"MatMulInto/48x16·16x16", Randn(48, 16, 1, rng), Randn(16, 16, 1, rng), New(48, 16), 48 * 16 * 16, (*Dense).MatMulInto, true},
+		{"MatMulInto/48x16·16x32", Randn(48, 16, 1, rng), Randn(16, 32, 1, rng), New(48, 32), 48 * 16 * 32, (*Dense).MatMulInto, true},
+		{"MatMulTInto/48x8·(48x8)ᵀ", Randn(48, 8, 1, rng), Randn(48, 8, 1, rng), New(48, 48), 48 * 8 * 48, (*Dense).MatMulTInto, false},
+		{"MatMulInto/48x48·48x8", Randn(48, 48, 1, rng), Randn(48, 8, 1, rng), New(48, 8), 48 * 48 * 8, (*Dense).MatMulInto, true},
+		{"MatMulAddInto/48x48·48x8", Randn(48, 48, 1, rng), Randn(48, 8, 1, rng), New(48, 8), 48 * 48 * 8, (*Dense).MatMulAddInto, false},
+		{"MatMulTAddInto/48x16·(16x16)ᵀ", Randn(48, 16, 1, rng), Randn(16, 16, 1, rng), New(48, 16), 48 * 16 * 16, (*Dense).MatMulTAddInto, false},
+		{"TMatMulAddInto/(48x16)ᵀ·48x16", Randn(48, 16, 1, rng), Randn(48, 16, 1, rng), New(16, 16), 48 * 16 * 16, (*Dense).TMatMulAddInto, false},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			eachKernelPath(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if bc.zeroBefore {
+						bc.out.Zero()
+					}
+					bc.kernel(bc.m, bc.o, bc.out)
+				}
+				ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+				b.ReportMetric(float64(bc.macs)/ns, "MAC/ns")
+			})
+		})
 	}
 }

@@ -5,9 +5,32 @@ import (
 	"math"
 	"runtime"
 	"testing"
+	_ "unsafe" // go:linkname
 
 	"aero"
 )
+
+// tensorUseVector is internal/tensor's kernel dispatch variable. It is
+// unexported there on purpose (no knob); the golden reaches it by linkname
+// to hold both kernel paths to one set of expected values.
+//
+//go:linkname tensorUseVector aero/internal/tensor.useVector
+var tensorUseVector bool
+
+// eachKernelPath runs f twice: on tensor's vector leaves (skipped where its
+// init probe said no — every host but an AVX2+FMA amd64) and on its Go loops.
+func eachKernelPath(t *testing.T, f func(t *testing.T)) {
+	probed := tensorUseVector
+	defer func() { tensorUseVector = probed }()
+	t.Run("vector", func(t *testing.T) {
+		if !probed {
+			t.Skip("internal/tensor's probe chose the Go loops on this host: nothing to compare")
+		}
+		f(t)
+	})
+	tensorUseVector = false
+	t.Run("scalar", f)
+}
 
 // trainFingerprint fits the benchmark model with the given worker count
 // and returns (epochs1, epochs2, threshold bits, FNV-1a hash of all test
@@ -45,31 +68,50 @@ func trainFingerprint(t *testing.T, workers int) (int, int, uint64, uint64) {
 // TestTrainingBitIdentityGolden pins the end-to-end training outcome to
 // the fingerprint captured from the pre-refactor closure-tape + map-Adam
 // implementation (sequential training, same seed): the op-record gradient
-// tapes, fused Adam and restructured epoch loops must not change a single
-// bit of the losses, threshold or scores. The golden bits were recorded on
-// amd64; other architectures may contract floating-point expressions
-// differently (FMA), so the comparison is gated.
+// tapes, fused Adam, restructured epoch loops and the row kernels under the
+// tape's matmuls and softmax — vector leaves and Go loops alike — must not
+// change a single bit of the losses, threshold or scores. The golden bits
+// were recorded on amd64; other architectures may contract floating-point
+// expressions differently (FMA), so the comparison is gated.
+//
+// There are two columns because math.Exp is two functions on amd64 (see
+// core's TestStreamScoreBitsPinned): the first is that original fingerprint,
+// the second was recorded under GODEBUG=cpu.fma=off at the commit before the
+// tape ran on the kernels, when every training matmul was a scalar loop.
 func TestTrainingBitIdentityGolden(t *testing.T) {
 	const (
 		goldenEpochs1 = 3
 		goldenEpochs2 = 3
-		goldenThrBits = uint64(0x3fda8e3d75baa011)
-		goldenScores  = uint64(0x530ada4bb79b4e18)
+		expProbe      = -0.1875
 	)
+	golden := map[uint64]struct {
+		exp         string
+		thr, scores uint64
+	}{
+		0x3fea876812c0877b: {"math.Exp with FMA", 0x3fda8e3d75baa011, 0x530ada4bb79b4e18},
+		0x3fea876812c0877c: {"math.Exp without FMA", 0x3fda8e3d75baa00e, 0xd9e20c29fce45ed2},
+	}
 	if testing.Short() {
 		t.Skip("training fingerprint is not fast")
 	}
-	e1, e2, thr, scores := trainFingerprint(t, 1)
-	if runtime.GOARCH != "amd64" {
-		t.Skipf("golden bits recorded on amd64, running on %s", runtime.GOARCH)
-	}
-	if e1 != goldenEpochs1 || e2 != goldenEpochs2 {
-		t.Fatalf("epochs (%d, %d) != golden (%d, %d)", e1, e2, goldenEpochs1, goldenEpochs2)
-	}
-	if thr != goldenThrBits {
-		t.Fatalf("threshold bits %#x != golden %#x", thr, goldenThrBits)
-	}
-	if scores != goldenScores {
-		t.Fatalf("score hash %#x != golden %#x", scores, goldenScores)
-	}
+	eachKernelPath(t, func(t *testing.T) {
+		e1, e2, thr, scores := trainFingerprint(t, 1)
+		if runtime.GOARCH != "amd64" {
+			t.Skipf("golden bits recorded on amd64, running on %s", runtime.GOARCH)
+		}
+		want, ok := golden[math.Float64bits(math.Exp(expProbe))]
+		if !ok {
+			t.Skipf("math.Exp(%v) is neither implementation the fingerprints were recorded with", expProbe)
+		}
+		t.Log(want.exp)
+		if e1 != goldenEpochs1 || e2 != goldenEpochs2 {
+			t.Fatalf("epochs (%d, %d) != golden (%d, %d)", e1, e2, goldenEpochs1, goldenEpochs2)
+		}
+		if thr != want.thr {
+			t.Fatalf("threshold bits %#x != golden %#x", thr, want.thr)
+		}
+		if scores != want.scores {
+			t.Fatalf("score hash %#x != golden %#x", scores, want.scores)
+		}
+	})
 }
