@@ -54,28 +54,39 @@ func (d *FluxEV) extract(x []float64) []float64 {
 	for t := 1; t < T; t++ {
 		res[t] = math.Abs(x[t] - ew[t-1])
 	}
-	// Step 2: subtract the recent maximum residual; only excess beyond
-	// recently-seen fluctuation survives.
-	w := d.SuppressWindow
-	if w < 1 {
-		w = 1
-	}
+	// Step 2: subtract the recent maximum residual over res[t-w .. t-1];
+	// only excess beyond recently-seen fluctuation survives. The maximum
+	// is carried from one t to the next and rescanned only when the
+	// residual leaving the window was it.
+	w := max(d.SuppressWindow, 1)
+	hi := 0.0 // windowMax(res[:1]), and res[0] is 0
 	for t := 1; t < T; t++ {
-		lo := t - w
-		if lo < 0 {
-			lo = 0
-		}
-		recent := 0.0
-		for j := lo; j < t; j++ {
-			if res[j] > recent {
-				recent = res[j]
-			}
-		}
-		if excess := res[t] - recent; excess > 0 {
+		if excess := res[t] - hi; excess > 0 {
 			out[t] = excess
+		}
+		// Slide to the window of t+1, res[t+1-w .. t].
+		if lo := t - w; lo >= 0 && res[lo] == hi && hi > 0 {
+			hi = windowMax(res[lo+1 : t+1])
+		} else if res[t] > hi {
+			hi = res[t]
 		}
 	}
 	return out
+}
+
+// windowMax is step 2's recent maximum over one window of residuals: the
+// largest value by `>` from 0, so a window of zeros, negatives or NaNs
+// gives 0 and a NaN is never picked. A maximum involves no rounding, so
+// carrying it across slides and rescanning only when it leaves gives the
+// bits a full scan at every step would.
+func windowMax(window []float64) float64 {
+	m := 0.0
+	for _, r := range window {
+		if r > m {
+			m = r
+		}
+	}
+	return m
 }
 
 // Scores implements Detector.

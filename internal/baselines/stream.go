@@ -593,15 +593,19 @@ func (t *StreamTM) RestoreState(blob []byte) error {
 // FluxEV
 
 // StreamFluxEV is the streaming adapter of FluxEV's two-step fluctuation
-// extraction: the EWMA forecast and the residual ring are carried as
-// running state, so each push costs O(SuppressWindow) and reproduces the
-// batch extraction bit-for-bit from the second frame on.
+// extraction: the EWMA forecast, the residual ring and the ring's maximum
+// are carried as running state, so a push costs O(1) per variate —
+// O(SuppressWindow) only when the residual it evicts was the maximum —
+// and reproduces the batch extraction bit-for-bit from the second frame
+// on.
 type StreamFluxEV struct {
 	streamBase
 	alpha    float64
 	suppress int
 	ew       []float64   // per-variate EWMA of all points so far
 	res      [][]float64 // per-variate ring of the last `suppress` residuals
+	hi       []float64   // per-variate windowMax of the slots the next push reads
+	cur      int         // ring slot the next push writes: count % suppress
 }
 
 // NewStreamFluxEV returns an uncalibrated streaming FluxEV adapter.
@@ -619,6 +623,7 @@ func NewStreamFluxEV(n int, cfg StreamConfig) (*StreamFluxEV, error) {
 		suppress:   w,
 		ew:         make([]float64, n),
 		res:        make([][]float64, n),
+		hi:         make([]float64, n),
 	}
 	for v := range d.res {
 		d.res[v] = make([]float64, w)
@@ -636,32 +641,42 @@ func (d *StreamFluxEV) PushScores(f core.Frame) ([]float64, error) {
 		for v := 0; v < d.n; v++ {
 			d.ew[v] = f.Magnitudes[v]
 			d.res[v][0] = 0 // the batch path's implicit res[0]
+			d.hi[v] = 0
 		}
+		d.cur = 1 % d.suppress
 		d.advance(f.Time)
 		return nil, nil
 	}
+	// hi is the recent maximum over res[t-suppress .. t-1]. The next push
+	// reads res[t+1-suppress .. t]; while t < suppress that is the first
+	// t+1 slots.
+	next := d.suppress
+	if t < next {
+		next = t + 1
+	}
+	cur, beta := d.cur, 1-d.alpha
 	for v := 0; v < d.n; v++ {
 		x := f.Magnitudes[v]
 		r := math.Abs(x - d.ew[v]) // residual vs the EWMA of *previous* points
-		// Recent maximum over res[t-suppress .. t-1]; while t <= suppress
-		// only the first t slots are populated.
-		limit := d.suppress
-		if t < limit {
-			limit = t
-		}
-		recent := 0.0
-		for j := 0; j < limit; j++ {
-			if d.res[v][j] > recent {
-				recent = d.res[v][j]
-			}
-		}
-		sc := r - recent
+		hi := d.hi[v]
+		sc := r - hi
 		if sc < 0 {
 			sc = 0
 		}
 		d.scores[v] = sc
-		d.res[v][t%d.suppress] = r
-		d.ew[v] = d.alpha*x + (1-d.alpha)*d.ew[v]
+		ring := d.res[v]
+		old := ring[cur]
+		ring[cur] = r
+		if old == hi && hi > 0 { // the maximum may have left the window
+			hi = windowMax(ring[:next])
+		} else if r > hi {
+			hi = r
+		}
+		d.hi[v] = hi
+		d.ew[v] = d.alpha*x + beta*d.ew[v]
+	}
+	if d.cur++; d.cur == d.suppress {
+		d.cur = 0
 	}
 	d.advance(f.Time)
 	return d.scores, nil
@@ -699,20 +714,19 @@ func OpenStreamFluxEV(artifact []byte) (*StreamFluxEV, error) {
 	return d, nil
 }
 
-// SwapArtifact implements core.StreamBackend.
+// SwapArtifact implements core.StreamBackend. The artifact is opened the
+// way OpenStreamFluxEV opens it, so a swap compares the window the
+// artifact would serve with, not the number it spells.
 func (d *StreamFluxEV) SwapArtifact(artifact []byte) error {
-	a, err := decodeStreamArtifact(KindFluxEV, artifact)
+	fresh, err := OpenStreamFluxEV(artifact)
 	if err != nil {
 		return err
 	}
-	if a.N != d.n || a.Suppress != d.suppress {
-		return fmt.Errorf("baselines: fluxev artifact is %d variates × window %d, adapter is %d × %d", a.N, a.Suppress, d.n, d.suppress)
+	if fresh.n != d.n || fresh.suppress != d.suppress {
+		return fmt.Errorf("baselines: fluxev artifact is %d variates × window %d, adapter is %d × %d", fresh.n, fresh.suppress, d.n, d.suppress)
 	}
-	if a.Alpha <= 0 || a.Alpha > 1 {
-		return fmt.Errorf("baselines: fluxev artifact alpha %v outside (0, 1]", a.Alpha)
-	}
-	d.alpha = a.Alpha
-	d.thr = a.Threshold
+	d.alpha = fresh.alpha
+	d.thr = fresh.thr
 	return nil
 }
 
@@ -728,8 +742,11 @@ func (d *StreamFluxEV) RestoreState(blob []byte) error {
 		return err
 	}
 	d.count, d.last = st.Count, st.Last
+	d.cur = st.Count % d.suppress
+	read := min(st.Count, d.suppress) // slots the next push reads
 	for v := range d.res {
 		copy(d.res[v], st.Rings[v])
+		d.hi[v] = windowMax(d.res[v][:read])
 	}
 	copy(d.ew, st.EW)
 	return nil

@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -209,7 +210,7 @@ func TestCalibrateStream(t *testing.T) {
 
 // streamAdapters builds one warm instance of each adapter for the shared
 // contract tests.
-func streamAdapters(t *testing.T, n int) []core.StreamBackend {
+func streamAdapters(t testing.TB, n int) []core.StreamBackend {
 	t.Helper()
 	cfg := DefaultStreamConfig()
 	sr, err := NewStreamSR(n, cfg)
@@ -315,6 +316,77 @@ func TestStreamAdapterSnapshotRestore(t *testing.T) {
 			}
 		})
 	}
+}
+
+// warmStreamAdapters returns one adapter of each kind for n variates, fed
+// past every warm-up on a short deterministic feed.
+func warmStreamAdapters(t testing.TB, n int) []core.StreamBackend {
+	t.Helper()
+	bs := streamAdapters(t, n)
+	frame := core.Frame{Magnitudes: make([]float64, n)}
+	for ti := 0; ti < 80; ti++ {
+		frame.Time = float64(ti)
+		for v := range frame.Magnitudes {
+			frame.Magnitudes[v] = float64((7*ti+3*v)%11) / 4
+		}
+		for _, b := range bs {
+			if _, err := b.PushScores(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return bs
+}
+
+// FuzzStreamAdapterRestoreState feeds arbitrary bytes to RestoreState of
+// a warm adapter of every kind. It must error or succeed, never panic. An
+// error leaves the adapter as it was (its snapshot is unchanged); a
+// success leaves it where a fresh adapter restored from the same bytes
+// is — the next push scores the same bits — with fluxev's running
+// maximum rebuilt to what the scan reads. The seed corpus is one valid
+// snapshot per kind from warmStreamAdapters(2) plus its truncations.
+func FuzzStreamAdapterRestoreState(f *testing.F) {
+	const n = 2
+	warm := warmStreamAdapters(f, n)
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for i, b := range warm {
+			before, err := b.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.RestoreState(blob); err != nil {
+				if after, _ := b.SnapshotState(); !bytes.Equal(before, after) {
+					t.Fatalf("%s: failed restore (%v) changed the adapter", b.Kind(), err)
+				}
+				continue
+			}
+			fresh := streamAdapters(t, n)[i]
+			if err := fresh.RestoreState(blob); err != nil {
+				t.Fatalf("%s: restore into a warm adapter succeeded, into a fresh one: %v", b.Kind(), err)
+			}
+			if fx, ok := b.(*StreamFluxEV); ok {
+				ref := newFluxevScanRef(n, fx.suppress, fx.alpha)
+				ref.restore(t, blob)
+				for v := range fx.hi {
+					if want := ref.recent(v, ref.count); math.Float64bits(fx.hi[v]) != math.Float64bits(want) {
+						t.Fatalf("fluxev variate %d: rebuilt maximum %v, scan %v", v, fx.hi[v], want)
+					}
+				}
+			}
+			frame := core.Frame{Magnitudes: []float64{0.5, -1.25}}
+			if last, ok := b.LastTime(); ok {
+				frame.Time = last + 1
+			}
+			got, gotErr := b.PushScores(frame)
+			want, wantErr := fresh.PushScores(frame)
+			if (gotErr == nil) != (wantErr == nil) || !sameBits(got, want) {
+				t.Fatalf("%s: next push after restore %v (%v), fresh adapter %v (%v)", b.Kind(), got, gotErr, want, wantErr)
+			}
+			if err := b.RestoreState(before); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestStreamAdapterSwapArtifact checks the hot-swap contract: a
