@@ -1,6 +1,7 @@
 package aero_test
 
 import (
+	"math"
 	"testing"
 
 	"aero"
@@ -84,6 +85,10 @@ func TestPOTThresholdPublic(t *testing.T) {
 	}
 	if thr <= 0 {
 		t.Fatalf("threshold %v", thr)
+	}
+	// A NaN q used to panic inside the quantile index arithmetic.
+	if _, err := aero.POTThreshold(scores, 0.99, math.NaN()); err == nil {
+		t.Fatal("NaN q accepted")
 	}
 }
 

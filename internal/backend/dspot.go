@@ -3,6 +3,9 @@ package backend
 import (
 	"encoding/json"
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"aero/internal/baselines"
 	"aero/internal/core"
@@ -62,11 +65,20 @@ type DSPOTStage struct {
 // NewDSPOTStage wraps inner with per-variate DSPOT alarmers calibrated
 // on the given score sequences (one per variate, as produced by
 // baselines.StreamScores over a calibration split). Every sequence must
-// exceed Depth+8 points, the DSPOT calibration minimum.
+// exceed Depth+8 points, the DSPOT calibration minimum, and Level and Q
+// must lie in (0, 1).
+//
+// The variates' cold fits are independent, so up to GOMAXPROCS workers
+// run them, each writing only the tail models it fitted; every model is
+// the one a sequential fit would build. On failure the error is the
+// lowest-numbered failing variate's.
 func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64) (*DSPOTStage, error) {
 	n := inner.Variates()
 	if len(calib) != n {
 		return nil, fmt.Errorf("backend: dspot calibration has %d variates, backend %d", len(calib), n)
+	}
+	if err := evt.CheckPOTParams(cfg.Level, cfg.Q); err != nil {
+		return nil, fmt.Errorf("backend: dspot config: %w", err)
 	}
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
@@ -77,10 +89,24 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 		spots: make([]*evt.DSPOT, n),
 		fired: make([]bool, n),
 	}
-	for v := 0; v < n; v++ {
-		d.spots[v] = evt.NewDSPOT(cfg.Level, cfg.Q, cfg.Depth)
-		d.spots[v].SetPolicy(cfg.Refit)
-		if err := d.spots[v].Fit(calib[v]); err != nil {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := int(next.Add(1) - 1); v < n; v = int(next.Add(1) - 1) {
+				sp := evt.NewDSPOT(cfg.Level, cfg.Q, cfg.Depth)
+				sp.SetPolicy(cfg.Refit)
+				errs[v] = sp.Fit(calib[v])
+				d.spots[v] = sp
+			}
+		}()
+	}
+	wg.Wait()
+	for v, err := range errs {
+		if err != nil {
 			return nil, fmt.Errorf("backend: dspot variate %d: %w", v, err)
 		}
 	}

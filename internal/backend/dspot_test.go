@@ -1,7 +1,12 @@
 package backend_test
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"aero/internal/backend"
@@ -348,6 +353,120 @@ func TestDSPOTStageThresholdAdapts(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("adaptive threshold never moved over the whole feed")
+	}
+}
+
+// TestDSPOTStageConcurrentFitMatchesSequential pins the stage's concurrent
+// cold fits to sequential ones: for 1, 2, 8 and 33 stars, with more workers
+// than stars and fewer, every snapshotted tail model is the bytes of a
+// DSPOT fitted alone, and when stars fail, the error is the lowest failing
+// star's, worded as a sequential loop words it.
+func TestDSPOTStageConcurrentFitMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	dcfg := backend.DefaultDSPOTConfig()
+	spec, _ := backend.Get(baselines.KindFluxEV)
+	rng := rand.New(rand.NewSource(33))
+	for _, stars := range []int{1, 2, 8, 33} {
+		d := dataset.SyntheticConfig{Name: "fit", N: stars, TrainLen: 200, TestLen: 10, VariableFrac: 0.5, Seed: int64(stars)}.Generate()
+		artifact, err := spec.Train(d.Train, backend.SmallOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		calib := make([][]float64, stars)
+		for v := range calib {
+			calib[v] = make([]float64, 300+rng.Intn(700))
+			for i := range calib[v] {
+				calib[v][i] = rng.ExpFloat64() + 0.01*float64(i%50)
+			}
+		}
+		want := make([][]byte, stars)
+		for v := range want {
+			sp := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
+			sp.SetPolicy(dcfg.Refit)
+			if err := sp.Fit(calib[v]); err != nil {
+				t.Fatal(err)
+			}
+			if want[v], err = json.Marshal(sp.State()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, procs := range []int{1, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			inner, err := spec.Open(artifact)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stage, err := backend.NewDSPOTStage(inner, dcfg, calib)
+			if err != nil {
+				t.Fatalf("%d stars, GOMAXPROCS %d: %v", stars, procs, err)
+			}
+			blob, err := stage.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var snap struct{ Spots []json.RawMessage }
+			if err := json.Unmarshal(blob, &snap); err != nil {
+				t.Fatal(err)
+			}
+			for v, got := range snap.Spots {
+				if !bytes.Equal(got, want[v]) {
+					t.Fatalf("%d stars, GOMAXPROCS %d, star %d: tail model\n%s\nfitted alone\n%s", stars, procs, v, got, want[v])
+				}
+			}
+
+			// Starve some stars of calibration points: the error is the
+			// first of them in star order, whichever worker met it first.
+			short := append([][]float64(nil), calib...)
+			first := -1
+			for v := stars - 1; v >= 0; v -= 1 + v%3 {
+				short[v] = calib[v][:dcfg.Depth+8]
+				first = v
+			}
+			ferr := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth).Fit(short[first])
+			wantErr := fmt.Sprintf("backend: dspot variate %d: %v", first, ferr)
+			if _, err := backend.NewDSPOTStage(inner, dcfg, short); err == nil || err.Error() != wantErr {
+				t.Fatalf("%d stars, GOMAXPROCS %d: error %v, want %s", stars, procs, err, wantErr)
+			}
+		}
+	}
+}
+
+// TestDSPOTStageRejectsBadConfig: a level or q outside (0, 1), NaN
+// included, is refused before any star is fitted.
+func TestDSPOTStageRejectsBadConfig(t *testing.T) {
+	d := dspotTestData()
+	spec, _ := backend.Get(baselines.KindFluxEV)
+	artifact, err := spec.Train(d.Train, backend.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner, err := spec.Open(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calib, err := baselines.StreamScores(inner, d.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nan := math.NaN()
+	for _, tc := range []struct {
+		level, q float64
+		ok       bool
+	}{
+		{0.99, 1e-3, true},
+		{0.99, nan, false},
+		{nan, 1e-3, false},
+		{1.5, 1e-3, false},
+		{0, 1e-3, false},
+		{0.99, 0, false},
+		{0.99, 1, false},
+	} {
+		cfg := backend.DefaultDSPOTConfig()
+		cfg.Level, cfg.Q = tc.level, tc.q
+		_, err := backend.NewDSPOTStage(inner, cfg, calib)
+		if (err == nil) != tc.ok {
+			t.Errorf("level %v, q %v: err %v, want ok=%v", tc.level, tc.q, err, tc.ok)
+		}
 	}
 }
 

@@ -178,13 +178,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Heads %d must divide ModelDim %d", c.Heads, c.ModelDim)
 	case c.EncoderLayers < 1:
 		return fmt.Errorf("core: EncoderLayers %d < 1", c.EncoderLayers)
-	case c.LR <= 0:
-		return fmt.Errorf("core: LR %v <= 0", c.LR)
+	// The float checks are written so that NaN fails them.
+	case !(c.LR > 0):
+		return fmt.Errorf("core: LR %v not > 0", c.LR)
 	case c.MaxEpochs < 1:
 		return fmt.Errorf("core: MaxEpochs %d < 1", c.MaxEpochs)
-	case c.POTLevel <= 0 || c.POTLevel >= 1:
+	case !(c.POTLevel > 0 && c.POTLevel < 1):
 		return fmt.Errorf("core: POTLevel %v outside (0,1)", c.POTLevel)
-	case c.POTQ <= 0 || c.POTQ >= 1:
+	case !(c.POTQ > 0 && c.POTQ < 1):
 		return fmt.Errorf("core: POTQ %v outside (0,1)", c.POTQ)
 	}
 	return nil

@@ -77,7 +77,11 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ShortWindow = c.LongWindow + 1 },
 		func(c *Config) { c.Heads = 3 }, // does not divide ModelDim=16
 		func(c *Config) { c.LR = 0 },
+		func(c *Config) { c.LR = math.NaN() },
 		func(c *Config) { c.POTLevel = 1.5 },
+		func(c *Config) { c.POTLevel = math.NaN() },
+		func(c *Config) { c.POTQ = 0 },
+		func(c *Config) { c.POTQ = math.NaN() },
 		func(c *Config) { c.MaxEpochs = 0 },
 		func(c *Config) { c.EncoderLayers = 0 },
 	}

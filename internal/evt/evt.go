@@ -12,9 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"aero/internal/stats"
+	"aero/internal/tensor"
 )
 
 // GPD holds generalized Pareto parameters: shape Gamma and scale Sigma.
@@ -94,21 +94,10 @@ func FitGPD(y []float64) GPD {
 	ymin, ymax := stats.Min(y), stats.Max(y)
 	ymean := stats.Mean(y)
 	if len(y) >= 2 && ymax > 0 && ymin > 0 {
-		u := func(x float64) float64 {
-			var s float64
-			for _, v := range y {
-				s += 1 / (1 + x*v)
-			}
-			return s / float64(len(y))
+		w := func(x float64) float64 {
+			u, v := grimshawUV(y, x)
+			return u*v - 1
 		}
-		v := func(x float64) float64 {
-			var s float64
-			for _, v2 := range y {
-				s += math.Log(1 + x*v2)
-			}
-			return 1 + s/float64(len(y))
-		}
-		w := func(x float64) float64 { return u(x)*v(x) - 1 }
 
 		eps := 1e-8 / ymean
 		lo := -1/ymax + eps
@@ -116,7 +105,8 @@ func FitGPD(y []float64) GPD {
 		hiPos := 2 * (ymean - ymin) / (ymin * ymin)
 		for _, iv := range [][2]float64{{lo, hiNeg}, {eps, hiPos}} {
 			for _, x := range findRoots(w, iv[0], iv[1], 64) {
-				gamma := v(x) - 1
+				_, v := grimshawUV(y, x)
+				gamma := v - 1
 				if math.Abs(gamma) < 1e-12 || math.Abs(x) < 1e-300 {
 					continue
 				}
@@ -136,6 +126,32 @@ func FitGPD(y []float64) GPD {
 		}
 	}
 	return best
+}
+
+// grimshawUV returns Grimshaw's u(x) = (1/n)Σ 1/(1+x·yᵢ) and
+// v(x) = 1 + (1/n)Σ log(1+x·yᵢ) in one pass over y. Both sums run from zero
+// in ascending i, as two separate loops would, and each log is math.Log's
+// bits (tensor.LogRow), so fusing the passes changes no result. The chunks
+// live on the stack: a streaming refit pays no allocation for them.
+func grimshawUV(y []float64, x float64) (u, v float64) {
+	const chunk = 64
+	var d, logs [chunk]float64
+	var su, sl float64
+	for rest := y; len(rest) > 0; {
+		k := min(len(rest), chunk)
+		for i, yi := range rest[:k] {
+			d[i] = 1 + x*yi
+		}
+		copy(logs[:k], d[:k])
+		tensor.LogRow(logs[:k])
+		for i := range k {
+			su += 1 / d[i]
+			sl += logs[i]
+		}
+		rest = rest[k:]
+	}
+	n := float64(len(y))
+	return su / n, 1 + sl/n
 }
 
 // findRoots scans [lo, hi] on a uniform grid and refines each sign change
@@ -208,19 +224,24 @@ var ErrTooFewPeaks = errors.New("evt: too few peaks over initial threshold")
 // usable threshold.
 func POT(scores []float64, level, q float64) (Threshold, error) {
 	const minPeaks = minTailPeaks
+	if err := CheckPOTParams(level, q); err != nil {
+		return Threshold{}, err
+	}
 	n := len(scores)
 	if n == 0 {
 		return Threshold{}, errors.New("evt: no calibration scores")
 	}
-	sorted := append([]float64(nil), scores...)
-	sort.Float64s(sorted)
+	// Each level reads two order statistics, so a private copy is selected
+	// into place rather than sorted. The excesses are still taken from
+	// scores in arrival order: FitGPD's sums run in that order.
+	order := append([]float64(nil), scores...)
 
 	// One excess buffer reused across level relaxation: calibration sits
 	// on the retrain path, and each lowered level only grows the excess
 	// set, so the buffer settles after at most a couple of regrowths.
 	excesses := make([]float64, 0, n/20+minPeaks)
 	for lvl := level; lvl >= 0.5; lvl -= 0.05 {
-		t := stats.QuantileSorted(sorted, lvl)
+		t := stats.QuantileInPlace(order, lvl)
 		excesses = excesses[:0]
 		for _, s := range scores {
 			if s > t {
@@ -238,8 +259,19 @@ func POT(scores []float64, level, q float64) (Threshold, error) {
 		return Threshold{Init: t, Z: z, Model: g, Peaks: len(excesses), N: n}, nil
 	}
 	// Fallback: empirical quantile.
-	z := stats.QuantileSorted(sorted, 1-q)
+	z := stats.QuantileInPlace(order, 1-q)
 	return Threshold{Init: z, Z: z, Peaks: 0, N: n}, fmt.Errorf("%w: fell back to empirical quantile", ErrTooFewPeaks)
+}
+
+// CheckPOTParams reports an error unless level and q both lie in the open
+// interval (0, 1) — NaN included. Outside it POT has no meaning: a level
+// of 1.5 would calibrate at a relaxed level, a q of 0 at an infinite
+// threshold, and a NaN one would index the order statistics with garbage.
+func CheckPOTParams(level, q float64) error {
+	if !(level > 0 && level < 1) || !(q > 0 && q < 1) {
+		return fmt.Errorf("evt: POT level %v and q %v must both lie in (0, 1)", level, q)
+	}
+	return nil
 }
 
 // fitGPDWarm re-fits a GPD to y by Newton iteration on Grimshaw's scalar

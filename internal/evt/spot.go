@@ -161,8 +161,12 @@ func NewSPOT(level, q float64) *SPOT {
 	return &SPOT{Level: level, Q: q, Policy: ExactRefitPolicy()}
 }
 
-// Fit calibrates the detector on an initial batch.
+// Fit calibrates the detector on an initial batch. A Level or Q outside
+// (0, 1) is an error; too few peaks is not (see below).
 func (s *SPOT) Fit(init []float64) error {
+	if err := CheckPOTParams(s.Level, s.Q); err != nil {
+		return err
+	}
 	s.excesses = make([]float64, 0, s.Policy.capacity())
 	s.evict, s.peaks, s.sum, s.sumsq = 0, 0, 0, 0
 	s.sinceRefit, s.refitMean = 0, 0

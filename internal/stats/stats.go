@@ -5,6 +5,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -79,40 +80,105 @@ func Max(xs []float64) float64 {
 }
 
 // Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs using linear
-// interpolation between order statistics. xs is not modified.
+// interpolation between order statistics, in sort.Float64s order (NaN
+// first). xs is not modified; a NaN q gives NaN.
 func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return QuantileSorted(sorted, q)
+	return QuantileInPlace(append([]float64(nil), xs...), q)
 }
 
-// QuantileSorted is Quantile for already-sorted input, avoiding the copy.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	n := len(sorted)
-	if n == 0 {
+// QuantileInPlace is Quantile without the copy: it reorders xs. Only the
+// two order statistics the interpolation reads are located, by selection,
+// and the partial order Select leaves behind makes the next call on the
+// same slice cheaper — POT reads several levels of one calibration set.
+func QuantileInPlace(xs []float64, q float64) float64 {
+	n := len(xs)
+	if n == 0 || math.IsNaN(q) {
 		return math.NaN()
 	}
 	if q <= 0 {
-		return sorted[0]
+		Select(xs, 0)
+		return xs[0]
 	}
 	if q >= 1 {
-		return sorted[n-1]
+		Select(xs, n-1)
+		return xs[n-1]
 	}
 	pos := q * float64(n-1)
 	lo := int(math.Floor(pos))
 	hi := lo + 1
 	if hi >= n {
-		return sorted[n-1]
+		Select(xs, n-1)
+		return xs[n-1]
+	}
+	Select(xs, lo)
+	// Everything right of lo follows it in sort order, so the sorted slice's
+	// next element is the least of them.
+	next := xs[hi]
+	for _, v := range xs[hi+1:] {
+		if sortsBefore(v, next) {
+			next = v
+		}
 	}
 	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
+	return xs[lo]*(1-frac) + next*frac
 }
 
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 { return Quantile(xs, 0.5) }
+
+// sortsBefore is sort.Float64s's order: ascending, NaN before everything.
+func sortsBefore(a, b float64) bool { return a < b || (a != a && b == b) }
+
+// Select reorders xs so that xs[k] is the value sort.Float64s would put at
+// index k, nothing before it sorts after it and nothing after it sorts
+// before it. Values equal under the order (−0 and +0, NaNs of different
+// payloads) may land in either's place, as they may under the unstable
+// sort. Quickselect with a median-of-three pivot and a three-way partition,
+// so runs of ties cost one pass; after 2·log₂ n rounds without converging,
+// the remaining range is sorted, which bounds the worst case at the sort's.
+func Select(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for rounds := 2 * bits.Len(uint(len(xs))); hi > lo; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(xs[lo : hi+1])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		if sortsBefore(b, a) {
+			a, b = b, a
+		}
+		if sortsBefore(c, b) {
+			b = c
+			if sortsBefore(b, a) {
+				b = a
+			}
+		}
+		pivot := b
+		// [lo, lt) sorts before pivot, [lt, i) ties it, (gt, hi] sorts after.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := xs[i]; {
+			case sortsBefore(v, pivot):
+				xs[lt], xs[i] = v, xs[lt]
+				lt++
+				i++
+			case sortsBefore(pivot, v):
+				xs[i], xs[gt] = xs[gt], v
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
+	}
+}
 
 // Diff returns the first-order difference xs[i+1]-xs[i]; the result has
 // length len(xs)-1 (empty for inputs shorter than 2).

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -67,6 +68,91 @@ func TestQuantileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// quantileSortedRef is the sort-based quantile Quantile computed before it
+// selected: sort a copy, then interpolate between neighbours.
+func quantileSortedRef(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return math.NaN()
+	}
+	if q <= 0 {
+		return sorted[0]
+	}
+	if q >= 1 {
+		return sorted[n-1]
+	}
+	pos := q * float64(n-1)
+	lo := int(math.Floor(pos))
+	hi := lo + 1
+	if hi >= n {
+		return sorted[n-1]
+	}
+	frac := pos - float64(lo)
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
+}
+
+// TestQuantileMatchesSortRef holds the selection to the sort: every order
+// statistic Select places, and every quantile, is the sorted slice's, bit
+// for bit, over ties, NaN (sorted first), ±Inf, presorted and reversed
+// input, and repeated calls on one slice (the partial order a previous
+// selection left); Quantile leaves its input alone.
+func TestQuantileMatchesSortRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	draws := []func(i, n int) float64{
+		func(int, int) float64 { return rng.NormFloat64() },
+		func(int, int) float64 { return float64(rng.Intn(4)) },
+		func(i, _ int) float64 { return float64(i) },
+		func(i, n int) float64 { return float64(n - i) },
+		func(int, int) float64 {
+			switch rng.Intn(8) {
+			case 0:
+				return math.NaN()
+			case 1:
+				return math.Inf(1)
+			case 2:
+				return math.Inf(-1)
+			}
+			return rng.ExpFloat64()
+		},
+	}
+	for n := 1; n <= 300; n += 1 + n/10 {
+		for di, draw := range draws {
+			xs := make([]float64, n)
+			for i := range xs {
+				xs[i] = draw(i, n)
+			}
+			sorted := append([]float64(nil), xs...)
+			sort.Float64s(sorted)
+			for range 4 {
+				k := rng.Intn(n)
+				sel := append([]float64(nil), xs...)
+				Select(sel, k)
+				if math.Float64bits(sel[k]) != math.Float64bits(sorted[k]) {
+					t.Fatalf("draw %d n %d: Select put %v at %d, sort %v", di, n, sel[k], k, sorted[k])
+				}
+			}
+			work := append([]float64(nil), xs...)
+			for _, q := range []float64{0, 1, 0.5, 0.99, 0.25, rng.Float64(), 0.999, 1e-3} {
+				want := quantileSortedRef(sorted, q)
+				before := append([]float64(nil), xs...)
+				got := Quantile(xs, q)
+				inPlace := QuantileInPlace(work, q)
+				if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(inPlace) != math.Float64bits(want) {
+					t.Fatalf("draw %d n %d q %v: Quantile %v, in place %v, sorted %v", di, n, q, got, inPlace, want)
+				}
+				for i := range xs {
+					if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+						t.Fatalf("Quantile rewrote its input at %d", i)
+					}
+				}
+			}
+		}
+	}
+	if !math.IsNaN(Quantile([]float64{1, 2}, math.NaN())) {
+		t.Fatal("a NaN q must give NaN")
 	}
 }
 

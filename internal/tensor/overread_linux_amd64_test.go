@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"syscall"
 	"testing"
@@ -91,6 +92,21 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 		DivideRow(row, sum)
 		if j, ok := sameBits(row, want); !ok || sum != wantSum {
 			t.Fatalf("softmax row of %d, cell %d: vector %v != Go loops %v (sums %v, %v)", n, j, row[j], want[j], sum, wantSum)
+		}
+	}
+
+	// The log leaf: every length mod 4, positive arguments so that every
+	// whole group is the leaf's.
+	for n := 0; n <= 17; n++ {
+		row := guarded(t, rng, n)
+		for i, x := range row {
+			row[i] = math.Abs(x) + 0x1p-20
+		}
+		want := append([]float64(nil), row...)
+		scalarly(func() { LogRow(want) })
+		LogRow(row)
+		if j, ok := sameBits(row, want); !ok {
+			t.Fatalf("log row of %d, cell %d: vector %v != Go loop %v", n, j, row[j], want[j])
 		}
 	}
 }

@@ -2,10 +2,10 @@ package tensor
 
 import "math"
 
-// Row kernels: the four leaves every multiply-add, softmax exponential and
+// Row kernels: the leaves every multiply-add, softmax exponential and
 // softmax division in the library runs on — the matmul family in tensor.go
 // and the tape's SoftmaxRows (training), nn's ApplyRow/AttendRow (the
-// streaming forward).
+// streaming forward) — and the logarithms of evt's Grimshaw scan.
 //
 // Each output cell sees a fixed sequence of float64 operations — products
 // summed in ascending order, multiply and add never fused, a division where
@@ -42,6 +42,20 @@ func ExpSumRow(row []float64, mx float64) float64 {
 		sum += e
 	}
 	return sum
+}
+
+// LogRow replaces every x in row by math.Log(x). The vector leaf takes
+// leading groups of four while every lane is a finite, positive, normal
+// number; math.Log takes the rest — the results are the same bits, so where
+// the split falls is invisible.
+func LogRow(row []float64) {
+	j := 0
+	if useVector {
+		j = logRows4(row)
+	}
+	for ; j < len(row); j++ {
+		row[j] = math.Log(row[j])
+	}
 }
 
 // DivideRow divides every cell of row by d (a division, not a multiplication

@@ -3,16 +3,17 @@ package tensor
 import "math"
 
 // useVector is the kernels' one dispatch point: true when the CPU and the OS
-// support AVX2 and FMA and the packed exp reproduces math.Exp bit for bit on
-// a fixed table. Written once, here (tests force it off to run the Go loops
-// as the oracle). The second condition is what keeps every softmax cell one
-// function of its argument: ExpSumRow hands the cells its leaf declines to
-// math.Exp, the pinned training and score bits were recorded from math.Exp,
-// and math.Exp leaves its FMA path under GODEBUG=cpu.fma=off (a later Go
-// release may change it altogether) — either way the packed replica no
-// longer matches and every row, training and streaming alike, goes back to
-// the Go loops.
-var useVector = cpuHasAVX2FMA() && packedExpMatchesMathExp()
+// support AVX2 and FMA and the packed exp and log reproduce math.Exp and
+// math.Log bit for bit on fixed tables. Written once, here (tests force it
+// off to run the Go loops as the oracle). The self-checks are what keep
+// every softmax cell and every Grimshaw sum one function of its argument:
+// ExpSumRow and LogRow hand the cells their leaves decline to math.Exp and
+// math.Log, the pinned training and score bits and the DSPOT thresholds
+// were recorded from those, and math.Exp leaves its FMA path under
+// GODEBUG=cpu.fma=off (a later Go release may change either altogether) —
+// whenever a packed replica no longer matches, every row, training and
+// streaming alike, goes back to the Go loops.
+var useVector = cpuHasAVX2FMA() && packedExpMatchesMathExp() && packedLogMatchesMathLog()
 
 //go:noescape
 func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int
@@ -25,6 +26,9 @@ func expRows4(p []float64, mx float64) int
 
 //go:noescape
 func divRows4(p []float64, d float64) int
+
+//go:noescape
+func logRows4(p []float64) int
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
@@ -66,6 +70,31 @@ func packedExpMatchesMathExp() bool {
 	}
 	for i, x := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+			return false
+		}
+	}
+	return true
+}
+
+// packedLogMatchesMathLog is the log leaf's self-check: 256 normal arguments
+// with mantissas across [1/2, 1) and exponents across the normal range, a
+// group just either side of 1 and a group of exact √2/2·2ᵏ, where archLog's
+// reduction chooses its branch on a tie.
+func packedLogMatchesMathLog() bool {
+	want := make([]float64, 256)
+	for i := range want {
+		want[i] = math.Ldexp(0.5+float64(i)/512, (i*331)%2041-1020)
+	}
+	for i := range 4 {
+		want[i] = math.Ldexp(math.Sqrt2/2, 3*i-4)
+		want[4+i] = math.Nextafter(1, float64(2*(i%2))) + float64(i/2)*0x1p-40
+	}
+	got := append([]float64(nil), want...)
+	if logRows4(got) != len(got) {
+		return false
+	}
+	for i, x := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(math.Log(x)) {
 			return false
 		}
 	}

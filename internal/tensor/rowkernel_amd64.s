@@ -336,3 +336,130 @@ test:
 	VZEROUPPER
 	MOVQ CX, ret+32(FP)
 	RET
+
+// The constants of math.archLog (log_amd64.s), four lanes wide, with its
+// decimal literals; the init-time self-check compares the results.
+#define LOGLANES4(off, v) \
+	DATA logconst<>+(off+0)(SB)/8, v; \
+	DATA logconst<>+(off+8)(SB)/8, v; \
+	DATA logconst<>+(off+16)(SB)/8, v; \
+	DATA logconst<>+(off+24)(SB)/8, v
+
+#define LG_MINNORM 0
+#define LG_POSINF  32
+#define LG_TWO52   64
+#define LG_TWO52K  96
+#define LG_MANT    128
+#define LG_HALF    160
+#define LG_HSQRT2  192
+#define LG_ONE     224
+#define LG_TWO     256
+#define LG_L1      288
+#define LG_L2      320
+#define LG_L3      352
+#define LG_L4      384
+#define LG_L5      416
+#define LG_L6      448
+#define LG_L7      480
+#define LG_LN2HI   512
+#define LG_LN2LO   544
+
+LOGLANES4(LG_MINNORM, $0x0010000000000000) // 2⁻¹⁰²², the least normal
+LOGLANES4(LG_POSINF, $0x7FF0000000000000)
+LOGLANES4(LG_TWO52, $0x4330000000000000)   // 2⁵²
+LOGLANES4(LG_TWO52K, $0x43300000000003FE)  // 2⁵² + 1022
+LOGLANES4(LG_MANT, $0x000FFFFFFFFFFFFF)
+LOGLANES4(LG_HALF, $0.5)
+LOGLANES4(LG_HSQRT2, $7.07106781186547524401e-01)
+LOGLANES4(LG_ONE, $1.0)
+LOGLANES4(LG_TWO, $2.0)
+LOGLANES4(LG_L1, $6.666666666666735130e-01)
+LOGLANES4(LG_L2, $3.999999999940941908e-01)
+LOGLANES4(LG_L3, $2.857142874366239149e-01)
+LOGLANES4(LG_L4, $2.222219843214978396e-01)
+LOGLANES4(LG_L5, $1.818357216161805012e-01)
+LOGLANES4(LG_L6, $1.531383769920937332e-01)
+LOGLANES4(LG_L7, $1.479819860511658591e-01)
+LOGLANES4(LG_LN2HI, $6.93147180369123816490e-01)
+LOGLANES4(LG_LN2LO, $1.90821492927058770002e-10)
+GLOBL logconst<>(SB), RODATA|NOPTR, $576
+
+// func logRows4(p []float64) int
+//
+// p[j] = log(p[j]) four at a time from j = 0, as math.archLog computes it
+// lane for lane: the same reduction, polynomial and literals, a divide, and
+// separate multiply and add throughout. Stops before the first group of four
+// that is incomplete or holds a lane that is not a finite, positive, normal
+// number — ±0, negatives, subnormals, +Inf and NaN take archLog's other
+// exits, or a frexp its bit trick does not compute — and returns how many
+// cells it has written.
+TEXT ·logRows4(SB), NOSPLIT, $0-32
+	MOVQ p_base+0(FP), DI
+	MOVQ p_len+8(FP), CX
+	XORQ BX, BX
+	SUBQ $4, CX
+	JLT  done
+group:
+	VMOVUPD (DI)(BX*8), Y0
+	VCMPPD $0x1D, logconst<>+LG_MINNORM(SB), Y0, Y1 // x >= 2⁻¹⁰²², ordered
+	VCMPPD $0x11, logconst<>+LG_POSINF(SB), Y0, Y2  // x < +Inf, ordered
+	VANDPD Y1, Y2, Y1
+	VMOVMSKPD Y1, AX
+	CMPL AX, $0xF
+	JNE  done
+	// k = exponent field − 1022 as a float64, exactly: the field becomes the
+	// low bits of 2⁵²'s mantissa, and 2⁵² + 1022 comes off
+	VPSRLQ $52, Y0, Y1
+	VPOR   logconst<>+LG_TWO52(SB), Y1, Y1
+	VSUBPD logconst<>+LG_TWO52K(SB), Y1, Y1
+	// f1 = the mantissa with exponent 2⁻¹
+	VANDPD logconst<>+LG_MANT(SB), Y0, Y2
+	VORPD  logconst<>+LG_HALF(SB), Y2, Y2
+	// if !(√2/2 < f1) { k -= 1; f1 *= 2 }, branch-free as archLog does it
+	VMOVUPD logconst<>+LG_HSQRT2(SB), Y3
+	VCMPPD  $5, Y2, Y3, Y3 // not less than, unordered true
+	VANDPD  logconst<>+LG_ONE(SB), Y3, Y3
+	VSUBPD  Y3, Y1, Y1
+	VADDPD  logconst<>+LG_ONE(SB), Y3, Y3
+	VMULPD  Y3, Y2, Y2
+	// f = f1 − 1; s = f/(2 + f); s2 = s·s; s4 = s2·s2
+	VSUBPD logconst<>+LG_ONE(SB), Y2, Y2
+	VADDPD logconst<>+LG_TWO(SB), Y2, Y0
+	VDIVPD Y0, Y2, Y3
+	VMULPD Y3, Y3, Y4
+	VMULPD Y4, Y4, Y5
+	// t1 = s2·(L1 + s4·(L3 + s4·(L5 + s4·L7)))
+	VMULPD logconst<>+LG_L7(SB), Y5, Y6
+	VADDPD logconst<>+LG_L5(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logconst<>+LG_L3(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logconst<>+LG_L1(SB), Y6, Y6
+	VMULPD Y6, Y4, Y4
+	// t2 = s4·(L2 + s4·(L4 + s4·L6)); R = t1 + t2
+	VMULPD logconst<>+LG_L6(SB), Y5, Y6
+	VADDPD logconst<>+LG_L4(SB), Y6, Y6
+	VMULPD Y5, Y6, Y6
+	VADDPD logconst<>+LG_L2(SB), Y6, Y6
+	VMULPD Y6, Y5, Y5
+	VADDPD Y5, Y4, Y4
+	// hfsq = 0.5·f·f
+	VMULPD logconst<>+LG_HALF(SB), Y2, Y0
+	VMULPD Y2, Y0, Y0
+	// k·Ln2Hi − ((hfsq − (s·(hfsq + R) + k·Ln2Lo)) − f)
+	VADDPD Y0, Y4, Y4
+	VMULPD Y4, Y3, Y3
+	VMULPD logconst<>+LG_LN2LO(SB), Y1, Y4
+	VADDPD Y4, Y3, Y3
+	VSUBPD Y3, Y0, Y0
+	VSUBPD Y2, Y0, Y0
+	VMULPD logconst<>+LG_LN2HI(SB), Y1, Y1
+	VSUBPD Y0, Y1, Y1
+	VMOVUPD Y1, (DI)(BX*8)
+	ADDQ $4, BX
+	CMPQ BX, CX
+	JLE  group
+done:
+	VZEROUPPER
+	MOVQ BX, ret+24(FP)
+	RET

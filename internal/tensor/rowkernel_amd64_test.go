@@ -3,6 +3,9 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 )
 
@@ -127,6 +130,175 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		scalarly(func() { DivideRow(want, 3.7) })
 		if j, ok := sameBits(got, want); !ok {
 			t.Fatalf("row of %d cell %d: packed divide %v != scalar %v", n, j, got[j], want[j])
+		}
+	}
+}
+
+// logBoth runs the log leaf directly and LogRow on both paths over copies of
+// row, and fails on the first cell that is not math.Log's bits; it returns
+// how many leading cells the leaf took.
+func logBoth(t *testing.T, row []float64) int {
+	t.Helper()
+	leaf := append([]float64(nil), row...)
+	took := logRows4(leaf)
+	got := append([]float64(nil), row...)
+	LogRow(got)
+	scalar := append([]float64(nil), row...)
+	scalarly(func() { LogRow(scalar) })
+	for j, x := range row {
+		want := math.Float64bits(math.Log(x))
+		if j < took && math.Float64bits(leaf[j]) != want {
+			t.Fatalf("log(%v) (%#x) at cell %d of %d: leaf %#x, math.Log %#x",
+				x, math.Float64bits(x), j, len(row), math.Float64bits(leaf[j]), want)
+		}
+		if math.Float64bits(got[j]) != want || math.Float64bits(scalar[j]) != want {
+			t.Fatalf("log(%v) at cell %d of %d: LogRow %#x, Go loop %#x, math.Log %#x",
+				x, j, len(row), math.Float64bits(got[j]), math.Float64bits(scalar[j]), want)
+		}
+	}
+	return took
+}
+
+// TestPackedLogMatchesMathLog drives the Grimshaw scan's logarithm — a
+// replica of math.archLog, like the exp of math.archExp — against math.Log
+// itself. The leaf uses AVX2 alone, no FMA, so it is exercised wherever the
+// CPU has it, whether or not the exp self-check left the dispatch on (under
+// GODEBUG=cpu.fma=off it does not, and LogRow is the Go loop).
+func TestPackedLogMatchesMathLog(t *testing.T) {
+	if !cpuHasAVX2FMA() {
+		t.Skip(noVector)
+	}
+	t.Logf("useVector=%v", useVector)
+	rng := rand.New(rand.NewSource(44))
+	minNormal := math.Float64frombits(1 << 52)
+	const ulp = 0x1p-52
+	normal := func() float64 {
+		// A random bit pattern with the sign cleared and the exponent field
+		// drawn from the normal range: every mantissa bit in play.
+		bits := rng.Uint64()&(1<<52-1) | uint64(1+rng.Intn(2046))<<52
+		return math.Float64frombits(bits)
+	}
+	near := func() float64 {
+		switch rng.Intn(4) {
+		case 0: // a few ulps either side of 1
+			return 1 + float64(rng.Intn(65)-32)*ulp
+		case 1: // 1 ± 2⁻ᵏ
+			return 1 + math.Copysign(math.Ldexp(1, -1-rng.Intn(52)), rng.Float64()-0.5)
+		case 2: // an exact √2/2·2ᵏ tie, or a neighbour of one
+			x := math.Ldexp(math.Sqrt2/2, rng.Intn(2045)-1021)
+			return math.Float64frombits(math.Float64bits(x) + uint64(rng.Intn(3)) - 1)
+		default: // the least normals
+			return math.Float64frombits(1<<52 + uint64(rng.Intn(1<<20)))
+		}
+	}
+
+	// ≥ 10⁶ arguments, whole rows on the leaf.
+	row := make([]float64, 48)
+	for n := 0; n < 1<<20; n += len(row) {
+		for j := range row {
+			if j%4 == 0 && rng.Intn(2) == 0 {
+				row[j] = near()
+			} else {
+				row[j] = normal()
+			}
+		}
+		if took := logBoth(t, row); took != len(row) {
+			t.Fatalf("normal row: leaf took %d of %d cells", took, len(row))
+		}
+	}
+	// Every exact √2/2·2ᵏ: on this tie archLog's !(√2/2 < f1) takes the
+	// k − 1 branch, where the portable log's f1 < √2/2 does not.
+	for k := -1021; k <= 1024; k += len(row) {
+		for j := range row {
+			row[j] = math.Ldexp(math.Sqrt2/2, min(k+j, 1024))
+		}
+		if took := logBoth(t, row); took != len(row) {
+			t.Fatalf("√2/2·2ᵏ row from k = %d: leaf took %d of %d cells", k, took, len(row))
+		}
+	}
+
+	// Edge arguments in every lane position of a row of two groups. The leaf
+	// must stop before the group holding a lane that is not a finite,
+	// positive, normal number.
+	edges := []struct {
+		x  float64
+		in bool
+	}{
+		{minNormal, true},
+		{math.Nextafter(minNormal, 1), true},
+		{math.MaxFloat64, true},
+		{1, true},
+		{math.Sqrt2 / 2, true},
+		{math.Nextafter(minNormal, 0), false}, // the greatest subnormal
+		{5e-324, false},
+		{0, false},
+		{math.Copysign(0, -1), false},
+		{-1, false},
+		{-minNormal, false},
+		{math.Inf(1), false},
+		{math.Inf(-1), false},
+		{math.NaN(), false},
+	}
+	short := make([]float64, 8)
+	for _, e := range edges {
+		for pos := range short {
+			for j := range short {
+				short[j] = normal()
+			}
+			short[pos] = e.x
+			want := len(short)
+			if !e.in {
+				want = pos &^ 3
+			}
+			if took := logBoth(t, short); took != want {
+				t.Fatalf("edge %v at cell %d: leaf took %d cells, want %d", e.x, pos, took, want)
+			}
+		}
+	}
+
+	// Lengths around the group size: the cells past the last whole group are
+	// math.Log's.
+	for _, n := range []int{0, 1, 3, 4, 5, 63, 64, 65} {
+		r := make([]float64, n)
+		for j := range r {
+			r[j] = normal()
+		}
+		if took := logBoth(t, r); took != n&^3 {
+			t.Fatalf("row of %d: leaf took %d cells, want %d", n, took, n&^3)
+		}
+	}
+}
+
+// TestVectorPathSelfCheck pins the dispatch to its self-checks. In process,
+// useVector is exactly the CPUID probe and both replicas' table checks, and
+// on an AVX2+FMA host both tables pass. In a child under GODEBUG=cpu.fma=off
+// the exp check alone fails, which must turn the whole vector path off —
+// LogRow included — while the log leaf, free of FMA, still matches
+// math.Log.
+func TestVectorPathSelfCheck(t *testing.T) {
+	probe := cpuHasAVX2FMA()
+	if want := probe && packedExpMatchesMathExp() && packedLogMatchesMathLog(); useVector != want {
+		t.Fatalf("useVector = %v, self-checks say %v", useVector, want)
+	}
+	if !probe {
+		t.Skip(noVector)
+	}
+	if !packedLogMatchesMathLog() {
+		t.Fatal("the packed log does not reproduce math.Log on its self-check table")
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(exe, "-test.run", "^TestPackedLogMatchesMathLog$", "-test.v")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("child under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
+	for _, want := range []string{"useVector=false", "--- PASS: TestPackedLogMatchesMathLog"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("child under GODEBUG=cpu.fma=off did not print %q:\n%s", want, out)
 		}
 	}
 }

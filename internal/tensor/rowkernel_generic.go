@@ -19,3 +19,5 @@ func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int {
 func expRows4(p []float64, mx float64) int { panic("tensor: no vector kernels on this architecture") }
 
 func divRows4(p []float64, d float64) int { panic("tensor: no vector kernels on this architecture") }
+
+func logRows4(p []float64) int { panic("tensor: no vector kernels on this architecture") }
