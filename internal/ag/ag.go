@@ -815,20 +815,13 @@ func (t *Tape) Dropout(a *Node, rate float64, rng *rand.Rand, train bool) *Node 
 
 // SoftmaxRows applies a numerically stable softmax to each row of a: every
 // cell is exp(x − max) divided by the row's sum of those, added in ascending
-// order — the same two leaves nn's AttendRow runs.
+// order — the same leaf nn's AttendRow runs.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
 	v := t.alloc(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
-		src := a.Value.Row(i)
 		dst := v.Row(i)
-		mx := math.Inf(-1)
-		for _, x := range src {
-			if x > mx {
-				mx = x
-			}
-		}
-		copy(dst, src)
-		tensor.DivideRow(dst, tensor.ExpSumRow(dst, mx))
+		copy(dst, a.Value.Row(i))
+		tensor.SoftmaxRow(dst)
 	}
 	return t.record(t.node(v), opSoftmaxRows, a, nil)
 }

@@ -162,6 +162,9 @@ func (b *streamBase) ingest(f core.Frame) error {
 	if len(f.Magnitudes) != b.n {
 		return fmt.Errorf("baselines: frame has %d stars, %s adapter expects %d", len(f.Magnitudes), b.kind, b.n)
 	}
+	if math.IsNaN(f.Time) || math.IsInf(f.Time, 0) {
+		return fmt.Errorf("baselines: frame time %v is not finite", f.Time)
+	}
 	if b.count > 0 && f.Time <= b.last {
 		return fmt.Errorf("baselines: frame time %v not after previous %v", f.Time, b.last)
 	}

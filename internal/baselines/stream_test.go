@@ -318,6 +318,69 @@ func TestStreamAdapterSnapshotRestore(t *testing.T) {
 	}
 }
 
+// TestStreamAdapterRejectsNonFiniteTime: on every adapter, cold, warming and
+// warm, a NaN or ±Inf frame time is an error that leaves the adapter as it
+// was — the same snapshot — so the next finite frames score the bits of a
+// twin that never saw it. (NaN passes a `time <= last` order check, and an
+// adapter that stored it took any time after it; one that stored +Inf
+// refused every later frame.)
+func TestStreamAdapterRejectsNonFiniteTime(t *testing.T) {
+	d := streamTestData()
+	n := d.Test.N()
+	frame := func(i int) core.Frame {
+		f := core.Frame{Time: d.Test.Time[i], Magnitudes: make([]float64, n)}
+		for v := range f.Magnitudes {
+			f.Magnitudes[v] = d.Test.Data[v][i]
+		}
+		return f
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, warm := range []int{0, 5, 260} { // 260: past every adapter window
+			twins := streamAdapters(t, n)
+			for k, b := range streamAdapters(t, n) {
+				twin := twins[k]
+				for i := 0; i < warm; i++ {
+					for _, a := range []core.StreamBackend{b, twin} {
+						if _, err := a.PushScores(frame(i)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				before, err := b.SnapshotState()
+				if err != nil {
+					t.Fatal(err)
+				}
+				f := frame(warm)
+				f.Time = bad
+				if _, err := b.PushScores(f); err == nil {
+					t.Fatalf("%s: time %v after %d frames accepted", b.Kind(), bad, warm)
+				}
+				if after, _ := b.SnapshotState(); !bytes.Equal(before, after) {
+					t.Fatalf("%s: refused time %v after %d frames changed the adapter", b.Kind(), bad, warm)
+				}
+				for i := warm; i < warm+10; i++ {
+					got, err := b.PushScores(frame(i))
+					if err != nil {
+						t.Fatalf("%s: time %v after %d frames: frame %d refused: %v", b.Kind(), bad, warm, i, err)
+					}
+					want, err := twin.PushScores(frame(i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if (got == nil) != (want == nil) {
+						t.Fatalf("%s: frame %d scored %v, twin %v", b.Kind(), i, got != nil, want != nil)
+					}
+					for v := range want {
+						if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+							t.Fatalf("%s: frame %d variate %d scored %v, twin %v", b.Kind(), i, v, got[v], want[v])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // warmStreamAdapters returns one adapter of each kind for n variates, fed
 // past every warm-up on a short deterministic feed.
 func warmStreamAdapters(t testing.TB, n int) []core.StreamBackend {

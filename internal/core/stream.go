@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"aero/internal/dataset"
 	"aero/internal/tensor"
@@ -158,10 +159,15 @@ func (s *StreamDetector) Push(f Frame) ([]Alarm, error) {
 // raw per-variate scores of this instant (nil during warm-up). The slice
 // is reused by the next push. Push derives alarms from these scores; a
 // composable alarming stage (see internal/backend's DSPOT wrapper)
-// consumes them directly instead.
+// consumes them directly instead. A frame of the wrong width, or whose time
+// is NaN, ±Inf or not after the previous frame's, is an error and changes
+// nothing.
 func (s *StreamDetector) PushScores(f Frame) ([]float64, error) {
 	if len(f.Magnitudes) != s.m.n {
 		return nil, fmt.Errorf("core: frame has %d stars, model expects %d", len(f.Magnitudes), s.m.n)
+	}
+	if math.IsNaN(f.Time) || math.IsInf(f.Time, 0) {
+		return nil, fmt.Errorf("core: frame time %v is not finite", f.Time)
 	}
 	if s.count > 0 && f.Time <= s.last {
 		return nil, fmt.Errorf("core: frame time %v not after previous %v", f.Time, s.last)

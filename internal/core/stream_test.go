@@ -67,6 +67,70 @@ func TestStreamDetectorRejectsBadFrames(t *testing.T) {
 	}
 }
 
+// TestStreamDetectorRejectsNonFiniteTime: a NaN or ±Inf frame time is an
+// error on a cold, a warming and a warm detector, and leaves it as it was:
+// the time cursor is unchanged and the next finite frames score the bits of
+// a twin that never saw the bad frame. (NaN passes a `time <= last` order
+// check, and a detector that stored it took any time after it; one that
+// stored +Inf refused every later frame.)
+func TestStreamDetectorRejectsNonFiniteTime(t *testing.T) {
+	m, d := shared(t)
+	w := m.Config().LongWindow
+	frame := func(i int) Frame {
+		f := Frame{Time: d.Test.Time[i], Magnitudes: make([]float64, d.Test.N())}
+		for v := range f.Magnitudes {
+			f.Magnitudes[v] = d.Test.Data[v][i]
+		}
+		return f
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, warm := range []int{0, 5, w + 3} {
+			s, err := NewStreamDetector(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			twin, err := NewStreamDetector(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < warm; i++ {
+				for _, det := range []*StreamDetector{s, twin} {
+					if _, err := det.PushScores(frame(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			f := frame(warm)
+			f.Time = bad
+			if _, err := s.PushScores(f); err == nil {
+				t.Fatalf("time %v after %d frames: accepted", bad, warm)
+			}
+			wantLast, wantOK := twin.LastTime()
+			if last, ok := s.LastTime(); last != wantLast || ok != wantOK {
+				t.Fatalf("time %v after %d frames: cursor %v (%v), twin %v (%v)", bad, warm, last, ok, wantLast, wantOK)
+			}
+			for i := warm; i < warm+w+2; i++ {
+				got, err := s.PushScores(frame(i))
+				if err != nil {
+					t.Fatalf("time %v after %d frames: frame %d refused: %v", bad, warm, i, err)
+				}
+				want, err := twin.PushScores(frame(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if (got == nil) != (want == nil) {
+					t.Fatalf("time %v after %d frames: frame %d scored %v, twin %v", bad, warm, i, got != nil, want != nil)
+				}
+				for v := range want {
+					if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+						t.Fatalf("time %v after %d frames: frame %d variate %d scored %v, twin %v", bad, warm, i, v, got[v], want[v])
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStreamReplayMatchesBatchAtWindowEnds(t *testing.T) {
 	// Replay alarms must agree with batch stride-1 detection at the same
 	// threshold: every replay alarm corresponds to a batch score >= thr.

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"math"
 	"testing"
 
 	"aero/internal/backend"
@@ -121,6 +122,90 @@ func TestEngineBackendMatchesSequentialReplay(t *testing.T) {
 	if totalAlarms == 0 {
 		t.Fatal("no backend raised any alarm; equivalence suite is vacuous")
 	}
+}
+
+// TestEngineRejectsNonFiniteFrameTime: with hygiene off (the default) a
+// frame whose time is NaN or ±Inf reaches the backend, which refuses it
+// before touching its rings; the engine reports a FrameError for the tenant,
+// and the tenant's next finite frame scores. One AERO and one fluxev tenant:
+// internal/core and internal/baselines each check the time themselves.
+func TestEngineRejectsNonFiniteFrameTime(t *testing.T) {
+	m, _ := fixture(t)
+	series := tenantSeries(0).Test
+	aeroDet, err := core.NewStreamDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := backend.Train("fluxev", fixD.Train, backend.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fluxDet, err := backend.Open("fluxev", artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := engine.New(engine.Config{Shards: 1, Workers: 1})
+	_, wg := collectAlarms(e)
+	subs := map[string]*engine.Subscription{}
+	for id, det := range map[string]core.StreamBackend{"aero": aeroDet, "flux": fluxDet} {
+		if subs[id], err = e.SubscribeBackend(id, det); err != nil {
+			t.Fatal(err)
+		}
+	}
+	feed := func(f core.Frame) {
+		for id := range subs {
+			if err := e.Ingest(id, f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.Flush()
+	}
+	frame := func(i int) core.Frame {
+		f := core.Frame{Time: series.Time[i], Magnitudes: make([]float64, series.N())}
+		for v := range f.Magnitudes {
+			f.Magnitudes[v] = series.Data[v][i]
+		}
+		return f
+	}
+	next := 0
+	for ; next < m.Config().LongWindow+2; next++ {
+		feed(frame(next))
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		f := frame(next)
+		f.Time = bad
+		feed(f)
+		reported := map[string]bool{}
+		for range subs {
+			select {
+			case fe := <-e.Errors():
+				if subs[fe.Sub] == nil || fe.Err == nil || math.Float64bits(fe.Time) != math.Float64bits(bad) {
+					t.Fatalf("time %v: FrameError %+v", bad, fe)
+				}
+				reported[fe.Sub] = true
+			default:
+				t.Fatalf("time %v: FrameErrors for %v only", bad, reported)
+			}
+		}
+		scored := map[string]uint64{}
+		for id, sub := range subs {
+			scored[id] = sub.Stats().Frames
+		}
+		feed(frame(next))
+		next++
+		for id, sub := range subs {
+			if got := sub.Stats().Frames; got != scored[id]+1 {
+				t.Fatalf("%s: the finite frame after time %v was not scored (%d frames, then %d)", id, bad, scored[id], got)
+			}
+		}
+	}
+	select {
+	case fe := <-e.Errors():
+		t.Fatalf("a finite frame failed: %+v", fe)
+	default:
+	}
+	e.Close()
+	wg.Wait()
 }
 
 // TestSubscriptionBackendCapabilities covers the capability seams of a

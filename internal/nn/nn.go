@@ -84,9 +84,13 @@ func (l *LayerNorm) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 }
 
 // ApplyRow normalizes the single row x into dst (dst may alias x),
-// mirroring the tape's LayerNormRows kernel bit for bit.
+// mirroring the tape's LayerNormRows kernel bit for bit. x must be as wide as
+// the layer and dst at least as wide; otherwise it panics, as the tape does.
 func (l *LayerNorm) ApplyRow(dst, x []float64) {
 	gain, bias := l.Gain.Value.Data, l.Bias.Value.Data
+	if len(x) != len(gain) || len(bias) != len(gain) || len(dst) < len(gain) {
+		panic(fmt.Sprintf("nn: layernorm row width %d -> %d, layer is %d wide", len(x), len(dst), len(gain)))
+	}
 	cols := float64(len(x))
 	var mean float64
 	for _, v := range x {
@@ -260,15 +264,10 @@ func (f *FFN) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 }
 
 // ApplyRow applies the block to the single row x into dst, using hidden
-// (the L1 output width) as scratch; mirrors Forward row for row.
+// (at least the L1 output width) as scratch; mirrors Forward row for row.
 func (f *FFN) ApplyRow(dst, hidden, x []float64) {
-	f.L1.ApplyRow(hidden, x)
-	for j, v := range hidden {
-		if !(v > 0) {
-			hidden[j] = 0
-		}
-	}
-	f.L2.ApplyRow(dst, hidden)
+	f.L1.applyRow(hidden, x, true)
+	f.L2.applyRow(dst, hidden[:f.L1.W.Value.Cols], false)
 }
 
 // Params implements Module.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"aero/internal/tensor"
@@ -10,28 +11,28 @@ import (
 // MultiHeadAttention that the streaming forward runs for every star on every
 // frame.
 //
-// They are row loops over internal/tensor's leaves (AddScaledRows, DotRows,
-// ExpSumRow, DivideRow) — the same leaves the tape's matmuls and softmax run
-// on — so each output cell sees exactly the float64 operations Forward
+// They are calls into internal/tensor's leaves (AffineRow, DotRows,
+// SoftmaxRow, AddScaledRows) — the same leaves the tape's matmuls and softmax
+// run on — so each output cell sees exactly the float64 operations Forward
 // applies to it, in the same order, and a row computed here is bit-identical
 // to the matching row of Forward. What a leaf must keep, and the amd64
 // vector path behind it, is in tensor/rowkernel.go.
 
 // ApplyRow applies the layer to the single row x (length in), writing
-// x·W + b into dst (length out) without recording onto a tape. dst must not
-// overlap x. Per cell: the products x[k]·W[k][j] summed from zero in
+// x·W + b into dst (length ≥ out) without recording onto a tape. dst must
+// not overlap x. Per cell: the products x[k]·W[k][j] summed from zero in
 // ascending k, skipping x[k] == 0, then the bias — the tape's MatMul and
-// AddRow.
-func (l *Linear) ApplyRow(dst, x []float64) {
+// AddRow. A row of the wrong width panics, as the tape's MatMul does.
+func (l *Linear) ApplyRow(dst, x []float64) { l.applyRow(dst, x, false) }
+
+// applyRow is ApplyRow, followed by the ReLU of FFN.ApplyRow when relu is
+// set.
+func (l *Linear) applyRow(dst, x []float64, relu bool) {
 	w := l.W.Value
-	dst = dst[:w.Cols]
-	for j := range dst {
-		dst[j] = 0
+	if len(x) != w.Rows || len(dst) < w.Cols {
+		panic(fmt.Sprintf("nn: row shape mismatch 1x%d · %dx%d -> 1x%d", len(x), w.Rows, w.Cols, len(dst)))
 	}
-	tensor.AddScaledRows(dst, x, w.Data, w.Cols)
-	for j, bv := range l.B.Value.Data[:len(dst)] {
-		dst[j] += bv
-	}
+	tensor.AffineRow(dst[:w.Cols], x, w.Data, w.Cols, l.B.Value.Data, relu)
 }
 
 // AttendRow computes one query row of scaled dot-product attention against
@@ -82,19 +83,11 @@ func (m *MultiHeadAttention) AttendRow(ctx, scores, q []float64, k, v *tensor.De
 		qh := q[lo : lo+dk]
 		tensor.DotRows(probs[:n1], qh, k.Data[p0*dm+lo:], dm, scale)
 		tensor.DotRows(probs[n1:], qh, k.Data[lo:], dm, scale)
-		mx := math.Inf(-1)
-		for _, s := range probs {
-			if s > mx {
-				mx = s
-			}
-		}
-		sum := tensor.ExpSumRow(probs, mx)
-		tensor.DivideRow(probs, sum)
+		tensor.SoftmaxRow(probs)
 		ch := ctx[lo : lo+dk]
-		for c := range ch {
-			ch[c] = 0
+		tensor.AffineRow(ch, probs[:n1], v.Data[p0*dm+lo:], dm, nil, false)
+		if n1 < n {
+			tensor.AddScaledRows(ch, probs[n1:], v.Data[lo:], dm)
 		}
-		tensor.AddScaledRows(ch, probs[:n1], v.Data[p0*dm+lo:], dm)
-		tensor.AddScaledRows(ch, probs[n1:], v.Data[lo:], dm)
 	}
 }

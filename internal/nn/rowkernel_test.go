@@ -268,6 +268,61 @@ func testApplyRowMatchesReference(t *testing.T) {
 	}
 }
 
+// didPanic reports whether f panics.
+func didPanic(f func()) (panicked bool) {
+	defer func() { panicked = recover() != nil }()
+	f()
+	return false
+}
+
+// TestRowFormsRejectMisSizedRows: a row of the wrong width panics, as the
+// tape's MatMul and LayerNormRows do on the same shapes, instead of returning
+// a partial product or normalising with the wrong gains; a destination wider
+// than the layer, and FFN scratch wider than its hidden layer, are accepted.
+func TestRowFormsRejectMisSizedRows(t *testing.T) {
+	eachKernelPath(t, testRowFormsRejectMisSizedRows)
+}
+
+func testRowFormsRejectMisSizedRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	l := NewLinear("l", 16, 16, rng)
+	ln := NewLayerNorm("ln", 16)
+	f := NewFFN("f", 16, 32, 16, rng)
+	row := func(n int) []float64 { return make([]float64, n) }
+	for _, c := range []struct {
+		name string
+		call func()
+		ok   bool
+	}{
+		{"Linear 16 -> 16", func() { l.ApplyRow(row(16), row(16)) }, true},
+		{"Linear into a wider dst", func() { l.ApplyRow(row(20), row(16)) }, true},
+		{"Linear x 8 wide", func() { l.ApplyRow(row(16), row(8)) }, false},
+		{"Linear x 17 wide", func() { l.ApplyRow(row(16), row(17)) }, false},
+		{"Linear dst 8 wide", func() { l.ApplyRow(row(8), row(16)) }, false},
+		{"LayerNorm 16", func() { ln.ApplyRow(row(16), row(16)) }, true},
+		{"LayerNorm into a wider dst", func() { ln.ApplyRow(row(20), row(16)) }, true},
+		{"LayerNorm x 8 wide", func() { ln.ApplyRow(row(16), row(8)) }, false},
+		{"LayerNorm x 17 wide", func() { ln.ApplyRow(row(17), row(17)) }, false},
+		{"LayerNorm dst 8 wide", func() { ln.ApplyRow(row(8), row(16)) }, false},
+		{"FFN 16 -> 32 -> 16", func() { f.ApplyRow(row(16), row(32), row(16)) }, true},
+		{"FFN with wider scratch", func() { f.ApplyRow(row(16), row(40), row(16)) }, true},
+		{"FFN scratch 16 wide", func() { f.ApplyRow(row(16), row(16), row(16)) }, false},
+		{"FFN x 8 wide", func() { f.ApplyRow(row(16), row(32), row(8)) }, false},
+		{"FFN dst 8 wide", func() { f.ApplyRow(row(8), row(32), row(16)) }, false},
+	} {
+		if panicked := didPanic(c.call); panicked == c.ok {
+			t.Errorf("%s: panicked %v, want %v", c.name, panicked, !c.ok)
+		}
+	}
+	tp := ag.NewTape()
+	if !didPanic(func() { l.Forward(tp, tp.Const(tensor.New(1, 8))) }) {
+		t.Error("the tape's MatMul accepted an 8-wide row into a 16x16 layer")
+	}
+	if !didPanic(func() { ln.Forward(tp, tp.Const(tensor.New(1, 8))) }) {
+		t.Error("the tape's LayerNormRows accepted an 8-wide row into a 16-wide layer")
+	}
+}
+
 // rotated returns the physically rotated copy of a logical-order matrix that
 // a ring with the given head holds: logical row j sits at row (head+j) mod rows.
 func rotated(logical *tensor.Dense, head int) *tensor.Dense {

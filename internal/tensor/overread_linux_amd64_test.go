@@ -79,19 +79,49 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 		}
 	}
 
-	// The softmax leaves: every length mod 4.
+	// AffineRow: every output width 0…17 (no block, one, one and a
+	// remainder, two), bias and ReLU on and off, every operand ending at the
+	// guard page.
+	for width := 0; width <= 17; width++ {
+		for _, nx := range []int{0, 1, 5} {
+			for _, stride := range []int{width, width + 3} {
+				for _, biasRelu := range []bool{false, true} {
+					dst := guarded(t, rng, width)
+					x := guarded(t, rng, nx)
+					nRows := 0
+					if nx > 0 {
+						nRows = (nx-1)*stride + width
+					}
+					rows := guarded(t, rng, nRows)
+					var b []float64
+					if biasRelu {
+						b = guarded(t, rng, width)
+					}
+					want := make([]float64, width)
+					scalarly(func() { AffineRow(want, x, rows, stride, b, biasRelu) })
+					AffineRow(dst, x, rows, stride, b, biasRelu)
+					if j, ok := sameBits(dst, want); !ok {
+						t.Fatalf("affine width %d x %d cell %d: vector %v != Go loops %v", width, nx, j, dst[j], want[j])
+					}
+				}
+			}
+		}
+	}
+
+	// SoftmaxRow: every length mod 4, whole in range (the leaf divides) and
+	// with a −Inf cell (the leaf stops short and the Go loops finish).
 	for n := 0; n <= 17; n++ {
-		row := guarded(t, rng, n)
-		want := append([]float64(nil), row...)
-		var wantSum float64
-		scalarly(func() {
-			wantSum = ExpSumRow(want, 3)
-			DivideRow(want, wantSum)
-		})
-		sum := ExpSumRow(row, 3)
-		DivideRow(row, sum)
-		if j, ok := sameBits(row, want); !ok || sum != wantSum {
-			t.Fatalf("softmax row of %d, cell %d: vector %v != Go loops %v (sums %v, %v)", n, j, row[j], want[j], sum, wantSum)
+		for _, cut := range []bool{false, true} {
+			row := guarded(t, rng, n)
+			if cut && n > 0 {
+				row[n/2] = math.Inf(-1)
+			}
+			want := append([]float64(nil), row...)
+			scalarly(func() { SoftmaxRow(want) })
+			SoftmaxRow(row)
+			if j, ok := sameBits(row, want); !ok {
+				t.Fatalf("softmax row of %d, cell %d: vector %v != Go loops %v", n, j, row[j], want[j])
+			}
 		}
 	}
 

@@ -2,10 +2,12 @@ package tensor
 
 import "math"
 
-// Row kernels: the leaves every multiply-add, softmax exponential and
-// softmax division in the library runs on — the matmul family in tensor.go
-// and the tape's SoftmaxRows (training), nn's ApplyRow/AttendRow (the
-// streaming forward) — and the logarithms of evt's Grimshaw scan.
+// Row kernels: the leaves every multiply-add and every softmax in the
+// library runs on — the matmul family in tensor.go and the tape's
+// SoftmaxRows (training), nn's ApplyRow/AttendRow (the streaming forward) —
+// and the logarithms of evt's Grimshaw scan. AffineRow and SoftmaxRow are
+// fused: a projection row (sum, bias, ReLU) and a softmax row (max, exp, sum,
+// divide) are one call each, and on the vector path one leaf each.
 //
 // Each output cell sees a fixed sequence of float64 operations — products
 // summed in ascending order, multiply and add never fused, a division where
@@ -22,26 +24,37 @@ import "math"
 // in this file are the portable implementation, the remainder handler and the
 // oracle; useVector is the single dispatch point, decided once at init.
 
-// ExpSumRow replaces every s in row by exp(s − mx) and returns the sum of the
-// results, added from zero in ascending order. The vector leaf takes leading
-// groups of four while every s − mx in the group is in [−708, 0]; math.Exp
-// takes the rest — the results are the same bits, so where the split falls
-// is invisible.
-func ExpSumRow(row []float64, mx float64) float64 {
-	j := 0
+// SoftmaxRow replaces row by its softmax, in place: mx is the greatest cell
+// by > from −Inf (a NaN is never chosen), every s becomes exp(s − mx), the
+// results are added from +0 in ascending order, and every cell is divided by
+// that sum (a division, not a multiplication by the reciprocal). The vector
+// leaf takes the max four lanes at a time — the same value in any order but
+// for the sign of a zero maximum, and exp(s − (+0)) and exp(s − (−0)) are
+// the same bits for every s — and the exponentials of leading groups of four
+// while every s − mx in the group is in [−708, 0]; math.Exp takes the rest.
+// The results are the same bits, so where the split falls is invisible. When
+// the leaf takes every cell it also divides, and the row is one call.
+func SoftmaxRow(row []float64) {
+	mx, sum, j := math.Inf(-1), 0.0, 0
 	if useVector {
-		j = expRows4(row, mx)
-	}
-	var sum float64
-	for _, e := range row[:j] {
-		sum += e
+		if mx, sum, j = softmaxRows4(row); j == len(row) {
+			return
+		}
+	} else {
+		for _, s := range row {
+			if s > mx {
+				mx = s
+			}
+		}
 	}
 	for ; j < len(row); j++ {
 		e := math.Exp(row[j] - mx)
 		row[j] = e
 		sum += e
 	}
-	return sum
+	for j := range row {
+		row[j] /= sum
+	}
 }
 
 // LogRow replaces every x in row by math.Log(x). The vector leaf takes
@@ -55,18 +68,6 @@ func LogRow(row []float64) {
 	}
 	for ; j < len(row); j++ {
 		row[j] = math.Log(row[j])
-	}
-}
-
-// DivideRow divides every cell of row by d (a division, not a multiplication
-// by the reciprocal).
-func DivideRow(row []float64, d float64) {
-	j := 0
-	if useVector {
-		j = divRows4(row, d)
-	}
-	for ; j < len(row); j++ {
-		row[j] /= d
 	}
 }
 
@@ -110,6 +111,51 @@ func DotRows(dst, q, rows []float64, stride int, scale float64) {
 		}
 		dst[i] = s * scale
 		o += stride
+	}
+}
+
+// AffineRow writes dst[c] = Σ_k x[k]·(row k)[c] into every cell of dst, where
+// row k is the len(dst) values at rows[k*stride:]: the products summed from
+// +0 in ascending k, skipping x[k] == 0, then bias[c] added to the sum
+// (unless bias is nil), then, if relu, every cell that is not > 0 — NaN and
+// −0 included — set to +0. It is a projection (x the input row, rows the
+// weight matrix, bias its bias, relu an FFN's first layer) and the first run
+// of an attention context (no bias). On the vector path one leaf computes
+// every cell — blocks of 16 and 8 cells in registers, the last few through
+// lane masks, each block stored once — and takes the skip without a branch:
+// a skipped product is masked to +0, which leaves the sum's bits as they
+// were, because a sum that starts from +0 is never −0. Off it, the Go loops
+// do it: a cleared row, AddScaledRows, the bias, the ReLU.
+func AffineRow(dst, x, rows []float64, stride int, bias []float64, relu bool) {
+	if len(dst) == 0 {
+		return
+	}
+	if bias != nil {
+		bias = bias[:len(dst)] // the bias's one bounds check
+	}
+	if useVector {
+		var r, b *float64
+		if len(x) > 0 {
+			rs := rows[:(len(x)-1)*stride+len(dst)] // the rows' one bounds check
+			r = &rs[0]
+		}
+		if bias != nil {
+			b = &bias[0]
+		}
+		affineRowLeaf(dst, x, r, stride, b, relu)
+		return
+	}
+	clear(dst)
+	AddScaledRows(dst, x, rows, stride)
+	for j, bv := range bias {
+		dst[j] += bv
+	}
+	if relu {
+		for j, v := range dst {
+			if !(v > 0) {
+				dst[j] = 0
+			}
+		}
 	}
 }
 

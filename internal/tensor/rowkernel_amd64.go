@@ -7,7 +7,7 @@ import "math"
 // math.Log bit for bit on fixed tables. Written once, here (tests force it
 // off to run the Go loops as the oracle). The self-checks are what keep
 // every softmax cell and every Grimshaw sum one function of its argument:
-// ExpSumRow and LogRow hand the cells their leaves decline to math.Exp and
+// SoftmaxRow and LogRow hand the cells their leaves decline to math.Exp and
 // math.Log, the pinned training and score bits and the DSPOT thresholds
 // were recorded from those, and math.Exp leaves its FMA path under
 // GODEBUG=cpu.fma=off (a later Go release may change either altogether) —
@@ -19,13 +19,13 @@ var useVector = cpuHasAVX2FMA() && packedExpMatchesMathExp() && packedLogMatches
 func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int
 
 //go:noescape
+func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool)
+
+//go:noescape
 func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int
 
 //go:noescape
-func expRows4(p []float64, mx float64) int
-
-//go:noescape
-func divRows4(p []float64, d float64) int
+func softmaxRows4(p []float64) (mx, sum float64, n int)
 
 //go:noescape
 func logRows4(p []float64) int
@@ -56,24 +56,32 @@ func cpuHasAVX2FMA() bool {
 }
 
 // packedExpMatchesMathExp is the self-check: a fixed table of 256 arguments
-// spread over [−708, 0] with every mantissa bit in play, through the packed
-// exp and through math.Exp. The latter's FMA and non-FMA paths differ in the
-// last bit on about one argument in eleven, and on 18 of these.
+// spread over [−708, 0] with every mantissa bit in play, through the softmax
+// leaf and through math.Exp. The latter's FMA and non-FMA paths differ in the
+// last bit on about one argument in eleven, and on 18 of these. The table's
+// maximum is −0, so the leaf's cells are exp(x) itself; a 257th cell leaves
+// its last group incomplete, so the leaf returns before it divides, and its
+// sum must be math.Exp's results added in ascending order.
 func packedExpMatchesMathExp() bool {
-	want := make([]float64, 256)
-	for i := range want {
-		want[i] = -708 * math.Sqrt(float64(i)/255)
+	xs := make([]float64, 257)
+	for i := range 256 {
+		xs[i] = -708 * math.Sqrt(float64(i)/255)
 	}
-	got := append([]float64(nil), want...)
-	if expRows4(got, 0) != len(got) {
+	xs[256] = -1
+	got := append([]float64(nil), xs...)
+	mx, sum, n := softmaxRows4(got)
+	if n != 256 || mx != 0 {
 		return false
 	}
-	for i, x := range want {
-		if math.Float64bits(got[i]) != math.Float64bits(math.Exp(x)) {
+	var want float64
+	for i, x := range xs[:n] {
+		e := math.Exp(x)
+		if math.Float64bits(got[i]) != math.Float64bits(e) {
 			return false
 		}
+		want += e
 	}
-	return true
+	return math.Float64bits(sum) == math.Float64bits(want)
 }
 
 // packedLogMatchesMathLog is the log leaf's self-check: 256 normal arguments

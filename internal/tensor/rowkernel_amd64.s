@@ -106,6 +106,191 @@ done:
 	VZEROUPPER
 	RET
 
+// tailmask is eight all-ones lanes, then eight zero lanes: the 32 bytes at
+// byte 8·(8 − r) are r ones then zeros, and the 32 after them the ones past
+// the fourth — the lane masks of a block of r < 8 cells.
+#define MASK4(off, v) \
+	DATA tailmask<>+(off+0)(SB)/8, v; \
+	DATA tailmask<>+(off+8)(SB)/8, v; \
+	DATA tailmask<>+(off+16)(SB)/8, v; \
+	DATA tailmask<>+(off+24)(SB)/8, v
+
+MASK4(0, $-1)
+MASK4(32, $-1)
+MASK4(64, $0)
+MASK4(96, $0)
+GLOBL tailmask<>(SB), RODATA|NOPTR, $128
+
+// TERM adds x[k]·rows[k][·] to the accumulator acc, the product masked to +0
+// where x[k] is ±0 (Y9, all ones where the coefficient Y4 is not ±0): the
+// zero-skip without a branch. It is the skip's bits because a sum that starts
+// from +0 is never −0, and s + (+0) = s for every other s, NaN payload
+// included.
+#define TERM(prod, acc) \
+	VANDPD Y9, prod, prod; \
+	VADDPD prod, acc, acc
+
+// COEF broadcasts the coefficient at SI into Y4 and its lane mask into Y9
+// (VCMPPD not-equal, unordered true: a NaN coefficient multiplies, as Go's
+// x[k] != 0 says).
+#define COEF \
+	VBROADCASTSD (SI), Y4; \
+	VCMPPD $4, Y15, Y4, Y9
+
+// func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool)
+//
+// Every cell of dst, one cell per lane: dst[c] = Σ_k x[k]·rows[k*stride+c]
+// summed from +0 (a zeroed register) in ascending k, skipping x[k] == ±0;
+// then + bias[c] unless bias is nil; then, if relu, VMAXPD against +0 with the
+// sum as the first operand, which keeps v where v > 0 and gives +0 otherwise
+// (NaN and −0 included) — Go's !(v > 0). Blocks of 16 cells while 16 are
+// left, then one of 8, then the last r < 8 through lane masks (VMASKMOVPD
+// reads and writes no masked lane, so no byte past the row is touched). Each
+// block of dst is stored once.
+TEXT ·affineRowLeaf(SB), NOSPLIT, $0-73
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), BX
+	MOVQ x_base+24(FP), R9
+	MOVQ x_len+32(FP), R10
+	MOVQ rows+48(FP), R11
+	MOVQ stride+56(FP), R8
+	MOVQ bias+64(FP), R12
+	MOVBQZX relu+72(FP), R13
+	SHLQ $3, R8
+	VXORPD Y15, Y15, Y15
+wide:
+	CMPQ BX, $16
+	JLT  narrow
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+	TESTQ CX, CX
+	JZ   bias16
+loop16:
+	COEF
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VMULPD 64(DX), Y4, Y7
+	VMULPD 96(DX), Y4, Y8
+	TERM(Y5, Y0)
+	TERM(Y6, Y1)
+	TERM(Y7, Y2)
+	TERM(Y8, Y3)
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loop16
+bias16:
+	TESTQ R12, R12
+	JZ   relu16
+	VADDPD (R12), Y0, Y0
+	VADDPD 32(R12), Y1, Y1
+	VADDPD 64(R12), Y2, Y2
+	VADDPD 96(R12), Y3, Y3
+	ADDQ $128, R12
+relu16:
+	TESTQ R13, R13
+	JZ   store16
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+	VMAXPD Y15, Y2, Y2
+	VMAXPD Y15, Y3, Y3
+store16:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R11
+	SUBQ $16, BX
+	JMP  wide
+narrow:
+	CMPQ BX, $8
+	JLT  tail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+	TESTQ CX, CX
+	JZ   bias8
+loop8:
+	COEF
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	TERM(Y5, Y0)
+	TERM(Y6, Y1)
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loop8
+bias8:
+	TESTQ R12, R12
+	JZ   relu8
+	VADDPD (R12), Y0, Y0
+	VADDPD 32(R12), Y1, Y1
+	ADDQ $64, R12
+relu8:
+	TESTQ R13, R13
+	JZ   store8
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+store8:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R11
+	SUBQ $8, BX
+tail:
+	TESTQ BX, BX
+	JZ   done
+	MOVQ $8, AX
+	SUBQ BX, AX
+	LEAQ tailmask<>(SB), CX
+	VMOVUPD (CX)(AX*8), Y10
+	VMOVUPD 32(CX)(AX*8), Y11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+	TESTQ CX, CX
+	JZ   biast
+loopt:
+	COEF
+	VMASKMOVPD (DX), Y10, Y5
+	VMASKMOVPD 32(DX), Y11, Y6
+	VMULPD Y5, Y4, Y5
+	VMULPD Y6, Y4, Y6
+	TERM(Y5, Y0)
+	TERM(Y6, Y1)
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loopt
+biast:
+	TESTQ R12, R12
+	JZ   relut
+	VMASKMOVPD (R12), Y10, Y5
+	VMASKMOVPD 32(R12), Y11, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+relut:
+	TESTQ R13, R13
+	JZ   storet
+	VMAXPD Y15, Y0, Y0
+	VMAXPD Y15, Y1, Y1
+storet:
+	VMASKMOVPD Y0, Y10, (DI)
+	VMASKMOVPD Y1, Y11, 32(DI)
+done:
+	VZEROUPPER
+	RET
+
 // DOT4 adds dimensions AX/8 … AX/8+3 of the dot products of four rows, one
 // row per lane, to sum: sum += q[c]·row[c] for the four c in ascending
 // order, with q[c] broadcast in Y12–Y15. The rows are base, base+R8,
@@ -250,21 +435,98 @@ DATA expconst<>+(BIAS+8)(SB)/4, $0x3FF
 DATA expconst<>+(BIAS+12)(SB)/4, $0x3FF
 GLOBL expconst<>(SB), RODATA|NOPTR, $464
 
-// func expRows4(p []float64, mx float64) int
+// EXP4 replaces each lane x of Y0 by exp(x) as math.archExp's FMA path
+// computes it, for x in [−708, 0]: n = round(x·log2 e); x −= n·ln 2 in two
+// fused parts; x /= 16; a Taylor series by Horner, seven fused steps; the
+// /16 undone by y ← y·(y + 2) four times, the last with its + 1 fused; then
+// · 2ⁿ, whose exponent field n + 1023 ≥ 2 is normal in this range.
+// Clobbers Y1 and Y2.
+#define EXP4 \
+	VMULPD expconst<>+LOG2E(SB), Y0, Y1; \
+	VCVTPD2DQY Y1, X2; \
+	VCVTDQ2PD X2, Y1; \
+	VFNMADD231PD expconst<>+LN2U(SB), Y1, Y0; \
+	VFNMADD231PD expconst<>+LN2L(SB), Y1, Y0; \
+	VMULPD expconst<>+SIXTEENTH(SB), Y0, Y0; \
+	VMOVUPD expconst<>+C8(SB), Y1; \
+	VFMADD213PD expconst<>+C7(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+C6(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+C5(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+C4(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+C3(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+HALF(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+ONE(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD expconst<>+TWO(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD expconst<>+TWO(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD expconst<>+TWO(SB), Y0, Y1; \
+	VMULPD Y1, Y0, Y0; \
+	VADDPD expconst<>+TWO(SB), Y0, Y1; \
+	VFMADD213PD expconst<>+ONE(SB), Y1, Y0; \
+	VPADDD expconst<>+BIAS(SB), X2, X2; \
+	VPMOVZXDQ X2, Y2; \
+	VPSLLQ $52, Y2, Y2; \
+	VMULPD Y2, Y0, Y0
+
+// func softmaxRows4(p []float64) (mx, sum float64, n int)
 //
-// p[j] = exp(p[j] − mx) four at a time from j = 0, as math.archExp's FMA
-// path computes it lane for lane. Stops before the first group of four that
-// is incomplete or holds a lane whose p[j] − mx is outside [−708, 0] (NaN
-// included) — the range in which archExp takes neither its non-finite,
-// overflow nor denormal exits — and returns how many cells it has written.
-TEXT ·expRows4(SB), NOSPLIT, $0-40
+// The softmax of p in place, as far as the packed exp reaches:
+//  1. mx = the greatest p[j] by >, from −Inf, so NaN is never chosen: four
+//     running lanes over the whole groups, the lanes against each other,
+//     then the cells past the last whole group. In any order that is the
+//     same value, except the sign of a zero maximum, and exp(s − (+0)) and
+//     exp(s − (−0)) are the same bits for every s.
+//  2. p[j] = exp(p[j] − mx) four at a time from j = 0 (EXP4), stopping
+//     before the first group of four that is incomplete or holds a lane
+//     whose p[j] − mx is outside [−708, 0] (NaN included) — the range in
+//     which archExp takes neither its non-finite, overflow nor denormal
+//     exits.
+//  3. sum = those exponentials added to +0 in ascending j. A pass of its
+//     own: interleaved with step 2, its chain of dependent adds holds back
+//     the independent exponentials of the groups behind it.
+//  4. If step 2 took every cell, p[j] /= sum for all j (VDIVPD).
+//
+// n is how many cells step 2 wrote; the caller finishes and divides when n
+// is short of len(p).
+TEXT ·softmaxRows4(SB), NOSPLIT, $0-48
 	MOVQ p_base+0(FP), DI
 	MOVQ p_len+8(FP), CX
-	VBROADCASTSD mx+24(FP), Y15
-	VXORPD Y14, Y14, Y14
+	MOVQ $0xFFF0000000000000, AX // −Inf
+	MOVQ AX, X8
+	VBROADCASTSD X8, Y8
+	MOVQ CX, DX
+	ANDQ $~3, DX
 	XORQ BX, BX
-	SUBQ $4, CX
-	JLT  done
+	JMP  maxtest
+maxgroup:
+	VMOVUPD (DI)(BX*8), Y0
+	VMAXPD Y8, Y0, Y8 // per lane: s > mx ? s : mx
+	ADDQ $4, BX
+maxtest:
+	CMPQ BX, DX
+	JLT  maxgroup
+	VEXTRACTF128 $1, Y8, X9
+	VMAXPD X9, X8, X8
+	VPERMILPD $1, X8, X9
+	VMAXSD X9, X8, X8
+maxtail:
+	CMPQ BX, CX
+	JGE  exp
+	VMOVSD (DI)(BX*8), X0
+	VMAXSD X8, X0, X8
+	INCQ BX
+	JMP  maxtail
+exp:
+	VMOVSD X8, mx+24(FP)
+	VBROADCASTSD X8, Y15
+	VXORPD Y14, Y14, Y14
+	VXORPD X13, X13, X13
+	XORQ BX, BX
+	MOVQ CX, DX
+	SUBQ $4, DX
+	JLT  expdone
 group:
 	VMOVUPD (DI)(BX*8), Y0
 	VSUBPD Y15, Y0, Y0
@@ -273,68 +535,38 @@ group:
 	VANDPD Y1, Y2, Y1
 	VMOVMSKPD Y1, AX
 	CMPL AX, $0xF
-	JNE  done
-	// n = round(x·log2 e); x −= n·ln 2 in two parts
-	VMULPD expconst<>+LOG2E(SB), Y0, Y1
-	VCVTPD2DQY Y1, X2
-	VCVTDQ2PD X2, Y1
-	VFNMADD231PD expconst<>+LN2U(SB), Y1, Y0
-	VFNMADD231PD expconst<>+LN2L(SB), Y1, Y0
-	VMULPD expconst<>+SIXTEENTH(SB), Y0, Y0
-	// x /= 16 above; Taylor series by Horner, seven fused steps
-	VMOVUPD expconst<>+C8(SB), Y1
-	VFMADD213PD expconst<>+C7(SB), Y0, Y1
-	VFMADD213PD expconst<>+C6(SB), Y0, Y1
-	VFMADD213PD expconst<>+C5(SB), Y0, Y1
-	VFMADD213PD expconst<>+C4(SB), Y0, Y1
-	VFMADD213PD expconst<>+C3(SB), Y0, Y1
-	VFMADD213PD expconst<>+HALF(SB), Y0, Y1
-	VFMADD213PD expconst<>+ONE(SB), Y0, Y1
-	VMULPD Y1, Y0, Y0
-	// undo the /16: y ← y·(y + 2), four times, the last with the + 1 fused
-	VADDPD expconst<>+TWO(SB), Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD expconst<>+TWO(SB), Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD expconst<>+TWO(SB), Y0, Y1
-	VMULPD Y1, Y0, Y0
-	VADDPD expconst<>+TWO(SB), Y0, Y1
-	VFMADD213PD expconst<>+ONE(SB), Y1, Y0
-	// · 2ⁿ: n + 1023 ≥ 2 in this range, so the exponent field is normal
-	VPADDD expconst<>+BIAS(SB), X2, X2
-	VPMOVZXDQ X2, Y2
-	VPSLLQ $52, Y2, Y2
-	VMULPD Y2, Y0, Y0
+	JNE  expdone
+	EXP4
 	VMOVUPD Y0, (DI)(BX*8)
 	ADDQ $4, BX
-	CMPQ BX, CX
+	CMPQ BX, DX
 	JLE  group
-done:
-	VZEROUPPER
-	MOVQ BX, ret+32(FP)
-	RET
-
-// func divRows4(p []float64, d float64) int
-//
-// p[j] /= d for every complete group of four; returns how many cells it
-// divided.
-TEXT ·divRows4(SB), NOSPLIT, $0-40
-	MOVQ p_base+0(FP), DI
-	MOVQ p_len+8(FP), CX
-	VBROADCASTSD d+24(FP), Y1
-	ANDQ $~3, CX
+expdone:
+	XORQ DX, DX
+	JMP  sumtest
+sumcell:
+	VADDSD (DI)(DX*8), X13, X13
+	INCQ DX
+sumtest:
+	CMPQ DX, BX
+	JLT  sumcell
+	VMOVSD X13, sum+32(FP)
+	MOVQ BX, n+40(FP)
+	CMPQ BX, CX
+	JNE  done
+	VBROADCASTSD X13, Y1
 	XORQ BX, BX
-	JMP  test
-group:
+	JMP  divtest
+divgroup:
 	VMOVUPD (DI)(BX*8), Y0
 	VDIVPD Y1, Y0, Y0
 	VMOVUPD Y0, (DI)(BX*8)
 	ADDQ $4, BX
-test:
+divtest:
 	CMPQ BX, CX
-	JLT  group
+	JLT  divgroup
+done:
 	VZEROUPPER
-	MOVQ CX, ret+32(FP)
 	RET
 
 // The constants of math.archLog (log_amd64.s), four lanes wide, with its

@@ -9,14 +9,6 @@ import (
 	"testing"
 )
 
-// scalarly runs f on the Go loops.
-func scalarly(f func()) {
-	probed := useVector
-	useVector = false
-	defer func() { useVector = probed }()
-	f()
-}
-
 func needVector(t *testing.T) {
 	t.Helper()
 	if !useVector {
@@ -24,29 +16,45 @@ func needVector(t *testing.T) {
 	}
 }
 
-// expSumBoth runs ExpSumRow on both paths over copies of row and fails on
-// the first bit that differs; it returns how many leading cells the vector
-// leaf itself took.
-func expSumBoth(t *testing.T, row []float64, mx float64) int {
+// expLeaf runs the softmax leaf over row followed by one −Inf cell, which
+// never wins the max and is outside the packed range wherever its group
+// falls, so the leaf never takes every cell and returns before it divides:
+// the cells it took hold its exponentials. It fails unless the leaf's max is
+// the Go loop's (up to the sign of a zero), every cell it took is
+// math.Exp(s − max)'s bits with the Go loop's max, and its sum is those
+// added from +0 in ascending order; it returns how many cells the leaf took.
+func expLeaf(t *testing.T, row []float64) int {
 	t.Helper()
-	want := append([]float64(nil), row...)
+	p := append(append([]float64(nil), row...), math.Inf(-1))
+	mx, sum, took := softmaxRows4(p)
+	want := math.Inf(-1)
+	for _, s := range row {
+		if s > want {
+			want = s
+		}
+	}
+	if mx != want {
+		t.Fatalf("row of %d: leaf max %v, Go loop %v", len(row), mx, want)
+	}
 	var wantSum float64
-	scalarly(func() { wantSum = ExpSumRow(want, mx) })
-	got := append([]float64(nil), row...)
-	gotSum := ExpSumRow(got, mx)
-	if j, ok := sameBits(got, want); !ok {
-		t.Fatalf("exp(%v − %v) at cell %d of %d: vector path %#x, math.Exp %#x",
-			row[j], mx, j, len(row), math.Float64bits(got[j]), math.Float64bits(want[j]))
+	for j, s := range row[:took] {
+		e := math.Exp(s - want)
+		if math.Float64bits(p[j]) != math.Float64bits(e) {
+			t.Fatalf("exp(%v − %v) at cell %d of %d: leaf %#x, math.Exp %#x",
+				s, want, j, len(row), math.Float64bits(p[j]), math.Float64bits(e))
+		}
+		wantSum += e
 	}
-	if math.Float64bits(gotSum) != math.Float64bits(wantSum) {
-		t.Fatalf("row of %d: vector-path sum %v != scalar sum %v", len(row), gotSum, wantSum)
+	if math.Float64bits(sum) != math.Float64bits(wantSum) {
+		t.Fatalf("row of %d: leaf sum %v != ascending sum %v", len(row), sum, wantSum)
 	}
-	return expRows4(append([]float64(nil), row...), mx)
+	return took
 }
 
 // TestPackedExpMatchesMathExp drives the softmax exponential — the one place
 // the vector path is not a lane-for-lane copy of compiled Go but a replica of
-// an assembly routine in another package — against math.Exp itself.
+// an assembly routine in another package — against math.Exp itself, through
+// the softmax leaf that runs it.
 func TestPackedExpMatchesMathExp(t *testing.T) {
 	needVector(t)
 	rng := rand.New(rand.NewSource(41))
@@ -57,13 +65,16 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		return -708 * rng.Float64()
 	}
 
-	// ≥ 10⁶ arguments in [−708, 0], whole rows on the vector leaf.
+	// ≥ 10⁶ arguments in [−708, 0], whole rows on the vector leaf; a +0 cell
+	// in a lane that moves from row to row pins the max, so the argument is
+	// the cell itself.
 	row := make([]float64, 48)
 	for n := 0; n < 1<<20; n += len(row) {
 		for j := range row {
 			row[j] = inRange()
 		}
-		if took := expSumBoth(t, row, 0); took != len(row) {
+		row[n/len(row)%len(row)] = 0
+		if took := expLeaf(t, row); took != len(row) {
 			t.Fatalf("in-range row: vector leaf took %d of %d cells", took, len(row))
 		}
 	}
@@ -73,11 +84,13 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		for j := range row {
 			row[j] = mx + inRange()
 		}
-		expSumBoth(t, row, mx)
+		expLeaf(t, row)
 	}
 
-	// Edge arguments in every lane position of a row of two groups. The leaf
-	// must stop before the group holding a lane outside [−708, 0].
+	// Edge arguments in every lane position of two groups, the max pinned at
+	// +0 by a ninth cell. The leaf must stop before the group holding a lane
+	// outside [−708, 0]. s − max is never above 0 for a finite max; NaN
+	// arrives as a NaN cell or as +Inf − +Inf.
 	edges := []struct {
 		x  float64
 		in bool
@@ -90,28 +103,42 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		{math.Nextafter(-708, math.Inf(-1)), false},
 		{-745.2, false}, // exp is subnormal from −708.4 and zero from −745.14
 		{-1000, false},
-		{5e-324, false},
-		{1, false},
-		{710, false},
 		{math.Inf(-1), false},
-		{math.Inf(1), false},
 		{math.NaN(), false},
 	}
-	short := make([]float64, 8)
+	short := make([]float64, 9)
 	for _, e := range edges {
-		for pos := range short {
+		for pos := range 8 {
 			for j := range short {
 				short[j] = inRange()
 			}
-			short[pos] = e.x
-			want := len(short)
+			short[pos], short[8] = e.x, 0
+			want := 8
 			if !e.in {
 				want = pos &^ 3
 			}
-			if took := expSumBoth(t, short, 0); took != want {
+			if took := expLeaf(t, short); took != want {
 				t.Fatalf("edge %v at cell %d: vector leaf took %d cells, want %d", e.x, pos, took, want)
 			}
 		}
+	}
+	// ±0 maxima in every pair of lanes: the leaf may keep either sign.
+	for a := range 8 {
+		for b := range 8 {
+			if a == b {
+				continue
+			}
+			for j := range short {
+				short[j] = inRange()
+			}
+			short[a], short[b] = 0, math.Copysign(0, -1)
+			expLeaf(t, short)
+		}
+	}
+	// A +Inf cell: every other argument is −Inf, its own is NaN.
+	short[3] = math.Inf(1)
+	if took := expLeaf(t, short); took != 0 {
+		t.Fatalf("+Inf max: vector leaf took %d cells, want 0", took)
 	}
 
 	// Lengths around the group size and the benchmark's 48 keys: the cells
@@ -121,15 +148,8 @@ func TestPackedExpMatchesMathExp(t *testing.T) {
 		for j := range r {
 			r[j] = inRange()
 		}
-		if took := expSumBoth(t, r, 0); took != n&^3 {
+		if took := expLeaf(t, r); took != n&^3 {
 			t.Fatalf("row of %d: vector leaf took %d cells, want %d", n, took, n&^3)
-		}
-		got := append([]float64(nil), r...)
-		want := append([]float64(nil), r...)
-		DivideRow(got, 3.7)
-		scalarly(func() { DivideRow(want, 3.7) })
-		if j, ok := sameBits(got, want); !ok {
-			t.Fatalf("row of %d cell %d: packed divide %v != scalar %v", n, j, got[j], want[j])
 		}
 	}
 }
@@ -282,6 +302,13 @@ func TestVectorPathSelfCheck(t *testing.T) {
 	}
 	if !probe {
 		t.Skip(noVector)
+	}
+	// exp(−0.1875) ends in …7b on math.Exp's FMA path and …7c off it. On
+	// the FMA path the softmax leaf must pass its self-check: a leaf that
+	// broke it would otherwise only turn the vector path off, and every
+	// vector subtest would skip rather than fail.
+	if math.Float64bits(math.Exp(-0.1875)) == 0x3fea876812c0877b && !packedExpMatchesMathExp() {
+		t.Fatal("math.Exp takes its FMA path, but the softmax leaf does not reproduce it on its self-check table")
 	}
 	if !packedLogMatchesMathLog() {
 		t.Fatal("the packed log does not reproduce math.Log on its self-check table")

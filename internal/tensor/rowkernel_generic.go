@@ -12,12 +12,16 @@ func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int {
 	panic("tensor: no vector kernels on this architecture")
 }
 
+func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
 func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int {
 	panic("tensor: no vector kernels on this architecture")
 }
 
-func expRows4(p []float64, mx float64) int { panic("tensor: no vector kernels on this architecture") }
-
-func divRows4(p []float64, d float64) int { panic("tensor: no vector kernels on this architecture") }
+func softmaxRows4(p []float64) (mx, sum float64, n int) {
+	panic("tensor: no vector kernels on this architecture")
+}
 
 func logRows4(p []float64) int { panic("tensor: no vector kernels on this architecture") }

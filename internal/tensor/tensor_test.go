@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -412,6 +413,183 @@ func testMatMulFamilyMatchesReference(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// applyRowRef and softmaxRowRef are a projection row and a softmax row as
+// they stood before their leaves were fused, verbatim and on the Go loops:
+// Linear.ApplyRow's zeroed row, AddScaledRows and bias, then FFN.ApplyRow's
+// ReLU; AttendRow's max loop, then the bodies of ExpSumRow and DivideRow.
+
+func applyRowRef(dst, x, rows []float64, stride int, bias []float64, relu bool) {
+	for j := range dst {
+		dst[j] = 0
+	}
+	scalarly(func() { AddScaledRows(dst, x, rows, stride) })
+	if bias != nil {
+		for j, bv := range bias[:len(dst)] {
+			dst[j] += bv
+		}
+	}
+	if relu {
+		for j, v := range dst {
+			if !(v > 0) {
+				dst[j] = 0
+			}
+		}
+	}
+}
+
+func softmaxRowRef(row []float64) {
+	mx := math.Inf(-1)
+	for _, s := range row {
+		if s > mx {
+			mx = s
+		}
+	}
+	var sum float64
+	for j := range row {
+		e := math.Exp(row[j] - mx)
+		row[j] = e
+		sum += e
+	}
+	for j := range row {
+		row[j] /= sum
+	}
+}
+
+// TestAffineRowMatchesReference holds the fused projection to applyRowRef bit
+// for bit on both kernel paths: every output width 0–70 (each side of the
+// leaf's 8- and 16-cell blocks), inputs 0–33 wide, strides wider than the
+// row, with and without bias and ReLU, over a destination holding garbage.
+// The plain fill sprinkles ±0 over x (the skip), W and the bias; the special
+// fill adds NaN, ±Inf, 5e−324 and MaxFloat64 to all three, so a dropped skip
+// turns 0·Inf into NaN, and NaN and overflowing sums reach the ReLU. Every NaN
+// in play has the one bit pattern x86 itself produces (see
+// TestVectorKernelsSpecialValues).
+func TestAffineRowMatchesReference(t *testing.T) { eachKernelPath(t, testAffineRowMatchesReference) }
+
+func testAffineRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	nan := math.Float64frombits(0xfff8_0000_0000_0000)
+	special := []float64{nan, math.Inf(1), math.Inf(-1), 5e-324, math.MaxFloat64}
+	fill := func(n int, pSpecial float64) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			switch p := rng.Float64(); {
+			case p < 0.1:
+				d[i] = 0
+			case p < 0.2:
+				d[i] = math.Copysign(0, -1)
+			case p < 0.2+pSpecial:
+				d[i] = special[rng.Intn(len(special))]
+			default:
+				d[i] = rng.NormFloat64()
+			}
+		}
+		return d
+	}
+	for width := 0; width <= 70; width++ {
+		for _, in := range []int{0, 1, 3, 16, 33} {
+			for _, pSpecial := range []float64{0, 0.05} {
+				for _, pad := range []int{0, 3} {
+					stride := width + pad
+					x := fill(in, pSpecial)
+					rows := fill(max(in*stride, 1), pSpecial)
+					for _, bias := range [][]float64{nil, fill(width, pSpecial)} {
+						for _, relu := range []bool{false, true} {
+							want := make([]float64, width)
+							applyRowRef(want, x, rows, stride, bias, relu)
+							got := fill(width, 0.3)
+							AffineRow(got, x, rows, stride, bias, relu)
+							if j, ok := sameBits(got, want); !ok {
+								t.Fatalf("width %d in %d stride %d (special %v, bias %v, relu %v) cell %d: AffineRow %#x != reference %#x",
+									width, in, stride, pSpecial > 0, bias != nil, relu, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSoftmaxRowMatchesReference holds the fused softmax to softmaxRowRef bit
+// for bit on both kernel paths, widths 0–70, over rows of random values; rows
+// holding −Inf, +Inf or NaN cells; rows of equal values; a +0 and a −0
+// maximum in every pair of lanes of the first two groups; arguments below
+// −708 (subnormal and zero exponentials) scattered mid-row; and the rows of a
+// −1e9 causal mask.
+func TestSoftmaxRowMatchesReference(t *testing.T) { eachKernelPath(t, testSoftmaxRowMatchesReference) }
+
+func testSoftmaxRowMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	nan := math.Float64frombits(0xfff8_0000_0000_0000)
+	check := func(what string, row []float64) {
+		t.Helper()
+		want := append([]float64(nil), row...)
+		softmaxRowRef(want)
+		got := append([]float64(nil), row...)
+		SoftmaxRow(got)
+		if j, ok := sameBits(got, want); !ok {
+			t.Fatalf("%s, width %d, cell %d: SoftmaxRow %#x != reference %#x",
+				what, len(row), j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+		}
+	}
+	randRow := func(n int) []float64 {
+		row := make([]float64, n)
+		for j := range row {
+			row[j] = 3 * rng.NormFloat64()
+		}
+		return row
+	}
+	for width := 0; width <= 70; width++ {
+		for range 4 {
+			check("random", randRow(width))
+		}
+		if width == 0 {
+			continue
+		}
+		for _, v := range []float64{math.Inf(-1), math.Inf(1), nan} {
+			row := randRow(width)
+			row[rng.Intn(width)] = v
+			check(fmt.Sprintf("a %v cell", v), row)
+		}
+		row := make([]float64, width)
+		for j := range row {
+			row[j] = -2.5
+		}
+		check("equal", row)
+		deep := randRow(width) // most cells stay near the row's maximum
+		for j := range deep {
+			switch rng.Intn(5) {
+			case 0:
+				deep[j] -= 708 + 40*rng.Float64() // subnormal, then zero from −745
+			case 1:
+				deep[j] = -708 + deep[j]*1e-3
+			}
+		}
+		check("below −708", deep)
+		causal := randRow(width)
+		for j := rng.Intn(width) + 1; j < width; j++ {
+			causal[j] -= 1e9
+		}
+		check("causal mask", causal)
+	}
+	for a := range 8 {
+		for b := range 8 {
+			for _, width := range []int{8, 9, 12} {
+				if a == b {
+					continue
+				}
+				row := randRow(width)
+				for j := range row {
+					row[j] = -math.Abs(row[j]) - 1
+				}
+				row[a], row[b] = 0, math.Copysign(0, -1)
+				check(fmt.Sprintf("+0 at %d, −0 at %d", a, b), row)
 			}
 		}
 	}
