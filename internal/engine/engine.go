@@ -400,46 +400,82 @@ func (e *Engine) Ingest(id string, f core.Frame) error {
 	if sub == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownSubscription, id)
 	}
-	return e.enqueue(sub, f)
+	_, _, err := e.enqueue(sub, []core.Frame{f})
+	return err
 }
 
 // Ingest is Engine.Ingest for a caller that already holds the tenant's
 // handle — a connection serving one tenant — and so skips the lookup by
 // id under the engine's lock.
 func (s *Subscription) Ingest(f core.Frame) error {
-	if s.e.closed.Load() {
-		return ErrClosed
-	}
-	return s.e.enqueue(s.sub, f)
+	_, _, err := s.IngestBatch([]core.Frame{f})
+	return err
 }
 
-func (e *Engine) enqueue(sub *subscription, f core.Frame) error {
-	if len(f.Magnitudes) != sub.n {
-		return fmt.Errorf("engine: frame for %q has %d stars, detector expects %d", sub.id, len(f.Magnitudes), sub.n)
+// IngestBatch enqueues frames in order under one acquisition of the
+// tenant's shard lock, parking frame by frame while the queue is full
+// (lossless, ordered backpressure). It returns how many frames entered the
+// engine — a prefix of frames, all of them unless err is set — and the
+// shard queue's headroom read under the same lock, the figure a network
+// front end sizes its next credit grant from. The magnitudes are copied,
+// so the caller may reuse every slice as soon as it returns.
+func (s *Subscription) IngestBatch(frames []core.Frame) (n, headroom int, err error) {
+	if s.e.closed.Load() {
+		return 0, 0, ErrClosed
 	}
+	return s.e.enqueue(s.sub, frames)
+}
+
+// enqueue is the one ingest implementation: every path into the engine,
+// one frame or a burst, copies its frames into the shard ring here.
+func (e *Engine) enqueue(sub *subscription, frames []core.Frame) (n, headroom int, err error) {
 	sh := sub.shard
 	sh.mu.Lock()
-	for sh.count == len(sh.queue) && !sh.closed {
-		sh.cond.Wait()
+	staged := 0 // entered frames not yet published
+	for ; n < len(frames); n++ {
+		f := &frames[n]
+		if len(f.Magnitudes) != sub.n {
+			err = fmt.Errorf("engine: frame for %q has %d stars, detector expects %d", sub.id, len(f.Magnitudes), sub.n)
+			break
+		}
+		if sh.count == len(sh.queue) && !sh.closed {
+			// Publish before parking: Wait releases the lock, and the
+			// worker that frees a slot must have been handed the shard.
+			e.publish(sh, staged)
+			staged = 0
+			for sh.count == len(sh.queue) && !sh.closed {
+				sh.cond.Wait()
+			}
+		}
+		if sh.closed {
+			err = ErrClosed
+			break
+		}
+		buf := sh.getBuf(len(f.Magnitudes))
+		copy(buf, f.Magnitudes)
+		slot := (sh.head + sh.count) % len(sh.queue)
+		sh.queue[slot] = item{sub: sub, time: f.Time, mags: buf}
+		sh.count++
+		staged++
 	}
-	if sh.closed {
-		sh.mu.Unlock()
-		return ErrClosed
+	e.publish(sh, staged)
+	headroom = len(sh.queue) - sh.count
+	sh.mu.Unlock()
+	return n, headroom, err
+}
+
+// publish counts k frames entered under sh.mu as pending and schedules the
+// shard. Caller holds sh.mu, so the frames are still invisible to workers:
+// Flush and Close can never observe an empty engine with them in flight.
+func (e *Engine) publish(sh *shard, k int) {
+	if k == 0 {
+		return
 	}
-	// Count the frame as pending before it becomes visible to workers so
-	// Flush/Close cannot observe an empty engine with this frame in flight.
-	e.addPending(1)
-	buf := sh.getBuf(len(f.Magnitudes))
-	copy(buf, f.Magnitudes)
-	slot := (sh.head + sh.count) % len(sh.queue)
-	sh.queue[slot] = item{sub: sub, time: f.Time, mags: buf}
-	sh.count++
+	e.addPending(k)
 	if !sh.scheduled {
 		sh.scheduled = true
 		e.ready <- sh // buffered to Shards; the scheduled flag caps it at one entry per shard
 	}
-	sh.mu.Unlock()
-	return nil
 }
 
 // Samples returns the channel-based ingest path: a bounded channel whose

@@ -170,9 +170,10 @@ func (s *Subscription) Health() HealthState { return s.sub.state() }
 
 // QueueHeadroom reports how many more frames the tenant's shard queue
 // can accept before Ingest would block — the signal a network front end
-// sizes its flow-control credit grants from, so a saturated shard slows
-// remote producers at the protocol layer instead of parking their
-// connection goroutines.
+// sizes its first flow-control credit grant from (IngestBatch returns the
+// same figure for every later one), so a saturated shard slows remote
+// producers at the protocol layer instead of parking their connection
+// goroutines.
 func (s *Subscription) QueueHeadroom() int {
 	sh := s.sub.shard
 	sh.mu.Lock()

@@ -55,7 +55,9 @@ type subscriptionInfo struct {
 //
 // The /ingest endpoint shares the engine's backpressure: each line's
 // Ingest blocks while the tenant's shard is saturated, so a slow shard
-// slows the HTTP client's request body read instead of buffering.
+// slows the HTTP client's request body read instead of buffering. A drain
+// that starts mid-request ends it with 503 and the accepted prefix: every
+// frame counted in "accepted" is in the drain's checkpoint.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
@@ -182,7 +184,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			respond(http.StatusNotFound, fmt.Sprintf("line %d: unknown tenant %q", line, f.Sub))
 			return
 		}
-		if err := s.cfg.Engine.Ingest(f.Sub, core.Frame{Time: f.Time, Magnitudes: f.Mags}); err != nil {
+		// A drain that began mid-request must not flush and checkpoint
+		// without this line's frame, so the check and the hand-off share
+		// the lock Drain takes once the flag is up.
+		s.httpMu.RLock()
+		if s.draining.Load() || s.closed.Load() {
+			s.httpMu.RUnlock()
+			respond(http.StatusServiceUnavailable, fmt.Sprintf("line %d: %v", line, ErrDraining))
+			return
+		}
+		err = sub.Ingest(core.Frame{Time: f.Time, Magnitudes: f.Mags})
+		s.httpMu.RUnlock()
+		if err != nil {
 			respond(http.StatusBadRequest, fmt.Sprintf("line %d: %v", line, err))
 			return
 		}

@@ -2,10 +2,13 @@ package ingest_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"aero/internal/ingest"
 )
@@ -131,4 +134,69 @@ func TestHTTPEndpoints(t *testing.T) {
 	e.Close()
 	wg.Wait()
 	_ = d
+}
+
+// TestHTTPIngestDrainMidRequest pins the drain barrier on the JSON-lines
+// endpoint: a request streams one line, a drain runs to completion, then
+// two more lines arrive. The reply is 503 with "accepted" equal to what
+// the drain's checkpoint saw, and nothing past it reaches the engine.
+func TestHTTPIngestDrainMidRequest(t *testing.T) {
+	e, subs := newTestEngine(t, "field-000")
+	_, wg := collectAlarms(e)
+	sub := subs["field-000"]
+	var checkpointed uint64
+	srv := newTestServer(t, e, subs, ingest.ServerConfig{
+		Checkpoint: func() error {
+			checkpointed = sub.Stats().Frames
+			return nil
+		},
+	})
+	line := func(ts int) string {
+		return fmt.Sprintf(`{"sub":"field-000","time":%d,"mags":[1,2,3,4,5]}`+"\n", ts)
+	}
+	body, feed := io.Pipe()
+	defer body.Close()
+	rec := httptest.NewRecorder()
+	handled := make(chan struct{})
+	go func() {
+		defer close(handled)
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/ingest", body))
+	}()
+
+	if _, err := io.WriteString(feed, line(1)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Stats().HTTPFrames < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("first line never accepted")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := srv.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		io.WriteString(feed, line(2)+line(3))
+		feed.Close()
+	}()
+	<-handled
+
+	var reply struct {
+		Accepted uint64 `json:"accepted"`
+		Error    string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil {
+		t.Fatalf("reply %q: %v", rec.Body.Bytes(), err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || reply.Accepted != checkpointed || checkpointed != 1 {
+		t.Fatalf("reply %d %+v, checkpoint saw %d frames: want 503 accepting exactly the checkpointed 1",
+			rec.Code, reply, checkpointed)
+	}
+	e.Flush()
+	if got := sub.Stats().Frames; got != checkpointed {
+		t.Fatalf("engine scored %d frames, checkpoint holds %d", got, checkpointed)
+	}
+	e.Close()
+	wg.Wait()
 }

@@ -150,7 +150,7 @@ func TestSocketBitIdentity(t *testing.T) {
 
 	e, subs := newTestEngine(t, "field-000")
 	got, wg := collectAlarms(e)
-	srv := newTestServer(t, e, subs, ingest.ServerConfig{CreditWindow: 8, AckEvery: 3})
+	srv := newTestServer(t, e, subs, ingest.ServerConfig{CreditWindow: 8})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -217,7 +217,7 @@ func TestDrainRestartBitIdentity(t *testing.T) {
 	e1, subs1 := newTestEngine(t, "field-000")
 	got1, wg1 := collectAlarms(e1)
 	srv1 := newTestServer(t, e1, subs1, ingest.ServerConfig{
-		CreditWindow: 8, AckEvery: 3,
+		CreditWindow: 8,
 		Checkpoint: func() error {
 			blobMu.Lock()
 			defer blobMu.Unlock()
@@ -282,7 +282,7 @@ func TestDrainRestartBitIdentity(t *testing.T) {
 	}
 	blobMu.Unlock()
 	got2, wg2 := collectAlarms(e2)
-	srv2 := newTestServer(t, e2, subs2, ingest.ServerConfig{CreditWindow: 8, AckEvery: 3})
+	srv2 := newTestServer(t, e2, subs2, ingest.ServerConfig{CreditWindow: 8})
 	serve2 := make(chan error, 1)
 	go func() { serve2 <- srv2.Serve(l) }()
 
@@ -382,7 +382,7 @@ func TestBackpressureCreditExhaustion(t *testing.T) {
 	}
 	_, wg := collectAlarms(e)
 	subs := map[string]*engine.Subscription{"gate": sub}
-	srv := newTestServer(t, e, subs, ingest.ServerConfig{CreditWindow: 4, AckEvery: 2})
+	srv := newTestServer(t, e, subs, ingest.ServerConfig{CreditWindow: 4})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -466,9 +466,9 @@ func TestBackpressureCreditExhaustion(t *testing.T) {
 	<-serveDone
 }
 
-// TestServerRefusesUnknownTenantAndBadSeq covers the protocol error
-// paths end to end: an unknown tenant is refused at handshake, and the
-// server's stats count the violation.
+// TestServerRefusesUnknownTenant covers the handshake's error path end to
+// end: an unknown tenant is refused, and the server's stats count the
+// violation. Data-frame violations are TestBurstProtocolViolations's.
 func TestServerRefusesUnknownTenant(t *testing.T) {
 	d, _ := fixture(t)
 	e, subs := newTestEngine(t, "field-000")

@@ -38,13 +38,9 @@ type ServerConfig struct {
 	// endpoint; optional.
 	Subscriptions func() []*engine.Subscription
 	// CreditWindow caps one connection's outstanding (granted but
-	// unacknowledged) frames; it also bounds the client's resend buffer.
-	// Defaults to 64.
+	// unacknowledged) frames; it also bounds the client's resend buffer
+	// and the connection's read-burst staging. Defaults to 64.
 	CreditWindow int
-	// AckEvery batches cumulative acks: one is sent at the latest every
-	// AckEvery accepted frames (credit top-ups can send them sooner).
-	// Defaults to CreditWindow/4.
-	AckEvery int
 	// Checkpoint runs during Drain after every in-flight frame has been
 	// scored and before clients are told which prefix is safe to drop —
 	// the hook that persists warm detector + triage state. Optional.
@@ -71,12 +67,6 @@ type ServerConfig struct {
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.CreditWindow <= 0 {
 		c.CreditWindow = 64
-	}
-	if c.AckEvery <= 0 {
-		c.AckEvery = c.CreditWindow / 4
-	}
-	if c.AckEvery < 1 {
-		c.AckEvery = 1
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -119,6 +109,10 @@ type Server struct {
 	draining atomic.Bool
 	closed   atomic.Bool
 	connWG   sync.WaitGroup
+	// httpMu is held shared by each /ingest line from its drain check to
+	// its engine hand-off; Drain takes it exclusively once the flag is up,
+	// so no line accepted after that can miss the flush and checkpoint.
+	httpMu sync.RWMutex
 
 	accepted    atomic.Uint64
 	frames      atomic.Uint64
@@ -132,16 +126,18 @@ type Server struct {
 
 // serverObs holds the ingest hot-path instruments. A nil *serverObs is
 // inert; when non-nil, every field is non-nil too, so the conn loop pays
-// one nil-check per frame when metrics are off.
+// one nil-check per read burst when metrics are off.
 type serverObs struct {
-	// readWait: time parked in ReadMsg between data frames — how starved
-	// the server is for input (large = client or network is the bottleneck).
+	// readWait: time parked in ReadMsg before a burst's first data frame —
+	// how starved the server is for input (large = client or network is
+	// the bottleneck).
 	readWait *metrics.Histogram
-	// engineWait: time parked in the blocking Engine.Ingest — protocol
-	// backpressure (large = a shard queue is full and credits are choked).
+	// engineWait: time parked in the burst's blocking IngestBatch —
+	// protocol backpressure (large = a shard queue is full and credits are
+	// choked).
 	engineWait *metrics.Histogram
-	// frame: decode-complete → ingested + ack decided, the server-side
-	// round-trip for one data frame.
+	// frame: first frame decoded → burst ingested + ack decided, the
+	// server-side round-trip for one read burst.
 	frame *metrics.Histogram
 }
 
@@ -164,9 +160,9 @@ func (s *Server) newServerObs(reg *metrics.Registry) *serverObs {
 		return float64(len(s.conns))
 	})
 	return &serverObs{
-		readWait:   reg.Histogram("aero_ingest_read_wait_seconds", "Time parked waiting for the next frame on a connection."),
-		engineWait: reg.Histogram("aero_ingest_engine_wait_seconds", "Time parked in the blocking engine ingest (backpressure)."),
-		frame:      reg.Histogram("aero_ingest_frame_seconds", "Server-side round-trip for one data frame: decode to ack."),
+		readWait:   reg.Histogram("aero_ingest_read_wait_seconds", "Time parked waiting for the next read burst on a connection."),
+		engineWait: reg.Histogram("aero_ingest_engine_wait_seconds", "Time parked in the blocking engine ingest of one read burst (backpressure); observed once per burst."),
+		frame:      reg.Histogram("aero_ingest_frame_seconds", "Server-side round-trip for one read burst of data frames: first decode to ack; observed once per burst."),
 	}
 }
 
@@ -303,6 +299,9 @@ func (s *Server) Drain() error {
 	for _, sc := range conns {
 		sc.cut()
 	}
+	// HTTP lines in flight finish their hand-off; later ones see the flag.
+	s.httpMu.Lock()
+	s.httpMu.Unlock()
 
 	// Barrier: every frame accepted before the cut is scored...
 	s.cfg.Engine.Flush()
@@ -353,9 +352,8 @@ func (s *Server) Close() {
 
 // serverConn is one protocol connection's state machine. The reader
 // goroutine (run) owns all fields except where noted; Drain coordinates
-// with it through pmu, which the reader holds while processing one
-// message — locking pmu therefore means "the reader is between
-// messages".
+// with it through pmu, which the reader holds while processing one read
+// burst — locking pmu therefore means "the reader is between bursts".
 type serverConn struct {
 	s  *Server
 	c  net.Conn
@@ -366,6 +364,16 @@ type serverConn struct {
 
 	sub   *engine.Subscription
 	width int
+
+	// Read-burst staging, reused across bursts: frames aliases the decoded
+	// magnitudes (slot 0 the first frame's, slot k ≥ 1 mags[k-1]), seqs
+	// holds their sequence numbers and dm is the decode target for the
+	// frames buffered behind the first. A burst ends at its last credit, so
+	// staging stays ≤ CreditWindow × width.
+	frames []core.Frame
+	seqs   []uint64
+	mags   [][]float64
+	dm     Msg
 
 	pmu      sync.Mutex
 	expected uint64 // next in-order sequence number (0 until the first frame)
@@ -405,7 +413,7 @@ func (sc *serverConn) run() {
 	}
 	sc.sub = sub
 	sc.width = m.Variates
-	grant := sc.grantSize(0)
+	grant := sc.grantSize(sub.QueueHeadroom(), 0)
 	sc.granted = grant
 	if err := sc.send(&Msg{Type: MsgHelloAck, Credits: uint32(grant)}); err != nil {
 		return
@@ -430,10 +438,7 @@ func (sc *serverConn) run() {
 				tFrame = metrics.Now()
 				obs.readWait.Record(tFrame - tRead)
 			}
-			// A frame with nothing buffered behind it is the end of a
-			// burst: ack promptly so a quiescing client's Flush always
-			// terminates. Mid-burst, acks batch on AckEvery.
-			if !sc.handleData(&m, sc.br.Buffered() == 0) {
+			if !sc.handleBurst(&m) {
 				return
 			}
 			if obs != nil {
@@ -454,15 +459,20 @@ func (sc *serverConn) run() {
 	}
 }
 
-// handleData ingests one frame (or sets it aside during a drain) and
-// keeps the ack/credit flow moving. Returns false when the connection
+// handleBurst ingests one read burst — the Data frame just read plus
+// every further complete Data message the reader already holds, up to the
+// one that spends the connection's last credit — or sets the frame aside
+// during a drain. Frames are validated one by one (seq, credit, width); the
+// valid prefix enters the engine in one IngestBatch, and a violation then
+// fails the connection with the code a frame-at-a-time loop would have
+// sent after ingesting the same prefix. Returns false when the connection
 // must close.
 //
-// pmu is held for the entire frame — including the blocking Ingest — so
-// a drain cut can never land between a frame entering the engine and its
-// sequence number being recorded: cut() waits for the in-flight frame,
-// and the cutoff it records is exactly the engine's high-water mark.
-func (sc *serverConn) handleData(m *Msg, idle bool) bool {
+// pmu is held for the whole burst — including IngestBatch's parks on a
+// full queue — so a drain cut can never land between a frame entering the
+// engine and its sequence number being recorded: cut() waits for the
+// burst, and the cutoff it records is exactly the engine's high-water mark.
+func (sc *serverConn) handleBurst(first *Msg) bool {
 	sc.pmu.Lock()
 	if sc.discard.Load() {
 		// Drained mid-flight: the frame is NOT ingested; the drain notice
@@ -472,58 +482,95 @@ func (sc *serverConn) handleData(m *Msg, idle bool) bool {
 		sc.pmu.Unlock()
 		return true
 	}
-	if sc.expected != 0 && m.Seq != sc.expected {
-		sc.pmu.Unlock()
-		sc.fail(CodeOutOfOrder, fmt.Sprintf("seq %d, expected %d", m.Seq, sc.expected))
-		return false
+	buf, _ := sc.br.Peek(sc.br.Buffered())
+	used := 0 // bytes of buf holding frames staged behind the first
+	idle := false
+	granted, expected := sc.granted, sc.expected
+	var code uint16 // first violation; 0 when the whole burst is valid
+	var text string
+	frames, seqs := sc.frames[:0], sc.seqs[:0]
+	for m := first; ; {
+		if expected != 0 && m.Seq != expected {
+			code, text = CodeOutOfOrder, fmt.Sprintf("seq %d, expected %d", m.Seq, expected)
+			break
+		}
+		if granted <= 0 {
+			code, text = CodeCreditExceeded, "data frame beyond granted credits"
+			break
+		}
+		if len(m.Mags) != sc.width {
+			code, text = CodeWidthMismatch, fmt.Sprintf("frame has %d variates, handshake declared %d", len(m.Mags), sc.width)
+			break
+		}
+		granted--
+		expected = m.Seq + 1
+		frames = append(frames, core.Frame{Time: m.Time, Magnitudes: m.Mags})
+		seqs = append(seqs, m.Seq)
+		if granted == 0 {
+			break // the ack below carries the top-up the next frame needs
+		}
+		k := len(frames) - 1
+		if k == len(sc.mags) {
+			sc.mags = append(sc.mags, nil)
+		}
+		m = &sc.dm
+		m.Mags = sc.mags[k]
+		n, err := DecodeMsg(buf[used:], m)
+		sc.mags[k] = m.Mags
+		if err != nil || m.Type != MsgData {
+			// Left for ReadMsg: a partial message ends the burst; a complete
+			// non-Data or malformed one is handled or reported there.
+			idle = err == ErrTruncated
+			break
+		}
+		used += n
 	}
-	if sc.granted <= 0 {
-		sc.pmu.Unlock()
-		sc.fail(CodeCreditExceeded, "data frame beyond granted credits")
-		return false
-	}
-	if len(m.Mags) != sc.width {
-		sc.pmu.Unlock()
-		sc.fail(CodeWidthMismatch, fmt.Sprintf("frame has %d variates, handshake declared %d", len(m.Mags), sc.width))
-		return false
-	}
-	sc.granted--
+	sc.br.Discard(used)
+	sc.frames, sc.seqs = frames, seqs
 
-	// The blocking Ingest IS the flow control: while the tenant's shard
-	// queue is full this parks, no ack or credit flows, and the client
-	// throttles to the engine's pace. Memory stays bounded at one frame
-	// per connection beyond the shard queue. Ingest copies the
-	// magnitudes, so the decoder's reusable slice is handed over as-is.
-	obs := sc.s.obs
-	var tIn int64
-	if obs != nil {
-		tIn = metrics.Now()
+	// The blocking IngestBatch IS the flow control: while the tenant's
+	// shard queue is full it parks, no ack or credit flows, and the client
+	// throttles to the engine's pace. It copies the magnitudes, so the
+	// staged slices are handed over as they are.
+	var entered, head int
+	var err error
+	if len(frames) > 0 {
+		obs := sc.s.obs
+		var tIn int64
+		if obs != nil {
+			tIn = metrics.Now()
+		}
+		entered, head, err = sc.sub.IngestBatch(frames)
+		if obs != nil {
+			obs.engineWait.Record(metrics.Now() - tIn)
+		}
 	}
-	if err := sc.sub.Ingest(core.Frame{Time: m.Time, Magnitudes: m.Mags}); err != nil {
+	if entered > 0 {
+		sc.s.frames.Add(uint64(entered))
+		sc.granted -= entered
+		sc.ingested = seqs[entered-1]
+		sc.expected = sc.ingested + 1
+	}
+	if err != nil {
+		code, text = CodeIngest, err.Error()
+	}
+	if code != 0 {
 		sc.pmu.Unlock()
-		sc.fail(CodeIngest, err.Error())
+		sc.fail(code, text)
 		return false
 	}
-	if obs != nil {
-		obs.engineWait.Record(metrics.Now() - tIn)
-	}
-	sc.s.frames.Add(1)
 
-	sc.expected = m.Seq + 1
-	sc.ingested = m.Seq
-	pending := sc.ingested - sc.acked
-	target := sc.grantSize(sc.granted)
-	topUp := target - sc.granted
-	needAck := int(pending) >= sc.s.cfg.AckEvery || sc.granted == 0 || topUp >= sc.s.cfg.AckEvery ||
-		(idle && pending > 0)
+	// One ack per burst: when the reader holds no further complete message
+	// (nothing else would release a quiescing client's Flush), or when the
+	// burst spent the last credit (its top-up is what lets the client send
+	// on). It carries the top-up to the shard's current headroom.
+	needAck := sc.granted == 0 || (idle && sc.ingested != sc.acked)
 	var ack Msg
 	if needAck {
-		if topUp < 0 {
-			topUp = 0
-		}
+		target := sc.grantSize(head, sc.granted)
+		ack = Msg{Type: MsgAck, UpTo: sc.ingested, Credits: uint32(target - sc.granted)}
 		sc.acked = sc.ingested
-		sc.granted += topUp
-		ack = Msg{Type: MsgAck, UpTo: sc.acked, Credits: uint32(topUp)}
+		sc.granted = target
 	}
 	sc.pmu.Unlock()
 	if needAck {
@@ -536,23 +583,12 @@ func (sc *serverConn) handleData(m *Msg, idle bool) bool {
 }
 
 // grantSize sizes the connection's outstanding-credit target from the
-// tenant shard's queue headroom, clamped to [1, CreditWindow]: a stalled
-// shard degrades the flow to one blocking frame at a time (protocol-level
-// backpressure), never to a deadlock and never to unbounded buffering.
-func (sc *serverConn) grantSize(granted int) int {
-	window := sc.s.cfg.CreditWindow
-	head := sc.sub.QueueHeadroom()
-	target := head
-	if target > window {
-		target = window
-	}
-	if target < 1 {
-		target = 1
-	}
-	if target < granted {
-		target = granted
-	}
-	return target
+// tenant shard's queue headroom, clamped to [1, CreditWindow] and never
+// below the credits already granted: a stalled shard degrades the flow to
+// one blocking frame at a time (protocol-level backpressure), never to a
+// deadlock and never to unbounded buffering.
+func (sc *serverConn) grantSize(headroom, granted int) int {
+	return max(1, min(headroom, sc.s.cfg.CreditWindow), granted)
 }
 
 // cut flips the connection into discard mode and records the ingest

@@ -23,7 +23,7 @@ type wireRig struct {
 }
 
 // startWireRig serves one tenant, "wire", with default server settings
-// (credit window 64, ack every 16). wrap, when non-nil, decorates the
+// (credit window 64, one ack per read burst). wrap, when non-nil, decorates the
 // listener before the server sees it.
 func startWireRig(t testing.TB, variates, capFrames int, wrap func(net.Listener) net.Listener) *wireRig {
 	t.Helper()
