@@ -7,9 +7,11 @@
 // used across many forward passes and across goroutines: each Backward call
 // accumulates into Param.Grad under the parameter's lock, which makes
 // data-parallel training safe. For deterministic parallel training, use
-// BackwardGrads on each tape concurrently and then FlushParamGrads from a
-// single goroutine in a fixed tape order — the flush applies the same
-// additions in the same sequence as Backward would, without locking.
+// BackwardGrads on each tape concurrently and then apply the parameter
+// gradients from a single goroutine in a fixed tape order — FlushParamGrads
+// straight from the tape, or a GradStash copied from it so the tape can be
+// reused first. Either applies the same additions in the same sequence as
+// Backward would, without locking.
 //
 // A tape is a gradient tape: node values and gradients are drawn from
 // positional tensor.Arenas, so after Reset a same-shape forward/backward
@@ -98,6 +100,7 @@ const (
 	opLayerNorm
 	opSumAll
 	opRowSums
+	opTimeEmbed
 )
 
 // Node is one value in the computation graph. Value is set at construction;
@@ -148,15 +151,17 @@ func NewTape() *Tape {
 	return &Tape{arena: tensor.NewArena(), grads: tensor.NewArena()}
 }
 
-// alloc returns the arena-backed, zeroed output buffer for one operation.
+// alloc returns the arena-backed, zeroed output buffer for an operation that
+// accumulates into its output or leaves cells untouched.
 func (t *Tape) alloc(r, c int) *tensor.Dense {
 	return t.arena.Get(r, c)
 }
 
-// Buffer hands out a zeroed r×c scratch tensor with the same lifetime as
-// the tape's operation outputs. Use it to stage constant inputs (time
-// embeddings, masks) without allocating on every pass.
-func (t *Tape) Buffer(r, c int) *tensor.Dense { return t.alloc(r, c) }
+// out returns an operation's output buffer without clearing it: for the
+// operations that write every cell before anything reads one.
+func (t *Tape) out(r, c int) *tensor.Dense {
+	return t.arena.Take(r, c)
+}
 
 // gradOf returns the node's gradient buffer, drawing it from the gradient
 // arena on first touch. Backward visits nodes in a fixed reverse order, so
@@ -219,10 +224,11 @@ func (t *Tape) Backward(loss *Node) {
 }
 
 // BackwardGrads computes node gradients exactly like Backward but does NOT
-// touch any Param: pair it with FlushParamGrads to apply parameter-gradient
-// accumulation from a single goroutine in a caller-chosen tape order, which
-// makes data-parallel training deterministic (float accumulation order is
-// fixed) while the backward passes themselves run concurrently.
+// touch any Param: pair it with FlushParamGrads (or StashParamGrads and
+// GradStash.Flush) to apply parameter-gradient accumulation from a single
+// goroutine in a caller-chosen tape order, which makes data-parallel
+// training deterministic (float accumulation order is fixed) while the
+// backward passes themselves run concurrently.
 func (t *Tape) BackwardGrads(loss *Node) {
 	t.backward(loss, false)
 }
@@ -257,6 +263,48 @@ func (t *Tape) FlushParamGrads() {
 	}
 }
 
+// GradStash is a copy of one tape's parameter-node gradients, held so the
+// tape can be reset and reused before they are applied. The zero value is
+// empty; a stash refilled with same-shape gradients reuses its storage.
+type GradStash struct {
+	params []*Param
+	data   []float64 // the gradients end to end, in params order
+}
+
+// StashParamGrads copies, in reverse tape order, every parameter node's
+// gradient into s, replacing what s held: the sequence FlushParamGrads would
+// apply now. Call it after BackwardGrads.
+func (t *Tape) StashParamGrads(s *GradStash) {
+	s.params, s.data = s.params[:0], s.data[:0]
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		n := t.nodes[i]
+		if n.param != nil && n.Grad != nil {
+			s.params = append(s.params, n.param)
+			s.data = append(s.data, n.Grad.Data...)
+		}
+	}
+}
+
+// Flush applies the stashed gradients to their parameters in stash order,
+// without locking — the additions FlushParamGrads would have made on the
+// tape the stash was copied from.
+func (s *GradStash) Flush() {
+	at := 0
+	for _, p := range s.params {
+		dst := p.Grad.Data
+		addTo(dst, s.data[at:at+len(dst)])
+		at += len(dst)
+	}
+}
+
+// addTo adds src into the equally long dst cell by cell.
+func addTo(dst, src []float64) {
+	src = src[:len(dst)]
+	for i := range dst {
+		dst[i] += src[i]
+	}
+}
+
 // step replays one op record, propagating n.Grad into its parents' Grads.
 // Each case reproduces the float operation order of the original backward
 // closures exactly, so gradients are bit-identical to the closure-based
@@ -268,39 +316,42 @@ func (t *Tape) step(n *Node) {
 		// Leaves have no parents; parameter accumulation is handled by the
 		// Backward/FlushParamGrads drivers.
 	case opAdd:
-		t.gradOf(n.a).AddInPlace(G)
-		t.gradOf(n.b).AddInPlace(G)
+		addTo(t.gradOf(n.a).Data, G.Data)
+		addTo(t.gradOf(n.b).Data, G.Data)
 	case opSub:
-		t.gradOf(n.a).AddInPlace(G)
+		addTo(t.gradOf(n.a).Data, G.Data)
 		t.gradOf(n.b).AddScaled(-1, G)
 	case opMul:
-		ga, gb := t.gradOf(n.a), t.gradOf(n.b)
-		av, bv := n.a.Value, n.b.Value
-		for i, g := range G.Data {
-			ga.Data[i] += g * bv.Data[i]
-			gb.Data[i] += g * av.Data[i]
+		ga, gb := t.gradOf(n.a).Data, t.gradOf(n.b).Data
+		g := G.Data[:len(ga)]
+		av, bv := n.a.Value.Data[:len(ga)], n.b.Value.Data[:len(ga)]
+		gb = gb[:len(ga)]
+		for i, gi := range g {
+			ga[i] += gi * bv[i]
+			gb[i] += gi * av[i]
 		}
 	case opDiv:
-		ga, gb := t.gradOf(n.a), t.gradOf(n.b)
-		av, bv := n.a.Value, n.b.Value
-		for i, g := range G.Data {
-			bi := bv.Data[i]
-			ga.Data[i] += g / bi
-			gb.Data[i] -= g * av.Data[i] / (bi * bi)
+		ga, gb := t.gradOf(n.a).Data, t.gradOf(n.b).Data
+		g := G.Data[:len(ga)]
+		av, bv := n.a.Value.Data[:len(ga)], n.b.Value.Data[:len(ga)]
+		gb = gb[:len(ga)]
+		for i, gi := range g {
+			bi := bv[i]
+			ga[i] += gi / bi
+			gb[i] -= gi * av[i] / (bi * bi)
 		}
 	case opAddRow:
-		t.gradOf(n.a).AddInPlace(G)
-		gv := t.gradOf(n.b)
+		ga := t.gradOf(n.a)
+		gv := t.gradOf(n.b).Data
 		for i := 0; i < G.Rows; i++ {
 			row := G.Row(i)
-			for j, g := range row {
-				gv.Data[j] += g
-			}
+			addTo(ga.Row(i), row)
+			addTo(gv, row)
 		}
 	case opScale:
 		t.gradOf(n.a).AddScaled(n.s, G)
 	case opAddConst:
-		t.gradOf(n.a).AddInPlace(G)
+		addTo(t.gradOf(n.a).Data, G.Data)
 	case opMatMul:
 		// dA += dC·Bᵀ ; dB += Aᵀ·dC
 		G.MatMulTAddInto(n.b.Value, t.gradOf(n.a))
@@ -312,40 +363,25 @@ func (t *Tape) step(n *Node) {
 	case opTranspose:
 		t.gradOf(n.a).AddTransposed(G)
 	case opReshape:
-		ga := t.gradOf(n.a)
-		for i, g := range G.Data {
-			ga.Data[i] += g
-		}
+		addTo(t.gradOf(n.a).Data, G.Data)
 	case opSliceCols:
 		ga := t.gradOf(n.a)
 		lo := n.i0
 		for i := 0; i < G.Rows; i++ {
-			src := G.Row(i)
-			dst := ga.Row(i)[lo : lo+G.Cols]
-			for j, g := range src {
-				dst[j] += g
-			}
+			addTo(ga.Row(i)[lo:lo+G.Cols], G.Row(i))
 		}
 	case opSliceRows:
 		ga := t.gradOf(n.a)
 		lo := n.i0
 		for i := 0; i < G.Rows; i++ {
-			src := G.Row(i)
-			dst := ga.Row(lo + i)
-			for j, g := range src {
-				dst[j] += g
-			}
+			addTo(ga.Row(lo+i), G.Row(i))
 		}
 	case opConcatCols:
 		at := 0
 		for _, p := range t.parents[n.i0 : n.i0+n.i1] {
 			g := t.gradOf(p)
 			for i := 0; i < g.Rows; i++ {
-				src := G.Row(i)[at : at+g.Cols]
-				dst := g.Row(i)
-				for j, gv := range src {
-					dst[j] += gv
-				}
+				addTo(g.Row(i), G.Row(i)[at:at+g.Cols])
 			}
 			at += p.Value.Cols
 		}
@@ -354,33 +390,29 @@ func (t *Tape) step(n *Node) {
 		for _, p := range t.parents[n.i0 : n.i0+n.i1] {
 			g := t.gradOf(p)
 			for i := 0; i < g.Rows; i++ {
-				src := G.Row(at + i)
-				dst := g.Row(i)
-				for j, gv := range src {
-					dst[j] += gv
-				}
+				addTo(g.Row(i), G.Row(at+i))
 			}
 			at += p.Value.Rows
 		}
 	case opDropout:
-		ga := t.gradOf(n.a)
-		mask := n.aux
-		for i, g := range G.Data {
-			ga.Data[i] += g * mask.Data[i]
+		ga := t.gradOf(n.a).Data
+		g, mask := G.Data[:len(ga)], n.aux.Data[:len(ga)]
+		for i, gi := range g {
+			ga[i] += gi * mask[i]
 		}
 	case opSoftmaxRows:
 		ga := t.gradOf(n.a)
 		v := n.Value
 		for i := 0; i < v.Rows; i++ {
 			y := v.Row(i)
-			gy := G.Row(i)
+			gy := G.Row(i)[:len(y)]
 			var dot float64
-			for j := range y {
-				dot += y[j] * gy[j]
+			for j, yj := range y {
+				dot += yj * gy[j]
 			}
-			dst := ga.Row(i)
-			for j := range y {
-				dst[j] += y[j] * (gy[j] - dot)
+			dst := ga.Row(i)[:len(y)]
+			for j, yj := range y {
+				dst[j] += yj * (gy[j] - dot)
 			}
 		}
 	case opLayerNorm:
@@ -400,90 +432,141 @@ func (t *Tape) step(n *Node) {
 				dst[j] += g
 			}
 		}
+	case opTimeEmbed:
+		t.timeEmbedBackward(n)
 	default:
 		t.unaryBackward(n)
 	}
 }
 
 // unaryBackward handles the elementwise nonlinearities: ga[i] += g·f'(x, y)
-// with the derivative expressed from the input x and/or output y.
+// with the derivative expressed from the input x and/or output y. Each op
+// has its own loop; the derivative and the single multiply-add per cell are
+// the ones the per-cell switch this replaced computed.
 func (t *Tape) unaryBackward(n *Node) {
-	ga := t.gradOf(n.a)
-	xs := n.a.Value.Data
-	ys := n.Value.Data
-	for i, g := range n.Grad.Data {
-		var d float64
-		switch n.op {
-		case opSigmoid:
+	g := n.Grad.Data
+	ga := t.gradOf(n.a).Data[:len(g)]
+	xs := n.a.Value.Data[:len(g)]
+	ys := n.Value.Data[:len(g)]
+	switch n.op {
+	case opSigmoid:
+		for i, gi := range g {
 			y := ys[i]
-			d = y * (1 - y)
-		case opTanh:
+			ga[i] += gi * (y * (1 - y))
+		}
+	case opTanh:
+		for i, gi := range g {
 			y := ys[i]
-			d = 1 - y*y
-		case opReLU:
+			ga[i] += gi * (1 - y*y)
+		}
+	case opReLU:
+		for i, gi := range g {
+			var d float64
 			if xs[i] > 0 {
 				d = 1
 			}
-		case opGELU:
-			d = geluDeriv(xs[i])
-		case opExp:
-			d = ys[i]
-		case opLog:
-			d = 1 / xs[i]
-		case opSqrt:
-			d = 0.5 / ys[i]
-		case opSquare:
-			d = 2 * xs[i]
-		case opSin:
-			d = math.Cos(xs[i])
-		case opCos:
-			d = -math.Sin(xs[i])
-		case opAbs:
-			switch {
-			case xs[i] > 0:
+			ga[i] += gi * d
+		}
+	case opGELU:
+		for i, gi := range g {
+			ga[i] += gi * geluDeriv(xs[i])
+		}
+	case opExp:
+		for i, gi := range g {
+			ga[i] += gi * ys[i]
+		}
+	case opLog:
+		for i, gi := range g {
+			ga[i] += gi * (1 / xs[i])
+		}
+	case opSqrt:
+		for i, gi := range g {
+			ga[i] += gi * (0.5 / ys[i])
+		}
+	case opSquare:
+		for i, gi := range g {
+			ga[i] += gi * (2 * xs[i])
+		}
+	case opSin:
+		for i, gi := range g {
+			ga[i] += gi * math.Cos(xs[i])
+		}
+	case opCos:
+		for i, gi := range g {
+			ga[i] += gi * -math.Sin(xs[i])
+		}
+	case opAbs:
+		for i, gi := range g {
+			var d float64
+			switch x := xs[i]; {
+			case x > 0:
 				d = 1
-			case xs[i] < 0:
+			case x < 0:
 				d = -1
 			}
-		default:
-			panic(fmt.Sprintf("ag: unknown op %d in backward", n.op))
+			ga[i] += gi * d
 		}
-		ga.Data[i] += g * d
+	default:
+		panic(fmt.Sprintf("ag: unknown op %d in backward", n.op))
 	}
 }
 
 // layerNormBackward replays LayerNormRows: n.a is the input, n.b the gain,
 // n.c the bias; aux holds x̂ and aux2 the per-row inverse std.
 func (t *Tape) layerNormBackward(n *Node) {
-	ga, gg, gb := t.gradOf(n.a), t.gradOf(n.b), t.gradOf(n.c)
+	ga, gg, gb := t.gradOf(n.a), t.gradOf(n.b).Data, t.gradOf(n.c).Data
 	xhat, invStd := n.aux, n.aux2
-	gain := n.b.Value
-	rows, cols := xhat.Rows, xhat.Cols
-	// One scratch row reused across rows; drawn from the gradient arena so
-	// steady-state backward passes stay allocation-free.
-	dxh := t.grads.Get(1, cols).Data
-	for i := 0; i < rows; i++ {
-		gy := n.Grad.Row(i)
-		xh := xhat.Row(i)
+	cols := xhat.Cols
+	gain := n.b.Value.Data[:cols]
+	gg, gb = gg[:cols], gb[:cols]
+	// One scratch row reused across rows, every cell written before it is
+	// read; drawn from the gradient arena so steady-state backward passes
+	// stay allocation-free.
+	dxh := t.grads.Take(1, cols).Data
+	for i := 0; i < xhat.Rows; i++ {
+		gy := n.Grad.Row(i)[:cols]
+		xh := xhat.Row(i)[:cols]
 		// gain/bias grads
-		for j := range gy {
-			gg.Data[j] += gy[j] * xh[j]
-			gb.Data[j] += gy[j]
+		for j, g := range gy {
+			gg[j] += g * xh[j]
+			gb[j] += g
 		}
 		// input grad: dx = invStd*(dxh - mean(dxh) - xh*mean(dxh*xh))
 		var m1, m2 float64
-		for j := range gy {
-			dxh[j] = gy[j] * gain.Data[j]
+		for j, g := range gy {
+			dxh[j] = g * gain[j]
 			m1 += dxh[j]
 			m2 += dxh[j] * xh[j]
 		}
 		m1 /= float64(cols)
 		m2 /= float64(cols)
-		dst := ga.Row(i)
-		for j := range dxh {
-			dst[j] += invStd.Data[i] * (dxh[j] - m1 - xh[j]*m2)
+		is := invStd.Data[i]
+		dst := ga.Row(i)[:cols]
+		for j, d := range dxh {
+			dst[j] += is * (d - m1 - xh[j]*m2)
 		}
 	}
+}
+
+// timeEmbedBackward replays, cell for cell, the chain TimeEmbed stands for:
+// TE = Add(Sin(θ), Cos(θ)) over θ = Add(phase, MatMul(dt, α)). θ's gradient
+// is Cos's step into a zeroed buffer, then Sin's: (0 + g·(−sin θ)) + g·cos θ,
+// with the stored sin θ and cos θ standing in for the math.Sin and math.Cos
+// the chain's backward re-evaluated at the same θ. The chain's other steps
+// copied G into Sin's and Cos's zeroed gradients and θ's gradient into the
+// product's, additions to +0 that change no bits here: the only −0 they can
+// meet is in G, and the first step's addition to +0 absorbs it either way.
+// The product's gradient then reaches α through the same TMatMulAddInto the
+// chain's MatMul step ran: gα += dtᵀ·gθ.
+func (t *Tape) timeEmbedBackward(n *Node) {
+	g := n.Grad.Data
+	sin, cos := n.aux.Data[:len(g)], n.aux2.Data[:len(g)]
+	gth := t.grads.Take(n.Grad.Rows, n.Grad.Cols)
+	dst := gth.Data[:len(g)]
+	for i, gi := range g {
+		dst[i] = 0 + gi*-sin[i] + gi*cos[i]
+	}
+	n.b.Value.TMatMulAddInto(gth, t.gradOf(n.a))
 }
 
 // Reset drops all recorded nodes so the tape can be reused, keeping the
@@ -510,46 +593,47 @@ func assertSameShape(a, b *Node) {
 	}
 }
 
+// binary draws the output of an elementwise op on equally shaped a and b,
+// returning it with the three cell slices at one length.
+func (t *Tape) binary(a, b *Node) (v *tensor.Dense, x, y, z []float64) {
+	assertSameShape(a, b)
+	v = t.out(a.Value.Rows, a.Value.Cols)
+	z = v.Data
+	return v, a.Value.Data[:len(z)], b.Value.Data[:len(z)], z
+}
+
 // Add returns a + b.
 func (t *Tape) Add(a, b *Node) *Node {
-	assertSameShape(a, b)
-	av, bv := a.Value, b.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = av.Data[i] + bv.Data[i]
+	v, x, y, z := t.binary(a, b)
+	for i := range z {
+		z[i] = x[i] + y[i]
 	}
 	return t.record(t.node(v), opAdd, a, b)
 }
 
 // Sub returns a − b.
 func (t *Tape) Sub(a, b *Node) *Node {
-	assertSameShape(a, b)
-	av, bv := a.Value, b.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = av.Data[i] - bv.Data[i]
+	v, x, y, z := t.binary(a, b)
+	for i := range z {
+		z[i] = x[i] - y[i]
 	}
 	return t.record(t.node(v), opSub, a, b)
 }
 
 // Mul returns the Hadamard product a ⊙ b.
 func (t *Tape) Mul(a, b *Node) *Node {
-	assertSameShape(a, b)
-	av, bv := a.Value, b.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = av.Data[i] * bv.Data[i]
+	v, x, y, z := t.binary(a, b)
+	for i := range z {
+		z[i] = x[i] * y[i]
 	}
 	return t.record(t.node(v), opMul, a, b)
 }
 
 // Div returns the elementwise quotient a / b.
 func (t *Tape) Div(a, b *Node) *Node {
-	assertSameShape(a, b)
-	av, bv := a.Value, b.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = av.Data[i] / bv.Data[i]
+	v, x, y, z := t.binary(a, b)
+	for i := range z {
+		z[i] = x[i] / y[i]
 	}
 	return t.record(t.node(v), opDiv, a, b)
 }
@@ -559,12 +643,13 @@ func (t *Tape) AddRow(a, v *Node) *Node {
 	if v.Value.Rows != 1 || v.Value.Cols != a.Value.Cols {
 		panic(fmt.Sprintf("ag: AddRow wants 1x%d, got %dx%d", a.Value.Cols, v.Value.Rows, v.Value.Cols))
 	}
-	out := t.alloc(a.Value.Rows, a.Value.Cols)
+	out := t.out(a.Value.Rows, a.Value.Cols)
+	vec := v.Value.Data
 	for i := 0; i < a.Value.Rows; i++ {
-		row := a.Value.Row(i)
 		dst := out.Row(i)
-		for j, x := range row {
-			dst[j] = x + v.Value.Data[j]
+		src, vec := a.Value.Row(i)[:len(dst)], vec[:len(dst)]
+		for j, x := range src {
+			dst[j] = x + vec[j]
 		}
 	}
 	return t.record(t.node(out), opAddRow, a, v)
@@ -574,10 +659,9 @@ func (t *Tape) AddRow(a, v *Node) *Node {
 
 // Scale returns s·a for a constant s.
 func (t *Tape) Scale(a *Node, s float64) *Node {
-	av := a.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = s * av.Data[i]
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = s * xi
 	}
 	n := t.record(t.node(v), opScale, a, nil)
 	n.s = s
@@ -586,10 +670,9 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 
 // AddConst returns a + c for a constant c.
 func (t *Tape) AddConst(a *Node, c float64) *Node {
-	av := a.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i := range v.Data {
-		v.Data[i] = av.Data[i] + c
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = xi + c
 	}
 	return t.record(t.node(v), opAddConst, a, nil)
 }
@@ -608,7 +691,7 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 
 // MatMulT returns a · bᵀ.
 func (t *Tape) MatMulT(a, b *Node) *Node {
-	v := t.alloc(a.Value.Rows, b.Value.Rows)
+	v := t.out(a.Value.Rows, b.Value.Rows)
 	a.Value.MatMulTInto(b.Value, v)
 	return t.record(t.node(v), opMatMulT, a, b)
 }
@@ -616,7 +699,7 @@ func (t *Tape) MatMulT(a, b *Node) *Node {
 // Transpose returns aᵀ.
 func (t *Tape) Transpose(a *Node) *Node {
 	av := a.Value
-	v := t.alloc(av.Cols, av.Rows)
+	v := t.out(av.Cols, av.Rows)
 	for i := 0; i < av.Rows; i++ {
 		for j := 0; j < av.Cols; j++ {
 			v.Data[j*av.Rows+i] = av.Data[i*av.Cols+j]
@@ -630,7 +713,7 @@ func (t *Tape) Reshape(a *Node, r, c int) *Node {
 	if r*c != a.Value.Rows*a.Value.Cols {
 		panic(fmt.Sprintf("ag: reshape %dx%d -> %dx%d", a.Value.Rows, a.Value.Cols, r, c))
 	}
-	v := t.alloc(r, c)
+	v := t.out(r, c)
 	copy(v.Data, a.Value.Data)
 	return t.record(t.node(v), opReshape, a, nil)
 }
@@ -638,7 +721,7 @@ func (t *Tape) Reshape(a *Node, r, c int) *Node {
 // SliceCols returns columns [lo, hi) of a.
 func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 	av := a.Value
-	v := t.alloc(av.Rows, hi-lo)
+	v := t.out(av.Rows, hi-lo)
 	for i := 0; i < av.Rows; i++ {
 		copy(v.Row(i), av.Row(i)[lo:hi])
 	}
@@ -650,7 +733,7 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 // SliceRows returns rows [lo, hi) of a.
 func (t *Tape) SliceRows(a *Node, lo, hi int) *Node {
 	av := a.Value
-	v := t.alloc(hi-lo, av.Cols)
+	v := t.out(hi-lo, av.Cols)
 	copy(v.Data, av.Data[lo*av.Cols:hi*av.Cols])
 	n := t.record(t.node(v), opSliceRows, a, nil)
 	n.i0 = lo
@@ -677,7 +760,7 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		}
 		cols += p.Value.Cols
 	}
-	v := t.alloc(rows, cols)
+	v := t.out(rows, cols)
 	for i := 0; i < rows; i++ {
 		dst := v.Row(i)
 		at := 0
@@ -699,7 +782,7 @@ func (t *Tape) ConcatRows(parts ...*Node) *Node {
 		}
 		rows += p.Value.Rows
 	}
-	v := t.alloc(rows, cols)
+	v := t.out(rows, cols)
 	at := 0
 	for _, p := range parts {
 		copy(v.Data[at:], p.Value.Data)
@@ -710,33 +793,44 @@ func (t *Tape) ConcatRows(parts ...*Node) *Node {
 
 // --- elementwise nonlinearities ----------------------------------------------
 
-func (t *Tape) unary(a *Node, op opKind, f func(float64) float64) *Node {
-	av := a.Value
-	v := t.alloc(av.Rows, av.Cols)
-	for i, x := range av.Data {
-		v.Data[i] = f(x)
-	}
-	return t.record(t.node(v), op, a, nil)
+// unary draws the output of an elementwise op on a, returning it with the
+// input and output cells as slices of one length. Each op writes every cell
+// in its own typed loop.
+func (t *Tape) unary(a *Node) (v *tensor.Dense, x, y []float64) {
+	v = t.out(a.Value.Rows, a.Value.Cols)
+	y = v.Data
+	return v, a.Value.Data[:len(y)], y
 }
 
 // Sigmoid returns 1/(1+e^{-a}) elementwise.
 func (t *Tape) Sigmoid(a *Node) *Node {
-	return t.unary(a, opSigmoid, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) })
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = 1 / (1 + math.Exp(-xi))
+	}
+	return t.record(t.node(v), opSigmoid, a, nil)
 }
 
 // Tanh returns tanh(a) elementwise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.unary(a, opTanh, math.Tanh)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Tanh(xi)
+	}
+	return t.record(t.node(v), opTanh, a, nil)
 }
 
-// ReLU returns max(a, 0) elementwise.
+// ReLU returns max(a, 0) elementwise (+0 for a NaN).
 func (t *Tape) ReLU(a *Node) *Node {
-	return t.unary(a, opReLU, func(x float64) float64 {
-		if x > 0 {
-			return x
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		if xi > 0 {
+			y[i] = xi
+		} else {
+			y[i] = 0
 		}
-		return 0
-	})
+	}
+	return t.record(t.node(v), opReLU, a, nil)
 }
 
 const geluC = 0.7978845608028654 // sqrt(2/pi)
@@ -751,44 +845,74 @@ func geluDeriv(x float64) float64 {
 
 // GELU returns the Gaussian error linear unit (tanh approximation).
 func (t *Tape) GELU(a *Node) *Node {
-	return t.unary(a, opGELU, func(x float64) float64 {
-		return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x)))
-	})
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = 0.5 * xi * (1 + math.Tanh(geluC*(xi+0.044715*xi*xi*xi)))
+	}
+	return t.record(t.node(v), opGELU, a, nil)
 }
 
 // Exp returns e^a elementwise.
 func (t *Tape) Exp(a *Node) *Node {
-	return t.unary(a, opExp, math.Exp)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Exp(xi)
+	}
+	return t.record(t.node(v), opExp, a, nil)
 }
 
 // Log returns ln(a) elementwise.
 func (t *Tape) Log(a *Node) *Node {
-	return t.unary(a, opLog, math.Log)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Log(xi)
+	}
+	return t.record(t.node(v), opLog, a, nil)
 }
 
 // Sqrt returns √a elementwise.
 func (t *Tape) Sqrt(a *Node) *Node {
-	return t.unary(a, opSqrt, math.Sqrt)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Sqrt(xi)
+	}
+	return t.record(t.node(v), opSqrt, a, nil)
 }
 
 // Square returns a² elementwise.
 func (t *Tape) Square(a *Node) *Node {
-	return t.unary(a, opSquare, func(x float64) float64 { return x * x })
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = xi * xi
+	}
+	return t.record(t.node(v), opSquare, a, nil)
 }
 
 // Sin returns sin(a) elementwise.
 func (t *Tape) Sin(a *Node) *Node {
-	return t.unary(a, opSin, math.Sin)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Sin(xi)
+	}
+	return t.record(t.node(v), opSin, a, nil)
 }
 
 // Cos returns cos(a) elementwise.
 func (t *Tape) Cos(a *Node) *Node {
-	return t.unary(a, opCos, math.Cos)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Cos(xi)
+	}
+	return t.record(t.node(v), opCos, a, nil)
 }
 
 // Abs returns |a| elementwise (subgradient 0 at 0).
 func (t *Tape) Abs(a *Node) *Node {
-	return t.unary(a, opAbs, math.Abs)
+	v, x, y := t.unary(a)
+	for i, xi := range x {
+		y[i] = math.Abs(xi)
+	}
+	return t.record(t.node(v), opAbs, a, nil)
 }
 
 // Dropout zeroes each element with probability rate and scales survivors by
@@ -811,13 +935,32 @@ func (t *Tape) Dropout(a *Node, rate float64, rng *rand.Rand, train bool) *Node 
 	return n
 }
 
+// TimeEmbed records an interval-aware time embedding as one op: the value
+// sum = sin θ + cos θ for θ = phase + dt·α, where phase is a constant, dt
+// (L×1) and alpha (1×d) are nodes, and sin, cos and sum (L×d) hold sin θ,
+// cos θ and their sum, added in that order. The three matrices are read,
+// never written, so one set computed per window can serve every tape that
+// embeds the window; gradients reach alpha only. Its backward is the
+// Add/MatMul/Sin/Cos chain's, bit for bit (timeEmbedBackward).
+func (t *Tape) TimeEmbed(dt, alpha *Node, sin, cos, sum *tensor.Dense) *Node {
+	l, d := sum.Rows, sum.Cols
+	if dt.Value.Rows != l || dt.Value.Cols != 1 || alpha.Value.Rows != 1 || alpha.Value.Cols != d ||
+		!sin.SameShape(sum) || !cos.SameShape(sum) {
+		panic(fmt.Sprintf("ag: TimeEmbed wants dt %dx1, alpha 1x%d and %dx%d sin/cos, got %dx%d, %dx%d, %dx%d, %dx%d",
+			l, d, l, d, dt.Value.Rows, dt.Value.Cols, alpha.Value.Rows, alpha.Value.Cols, sin.Rows, sin.Cols, cos.Rows, cos.Cols))
+	}
+	n := t.record(t.node(sum), opTimeEmbed, alpha, dt)
+	n.aux, n.aux2 = sin, cos
+	return n
+}
+
 // --- row-wise structured ops ---------------------------------------------------
 
 // SoftmaxRows applies a numerically stable softmax to each row of a: every
 // cell is exp(x − max) divided by the row's sum of those, added in ascending
 // order — the same leaf nn's AttendRow runs.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
+	v := t.out(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
 		dst := v.Row(i)
 		copy(dst, a.Value.Row(i))
@@ -833,12 +976,13 @@ func (t *Tape) LayerNormRows(a, gain, bias *Node, eps float64) *Node {
 	if gain.Value.Cols != cols || bias.Value.Cols != cols {
 		panic("ag: layernorm gain/bias width mismatch")
 	}
+	g, b := gain.Value.Data[:cols], bias.Value.Data[:cols]
 	// xhat and invStd are saved for the backward pass.
-	xhat := t.alloc(rows, cols)
-	invStd := t.alloc(rows, 1)
-	v := t.alloc(rows, cols)
+	xhat := t.out(rows, cols)
+	invStd := t.out(rows, 1)
+	v := t.out(rows, cols)
 	for i := 0; i < rows; i++ {
-		src := a.Value.Row(i)
+		src := a.Value.Row(i)[:cols]
 		var mean float64
 		for _, x := range src {
 			mean += x
@@ -851,12 +995,11 @@ func (t *Tape) LayerNormRows(a, gain, bias *Node, eps float64) *Node {
 		}
 		va /= float64(cols)
 		is := 1 / math.Sqrt(va+eps)
-		dst := v.Row(i)
 		invStd.Data[i] = is
-		xh := xhat.Row(i)
+		dst, xh := v.Row(i)[:cols], xhat.Row(i)[:cols]
 		for j, x := range src {
 			xh[j] = (x - mean) * is
-			dst[j] = xh[j]*gain.Value.Data[j] + bias.Value.Data[j]
+			dst[j] = xh[j]*g[j] + b[j]
 		}
 	}
 	n := t.record(t.node(v), opLayerNorm, a, gain)
@@ -869,7 +1012,7 @@ func (t *Tape) LayerNormRows(a, gain, bias *Node, eps float64) *Node {
 
 // SumAll returns the 1×1 sum of all elements of a.
 func (t *Tape) SumAll(a *Node) *Node {
-	v := t.alloc(1, 1)
+	v := t.out(1, 1)
 	v.Data[0] = a.Value.Sum()
 	return t.record(t.node(v), opSumAll, a, nil)
 }
@@ -887,7 +1030,7 @@ func (t *Tape) MSE(a, b *Node) *Node {
 
 // RowSums returns an R×1 node whose entries are the row sums of a.
 func (t *Tape) RowSums(a *Node) *Node {
-	v := t.alloc(a.Value.Rows, 1)
+	v := t.out(a.Value.Rows, 1)
 	for i := 0; i < a.Value.Rows; i++ {
 		var s float64
 		for _, x := range a.Value.Row(i) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -466,3 +467,41 @@ func TestDynamicGraphStateSmooths(t *testing.T) {
 
 // tensorFromRows is a tiny test helper building a dense matrix from rows.
 func tensorFromRows(rows [][]float64) *tensor.Dense { return tensor.FromRows(rows) }
+
+// TestFitRejectsBadSeriesUpFront pins Fit's validation before any training:
+// a non-finite magnitude used to train both stages and then fail the
+// threshold calibration naming nothing, and a repeated time was accepted.
+// Each error names what is wrong and where.
+func TestFitRejectsBadSeriesUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(s *dataset.Series)
+		want   string
+	}{
+		{"NaN magnitude", func(s *dataset.Series) { s.Data[2][40] = math.NaN() }, "variate 2 has magnitude NaN at index 40"},
+		{"+Inf magnitude", func(s *dataset.Series) { s.Data[0][7] = math.Inf(1) }, "variate 0 has magnitude +Inf at index 7"},
+		{"-Inf magnitude", func(s *dataset.Series) { s.Data[4][99] = math.Inf(-1) }, "variate 4 has magnitude -Inf at index 99"},
+		{"repeated time", func(s *dataset.Series) { s.Time[30] = s.Time[29] }, "time 30 (29) does not follow time 29 (29)"},
+		{"decreasing time", func(s *dataset.Series) { s.Time[50] = 10 }, "time 50 (10) does not follow time 49 (49)"},
+		{"NaN time", func(s *dataset.Series) { s.Time[12] = math.NaN() }, "time 12 is NaN"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := trainTestDataset()
+			tc.mutate(d.Train)
+			m, err := New(trainTestConfig(), d.Train.N())
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = m.Fit(d.Train)
+			if err == nil {
+				t.Fatal("Fit accepted the series")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not say %q", err, tc.want)
+			}
+			if m.Epochs1 != 0 || m.Epochs2 != 0 {
+				t.Fatalf("Fit trained (%d, %d epochs) before rejecting the series", m.Epochs1, m.Epochs2)
+			}
+		})
+	}
+}

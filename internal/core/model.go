@@ -121,11 +121,11 @@ func (m *Model) longShort(p *prepared, v, end int, long, short *tensor.Dense) {
 // Algorithm 1, then calibrates the POT threshold on the training scores
 // (Eq. 18).
 func (m *Model) Fit(train *dataset.Series) error {
-	if train.N() != m.n {
-		return fmt.Errorf("core: model built for %d variates, series has %d", m.n, train.N())
+	if err := m.checkShape(train); err != nil {
+		return err
 	}
-	if train.Len() < m.cfg.LongWindow {
-		return fmt.Errorf("core: series length %d shorter than window %d", train.Len(), m.cfg.LongWindow)
+	if err := checkTrainValues(train); err != nil {
+		return err
 	}
 	m.norm = window.FitNormalizer(train.Data)
 	if d := stats.Median(stats.Diff(train.Time)); d > 0 {
@@ -247,12 +247,17 @@ func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 }
 
 // checkSeries is the validation Scores, StageErrors and GraphAt share: a
-// fitted model, the variate count it was built for, at least one full
-// window, and one value per timestamp in every row.
+// fitted model and a series checkShape accepts.
 func (m *Model) checkSeries(s *dataset.Series) error {
 	if !m.trained {
 		return fmt.Errorf("core: model not fitted")
 	}
+	return m.checkShape(s)
+}
+
+// checkShape accepts a series with the variate count the model was built
+// for, at least one full window, and one value per timestamp in every row.
+func (m *Model) checkShape(s *dataset.Series) error {
 	if s.N() != m.n {
 		return fmt.Errorf("core: model built for %d variates, series has %d", m.n, s.N())
 	}
@@ -262,6 +267,29 @@ func (m *Model) checkSeries(s *dataset.Series) error {
 	for v, row := range s.Data {
 		if len(row) != s.Len() {
 			return fmt.Errorf("core: variate %d has %d values for %d timestamps", v, len(row), s.Len())
+		}
+	}
+	return nil
+}
+
+// checkTrainValues is the rest of Fit's validation, run before any
+// training: finite magnitudes, and finite, strictly increasing times. A NaN
+// magnitude would otherwise train both stages and then fail the threshold
+// calibration naming nothing, and a repeated time would make a Δt of 0.
+func checkTrainValues(s *dataset.Series) error {
+	for i, tm := range s.Time {
+		if math.IsNaN(tm) || math.IsInf(tm, 0) {
+			return fmt.Errorf("core: time %d is %v, want a finite time", i, tm)
+		}
+		if i > 0 && !(tm > s.Time[i-1]) {
+			return fmt.Errorf("core: time %d (%v) does not follow time %d (%v): times must strictly increase", i, tm, i-1, s.Time[i-1])
+		}
+	}
+	for v, row := range s.Data {
+		for i, x := range row {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("core: variate %d has magnitude %v at index %d, want a finite magnitude", v, x, i)
+			}
 		}
 	}
 	return nil

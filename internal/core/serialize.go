@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -167,6 +168,20 @@ func WriteFileAtomic(path string, blob []byte, perm os.FileMode) error {
 	return err
 }
 
+// checkScalars rejects the scalars no fitted model saves: a DTScale that is
+// not a finite positive interval (an absent one decodes as 0, which makes
+// every Δt +Inf and the time embedding NaN, and the model then scores a
+// near-constant with no NaN left to notice), and a non-finite threshold.
+func (st *modelState) checkScalars() error {
+	if !(st.DTScale > 0) || math.IsInf(st.DTScale, 1) {
+		return fmt.Errorf("core: corrupt model file: DTScale %v, want a finite interval > 0", st.DTScale)
+	}
+	if z, init := st.Threshold.Z, st.Threshold.Init; math.IsNaN(z) || math.IsInf(z, 0) || math.IsNaN(init) || math.IsInf(init, 0) {
+		return fmt.Errorf("core: corrupt model file: threshold Z %v, Init %v, want finite values", z, init)
+	}
+	return nil
+}
+
 // Load reads a model previously written by Save and returns it ready for
 // Scores/Detect (no retraining needed).
 func Load(path string) (*Model, error) {
@@ -213,6 +228,9 @@ func LoadBytes(blob []byte) (*Model, error) {
 	if len(st.NormLo) != st.N || len(st.NormHi) != st.N {
 		return nil, fmt.Errorf("core: corrupt model file: %d/%d normalizer bounds for %d variates",
 			len(st.NormLo), len(st.NormHi), st.N)
+	}
+	if err := st.checkScalars(); err != nil {
+		return nil, err
 	}
 	m.norm = &window.Normalizer{Lo: st.NormLo, Hi: st.NormHi}
 	m.dtScale = st.DTScale

@@ -276,3 +276,60 @@ func TestBandedAttentionSurvivesSaveLoad(t *testing.T) {
 		t.Fatal("attention band not persisted")
 	}
 }
+
+// TestLoadRejectsBadDTScale pins the DTScale check: a file without one
+// decoded as 0 and served a model whose every Δt was +Inf, its time
+// embedding NaN and its scores a near-constant — with a nil error. Absent,
+// zero and negative are each corrupt.
+func TestLoadRejectsBadDTScale(t *testing.T) {
+	m, _ := shared(t)
+	blob, err := m.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(blob, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "DTScale")
+	absent, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadBytes(absent); err == nil {
+		t.Fatal("a file without DTScale loaded")
+	}
+	for _, dt := range []float64{0, -1} {
+		path := mutateSavedModel(t, func(st *modelState) { st.DTScale = dt })
+		if _, err := Load(path); err == nil {
+			t.Fatalf("DTScale %v loaded", dt)
+		}
+	}
+	if _, err := LoadBytes(blob); err != nil {
+		t.Fatalf("the unmutated file: %v", err)
+	}
+}
+
+// TestCheckScalarsRejectsNonFinite covers the branches JSON cannot reach
+// (it has no NaN or ±Inf, and refuses numbers past float64's range): a
+// non-finite DTScale, threshold Z or threshold Init is corrupt.
+func TestCheckScalarsRejectsNonFinite(t *testing.T) {
+	m, _ := shared(t)
+	good := modelState{DTScale: m.dtScale, Threshold: m.thr}
+	if err := good.checkScalars(); err != nil {
+		t.Fatalf("a fitted model's scalars: %v", err)
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, mutate := range map[string]func(st *modelState){
+			"DTScale":        func(st *modelState) { st.DTScale = v },
+			"Threshold.Z":    func(st *modelState) { st.Threshold.Z = v },
+			"Threshold.Init": func(st *modelState) { st.Threshold.Init = v },
+		} {
+			st := good
+			mutate(&st)
+			if err := st.checkScalars(); err == nil {
+				t.Fatalf("%s %v accepted", name, v)
+			}
+		}
+	}
+}

@@ -148,14 +148,32 @@ func (m *temporalModule) newTemporalCapture(w, omega int) *temporalCapture {
 	return c
 }
 
-// forward reconstructs the short window on a tape. long is W×inDim, short is
-// ω×inDim (rows are timesteps); the result is ω×inDim in [0, 1]. Training
-// runs it; inference runs the same arithmetic through stage1Rows, which
-// TestRowForwardMatchesTape holds to this function bit for bit.
-func (m *temporalModule) forward(t *ag.Tape, long, short *tensor.Dense, wt windowTimes) *ag.Node {
+// stepEmbedding is the time embedding of one training window — the long
+// window's and its short suffix's — computed once per step and read by every
+// tape of the step.
+type stepEmbedding struct {
+	long, short windowEmbedding
+}
+
+func (m *temporalModule) newStepEmbedding(w, omega int) *stepEmbedding {
+	return &stepEmbedding{long: newWindowEmbedding(w, m.te.dm), short: newWindowEmbedding(omega, m.te.dm)}
+}
+
+// embed fills e for the window wt describes.
+func (m *temporalModule) embed(e *stepEmbedding, wt windowTimes) {
+	m.te.fill(&e.long, wt.posL, wt.dtL)
+	m.te.fill(&e.short, wt.posS, wt.dtS)
+}
+
+// forwardEmbedded reconstructs the short window on a tape. long is W×inDim,
+// short is ω×inDim (rows are timesteps), e the window's time embedding; the
+// result is ω×inDim in [0, 1]. Training runs it; inference runs the same
+// arithmetic through stage1Rows, which TestRowForwardMatchesTape holds to
+// this function bit for bit.
+func (m *temporalModule) forwardEmbedded(t *ag.Tape, long, short *tensor.Dense, e *stepEmbedding) *ag.Node {
 	// Input embeddings IE/ID = proj(x) + TE (Eq. 4).
-	ie := t.Add(m.encProj.Forward(t, t.Const(long)), m.te.Forward(t, wt.posL, wt.dtL))
-	id := t.Add(m.decProj.Forward(t, t.Const(short)), m.te.Forward(t, wt.posS, wt.dtS))
+	ie := t.Add(m.encProj.Forward(t, t.Const(long)), m.te.record(t, &e.long))
+	id := t.Add(m.decProj.Forward(t, t.Const(short)), m.te.record(t, &e.short))
 
 	// Encoder over the long context (Eq. 5–7).
 	oe := ie

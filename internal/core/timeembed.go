@@ -54,24 +54,13 @@ func NewTimeEmbedding(dm int) *TimeEmbedding {
 	return &TimeEmbedding{Alpha: ag.NewParam("te.alpha", a), freq: freq, dm: dm}
 }
 
-// Forward produces the L×d_m embedding for absolute positions pos and
-// intervals dt (both length L).
-func (te *TimeEmbedding) Forward(t *ag.Tape, pos, dt []float64) *ag.Node {
-	L := len(pos)
-	phase := te.phase(t, pos)
-	// Learnable part: dtCol (L×1) · α (1×d_m).
-	dtCol := t.Buffer(L, 1)
-	copy(dtCol.Data, dt)
-	theta := t.Add(phase, t.MatMul(t.Const(dtCol), t.Param(te.Alpha)))
-	return t.Add(t.Sin(theta), t.Cos(theta))
-}
-
-// sinCos is Forward without a tape, keeping the two halves apart: it writes
-// sin(θ) and cos(θ) (L×d_m each) for θ[l][j] = f_j·pos_l + dt_l·α_j, the
-// same per-cell arithmetic as Forward's Add/MatMul/Sin/Cos chain. The
-// streaming detector keeps the halves because a window-local position shift
-// of −1 rotates every retained θ by exactly −f_j, so (sinθ, cosθ) advance by
-// the angle-difference identities without re-evaluating any trigonometry.
+// sinCos writes sin(θ) and cos(θ) (L×d_m each) for θ[l][j] = f_j·pos_l +
+// dt_l·α_j, the same per-cell arithmetic as the tape chain Add(phase,
+// MatMul(dt, α)) → Sin, Cos (TimeEmbedding.Forward in the tests). Training
+// and scoring both embed time through it. The streaming detector keeps the
+// halves because a window-local position shift of −1 rotates every retained
+// θ by exactly −f_j, so (sinθ, cosθ) advance by the angle-difference
+// identities without re-evaluating any trigonometry.
 func (te *TimeEmbedding) sinCos(sin, cos *tensor.Dense, pos, dt []float64) {
 	phase := te.cachedPhase(pos)
 	if phase == nil {
@@ -90,20 +79,6 @@ func (te *TimeEmbedding) sinCos(sin, cos *tensor.Dense, pos, dt []float64) {
 			cr[j] = math.Cos(th)
 		}
 	}
-}
-
-// phase returns the constant matrix phase[l][j] = f_j·pos_l as a tape node,
-// served from the per-shape cache when the positions are contiguous (the
-// only pattern the model emits) and rebuilt per pass otherwise. The cached
-// values are the same products the per-pass fill computed, so hoisting the
-// matrix is bit-identical.
-func (te *TimeEmbedding) phase(t *ag.Tape, pos []float64) *ag.Node {
-	if cached := te.cachedPhase(pos); cached != nil {
-		return t.Const(cached)
-	}
-	phase := t.Buffer(len(pos), te.dm)
-	te.fillPhase(phase, pos)
-	return t.Const(phase)
 }
 
 // cachedPhase returns the shared constant phase matrix for a contiguous
@@ -135,6 +110,38 @@ func (te *TimeEmbedding) fillPhase(phase *tensor.Dense, pos []float64) {
 			row[j] = te.freq[j] * pos[l]
 		}
 	}
+}
+
+// windowEmbedding is one window's time embedding as the training tape
+// records it: sin θ and cos θ (L×d_m), their sum TE and the L×1 column of
+// Δt. It depends on the window alone, so stage 1 fills it once per step and
+// every star's tape reads it; ag.Tape.TimeEmbed never writes it.
+type windowEmbedding struct {
+	sin, cos, sum, dt *tensor.Dense
+}
+
+func newWindowEmbedding(l, dm int) windowEmbedding {
+	return windowEmbedding{
+		sin: tensor.New(l, dm), cos: tensor.New(l, dm), sum: tensor.New(l, dm),
+		dt: tensor.New(l, 1),
+	}
+}
+
+// fill computes e for positions pos and intervals dt: θ's halves through
+// sinCos, then TE = sin θ + cos θ cell by cell, the chain's final Add.
+func (te *TimeEmbedding) fill(e *windowEmbedding, pos, dt []float64) {
+	te.sinCos(e.sin, e.cos, pos, dt)
+	sum := e.sum.Data
+	sin, cos := e.sin.Data[:len(sum)], e.cos.Data[:len(sum)]
+	for i := range sum {
+		sum[i] = sin[i] + cos[i]
+	}
+	copy(e.dt.Data, dt)
+}
+
+// record puts e on tape t as one TimeEmbed op over a fresh α parameter node.
+func (te *TimeEmbedding) record(t *ag.Tape, e *windowEmbedding) *ag.Node {
+	return t.TimeEmbed(t.Const(e.dt), t.Param(te.Alpha), e.sin, e.cos, e.sum)
 }
 
 // Params implements nn.Module.

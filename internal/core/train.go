@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"aero/internal/ag"
 	"aero/internal/nn"
@@ -13,15 +14,19 @@ import (
 )
 
 // trainScratch bundles every reusable buffer of one training run so
-// steady-state steps allocate nothing: the window-time slices, one
-// gradient-recording tape plus input buffers per worker, and the
-// per-variate loss accumulator. Slots are pinned to variates by index
-// (variate v runs on slot v mod workers), so a slot is never shared
-// between goroutines within a step.
+// steady-state steps allocate nothing: the window-time slices and the step's
+// time embedding, one gradient-recording tape plus input buffers per worker,
+// and per variate a loss and — when steps fan out — a parameter-gradient
+// stash. Training holds one tape per worker however many variates there are.
 type trainScratch struct {
-	wt     windowTimes
-	slots  []*varSlot // grad tape + long/short input buffers, one per worker
-	losses []float64
+	wt      windowTimes
+	emb     *stepEmbedding
+	slots   []*varSlot     // grad tape + long/short input buffers, one per worker
+	stashes []ag.GradStash // per variate, between its backward and the ordered flush
+	losses  []float64
+
+	next atomic.Int64   // the fan-out's next unclaimed variate
+	wg   sync.WaitGroup // the fan-out's join
 }
 
 // varSlot is the per-goroutine state of one stage-1 training pass: a tape
@@ -60,7 +65,11 @@ func (m *Model) newTrainScratch() *trainScratch {
 	workers := m.trainWorkers()
 	ts := &trainScratch{
 		wt:     newWindowTimes(w, omega),
+		emb:    m.temporal.newStepEmbedding(w, omega),
 		losses: make([]float64, m.n),
+	}
+	if workers > 1 {
+		ts.stashes = make([]ag.GradStash, m.n)
 	}
 	for i := 0; i < workers; i++ {
 		ts.slots = append(ts.slots, &varSlot{
@@ -105,76 +114,81 @@ func (m *Model) trainStage1(p *prepared) int {
 }
 
 // stage1Step runs one optimizer step over all variates of one window and
-// returns the mean reconstruction loss. Every buffer and tape comes from
-// ts, so a steady-state step allocates nothing beyond goroutine fan-out.
+// returns the mean reconstruction loss. The window's time embedding is
+// computed once, here, and every variate's tape reads it. Every buffer and
+// tape comes from ts, so a steady-state step allocates nothing beyond the
+// goroutines of its fan-out.
 //
-// Univariate variates are processed in chunks of len(ts.slots): each chunk
-// runs its backward passes concurrently (BackwardGrads touches only
-// tape-local gradients), then parameter gradients are flushed in ascending
-// variate order from this goroutine. The float accumulation sequence into
-// every Param.Grad is therefore fixed — training results are bit-identical
-// for a given seed regardless of worker count.
+// Parameter gradients reach Param.Grad in ascending variate order, each
+// variate's in reverse tape order — straight from the tape on one worker,
+// from the variates' stashes after the join on several. The float
+// accumulation sequence into every Param.Grad is therefore fixed: training
+// results are bit-identical for a given seed regardless of worker count.
 func (m *Model) stage1Step(p *prepared, end int, opt *nn.Adam, params []*ag.Param, ts *trainScratch) float64 {
-	wt := m.times(p, end, &ts.wt)
-	if m.cfg.multivariateInput() {
-		slot := ts.slots[0]
-		t := slot.tape
-		t.Reset()
-		m.longShort(p, 0, end, slot.long, slot.short)
-		pred := m.temporal.forward(t, slot.long, slot.short, wt)
-		loss := t.MSE(pred, t.Const(slot.short))
-		t.Backward(loss)
+	m.temporal.embed(ts.emb, m.times(p, end, &ts.wt))
+	switch {
+	case m.cfg.multivariateInput():
+		// One pass reconstructs every variate; its loss is the step's.
+		m.stage1Variate(p, 0, end, ts.slots[0], ts)
+		ts.slots[0].tape.FlushParamGrads()
 		opt.Step(params)
-		return loss.Value.Data[0]
-	}
-	workers := len(ts.slots)
-	for base := 0; base < m.n; base += workers {
-		hi := base + workers
-		if hi > m.n {
-			hi = m.n
-		}
-		if hi-base == 1 {
-			// The goroutine fan-out lives in stage1Chunk so this sequential
-			// path carries no closure: captured variables would otherwise be
-			// heap-boxed on every step even when the fan-out never runs.
-			m.stage1Variate(p, base, end, wt, ts.slots[0], ts.losses)
+		return ts.losses[0]
+	case len(ts.slots) == 1:
+		// The goroutine fan-out lives in stage1FanOut so this sequential
+		// path carries no closure: captured variables would otherwise be
+		// heap-boxed on every step even when the fan-out never runs.
+		for v := 0; v < m.n; v++ {
+			m.stage1Variate(p, v, end, ts.slots[0], ts)
 			ts.slots[0].tape.FlushParamGrads()
-			continue
 		}
-		m.stage1Chunk(p, base, hi, end, wt, ts)
+	default:
+		m.stage1FanOut(p, end, ts)
 	}
 	opt.Step(params)
 	return stats.Mean(ts.losses)
 }
 
-// stage1Chunk runs variates [base, hi) concurrently, one per worker slot,
-// then flushes their parameter gradients in ascending variate order.
-func (m *Model) stage1Chunk(p *prepared, base, hi, end int, wt windowTimes, ts *trainScratch) {
-	var wg sync.WaitGroup
-	for v := base; v < hi; v++ {
-		wg.Add(1)
-		go func(v int) {
-			defer wg.Done()
-			m.stage1Variate(p, v, end, wt, ts.slots[v-base], ts.losses)
-		}(v)
+// stage1FanOut runs every variate of the step on one goroutine per worker
+// slot (this one included), each pulling the next unclaimed variate until
+// none is left and stashing its parameter gradients. After the join it
+// flushes the stashes in ascending variate order.
+func (m *Model) stage1FanOut(p *prepared, end int, ts *trainScratch) {
+	ts.next.Store(0)
+	ts.wg.Add(len(ts.slots) - 1)
+	for _, slot := range ts.slots[1:] {
+		go func() {
+			defer ts.wg.Done()
+			m.stage1Worker(p, end, slot, ts)
+		}()
 	}
-	wg.Wait()
-	for v := base; v < hi; v++ {
-		ts.slots[v-base].tape.FlushParamGrads()
+	m.stage1Worker(p, end, ts.slots[0], ts)
+	ts.wg.Wait()
+	for v := range ts.stashes {
+		ts.stashes[v].Flush()
+	}
+}
+
+// stage1Worker claims variates until none is left, leaving each one's
+// parameter gradients in its stash.
+func (m *Model) stage1Worker(p *prepared, end int, slot *varSlot, ts *trainScratch) {
+	for v := int(ts.next.Add(1)) - 1; v < m.n; v = int(ts.next.Add(1)) - 1 {
+		m.stage1Variate(p, v, end, slot, ts)
+		slot.tape.StashParamGrads(&ts.stashes[v])
 	}
 }
 
 // stage1Variate runs forward + backward for one variate on one worker
 // slot, leaving the parameter-gradient contributions on the slot's tape
-// for an ordered flush.
-func (m *Model) stage1Variate(p *prepared, v, end int, wt windowTimes, slot *varSlot, losses []float64) {
+// for an ordered flush. In multivariate mode v is 0 and the pass covers
+// every variate.
+func (m *Model) stage1Variate(p *prepared, v, end int, slot *varSlot, ts *trainScratch) {
 	t := slot.tape
 	t.Reset()
 	m.longShort(p, v, end, slot.long, slot.short)
-	pred := m.temporal.forward(t, slot.long, slot.short, wt)
+	pred := m.temporal.forwardEmbedded(t, slot.long, slot.short, ts.emb)
 	loss := t.MSE(pred, t.Const(slot.short))
 	t.BackwardGrads(loss)
-	losses[v] = loss.Value.Data[0]
+	ts.losses[v] = loss.Value.Data[0]
 }
 
 // trainStage2 trains the concurrent-noise module with stage 1 frozen and
@@ -187,12 +201,15 @@ func (m *Model) trainStage2(p *prepared) int {
 	// Stage 1 is frozen during stage 2 (Algorithm 1, line 7), so a window's
 	// error matrix E = Y − Ŷ1 is the same in every epoch: the frozen forward
 	// runs once per window, here, and the epochs index the copies. They are
-	// windows·N·ω float64s together, and garbage once training returns.
-	sc := m.newScratch(1)
+	// windows·N·ω float64s together, and garbage once training returns. Each
+	// window's E is a function of the window alone, so the windows run on the
+	// scoring worker pool.
 	errs := make([]*tensor.Dense, len(insts))
-	for i, inst := range insts {
-		errs[i] = m.stage1Errors(p, inst.End, m.times(p, inst.End, &sc.wt), sc).Clone()
-	}
+	m.parallelWindows(len(insts), func(i int, sc *scratch) {
+		end := insts[i].End
+		errs[i] = m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc).Clone()
+	})
+	sc := m.newScratch(1)
 	// Graph building reuses the scratch across all windows, and the stage-2
 	// backward reuses one tape; each window's tensors are consumed (forward
 	// + backward) before the next window overwrites them.

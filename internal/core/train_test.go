@@ -64,7 +64,7 @@ func TestTrainingDeterministicAcrossWorkers(t *testing.T) {
 
 func testTrainingDeterministicAcrossWorkers(t *testing.T) {
 	ref, refScores := fitWithWorkers(t, 1)
-	for _, workers := range []int{2, 3, 5} {
+	for _, workers := range []int{2, 3, 5, 8} {
 		m, scores := fitWithWorkers(t, workers)
 		if m.Epochs1 != ref.Epochs1 || m.Epochs2 != ref.Epochs2 {
 			t.Fatalf("workers=%d: epochs (%d, %d) != sequential (%d, %d)",
@@ -87,11 +87,31 @@ func testTrainingDeterministicAcrossWorkers(t *testing.T) {
 // TestStage1StepSteadyStateAllocs pins the allocation budget of one
 // steady-state stage-1 training step, mirroring the streaming-push pinning:
 // with the training scratch warm, a sequential step must allocate nothing
-// (tapes, gradients, moments and input buffers are all reused).
+// (tapes, gradients, stashes, moments and input buffers are all reused),
+// and a fanned-out step only what starting its goroutines costs — one
+// closure per extra worker, whatever the variate count.
 func TestStage1StepSteadyStateAllocs(t *testing.T) {
-	d := trainTestDataset()
+	for _, workers := range []int{1, 2, 3} {
+		for _, n := range []int{5, 9} {
+			allocs := stage1StepAllocs(t, workers, n)
+			t.Logf("workers %d, %d variates: %.1f allocs/step", workers, n, allocs)
+			if budget := float64(workers - 1); allocs > budget {
+				t.Fatalf("workers %d, %d variates: steady-state stage-1 step allocates %.1f objects, want <= %.0f",
+					workers, n, allocs, budget)
+			}
+		}
+	}
+}
+
+func stage1StepAllocs(t *testing.T, workers, n int) float64 {
+	t.Helper()
+	d := dataset.SyntheticConfig{
+		Name: "train", N: n, TrainLen: 160, TestLen: 120,
+		NoiseVariates: 3, AnomalySegments: 1, NoisePct: 3,
+		VariableFrac: 0.5, Seed: 31,
+	}.Generate()
 	cfg := trainTestConfig()
-	cfg.Workers = 1
+	cfg.Workers = workers
 	m, err := New(cfg, d.Train.N())
 	if err != nil {
 		t.Fatal(err)
@@ -102,14 +122,19 @@ func TestStage1StepSteadyStateAllocs(t *testing.T) {
 	opt := nn.NewAdam(m.cfg.LR)
 	opt.MaxGradNorm = 5
 	ts := m.newTrainScratch()
+	if len(ts.slots) != workers {
+		t.Fatalf("%d tapes for %d workers", len(ts.slots), workers)
+	}
 	end := m.cfg.LongWindow - 1
-	m.stage1Step(p, end, opt, params, ts) // warm arenas, moments, buffers
-	allocs := testing.AllocsPerRun(16, func() {
+	m.stage1Step(p, end, opt, params, ts) // warm arenas, stashes, moments, buffers
+	for _, slot := range ts.slots {
+		// A worker that claimed no variate in the warm-up step would warm
+		// its tape inside the measurement.
+		m.stage1Variate(p, 0, end, slot, ts)
+	}
+	return testing.AllocsPerRun(16, func() {
 		m.stage1Step(p, end, opt, params, ts)
 	})
-	if allocs > 0 {
-		t.Fatalf("steady-state stage-1 step allocates %.1f objects, want 0", allocs)
-	}
 }
 
 // TestStage2StepSteadyStateAllocs pins the stage-2 equivalent: the frozen

@@ -20,13 +20,21 @@ func NewArena() *Arena { return &Arena{} }
 // same position of the previous pass when it is large enough. The buffer is
 // valid until the next Reset.
 func (a *Arena) Get(r, c int) *Dense {
+	d := a.Take(r, c)
+	clear(d.Data)
+	return d
+}
+
+// Take is Get without the clearing, for a caller that writes every cell
+// before it reads any: a reused buffer holds whatever the previous pass left
+// in it.
+func (a *Arena) Take(r, c int) *Dense {
 	need := r * c
 	if a.pos < len(a.bufs) {
 		d := a.bufs[a.pos]
 		a.pos++
 		if cap(d.Data) >= need {
 			d.Rows, d.Cols, d.Data = r, c, d.Data[:need]
-			clear(d.Data)
 			return d
 		}
 		nd := New(r, c)

@@ -37,7 +37,12 @@ func eachKernelPath(t *testing.T, f func(t *testing.T)) {
 // score bits) — a complete fingerprint of the training outcome.
 func trainFingerprint(t *testing.T, workers int) (int, int, uint64, uint64) {
 	t.Helper()
-	d := benchDataset()
+	return trainFingerprintOn(t, benchDataset(), workers)
+}
+
+// trainFingerprintOn is trainFingerprint on a caller-chosen dataset.
+func trainFingerprintOn(t *testing.T, d *aero.Dataset, workers int) (int, int, uint64, uint64) {
+	t.Helper()
 	cfg := benchConfig()
 	cfg.Workers = workers
 	m, err := aero.New(cfg, d.Train.N())
@@ -96,6 +101,69 @@ func TestTrainingBitIdentityGolden(t *testing.T) {
 	}
 	eachKernelPath(t, func(t *testing.T) {
 		e1, e2, thr, scores := trainFingerprint(t, 1)
+		if runtime.GOARCH != "amd64" {
+			t.Skipf("golden bits recorded on amd64, running on %s", runtime.GOARCH)
+		}
+		want, ok := golden[math.Float64bits(math.Exp(expProbe))]
+		if !ok {
+			t.Skipf("math.Exp(%v) is neither implementation the fingerprints were recorded with", expProbe)
+		}
+		t.Log(want.exp)
+		if e1 != goldenEpochs1 || e2 != goldenEpochs2 {
+			t.Fatalf("epochs (%d, %d) != golden (%d, %d)", e1, e2, goldenEpochs1, goldenEpochs2)
+		}
+		if thr != want.thr {
+			t.Fatalf("threshold bits %#x != golden %#x", thr, want.thr)
+		}
+		if scores != want.scores {
+			t.Fatalf("score hash %#x != golden %#x", scores, want.scores)
+		}
+	})
+}
+
+// jitteredBenchDataset is benchDataset on an irregular cadence: intervals
+// cycle through 0.5, 1, 1.7, 0.8 and 1.3 time units, and each split has one
+// gap of 40 units, so every training window's Δt column differs from the
+// unit cadence and the time embedding's α gradient is not the same product
+// at every row.
+func jitteredBenchDataset() *aero.Dataset {
+	d := benchDataset()
+	steps := []float64{0.5, 1, 1.7, 0.8, 1.3}
+	for _, s := range []*aero.Series{d.Train, d.Test} {
+		at, gap := s.Time[0], s.Len()/2
+		for i := range s.Time {
+			s.Time[i] = at
+			at += steps[i%len(steps)]
+			if i == gap {
+				at += 40
+			}
+		}
+	}
+	return d
+}
+
+// TestTrainingBitIdentityJitteredGolden is TestTrainingBitIdentityGolden off
+// the unit cadence (jitteredBenchDataset), where Δt ≠ 1 reaches the time
+// embedding's backward. Both columns were recorded before stage 1 shared one
+// embedding per step across stars, the second under GODEBUG=cpu.fma=off.
+func TestTrainingBitIdentityJitteredGolden(t *testing.T) {
+	const (
+		goldenEpochs1 = 3
+		goldenEpochs2 = 3
+		expProbe      = -0.1875
+	)
+	golden := map[uint64]struct {
+		exp         string
+		thr, scores uint64
+	}{
+		0x3fea876812c0877b: {"math.Exp with FMA", 0x3fda56288d5c87b2, 0x7d1014a97712f35f},
+		0x3fea876812c0877c: {"math.Exp without FMA", 0x3fda56288d5c87b1, 0xf23c4340eb0b87f0},
+	}
+	if testing.Short() {
+		t.Skip("training fingerprint is not fast")
+	}
+	eachKernelPath(t, func(t *testing.T) {
+		e1, e2, thr, scores := trainFingerprintOn(t, jitteredBenchDataset(), 1)
 		if runtime.GOARCH != "amd64" {
 			t.Skipf("golden bits recorded on amd64, running on %s", runtime.GOARCH)
 		}
