@@ -215,7 +215,9 @@ func DefaultIncrementalPolicy() IncrementalPolicy { return core.DefaultIncrement
 func ExactIncrementalPolicy() IncrementalPolicy { return core.ExactIncrementalPolicy() }
 
 // NewDSPOTStage wraps a backend with DSPOT alarmers calibrated on
-// per-variate score sequences (see StreamBackendScores).
+// per-variate score sequences (see StreamBackendScores). Stages built
+// from the same config and bit-equal scores share one tail fit: the
+// first fits, the rest restore that fit, each into its own state.
 func NewDSPOTStage(inner StreamBackend, cfg DSPOTConfig, calib [][]float64) (*DSPOTStage, error) {
 	return backend.NewDSPOTStage(inner, cfg, calib)
 }

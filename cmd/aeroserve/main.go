@@ -286,8 +286,9 @@ func main() {
 	}
 
 	// DSPOT calibration: replay the training split through one scratch
-	// backend, then every tenant's tail models start from the same fitted
-	// state while its window warms on the live feed.
+	// backend. Every tenant's stage is built from these same scores, so
+	// the first tenant fits the tail models and the rest restore that fit
+	// into their own state while their windows warm on the live feed.
 	dcfg := aero.DefaultDSPOTConfig()
 	dcfg.Depth = *dspotDepth
 	dcfg.Level, dcfg.Q = opts.Stream.Level, opts.Stream.Q

@@ -3,6 +3,7 @@ package backend
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -65,13 +66,18 @@ type DSPOTStage struct {
 // NewDSPOTStage wraps inner with per-variate DSPOT alarmers calibrated
 // on the given score sequences (one per variate, as produced by
 // baselines.StreamScores over a calibration split). Every sequence must
-// exceed Depth+8 points, the DSPOT calibration minimum, and Level and Q
-// must lie in (0, 1).
+// exceed Depth+8 points, the DSPOT calibration minimum, and hold only
+// finite values, and Level and Q must lie in (0, 1).
 //
-// The variates' cold fits are independent, so up to GOMAXPROCS workers
-// run them, each writing only the tail models it fitted; every model is
+// A tail fit is a pure function of the config and the calibration bits,
+// so a stage built from the same config and bit-equal scores as the last
+// stage fitted restores that fit (as RestoreState restores a snapshot)
+// instead of redoing it: every tenant of one model shares one
+// calibration. Otherwise the variates' cold fits run on up to GOMAXPROCS
+// workers, each writing only the tail models it fitted; every model is
 // the one a sequential fit would build. On failure the error is the
-// lowest-numbered failing variate's.
+// lowest-numbered failing variate's. Either way each stage's tail state
+// is its own.
 func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64) (*DSPOTStage, error) {
 	n := inner.Variates()
 	if len(calib) != n {
@@ -89,6 +95,29 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 		spots: make([]*evt.DSPOT, n),
 		fired: make([]bool, n),
 	}
+	if fit := lastFit.Load(); fit.matches(cfg, calib) {
+		for v := range d.spots {
+			d.spots[v] = d.newSpot()
+			if err := d.spots[v].SetState(fit.states[v]); err != nil {
+				return nil, fmt.Errorf("backend: dspot variate %d: %w", v, err)
+			}
+		}
+		return d, nil
+	}
+	fit, err := d.fit(calib)
+	if err != nil {
+		return nil, err
+	}
+	lastFit.Store(fit)
+	return d, nil
+}
+
+// fit calibrates every variate's tail model from scratch, concurrently,
+// and returns the record of the fit: each worker copies the calibration
+// and takes the state of the variates it fitted.
+func (d *DSPOTStage) fit(calib [][]float64) (*fittedTail, error) {
+	n := len(d.spots)
+	fit := &fittedTail{cfg: d.cfg, calib: make([][]float64, n), states: make([]evt.DSPOTState, n)}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -97,9 +126,11 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 		go func() {
 			defer wg.Done()
 			for v := int(next.Add(1) - 1); v < n; v = int(next.Add(1) - 1) {
-				sp := evt.NewDSPOT(cfg.Level, cfg.Q, cfg.Depth)
-				sp.SetPolicy(cfg.Refit)
-				errs[v] = sp.Fit(calib[v])
+				sp := d.newSpot()
+				if errs[v] = sp.Fit(calib[v]); errs[v] == nil {
+					fit.calib[v] = append([]float64(nil), calib[v]...)
+					fit.states[v] = sp.State()
+				}
 				d.spots[v] = sp
 			}
 		}()
@@ -110,7 +141,52 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 			return nil, fmt.Errorf("backend: dspot variate %d: %w", v, err)
 		}
 	}
-	return d, nil
+	return fit, nil
+}
+
+// newSpot returns an unfitted tail model under the stage's config.
+func (d *DSPOTStage) newSpot() *evt.DSPOT {
+	sp := evt.NewDSPOT(d.cfg.Level, d.cfg.Q, d.cfg.Depth)
+	sp.SetPolicy(d.cfg.Refit)
+	return sp
+}
+
+// fittedTail is the last successful NewDSPOTStage fit: its config, a
+// private copy of its calibration, and every variate's state taken before
+// the stage was returned, so never stepped. A record is immutable once
+// stored; a miss replaces it whole. One record suffices — every caller
+// builds all tenants of a model from one calibration — and bounds the
+// memory held to one calibration.
+type fittedTail struct {
+	cfg    DSPOTConfig
+	calib  [][]float64
+	states []evt.DSPOTState
+}
+
+// lastFit holds the record of the last successful fit. Loading and
+// replacing it are each one operation, so the pointer needs no lock.
+var lastFit atomic.Pointer[fittedTail]
+
+// matches reports whether a stage of config cfg on calib would fit
+// exactly what f recorded: the same config and, star by star, the same
+// calibration bits. It compares against the record's own copy, never a
+// hash, so scores mutated in place since the record was made miss.
+func (f *fittedTail) matches(cfg DSPOTConfig, calib [][]float64) bool {
+	if f == nil || f.cfg != cfg || len(f.calib) != len(calib) {
+		return false
+	}
+	for v, want := range f.calib {
+		got := calib[v]
+		if len(got) != len(want) {
+			return false
+		}
+		for i, x := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(x) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // OpenAdaptive opens a serving backend of the given kind wrapped in a
@@ -175,7 +251,9 @@ func (d *DSPOTStage) RefitStats() evt.RefitStats {
 
 // PushScores implements core.StreamBackend: the inner backend's raw
 // scores pass through unchanged, while each one steps its variate's
-// DSPOT (the verdicts back the next Push's alarms).
+// DSPOT (the verdicts back the next Push's alarms). A frame with a NaN or
+// ±Inf score steps no variate and is an error (evt.ErrNonFinite), so the
+// engine counts a fault instead of a tail model silently going blind.
 func (d *DSPOTStage) PushScores(f core.Frame) ([]float64, error) {
 	scores, err := d.inner.PushScores(f)
 	if d.clock != nil {
@@ -183,6 +261,11 @@ func (d *DSPOTStage) PushScores(f core.Frame) ([]float64, error) {
 	}
 	if err != nil || scores == nil {
 		return nil, err
+	}
+	for v, sc := range scores {
+		if math.IsNaN(sc) || math.IsInf(sc, 0) {
+			return nil, fmt.Errorf("backend: dspot variate %d: score %v: %w", v, sc, evt.ErrNonFinite)
+		}
 	}
 	for v, sc := range scores {
 		fired, serr := d.spots[v].Step(sc)
@@ -313,8 +396,7 @@ func (d *DSPOTStage) RestoreState(blob []byte) error {
 	}
 	fresh := make([]*evt.DSPOT, len(d.spots))
 	for v := range fresh {
-		fresh[v] = evt.NewDSPOT(d.cfg.Level, d.cfg.Q, d.cfg.Depth)
-		fresh[v].SetPolicy(d.cfg.Refit)
+		fresh[v] = d.newSpot()
 		if err := fresh[v].SetState(st.Spots[v]); err != nil {
 			return fmt.Errorf("backend: dspot state variate %d: %w", v, err)
 		}

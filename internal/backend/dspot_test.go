@@ -372,25 +372,27 @@ func TestDSPOTStageConcurrentFitMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		calib := make([][]float64, stars)
-		for v := range calib {
-			calib[v] = make([]float64, 300+rng.Intn(700))
-			for i := range calib[v] {
-				calib[v][i] = rng.ExpFloat64() + 0.01*float64(i%50)
-			}
-		}
-		want := make([][]byte, stars)
-		for v := range want {
-			sp := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
-			sp.SetPolicy(dcfg.Refit)
-			if err := sp.Fit(calib[v]); err != nil {
-				t.Fatal(err)
-			}
-			if want[v], err = json.Marshal(sp.State()); err != nil {
-				t.Fatal(err)
-			}
-		}
 		for _, procs := range []int{1, 3, 8} {
+			// Each round draws its own calibration: a repeated one would be
+			// restored from the last round's fit, not fitted.
+			calib := make([][]float64, stars)
+			for v := range calib {
+				calib[v] = make([]float64, 300+rng.Intn(700))
+				for i := range calib[v] {
+					calib[v][i] = rng.ExpFloat64() + 0.01*float64(i%50)
+				}
+			}
+			want := make([][]byte, stars)
+			for v := range want {
+				sp := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
+				sp.SetPolicy(dcfg.Refit)
+				if err := sp.Fit(calib[v]); err != nil {
+					t.Fatal(err)
+				}
+				if want[v], err = json.Marshal(sp.State()); err != nil {
+					t.Fatal(err)
+				}
+			}
 			runtime.GOMAXPROCS(procs)
 			inner, err := spec.Open(artifact)
 			if err != nil {

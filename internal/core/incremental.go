@@ -304,15 +304,21 @@ func (inc *incrementalState) push(s *StreamDetector) {
 
 // rotateTE advances the cached time-embedding (sinθ, cosθ) rows by one
 // position: retained rows rotate by exactly −f_j per dimension, the row-0
-// interval pin and the entering row are recomputed directly.
+// interval pin and the entering row are recomputed directly. Only the
+// cones' rows are maintained — the benign path reads no other row, each
+// cone row rotates out of the cone row after it, and a refresh rewrites
+// every row — so rows before a cone go stale until the next refresh.
 func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
 	c := &inc.sc.te
 	dm := m.temporal.te.dm
 	w, omega := c.sinL.Rows, c.sinS.Rows
-	rotateRows(c.sinL, c.cosL, inc.sinF, inc.cosF)
-	// times() pins dtL[0] to 1 regardless of the sample's real interval.
-	copy(c.sinL.Row(0), inc.sinA)
-	copy(c.cosL.Row(0), inc.cosA)
+	lo, loS := w-inc.pol.Cone, omega-inc.pol.ShortCone
+	rotateRows(c.sinL, c.cosL, lo, inc.sinF, inc.cosF)
+	if lo == 0 {
+		// times() pins dtL[0] to 1 regardless of the sample's real interval.
+		copy(c.sinL.Row(0), inc.sinA)
+		copy(c.cosL.Row(0), inc.cosA)
+	}
 	alpha := m.temporal.te.Alpha.Value.Data
 	sl, cl := c.sinL.Row(w-1), c.cosL.Row(w-1)
 	for j := 0; j < dm; j++ {
@@ -320,8 +326,8 @@ func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
 		sl[j] = math.Sin(th)
 		cl[j] = math.Cos(th)
 	}
-	rotateRows(c.sinS, c.cosS, inc.sinF, inc.cosF)
-	if omega == w {
+	rotateRows(c.sinS, c.cosS, loS, inc.sinF, inc.cosF)
+	if omega == w && loS == 0 {
 		// Only when the short window spans the long one does its row 0
 		// inherit the interval pin; otherwise row 0 sits mid-window and
 		// the rotation above already placed it exactly.
@@ -334,11 +340,12 @@ func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
 	copy(c.cosS.Row(omega-1), cl)
 }
 
-// rotateRows shifts a (sin, cos) pair up one row while rotating each
-// retained element by −f_j: sin(θ−f) = sinθ·cosF − cosθ·sinF and
-// cos(θ−f) = cosθ·cosF + sinθ·sinF.
-func rotateRows(sin, cos *tensor.Dense, sinF, cosF []float64) {
-	for r := 0; r+1 < sin.Rows; r++ {
+// rotateRows shifts rows start… of a (sin, cos) pair up one row while
+// rotating each retained element by −f_j: sin(θ−f) = sinθ·cosF − cosθ·sinF
+// and cos(θ−f) = cosθ·cosF + sinθ·sinF. The last row is left for the
+// caller to recompute.
+func rotateRows(sin, cos *tensor.Dense, start int, sinF, cosF []float64) {
+	for r := start; r+1 < sin.Rows; r++ {
 		sr, cr := sin.Row(r), cos.Row(r)
 		sn, cn := sin.Row(r+1), cos.Row(r+1)
 		for j := range sr {

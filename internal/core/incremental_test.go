@@ -8,6 +8,9 @@ import (
 	"aero/internal/dataset"
 )
 
+// The windows fitIncVariant's models stream over.
+const incLongWindow, incShortWindow = 24, 8
+
 // fitIncVariant trains a small model of the given variant on a fresh
 // synthetic dataset, sized like the dynamic-graph snapshot test so the
 // whole variant sweep stays cheap.
@@ -15,8 +18,8 @@ func fitIncVariant(t *testing.T, variant Variant) (*Model, *dataset.Dataset) {
 	t.Helper()
 	cfg := testConfig()
 	cfg.Variant = variant
-	cfg.LongWindow = 24
-	cfg.ShortWindow = 8
+	cfg.LongWindow = incLongWindow
+	cfg.ShortWindow = incShortWindow
 	cfg.ModelDim = 8
 	cfg.FFNHidden = 16
 	cfg.MaxEpochs = 1

@@ -47,6 +47,8 @@ func TestStreamScoreBitsPinned(t *testing.T) {
 	}
 	cone := DefaultIncrementalPolicy()
 	cone.Cone, cone.ShortCone = 3, 2
+	whole := DefaultIncrementalPolicy()
+	whole.Cone, whole.ShortCone = incLongWindow, incLongWindow // ShortCone clamps to ω
 	cases := []struct {
 		name    string
 		variant Variant
@@ -60,6 +62,10 @@ func TestStreamScoreBitsPinned(t *testing.T) {
 		// Cone > 1 walks several ring rows per layer per frame, the path no
 		// benchmark workload exercises.
 		{"full-cone3", VariantFull, cone, [2]uint64{0xef2b299e3ce77ab8, 0xa733670144ff86e2}},
+		// A cone spanning both windows reads row 0, where the long window
+		// (and the short one, when it spans the long) pins the interval.
+		{"full-cone-whole", VariantFull, whole, [2]uint64{0x1a49be71acdab33a, 0x9bca7d4bd6d7aa34}},
+		{"no-short-window-cone-whole", VariantNoShortWindow, whole, [2]uint64{0x4580af7e036caefe, 0xe119ed544fefb4af}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -271,3 +271,112 @@ func TestSubscriptionBackendCapabilities(t *testing.T) {
 	e.Close()
 	wg.Wait()
 }
+
+// TestNaNScoreDoesNotSilenceDSPOT: with hygiene off (the default) one NaN
+// magnitude reaches the backends of an AERO+DSPOT and a fluxev+DSPOT
+// tenant. AERO's graph spreads it to every star's score while the frame is
+// in the window; fluxev's forecast keeps it on star 0. The DSPOT stage
+// refuses each frame with a non-finite score before stepping any star, so
+// the poisoned frames surface — as FrameErrors with supervision off, as
+// faults with it on — and once the NaN has left AERO's window the spikes
+// alarm on every star they alarm on in a clean run. Before, the NaN
+// entered the drift windows silently: no star of either tenant alarmed
+// again, and both stayed healthy with no fault and no error.
+func TestNaNScoreDoesNotSilenceDSPOT(t *testing.T) {
+	m, _ := fixture(t)
+	series := tenantSeries(0).Test
+	aeroArt, err := m.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fluxArt, err := backend.Train("fluxev", fixD.Train, backend.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	arts := map[string][]byte{"aero": aeroArt, "fluxev": fluxArt}
+	const poisonAt, spikeFrom, spikeTo = 120, 200, 250
+	type outcome struct {
+		spiked map[int]bool // stars alarming during the spikes
+		errs   []float64    // FrameError times
+		stats  engine.SubscriptionStats
+	}
+	run := func(health engine.HealthConfig, poison bool) map[string]outcome {
+		e := engine.New(engine.Config{Shards: 1, Workers: 1, ErrorBuffer: 4 * series.Len(), Health: health})
+		got, wg := collectAlarms(e)
+		subs := map[string]*engine.Subscription{}
+		for id, art := range arts {
+			spec, _ := backend.Get(id)
+			stage, err := backend.OpenAdaptive(spec, art, backend.DefaultDSPOTConfig(), fixD.Train)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if subs[id], err = e.SubscribeBackend(id, stage); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for ti := 0; ti < series.Len(); ti++ {
+			f := core.Frame{Time: series.Time[ti], Magnitudes: make([]float64, series.N())}
+			for v := range f.Magnitudes {
+				f.Magnitudes[v] = series.Data[v][ti]
+				if ti >= spikeFrom && ti <= spikeTo {
+					f.Magnitudes[v] += 50
+				}
+			}
+			if poison && ti == poisonAt {
+				f.Magnitudes[0] = math.NaN()
+			}
+			for id := range subs {
+				if err := e.Ingest(id, f); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		e.Flush()
+		e.Close()
+		wg.Wait()
+		out := map[string]outcome{}
+		for id, sub := range subs {
+			o := outcome{spiked: map[int]bool{}, stats: sub.Stats()}
+			for _, a := range got[id] {
+				if a.Time >= series.Time[spikeFrom] && a.Time <= series.Time[spikeTo] {
+					o.spiked[a.Variate] = true
+				}
+			}
+			out[id] = o
+		}
+		for fe := range e.Errors() {
+			o := out[fe.Sub]
+			o.errs = append(o.errs, fe.Time)
+			out[fe.Sub] = o
+		}
+		return out
+	}
+
+	off := engine.HealthConfig{Disable: true}
+	clean, poisoned := run(off, false), run(off, true)
+	for id := range arts {
+		if len(clean[id].errs) != 0 || len(clean[id].spiked) == 0 {
+			t.Fatalf("%s clean run: %d errors, spikes alarm on stars %v", id, len(clean[id].errs), clean[id].spiked)
+		}
+		if errs := poisoned[id].errs; len(errs) == 0 || errs[0] != series.Time[poisonAt] {
+			t.Fatalf("%s: the NaN frame surfaced no FrameError (errors at %v)", id, errs)
+		}
+	}
+	// AERO's window lets the NaN go; fluxev's forecast is an EWMA of every
+	// frame so far and never does, so its stage keeps refusing frames.
+	w := m.Config().LongWindow
+	if errs := poisoned["aero"].errs; errs[len(errs)-1] >= series.Time[poisonAt+w] {
+		t.Fatalf("aero: FrameErrors went on past the window (last at %v)", errs[len(errs)-1])
+	}
+	for v := range clean["aero"].spiked {
+		if !poisoned["aero"].spiked[v] {
+			t.Fatalf("aero: star %d alarms on the spikes in a clean run, not after the NaN (poisoned run: %v)", v, poisoned["aero"].spiked)
+		}
+	}
+
+	for id, o := range run(engine.HealthConfig{}, true) {
+		if o.stats.Faults == 0 {
+			t.Fatalf("%s under supervision: the NaN frames counted no fault (%+v)", id, o.stats)
+		}
+	}
+}

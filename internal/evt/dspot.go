@@ -38,20 +38,35 @@ func (d *DSPOT) Policy() RefitPolicy { return d.spot.Policy }
 func (d *DSPOT) RefitStats() RefitStats { return d.spot.RefitStats() }
 
 // Fit calibrates on an initial batch; the first depth values seed the
-// trailing window and the rest calibrate the tail model.
+// trailing window and the rest calibrate the tail model. A NaN or ±Inf
+// anywhere in the batch is an error naming its index: it would leave a
+// NaN baseline or threshold that never alarms.
 func (d *DSPOT) Fit(init []float64) error {
 	if len(init) <= d.depth+8 {
 		return fmt.Errorf("evt: DSPOT needs more than depth+8=%d calibration points, got %d", d.depth+8, len(init))
 	}
-	for _, v := range init[:d.depth] {
+	// The checks ride in the loops that read each point anyway, so a
+	// refused batch leaves the window part-filled: as after a Level or Q
+	// error, the detector is not ready and must be discarded.
+	for i, v := range init[:d.depth] {
+		if !finite(v) {
+			return nonFinitePoint(i, v)
+		}
 		d.push(v)
 	}
 	resid := make([]float64, 0, len(init)-d.depth)
-	for _, v := range init[d.depth:] {
+	for i, v := range init[d.depth:] {
+		if !finite(v) {
+			return nonFinitePoint(d.depth+i, v)
+		}
 		resid = append(resid, v-d.mean())
 		d.push(v)
 	}
 	return d.spot.Fit(resid)
+}
+
+func nonFinitePoint(i int, v float64) error {
+	return fmt.Errorf("evt: DSPOT calibration point %d is %v", i, v)
 }
 
 func (d *DSPOT) push(v float64) {
@@ -120,7 +135,10 @@ func (d *DSPOT) SetState(st DSPOTState) error {
 // Step consumes one observation and reports whether it is anomalous
 // relative to the drift-corrected baseline. Non-anomalous observations
 // update the trailing window; anomalies do not (so an alarm does not
-// poison the baseline). Stepping before Fit returns ErrNotReady.
+// poison the baseline). Stepping before Fit returns ErrNotReady, a
+// non-finite x ErrNonFinite (the residual of one is non-finite, and the
+// tail model refuses it before the window sees x); neither changes the
+// state.
 func (d *DSPOT) Step(x float64) (bool, error) {
 	resid := x - d.mean()
 	fired, err := d.spot.Step(resid)

@@ -1,8 +1,12 @@
 package evt
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -84,5 +88,97 @@ func TestDSPOTTrailingMean(t *testing.T) {
 	d.push(5) // evicts 1
 	if math.Abs(d.mean()-3.5) > 1e-12 {
 		t.Fatalf("rolling mean %v", d.mean())
+	}
+}
+
+// TestNonFiniteStepLeavesStateUntouched: a NaN, +Inf or −Inf observation
+// is refused by SPOT.Step and DSPOT.Step with ErrNonFinite and changes no
+// state, so the next 1,000 finite steps equal an untouched twin's — where
+// before a NaN silenced the drift baseline for good and a −Inf made it
+// alarm on every frame.
+func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	calib := make([]float64, 1500)
+	for i := range calib {
+		calib[i] = rng.ExpFloat64()
+	}
+	feed := make([]float64, 1600)
+	for i := range feed {
+		feed[i] = rng.ExpFloat64() * (1 + float64(i%97)/40)
+	}
+	mk := func(pol RefitPolicy) *DSPOT {
+		d := NewDSPOT(0.99, 1e-3, 20)
+		d.SetPolicy(pol)
+		if err := d.Fit(calib); err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range feed[:600] {
+			if _, err := d.Step(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return d
+	}
+	for _, pol := range []RefitPolicy{ExactRefitPolicy(), DefaultRefitPolicy()} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			d, twin := mk(pol), mk(pol)
+			before := d.State()
+			if fired, err := d.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
+				t.Fatalf("policy %+v: DSPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
+			}
+			spotBefore := d.spot.State()
+			if fired, err := d.spot.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
+				t.Fatalf("policy %+v: SPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
+			}
+			if !reflect.DeepEqual(d.spot.State(), spotBefore) {
+				t.Fatalf("policy %+v: SPOT.Step(%v) changed the state", pol, bad)
+			}
+			if !reflect.DeepEqual(d.State(), before) {
+				t.Fatalf("policy %+v: DSPOT.Step(%v) changed the state", pol, bad)
+			}
+			alarms := 0
+			for i, x := range feed[600:] {
+				got, err := d.Step(x)
+				want, werr := twin.Step(x)
+				if err != nil || werr != nil || got != want {
+					t.Fatalf("policy %+v, after %v, step %d: %v/%v vs twin %v/%v", pol, bad, i, got, err, want, werr)
+				}
+				if got {
+					alarms++
+				}
+			}
+			if alarms == 0 {
+				t.Fatalf("policy %+v: no alarms in 1,000 steps; the comparison is vacuous", pol)
+			}
+			if !reflect.DeepEqual(d.State(), twin.State()) {
+				t.Fatalf("policy %+v, after %v: final state differs from the twin's", pol, bad)
+			}
+		}
+	}
+}
+
+// TestDSPOTFitRejectsNonFinite: a NaN or ±Inf anywhere in the calibration
+// — in the drift window's seed or in the part that fits the tail — is an
+// error naming its index, where before it gave a NaN baseline or
+// threshold that never alarmed.
+func TestDSPOTFitRejectsNonFinite(t *testing.T) {
+	const depth = 20
+	rng := rand.New(rand.NewSource(6))
+	calib := make([]float64, 400)
+	for i := range calib {
+		calib[i] = rng.ExpFloat64()
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, depth - 1, depth, 250, len(calib) - 1} {
+			c := append([]float64(nil), calib...)
+			c[at] = bad
+			err := NewDSPOT(0.99, 1e-3, depth).Fit(c)
+			if want := fmt.Sprintf("point %d is %v", at, bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("%v at %d: error %v, want one containing %q", bad, at, err, want)
+			}
+		}
+	}
+	if err := NewDSPOT(0.99, 1e-3, depth).Fit(calib); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -11,6 +11,16 @@ import (
 // per-sample failure, not a process-fatal condition.
 var ErrNotReady = errors.New("evt: Step before Fit")
 
+// ErrNonFinite is returned by SPOT.Step and DSPOT.Step for a NaN or ±Inf
+// observation, which is refused with the detector's state untouched: one
+// such value in a tail ring or drift window would poison every later
+// verdict (a NaN baseline never alarms again, a −Inf one alarms forever).
+var ErrNonFinite = errors.New("evt: non-finite observation")
+
+// finite reports whether x is neither NaN nor ±Inf: NaN fails the first
+// comparison, ±Inf the second.
+func finite(x float64) bool { return x == x && x-x == 0 }
+
 // minTailPeaks is the minimum number of excesses needed before a tail
 // distribution is fitted — both by the batch POT calibration and by the
 // streaming SPOT update rule.
@@ -287,10 +297,13 @@ func (s *SPOT) refit() {
 // rule under the refit policy: the benign path is a counter increment,
 // an exceedance is an O(1) ring push plus quantile update, and only every
 // Policy.Every-th exceedance (or a drift trigger) pays for a fit.
-// Stepping before Fit returns ErrNotReady.
+// Stepping before Fit returns ErrNotReady, a non-finite x ErrNonFinite.
 func (s *SPOT) Step(x float64) (bool, error) {
 	if !s.ready {
 		return false, ErrNotReady
+	}
+	if !finite(x) {
+		return false, ErrNonFinite
 	}
 	// Alarm-boundary guard: a near-threshold score under a stale model is
 	// the one decision amortization could flip, so it pays for a fresh fit
