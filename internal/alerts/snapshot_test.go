@@ -1,13 +1,14 @@
 package alerts
 
 import (
+	"hash/fnv"
 	"strings"
 	"testing"
 )
 
 // warmPipeline feeds enough of the recorded sequence to leave episodes,
 // candidates and lead-lag history in flight.
-func warmPipeline(t *testing.T) *Pipeline {
+func warmPipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	p := NewPipeline(testConfig())
 	seq := recordedSequence()
@@ -122,4 +123,20 @@ func TestTriageSnapshotValidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestTriageSnapshotBytesPinned pins the AEROTRIA bytes of warmPipeline by
+// length and FNV-1a hash. A checkpoint on disk restores only while they
+// hold.
+func TestTriageSnapshotBytesPinned(t *testing.T) {
+	blob, err := warmPipeline(t).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size, want = 66370, 0xa170861d019b1d8b
+	h := fnv.New64a()
+	h.Write(blob)
+	if len(blob) != size || h.Sum64() != want {
+		t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), size, uint64(want))
+	}
 }

@@ -51,7 +51,7 @@ var sharedM *Model
 var sharedD *dataset.Dataset
 var sharedErr error
 
-func shared(t *testing.T) (*Model, *dataset.Dataset) {
+func shared(t testing.TB) (*Model, *dataset.Dataset) {
 	t.Helper()
 	sharedOnce.Do(func() {
 		cfg := dataset.SyntheticConfig{

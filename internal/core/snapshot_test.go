@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"hash/fnv"
+	"math"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"aero/internal/dataset"
@@ -11,7 +14,7 @@ import (
 
 // pushAt builds the t-th test frame and pushes it into det, failing the
 // test on error.
-func pushAt(t *testing.T, det *StreamDetector, d *dataset.Dataset, idx int) []Alarm {
+func pushAt(t testing.TB, det *StreamDetector, d *dataset.Dataset, idx int) []Alarm {
 	t.Helper()
 	frame := Frame{Time: d.Test.Time[idx], Magnitudes: make([]float64, d.Test.N())}
 	for v := 0; v < d.Test.N(); v++ {
@@ -336,5 +339,95 @@ func TestSwapValidation(t *testing.T) {
 	wrongW.trained = true
 	if err := det.Swap(wrongW); err == nil {
 		t.Fatal("swap accepted a model with the wrong window length")
+	}
+}
+
+// warmAERODetector is an AERO detector from shared at cut w+3, the warm
+// donor TestRestoreStateRejectsCorrupt corrupts.
+func warmAERODetector(t testing.TB) *StreamDetector {
+	m, d := shared(t)
+	det, err := NewStreamDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < m.Config().LongWindow+3; i++ {
+		pushAt(t, det, d, i)
+	}
+	return det
+}
+
+// warmDynamicDetector is the evolving-graph arm: the model and cut of
+// TestSnapshotRestoreDynamicGraph, pushed under the exact policy.
+func warmDynamicDetector(t testing.TB) *StreamDetector {
+	cfg := testConfig()
+	cfg.Variant = VariantDynamicGraph
+	cfg.LongWindow = 24
+	cfg.ShortWindow = 8
+	cfg.ModelDim = 8
+	cfg.FFNHidden = 16
+	cfg.MaxEpochs = 1
+	cfg.TrainStride = 24
+	d := dataset.SyntheticConfig{
+		Name: "dynsnap", N: 4, TrainLen: 120, TestLen: 90,
+		NoiseVariates: 2, AnomalySegments: 1, NoisePct: 3,
+		VariableFrac: 0.5, Seed: 23,
+	}.Generate()
+	m, err := New(cfg, d.Train.N())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Fit(d.Train); err != nil {
+		t.Fatal(err)
+	}
+	det, err := NewStreamDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	det.SetIncrementalPolicy(ExactIncrementalPolicy())
+	for i := 0; i < cfg.LongWindow+9; i++ {
+		pushAt(t, det, d, i)
+	}
+	return det
+}
+
+// TestSnapshotBytesPinned pins the AEROSNAP bytes of both arms of the
+// format — without and with the evolving graph — by length and FNV-1a
+// hash. A checkpoint on disk restores only while these hold. The dynamic
+// arm carries the model's graph, so its hash has a column per math.Exp
+// implementation, as TestStreamScoreBitsPinned's do.
+func TestSnapshotBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("snapshot bytes are pinned on amd64")
+	}
+	var column int
+	switch got := math.Float64bits(math.Exp(-0.1875)); got {
+	case 0x3fea876812c0877b:
+		column = 0
+	case 0x3fea876812c0877c:
+		column = 1
+	default:
+		t.Skipf("math.Exp(-0.1875) = %#x is neither implementation the hashes were recorded with", got)
+	}
+	cases := []struct {
+		name string
+		det  func(testing.TB) *StreamDetector
+		size int
+		want [2]uint64 // math.Exp with FMA, without
+	}{
+		{"aero", warmAERODetector, 3625, [2]uint64{0x845b0521120e1a02, 0x845b0521120e1a02}},
+		{"dynamic-graph", warmDynamicDetector, 1137, [2]uint64{0xe3ed43dcc8ede232, 0xda381150cac98a41}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := tc.det(t).SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(blob)
+			if len(blob) != tc.size || h.Sum64() != tc.want[column] {
+				t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), tc.size, tc.want[column])
+			}
+		})
 	}
 }

@@ -16,7 +16,7 @@ import (
 // fluxevArtifact trains one fluxev artifact shared by the chaos tests
 // (cheap streaming baseline — the chaos tests exercise the supervisor,
 // not the detector).
-func fluxevArtifact(t *testing.T) []byte {
+func fluxevArtifact(t testing.TB) []byte {
 	t.Helper()
 	fixture(t)
 	artifact, err := backend.Train("fluxev", fixD.Train, backend.SmallOptions())
@@ -26,7 +26,7 @@ func fluxevArtifact(t *testing.T) []byte {
 	return artifact
 }
 
-func openFluxev(t *testing.T, artifact []byte) core.StreamBackend {
+func openFluxev(t testing.TB, artifact []byte) core.StreamBackend {
 	t.Helper()
 	b, err := backend.Open("fluxev", artifact)
 	if err != nil {

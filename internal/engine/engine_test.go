@@ -35,7 +35,7 @@ func fixtureConfig() core.Config {
 	return c
 }
 
-func fixture(t *testing.T) (*core.Model, *dataset.Dataset) {
+func fixture(t testing.TB) (*core.Model, *dataset.Dataset) {
 	t.Helper()
 	fixOnce.Do(func() {
 		fixD = tenantSeries(0)
