@@ -181,8 +181,9 @@ type RefitPolicy = evt.RefitPolicy
 // (warm-started vs full grid scan).
 type RefitStats = evt.RefitStats
 
-// DefaultRefitPolicy amortizes the tail maintenance: warm refits every
-// 128 exceedances or on a 20% tail-mean drift, over a 256-excess ring.
+// DefaultRefitPolicy amortizes the tail maintenance: a warm refit every
+// 384 exceedances, pulled forward by a 30% tail-mean drift or by a score
+// within 10% of the threshold margin, over a 256-excess ring.
 func DefaultRefitPolicy() RefitPolicy { return evt.DefaultRefitPolicy() }
 
 // ExactRefitPolicy refits on every exceedance over a bounded ring —
@@ -206,7 +207,7 @@ type IncrementalStats = core.IncrementalStats
 type IncrementalInvalidator = core.IncrementalInvalidator
 
 // DefaultIncrementalPolicy is the production default incremental schedule
-// (refresh every 64 frames, two-row cone, 25% boundary guard).
+// (refresh every 128 frames, one-row cone, 10% boundary guard).
 func DefaultIncrementalPolicy() IncrementalPolicy { return core.DefaultIncrementalPolicy() }
 
 // ExactIncrementalPolicy recomputes every frame — scores stay

@@ -125,8 +125,8 @@ func main() {
 	kindFlag := flag.String("backend", "aero", fmt.Sprintf("serving backend kind: %v", aero.BackendKinds()))
 	alarmFlag := flag.String("alarm", "auto", "alarming stage: auto, static (fitted POT threshold) or dspot (adaptive drift-corrected EVT)")
 	dspotDepth := flag.Int("dspot-depth", 20, "DSPOT trailing drift-window depth")
-	dspotEvery := flag.Int("dspot-refit-every", 0, "refit the DSPOT tail every K exceedances (0 = amortized default of 128, 1 = exact refit per exceedance)")
-	dspotDrift := flag.Float64("dspot-drift-tol", -1, "relative tail-mean drift that forces an early DSPOT refit (<0 = default 0.2, 0 = drift trigger off)")
+	dspotEvery := flag.Int("dspot-refit-every", 0, "refit the DSPOT tail every K exceedances (0 = amortized default of 384, 1 = exact refit per exceedance)")
+	dspotDrift := flag.Float64("dspot-drift-tol", -1, "relative tail-mean drift that forces an early DSPOT refit (<0 = default 0.3, 0 = drift trigger off)")
 	load := flag.String("load", "", "load a saved model instead of training (aero backend only)")
 	checkpoint := flag.String("checkpoint", "", "artifact registry directory: reuse the newest published artifact, restore warm backend states, checkpoint on shutdown")
 	retrainEvery := flag.Duration("retrain-every", 0, "background retrain + hot-swap interval (0 = disabled)")

@@ -1,11 +1,11 @@
 package alerts
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"sort"
+
+	"aero/internal/snapfmt"
 )
 
 // Triage state snapshots follow the codebase's versioned little-endian
@@ -41,56 +41,50 @@ import (
 // where an episode is tenant(uint16+bytes), variate uint32, onset, end,
 // peak, peakTime float64, frames uint32; a candidate is anchor, deadline
 // float64 plus its member episodes; a pair histogram is two tenant
-// strings, a uint64 total and leadLagBins uint64 bins.
-const (
-	triageMagic   = "AEROTRIA"
-	triageVersion = 1
-)
+// strings, a uint64 total and leadLagBins uint64 bins. internal/snapfmt
+// writes and checks the framing (magic, version, CRC, truncation).
+var triageFormat = snapfmt.Format{Magic: "AEROTRIA", Version: 1, Pkg: "alerts", Name: "triage state"}
 
 // SnapshotState serializes the pipeline's entire warm state — dedup
 // filter, open episodes, pending candidates, lead-lag histograms,
-// watermark and counters — into a self-validating binary blob.
+// watermark and counters — into a self-validating binary blob. A tenant
+// ID longer than 65,535 bytes does not fit its length field and is an
+// error.
 func (p *Pipeline) SnapshotState() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	buf := make([]byte, 0, 64+len(p.bloom.cells)+64*(len(p.openList)+len(p.cands))+64*len(p.lags))
-	buf = append(buf, triageMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, triageVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.bloom.cells)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.bloom.k))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.bloom.age))
-	buf = append(buf, p.bloom.max)
-	buf = appendF64(buf, p.cfg.BucketWidth)
-	buf = appendF64(buf, p.cfg.EpisodeGap)
-	buf = appendF64(buf, p.cfg.MaxEpisodeLen)
-	buf = appendF64(buf, p.cfg.Window)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(p.cfg.MinTenants))
-	buf = appendF64(buf, p.cfg.Demotion)
-	buf = binary.LittleEndian.AppendUint32(buf, p.bloom.cur)
-	buf = append(buf, p.bloom.cells...)
-	if p.seenWM {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = appendF64(buf, p.watermark)
-	buf = appendF64(buf, p.nextExpiry)
-	buf = binary.LittleEndian.AppendUint64(buf, p.seq)
-	buf = binary.LittleEndian.AppendUint64(buf, p.nAlarms)
-	buf = binary.LittleEndian.AppendUint64(buf, p.nDeduped)
-	buf = binary.LittleEndian.AppendUint64(buf, p.nEpisodes)
-	buf = binary.LittleEndian.AppendUint64(buf, p.nIncidents)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.openList)))
+	w := snapfmt.NewWriter(triageFormat, 64+len(p.bloom.cells)+64*(len(p.openList)+len(p.cands))+64*len(p.lags))
+	w.U32(uint32(len(p.bloom.cells)))
+	w.U32(uint32(p.bloom.k))
+	w.U32(uint32(p.bloom.age))
+	w.U8(p.bloom.max)
+	w.F64(p.cfg.BucketWidth)
+	w.F64(p.cfg.EpisodeGap)
+	w.F64(p.cfg.MaxEpisodeLen)
+	w.F64(p.cfg.Window)
+	w.U32(uint32(p.cfg.MinTenants))
+	w.F64(p.cfg.Demotion)
+	w.U32(p.bloom.cur)
+	w.Bytes(p.bloom.cells)
+	w.Bool(p.seenWM)
+	w.F64(p.watermark)
+	w.F64(p.nextExpiry)
+	w.U64(p.seq)
+	w.U64(p.nAlarms)
+	w.U64(p.nDeduped)
+	w.U64(p.nEpisodes)
+	w.U64(p.nIncidents)
+	w.U32(uint32(len(p.openList)))
 	for _, ep := range p.openList {
-		buf = appendEpisode(buf, ep)
+		writeEpisode(w, ep)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.cands)))
+	w.U32(uint32(len(p.cands)))
 	for _, c := range p.cands {
-		buf = appendF64(buf, c.anchor)
-		buf = appendF64(buf, c.deadline)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(c.eps)))
+		w.F64(c.anchor)
+		w.F64(c.deadline)
+		w.U32(uint32(len(c.eps)))
 		for i := range c.eps {
-			buf = appendEpisode(buf, &c.eps[i])
+			writeEpisode(w, &c.eps[i])
 		}
 	}
 	pairs := make([]pairKey, 0, len(p.lags))
@@ -103,18 +97,17 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 		}
 		return pairs[i].lag < pairs[j].lag
 	})
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(pairs)))
+	w.U32(uint32(len(pairs)))
 	for _, k := range pairs {
 		h := p.lags[k]
-		buf = appendString(buf, k.lead)
-		buf = appendString(buf, k.lag)
-		buf = binary.LittleEndian.AppendUint64(buf, h.total)
+		w.Str(k.lead)
+		w.Str(k.lag)
+		w.U64(h.total)
 		for _, b := range h.bins {
-			buf = binary.LittleEndian.AppendUint64(buf, b)
+			w.U64(b)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return w.Seal()
 }
 
 // RestoreState replaces the pipeline's runtime state with a snapshot
@@ -125,24 +118,14 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 func (p *Pipeline) RestoreState(blob []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(blob) < len(triageMagic)+8 {
-		return fmt.Errorf("alerts: triage state truncated (%d bytes)", len(blob))
+	r, err := snapfmt.Open(triageFormat, blob)
+	if err != nil {
+		return err
 	}
-	if string(blob[:len(triageMagic)]) != triageMagic {
-		return fmt.Errorf("alerts: not a triage state snapshot (bad magic)")
-	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return fmt.Errorf("alerts: triage state checksum mismatch (%08x != %08x)", got, want)
-	}
-	r := &triageReader{buf: body, off: len(triageMagic)}
-	if ver := r.u32(); r.err == nil && ver != triageVersion {
-		return fmt.Errorf("alerts: unsupported triage state version %d", ver)
-	}
-	cells, hashes, aging := int(r.u32()), int(r.u32()), int(r.u32())
-	max := r.u8()
-	if r.err != nil {
-		return r.err
+	cells, hashes, aging := int(r.U32()), int(r.U32()), int(r.U32())
+	max := r.U8()
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if cells != len(p.bloom.cells) || hashes != p.bloom.k || aging != p.bloom.age || max != p.bloom.max {
 		return fmt.Errorf("alerts: snapshot dedup filter is %d cells/k=%d/age=%d/max=%d, pipeline is %d/%d/%d/%d",
@@ -151,11 +134,11 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 	// The time-domain parameters must match too: open episodes and
 	// candidate deadlines are only meaningful under the bucket/gap/cap/
 	// window that built them, and severity under the ranking knobs.
-	bucket, gap, maxLen, window := r.f64(), r.f64(), r.f64(), r.f64()
-	minTenants := int(r.u32())
-	demotion := r.f64()
-	if r.err != nil {
-		return r.err
+	bucket, gap, maxLen, window := r.F64(), r.F64(), r.F64(), r.F64()
+	minTenants := int(r.U32())
+	demotion := r.F64()
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if bucket != p.cfg.BucketWidth || gap != p.cfg.EpisodeGap || maxLen != p.cfg.MaxEpisodeLen ||
 		window != p.cfg.Window || minTenants != p.cfg.MinTenants || demotion != p.cfg.Demotion {
@@ -163,74 +146,59 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 			bucket, gap, maxLen, window, minTenants, demotion,
 			p.cfg.BucketWidth, p.cfg.EpisodeGap, p.cfg.MaxEpisodeLen, p.cfg.Window, p.cfg.MinTenants, p.cfg.Demotion)
 	}
-	cursor := r.u32()
-	cellBody := r.take(cells)
-	seen := r.u8()
-	wm := r.f64()
-	expiry := r.f64()
-	seq := r.u64()
-	nAlarms, nDeduped, nEpisodes, nIncidents := r.u64(), r.u64(), r.u64(), r.u64()
+	cursor := r.U32()
+	cellBody := r.Bytes(cells)
+	seen := r.Bool()
+	wm := r.F64()
+	expiry := r.F64()
+	seq := r.U64()
+	nAlarms, nDeduped, nEpisodes, nIncidents := r.U64(), r.U64(), r.U64(), r.U64()
 
-	nOpen := int(r.u32())
-	if r.err == nil && nOpen > r.remaining() {
-		return fmt.Errorf("alerts: triage state claims %d open episodes in %d bytes", nOpen, r.remaining())
-	}
+	nOpen := r.Count("open episodes")
 	openList := make([]*Episode, 0, nOpen)
 	openMap := make(map[epKey]*Episode, nOpen)
-	for i := 0; i < nOpen && r.err == nil; i++ {
+	for i := 0; i < nOpen && r.Err() == nil; i++ {
 		ep := new(Episode)
-		r.episode(ep)
+		readEpisode(r, ep)
 		k := epKey{ep.Tenant, ep.Variate}
-		if _, dup := openMap[k]; dup && r.err == nil {
+		if _, dup := openMap[k]; dup && r.Err() == nil {
 			return fmt.Errorf("alerts: triage state repeats open episode %s/%d", ep.Tenant, ep.Variate)
 		}
 		openList = append(openList, ep)
 		openMap[k] = ep
 	}
 
-	nCands := int(r.u32())
-	if r.err == nil && nCands > r.remaining() {
-		return fmt.Errorf("alerts: triage state claims %d candidates in %d bytes", nCands, r.remaining())
-	}
+	nCands := r.Count("candidates")
 	cands := make([]*candidate, 0, nCands)
-	for i := 0; i < nCands && r.err == nil; i++ {
-		c := &candidate{anchor: r.f64(), deadline: r.f64()}
-		nEps := int(r.u32())
-		if r.err == nil && nEps > r.remaining() {
-			return fmt.Errorf("alerts: triage state claims %d member episodes in %d bytes", nEps, r.remaining())
-		}
-		for j := 0; j < nEps && r.err == nil; j++ {
+	for i := 0; i < nCands && r.Err() == nil; i++ {
+		c := &candidate{anchor: r.F64(), deadline: r.F64()}
+		nEps := r.Count("member episodes")
+		for j := 0; j < nEps && r.Err() == nil; j++ {
 			var ep Episode
-			r.episode(&ep)
+			readEpisode(r, &ep)
 			c.eps = append(c.eps, ep)
 		}
 		cands = append(cands, c)
 	}
 
-	nPairs := int(r.u32())
-	if r.err == nil && nPairs > r.remaining() {
-		return fmt.Errorf("alerts: triage state claims %d lead-lag pairs in %d bytes", nPairs, r.remaining())
-	}
+	nPairs := r.Count("lead-lag pairs")
 	lags := make(map[pairKey]*lagHist, nPairs)
-	for i := 0; i < nPairs && r.err == nil; i++ {
-		k := pairKey{lead: r.str(), lag: r.str()}
-		h := &lagHist{total: r.u64(), bins: make([]uint64, leadLagBins)}
+	for i := 0; i < nPairs && r.Err() == nil; i++ {
+		k := pairKey{lead: r.Str(), lag: r.Str()}
+		h := &lagHist{total: r.U64(), bins: make([]uint64, leadLagBins)}
 		for b := range h.bins {
-			h.bins[b] = r.u64()
+			h.bins[b] = r.U64()
 		}
 		lags[k] = h
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(body) {
-		return fmt.Errorf("alerts: triage state has %d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 
 	// Everything validated; commit.
 	p.bloom.cur = cursor
 	copy(p.bloom.cells, cellBody)
-	p.seenWM = seen == 1
+	p.seenWM = seen
 	p.watermark = wm
 	p.nextExpiry = expiry
 	p.seq = seq
@@ -250,93 +218,22 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 	return nil
 }
 
-func appendF64(buf []byte, x float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
+func writeEpisode(w *snapfmt.Writer, ep *Episode) {
+	w.Str(ep.Tenant)
+	w.U32(uint32(ep.Variate))
+	w.F64(ep.Onset)
+	w.F64(ep.End)
+	w.F64(ep.Peak)
+	w.F64(ep.PeakTime)
+	w.U32(uint32(ep.Frames))
 }
 
-func appendString(buf []byte, s string) []byte {
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-	return append(buf, s...)
-}
-
-func appendEpisode(buf []byte, ep *Episode) []byte {
-	buf = appendString(buf, ep.Tenant)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ep.Variate))
-	buf = appendF64(buf, ep.Onset)
-	buf = appendF64(buf, ep.End)
-	buf = appendF64(buf, ep.Peak)
-	buf = appendF64(buf, ep.PeakTime)
-	return binary.LittleEndian.AppendUint32(buf, uint32(ep.Frames))
-}
-
-// triageReader is a bounds-checked cursor over a snapshot body: the
-// first out-of-range read latches err and every later read returns zero
-// values.
-type triageReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *triageReader) remaining() int { return len(r.buf) - r.off }
-
-func (r *triageReader) take(k int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if k < 0 || r.off+k > len(r.buf) {
-		r.err = fmt.Errorf("alerts: triage state truncated at byte %d", len(r.buf))
-		return nil
-	}
-	b := r.buf[r.off : r.off+k]
-	r.off += k
-	return b
-}
-
-func (r *triageReader) u8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *triageReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-
-func (r *triageReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *triageReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *triageReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *triageReader) str() string {
-	n := int(r.u16())
-	if b := r.take(n); b != nil {
-		return string(b)
-	}
-	return ""
-}
-
-func (r *triageReader) episode(ep *Episode) {
-	ep.Tenant = r.str()
-	ep.Variate = int(r.u32())
-	ep.Onset = r.f64()
-	ep.End = r.f64()
-	ep.Peak = r.f64()
-	ep.PeakTime = r.f64()
-	ep.Frames = int(r.u32())
+func readEpisode(r *snapfmt.Reader, ep *Episode) {
+	ep.Tenant = r.Str()
+	ep.Variate = int(r.U32())
+	ep.Onset = r.F64()
+	ep.End = r.F64()
+	ep.Peak = r.F64()
+	ep.PeakTime = r.F64()
+	ep.Frames = int(r.U32())
 }

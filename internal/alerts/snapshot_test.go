@@ -1,6 +1,9 @@
 package alerts
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"hash/fnv"
 	"strings"
 	"testing"
@@ -138,5 +141,97 @@ func TestTriageSnapshotBytesPinned(t *testing.T) {
 	h.Write(blob)
 	if len(blob) != size || h.Sum64() != want {
 		t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), size, uint64(want))
+	}
+}
+
+// TestTriageSnapshotRejectsLongTenantID: a tenant ID too long for the
+// format's uint16 length field makes SnapshotState fail. Before, the
+// length wrapped and the checkpoint was one no RestoreState accepts. The
+// longest ID that fits still round-trips.
+func TestTriageSnapshotRejectsLongTenantID(t *testing.T) {
+	for _, tc := range []struct {
+		len int
+		ok  bool
+	}{{1<<16 - 1, true}, {70000, false}} {
+		p := NewPipeline(testConfig())
+		p.Push(alarm(strings.Repeat("x", tc.len), 0, 1, 5))
+		if st := p.Stats(); st.OpenEpisodes != 1 {
+			t.Fatalf("%d-byte ID: %d open episodes, want 1", tc.len, st.OpenEpisodes)
+		}
+		blob, err := p.SnapshotState()
+		if !tc.ok {
+			if err == nil || !strings.Contains(err.Error(), "70000-byte string") {
+				t.Fatalf("%d-byte ID: SnapshotState returned %d bytes and %v", tc.len, len(blob), err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := NewPipeline(testConfig())
+		if err := q.RestoreState(blob); err != nil {
+			t.Fatalf("%d-byte ID: %v", tc.len, err)
+		}
+		if got, want := q.Stats(), p.Stats(); got != want {
+			t.Fatalf("%d-byte ID: restored stats %+v != %+v", tc.len, got, want)
+		}
+	}
+}
+
+// FuzzTriageRestoreState feeds arbitrary bytes to RestoreState of a
+// pipeline warmed like warmPipeline on a 256-cell dedup filter, as given
+// and with the trailing CRC recomputed, so mutations also reach the fields
+// behind the checksum. A failed restore must leave the pipeline's
+// snapshot byte-equal to the one before it; a successful one must be
+// idempotent (snapshot → restore → snapshot). The seed corpus holds the
+// filter's snapshot at warmPipeline's cut and
+// TestTriageSnapshotValidation's corrupt cases built from it; the
+// pipeline itself is 20 alarm times further on, so a restore that commits
+// before it fails shows in its snapshot. The pinned snapshot is 66 KB,
+// almost all of it the default filter's empty cells, and stalls the
+// mutator.
+func FuzzTriageRestoreState(f *testing.F) {
+	cfg := testConfig()
+	cfg.BloomCells = 256
+	p := NewPipeline(cfg)
+	for _, a := range recordedSequence() {
+		if a.Time >= 560 {
+			break
+		}
+		p.Push(a)
+	}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		checkRestore(t, p, blob)
+		if len(blob) >= 4 {
+			body := blob[:len(blob)-4]
+			checkRestore(t, p, binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body)))
+		}
+	})
+}
+
+// checkRestore is the fuzzer's oracle; it leaves p as it found it.
+func checkRestore(t *testing.T, p *Pipeline, blob []byte) {
+	before, err := p.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestoreState(blob); err != nil {
+		if after, _ := p.SnapshotState(); !bytes.Equal(before, after) {
+			t.Fatalf("failed restore (%v) changed the pipeline", err)
+		}
+		return
+	}
+	once, err := p.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RestoreState(once); err != nil {
+		t.Fatalf("restoring its own snapshot: %v", err)
+	}
+	if twice, _ := p.SnapshotState(); !bytes.Equal(once, twice) {
+		t.Fatal("snapshot → restore → snapshot is not idempotent")
+	}
+	if err := p.RestoreState(before); err != nil {
+		t.Fatal(err)
 	}
 }

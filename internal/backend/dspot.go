@@ -27,8 +27,9 @@ type DSPOTConfig struct {
 }
 
 // DefaultDSPOTConfig mirrors the paper's POT protocol with a 20-frame
-// drift window and the amortized refit schedule (warm refits every 128
-// exceedances or on a 20% tail-mean drift, bounded excess ring) — the
+// drift window and the amortized refit schedule (evt.DefaultRefitPolicy:
+// warm refits every 384 exceedances, on a 30% tail-mean drift or near the
+// threshold, bounded excess ring) — the
 // serving default that keeps adaptive alarming within a small factor of
 // the bare backend's push.
 func DefaultDSPOTConfig() DSPOTConfig {

@@ -155,9 +155,10 @@ func fluxevFeeds(n, T int) []fluxevFeed {
 		// A step every 60 frames: the residuals decay geometrically after
 		// it, so the oldest slot is the maximum and leaves on every frame.
 		{"decay", true, gen(func(v, t int) float64 { return float64(10 * (v + 1) * (t / 60 % 2)) })},
-		// NaN and ±Inf magnitudes (each poisons its variate's forecast
-		// from then on), and ±1.5e308 whose residuals overflow to +Inf
-		// between finite ones.
+		// NaN and ±Inf magnitudes (each poisons the batch forecast of its
+		// variate from then on; the stream adapter refuses their frames),
+		// and ±1.5e308 whose residuals overflow to +Inf between finite
+		// ones.
 		{"special", false, gen(func(v, t int) float64 {
 			switch {
 			case v == 0 && t == 40:
@@ -172,6 +173,15 @@ func fluxevFeeds(n, T int) []fluxevFeed {
 			return rng.NormFloat64()
 		})},
 	}
+}
+
+func finiteFrame(f core.Frame) bool {
+	for _, x := range f.Magnitudes {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 func sameBits(a, b []float64) bool {
@@ -266,6 +276,12 @@ func TestStreamFluxEVRunningMaxMatchesScan(t *testing.T) {
 						}
 						f := frame(feed, ti)
 						got, err := d.PushScores(f)
+						if !finiteFrame(f) {
+							if err == nil {
+								t.Fatalf("t=%d: non-finite magnitudes %v accepted", ti, f.Magnitudes)
+							}
+							continue
+						}
 						if err != nil {
 							t.Fatal(err)
 						}

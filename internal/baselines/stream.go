@@ -157,13 +157,21 @@ func (b *streamBase) Threshold() float64 { return b.thr }
 func (b *streamBase) SetThreshold(thr float64) { b.thr = thr }
 
 // ingest validates one frame against the adapter's geometry and time
-// cursor; the caller inserts into its rings and then calls advance.
+// cursor; the caller inserts into its rings and then calls advance. A
+// non-finite time or magnitude is refused before any state moves: a NaN
+// kept in FluxEV's forecast, or an ±Inf in a ring, would poison every
+// later score and leave a snapshot JSON cannot encode.
 func (b *streamBase) ingest(f core.Frame) error {
 	if len(f.Magnitudes) != b.n {
 		return fmt.Errorf("baselines: frame has %d stars, %s adapter expects %d", len(f.Magnitudes), b.kind, b.n)
 	}
 	if math.IsNaN(f.Time) || math.IsInf(f.Time, 0) {
 		return fmt.Errorf("baselines: frame time %v is not finite", f.Time)
+	}
+	for v, x := range f.Magnitudes {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("baselines: star %d magnitude %v is not finite", v, x)
+		}
 	}
 	if b.count > 0 && f.Time <= b.last {
 		return fmt.Errorf("baselines: frame time %v not after previous %v", f.Time, b.last)

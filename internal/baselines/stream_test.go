@@ -325,6 +325,23 @@ func TestStreamAdapterSnapshotRestore(t *testing.T) {
 // adapter that stored it took any time after it; one that stored +Inf
 // refused every later frame.)
 func TestStreamAdapterRejectsNonFiniteTime(t *testing.T) {
+	checkRefusesNonFinite(t, func(f *core.Frame, bad float64) { f.Time = bad })
+}
+
+// TestStreamAdapterRejectsNonFiniteMagnitude is the same contract for a
+// magnitude, as hygiene-off serving delivers one. Before, FluxEV's
+// forecast kept a NaN for good and SR held an +Inf until it left the
+// ring; meanwhile every SnapshotState failed, because JSON has no NaN or
+// Inf.
+func TestStreamAdapterRejectsNonFiniteMagnitude(t *testing.T) {
+	checkRefusesNonFinite(t, func(f *core.Frame, bad float64) { f.Magnitudes[len(f.Magnitudes)-1] = bad })
+}
+
+// checkRefusesNonFinite poisons one frame with NaN, +Inf and -Inf after 0,
+// 5 and 260 frames: every adapter must refuse it, snapshot the bytes it
+// snapshot before, and score the next finite frames bit for bit like a
+// twin that never saw it.
+func checkRefusesNonFinite(t *testing.T, poison func(f *core.Frame, bad float64)) {
 	d := streamTestData()
 	n := d.Test.N()
 	frame := func(i int) core.Frame {
@@ -351,17 +368,21 @@ func TestStreamAdapterRejectsNonFiniteTime(t *testing.T) {
 					t.Fatal(err)
 				}
 				f := frame(warm)
-				f.Time = bad
+				poison(&f, bad)
 				if _, err := b.PushScores(f); err == nil {
-					t.Fatalf("%s: time %v after %d frames accepted", b.Kind(), bad, warm)
+					t.Fatalf("%s: %v after %d frames accepted", b.Kind(), bad, warm)
 				}
-				if after, _ := b.SnapshotState(); !bytes.Equal(before, after) {
-					t.Fatalf("%s: refused time %v after %d frames changed the adapter", b.Kind(), bad, warm)
+				after, err := b.SnapshotState()
+				if err != nil {
+					t.Fatalf("%s: snapshot after refusing %v: %v", b.Kind(), bad, err)
+				}
+				if !bytes.Equal(before, after) {
+					t.Fatalf("%s: refused %v after %d frames changed the adapter", b.Kind(), bad, warm)
 				}
 				for i := warm; i < warm+10; i++ {
 					got, err := b.PushScores(frame(i))
 					if err != nil {
-						t.Fatalf("%s: time %v after %d frames: frame %d refused: %v", b.Kind(), bad, warm, i, err)
+						t.Fatalf("%s: %v after %d frames: frame %d refused: %v", b.Kind(), bad, warm, i, err)
 					}
 					want, err := twin.PushScores(frame(i))
 					if err != nil {

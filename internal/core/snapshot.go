@@ -1,10 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
+
+	"aero/internal/snapfmt"
 )
 
 // Detector state snapshots are a versioned little-endian binary encoding
@@ -25,15 +25,14 @@ import (
 //	  adj   [n·n]float64  ┘
 //	crc     uint32   IEEE CRC-32 of every preceding byte
 //
-// The rings store *raw* magnitudes, not normalized values, so a snapshot
-// can be restored into a retrained model: RestoreState re-normalizes the
-// window under the restoring model's bounds. Restored into the same model,
-// the ring is bit-identical to the one the snapshot captured, because
-// normalize-on-insert applied the same pure function to the same inputs.
-const (
-	stateMagic   = "AEROSNAP"
-	stateVersion = 1
-)
+// internal/snapfmt writes and checks the framing (magic, version, CRC,
+// truncation). The rings store *raw* magnitudes, not normalized values,
+// so a snapshot can be restored into a retrained model: RestoreState
+// re-normalizes the window under the restoring model's bounds. Restored
+// into the same model, the ring is bit-identical to the one the snapshot
+// captured, because normalize-on-insert applied the same pure function
+// to the same inputs.
+var stateFormat = snapfmt.Format{Magic: "AEROSNAP", Version: 1, Pkg: "core", Name: "detector state"}
 
 // SnapshotState serializes the detector's runtime state — rings, cursors,
 // warm-up counters and (for the dynamic-graph variant) the evolving
@@ -42,36 +41,25 @@ const (
 // point, including before the window is warm.
 func (s *StreamDetector) SnapshotState() ([]byte, error) {
 	n, w := s.m.n, s.m.cfg.LongWindow
-	size := len(stateMagic) + 3*4 + 8 + 8 + 8*w + 8*n*w + 1 + 4
+	size := len(stateFormat.Magic) + 3*4 + 8 + 8 + 8*w + 8*n*w + 1 + 4
 	if s.dyn != nil {
 		size += 8 + 8*n*n
 	}
-	buf := make([]byte, 0, size)
-	buf = append(buf, stateMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, stateVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(w))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(s.count))
-	buf = appendFloat64(buf, s.last)
-	for _, t := range s.times {
-		buf = appendFloat64(buf, t)
-	}
+	b := snapfmt.NewWriter(stateFormat, size)
+	b.U32(uint32(n))
+	b.U32(uint32(w))
+	b.U64(uint64(s.count))
+	b.F64(s.last)
+	b.F64s(s.times)
 	for v := 0; v < n; v++ {
-		for _, x := range s.raw[v] {
-			buf = appendFloat64(buf, x)
-		}
+		b.F64s(s.raw[v])
 	}
+	b.Bool(s.dyn != nil)
 	if s.dyn != nil {
-		buf = append(buf, 1)
-		buf = appendFloat64(buf, s.dyn.decay)
-		for _, x := range s.dyn.a.Data {
-			buf = appendFloat64(buf, x)
-		}
-	} else {
-		buf = append(buf, 0)
+		b.F64(s.dyn.decay)
+		b.F64s(s.dyn.a.Data)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return b.Seal()
 }
 
 // RestoreState replaces the detector's runtime state with a snapshot taken
@@ -85,49 +73,34 @@ func (s *StreamDetector) SnapshotState() ([]byte, error) {
 // before any detector state is touched: a corrupt or truncated snapshot
 // returns an error and leaves the detector exactly as it was.
 func (s *StreamDetector) RestoreState(blob []byte) error {
-	if len(blob) < len(stateMagic)+8 {
-		return fmt.Errorf("core: detector state truncated (%d bytes)", len(blob))
+	r, err := snapfmt.Open(stateFormat, blob)
+	if err != nil {
+		return err
 	}
-	if string(blob[:len(stateMagic)]) != stateMagic {
-		return fmt.Errorf("core: not a detector state snapshot (bad magic)")
-	}
-	// Checksum first: a flipped bit anywhere — including the header fields
-	// about to be trusted — must be caught before they are interpreted.
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return fmt.Errorf("core: detector state checksum mismatch (%08x != %08x)", got, want)
-	}
-	r := stateReader{buf: body, off: len(stateMagic)}
-	if ver := r.u32(); r.err == nil && ver != stateVersion {
-		return fmt.Errorf("core: unsupported detector state version %d", ver)
-	}
-	n, w := int(r.u32()), int(r.u32())
-	if r.err != nil {
-		return r.err
+	n, w := int(r.U32()), int(r.U32())
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if n != s.m.n || w != s.m.cfg.LongWindow {
 		return fmt.Errorf("core: snapshot is %d variates × window %d, detector is %d × %d",
 			n, w, s.m.n, s.m.cfg.LongWindow)
 	}
-	count := r.u64()
-	last := r.f64()
-	times := r.f64s(w)
+	count := r.U64()
+	last := r.F64()
+	times := r.F64s(w)
 	raw := make([][]float64, n)
 	for v := range raw {
-		raw[v] = r.f64s(w)
+		raw[v] = r.F64s(w)
 	}
 	var decay float64
 	var adj []float64
-	hasDyn := r.u8() == 1
+	hasDyn := r.Bool()
 	if hasDyn {
-		decay = r.f64()
-		adj = r.f64s(n * n)
+		decay = r.F64()
+		adj = r.F64s(n * n)
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(body) {
-		return fmt.Errorf("core: detector state has %d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	if count > math.MaxInt64 {
 		return fmt.Errorf("core: detector state frame count %d overflows", count)
@@ -170,60 +143,4 @@ func (s *StreamDetector) RestoreState(blob []byte) error {
 	// activations; the next scored frame must run a full exact pass.
 	s.InvalidateIncremental()
 	return nil
-}
-
-func appendFloat64(buf []byte, x float64) []byte {
-	return binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-}
-
-// stateReader is a bounds-checked cursor over a snapshot body: the first
-// out-of-range read latches err and every later read returns zero values.
-type stateReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *stateReader) take(k int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if r.off+k > len(r.buf) {
-		r.err = fmt.Errorf("core: detector state truncated at byte %d", len(r.buf))
-		return nil
-	}
-	b := r.buf[r.off : r.off+k]
-	r.off += k
-	return b
-}
-
-func (r *stateReader) u8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *stateReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *stateReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *stateReader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-func (r *stateReader) f64s(k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = r.f64()
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
@@ -342,23 +343,24 @@ func TestSwapValidation(t *testing.T) {
 	}
 }
 
-// warmAERODetector is an AERO detector from shared at cut w+3, the warm
-// donor TestRestoreStateRejectsCorrupt corrupts.
-func warmAERODetector(t testing.TB) *StreamDetector {
+// warmAERODetector is an AERO detector from shared at cut w+3+extra; at
+// extra 0 it is the warm donor TestRestoreStateRejectsCorrupt corrupts.
+func warmAERODetector(t testing.TB, extra int) *StreamDetector {
 	m, d := shared(t)
 	det, err := NewStreamDetector(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < m.Config().LongWindow+3; i++ {
+	for i := 0; i < m.Config().LongWindow+3+extra; i++ {
 		pushAt(t, det, d, i)
 	}
 	return det
 }
 
-// warmDynamicDetector is the evolving-graph arm: the model and cut of
-// TestSnapshotRestoreDynamicGraph, pushed under the exact policy.
-func warmDynamicDetector(t testing.TB) *StreamDetector {
+// warmDynamicDetector is the evolving-graph arm: the model of
+// TestSnapshotRestoreDynamicGraph, pushed under the exact policy to its
+// cut plus extra frames.
+func warmDynamicDetector(t testing.TB, extra int) *StreamDetector {
 	cfg := testConfig()
 	cfg.Variant = VariantDynamicGraph
 	cfg.LongWindow = 24
@@ -384,7 +386,7 @@ func warmDynamicDetector(t testing.TB) *StreamDetector {
 		t.Fatal(err)
 	}
 	det.SetIncrementalPolicy(ExactIncrementalPolicy())
-	for i := 0; i < cfg.LongWindow+9; i++ {
+	for i := 0; i < cfg.LongWindow+9+extra; i++ {
 		pushAt(t, det, d, i)
 	}
 	return det
@@ -410,7 +412,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	cases := []struct {
 		name string
-		det  func(testing.TB) *StreamDetector
+		det  func(testing.TB, int) *StreamDetector
 		size int
 		want [2]uint64 // math.Exp with FMA, without
 	}{
@@ -419,7 +421,7 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			blob, err := tc.det(t).SnapshotState()
+			blob, err := tc.det(t, 0).SnapshotState()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -429,5 +431,54 @@ func TestSnapshotBytesPinned(t *testing.T) {
 				t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), tc.size, tc.want[column])
 			}
 		})
+	}
+}
+
+// FuzzDetectorRestoreState feeds arbitrary bytes to RestoreState of a
+// warm AERO detector and of the warm dynamic-graph arm, as given and with
+// the trailing CRC recomputed, so mutations also reach the fields behind
+// the checksum. A failed restore must leave the detector's snapshot
+// byte-equal to the one before it; a successful one must be idempotent
+// (snapshot → restore → snapshot). The seed corpus holds both pinned
+// snapshots and TestRestoreStateRejectsCorrupt's corrupt cases, built
+// from the dynamic-graph snapshot to keep the corpus small. The detectors
+// are two frames past the pinned cuts, so a restore that commits before
+// it fails shows in their snapshots.
+func FuzzDetectorRestoreState(f *testing.F) {
+	dets := []*StreamDetector{warmAERODetector(f, 2), warmDynamicDetector(f, 2)}
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		for _, det := range dets {
+			checkRestore(t, det, blob)
+			if len(blob) >= 4 {
+				checkRestore(t, det, reseal(blob))
+			}
+		}
+	})
+}
+
+// checkRestore is the fuzzers' oracle; it leaves det as it found it.
+func checkRestore(t *testing.T, det *StreamDetector, blob []byte) {
+	before, err := det.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.RestoreState(blob); err != nil {
+		if after, _ := det.SnapshotState(); !bytes.Equal(before, after) {
+			t.Fatalf("failed restore (%v) changed the detector", err)
+		}
+		return
+	}
+	once, err := det.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.RestoreState(once); err != nil {
+		t.Fatalf("restoring its own snapshot: %v", err)
+	}
+	if twice, _ := det.SnapshotState(); !bytes.Equal(once, twice) {
+		t.Fatal("snapshot → restore → snapshot is not idempotent")
+	}
+	if err := det.RestoreState(before); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"maps"
 	"math"
 	"testing"
 
@@ -275,13 +276,14 @@ func TestSubscriptionBackendCapabilities(t *testing.T) {
 // TestNaNScoreDoesNotSilenceDSPOT: with hygiene off (the default) one NaN
 // magnitude reaches the backends of an AERO+DSPOT and a fluxev+DSPOT
 // tenant. AERO's graph spreads it to every star's score while the frame is
-// in the window; fluxev's forecast keeps it on star 0. The DSPOT stage
-// refuses each frame with a non-finite score before stepping any star, so
-// the poisoned frames surface — as FrameErrors with supervision off, as
-// faults with it on — and once the NaN has left AERO's window the spikes
-// alarm on every star they alarm on in a clean run. Before, the NaN
-// entered the drift windows silently: no star of either tenant alarmed
-// again, and both stayed healthy with no fault and no error.
+// in the window; the DSPOT stage refuses each frame with a non-finite
+// score before stepping any star. fluxev refuses the NaN frame itself,
+// state untouched. So the poisoned frames surface — as FrameErrors with
+// supervision off, as faults with it on —, fluxev's only at the NaN, and
+// once the NaN has left AERO's window the spikes alarm on every star they
+// alarm on in a clean run. Before, the NaN entered the drift windows
+// silently: no star of either tenant alarmed again, and both stayed
+// healthy with no fault and no error.
 func TestNaNScoreDoesNotSilenceDSPOT(t *testing.T) {
 	m, _ := fixture(t)
 	series := tenantSeries(0).Test
@@ -362,8 +364,13 @@ func TestNaNScoreDoesNotSilenceDSPOT(t *testing.T) {
 			t.Fatalf("%s: the NaN frame surfaced no FrameError (errors at %v)", id, errs)
 		}
 	}
-	// AERO's window lets the NaN go; fluxev's forecast is an EWMA of every
-	// frame so far and never does, so its stage keeps refusing frames.
+	// AERO's window lets the NaN go; fluxev never took it in.
+	if errs := poisoned["fluxev"].errs; len(errs) != 1 {
+		t.Fatalf("fluxev: %d FrameErrors (at %v), want the NaN frame's alone", len(errs), errs)
+	}
+	if got, want := poisoned["fluxev"].spiked, clean["fluxev"].spiked; !maps.Equal(got, want) {
+		t.Fatalf("fluxev: spikes alarm on stars %v after the NaN, %v in a clean run", got, want)
+	}
 	w := m.Config().LongWindow
 	if errs := poisoned["aero"].errs; errs[len(errs)-1] >= series.Time[poisonAt+w] {
 		t.Fatalf("aero: FrameErrors went on past the window (last at %v)", errs[len(errs)-1])

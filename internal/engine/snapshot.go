@@ -1,15 +1,16 @@
 package engine
 
 import (
-	"encoding/binary"
+	"bytes"
 	"fmt"
-	"hash/crc32"
-	"math"
+
+	"aero/internal/snapfmt"
 )
 
-// Subscription snapshots follow the repo's versioned binary convention
-// (see core/snapshot.go): magic, version, little-endian fields, CRC-32
-// trailer, full validation before any state is touched. The envelope
+// Subscription snapshots follow the repo's versioned binary convention:
+// internal/snapfmt frames them (magic, version, little-endian fields,
+// CRC-32 trailer), and nothing is touched before the whole blob is
+// validated. The envelope
 // wraps the primary backend's own opaque snapshot and adds the
 // fault-containment state that must survive a restart — a tenant
 // checkpointed mid-quarantine has to come back mid-quarantine, not
@@ -36,10 +37,7 @@ import (
 // The cumulative transition counters (quarantines, recoveries, ...) are
 // observability, not state, and are deliberately not snapshotted — the
 // same convention evt.RefitStats follows.
-const (
-	subSnapMagic   = "AEROHLTH"
-	subSnapVersion = 1
-)
+var subSnapFormat = snapfmt.Format{Magic: "AEROHLTH", Version: 1, Pkg: "engine", Name: "subscription state"}
 
 // SnapshotState serializes the tenant's warm detector state (rings,
 // cursors, warm-up counters) together with its fault-containment state —
@@ -60,35 +58,24 @@ func (s *Subscription) SnapshotState() ([]byte, error) {
 			return nil, fmt.Errorf("engine: fallback snapshot: %w", err)
 		}
 	}
-	buf := make([]byte, 0, len(subSnapMagic)+4+1+4*4+8+1+4+8*len(s.sub.lastGood)+4+len(primary)+1+4+len(fb)+4)
-	buf = append(buf, subSnapMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, subSnapVersion)
-	buf = append(buf, uint8(s.sub.state()))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.sub.faultsConsec))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.sub.backoff))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.sub.backoffBase))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(s.sub.probeClean))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.sub.lastTime))
-	if s.sub.seenTime {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s.sub.lastGood)))
-	for _, x := range s.sub.lastGood {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(primary)))
-	buf = append(buf, primary...)
+	w := snapfmt.NewWriter(subSnapFormat, len(subSnapFormat.Magic)+4+1+4*4+8+1+4+8*len(s.sub.lastGood)+4+len(primary)+1+4+len(fb)+4)
+	w.U8(uint8(s.sub.state()))
+	w.U32(uint32(s.sub.faultsConsec))
+	w.U32(uint32(s.sub.backoff))
+	w.U32(uint32(s.sub.backoffBase))
+	w.U32(uint32(s.sub.probeClean))
+	w.F64(s.sub.lastTime)
+	w.Bool(s.sub.seenTime)
+	w.U32(uint32(len(s.sub.lastGood)))
+	w.F64s(s.sub.lastGood)
+	w.U32(uint32(len(primary)))
+	w.Bytes(primary)
+	w.Bool(fb != nil)
 	if fb != nil {
-		buf = append(buf, 1)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fb)))
-		buf = append(buf, fb...)
-	} else {
-		buf = append(buf, 0)
+		w.U32(uint32(len(fb)))
+		w.Bytes(fb)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	return w.Seal()
 }
 
 // RestoreState installs a previously snapshotted state into the tenant,
@@ -103,7 +90,7 @@ func (s *Subscription) SnapshotState() ([]byte, error) {
 func (s *Subscription) RestoreState(blob []byte) error {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()
-	if len(blob) < len(subSnapMagic) || string(blob[:len(subSnapMagic)]) != subSnapMagic {
+	if !bytes.HasPrefix(blob, []byte(subSnapFormat.Magic)) {
 		// Legacy blob: the primary backend's own snapshot, no envelope.
 		if err := s.sub.det.RestoreState(blob); err != nil {
 			return err
@@ -113,27 +100,20 @@ func (s *Subscription) RestoreState(blob []byte) error {
 		}
 		return nil
 	}
-	if len(blob) < len(subSnapMagic)+8 {
-		return fmt.Errorf("engine: subscription state truncated (%d bytes)", len(blob))
+	r, err := snapfmt.Open(subSnapFormat, blob)
+	if err != nil {
+		return err
 	}
-	body, tail := blob[:len(blob)-4], blob[len(blob)-4:]
-	if got, want := crc32.ChecksumIEEE(body), binary.LittleEndian.Uint32(tail); got != want {
-		return fmt.Errorf("engine: subscription state checksum mismatch (%08x != %08x)", got, want)
-	}
-	r := subSnapReader{buf: body, off: len(subSnapMagic)}
-	if ver := r.u32(); r.err == nil && ver != subSnapVersion {
-		return fmt.Errorf("engine: unsupported subscription state version %d", ver)
-	}
-	state := HealthState(r.u8())
-	faults := int(r.u32())
-	backoff := int(r.u32())
-	backoffBase := int(r.u32())
-	probeClean := int(r.u32())
-	lastTime := math.Float64frombits(r.u64())
-	seenTime := r.u8() == 1
-	nGood := int(r.u32())
-	if r.err != nil {
-		return r.err
+	state := HealthState(r.U8())
+	faults := int(r.U32())
+	backoff := int(r.U32())
+	backoffBase := int(r.U32())
+	probeClean := int(r.U32())
+	lastTime := r.F64()
+	seenTime := r.Bool()
+	nGood := int(r.U32())
+	if err := r.Err(); err != nil {
+		return err
 	}
 	if state < HealthHealthy || state > HealthProbation {
 		return fmt.Errorf("engine: subscription state has unknown health state %d", state)
@@ -141,18 +121,15 @@ func (s *Subscription) RestoreState(blob []byte) error {
 	if nGood != len(s.sub.lastGood) {
 		return fmt.Errorf("engine: snapshot has %d variates, subscription %d", nGood, len(s.sub.lastGood))
 	}
-	lastGood := r.f64s(nGood)
-	primary := r.bytes(int(r.u32()))
-	hasFB := r.u8() == 1
+	lastGood := r.F64s(nGood)
+	primary := r.Bytes(int(r.U32()))
+	hasFB := r.Bool()
 	var fb []byte
 	if hasFB {
-		fb = r.bytes(int(r.u32()))
+		fb = r.Bytes(int(r.U32()))
 	}
-	if r.err != nil {
-		return r.err
-	}
-	if r.off != len(body) {
-		return fmt.Errorf("engine: subscription state has %d trailing bytes", len(body)-r.off)
+	if err := r.Done(); err != nil {
+		return err
 	}
 	if hasFB && s.sub.fallback == nil {
 		return fmt.Errorf("engine: snapshot carries a fallback state but the subscription has no fallback backend")
@@ -180,57 +157,4 @@ func (s *Subscription) RestoreState(blob []byte) error {
 	s.sub.lastTime, s.sub.seenTime = lastTime, seenTime
 	copy(s.sub.lastGood, lastGood)
 	return nil
-}
-
-// subSnapReader is a bounds-checked cursor over a snapshot body, after
-// the pattern of core's stateReader: the first out-of-range read latches
-// err and every later read returns zero values.
-type subSnapReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (r *subSnapReader) take(k int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if k < 0 || r.off+k > len(r.buf) {
-		r.err = fmt.Errorf("engine: subscription state truncated at byte %d", len(r.buf))
-		return nil
-	}
-	b := r.buf[r.off : r.off+k]
-	r.off += k
-	return b
-}
-
-func (r *subSnapReader) u8() uint8 {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-
-func (r *subSnapReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-
-func (r *subSnapReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
-func (r *subSnapReader) bytes(k int) []byte { return r.take(k) }
-
-func (r *subSnapReader) f64s(k int) []float64 {
-	out := make([]float64, k)
-	for i := range out {
-		out[i] = math.Float64frombits(r.u64())
-	}
-	return out
 }

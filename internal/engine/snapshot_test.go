@@ -1,6 +1,9 @@
 package engine_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"hash/fnv"
 	"runtime"
 	"testing"
@@ -62,5 +65,70 @@ func TestSubscriptionSnapshotBytesPinned(t *testing.T) {
 	h.Write(blob)
 	if len(blob) != size || h.Sum64() != want {
 		t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), size, uint64(want))
+	}
+}
+
+// FuzzSubscriptionRestoreState feeds arbitrary bytes to RestoreState of a
+// warm subscription — a fluxev primary, no fallback — as given and with
+// the trailing CRC recomputed, so mutations also reach the fields behind
+// the checksum. Bytes without the envelope's magic take the legacy path
+// into the primary. A failed restore must leave the subscription's
+// snapshot byte-equal to the one before it; a successful one must be
+// idempotent (snapshot → restore → snapshot). The seed corpus holds the
+// pinned mid-quarantine snapshot (whose fallback payload this subscription
+// must refuse), the receiver's own snapshot, and
+// TestSnapshotRestoreMidQuarantine's corrupt envelope and bare blob.
+func FuzzSubscriptionRestoreState(f *testing.F) {
+	artifact := fluxevArtifact(f)
+	s := tenantSeries(0).Test
+	e := engine.New(engine.Config{Shards: 1, Workers: 1})
+	f.Cleanup(e.Close)
+	sub, err := e.SubscribeBackend("tenant", openFluxev(f, artifact))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for ti := 0; ti < 30; ti++ {
+		frame := core.Frame{Time: s.Time[ti], Magnitudes: make([]float64, s.N())}
+		for v := range frame.Magnitudes {
+			frame.Magnitudes[v] = s.Data[v][ti]
+		}
+		if err := e.Ingest("tenant", frame); err != nil {
+			f.Fatal(err)
+		}
+	}
+	e.Flush()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		checkRestore(t, sub, blob)
+		if len(blob) >= 4 {
+			body := blob[:len(blob)-4]
+			checkRestore(t, sub, binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body)))
+		}
+	})
+}
+
+// checkRestore is the fuzzer's oracle; it leaves sub as it found it.
+func checkRestore(t *testing.T, sub *engine.Subscription, blob []byte) {
+	before, err := sub.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.RestoreState(blob); err != nil {
+		if after, _ := sub.SnapshotState(); !bytes.Equal(before, after) {
+			t.Fatalf("failed restore (%v) changed the subscription", err)
+		}
+		return
+	}
+	once, err := sub.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.RestoreState(once); err != nil {
+		t.Fatalf("restoring its own snapshot: %v", err)
+	}
+	if twice, _ := sub.SnapshotState(); !bytes.Equal(once, twice) {
+		t.Fatal("snapshot → restore → snapshot is not idempotent")
+	}
+	if err := sub.RestoreState(before); err != nil {
+		t.Fatal(err)
 	}
 }
