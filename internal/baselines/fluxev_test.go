@@ -1,10 +1,13 @@
 package baselines
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"aero/internal/core"
@@ -426,5 +429,73 @@ func TestStreamFluxEVSuppressWindow(t *testing.T) {
 				t.Fatalf("window %d adapter accepted a window %d artifact", tc.window, tc.window+1)
 			}
 		})
+	}
+}
+
+// TestStreamFluxEVBytesPinned pins, by length and FNV-1a hash, the two
+// byte forms a FluxEV tenant leaves behind: the artifact of an adapter
+// calibrated on the stream fixture's training split (its JSON carries
+// "level":0,"q":0 — the adapter does not record its POT parameters) and
+// the snapshot of one warmed on 253 test frames, a count that is not a
+// multiple of the suppress window. A published artifact or a checkpoint
+// on disk opens only while they hold.
+func TestStreamFluxEVBytesPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("FluxEV bytes are pinned on amd64")
+	}
+	d := streamTestData()
+	cfg := DefaultStreamConfig()
+	cal, err := NewStreamFluxEV(d.Train.N(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CalibrateStream(cal, d.Train, cfg.Level, cfg.Q); err != nil {
+		t.Fatal(err)
+	}
+	artifact, err := cal.MarshalArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(artifact, []byte(`"level":0,"q":0`)) {
+		t.Fatalf("artifact %s lost its zero level and q", artifact)
+	}
+
+	warm, err := NewStreamFluxEV(d.Test.N(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const frames = 253
+	if frames%cfg.FluxEVSuppress == 0 {
+		t.Fatalf("%d frames fill the suppress window exactly", frames)
+	}
+	frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
+	for ti := 0; ti < frames; ti++ {
+		frame.Time = d.Test.Time[ti]
+		for v := range frame.Magnitudes {
+			frame.Magnitudes[v] = d.Test.Data[v][ti]
+		}
+		if _, err := warm.PushScores(frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snapshot, err := warm.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		blob []byte
+		size int
+		hash uint64
+	}{
+		{"artifact", artifact, 109, 0x5e65989d1203f1f},
+		{"snapshot", snapshot, 1344, 0xb63f9270c9e71f6f},
+	} {
+		h := fnv.New64a()
+		h.Write(tc.blob)
+		if len(tc.blob) != tc.size || h.Sum64() != tc.hash {
+			t.Errorf("%s is %d bytes with hash %#x, pinned %d bytes with %#x", tc.name, len(tc.blob), h.Sum64(), tc.size, tc.hash)
+		}
 	}
 }
