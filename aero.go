@@ -107,8 +107,8 @@ func NewStreamDetectorWorkers(m *Model, _ int) (*StreamDetector, error) {
 
 // StreamBackend is the pluggable contract of the streaming pipeline:
 // any frame-at-a-time detector the engine can serve — the AERO
-// StreamDetector, the streaming baseline adapters (SR, Template
-// Matching, FluxEV), or a DSPOT-wrapped composition of either.
+// StreamDetector, the streaming FluxEV baseline adapter, or a
+// DSPOT-wrapped composition of either.
 type StreamBackend = core.StreamBackend
 
 // GraphSnapshotter is the optional monitoring capability of backends
@@ -124,10 +124,10 @@ type BackendSpec = backend.Spec
 // BackendOptions carries the per-kind training/calibration knobs.
 type BackendOptions = backend.Options
 
-// StreamBaselineConfig parameterizes the streaming baseline adapters.
+// StreamBaselineConfig parameterizes the streaming FluxEV adapter.
 type StreamBaselineConfig = baselines.StreamConfig
 
-// DefaultStreamBaselineConfig mirrors the batch baselines' settings.
+// DefaultStreamBaselineConfig mirrors the batch FluxEV's settings.
 func DefaultStreamBaselineConfig() StreamBaselineConfig { return baselines.DefaultStreamConfig() }
 
 // DefaultBackendOptions pairs the paper's AERO hyperparameters with the

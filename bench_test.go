@@ -232,10 +232,10 @@ func BenchmarkStreamPush(b *testing.B) {
 // BenchmarkBackendStreamPush measures the steady-state per-frame cost of
 // every registered backend kind behind the StreamBackend contract —
 // static fitted threshold and DSPOT-wrapped — on the same field the AERO
-// benchmarks use. The streaming baseline adapters are the rows that
-// justify multi-backend serving: their pushes cost microseconds against
-// AERO's milliseconds, and all of them hold the same zero-alloc budget
-// (pinned in internal/baselines and internal/backend).
+// benchmarks use. The streaming FluxEV adapter is the row that justifies
+// multi-backend serving: its push costs well under a microsecond against
+// AERO's milliseconds, at the same zero-alloc budget (pinned in
+// internal/baselines and internal/backend).
 func BenchmarkBackendStreamPush(b *testing.B) {
 	d := benchDataset()
 	aeroModel, err := aero.New(benchConfig(), d.Train.N())

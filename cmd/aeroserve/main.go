@@ -6,7 +6,7 @@
 //
 //	aerogen -out data -dataset SyntheticMiddle
 //	aeroserve -dir data -dataset SyntheticMiddle -tenants 16 -rate 0
-//	aeroserve -dir data -dataset SyntheticMiddle -backend sr -tenants 64
+//	aeroserve -dir data -dataset SyntheticMiddle -backend fluxev -tenants 64
 //	aeroserve -dir data -dataset SyntheticMiddle -checkpoint ckpt \
 //	    -retrain-every 30s -rate 4
 //	aeroserve -dir data -dataset SyntheticMiddle -backend fluxev \
@@ -17,8 +17,8 @@
 // alarms to stdout while periodic per-shard stats go to stderr.
 //
 // -backend selects the serving detector kind: "aero" (the paper's
-// two-stage model) or one of the cheap streaming baseline adapters
-// ("sr", "tm", "fluxev") that keep up at survey rates. -alarm selects
+// two-stage model) or "fluxev", the cheap streaming baseline adapter
+// that keeps up at survey rates. -alarm selects
 // the alarming stage: "static" thresholds on the kind's fitted POT
 // threshold, "dspot" wraps the backend in per-variate streaming DSPOT
 // (drift-corrected EVT tails that keep adapting online — the paper's
@@ -164,11 +164,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *statsEvery < 0 {
-		// As the flag package reports a value it cannot parse.
-		fmt.Fprintf(os.Stderr, "invalid value %v for flag -stats: must not be negative\n", *statsEvery)
+	// A value out of range is a usage error, reported as the flag package
+	// reports a value it cannot parse.
+	usageError := func(name string, value any, why string) {
+		fmt.Fprintf(os.Stderr, "invalid value %v for flag -%s: %s\n", value, name, why)
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *statsEvery < 0 {
+		usageError("stats", *statsEvery, "must not be negative")
+	}
+	if *tenants < 1 {
+		usageError("tenants", *tenants, "must be at least 1")
 	}
 	spec, ok := aero.LookupBackend(*kindFlag)
 	if !ok {

@@ -60,12 +60,23 @@ func TestStatsZeroDisablesPeriodicLine(t *testing.T) {
 	}
 }
 
+// A negative -stats interval and a tenant count below one are usage
+// errors: exit 2 with the usage text, as for a value the flag package
+// cannot parse.
 func TestStatsNegativeIsUsageError(t *testing.T) {
-	code, stderr := serve(t, "-stats", "-1s")
-	if code != 2 {
-		t.Fatalf("exit %d, want the usage-error exit 2:\n%s", code, stderr)
-	}
-	if !strings.Contains(stderr, "flag -stats") || !strings.Contains(stderr, "Usage") {
-		t.Fatalf("no usage message naming -stats:\n%s", stderr)
+	for _, args := range [][]string{
+		{"-stats", "-1s"},
+		// No tenants used to panic indexing the last subscription, and a
+		// negative count in make.
+		{"-tenants", "0"},
+		{"-tenants", "-1"},
+	} {
+		code, stderr := serve(t, args...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want the usage-error exit 2:\n%s", args, code, stderr)
+		}
+		if !strings.Contains(stderr, "flag "+args[0]) || !strings.Contains(stderr, "Usage") {
+			t.Fatalf("%v: no usage message naming %s:\n%s", args, args[0], stderr)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package backend is the kind registry of the streaming pipeline: it
 // names every detector that can serve behind the engine (the AERO model
-// plus the streaming baseline adapters), and pairs each kind with the
+// plus the streaming FluxEV adapter), and pairs each kind with the
 // two operations the lifecycle needs — training an artifact from a
 // series and opening a serving core.StreamBackend from an artifact.
 //
@@ -26,8 +26,8 @@ import (
 type Options struct {
 	// AERO is the model configuration used by the "aero" kind.
 	AERO core.Config
-	// Stream parameterizes the streaming baseline adapters (sr, tm,
-	// fluxev), including the POT calibration of their static thresholds.
+	// Stream parameterizes the streaming FluxEV adapter, including the
+	// POT calibration of its static threshold.
 	Stream baselines.StreamConfig
 }
 
@@ -51,7 +51,7 @@ type Spec struct {
 	Describe string
 	// Train fits the backend on an unlabelled training series and
 	// returns its published artifact (weights + calibration for AERO,
-	// hyperparameters + POT threshold for the adapters).
+	// hyperparameters + POT threshold for FluxEV).
 	Train func(train *dataset.Series, opts Options) ([]byte, error)
 	// Open constructs a cold serving backend from a published artifact.
 	Open func(artifact []byte) (core.StreamBackend, error)

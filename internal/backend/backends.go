@@ -6,11 +6,12 @@ import (
 	"aero/internal/dataset"
 )
 
-// The built-in kinds. AERO is the paper's two-stage model; sr/tm/fluxev
-// are the cheap univariate baselines whose per-point cost is O(window),
-// the only ones that can keep up at survey rates — the deep baselines
-// (Donut, OmniAnomaly, TranAD, ...) re-run a full network forward per
-// window and remain batch-only in the experiment harness.
+// The built-in kinds. AERO is the paper's two-stage model; fluxev is the
+// cheap univariate baseline whose per-point cost is O(1), the screen that
+// keeps up at survey rates. The other baselines stay batch-only in the
+// experiment harness: the deep ones (Donut, OmniAnomaly, TranAD, ...)
+// re-run a full network forward per window, and SR and TM recalled no
+// more anomalies than FluxEV at tens to hundreds of times its push cost.
 func init() {
 	Register(Spec{
 		Kind:     core.KindAERO,
@@ -34,42 +35,18 @@ func init() {
 		},
 	})
 	Register(Spec{
-		Kind:     baselines.KindSR,
-		Describe: "spectral residual saliency over a sliding power-of-two window",
-		Train: trainStream(func(n int, cfg baselines.StreamConfig) (baselines.CalibratableStream, error) {
-			return baselines.NewStreamSR(n, cfg)
-		}),
-		Open: func(a []byte) (core.StreamBackend, error) { return baselines.OpenStreamSR(a) },
-	})
-	Register(Spec{
-		Kind:     baselines.KindTM,
-		Describe: "template matching against the catalogued event library",
-		Train: trainStream(func(n int, cfg baselines.StreamConfig) (baselines.CalibratableStream, error) {
-			return baselines.NewStreamTM(n, cfg)
-		}),
-		Open: func(a []byte) (core.StreamBackend, error) { return baselines.OpenStreamTM(a) },
-	})
-	Register(Spec{
 		Kind:     baselines.KindFluxEV,
 		Describe: "FluxEV two-step fluctuation extraction over an EWMA forecast",
-		Train: trainStream(func(n int, cfg baselines.StreamConfig) (baselines.CalibratableStream, error) {
-			return baselines.NewStreamFluxEV(n, cfg)
-		}),
+		Train: func(train *dataset.Series, opts Options) ([]byte, error) {
+			d, err := baselines.NewStreamFluxEV(train.N(), opts.Stream)
+			if err != nil {
+				return nil, err
+			}
+			if err := baselines.CalibrateStream(d, train, opts.Stream.Level, opts.Stream.Q); err != nil {
+				return nil, err
+			}
+			return d.MarshalArtifact()
+		},
 		Open: func(a []byte) (core.StreamBackend, error) { return baselines.OpenStreamFluxEV(a) },
 	})
-}
-
-// trainStream builds the shared adapter training flow: construct, replay
-// the training series to calibrate the POT threshold, serialize.
-func trainStream(mk func(n int, cfg baselines.StreamConfig) (baselines.CalibratableStream, error)) func(*dataset.Series, Options) ([]byte, error) {
-	return func(train *dataset.Series, opts Options) ([]byte, error) {
-		b, err := mk(train.N(), opts.Stream)
-		if err != nil {
-			return nil, err
-		}
-		if err := baselines.CalibrateStream(b, train, opts.Stream.Level, opts.Stream.Q); err != nil {
-			return nil, err
-		}
-		return b.MarshalArtifact()
-	}
 }

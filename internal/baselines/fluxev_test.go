@@ -420,7 +420,7 @@ func TestStreamFluxEVSuppressWindow(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			built.SetThreshold(0.5)
+			built.thr = 0.5
 			if fromConfig, err := built.MarshalArtifact(); err != nil || string(fromConfig) != string(republished) {
 				t.Fatalf("config-built artifact %s != opened one %s (%v)", fromConfig, republished, err)
 			}

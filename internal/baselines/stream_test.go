@@ -45,41 +45,6 @@ func replayStream(t *testing.T, b core.StreamBackend, s *dataset.Series) [][]flo
 	return out
 }
 
-// TestStreamTMMatchesBatch pins the adapter's contract: at every full
-// window the streaming score is bit-identical to the batch detector's —
-// same window, same z-score, same correlations.
-func TestStreamTMMatchesBatch(t *testing.T) {
-	d := streamTestData()
-	batch := NewTemplateMatching()
-	if err := batch.Fit(d.Train); err != nil {
-		t.Fatal(err)
-	}
-	want, err := batch.Scores(d.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := DefaultStreamConfig()
-	sm, err := NewStreamTM(d.Test.N(), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := replayStream(t, sm, d.Test)
-	L := cfg.TMTemplateLen
-	for v := range got {
-		for ti := L - 1; ti < d.Test.Len(); ti++ {
-			if got[v][ti] != want[v][ti] {
-				t.Fatalf("variate %d t=%d: stream %v != batch %v", v, ti, got[v][ti], want[v][ti])
-			}
-		}
-		for ti := 0; ti < L-1; ti++ {
-			if !math.IsNaN(got[v][ti]) {
-				t.Fatalf("variate %d t=%d: score before warm-up", v, ti)
-			}
-		}
-	}
-}
-
 // TestStreamFluxEVMatchesBatch pins bit-identity of the streaming
 // fluctuation extraction against the batch path from the second frame on
 // (the first frame has no forecast to deviate from).
@@ -111,121 +76,44 @@ func TestStreamFluxEVMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamSRScoresSpike sanity-checks the windowed spectral residual:
-// warm-up yields no scores, and an injected single-point spike scores
-// far above the quiet-stream level.
-func TestStreamSRScoresSpike(t *testing.T) {
-	cfg := DefaultStreamConfig()
-	sr, err := NewStreamSR(1, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := core.Frame{Magnitudes: make([]float64, 1)}
-	quiet := 0.0
-	var spike float64
-	warmed := false
-	const T = 400
-	spikeAt := 300
-	for ti := 0; ti < T; ti++ {
-		frame.Time = float64(ti)
-		frame.Magnitudes[0] = math.Sin(float64(ti) / 9)
-		if ti == spikeAt {
-			frame.Magnitudes[0] += 4
-		}
-		scores, err := sr.PushScores(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scores == nil {
-			if warmed {
-				t.Fatalf("scores stopped flowing at t=%d", ti)
-			}
-			if ti >= cfg.SRWindow {
-				t.Fatalf("still warming at t=%d, window %d", ti, cfg.SRWindow)
-			}
-			continue
-		}
-		warmed = true
-		switch {
-		case ti == spikeAt:
-			spike = scores[0]
-		case ti >= spikeAt-150 && ti < spikeAt:
-			// Quiet level once the stream has settled (the first windows
-			// after warm-up still carry edge effects).
-			if scores[0] > quiet {
-				quiet = scores[0]
-			}
-		}
-	}
-	if !warmed {
-		t.Fatal("adapter never warmed")
-	}
-	if spike < 2*quiet || spike <= 0 {
-		t.Fatalf("spike score %v not prominent over quiet max %v", spike, quiet)
-	}
-}
-
 // TestCalibrateStream checks the POT calibration flow: the fitted
 // threshold is finite and the training feed itself stays mostly below it.
 func TestCalibrateStream(t *testing.T) {
 	d := streamTestData()
-	for _, mk := range []func() (CalibratableStream, error){
-		func() (CalibratableStream, error) { return NewStreamSR(d.Train.N(), DefaultStreamConfig()) },
-		func() (CalibratableStream, error) { return NewStreamTM(d.Train.N(), DefaultStreamConfig()) },
-		func() (CalibratableStream, error) { return NewStreamFluxEV(d.Train.N(), DefaultStreamConfig()) },
-	} {
-		b, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := CalibrateStream(b, d.Train, 0.99, 1e-3); err != nil {
-			t.Fatalf("%s: %v", b.Kind(), err)
-		}
-		thr := b.Threshold()
-		if math.IsNaN(thr) || math.IsInf(thr, 0) || thr <= 0 {
-			t.Fatalf("%s: unusable threshold %v", b.Kind(), thr)
-		}
-		// Round-trip through the artifact: same geometry, same threshold.
-		art, err := b.MarshalArtifact()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var reopened core.StreamBackend
-		switch b.Kind() {
-		case KindSR:
-			reopened, err = OpenStreamSR(art)
-		case KindTM:
-			reopened, err = OpenStreamTM(art)
-		case KindFluxEV:
-			reopened, err = OpenStreamFluxEV(art)
-		}
-		if err != nil {
-			t.Fatalf("%s: reopen: %v", b.Kind(), err)
-		}
-		if reopened.Threshold() != thr || reopened.Variates() != b.Variates() {
-			t.Fatalf("%s: artifact round-trip changed calibration", b.Kind())
-		}
+	b, err := NewStreamFluxEV(d.Train.N(), DefaultStreamConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CalibrateStream(b, d.Train, 0.99, 1e-3); err != nil {
+		t.Fatalf("%s: %v", b.Kind(), err)
+	}
+	thr := b.Threshold()
+	if math.IsNaN(thr) || math.IsInf(thr, 0) || thr <= 0 {
+		t.Fatalf("%s: unusable threshold %v", b.Kind(), thr)
+	}
+	// Round-trip through the artifact: same geometry, same threshold.
+	art, err := b.MarshalArtifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := OpenStreamFluxEV(art)
+	if err != nil {
+		t.Fatalf("%s: reopen: %v", b.Kind(), err)
+	}
+	if reopened.Threshold() != thr || reopened.Variates() != b.Variates() {
+		t.Fatalf("%s: artifact round-trip changed calibration", b.Kind())
 	}
 }
 
-// streamAdapters builds one warm instance of each adapter for the shared
-// contract tests.
-func streamAdapters(t testing.TB, n int) []core.StreamBackend {
+// streamAdapters builds one cold instance of every stream adapter for
+// the shared contract tests.
+func streamAdapters(t testing.TB, n int) []*StreamFluxEV {
 	t.Helper()
-	cfg := DefaultStreamConfig()
-	sr, err := NewStreamSR(n, cfg)
+	fx, err := NewStreamFluxEV(n, DefaultStreamConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tm, err := NewStreamTM(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fx, err := NewStreamFluxEV(n, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return []core.StreamBackend{sr, tm, fx}
+	return []*StreamFluxEV{fx}
 }
 
 // TestStreamAdapterPushAllocs pins the engine's steady-state budget on
@@ -236,9 +124,7 @@ func TestStreamAdapterPushAllocs(t *testing.T) {
 	for _, b := range streamAdapters(t, d.Test.N()) {
 		b := b
 		t.Run(b.Kind(), func(t *testing.T) {
-			if cs, ok := b.(CalibratableStream); ok {
-				cs.SetThreshold(math.Inf(1)) // alarms never fire: pure scoring path
-			}
+			b.thr = math.Inf(1) // alarms never fire: pure scoring path
 			frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
 			next := 0
 			push := func() {
@@ -402,9 +288,9 @@ func checkRefusesNonFinite(t *testing.T, poison func(f *core.Frame, bad float64)
 	}
 }
 
-// warmStreamAdapters returns one adapter of each kind for n variates, fed
+// warmStreamAdapters returns the stream adapters for n variates, fed
 // past every warm-up on a short deterministic feed.
-func warmStreamAdapters(t testing.TB, n int) []core.StreamBackend {
+func warmStreamAdapters(t testing.TB, n int) []*StreamFluxEV {
 	t.Helper()
 	bs := streamAdapters(t, n)
 	frame := core.Frame{Magnitudes: make([]float64, n)}
@@ -423,12 +309,12 @@ func warmStreamAdapters(t testing.TB, n int) []core.StreamBackend {
 }
 
 // FuzzStreamAdapterRestoreState feeds arbitrary bytes to RestoreState of
-// a warm adapter of every kind. It must error or succeed, never panic. An
-// error leaves the adapter as it was (its snapshot is unchanged); a
-// success leaves it where a fresh adapter restored from the same bytes
-// is — the next push scores the same bits — with fluxev's running
-// maximum rebuilt to what the scan reads. The seed corpus is one valid
-// snapshot per kind from warmStreamAdapters(2) plus its truncations.
+// a warm FluxEV adapter. It must error or succeed, never panic. An error
+// leaves the adapter as it was (its snapshot is unchanged); a success
+// leaves it where a fresh adapter restored from the same bytes is — the
+// next push scores the same bits — with the running maximum rebuilt to
+// what the scan reads. The seed corpus is one valid snapshot from
+// warmStreamAdapters(2) plus its truncations.
 func FuzzStreamAdapterRestoreState(f *testing.F) {
 	const n = 2
 	warm := warmStreamAdapters(f, n)
@@ -448,13 +334,11 @@ func FuzzStreamAdapterRestoreState(f *testing.F) {
 			if err := fresh.RestoreState(blob); err != nil {
 				t.Fatalf("%s: restore into a warm adapter succeeded, into a fresh one: %v", b.Kind(), err)
 			}
-			if fx, ok := b.(*StreamFluxEV); ok {
-				ref := newFluxevScanRef(n, fx.suppress, fx.alpha)
-				ref.restore(t, blob)
-				for v := range fx.hi {
-					if want := ref.recent(v, ref.count); math.Float64bits(fx.hi[v]) != math.Float64bits(want) {
-						t.Fatalf("fluxev variate %d: rebuilt maximum %v, scan %v", v, fx.hi[v], want)
-					}
+			ref := newFluxevScanRef(n, b.suppress, b.alpha)
+			ref.restore(t, blob)
+			for v := range b.hi {
+				if want := ref.recent(v, ref.count); math.Float64bits(b.hi[v]) != math.Float64bits(want) {
+					t.Fatalf("fluxev variate %d: rebuilt maximum %v, scan %v", v, b.hi[v], want)
 				}
 			}
 			frame := core.Frame{Magnitudes: []float64{0.5, -1.25}}
@@ -480,31 +364,26 @@ func TestStreamAdapterSwapArtifact(t *testing.T) {
 	d := streamTestData()
 	for i, b := range streamAdapters(t, d.Test.N()) {
 		t.Run(b.Kind(), func(t *testing.T) {
-			cs := b.(CalibratableStream)
-			cs.SetThreshold(1.25)
-			art, err := cs.MarshalArtifact()
+			b.thr = 1.25
+			art, err := b.MarshalArtifact()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cs.SetThreshold(99)
+			b.thr = 99
 			if err := b.SwapArtifact(art); err != nil {
 				t.Fatal(err)
 			}
 			if b.Threshold() != 1.25 {
 				t.Fatalf("swap did not install threshold: %v", b.Threshold())
 			}
-			// Wrong-kind artifact: rejected.
-			other := streamAdapters(t, d.Test.N())[(i+1)%3]
-			wrongKind, err := other.(CalibratableStream).MarshalArtifact()
-			if err != nil {
-				t.Fatal(err)
-			}
+			// Wrong-kind artifact (a retired kind's tag): rejected.
+			wrongKind := bytes.Replace(art, []byte(`"kind":"fluxev"`), []byte(`"kind":"sr"`), 1)
 			if err := b.SwapArtifact(wrongKind); err == nil {
 				t.Fatal("wrong-kind artifact accepted")
 			}
 			// Wrong-geometry artifact: rejected.
 			narrow := streamAdapters(t, d.Test.N()+1)[i]
-			wrongGeom, err := narrow.(CalibratableStream).MarshalArtifact()
+			wrongGeom, err := narrow.MarshalArtifact()
 			if err != nil {
 				t.Fatal(err)
 			}

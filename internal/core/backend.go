@@ -7,14 +7,14 @@ import "aero/internal/tensor"
 // lifecycle operations a long-lived serving tenant needs (hot-swap of a
 // retrained artifact, warm-state checkpoint/restore). The engine,
 // lifecycle and CLIs are generic over this interface; *StreamDetector is
-// the AERO implementation, and internal/baselines ships streaming
-// adapters for the cheap univariate baselines (SR, Template Matching,
-// FluxEV) that can keep up at survey rates.
+// the AERO implementation, and internal/baselines ships the streaming
+// adapter of FluxEV, the cheap univariate baseline that keeps up at
+// survey rates.
 //
 // Implementations are not safe for concurrent use; the engine serializes
 // access per subscription.
 type StreamBackend interface {
-	// Kind returns the backend's registered kind tag (e.g. "aero", "sr").
+	// Kind returns the backend's registered kind tag (e.g. "aero", "fluxev").
 	Kind() string
 	// Variates returns the frame width the backend expects.
 	Variates() int

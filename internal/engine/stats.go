@@ -186,7 +186,7 @@ func (s *Subscription) QueueHeadroom() int {
 // (scores discarded), and while the primary is quarantined or on
 // probation the fallback serves the alarm stream. The intended shape is
 // an expensive primary (aero, ~2.9 ms/frame) backed by a cheap streaming
-// baseline (fluxev/tm, sub-µs) whose warm-feed cost is negligible next
+// baseline (fluxev, sub-µs) whose warm-feed cost is negligible next
 // to the primary's push.
 //
 // The fallback's variate count must match the tenant's. Install it
@@ -262,7 +262,7 @@ func (s *Subscription) SwapArtifact(artifact []byte) error {
 	return nil
 }
 
-// Kind returns the tenant's backend kind tag (e.g. "aero", "sr+dspot").
+// Kind returns the tenant's backend kind tag (e.g. "aero", "fluxev+dspot").
 func (s *Subscription) Kind() string {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()

@@ -126,38 +126,6 @@ func IFFT(x []complex128) []complex128 {
 	return out
 }
 
-// FFTInPlace transforms x in place. The length must be a power of two
-// (panics otherwise); once the per-length twiddle table is cached, the
-// call performs no allocations, which is what the streaming spectral
-// residual adapter's zero-alloc push budget relies on.
-func FFTInPlace(x []complex128) {
-	if len(x) <= 1 {
-		return
-	}
-	if !isPow2(len(x)) {
-		panic("fourier: FFTInPlace requires a power-of-two length")
-	}
-	radix2(x, false)
-}
-
-// IFFTInPlace inverse-transforms x in place, including the 1/n
-// normalization. Power-of-two lengths only (panics otherwise);
-// allocation-free once the twiddle table is cached.
-func IFFTInPlace(x []complex128) {
-	n := len(x)
-	if n <= 1 {
-		return
-	}
-	if !isPow2(n) {
-		panic("fourier: IFFTInPlace requires a power-of-two length")
-	}
-	radix2(x, true)
-	inv := complex(1/float64(n), 0)
-	for i := range x {
-		x[i] *= inv
-	}
-}
-
 // FFTReal transforms a real-valued signal.
 func FFTReal(x []float64) []complex128 {
 	cx := make([]complex128, len(x))

@@ -205,50 +205,3 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 		FFT(x)
 	}
 }
-
-// TestFFTInPlaceMatchesFFT pins the in-place power-of-two path against
-// the allocating one, forward and inverse, and its zero-alloc budget
-// once the twiddle table is warm.
-func TestFFTInPlaceMatchesFFT(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for _, n := range []int{1, 2, 8, 64, 256} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		want := FFT(x)
-		got := append([]complex128(nil), x...)
-		FFTInPlace(got)
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: in-place %v != FFT %v", n, i, got[i], want[i])
-			}
-		}
-		back := append([]complex128(nil), got...)
-		IFFTInPlace(back)
-		wantBack := IFFT(want)
-		for i := range back {
-			if back[i] != wantBack[i] {
-				t.Fatalf("n=%d bin %d: in-place inverse %v != IFFT %v", n, i, back[i], wantBack[i])
-			}
-		}
-	}
-	buf := make([]complex128, 64)
-	FFTInPlace(buf) // warm the twiddle cache
-	if allocs := testing.AllocsPerRun(32, func() {
-		FFTInPlace(buf)
-		IFFTInPlace(buf)
-	}); allocs != 0 {
-		t.Fatalf("warm in-place FFT allocates %.1f objects, want 0", allocs)
-	}
-	for _, f := range []func([]complex128){FFTInPlace, IFFTInPlace} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("non-power-of-two length accepted")
-				}
-			}()
-			f(make([]complex128, 12))
-		}()
-	}
-}

@@ -24,18 +24,28 @@ func artifactTestData() *dataset.Dataset {
 // TestRegistryTypedArtifacts publishes artifacts of several backend
 // kinds into one registry and checks the kind tags round-trip through
 // LatestArtifact/LoadArtifact, and that the model-typed accessors reject
-// non-AERO entries instead of mis-parsing them.
+// non-AERO entries instead of mis-parsing them. The registry is
+// kind-agnostic: entries of the retired sr and tm kinds still round-trip,
+// and only opening one fails, with an error that names the kind.
 func TestRegistryTypedArtifacts(t *testing.T) {
 	d := artifactTestData()
 	reg, err := lifecycle.OpenRegistry(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, kind := range []string{"sr", "tm", "fluxev"} {
-		artifact, err := backend.Train(kind, d.Train, backend.SmallOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
+	fluxev, err := backend.Train("fluxev", d.Train, backend.SmallOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []struct {
+		kind     string
+		artifact []byte
+	}{
+		{"sr", []byte(`{"kind":"sr","version":1,"n":3,"threshold":0.5,"level":0,"q":0,"window":64,"avg_filter":3,"saliency_window":21}`)},
+		{"tm", []byte(`{"kind":"tm","version":1,"n":3,"threshold":0.5,"level":0,"q":0,"template_len":32}`)},
+		{"fluxev", fluxev},
+	} {
+		kind, artifact := entry.kind, entry.artifact
 		if _, err := reg.PublishArtifact("field", kind, artifact); err != nil {
 			t.Fatal(err)
 		}
@@ -46,9 +56,14 @@ func TestRegistryTypedArtifacts(t *testing.T) {
 		if gotKind != kind || string(gotArt) != string(artifact) {
 			t.Fatalf("round-trip changed entry: kind %q", gotKind)
 		}
-		// The artifact must open into a serving backend.
-		if _, err := backend.Open(gotKind, gotArt); err != nil {
+		// A served kind's artifact must open into a serving backend; a
+		// retired kind's must be refused by name.
+		_, err = backend.Open(gotKind, gotArt)
+		if kind == "fluxev" && err != nil {
 			t.Fatal(err)
+		}
+		if want := `backend: unknown kind "` + kind + `"`; kind != "fluxev" && (err == nil || !strings.Contains(err.Error(), want)) {
+			t.Fatalf("opening a %s entry: %v, want %s", kind, err, want)
 		}
 	}
 	// Model-typed access to a non-AERO tenant names the actual kind.
