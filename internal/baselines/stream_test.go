@@ -216,9 +216,8 @@ func TestStreamAdapterRejectsNonFiniteTime(t *testing.T) {
 
 // TestStreamAdapterRejectsNonFiniteMagnitude is the same contract for a
 // magnitude, as hygiene-off serving delivers one. Before, FluxEV's
-// forecast kept a NaN for good and SR held an +Inf until it left the
-// ring; meanwhile every SnapshotState failed, because JSON has no NaN or
-// Inf.
+// forecast kept a NaN for good, and every later SnapshotState failed,
+// because JSON has no NaN or Inf.
 func TestStreamAdapterRejectsNonFiniteMagnitude(t *testing.T) {
 	checkRefusesNonFinite(t, func(f *core.Frame, bad float64) { f.Magnitudes[len(f.Magnitudes)-1] = bad })
 }
