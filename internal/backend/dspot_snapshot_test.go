@@ -1,9 +1,11 @@
 package backend_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 
 	"aero/internal/backend"
@@ -52,7 +54,8 @@ func wrappedDSPOTStage(tb testing.TB, frames int) *backend.DSPOTStage {
 // snapshot of a fluxev+dspot stage warmed on 250 test frames of the dspot
 // fixture, a cut at which a star's excess ring has wrapped (its eviction
 // cursor is not 0) after its ring grew from 18 or 19 calibration
-// excesses to the cap of 24. A checkpoint on disk restores only while they hold.
+// excesses to the cap of 24. A checkpoint on disk restores only while
+// they hold.
 func TestDSPOTStageSnapshotBytesPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("DSPOT snapshot bytes are pinned on amd64")
@@ -80,4 +83,114 @@ func TestDSPOTStageSnapshotBytesPinned(t *testing.T) {
 	if len(blob) != size || h.Sum64() != want {
 		t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), size, uint64(want))
 	}
+}
+
+// stageSnapshot mirrors the JSON of a DSPOTStage snapshot, so a test can
+// rewrite one field of a valid blob.
+type stageSnapshot struct {
+	Kind    string           `json:"kind"`
+	Version int              `json:"version"`
+	Inner   []byte           `json:"inner"`
+	Spots   []evt.DSPOTState `json:"spots"`
+}
+
+// editSnapshot returns blob with edit applied to its tail states.
+func editSnapshot(tb testing.TB, blob []byte, edit func(spots []evt.DSPOTState)) []byte {
+	tb.Helper()
+	var st stageSnapshot
+	if err := json.Unmarshal(blob, &st); err != nil {
+		tb.Fatal(err)
+	}
+	edit(st.Spots)
+	out, err := json.Marshal(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
+
+// TestDSPOTStageRestoreRejectsBadWindowPos: a checkpoint whose first
+// star's drift-window position is 99 (the window holds 20) is refused,
+// and the stage's snapshot is byte-equal before and after. Before the
+// fix it restored and the next push panicked, indexing the window out of
+// range.
+func TestDSPOTStageRestoreRejectsBadWindowPos(t *testing.T) {
+	stage := wrappedDSPOTStage(t, 250)
+	before, err := stage.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := editSnapshot(t, before, func(spots []evt.DSPOTState) { spots[0].Pos = 99 })
+	if err := stage.RestoreState(bad); err == nil || !strings.Contains(err.Error(), "position 99") {
+		t.Fatalf("restore of window position 99: error %v", err)
+	}
+	after, err := stage.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("refused restore changed the stage")
+	}
+}
+
+// FuzzDSPOTStageRestoreState feeds arbitrary bytes to RestoreState of a
+// warm fluxev+dspot stage whose rings have wrapped. A failed restore must
+// leave the stage's snapshot byte-equal to the one before it; a
+// successful one must be idempotent (snapshot → restore → snapshot), and
+// the 64 pushes that follow it must not panic. The seed corpus holds the
+// stage's own snapshot, copies with a drift-window position of 99 and
+// −1, eviction cursors out of range, a drift-window depth that does not
+// match, and a truncation.
+func FuzzDSPOTStageRestoreState(f *testing.F) {
+	stage := wrappedDSPOTStage(f, 250)
+	valid, err := stage.SnapshotState()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, edit := range []func(spots []evt.DSPOTState){
+		func(spots []evt.DSPOTState) { spots[0].Pos = 99 },
+		func(spots []evt.DSPOTState) { spots[1].Pos = -1 },
+		func(spots []evt.DSPOTState) { spots[0].SPOT.Evict = 1000 },
+		func(spots []evt.DSPOTState) { spots[2].SPOT.Evict = -3 },
+		func(spots []evt.DSPOTState) { spots[0].Depth, spots[0].Win = 19, spots[0].Win[:19] },
+	} {
+		f.Add(editSnapshot(f, valid, edit))
+	}
+	f.Add(valid[:len(valid)-3])
+	d := dspotTestData()
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		before, err := stage.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stage.RestoreState(blob); err != nil {
+			if after, _ := stage.SnapshotState(); !bytes.Equal(before, after) {
+				t.Fatalf("failed restore (%v) changed the stage", err)
+			}
+			return
+		}
+		once, err := stage.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stage.RestoreState(once); err != nil {
+			t.Fatalf("restoring its own snapshot: %v", err)
+		}
+		if twice, _ := stage.SnapshotState(); !bytes.Equal(once, twice) {
+			t.Fatal("snapshot → restore → snapshot is not idempotent")
+		}
+		frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
+		last, _ := stage.LastTime()
+		for i := range 64 {
+			frame.Time = last + float64(i+1)
+			for v := range frame.Magnitudes {
+				frame.Magnitudes[v] = d.Test.Data[v][i]
+			}
+			stage.Push(frame) // an error is an answer; a panic is not
+		}
+		if err := stage.RestoreState(before); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

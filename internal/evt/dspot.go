@@ -27,7 +27,8 @@ func NewDSPOT(level, q float64, depth int) *DSPOT {
 }
 
 // SetPolicy configures the wrapped tail model's refit schedule; call it
-// before Fit (the policy also sizes the excess ring allocated there).
+// before Fit or SetState (the policy also caps the excess ring, which
+// grows to that cap as exceedances arrive).
 func (d *DSPOT) SetPolicy(p RefitPolicy) { d.spot.Policy = p }
 
 // Policy returns the wrapped tail model's refit schedule.
@@ -121,10 +122,15 @@ func (d *DSPOT) State() DSPOTState {
 }
 
 // SetState replaces the detector's runtime state with a snapshot taken by
-// State. The snapshot's drift-window depth must match the detector's.
+// State. The snapshot's drift-window depth must match the detector's, and
+// its window position must lie in [0, depth); otherwise the error leaves
+// the detector untouched.
 func (d *DSPOT) SetState(st DSPOTState) error {
 	if st.Depth != d.depth || len(st.Win) != d.depth {
 		return fmt.Errorf("evt: DSPOT state depth %d (win %d), detector depth %d", st.Depth, len(st.Win), d.depth)
+	}
+	if st.Pos < 0 || st.Pos >= d.depth {
+		return fmt.Errorf("evt: DSPOT state window position %d outside [0, %d)", st.Pos, d.depth)
 	}
 	d.spot.SetState(st.SPOT)
 	copy(d.win, st.Win)

@@ -182,3 +182,39 @@ func TestDSPOTFitRejectsNonFinite(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDSPOTSetStateRejectsBadPos: a snapshot whose drift-window position
+// lies outside [0, depth) is an error with the detector untouched, where
+// before it restored and the next Step indexed the window out of range.
+func TestDSPOTSetStateRejectsBadPos(t *testing.T) {
+	const depth = 20
+	rng := rand.New(rand.NewSource(7))
+	calib := make([]float64, 400)
+	for i := range calib {
+		calib[i] = rng.ExpFloat64()
+	}
+	d := NewDSPOT(0.99, 1e-3, depth)
+	if err := d.Fit(calib); err != nil {
+		t.Fatal(err)
+	}
+	good := d.State()
+	for _, pos := range []int{depth, -1} {
+		r := NewDSPOT(0.99, 1e-3, depth)
+		if err := r.Fit(calib[:200]); err != nil {
+			t.Fatal(err)
+		}
+		before := r.State()
+		bad := good
+		bad.Pos = pos
+		err := r.SetState(bad)
+		if want := fmt.Sprintf("position %d outside [0, %d)", pos, depth); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("pos %d: error %v, want one containing %q", pos, err, want)
+		}
+		if !reflect.DeepEqual(r.State(), before) {
+			t.Fatalf("pos %d: refused restore changed the detector", pos)
+		}
+		if _, err := r.Step(1); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -134,8 +134,9 @@ func (a RefitStats) Add(b RefitStats) RefitStats {
 // either triggers an alarm (score > z), refines the tail fit (t < score ≤ z)
 // or is counted as normal (Siffer et al., Alg. 2). Policy schedules the
 // tail refits (see RefitPolicy); set it before Fit. The benign path
-// (x ≤ t) and the between-refits exceedance path are O(1) and allocation
-// free — the excess ring is preallocated at Fit.
+// (x ≤ t) and the between-refits exceedance path are O(1), and allocation
+// free once the excess ring has grown to its cap: the ring holds what the
+// detector has seen, not what it may come to hold.
 type SPOT struct {
 	Level  float64
 	Q      float64
@@ -145,9 +146,10 @@ type SPOT struct {
 	z     float64
 	model GPD
 
-	// excesses is a fixed-capacity ring: it grows in place to capacity,
-	// then evict walks circularly over the oldest entries. sum/sumsq are
-	// running sufficient statistics over exactly the retained entries.
+	// excesses is a bounded ring: it grows to its limit (see ringLimit),
+	// doubling its backing array, then evict walks circularly over the
+	// oldest entries. sum/sumsq are running sufficient statistics over
+	// exactly the retained entries.
 	excesses []float64
 	evict    int
 	sum      float64
@@ -177,7 +179,7 @@ func (s *SPOT) Fit(init []float64) error {
 	if err := CheckPOTParams(s.Level, s.Q); err != nil {
 		return err
 	}
-	s.excesses = make([]float64, 0, s.Policy.capacity())
+	s.excesses = nil
 	s.evict, s.peaks, s.sum, s.sumsq = 0, 0, 0, 0
 	s.sinceRefit, s.refitMean = 0, 0
 	th, err := POT(init, s.Level, s.Q)
@@ -192,6 +194,7 @@ func (s *SPOT) Fit(init []float64) error {
 	}
 	s.t, s.z, s.model = th.Init, th.Z, th.Model
 	s.n = th.N
+	s.excesses = make([]float64, 0, min(th.Peaks, s.Policy.capacity()))
 	for _, v := range init {
 		if v > s.t {
 			s.pushExcess(v - s.t)
@@ -221,11 +224,23 @@ func (s *SPOT) RefitStats() RefitStats {
 	}
 }
 
+// ringLimit is the most excesses the ring retains: the policy's capacity,
+// or more when a snapshot restored a longer ring (SetState drops no
+// retained excess). The length never shrinks, so the limit never does.
+func (s *SPOT) ringLimit() int { return max(s.Policy.capacity(), len(s.excesses)) }
+
 // pushExcess inserts one excess into the ring, evicting the oldest entry
-// once the ring is full, and maintains the running sufficient statistics.
-// Zero allocations: the backing array is preallocated at Fit/SetState.
+// once the ring is at its limit, and maintains the running sufficient
+// statistics. Below the limit a full backing array is doubled (from at
+// least 2·minTailPeaks, clamped at the limit), so a ring reaches its limit
+// in O(log limit) allocations and then pushes allocation free.
 func (s *SPOT) pushExcess(e float64) {
-	if len(s.excesses) < cap(s.excesses) {
+	if n := len(s.excesses); n < s.ringLimit() {
+		if n == cap(s.excesses) {
+			grown := make([]float64, n, min(max(2*n, 2*minTailPeaks), s.ringLimit()))
+			copy(grown, s.excesses)
+			s.excesses = grown
+		}
 		s.excesses = append(s.excesses, e)
 	} else {
 		old := s.excesses[s.evict]
@@ -380,19 +395,22 @@ func (s *SPOT) State() SPOTState {
 }
 
 // SetState replaces the detector's runtime state with a snapshot taken by
-// State. The ring is re-preallocated at the policy's capacity (or the
-// snapshot's retained length, whichever is larger, so no retained excess
-// is dropped when restoring under a smaller policy).
+// State. The ring is allocated at the snapshot's retained length and grows
+// from there to its limit, the policy's capacity (or that length, when it
+// is larger, so no retained excess is dropped when restoring under a
+// smaller policy). A wrapped ring restored below its limit — a snapshot
+// taken under a smaller MaxExcesses — is laid out oldest first with the
+// eviction cursor at 0, so the ring refills and then evicts in age order.
 func (s *SPOT) SetState(st SPOTState) {
 	s.Level, s.Q = st.Level, st.Q
 	s.t, s.z, s.model = st.T, st.Z, st.Model
-	s.excesses = make([]float64, 0, max(s.Policy.capacity(), len(st.Excesses)))
-	s.excesses = append(s.excesses, st.Excesses...)
 	s.n = st.N
 	s.ready = st.Ready
+	s.excesses = make([]float64, 0, len(st.Excesses))
 	if st.Peaks < len(st.Excesses) {
 		// Legacy snapshot: no eviction can have happened, so the running
 		// statistics are exactly the slice's.
+		s.excesses = append(s.excesses, st.Excesses...)
 		s.evict = 0
 		s.peaks = len(st.Excesses)
 		s.sum, s.sumsq = 0, 0
@@ -406,9 +424,16 @@ func (s *SPOT) SetState(st SPOTState) {
 		return
 	}
 	s.evict = st.Evict
-	if s.evict < 0 || s.evict >= max(len(s.excesses), 1) {
+	if s.evict < 0 || s.evict >= max(len(st.Excesses), 1) {
 		s.evict = 0
 	}
+	// The oldest retained excess sits at the cursor. Below its limit the
+	// ring appends before it evicts again, so it is rotated to start there.
+	oldest := 0
+	if s.evict != 0 && len(st.Excesses) < s.Policy.capacity() {
+		oldest, s.evict = s.evict, 0
+	}
+	s.excesses = append(append(s.excesses, st.Excesses[oldest:]...), st.Excesses[:oldest]...)
 	s.peaks = st.Peaks
 	s.sum, s.sumsq = st.Sum, st.SumSq
 	s.fitted = st.Fitted

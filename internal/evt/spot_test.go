@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -46,8 +47,8 @@ func TestSPOTStateBounded(t *testing.T) {
 				}
 				s.Step(x)
 			}
-			if cap(s.excesses) != tc.policy.capacity() {
-				t.Fatalf("ring capacity drifted: %d, want %d", cap(s.excesses), tc.policy.capacity())
+			if s.ringLimit() != tc.policy.capacity() {
+				t.Fatalf("ring limit drifted: %d, want %d", s.ringLimit(), tc.policy.capacity())
 			}
 			st := s.State()
 			if len(st.Excesses) > tc.policy.capacity() {
@@ -241,7 +242,7 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 	tRef, zRef, n, model := s.t, s.z, s.n, s.model
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 3000; i++ {
-		if len(excesses) >= cap(s.excesses) {
+		if len(excesses) >= s.Policy.capacity() {
 			break // identity is only promised pre-overflow
 		}
 		x := math.Abs(rng.NormFloat64())
@@ -276,8 +277,9 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 }
 
 // TestSPOTStepBenignAllocs pins the serving-path allocation budget: the
-// benign step and the between-refits exceedance step are both zero-alloc
-// (the ring is preallocated at Fit; the quantile update is arithmetic).
+// benign step, and the between-refits exceedance step on a ring already
+// at its cap, are both zero-alloc (the quantile update is arithmetic).
+// TestSPOTRingGrowthAllocs covers the ring's way to its cap.
 func TestSPOTStepBenignAllocs(t *testing.T) {
 	s := NewSPOT(0.99, 1e-3)
 	// Refits disabled after Fit: isolates the between-refits path.
@@ -289,11 +291,110 @@ func TestSPOTStepBenignAllocs(t *testing.T) {
 		t.Fatalf("benign Step allocates %.1f objects, want 0", allocs)
 	}
 	i := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
+	exceed := func() {
 		i++
 		s.Step(s.t + 0.001 + 0.0001*float64(i%7))
-	}); allocs != 0 {
-		t.Fatalf("exceedance Step allocates %.1f objects, want 0", allocs)
+	}
+	for len(s.excesses) < s.Policy.capacity() {
+		exceed()
+	}
+	if cap(s.excesses) != s.Policy.capacity() {
+		t.Fatalf("ring at its cap has backing array %d, want %d", cap(s.excesses), s.Policy.capacity())
+	}
+	if allocs := testing.AllocsPerRun(1000, exceed); allocs != 0 {
+		t.Fatalf("exceedance Step on a full ring allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestSPOTRingGrowthAllocs pins what the ring's growth costs: a ring
+// restored at 20 excesses reaches the default cap of 256 in at most
+// ⌈log₂(256/20)⌉ + 1 = 5 allocations over the whole stream, and its
+// backing array never exceeds the limit. The count is taken with
+// runtime.MemStats over the stream; testing.AllocsPerRun would average
+// the few growth allocations away to 0.
+func TestSPOTRingGrowthAllocs(t *testing.T) {
+	fitted := NewSPOT(0.99, 1e-3)
+	if err := fitted.Fit(spotCalib(72, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	st := fitted.State()
+	if len(st.Excesses) != 20 {
+		t.Fatalf("calibration left %d excesses, want 20", len(st.Excesses))
+	}
+	s := NewSPOT(0.99, 1e-3)
+	// Refits disabled: every allocation left to count is the ring's.
+	s.Policy = RefitPolicy{Every: 1 << 30}
+	s.SetState(st)
+	const steps = 2000
+	xs := make([]float64, steps)
+	for i := range xs {
+		xs[i] = s.t + 0.001 + 0.0001*float64(i%7)
+	}
+	caps := make([]int, 0, steps)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, x := range xs {
+		if _, err := s.Step(x); err != nil {
+			t.Fatal(err)
+		}
+		caps = append(caps, cap(s.excesses))
+	}
+	runtime.ReadMemStats(&after)
+	if allocs := after.Mallocs - before.Mallocs; allocs > 5 {
+		t.Fatalf("ring growth from 20 to 256 excesses took %d allocations, want at most 5", allocs)
+	}
+	for i, c := range caps {
+		if c > DefaultMaxExcesses {
+			t.Fatalf("step %d: backing array %d exceeds the ring limit %d", i, c, DefaultMaxExcesses)
+		}
+	}
+	if len(s.excesses) != DefaultMaxExcesses || caps[steps-1] != DefaultMaxExcesses {
+		t.Fatalf("ring holds %d excesses in a %d array, want %d in %d", len(s.excesses), caps[steps-1], DefaultMaxExcesses, DefaultMaxExcesses)
+	}
+}
+
+// TestSPOTRestoreLargerCapEvictsInAgeOrder restores a wrapped 32-excess
+// ring under MaxExcesses 64 and feeds it in-tail steps whose excess grows
+// with age. Once the larger ring has refilled and wrapped again, it must
+// hold exactly the newest 64 excesses, oldest first from the cursor: a
+// stale eviction cursor would evict newer excesses before older ones.
+func TestSPOTRestoreLargerCapEvictsInAgeOrder(t *testing.T) {
+	s := NewSPOT(0.99, 1e-3)
+	// Count and drift refits off: the threshold only rises with the tail
+	// fraction, so every step below stays in the tail.
+	s.Policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 32}
+	if err := s.Fit(spotCalib(91, 2000)); err != nil {
+		t.Fatal(err)
+	}
+	seen := append([]float64(nil), s.excesses...)
+	step := 1e-4 * (s.z - s.t)
+	feed := func(s *SPOT, n int) {
+		for range n {
+			x := s.t + step*float64(len(seen)+1)
+			if fired, err := s.Step(x); err != nil || fired {
+				t.Fatalf("in-tail step %v: fired %v, err %v", x, fired, err)
+			}
+			seen = append(seen, x-s.t)
+		}
+	}
+	feed(s, 40)
+	st := s.State()
+	if st.Evict == 0 || len(st.Excesses) != 32 {
+		t.Fatalf("ring of %d excesses with cursor %d has not wrapped; the restore is untested", len(st.Excesses), st.Evict)
+	}
+	r := NewSPOT(0.99, 1e-3)
+	r.Policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 64}
+	r.SetState(st)
+	feed(r, 80)
+	got := append(append([]float64(nil), r.excesses[r.evict:]...), r.excesses[:r.evict]...)
+	want := seen[len(seen)-64:]
+	if len(got) != len(want) {
+		t.Fatalf("ring holds %d excesses, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("ring slot %d from the cursor holds %v, want %v: not the newest 64 excesses in age order", i, got[i], want[i])
+		}
 	}
 }
 
