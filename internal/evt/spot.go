@@ -235,9 +235,9 @@ func (s *SPOT) ringLimit() int { return max(s.Policy.capacity(), len(s.excesses)
 // least 2·minTailPeaks, clamped at the limit), so a ring reaches its limit
 // in O(log limit) allocations and then pushes allocation free.
 func (s *SPOT) pushExcess(e float64) {
-	if n := len(s.excesses); n < s.ringLimit() {
+	if n, limit := len(s.excesses), s.ringLimit(); n < limit {
 		if n == cap(s.excesses) {
-			grown := make([]float64, n, min(max(2*n, 2*minTailPeaks), s.ringLimit()))
+			grown := make([]float64, n, min(max(2*n, 2*minTailPeaks), limit))
 			copy(grown, s.excesses)
 			s.excesses = grown
 		}
