@@ -183,7 +183,7 @@ type RefitStats = evt.RefitStats
 
 // DefaultRefitPolicy amortizes the tail maintenance: a warm refit every
 // 384 exceedances, pulled forward by a 30% tail-mean drift or by a score
-// within 10% of the threshold margin, over a 256-excess ring.
+// within 10% of the threshold margin, over a ring of up to 256 excesses.
 func DefaultRefitPolicy() RefitPolicy { return evt.DefaultRefitPolicy() }
 
 // ExactRefitPolicy refits on every exceedance over a bounded ring —
