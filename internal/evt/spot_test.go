@@ -311,8 +311,12 @@ func TestSPOTStepBenignAllocs(t *testing.T) {
 // ⌈log₂(256/20)⌉ + 1 = 5 allocations over the whole stream, and its
 // backing array never exceeds the limit. The count is taken with
 // runtime.MemStats over the stream; testing.AllocsPerRun would average
-// the few growth allocations away to 0.
+// the few growth allocations away to 0. MemStats also counts what other
+// goroutines allocate meanwhile (the race runtime's, a finished test's
+// runner), which only adds, so as AllocsPerRun does the stream runs at
+// GOMAXPROCS 1, and it is replayed three times keeping the least count.
 func TestSPOTRingGrowthAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	fitted := NewSPOT(0.99, 1e-3)
 	if err := fitted.Fit(spotCalib(72, 2000)); err != nil {
 		t.Fatal(err)
@@ -321,35 +325,39 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 	if len(st.Excesses) != 20 {
 		t.Fatalf("calibration left %d excesses, want 20", len(st.Excesses))
 	}
-	s := NewSPOT(0.99, 1e-3)
-	// Refits disabled: every allocation left to count is the ring's.
-	s.Policy = RefitPolicy{Every: 1 << 30}
-	s.SetState(st)
 	const steps = 2000
 	xs := make([]float64, steps)
 	for i := range xs {
-		xs[i] = s.t + 0.001 + 0.0001*float64(i%7)
+		xs[i] = st.T + 0.001 + 0.0001*float64(i%7)
 	}
-	caps := make([]int, 0, steps)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for _, x := range xs {
-		if _, err := s.Step(x); err != nil {
-			t.Fatal(err)
+	caps := make([]int, steps)
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		s := NewSPOT(0.99, 1e-3)
+		// Refits disabled: every allocation left to count is the ring's.
+		s.Policy = RefitPolicy{Every: 1 << 30}
+		s.SetState(st)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i, x := range xs {
+			if _, err := s.Step(x); err != nil {
+				t.Fatal(err)
+			}
+			caps[i] = cap(s.excesses)
 		}
-		caps = append(caps, cap(s.excesses))
-	}
-	runtime.ReadMemStats(&after)
-	if allocs := after.Mallocs - before.Mallocs; allocs > 5 {
-		t.Fatalf("ring growth from 20 to 256 excesses took %d allocations, want at most 5", allocs)
-	}
-	for i, c := range caps {
-		if c > DefaultMaxExcesses {
-			t.Fatalf("step %d: backing array %d exceeds the ring limit %d", i, c, DefaultMaxExcesses)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+		for i, c := range caps {
+			if c > DefaultMaxExcesses {
+				t.Fatalf("step %d: backing array %d exceeds the ring limit %d", i, c, DefaultMaxExcesses)
+			}
+		}
+		if len(s.excesses) != DefaultMaxExcesses || caps[steps-1] != DefaultMaxExcesses {
+			t.Fatalf("ring holds %d excesses in a %d array, want %d in %d", len(s.excesses), caps[steps-1], DefaultMaxExcesses, DefaultMaxExcesses)
 		}
 	}
-	if len(s.excesses) != DefaultMaxExcesses || caps[steps-1] != DefaultMaxExcesses {
-		t.Fatalf("ring holds %d excesses in a %d array, want %d in %d", len(s.excesses), caps[steps-1], DefaultMaxExcesses, DefaultMaxExcesses)
+	if least > 5 {
+		t.Fatalf("ring growth from 20 to 256 excesses took %d allocations, want at most 5", least)
 	}
 }
 
