@@ -231,8 +231,8 @@ func (s *SPOT) ringLimit() int { return max(s.Policy.capacity(), len(s.excesses)
 
 // pushExcess inserts one excess into the ring, evicting the oldest entry
 // once the ring is at its limit, and maintains the running sufficient
-// statistics. Below the limit a full backing array is doubled (from at
-// least 2·minTailPeaks, clamped at the limit), so a ring reaches its limit
+// statistics. Below the limit a full backing array is doubled (to at
+// least 2·minTailPeaks, at most the limit), so a ring reaches its limit
 // in O(log limit) allocations and then pushes allocation free.
 func (s *SPOT) pushExcess(e float64) {
 	if n, limit := len(s.excesses), s.ringLimit(); n < limit {
