@@ -1,5 +1,5 @@
-// Package aero is the public API of this repository: a from-scratch Go
-// reproduction of AERO, the two-stage anomaly detection framework for
+// Package aero is the public surface of this repository: a from-scratch
+// Go reproduction of AERO, the two-stage anomaly detection framework for
 // astronomical observations from "From Chaos to Clarity: Time Series
 // Anomaly Detection in Astronomical Observations" (Hao et al., ICDE 2024).
 //
@@ -32,6 +32,17 @@
 //
 // See examples/ for runnable programs and internal/experiments for the
 // harness regenerating every table and figure of the paper.
+//
+// # Scope
+//
+// The package re-exports what the commands (cmd/), the examples
+// (examples/), the serving benchmark (bench/) and the Quick start above
+// name, plus the types their signatures mention — nothing more. The
+// ablation variants, the incremental and refit policies, the health and
+// hygiene constants, the fault and triage detail types and the other
+// dataset presets live in the internal packages (core, evt, engine,
+// alerts, dataset, ...), which the repository's own tests import
+// directly.
 package aero
 
 import (
@@ -58,21 +69,6 @@ type Model = core.Model
 // Config holds AERO hyperparameters.
 type Config = core.Config
 
-// Variant selects a model ablation (Table IV); VariantFull is normal AERO.
-type Variant = core.Variant
-
-// Ablation variants of the AERO model.
-const (
-	VariantFull                = core.VariantFull
-	VariantNoTemporal          = core.VariantNoTemporal
-	VariantMultivariateInput   = core.VariantMultivariateInput
-	VariantNoShortWindow       = core.VariantNoShortWindow
-	VariantNoNoise             = core.VariantNoNoise
-	VariantNoNoiseMultivariate = core.VariantNoNoiseMultivariate
-	VariantStaticGraph         = core.VariantStaticGraph
-	VariantDynamicGraph        = core.VariantDynamicGraph
-)
-
 // New constructs an untrained AERO model for n variates (stars).
 func New(cfg Config, n int) (*Model, error) { return core.New(cfg, n) }
 
@@ -85,9 +81,6 @@ type StreamDetector = core.StreamDetector
 
 // Frame is one observation instant for streaming detection.
 type Frame = core.Frame
-
-// Alarm is one threshold crossing reported by the stream detector.
-type Alarm = core.Alarm
 
 // NewStreamDetector wraps a fitted model for online, frame-at-a-time
 // detection with bounded memory. The steady-state scoring path is
@@ -111,11 +104,6 @@ func NewStreamDetectorWorkers(m *Model, _ int) (*StreamDetector, error) {
 // DSPOT-wrapped composition of either.
 type StreamBackend = core.StreamBackend
 
-// GraphSnapshotter is the optional monitoring capability of backends
-// that learn an inter-variate graph (AERO): a live window-wise
-// adjacency.
-type GraphSnapshotter = core.GraphSnapshotter
-
 // BackendSpec describes one registered backend kind: its tag, a trainer
 // producing a published artifact, and an opener constructing a serving
 // StreamBackend from one.
@@ -123,12 +111,6 @@ type BackendSpec = backend.Spec
 
 // BackendOptions carries the per-kind training/calibration knobs.
 type BackendOptions = backend.Options
-
-// StreamBaselineConfig parameterizes the streaming FluxEV adapter.
-type StreamBaselineConfig = baselines.StreamConfig
-
-// DefaultStreamBaselineConfig mirrors the batch FluxEV's settings.
-func DefaultStreamBaselineConfig() StreamBaselineConfig { return baselines.DefaultStreamConfig() }
 
 // DefaultBackendOptions pairs the paper's AERO hyperparameters with the
 // reference streaming-adapter settings; SmallBackendOptions is the
@@ -150,12 +132,6 @@ func TrainBackend(kind string, train *Series, opts BackendOptions) ([]byte, erro
 	return backend.Train(kind, train, opts)
 }
 
-// OpenBackend constructs a cold serving backend of the named kind from
-// its artifact; pair with Engine.SubscribeBackend.
-func OpenBackend(kind string, artifact []byte) (StreamBackend, error) {
-	return backend.Open(kind, artifact)
-}
-
 // DSPOTStage wraps any StreamBackend with per-variate streaming DSPOT
 // (Siffer et al., KDD 2017 §4.4): raw scores are re-thresholded by a
 // drift-corrected EVT tail model that adapts online, instead of the
@@ -167,53 +143,13 @@ type DSPOTConfig = backend.DSPOTConfig
 
 // DefaultDSPOTConfig mirrors the paper's POT protocol (level 0.99,
 // q 1e-3) with a 20-frame drift window and the amortized tail-refit
-// schedule (DefaultRefitPolicy).
+// schedule.
 func DefaultDSPOTConfig() DSPOTConfig { return backend.DefaultDSPOTConfig() }
-
-// RefitPolicy schedules the DSPOT tail model's Grimshaw refits: refit
-// every Every-th exceedance and on tail-mean drift, over a bounded
-// excess ring. The zero value is the exact policy (refit on every
-// exceedance, as in Siffer et al.'s original SPOT).
-type RefitPolicy = evt.RefitPolicy
 
 // RefitStats are a tail model's cumulative maintenance counters — how
 // many exceedances fed the ring and how many paid for a Grimshaw fit
 // (warm-started vs full grid scan).
 type RefitStats = evt.RefitStats
-
-// DefaultRefitPolicy amortizes the tail maintenance: a warm refit every
-// 384 exceedances, pulled forward by a 30% tail-mean drift or by a score
-// within 10% of the threshold margin, over a ring of up to 256 excesses.
-func DefaultRefitPolicy() RefitPolicy { return evt.DefaultRefitPolicy() }
-
-// ExactRefitPolicy refits on every exceedance over a bounded ring —
-// bit-identical to the original SPOT until the ring first overflows.
-func ExactRefitPolicy() RefitPolicy { return evt.ExactRefitPolicy() }
-
-// IncrementalPolicy controls the AERO StreamDetector's incremental
-// streaming forward: sliding-window activation reuse on benign frames,
-// with scheduled/drift/invalidation full recomputes and an exact
-// alarm-boundary guard that keeps replay alarm sequences identical to the
-// always-exact path. The zero value disables the incremental path.
-type IncrementalPolicy = core.IncrementalPolicy
-
-// IncrementalStats counts how a detector's scored frames were served
-// (incremental vs each class of full recompute).
-type IncrementalStats = core.IncrementalStats
-
-// IncrementalInvalidator is the optional StreamBackend capability of
-// dropping cached cross-frame activations; hosts call it after mutating
-// window contents outside the ingest path.
-type IncrementalInvalidator = core.IncrementalInvalidator
-
-// DefaultIncrementalPolicy is the production default incremental schedule
-// (refresh every 128 frames, one-row cone, 10% boundary guard).
-func DefaultIncrementalPolicy() IncrementalPolicy { return core.DefaultIncrementalPolicy() }
-
-// ExactIncrementalPolicy recomputes every frame — scores stay
-// bit-identical to the non-incremental detector while caches are still
-// maintained.
-func ExactIncrementalPolicy() IncrementalPolicy { return core.ExactIncrementalPolicy() }
 
 // NewDSPOTStage wraps a backend with DSPOT alarmers calibrated on
 // per-variate score sequences (see StreamBackendScores). Stages built
@@ -221,14 +157,6 @@ func ExactIncrementalPolicy() IncrementalPolicy { return core.ExactIncrementalPo
 // first fits, the rest restore that fit, each into its own state.
 func NewDSPOTStage(inner StreamBackend, cfg DSPOTConfig, calib [][]float64) (*DSPOTStage, error) {
 	return backend.NewDSPOTStage(inner, cfg, calib)
-}
-
-// OpenAdaptiveBackend opens a serving backend of the given kind wrapped
-// in a freshly calibrated DSPOT stage (the calibration series is
-// replayed through a scratch instance; the serving instance starts
-// cold).
-func OpenAdaptiveBackend(spec BackendSpec, artifact []byte, cfg DSPOTConfig, calib *Series) (*DSPOTStage, error) {
-	return backend.OpenAdaptive(spec, artifact, cfg, calib)
 }
 
 // StreamBackendScores replays a series through a stream backend and
@@ -252,25 +180,9 @@ type EngineConfig = engine.Config
 // live graph snapshots.
 type Subscription = engine.Subscription
 
-// SubscriptionStats snapshots one tenant's counters.
-type SubscriptionStats = engine.SubscriptionStats
-
-// ShardStats snapshots one engine shard (frames/s, alarms, queue depth).
-type ShardStats = engine.ShardStats
-
-// EngineAlarm is an alarm attributed to the tenant that raised it.
-type EngineAlarm = engine.Alarm
-
-// EngineSample is one frame addressed to a tenant, the unit of the
-// engine's channel ingest path.
-type EngineSample = engine.Sample
-
-// FrameError reports a frame the engine could not score.
-type FrameError = engine.FrameError
-
 // NewEngine starts a multi-tenant streaming engine. Register tenants with
-// Subscribe, feed frames with Ingest or the Samples channel, and consume
-// Alarms continuously until Close.
+// SubscribeBackend, feed frames with Ingest or the Samples channel, and
+// consume Alarms continuously until Close.
 func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 
 // HealthConfig parameterizes per-tenant fault supervision: consecutive
@@ -280,12 +192,8 @@ func NewEngine(cfg EngineConfig) *Engine { return engine.New(cfg) }
 // defaults; set Disable to turn the state machine off.
 type HealthConfig = engine.HealthConfig
 
-// HealthState is a tenant's fault-containment state.
-type HealthState = engine.HealthState
-
 // Tenant fault-containment states.
 const (
-	HealthHealthy     = engine.HealthHealthy
 	HealthDegraded    = engine.HealthDegraded
 	HealthQuarantined = engine.HealthQuarantined
 	HealthProbation   = engine.HealthProbation
@@ -299,36 +207,9 @@ type HygieneConfig = engine.HygieneConfig
 // treated: rejected, or repaired by holding the last finite value.
 type HygienePolicy = engine.HygienePolicy
 
-// Frame-hygiene policies.
-const (
-	HygieneOff      = engine.HygieneOff
-	HygieneDrop     = engine.HygieneDrop
-	HygieneHoldLast = engine.HygieneHoldLast
-	HygieneGapMark  = engine.HygieneGapMark
-)
-
 // ParseHygienePolicy parses the flag spellings "off", "drop", "hold",
 // "gap".
 func ParseHygienePolicy(s string) (HygienePolicy, error) { return engine.ParseHygienePolicy(s) }
-
-// PanicError is the error a contained backend panic is converted into:
-// the panic value plus the goroutine stack at recovery.
-type PanicError = engine.PanicError
-
-// ErrQuarantined marks frames rejected because their tenant is
-// quarantined and has no fallback backend to serve them.
-var ErrQuarantined = engine.ErrQuarantined
-
-// ErrNotReady is the typed error SPOT/DSPOT tail models return from Step
-// before Fit has calibrated them.
-var ErrNotReady = evt.ErrNotReady
-
-// GuardPush pushes one frame into a backend with panic containment: a
-// panicking backend yields a *PanicError instead of killing the calling
-// goroutine. The benign path adds zero allocations. The engine applies
-// this guard to every tenant push; GuardPush is the same protection for
-// callers driving a StreamBackend directly.
-func GuardPush(det StreamBackend, f Frame) ([]Alarm, error) { return engine.GuardPush(det, f) }
 
 // ChaosPlan is a deterministic fault schedule for the fault-injection
 // harness: panics, errors, NaN-scored alarms, and latency spikes keyed
@@ -339,9 +220,6 @@ type ChaosPlan = faultinject.Plan
 // the deterministic chaos harness behind aeroserve -chaos and the
 // containment golden tests.
 type ChaosBackend = faultinject.Backend
-
-// ErrInjected is the error injected by ChaosBackend on error frames.
-var ErrInjected = faultinject.ErrInjected
 
 // NewChaosBackend wraps inner under the plan's fault schedule.
 func NewChaosBackend(inner StreamBackend, plan ChaosPlan) *ChaosBackend {
@@ -368,18 +246,6 @@ type TriageStream = alerts.Stream
 // Incident is one ranked triage output: a cluster of alarm episodes
 // whose onsets coincide across tenants.
 type Incident = alerts.Incident
-
-// IncidentEpisode is one coalesced run of alarms from a single
-// (tenant, variate) source inside an incident.
-type IncidentEpisode = alerts.Episode
-
-// TriageStats snapshots the triage pipeline's counters, including the
-// alarm→incident reduction ratio.
-type TriageStats = alerts.Stats
-
-// LeadLagStat summarizes one ordered tenant pair's onset-offset
-// histogram: "Lead's episodes start ~Offset before Lag's".
-type LeadLagStat = alerts.LeadLagStat
 
 // DefaultTriageConfig returns the production triage defaults.
 func DefaultTriageConfig() TriageConfig { return alerts.DefaultConfig() }
@@ -426,19 +292,6 @@ type MetricsHistogram = metrics.Histogram
 // want percentiles without a registry (e.g. load generators).
 func NewMetricsHistogram() *MetricsHistogram { return metrics.NewHistogram() }
 
-// MetricsNow returns the shared monotonic clock reading (nanoseconds
-// since process start) every instrument stamps with.
-func MetricsNow() int64 { return metrics.Now() }
-
-// TraceConfig sizes the per-tenant flight recorder (EngineConfig.Trace):
-// ring depth and the slow-frame pin threshold.
-type TraceConfig = engine.TraceConfig
-
-// TraceSnapshot is a point-in-time copy of one tenant's flight-recorder
-// ring, from Subscription.Trace; its JSON method renders the wire form
-// served at GET /trace/{tenant}.
-type TraceSnapshot = metrics.TraceSnapshot
-
 // IngestServer is the network front door: it terminates the compact
 // length-prefixed binary frame protocol over TCP (versioned magic,
 // per-tenant handshake, CRC-guarded frames, credit-based flow control
@@ -451,9 +304,6 @@ type IngestServer = ingest.Server
 // IngestServerConfig wires an IngestServer to its engine, tenant lookup
 // and drain-time checkpoint hook.
 type IngestServerConfig = ingest.ServerConfig
-
-// IngestServerStats snapshots the ingest front end's counters.
-type IngestServerStats = ingest.ServerStats
 
 // IngestClient is the protocol client: sequenced frames, a bounded
 // resend buffer, credit-window flow control (Send blocks when the
@@ -492,10 +342,6 @@ func NewIngestServer(cfg IngestServerConfig) (*IngestServer, error) { return ing
 // performs the tenant handshake.
 func DialIngest(cfg IngestClientConfig) (*IngestClient, error) { return ingest.Dial(cfg) }
 
-// IngestDataWireSize reports the encoded on-the-wire size in bytes of
-// one n-variate data frame (framing, header and CRC included).
-func IngestDataWireSize(n int) int { return ingest.DataWireSize(n) }
-
 // ListenInherited returns a TCP listener for addr, preferring one
 // inherited from a parent process mid zero-downtime restart; the bool
 // reports whether the socket was inherited.
@@ -517,9 +363,6 @@ func IngestRelaunch(f *os.File) (int, error) { return ingest.Relaunch(f) }
 // entries, and warm detector-state checkpoints. See internal/lifecycle.
 type ModelRegistry = lifecycle.Registry
 
-// ModelVersion identifies one published model of one registry tenant.
-type ModelVersion = lifecycle.Version
-
 // ErrNoVersions is returned by ModelRegistry.Latest for a tenant with no
 // loadable published model.
 var ErrNoVersions = lifecycle.ErrNoVersions
@@ -529,16 +372,16 @@ func OpenRegistry(dir string) (*ModelRegistry, error) { return lifecycle.OpenReg
 
 // Retrainer refits tenant models in the background — on a schedule or on
 // demand — on a bounded worker pool, publishing every result to the
-// registry. Pair its OnResult callback with Subscription.Swap for
-// zero-downtime nightly retrains.
+// registry. Pair its OnResult callback with Subscription.Swap (AERO) or
+// SwapArtifact (any kind) for zero-downtime nightly retrains.
 type Retrainer = lifecycle.Retrainer
 
 // RetrainerConfig wires a Retrainer to its training data, registry and
 // result consumer.
 type RetrainerConfig = lifecycle.RetrainerConfig
 
-// RetrainResult reports one finished background retrain (the seed it is
-// reproducible from, the version it published, the model to swap in).
+// RetrainResult reports one finished background retrain (the version it
+// published, and the kind and artifact to swap in).
 type RetrainResult = lifecycle.Result
 
 // NewRetrainer validates cfg and returns an idle retrainer; call Start to
@@ -568,24 +411,15 @@ type SyntheticConfig = dataset.SyntheticConfig
 // GWACConfig parameterizes the simulated GWAC Astroset generator.
 type GWACConfig = dataset.GWACConfig
 
-// Preset dataset configurations matching the paper's Table I.
-var (
-	SyntheticMiddle = dataset.SyntheticMiddle
-	SyntheticHigh   = dataset.SyntheticHigh
-	SyntheticLow    = dataset.SyntheticLow
-	AstrosetMiddle  = dataset.AstrosetMiddle
-	AstrosetHigh    = dataset.AstrosetHigh
-	AstrosetLow     = dataset.AstrosetLow
-)
+// SyntheticMiddle is the paper's Table I SyntheticMiddle preset; the
+// other presets live in internal/dataset.
+var SyntheticMiddle = dataset.SyntheticMiddle
 
 // ComputeStats derives Table I statistics from a dataset.
 func ComputeStats(d *Dataset) Stats { return dataset.ComputeStats(d) }
 
-// WriteDataset / ReadDataset persist datasets as CSV files.
-var (
-	WriteDataset = dataset.WriteDataset
-	ReadDataset  = dataset.ReadDataset
-)
+// ReadDataset reads a dataset persisted as CSV files (see cmd/aerogen).
+var ReadDataset = dataset.ReadDataset
 
 // Confusion aggregates detection counts and derives precision/recall/F1.
 type Confusion = anomaly.Confusion
@@ -595,10 +429,6 @@ type Confusion = anomaly.Confusion
 func EvaluateAdjusted(pred, truth []bool) Confusion {
 	return anomaly.EvaluateAdjusted(pred, truth)
 }
-
-// PointAdjust applies the point-adjust protocol used by the paper's
-// evaluation (§IV-C).
-func PointAdjust(pred, truth []bool) []bool { return anomaly.PointAdjust(pred, truth) }
 
 // POTThreshold calibrates an anomaly threshold from scores with
 // Peaks-Over-Threshold extreme value theory (level/q as in §IV-B).
@@ -630,9 +460,6 @@ func Baselines(cfg BaselineConfig) []BaselineDetector {
 		baselines.NewTimesNet(cfg),
 	}
 }
-
-// DefaultBaselineConfig mirrors the paper's baseline setup.
-func DefaultBaselineConfig() BaselineConfig { return baselines.DefaultConfig() }
 
 // SmallBaselineConfig is the CPU-friendly baseline profile.
 func SmallBaselineConfig() BaselineConfig { return baselines.SmallConfig() }

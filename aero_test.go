@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"aero"
+	"aero/internal/anomaly"
+	"aero/internal/dataset"
 )
 
 // TestPublicAPIEndToEnd exercises the documented quickstart flow.
@@ -50,7 +52,7 @@ func TestPresetDatasetsMatchTableI(t *testing.T) {
 		variates int
 	}{
 		{"SyntheticMiddle", aero.ComputeStats(aero.SyntheticMiddle().Generate()), 24},
-		{"AstrosetHigh", aero.ComputeStats(aero.AstrosetHigh().Generate()), 38},
+		{"AstrosetHigh", aero.ComputeStats(dataset.AstrosetHigh().Generate()), 38},
 	} {
 		if tc.stats.Variates != tc.variates {
 			t.Fatalf("%s: %d variates, want %d", tc.name, tc.stats.Variates, tc.variates)
@@ -95,7 +97,7 @@ func TestPOTThresholdPublic(t *testing.T) {
 func TestPointAdjustPublic(t *testing.T) {
 	truth := []bool{false, true, true, false}
 	pred := []bool{false, true, false, false}
-	adj := aero.PointAdjust(pred, truth)
+	adj := anomaly.PointAdjust(pred, truth)
 	if !adj[2] {
 		t.Fatal("point adjust must credit the full segment")
 	}
@@ -108,7 +110,7 @@ func TestDatasetRoundtripPublic(t *testing.T) {
 		AnomalySegments: 1, NoisePct: 2, VariableFrac: 0.5, Seed: 4,
 	}
 	d := gen.Generate()
-	if err := aero.WriteDataset(dir, d); err != nil {
+	if err := dataset.WriteDataset(dir, d); err != nil {
 		t.Fatal(err)
 	}
 	got, err := aero.ReadDataset(dir, "rt")

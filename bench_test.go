@@ -12,8 +12,10 @@ import (
 	"testing"
 
 	"aero"
+	"aero/internal/backend"
 	"aero/internal/core"
 	"aero/internal/dataset"
+	"aero/internal/engine"
 	"aero/internal/experiments"
 )
 
@@ -263,7 +265,7 @@ func BenchmarkBackendStreamPush(b *testing.B) {
 		for _, adaptive := range []bool{false, true} {
 			var det aero.StreamBackend
 			if adaptive {
-				det, err = aero.OpenAdaptiveBackend(spec, artifact, aero.DefaultDSPOTConfig(), d.Train)
+				det, err = backend.OpenAdaptive(spec, artifact, aero.DefaultDSPOTConfig(), d.Train)
 			} else {
 				det, err = spec.Open(artifact)
 			}
@@ -318,7 +320,7 @@ func BenchmarkTriagePush(b *testing.B) {
 	}
 	t, i := 0, 0
 	push := func() {
-		a := aero.EngineAlarm{Sub: ids[i%tenants], Alarm: aero.Alarm{Variate: 0, Time: float64(t), Score: 1}}
+		a := engine.Alarm{Sub: ids[i%tenants], Alarm: core.Alarm{Variate: 0, Time: float64(t), Score: 1}}
 		if len(p.Push(a)) != 0 {
 			b.Fatal("benign push emitted incidents")
 		}
@@ -430,7 +432,11 @@ func BenchmarkSubscriptionSwap(b *testing.B) {
 		for range e.Alarms() {
 		}
 	}()
-	sub, err := e.Subscribe("swap-bench", m)
+	det, err := aero.NewStreamDetector(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sub, err := e.SubscribeBackend("swap-bench", det)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -474,7 +480,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	next := make([]int, tenants)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("bench-%d", i)
-		if _, err := e.Subscribe(ids[i], m); err != nil {
+		det, err := aero.NewStreamDetector(m)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.SubscribeBackend(ids[i], det); err != nil {
 			b.Fatal(err)
 		}
 	}

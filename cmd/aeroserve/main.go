@@ -124,30 +124,19 @@ func main() {
 	config := flag.String("config", "small", "model configuration: small or paper")
 	kindFlag := flag.String("backend", "aero", fmt.Sprintf("serving backend kind: %v", aero.BackendKinds()))
 	alarmFlag := flag.String("alarm", "auto", "alarming stage: auto, static (fitted POT threshold) or dspot (adaptive drift-corrected EVT)")
-	dspotDepth := flag.Int("dspot-depth", 20, "DSPOT trailing drift-window depth")
-	dspotEvery := flag.Int("dspot-refit-every", 0, "refit the DSPOT tail every K exceedances (0 = amortized default of 384, 1 = exact refit per exceedance)")
-	dspotDrift := flag.Float64("dspot-drift-tol", -1, "relative tail-mean drift that forces an early DSPOT refit (<0 = default 0.3, 0 = drift trigger off)")
 	load := flag.String("load", "", "load a saved model instead of training (aero backend only)")
 	checkpoint := flag.String("checkpoint", "", "artifact registry directory: reuse the newest published artifact, restore warm backend states, checkpoint on shutdown")
 	retrainEvery := flag.Duration("retrain-every", 0, "background retrain + hot-swap interval (0 = disabled)")
 	tenants := flag.Int("tenants", 8, "number of simulated telescope fields")
 	rate := flag.Float64("rate", 0, "frames per second per tenant (0 = as fast as possible)")
-	shards := flag.Int("shards", 0, "engine shards (0 = default)")
-	workers := flag.Int("workers", 0, "engine workers (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "per-shard queue depth (0 = default)")
 	statsEvery := flag.Duration("stats", 2*time.Second, "stats print interval (0 = no periodic stats line)")
 	quiet := flag.Bool("quiet", false, "suppress per-alarm (and per-incident) output")
 	triage := flag.Bool("triage", false, "triage the alarm flood into a ranked incident feed (dedup → episodes → cross-tenant correlation → ranking)")
-	triageBucket := flag.Float64("triage-bucket", 0, "triage dedup time-bucket in feed time units (0 = 4 frame periods)")
-	triageWindow := flag.Float64("triage-window", 0, "cross-tenant onset correlation window in feed time units (0 = 2 buckets)")
 	trainLen := flag.Int("trainlen", 0, "truncate the training split to this many frames (0 = all)")
 	testLen := flag.Int("testlen", 0, "truncate the replayed feed to this many frames (0 = all)")
 	hygieneFlag := flag.String("hygiene", "off", "frame hygiene ahead of every backend: off, drop (reject NaN/Inf frames), hold (repair by holding last finite value), gap (hold + suppress alarms on repaired variates)")
 	fallbackKind := flag.String("fallback", "", "warm fallback backend kind installed per tenant; serves while the primary is quarantined (empty = none)")
 	noHealth := flag.Bool("no-health", false, "disable per-tenant fault supervision (panics are still contained)")
-	quarantineAfter := flag.Int("quarantine-after", 0, "consecutive faults before a tenant is quarantined (0 = default)")
-	backoffFrames := flag.Int("backoff-frames", 0, "base quarantine length in frames before a probation probe (0 = default)")
-	probationFrames := flag.Int("probation-frames", 0, "clean probation probes required to recover (0 = default)")
 	latencyThresh := flag.Duration("latency-threshold", 0, "per-push latency budget; breaches count as faults (0 = off)")
 	chaosN := flag.Int("chaos", 0, "wrap the first N tenants in the deterministic fault-injection harness (panics, errors, NaN scores, latency spikes)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos harness schedule seed (per-tenant seed = seed + tenant index)")
@@ -155,8 +144,6 @@ func main() {
 	httpAddr := flag.String("http", "", "serve HTTP endpoints on this address: POST /ingest (JSON lines), GET /stats, GET /healthz")
 	httpPprof := flag.Bool("http-pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener (profile a serving process in place)")
 	metricsOn := flag.Bool("metrics", true, "enable the zero-alloc metrics layer: stage latency histograms, queue gauges, per-tenant flight recorder; adds GET /metrics and GET /trace/{tenant} to the -http listener")
-	traceDepth := flag.Int("trace-depth", 0, "per-tenant flight-recorder ring depth (0 = default 64 frames)")
-	traceSlow := flag.Duration("trace-slow", 0, "flight-recorder slow-frame pin threshold (0 = default 250ms)")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -280,11 +267,9 @@ func main() {
 	}
 	if isAERO && model == nil {
 		// One shared in-memory model: scoring only reads the weights.
-		b, oerr := spec.Open(artifact)
-		if oerr != nil {
-			fail("open artifact: %v", oerr)
+		if model, err = openModel(spec, artifact); err != nil {
+			fail("open artifact: %v", err)
 		}
-		model = b.(*aero.StreamDetector).Model()
 	}
 	if isAERO && artifact == nil {
 		if artifact, err = model.MarshalBytes(); err != nil {
@@ -297,14 +282,7 @@ func main() {
 	// the first tenant fits the tail models and the rest restore that fit
 	// into their own state while their windows warm on the live feed.
 	dcfg := aero.DefaultDSPOTConfig()
-	dcfg.Depth = *dspotDepth
 	dcfg.Level, dcfg.Q = opts.Stream.Level, opts.Stream.Q
-	if *dspotEvery > 0 {
-		dcfg.Refit.Every = *dspotEvery
-	}
-	if *dspotDrift >= 0 {
-		dcfg.Refit.DriftTolerance = *dspotDrift
-	}
 	var calibScores [][]float64
 	if alarm == "dspot" {
 		scratch, serr := openBackend(spec, isAERO, model, artifact)
@@ -354,17 +332,9 @@ func main() {
 	}
 
 	eng := aero.NewEngine(aero.EngineConfig{
-		Shards: *shards, Workers: *workers, QueueDepth: *queue,
 		Metrics: mreg,
-		Trace:   aero.TraceConfig{Depth: *traceDepth, SlowThreshold: *traceSlow},
 		Hygiene: aero.HygieneConfig{Policy: hygienePolicy},
-		Health: aero.HealthConfig{
-			Disable:          *noHealth,
-			QuarantineAfter:  *quarantineAfter,
-			BackoffFrames:    *backoffFrames,
-			ProbationFrames:  *probationFrames,
-			LatencyThreshold: *latencyThresh,
-		},
+		Health:  aero.HealthConfig{Disable: *noHealth, LatencyThreshold: *latencyThresh},
 	})
 	subs := make([]*aero.Subscription, *tenants)
 	var chaosBackends []*aero.ChaosBackend
@@ -423,16 +393,19 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "engine up: %d tenants × %d frames each\n", *tenants, d.Test.Len())
 
-	// Background lifecycle: retrain on the configured interval and
-	// hot-swap every tenant on publish — through the typed model path for
-	// AERO (reproducible round-derived seeds) and the backend's Trainer
-	// for every other kind.
+	// Background lifecycle: retrain on the configured interval through
+	// the kind's trainer and hot-swap every tenant on publish.
 	var retrains, hotSwaps atomic.Uint64
 	var retrainer *aero.Retrainer
 	if *retrainEvery > 0 {
+		hooks := retrainHooks{spec: spec, opts: opts, subs: subs}
+		if isAERO {
+			hooks.opts.AERO = model.Config()
+		}
 		rtCfg := aero.RetrainerConfig{
 			Registry: reg,
 			Source:   func(string) (*aero.Series, error) { return d.Train, nil },
+			Train:    hooks.train,
 			Interval: *retrainEvery,
 			Metrics:  mreg,
 			Logf:     func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
@@ -442,41 +415,15 @@ func main() {
 					return
 				}
 				retrains.Add(1)
-				n := 0
-				for _, sub := range subs {
-					var serr error
-					if res.Model != nil {
-						// Shared-weights fast path: one parsed model swaps
-						// into every tenant (the DSPOT stage passes it
-						// through), instead of a per-tenant artifact parse
-						// under the subscription lock.
-						serr = sub.Swap(res.Model)
-					} else {
-						serr = sub.SwapArtifact(res.Artifact)
-					}
-					if serr != nil {
-						fmt.Fprintf(os.Stderr, "swap %s: %v\n", sub.ID, serr)
-						continue
-					}
-					n++
-				}
+				n := hooks.swap(res)
 				hotSwaps.Add(uint64(n))
-				fmt.Fprintf(os.Stderr, "hot-swapped %s/%s (%s) into %d tenants mid-stream\n",
-					*name, res.Version, res.Kind, n)
+				seed := ""
+				if isAERO {
+					seed = fmt.Sprintf(", seed %d", hooks.seed(res.Round))
+				}
+				fmt.Fprintf(os.Stderr, "hot-swapped %s/%s (%s%s) into %d tenants mid-stream\n",
+					*name, res.Version, res.Kind, seed, n)
 			},
-		}
-		if isAERO {
-			base := model.Config()
-			rtCfg.Config = func(_ string, round int) aero.Config {
-				c := base
-				c.Seed = base.Seed + int64(round) // reproducible from the logged seed
-				return c
-			}
-		} else {
-			rtCfg.Train = func(_ string, _ int, series *aero.Series) (string, []byte, error) {
-				art, terr := spec.Train(series, opts)
-				return *kindFlag, art, terr
-			}
 		}
 		if retrainer, err = aero.NewRetrainer(rtCfg); err != nil {
 			fail("retrainer: %v", err)
@@ -522,13 +469,9 @@ func main() {
 			inc.ID, inc.Onset, inc.End-inc.Onset, inc.Tenants, len(inc.Episodes), inc.Frames, inc.Peak, inc.Severity, tag)
 	}
 	if *triage {
-		tcfg := aero.TriageConfig{BucketWidth: *triageBucket, Window: *triageWindow}
-		if tcfg.BucketWidth <= 0 {
-			tcfg.BucketWidth = 4 * step
-		}
-		if tcfg.Window <= 0 {
-			tcfg.Window = 2 * tcfg.BucketWidth
-		}
+		// Dedup bucket: four frame periods (the correlation window
+		// defaults to two buckets).
+		tcfg := aero.TriageConfig{BucketWidth: 4 * step}
 		var aerr error
 		if triageStream, aerr = aero.AttachTriageObserved(eng, tcfg, 0, mreg); aerr != nil {
 			fail("attach triage: %v", aerr)
@@ -893,6 +836,64 @@ func main() {
 	if relaunched {
 		fmt.Fprintln(os.Stderr, "successor process is serving; this process exits")
 	}
+}
+
+// retrainHooks wires the background retrainer to the serving tenants.
+type retrainHooks struct {
+	spec aero.BackendSpec
+	opts aero.BackendOptions // for AERO: the served model's config
+	subs []*aero.Subscription
+}
+
+// seed is the AERO training seed of a retrain round: the served model's
+// seed plus the round, so every round is reproducible from the log.
+func (h retrainHooks) seed(round int) int64 { return h.opts.AERO.Seed + int64(round) }
+
+// train refits the serving kind through its spec.
+func (h retrainHooks) train(_ string, round int, series *aero.Series) (string, []byte, error) {
+	opts := h.opts
+	opts.AERO.Seed = h.seed(round)
+	artifact, err := h.spec.Train(series, opts)
+	return h.spec.Kind, artifact, err
+}
+
+// swap installs a published artifact into every tenant and returns how
+// many took it. An AERO artifact is parsed once and that one model swaps
+// into every tenant (a DSPOT stage passes it through), so the tenants
+// keep sharing one set of weights; other kinds swap the artifact.
+func (h retrainHooks) swap(res aero.RetrainResult) int {
+	var model *aero.Model
+	if h.spec.Kind == "aero" {
+		var err error
+		if model, err = openModel(h.spec, res.Artifact); err != nil {
+			fmt.Fprintf(os.Stderr, "open %s: %v\n", res.Version, err)
+			return 0
+		}
+	}
+	n := 0
+	for _, sub := range h.subs {
+		var err error
+		if model != nil {
+			err = sub.Swap(model)
+		} else {
+			err = sub.SwapArtifact(res.Artifact)
+		}
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "swap %s: %v\n", sub.ID, err)
+			continue
+		}
+		n++
+	}
+	return n
+}
+
+// openModel parses an AERO artifact into the model its detectors share.
+func openModel(spec aero.BackendSpec, artifact []byte) (*aero.Model, error) {
+	b, err := spec.Open(artifact)
+	if err != nil {
+		return nil, err
+	}
+	return b.(*aero.StreamDetector).Model(), nil
 }
 
 // openBackend constructs one cold backend instance. AERO tenants share

@@ -56,15 +56,9 @@ type Config struct {
 	// BloomCells sizes the stable Bloom filter (rounded up to a power of
 	// two; one byte per cell). Defaults to 65536.
 	BloomCells int
-	// BloomHashes is the filter's probes per key. Defaults to 4.
-	BloomHashes int
 	// BloomAging is the number of cells aged toward zero per insert —
 	// the eviction rate that keeps the filter stable. Defaults to 32.
 	BloomAging int
-	// BloomMax is the cell ceiling; together with BloomAging it sets how
-	// long a key stays remembered (≈ cells·max/aging unique inserts).
-	// Defaults to 2.
-	BloomMax uint8
 	// EpisodeGap closes an episode after this much silence. It must
 	// exceed BucketWidth (dedup thins an ongoing episode to one
 	// surviving alarm per bucket, so a smaller gap would fragment every
@@ -80,13 +74,19 @@ type Config struct {
 	// fall within Window of a candidate's first onset join that
 	// candidate. Defaults to 2×BucketWidth.
 	Window float64
-	// MinTenants is the breadth below which an incident is demoted as a
-	// probable single-field artifact. Defaults to 2.
-	MinTenants int
-	// Demotion scales the severity of sub-MinTenants incidents.
-	// Defaults to 0.25.
-	Demotion float64
 }
+
+// Fixed triage knobs. The dedup filter probes bloomHashes cells per key,
+// and a cell counts up to bloomMax: with BloomAging it sets how long a
+// key stays remembered (≈ cells·max/aging unique inserts). An incident
+// reaching fewer than minTenants tenants is demoted as a probable
+// single-field artifact, its severity scaled by demotion.
+const (
+	bloomHashes       = 4
+	bloomMax    uint8 = 2
+	minTenants        = 2
+	demotion          = 0.25
+)
 
 // DefaultConfig returns the production defaults described on Config.
 func DefaultConfig() Config { return Config{}.withDefaults() }
@@ -98,14 +98,8 @@ func (c Config) withDefaults() Config {
 	if c.BloomCells <= 0 {
 		c.BloomCells = 1 << 16
 	}
-	if c.BloomHashes <= 0 {
-		c.BloomHashes = 4
-	}
 	if c.BloomAging <= 0 {
 		c.BloomAging = 32
-	}
-	if c.BloomMax == 0 {
-		c.BloomMax = 2
 	}
 	if c.EpisodeGap <= c.BucketWidth {
 		c.EpisodeGap = 3 * c.BucketWidth
@@ -115,12 +109,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Window <= 0 {
 		c.Window = 2 * c.BucketWidth
-	}
-	if c.MinTenants <= 0 {
-		c.MinTenants = 2
-	}
-	if c.Demotion <= 0 {
-		c.Demotion = 0.25
 	}
 	return c
 }
@@ -149,10 +137,10 @@ type Incident struct {
 	Peak    float64 // highest member peak score
 	Tenants int     // distinct tenants reached
 	Frames  int     // surviving alarms across all members
-	// Severity is Peak × (1 + log2(Tenants)), scaled down by
-	// Config.Demotion when breadth is below MinTenants.
+	// Severity is Peak × (1 + log2(Tenants)), scaled down by demotion
+	// when breadth is below minTenants.
 	Severity float64
-	// Demoted marks a probable artifact: breadth below MinTenants.
+	// Demoted marks a probable artifact: breadth below minTenants.
 	Demoted bool
 	// Episodes are the members, sorted by (Onset, Tenant, Variate).
 	Episodes []Episode
@@ -266,7 +254,7 @@ func NewPipeline(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	return &Pipeline{
 		cfg:          cfg,
-		bloom:        newStableBloom(cfg.BloomCells, cfg.BloomHashes, cfg.BloomAging, cfg.BloomMax),
+		bloom:        newStableBloom(cfg.BloomCells, bloomHashes, cfg.BloomAging, bloomMax),
 		open:         make(map[epKey]*Episode),
 		lags:         make(map[pairKey]*lagHist),
 		nextExpiry:   math.Inf(1),
@@ -476,8 +464,8 @@ func (p *Pipeline) emit(c *candidate) {
 	}
 	inc.Tenants = len(p.tlist)
 	inc.Severity = inc.Peak * (1 + math.Log2(float64(inc.Tenants)))
-	if inc.Tenants < p.cfg.MinTenants {
-		inc.Severity *= p.cfg.Demotion
+	if inc.Tenants < minTenants {
+		inc.Severity *= demotion
 		inc.Demoted = true
 	}
 	p.recordLeadLag()

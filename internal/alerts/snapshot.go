@@ -62,8 +62,8 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 	w.F64(p.cfg.EpisodeGap)
 	w.F64(p.cfg.MaxEpisodeLen)
 	w.F64(p.cfg.Window)
-	w.U32(uint32(p.cfg.MinTenants))
-	w.F64(p.cfg.Demotion)
+	w.U32(minTenants)
+	w.F64(demotion)
 	w.U32(p.bloom.cur)
 	w.Bytes(p.bloom.cells)
 	w.Bool(p.seenWM)
@@ -135,16 +135,16 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 	// candidate deadlines are only meaningful under the bucket/gap/cap/
 	// window that built them, and severity under the ranking knobs.
 	bucket, gap, maxLen, window := r.F64(), r.F64(), r.F64(), r.F64()
-	minTenants := int(r.U32())
-	demotion := r.F64()
+	snapMinTenants := int(r.U32())
+	snapDemotion := r.F64()
 	if err := r.Err(); err != nil {
 		return err
 	}
 	if bucket != p.cfg.BucketWidth || gap != p.cfg.EpisodeGap || maxLen != p.cfg.MaxEpisodeLen ||
-		window != p.cfg.Window || minTenants != p.cfg.MinTenants || demotion != p.cfg.Demotion {
+		window != p.cfg.Window || snapMinTenants != minTenants || snapDemotion != demotion {
 		return fmt.Errorf("alerts: snapshot triage config (bucket=%g gap=%g cap=%g window=%g min=%d demote=%g) does not match pipeline (bucket=%g gap=%g cap=%g window=%g min=%d demote=%g)",
-			bucket, gap, maxLen, window, minTenants, demotion,
-			p.cfg.BucketWidth, p.cfg.EpisodeGap, p.cfg.MaxEpisodeLen, p.cfg.Window, p.cfg.MinTenants, p.cfg.Demotion)
+			bucket, gap, maxLen, window, snapMinTenants, snapDemotion,
+			p.cfg.BucketWidth, p.cfg.EpisodeGap, p.cfg.MaxEpisodeLen, p.cfg.Window, minTenants, demotion)
 	}
 	cursor := r.U32()
 	cellBody := r.Bytes(cells)

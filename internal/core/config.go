@@ -178,6 +178,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: Heads %d must divide ModelDim %d", c.Heads, c.ModelDim)
 	case c.EncoderLayers < 1:
 		return fmt.Errorf("core: EncoderLayers %d < 1", c.EncoderLayers)
+	case c.FFNHidden < 0: // 0 means 2×ModelDim
+		return fmt.Errorf("core: FFNHidden %d < 0", c.FFNHidden)
 	// The float checks are written so that NaN fails them.
 	case !(c.LR > 0):
 		return fmt.Errorf("core: LR %v not > 0", c.LR)

@@ -85,6 +85,7 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.POTQ = math.NaN() },
 		func(c *Config) { c.MaxEpochs = 0 },
 		func(c *Config) { c.EncoderLayers = 0 },
+		func(c *Config) { c.FFNHidden = -5 },
 	}
 	for i, mut := range bad {
 		c := SmallConfig()

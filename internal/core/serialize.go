@@ -182,6 +182,26 @@ func (st *modelState) checkScalars() error {
 	return nil
 }
 
+// paramFloor is a lower bound on the parameters New allocates for n
+// variates: EncoderLayers times each layer's largest matrix, the
+// decoder's input projection, and stage 2's ω×ω weight. It is a float64
+// so that no product of decoded sizes overflows.
+func (c Config) paramFloor(n int) float64 {
+	var need float64
+	if c.usesTemporal() {
+		dm, in := float64(c.ModelDim), 1.0
+		if c.multivariateInput() {
+			in = float64(n)
+		}
+		need = math.Max(float64(c.EncoderLayers)*dm*math.Max(dm, float64(c.FFNHidden)), dm*in)
+	}
+	if c.usesNoise() {
+		w := float64(c.ShortWindow)
+		need = math.Max(need, w*w)
+	}
+	return need
+}
+
 // Load reads a model previously written by Save and returns it ready for
 // Scores/Detect (no retraining needed).
 func Load(path string) (*Model, error) {
@@ -207,7 +227,21 @@ func LoadBytes(blob []byte) (*Model, error) {
 	if len(st.Shapes) != len(st.Params) {
 		return nil, fmt.Errorf("core: corrupt model file: %d parameter blobs but %d shapes", len(st.Params), len(st.Shapes))
 	}
-	m, err := New(fromConfigJSON(st.Config), st.N)
+	// New allocates what the config names, so check the config against
+	// what the file carries first: a few hundred bytes must not buy
+	// gigabytes of weights.
+	cfg := fromConfigJSON(st.Config).normalized()
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	carried := 0.0
+	for _, p := range st.Params {
+		carried += float64(len(p))
+	}
+	if need := cfg.paramFloor(st.N); need > carried {
+		return nil, fmt.Errorf("core: corrupt model file: config needs at least %.0f parameters, file carries %.0f", need, carried)
+	}
+	m, err := New(cfg, st.N)
 	if err != nil {
 		return nil, err
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -332,4 +334,61 @@ func TestCheckScalarsRejectsNonFinite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// Two artifacts whose configs name more than their bytes carry. They
+// used to reach New before LoadBytes compared the config with the file:
+// the first allocated 1.59 GB of weights before its parameter count was
+// rejected, the second panicked in tensor.New. Both are also seeds of
+// FuzzModelLoadBytes (testdata/fuzz).
+const (
+	oversizedDimArtifact = `{"Version":1,"Config":{"LongWindow":8,"ShortWindow":4,"ModelDim":2000,"Heads":1,"EncoderLayers":1,"LR":0.001,"MaxEpochs":1,"POTLevel":0.99,"POTQ":0.001},"N":1,"DTScale":1}`
+	negativeFFNArtifact  = `{"Version":1,"Config":{"LongWindow":8,"ShortWindow":4,"ModelDim":4,"Heads":1,"EncoderLayers":1,"FFNHidden":-5,"LR":0.001,"MaxEpochs":1,"POTLevel":0.99,"POTQ":0.001},"N":1,"DTScale":1}`
+)
+
+func TestLoadBytesRejectsOversizedConfig(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := LoadBytes([]byte(oversizedDimArtifact))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a config of 2000-wide matrices loaded from a file with no parameters")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("rejecting a %d-byte artifact allocated %d bytes", len(oversizedDimArtifact), grew)
+	}
+}
+
+func TestLoadBytesRejectsNegativeFFNHidden(t *testing.T) {
+	if _, err := LoadBytes([]byte(negativeFFNArtifact)); err == nil {
+		t.Fatal("FFNHidden -5 loaded")
+	}
+}
+
+// FuzzModelLoadBytes holds LoadBytes to its contract on any bytes: an
+// error and no panic, or a model whose artifact loads back to the same
+// artifact. The seed corpus is a small fitted model's artifact and the
+// two blobs above.
+func FuzzModelLoadBytes(f *testing.F) {
+	f.Fuzz(func(t *testing.T, blob []byte) {
+		m, err := LoadBytes(blob)
+		if err != nil {
+			return
+		}
+		once, err := m.MarshalBytes()
+		if err != nil {
+			t.Fatalf("a loaded model does not marshal: %v", err)
+		}
+		back, err := LoadBytes(once)
+		if err != nil {
+			t.Fatalf("a loaded model's artifact does not load: %v", err)
+		}
+		twice, err := back.MarshalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(once, twice) {
+			t.Fatal("artifact → load → artifact changed the bytes")
+		}
+	})
 }

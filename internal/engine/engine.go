@@ -54,8 +54,6 @@ type Config struct {
 	// AlarmBuffer is the capacity of the fan-in Alarms channel.
 	// Defaults to 1024.
 	AlarmBuffer int
-	// IngestBuffer is the capacity of the Samples channel. Defaults to 1024.
-	IngestBuffer int
 	// ErrorBuffer is the capacity of the Errors channel. Frame errors
 	// beyond it are dropped from the channel but always counted: scoring
 	// errors in their shard's stats, routing errors in Totals, and the
@@ -82,6 +80,9 @@ type Config struct {
 	Trace TraceConfig
 }
 
+// ingestBuffer is the capacity of the Samples channel.
+const ingestBuffer = 1024
+
 func (c Config) withDefaults() Config {
 	if c.Shards <= 0 {
 		c.Shards = 2 * runtime.GOMAXPROCS(0)
@@ -100,9 +101,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AlarmBuffer <= 0 {
 		c.AlarmBuffer = 1024
-	}
-	if c.IngestBuffer <= 0 {
-		c.IngestBuffer = 1024
 	}
 	if c.ErrorBuffer <= 0 {
 		c.ErrorBuffer = 64
@@ -132,7 +130,7 @@ type FrameError struct {
 	Err  error
 }
 
-// Sentinel errors returned by Subscribe and Ingest.
+// Sentinel errors returned by SubscribeBackend and Ingest.
 var (
 	ErrClosed                = errors.New("engine: closed")
 	ErrUnknownSubscription   = errors.New("engine: unknown subscription")
@@ -219,14 +217,12 @@ type shard struct {
 	free  [][]float64 // recycled magnitude buffers
 	batch []item      // drain staging, owned by the active drainer
 
-	subsN     int
-	frames    uint64
-	alarmsN   uint64
-	blockedN  uint64 // alarm emissions that found the fan-in channel full
-	errsN     uint64
-	droppedN  uint64  // frame errors that found the Errors channel full
-	rate      float64 // EWMA of frames/s, updated per drain
-	lastDrain time.Time
+	subsN    int
+	frames   uint64
+	alarmsN  uint64
+	blockedN uint64 // alarm emissions that found the fan-in channel full
+	errsN    uint64
+	droppedN uint64 // frame errors that found the Errors channel full
 }
 
 func (sh *shard) getBuf(n int) []float64 {
@@ -244,8 +240,8 @@ func (sh *shard) putBuf(b []float64) { sh.free = append(sh.free, b) }
 
 // Engine routes frames from many tenants to shard queues and scores them
 // on a fixed worker pool. Create one with New, register tenants with
-// Subscribe, feed frames via Ingest or the Samples channel, and consume
-// the Alarms channel continuously.
+// SubscribeBackend, feed frames via Ingest or the Samples channel, and
+// consume the Alarms channel continuously.
 type Engine struct {
 	cfg    Config
 	shards []*shard
@@ -288,7 +284,7 @@ func New(cfg Config) *Engine {
 		ready:  make(chan *shard, cfg.Shards),
 		alarms: make(chan Alarm, cfg.AlarmBuffer),
 		errs:   make(chan FrameError, cfg.ErrorBuffer),
-		in:     make(chan Sample, cfg.IngestBuffer),
+		in:     make(chan Sample, ingestBuffer),
 		subs:   make(map[string]*subscription),
 		done:   make(chan struct{}),
 		stop:   make(chan struct{}),
@@ -316,21 +312,6 @@ func New(cfg Config) *Engine {
 	e.routerWG.Add(1)
 	go e.router()
 	return e
-}
-
-// Subscribe registers a tenant backed by the fitted AERO model and pins
-// it to the least-loaded shard. Many subscriptions may share one model:
-// scoring only reads the trained weights, while all mutable state lives
-// in the per-tenant detector.
-func (e *Engine) Subscribe(id string, m *core.Model) (*Subscription, error) {
-	if e.closed.Load() {
-		return nil, ErrClosed
-	}
-	det, err := core.NewStreamDetector(m)
-	if err != nil {
-		return nil, err
-	}
-	return e.SubscribeBackend(id, det)
 }
 
 // SubscribeBackend registers a tenant served by any StreamBackend — an
@@ -673,7 +654,6 @@ func (e *Engine) drain(sh *shard) {
 		e.obs.drain.Record(metrics.Now() - drainStart)
 	}
 
-	now := time.Now()
 	sh.mu.Lock()
 	for i := range batch {
 		sh.putBuf(batch[i].mags)
@@ -683,18 +663,6 @@ func (e *Engine) drain(sh *shard) {
 	sh.blockedN += blockedN
 	sh.errsN += errsN
 	sh.droppedN += droppedN
-	if !sh.lastDrain.IsZero() {
-		if dt := now.Sub(sh.lastDrain).Seconds(); dt > 0 {
-			inst := float64(len(batch)) / dt
-			const alpha = 0.2
-			if sh.rate == 0 {
-				sh.rate = inst
-			} else {
-				sh.rate += alpha * (inst - sh.rate)
-			}
-		}
-	}
-	sh.lastDrain = now
 	if sh.count > 0 {
 		e.ready <- sh
 	} else {

@@ -63,6 +63,16 @@ func tenantSeries(tenant int) *dataset.Dataset {
 	}.Generate()
 }
 
+// subscribeModel registers a tenant served by a fresh AERO detector over
+// the shared model m.
+func subscribeModel(e *engine.Engine, id string, m *core.Model) (*engine.Subscription, error) {
+	det, err := core.NewStreamDetector(m)
+	if err != nil {
+		return nil, err
+	}
+	return e.SubscribeBackend(id, det)
+}
+
 func collectAlarms(e *engine.Engine) (map[string][]core.Alarm, *sync.WaitGroup) {
 	got := map[string][]core.Alarm{}
 	var wg sync.WaitGroup
@@ -99,7 +109,7 @@ func TestEngineMatchesSequentialReplay(t *testing.T) {
 
 	e := engine.New(engine.Config{Shards: 3, Workers: 4, QueueDepth: 16, BatchSize: 4})
 	for _, id := range ids {
-		if _, err := e.Subscribe(id, m); err != nil {
+		if _, err := subscribeModel(e, id, m); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -178,7 +188,7 @@ func TestSwapMatchesSequentialReplay(t *testing.T) {
 	}
 
 	e := engine.New(engine.Config{Shards: 2, Workers: 2, QueueDepth: 8, BatchSize: 4})
-	sub, err := e.Subscribe("swap", m)
+	sub, err := subscribeModel(e, "swap", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +248,7 @@ func TestSwapMatchesSequentialReplay(t *testing.T) {
 func TestSubscriptionSwapRejectsMismatch(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 1, Workers: 1})
-	sub, err := e.Subscribe("strict", m)
+	sub, err := subscribeModel(e, "strict", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +298,7 @@ func TestSubscriptionSnapshotRestore(t *testing.T) {
 	}
 
 	e1 := engine.New(engine.Config{Shards: 1, Workers: 1})
-	sub1, err := e1.Subscribe("gen1", m)
+	sub1, err := subscribeModel(e1, "gen1", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +312,7 @@ func TestSubscriptionSnapshotRestore(t *testing.T) {
 	wg1.Wait()
 
 	e2 := engine.New(engine.Config{Shards: 1, Workers: 1})
-	sub2, err := e2.Subscribe("gen2", m)
+	sub2, err := subscribeModel(e2, "gen2", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +343,7 @@ func TestSubscriptionSnapshotRestore(t *testing.T) {
 func TestEngineBackpressureLossless(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 1, Workers: 1, QueueDepth: 2, BatchSize: 1})
-	sub, err := e.Subscribe("solo", m)
+	sub, err := subscribeModel(e, "solo", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +373,7 @@ func TestEngineBackpressureLossless(t *testing.T) {
 func TestEngineSamplesChannel(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 2, Workers: 2})
-	if _, err := e.Subscribe("chan", m); err != nil {
+	if _, err := subscribeModel(e, "chan", m); err != nil {
 		t.Fatal(err)
 	}
 	_, wg := collectAlarms(e)
@@ -410,7 +420,7 @@ func TestEngineSamplesChannel(t *testing.T) {
 func TestEngineCloseUnblocksProducers(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 1, Workers: 1, QueueDepth: 1, BatchSize: 1})
-	if _, err := e.Subscribe("p", m); err != nil {
+	if _, err := subscribeModel(e, "p", m); err != nil {
 		t.Fatal(err)
 	}
 	_, wg := collectAlarms(e)
@@ -685,11 +695,11 @@ func TestEngineTap(t *testing.T) {
 func TestEngineSubscribeAndIngestErrors(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 1, Workers: 1})
-	sub, err := e.Subscribe("a", m)
+	sub, err := subscribeModel(e, "a", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Subscribe("a", m); !errors.Is(err, engine.ErrDuplicateSubscription) {
+	if _, err := subscribeModel(e, "a", m); !errors.Is(err, engine.ErrDuplicateSubscription) {
 		t.Fatalf("duplicate subscribe: got %v", err)
 	}
 	if err := e.Ingest("ghost", core.Frame{Magnitudes: make([]float64, d.Test.N())}); !errors.Is(err, engine.ErrUnknownSubscription) {
@@ -710,7 +720,7 @@ func TestEngineSubscribeAndIngestErrors(t *testing.T) {
 	if err := sub.Ingest(core.Frame{Magnitudes: make([]float64, d.Test.N())}); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("ingest through the handle after close: got %v", err)
 	}
-	if _, err := e.Subscribe("b", m); !errors.Is(err, engine.ErrClosed) {
+	if _, err := subscribeModel(e, "b", m); !errors.Is(err, engine.ErrClosed) {
 		t.Fatalf("subscribe after close: got %v", err)
 	}
 	e.Close() // idempotent
@@ -721,7 +731,7 @@ func TestEngineSubscribeAndIngestErrors(t *testing.T) {
 func TestEngineStatsAndSnapshot(t *testing.T) {
 	m, d := fixture(t)
 	e := engine.New(engine.Config{Shards: 2, Workers: 2})
-	sub, err := e.Subscribe("mon", m)
+	sub, err := subscribeModel(e, "mon", m)
 	if err != nil {
 		t.Fatal(err)
 	}

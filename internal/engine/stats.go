@@ -36,14 +36,14 @@ type ShardStats struct {
 	ErrorsDropped uint64
 	// QueueDepth is the number of frames currently waiting.
 	QueueDepth int
-	// FramesPerSec is an exponentially-weighted estimate of the shard's
-	// recent processing rate (0 until two drains have happened).
+	// FramesPerSec is Frames over the engine's lifetime.
 	FramesPerSec float64
 }
 
 // Stats snapshots every shard.
 func (e *Engine) Stats() []ShardStats {
 	out := make([]ShardStats, len(e.shards))
+	el := time.Since(e.start).Seconds()
 	for i, sh := range e.shards {
 		sh.mu.Lock()
 		out[i] = ShardStats{
@@ -55,15 +55,16 @@ func (e *Engine) Stats() []ShardStats {
 			Errors:        sh.errsN,
 			ErrorsDropped: sh.droppedN,
 			QueueDepth:    sh.count,
-			FramesPerSec:  sh.rate,
 		}
 		sh.mu.Unlock()
+		if el > 0 {
+			out[i].FramesPerSec = float64(out[i].Frames) / el
+		}
 	}
 	return out
 }
 
-// Totals aggregates all shards into one ShardStats (Shard is -1 and
-// FramesPerSec is total frames over the engine's lifetime). Errors also
+// Totals aggregates all shards into one ShardStats (Shard is -1). Errors also
 // includes frames that failed routing and so never reached a shard, and
 // ErrorsDropped the routing-error reports dropped from the channel.
 func (e *Engine) Totals() ShardStats {
@@ -76,9 +77,7 @@ func (e *Engine) Totals() ShardStats {
 		t.Errors += s.Errors
 		t.ErrorsDropped += s.ErrorsDropped
 		t.QueueDepth += s.QueueDepth
-	}
-	if el := time.Since(e.start).Seconds(); el > 0 {
-		t.FramesPerSec = float64(t.Frames) / el
+		t.FramesPerSec += s.FramesPerSec
 	}
 	return t
 }
@@ -131,7 +130,7 @@ type SubscriptionStats struct {
 
 // Subscription is the caller's handle on one registered tenant.
 type Subscription struct {
-	// ID is the tenant identifier passed to Subscribe.
+	// ID is the tenant identifier passed to SubscribeBackend.
 	ID  string
 	e   *Engine
 	sub *subscription

@@ -136,7 +136,7 @@ func TestRegistryLegacyEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New publishes into the same tenant continue the version sequence.
-	if _, err := reg.Publish("old", m); err != nil {
+	if _, err := publish(reg, "old", m); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, v, err = reg.LatestArtifact("old"); err != nil || v != 2 {
@@ -144,10 +144,9 @@ func TestRegistryLegacyEntries(t *testing.T) {
 	}
 }
 
-// TestRetrainerBackendTrainer runs the retrainer with a per-backend
-// Trainer instead of the AERO path: results carry the kind + artifact,
-// versions land in the registry, and the artifact swaps into a serving
-// backend.
+// TestRetrainerBackendTrainer runs the retrainer with the fluxev kind's
+// trainer: results carry the kind + artifact, versions land in the
+// registry, and the artifact swaps into a serving backend.
 func TestRetrainerBackendTrainer(t *testing.T) {
 	d := artifactTestData()
 	reg, err := lifecycle.OpenRegistry(t.TempDir())
@@ -177,8 +176,8 @@ func TestRetrainerBackendTrainer(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Kind != "fluxev" || res.Model != nil || len(res.Artifact) == 0 {
-		t.Fatalf("result %+v: want a fluxev artifact and no model", res)
+	if res.Kind != "fluxev" || len(res.Artifact) == 0 {
+		t.Fatalf("result %+v: want a fluxev artifact", res)
 	}
 	kind, artifact, v, err := reg.LatestArtifact("field")
 	if err != nil || kind != "fluxev" || v != res.Version {
@@ -193,7 +192,8 @@ func TestRetrainerBackendTrainer(t *testing.T) {
 	}
 }
 
-// TestRetrainerRequiresTrainerOrConfig pins the validation seam.
+// TestRetrainerRequiresTrainerOrConfig pins the validation seam: a
+// retrainer without Train is refused.
 func TestRetrainerRequiresTrainerOrConfig(t *testing.T) {
 	reg, err := lifecycle.OpenRegistry(t.TempDir())
 	if err != nil {
@@ -204,6 +204,6 @@ func TestRetrainerRequiresTrainerOrConfig(t *testing.T) {
 		Source:   func(string) (*dataset.Series, error) { return nil, errors.New("unused") },
 	})
 	if err == nil {
-		t.Fatal("retrainer accepted neither Config nor Train")
+		t.Fatal("retrainer accepted no Train")
 	}
 }

@@ -1,6 +1,7 @@
 package lifecycle_test
 
 import (
+	"bytes"
 	"errors"
 	"io/fs"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"aero/internal/backend"
 	"aero/internal/core"
 	"aero/internal/dataset"
 	"aero/internal/engine"
@@ -61,6 +63,24 @@ func fixture(t *testing.T) (*core.Model, *dataset.Dataset) {
 	return fixM, fixD
 }
 
+// publish stores a fitted AERO model as the tenant's next version.
+func publish(reg *lifecycle.Registry, tenant string, m *core.Model) (lifecycle.Version, error) {
+	blob, err := m.MarshalBytes()
+	if err != nil {
+		return 0, err
+	}
+	return reg.PublishArtifact(tenant, core.KindAERO, blob)
+}
+
+// aeroTrainer retrains with the backend registry's AERO trainer on the
+// fixture config, seeded base + round.
+func aeroTrainer(base int64) func(string, int, *dataset.Series) (string, []byte, error) {
+	return func(_ string, round int, series *dataset.Series) (string, []byte, error) {
+		artifact, err := backend.Train(core.KindAERO, series, backend.Options{AERO: fixtureConfig(base + int64(round))})
+		return core.KindAERO, artifact, err
+	}
+}
+
 func TestRegistryPublishLatestVersions(t *testing.T) {
 	m, d := fixture(t)
 	reg, err := lifecycle.OpenRegistry(filepath.Join(t.TempDir(), "registry"))
@@ -70,11 +90,11 @@ func TestRegistryPublishLatestVersions(t *testing.T) {
 	if _, _, err := reg.Latest("field-1"); !errors.Is(err, lifecycle.ErrNoVersions) {
 		t.Fatalf("empty tenant Latest: got %v, want ErrNoVersions", err)
 	}
-	v1, err := reg.Publish("field-1", m)
+	v1, err := publish(reg, "field-1", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := reg.Publish("field-1", m)
+	v2, err := publish(reg, "field-1", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,10 +143,10 @@ func TestRegistryReopenResumesVersioning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish("field-2", m); err != nil {
+	if _, err := publish(reg, "field-2", m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish("field-2", m); err != nil {
+	if _, err := publish(reg, "field-2", m); err != nil {
 		t.Fatal(err)
 	}
 
@@ -137,7 +157,7 @@ func TestRegistryReopenResumesVersioning(t *testing.T) {
 	if vs := reopened.Versions("field-2"); len(vs) != 2 {
 		t.Fatalf("reopened manifest %v, want 2 versions", vs)
 	}
-	v3, err := reopened.Publish("field-2", m)
+	v3, err := publish(reopened, "field-2", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +176,7 @@ func TestRegistryQuarantinesCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reg.Publish("field-3", m); err != nil {
+	if _, err := publish(reg, "field-3", m); err != nil {
 		t.Fatal(err)
 	}
 	tdir := filepath.Join(dir, "field-3")
@@ -196,7 +216,7 @@ func TestRegistryQuarantinesCorruptEntries(t *testing.T) {
 	// Ids are never reused: the next publish continues past the
 	// quarantined ids, so "v2/v3 were bad" stays true forever and the
 	// preserved .corrupt evidence can never be clobbered.
-	v4, err := reopened.Publish("field-3", m)
+	v4, err := publish(reopened, "field-3", m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +232,7 @@ func TestRegistryQuarantinesCorruptEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v5, err := again.Publish("field-3", m); err != nil || v5 != 5 {
+	if v5, err := publish(again, "field-3", m); err != nil || v5 != 5 {
 		t.Fatalf("post-restart publish got v%d, %v; want v5", v5, err)
 	}
 }
@@ -263,7 +283,7 @@ func TestRegistryRejectsUnsafeTenantIDs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tenant := range []string{"", ".", "..", "a/b", `a\b`, ".hidden"} {
-		if _, err := reg.Publish(tenant, m); err == nil {
+		if _, err := publish(reg, tenant, m); err == nil {
 			t.Fatalf("Publish accepted unsafe tenant id %q", tenant)
 		}
 		if err := reg.SaveState(tenant, []byte("x")); err == nil {
@@ -282,7 +302,7 @@ func TestRetrainerOnDemandDeterministic(t *testing.T) {
 	rt, err := lifecycle.NewRetrainer(lifecycle.RetrainerConfig{
 		Registry: reg,
 		Source:   func(string) (*dataset.Series, error) { return d.Train, nil },
-		Config:   func(_ string, round int) core.Config { return fixtureConfig(100 + int64(round)) },
+		Train:    aeroTrainer(100),
 		OnResult: func(r lifecycle.Result) { results <- r },
 	})
 	if err != nil {
@@ -301,32 +321,32 @@ func TestRetrainerOnDemandDeterministic(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Tenant != "field-5" || res.Round != 1 || res.Version != 1 || res.Seed != 101 {
-		t.Fatalf("result %+v, want round 1 / v1 / seed 101", res)
+	if res.Tenant != "field-5" || res.Round != 1 || res.Version != 1 || res.Kind != core.KindAERO {
+		t.Fatalf("result %+v, want round 1 / v1 / kind aero", res)
 	}
-	if res.Model == nil || res.Epochs1 < 1 {
-		t.Fatalf("result carries no trained model: %+v", res)
-	}
-	// Reproducible from the logged seed: an independent fit of the same
-	// config must agree bit-for-bit on the calibrated threshold.
-	manual, err := core.New(fixtureConfig(res.Seed), d.Train.N())
+	// Reproducible from the round's seed: an independent fit of the same
+	// config must produce the same artifact, byte for byte.
+	manual, err := core.New(fixtureConfig(101), d.Train.N())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := manual.Fit(d.Train); err != nil {
 		t.Fatal(err)
 	}
-	if manual.Threshold() != res.Model.Threshold() {
-		t.Fatalf("retrain not reproducible from seed: %v != %v", res.Model.Threshold(), manual.Threshold())
-	}
-	// The published artifact matches what the result reported.
-	published, v, err := reg.Latest("field-5")
+	want, err := manual.MarshalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v != res.Version || published.Threshold() != res.Model.Threshold() {
-		t.Fatalf("registry holds v%d thr %v, result says v%d thr %v",
-			v, published.Threshold(), res.Version, res.Model.Threshold())
+	if !bytes.Equal(res.Artifact, want) {
+		t.Fatal("retrain not reproducible from its seed")
+	}
+	// The published artifact matches what the result reported.
+	kind, published, v, err := reg.LatestArtifact("field-5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v != res.Version || kind != res.Kind || !bytes.Equal(published, res.Artifact) {
+		t.Fatalf("registry holds %s v%d, result says %s v%d", kind, v, res.Kind, res.Version)
 	}
 
 	// A second round bumps version and seed.
@@ -337,8 +357,8 @@ func TestRetrainerOnDemandDeterministic(t *testing.T) {
 	if res2.Err != nil {
 		t.Fatal(res2.Err)
 	}
-	if res2.Round != 2 || res2.Version != 2 || res2.Seed != 102 {
-		t.Fatalf("second result %+v, want round 2 / v2 / seed 102", res2)
+	if res2.Round != 2 || res2.Version != 2 || bytes.Equal(res2.Artifact, res.Artifact) {
+		t.Fatalf("second result round %d / v%d, want round 2 / v2 under a fresh seed", res2.Round, res2.Version)
 	}
 }
 
@@ -362,7 +382,7 @@ func TestRetrainerScheduleAndSourceErrors(t *testing.T) {
 			}
 			return d.Train, nil
 		},
-		Config:   func(_ string, round int) core.Config { return fixtureConfig(int64(round)) },
+		Train:    aeroTrainer(0),
 		Interval: 20 * time.Millisecond,
 		OnResult: func(r lifecycle.Result) { results <- r },
 	})
@@ -416,7 +436,11 @@ func TestRetrainHotSwapLiveEngine(t *testing.T) {
 	subs := make([]*engine.Subscription, tenants)
 	ids := []string{"live-0", "live-1", "live-2"}
 	for i, id := range ids {
-		if subs[i], err = eng.Subscribe(id, m); err != nil {
+		det, derr := core.NewStreamDetector(m)
+		if derr != nil {
+			t.Fatal(derr)
+		}
+		if subs[i], err = eng.SubscribeBackend(id, det); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -437,14 +461,18 @@ func TestRetrainHotSwapLiveEngine(t *testing.T) {
 	}()
 
 	swapped := make(chan lifecycle.Result, 1)
+	var model *core.Model // the retrained model every tenant shares
 	rt, err := lifecycle.NewRetrainer(lifecycle.RetrainerConfig{
 		Registry: reg,
 		Source:   func(string) (*dataset.Series, error) { return d.Train, nil },
-		Config:   func(_ string, round int) core.Config { return fixtureConfig(500 + int64(round)) },
+		Train:    aeroTrainer(500),
 		OnResult: func(r lifecycle.Result) {
 			if r.Err == nil {
+				model, r.Err = core.LoadBytes(r.Artifact)
+			}
+			if r.Err == nil {
 				for _, sub := range subs {
-					if err := sub.Swap(r.Model); err != nil {
+					if err := sub.Swap(model); err != nil {
 						r.Err = err
 					}
 				}
@@ -496,7 +524,7 @@ func TestRetrainHotSwapLiveEngine(t *testing.T) {
 		if !st.Ready {
 			t.Fatalf("tenant %d lost its warm window across the swap", i)
 		}
-		if sub.Threshold() != res.Model.Threshold() {
+		if sub.Threshold() != model.Threshold() {
 			t.Fatalf("tenant %d still serves the old threshold after the swap", i)
 		}
 	}

@@ -10,16 +10,16 @@
 //     calibrations share one registry), and warm backend-state
 //     checkpoints alongside the artifacts;
 //   - Retrainer: a bounded background worker pool that refits tenant
-//     detectors on a schedule or on demand — through the deterministic
-//     core training path (every AERO retrain is reproducible from its
-//     logged seed) or a caller-supplied per-backend Trainer — and
-//     publishes each result to the registry.
+//     detectors on a schedule or on demand through a caller-supplied
+//     trainer (typically a closure over the backend kind's Train, with a
+//     round-derived seed so every retrain is reproducible) and publishes
+//     each result to the registry.
 //
 // The engine side of the lifecycle — installing a published artifact
 // into a serving tenant without downtime — is engine.Subscription.Swap
-// (AERO models) / SwapArtifact (any kind); wiring a Retrainer's OnResult
-// callback to either is all a deployment needs for nightly retrains (see
-// cmd/aeroserve).
+// (one parsed AERO model shared by many tenants) / SwapArtifact (any
+// kind); wiring a Retrainer's OnResult callback to either is all a
+// deployment needs for nightly retrains (see cmd/aeroserve).
 package lifecycle
 
 import (
@@ -190,16 +190,6 @@ func decodeEntry(blob []byte) (kind string, artifact []byte, err error) {
 		return "", nil, fmt.Errorf("registry entry of kind %q has no artifact", e.Kind)
 	}
 	return e.Kind, e.Artifact, nil
-}
-
-// Publish stores a fitted AERO model as the tenant's next version and
-// returns the version id — PublishArtifact for the built-in kind.
-func (r *Registry) Publish(tenant string, m *core.Model) (Version, error) {
-	blob, err := m.MarshalBytes()
-	if err != nil {
-		return 0, fmt.Errorf("lifecycle: publish %q: %w", tenant, err)
-	}
-	return r.PublishArtifact(tenant, core.KindAERO, blob)
 }
 
 // PublishArtifact stores a trained backend artifact, tagged with its

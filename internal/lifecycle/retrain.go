@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"aero/internal/core"
 	"aero/internal/dataset"
 	"aero/internal/metrics"
 )
@@ -19,18 +18,12 @@ type RetrainerConfig struct {
 	// latest archived frames of its field. Required; called from worker
 	// goroutines.
 	Source func(tenant string) (*dataset.Series, error)
-	// Config builds the training configuration for a tenant's round-th
-	// retrain (rounds count from 1). Returning a config with a
-	// round-derived Seed makes every retrain reproducible from the seed
-	// logged in its Result — core training is bit-deterministic for a
-	// fixed seed at any worker count. Required for the default AERO
-	// path (i.e. when Train is nil); called from worker goroutines.
-	Config func(tenant string, round int) core.Config
-	// Train, when non-nil, replaces the default AERO fit with a
-	// per-backend trainer: it produces the (kind, artifact) pair to
-	// publish — typically a closure over a backend.Spec's Train. The
-	// Result then carries Kind/Artifact but no Model; consumers hot-swap
-	// via Subscription.SwapArtifact. Called from worker goroutines.
+	// Train fits a tenant's round-th retrain (rounds count from 1) on the
+	// fetched series and returns the (kind, artifact) pair to publish —
+	// typically a closure over a backend.Spec's Train. Deriving the
+	// training seed from the round makes every retrain reproducible:
+	// core training is bit-deterministic for a fixed seed at any worker
+	// count. Required; called from worker goroutines.
 	Train func(tenant string, round int, train *dataset.Series) (kind string, artifact []byte, err error)
 	// Workers bounds the concurrent retrains. Defaults to 1: background
 	// retraining should sip cores that live scoring is using.
@@ -42,7 +35,7 @@ type RetrainerConfig struct {
 	// included — from the worker goroutine that ran it. This is where a
 	// deployment hot-swaps the published model into its serving tenants.
 	OnResult func(Result)
-	// Logf, when non-nil, receives progress lines (seed, version, epochs).
+	// Logf, when non-nil, receives progress lines (version, duration).
 	Logf func(format string, args ...any)
 	// Metrics, when non-nil, times each retrain round (fetch + fit +
 	// publish) into aero_lifecycle_retrain_seconds and counts completions,
@@ -57,9 +50,6 @@ type Result struct {
 	Tenant string
 	// Round is the per-tenant retrain counter (1 for the first retrain).
 	Round int
-	// Seed is the training seed used; re-running the same round's config
-	// with this seed reproduces Model bit-for-bit.
-	Seed int64
 	// Version is the registry version the artifact was published as.
 	Version Version
 	// Kind is the backend kind tag the artifact was published under.
@@ -68,14 +58,8 @@ type Result struct {
 	// Subscription.SwapArtifact on any backend kind. Nil when Err is
 	// non-nil.
 	Artifact []byte
-	// Epochs1 and Epochs2 record the per-stage epochs actually run
-	// (AERO retrains only).
-	Epochs1, Epochs2 int
 	// Duration is the wall time of fetch + fit + publish.
 	Duration time.Duration
-	// Model is the freshly trained model, ready to Swap into serving
-	// detectors. Nil for non-AERO retrains and when Err is non-nil.
-	Model *core.Model
 	// Err is non-nil when the retrain failed; no version was published.
 	Err error
 }
@@ -134,8 +118,8 @@ func NewRetrainer(cfg RetrainerConfig) (*Retrainer, error) {
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("lifecycle: retrainer needs a training-data source")
 	}
-	if cfg.Config == nil && cfg.Train == nil {
-		return nil, fmt.Errorf("lifecycle: retrainer needs a config builder or a backend trainer")
+	if cfg.Train == nil {
+		return nil, fmt.Errorf("lifecycle: retrainer needs a trainer")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -282,9 +266,8 @@ func (rt *Retrainer) worker() {
 		if res.Err != nil {
 			rt.cfg.Logf("lifecycle: retrain %s round %d failed: %v", j.tenant, j.round, res.Err)
 		} else {
-			rt.cfg.Logf("lifecycle: retrained %s round %d → %s (seed %d, %d+%d epochs, %s)",
-				j.tenant, j.round, res.Version, res.Seed, res.Epochs1, res.Epochs2,
-				res.Duration.Round(time.Millisecond))
+			rt.cfg.Logf("lifecycle: retrained %s round %d → %s (%s, %s)",
+				j.tenant, j.round, res.Version, res.Kind, res.Duration.Round(time.Millisecond))
 		}
 		if rt.cfg.OnResult != nil {
 			rt.cfg.OnResult(res)
@@ -292,57 +275,23 @@ func (rt *Retrainer) worker() {
 	}
 }
 
-// retrain runs one fetch + fit + publish: the default deterministic AERO
-// path, or the caller's per-backend Trainer when one is configured.
-func (rt *Retrainer) retrain(j job) Result {
+// retrain runs one fetch + fit + publish.
+func (rt *Retrainer) retrain(j job) (res Result) {
 	start := time.Now()
-	res := Result{Tenant: j.tenant, Round: j.round}
+	res = Result{Tenant: j.tenant, Round: j.round}
+	defer func() { res.Duration = time.Since(start) }()
 	series, err := rt.cfg.Source(j.tenant)
 	if err != nil {
 		res.Err = fmt.Errorf("lifecycle: training data for %q: %w", j.tenant, err)
-		res.Duration = time.Since(start)
 		return res
 	}
-	if rt.cfg.Train != nil {
-		kind, artifact, terr := rt.cfg.Train(j.tenant, j.round, series)
-		if terr != nil {
-			res.Err = fmt.Errorf("lifecycle: retrain %q: %w", j.tenant, terr)
-			res.Duration = time.Since(start)
-			return res
-		}
-		v, perr := rt.cfg.Registry.PublishArtifact(j.tenant, kind, artifact)
-		if perr != nil {
-			res.Err = perr
-			res.Duration = time.Since(start)
-			return res
-		}
-		res.Version, res.Kind, res.Artifact = v, kind, artifact
-		res.Duration = time.Since(start)
-		return res
-	}
-	cfg := rt.cfg.Config(j.tenant, j.round)
-	res.Seed = cfg.Seed
-	m, err := core.New(cfg, series.N())
-	if err == nil {
-		err = m.Fit(series)
-	}
+	kind, artifact, err := rt.cfg.Train(j.tenant, j.round, series)
 	if err != nil {
 		res.Err = fmt.Errorf("lifecycle: retrain %q: %w", j.tenant, err)
-		res.Duration = time.Since(start)
 		return res
 	}
-	artifact, err := m.MarshalBytes()
-	if err == nil {
-		res.Version, err = rt.cfg.Registry.PublishArtifact(j.tenant, core.KindAERO, artifact)
+	if res.Version, res.Err = rt.cfg.Registry.PublishArtifact(j.tenant, kind, artifact); res.Err == nil {
+		res.Kind, res.Artifact = kind, artifact
 	}
-	if err != nil {
-		res.Err = err
-		res.Duration = time.Since(start)
-		return res
-	}
-	res.Kind, res.Artifact = core.KindAERO, artifact
-	res.Model = m
-	res.Epochs1, res.Epochs2 = m.Epochs1, m.Epochs2
-	res.Duration = time.Since(start)
 	return res
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"aero"
+	"aero/internal/core"
+	"aero/internal/engine"
 	"aero/internal/metrics"
 )
 
@@ -18,7 +20,7 @@ func (lintBackend) Ready() bool                              { return true }
 func (lintBackend) Threshold() float64                       { return 1 }
 func (lintBackend) LastTime() (float64, bool)                { return 0, false }
 func (lintBackend) PushScores(aero.Frame) ([]float64, error) { return nil, nil }
-func (lintBackend) Push(aero.Frame) ([]aero.Alarm, error)    { return nil, nil }
+func (lintBackend) Push(aero.Frame) ([]core.Alarm, error)    { return nil, nil }
 func (lintBackend) SwapArtifact([]byte) error                { return nil }
 func (lintBackend) SnapshotState() ([]byte, error)           { return []byte{1}, nil }
 func (lintBackend) RestoreState([]byte) error                { return nil }
@@ -33,7 +35,7 @@ func TestMetricNameLint(t *testing.T) {
 	reg := aero.NewMetricsRegistry()
 	e := aero.NewEngine(aero.EngineConfig{
 		Shards: 2, Workers: 1, Metrics: reg,
-		Trace: aero.TraceConfig{Depth: 8},
+		Trace: engine.TraceConfig{Depth: 8},
 	})
 	defer e.Close()
 	if _, err := aero.AttachTriageObserved(e, aero.DefaultTriageConfig(), 0, reg); err != nil {
