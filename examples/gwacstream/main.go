@@ -12,7 +12,8 @@ import (
 
 func main() {
 	// A compact GWAC field with irregular 15s cadence. The full-size
-	// presets (aero.AstrosetMiddle etc.) use the paper's Table I shapes.
+	// presets (AstrosetMiddle etc. in internal/dataset) use the paper's
+	// Table I shapes.
 	gen := aero.GWACConfig{
 		Name: "gwac-night", N: 10, TrainLen: 900, TestLen: 600,
 		AnomalySegments: 2, AnomalyLen: 50, NoisePct: 4,
