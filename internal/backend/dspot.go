@@ -51,9 +51,8 @@ func DefaultDSPOTConfig() DSPOTConfig {
 // tail model.
 type DSPOTStage struct {
 	inner core.StreamBackend
-	cfg   DSPOTConfig
-	spots []*evt.DSPOT
-	fired []bool // per-variate verdicts of the newest push, reused
+	tails evt.Bank // every variate's tail state and the config, once per stage
+	fired []bool   // per-variate verdicts of the newest push, reused
 
 	// clock, when set via SetStageClock, stamps the boundary between the
 	// inner score and the DSPOT steps of each push so the engine's
@@ -72,11 +71,10 @@ type DSPOTStage struct {
 //
 // A tail fit is a pure function of the config and the calibration bits,
 // so a stage built from the same config and bit-equal scores as the last
-// stage fitted restores that fit (as RestoreState restores a snapshot)
-// instead of redoing it: every tenant of one model shares one
-// calibration. Otherwise the variates' cold fits run on up to GOMAXPROCS
-// workers, each writing only the tail models it fitted; every model is
-// the one a sequential fit would build. On failure the error is the
+// stage fitted copies that fit's bank instead of redoing it: every tenant
+// of one model shares one calibration. Otherwise the variates' cold fits
+// run on up to GOMAXPROCS workers, each writing only the tail models it
+// fitted; every model is the one a sequential fit would build. On failure the error is the
 // lowest-numbered failing variate's. Either way each stage's tail state
 // is its own.
 func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64) (*DSPOTStage, error) {
@@ -90,22 +88,13 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 	if cfg.Depth < 1 {
 		cfg.Depth = 1
 	}
-	d := &DSPOTStage{
-		inner: inner,
-		cfg:   cfg,
-		spots: make([]*evt.DSPOT, n),
-		fired: make([]bool, n),
-	}
+	d := &DSPOTStage{inner: inner, fired: make([]bool, n)}
 	if fit := lastFit.Load(); fit.matches(cfg, calib) {
-		for v := range d.spots {
-			d.spots[v] = d.newSpot()
-			if err := d.spots[v].SetState(fit.states[v]); err != nil {
-				return nil, fmt.Errorf("backend: dspot variate %d: %w", v, err)
-			}
-		}
+		d.tails = fit.tails.Clone()
 		return d, nil
 	}
-	fit, err := d.fit(calib)
+	d.tails = evt.NewBank(n, cfg.Level, cfg.Q, cfg.Depth, cfg.Refit)
+	fit, err := d.fit(cfg, calib)
 	if err != nil {
 		return nil, err
 	}
@@ -115,10 +104,10 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 
 // fit calibrates every variate's tail model from scratch, concurrently,
 // and returns the record of the fit: each worker copies the calibration
-// and takes the state of the variates it fitted.
-func (d *DSPOTStage) fit(calib [][]float64) (*fittedTail, error) {
-	n := len(d.spots)
-	fit := &fittedTail{cfg: d.cfg, calib: make([][]float64, n), states: make([]evt.DSPOTState, n)}
+// of the variates it fitted, and the record takes a clone of the bank.
+func (d *DSPOTStage) fit(cfg DSPOTConfig, calib [][]float64) (*fittedTail, error) {
+	n := d.tails.Len()
+	fit := &fittedTail{cfg: cfg, calib: make([][]float64, n)}
 	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -127,12 +116,9 @@ func (d *DSPOTStage) fit(calib [][]float64) (*fittedTail, error) {
 		go func() {
 			defer wg.Done()
 			for v := int(next.Add(1) - 1); v < n; v = int(next.Add(1) - 1) {
-				sp := d.newSpot()
-				if errs[v] = sp.Fit(calib[v]); errs[v] == nil {
+				if errs[v] = d.tails.Fit(v, calib[v]); errs[v] == nil {
 					fit.calib[v] = append([]float64(nil), calib[v]...)
-					fit.states[v] = sp.State()
 				}
-				d.spots[v] = sp
 			}
 		}()
 	}
@@ -142,26 +128,20 @@ func (d *DSPOTStage) fit(calib [][]float64) (*fittedTail, error) {
 			return nil, fmt.Errorf("backend: dspot variate %d: %w", v, err)
 		}
 	}
+	fit.tails = d.tails.Clone()
 	return fit, nil
 }
 
-// newSpot returns an unfitted tail model under the stage's config.
-func (d *DSPOTStage) newSpot() *evt.DSPOT {
-	sp := evt.NewDSPOT(d.cfg.Level, d.cfg.Q, d.cfg.Depth)
-	sp.SetPolicy(d.cfg.Refit)
-	return sp
-}
-
 // fittedTail is the last successful NewDSPOTStage fit: its config, a
-// private copy of its calibration, and every variate's state taken before
+// private copy of its calibration, and a clone of the bank taken before
 // the stage was returned, so never stepped. A record is immutable once
 // stored; a miss replaces it whole. One record suffices — every caller
 // builds all tenants of a model from one calibration — and bounds the
 // memory held to one calibration.
 type fittedTail struct {
-	cfg    DSPOTConfig
-	calib  [][]float64
-	states []evt.DSPOTState
+	cfg   DSPOTConfig
+	calib [][]float64
+	tails evt.Bank
 }
 
 // lastFit holds the record of the last successful fit. Loading and
@@ -231,24 +211,18 @@ func (d *DSPOTStage) LastTime() (float64, bool) { return d.inner.LastTime() }
 // backend's, it moves as the stage adapts.
 func (d *DSPOTStage) Threshold() float64 {
 	var sum float64
-	for _, sp := range d.spots {
-		sum += sp.Baseline() + sp.Threshold()
+	for v := range d.tails.Len() {
+		sum += d.tails.Baseline(v) + d.tails.Threshold(v)
 	}
-	return sum / float64(len(d.spots))
+	return sum / float64(d.tails.Len())
 }
 
-// RefitStats sums the per-variate tail models' maintenance counters —
-// how many exceedances fed the rings and how many paid for a Grimshaw
-// fit (warm vs full grid scan). Call it from the same goroutine that
-// pushes, or behind the engine's subscription lock
-// (engine.Subscription.RefitStats does the latter).
-func (d *DSPOTStage) RefitStats() evt.RefitStats {
-	var total evt.RefitStats
-	for _, sp := range d.spots {
-		total = total.Add(sp.RefitStats())
-	}
-	return total
-}
+// RefitStats returns the stage's tail maintenance counters — how many
+// exceedances fed the rings and how many paid for a Grimshaw fit (warm vs
+// full grid scan). Call it from the same goroutine that pushes, or behind
+// the engine's subscription lock (engine.Subscription.RefitStats does the
+// latter).
+func (d *DSPOTStage) RefitStats() evt.RefitStats { return d.tails.RefitStats() }
 
 // PushScores implements core.StreamBackend: the inner backend's raw
 // scores pass through unchanged, while each one steps its variate's
@@ -269,7 +243,7 @@ func (d *DSPOTStage) PushScores(f core.Frame) ([]float64, error) {
 		}
 	}
 	for v, sc := range scores {
-		fired, serr := d.spots[v].Step(sc)
+		fired, serr := d.tails.Step(v, sc)
 		if serr != nil {
 			return nil, fmt.Errorf("backend: dspot variate %d: %w", v, serr)
 		}
@@ -370,9 +344,9 @@ func (d *DSPOTStage) SnapshotState() ([]byte, error) {
 		return nil, err
 	}
 	st := dspotSnapshot{Kind: d.Kind(), Version: dspotSnapshotVersion, Inner: inner,
-		Spots: make([]evt.DSPOTState, len(d.spots))}
-	for v, sp := range d.spots {
-		st.Spots[v] = sp.State()
+		Spots: make([]evt.DSPOTState, d.tails.Len())}
+	for v := range st.Spots {
+		st.Spots[v] = d.tails.State(v)
 	}
 	return json.Marshal(st)
 }
@@ -392,20 +366,19 @@ func (d *DSPOTStage) RestoreState(blob []byte) error {
 	if st.Version != dspotSnapshotVersion {
 		return fmt.Errorf("backend: unsupported dspot state version %d", st.Version)
 	}
-	if len(st.Spots) != len(d.spots) {
-		return fmt.Errorf("backend: state has %d tail models, want %d", len(st.Spots), len(d.spots))
+	if len(st.Spots) != d.tails.Len() {
+		return fmt.Errorf("backend: state has %d tail models, want %d", len(st.Spots), d.tails.Len())
 	}
-	fresh := make([]*evt.DSPOT, len(d.spots))
-	for v := range fresh {
-		fresh[v] = d.newSpot()
-		if err := fresh[v].SetState(st.Spots[v]); err != nil {
+	fresh := d.tails.Fresh()
+	for v := range st.Spots {
+		if err := fresh.SetState(v, st.Spots[v]); err != nil {
 			return fmt.Errorf("backend: dspot state variate %d: %w", v, err)
 		}
 	}
 	if err := d.inner.RestoreState(st.Inner); err != nil {
 		return err
 	}
-	copy(d.spots, fresh)
+	d.tails = fresh
 	return nil
 }
 

@@ -34,7 +34,7 @@ func (s *scoreScript) PushScores(core.Frame) ([]float64, error) {
 
 // reuseCalib draws a calibration of the given stars, each 800–1,599 scores.
 // With fallback set, the last star is flat but for five spikes, too few
-// peaks for a tail fit at any level, so SPOT.Fit takes its empirical
+// peaks for a tail fit at any level, so the tail fit takes its empirical
 // fallback on it.
 func reuseCalib(seed int64, stars int, fallback bool) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -88,10 +88,10 @@ func fitAlone(t *testing.T, cfg DSPOTConfig, calib [][]float64) []*evt.DSPOT {
 	return spots
 }
 
-func sameStates(t *testing.T, what string, got, want []*evt.DSPOT) {
+func sameStates(t *testing.T, what string, got *DSPOTStage, want []*evt.DSPOT) {
 	t.Helper()
 	for v := range want {
-		if g, w := got[v].State(), want[v].State(); !reflect.DeepEqual(g, w) {
+		if g, w := got.tails.State(v), want[v].State(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s, star %d: state\n%+v\nfitted alone\n%+v", what, v, g, w)
 		}
 	}
@@ -147,15 +147,15 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		if st := alone[stars-1].State().SPOT; st.Fitted || len(st.Excesses) != 0 {
 			t.Fatalf("star %d fitted a tail (%d excesses); the fallback case is vacuous", stars-1, len(st.Excesses))
 		}
-		sameStates(t, "fitted stage", first.spots, alone)
-		sameStates(t, "restored stage", reused.spots, alone)
+		sameStates(t, "fitted stage", first, alone)
+		sameStates(t, "restored stage", reused, alone)
 
 		// Step only the restored stage and the lone fits: the first stage
 		// and the record must not move.
 		alarms := 0
 		for i, row := range feed {
 			for v, x := range row {
-				got, err := reused.spots[v].Step(x)
+				got, err := reused.tails.Step(v, x)
 				want, werr := alone[v].Step(x)
 				if err != nil || werr != nil || got != want {
 					t.Fatalf("policy %+v, step %d, star %d: restored %v/%v, alone %v/%v", pol, i, v, got, err, want, werr)
@@ -168,23 +168,24 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		if alarms == 0 {
 			t.Fatal("no alarms in the feed; the comparison is vacuous")
 		}
-		var refits uint64
+		// The stage counts refits once for all its stars.
+		var want evt.RefitStats
 		for v := range alone {
-			if g, w := reused.spots[v].State(), alone[v].State(); !reflect.DeepEqual(g, w) {
+			if g, w := reused.tails.State(v), alone[v].State(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("policy %+v, star %d: state after %d steps differs", pol, v, steps)
 			}
-			g, w := withoutNanos(reused.spots[v].RefitStats()), withoutNanos(alone[v].RefitStats())
-			if g != w {
-				t.Fatalf("policy %+v, star %d: refit stats %+v, alone %+v", pol, v, g, w)
-			}
-			refits += g.Refits
+			want = want.Add(withoutNanos(alone[v].RefitStats()))
 		}
-		if refits == 0 {
+		g := withoutNanos(reused.RefitStats())
+		if g != want {
+			t.Fatalf("policy %+v: refit stats %+v, alone %+v", pol, g, want)
+		}
+		if g.Refits == 0 {
 			t.Fatal("no refits in the feed; the comparison is vacuous")
 		}
 		fresh := fitAlone(t, cfg, calib)
-		sameStates(t, "unstepped twin stage", first.spots, fresh)
-		sameStates(t, "stage restored after another stepped", newStage(t, cfg, calib).spots, fresh)
+		sameStates(t, "unstepped twin stage", first, fresh)
+		sameStates(t, "stage restored after another stepped", newStage(t, cfg, calib), fresh)
 	}
 
 	t.Run("config", func(t *testing.T) {
@@ -207,7 +208,7 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 			if lastFit.Load() == rec {
 				t.Fatalf("%s changed, yet the stage restored the last fit", tc.name)
 			}
-			sameStates(t, tc.name, got.spots, fitAlone(t, cfg, calib))
+			sameStates(t, tc.name, got, fitAlone(t, cfg, calib))
 		}
 	})
 
@@ -221,7 +222,7 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		if lastFit.Load() == rec {
 			t.Fatal("scores changed in place, yet the stage restored the last fit")
 		}
-		sameStates(t, "mutated", got.spots, fitAlone(t, cfg, scores))
+		sameStates(t, "mutated", got, fitAlone(t, cfg, scores))
 
 		// A failed build records nothing.
 		rec = lastFit.Load()
@@ -252,8 +253,8 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 						errs <- err
 						return
 					}
-					for v := range d.spots {
-						if !reflect.DeepEqual(d.spots[v].State(), want[k][v].State()) {
+					for v := range want[k] {
+						if !reflect.DeepEqual(d.tails.State(v), want[k][v].State()) {
 							errs <- errors.New("a concurrently built stage differs from its calibration's fit")
 							return
 						}
@@ -304,14 +305,14 @@ func TestDSPOTStagePushRejectsNonFinite(t *testing.T) {
 			}
 		}
 		before := make([]evt.DSPOTState, stars)
-		for v, sp := range d.spots {
-			before[v] = sp.State()
+		for v := range before {
+			before[v] = d.tails.State(v)
 		}
 		if alarms, err := d.Push(f); !errors.Is(err, evt.ErrNonFinite) || alarms != nil {
 			t.Fatalf("score %v: alarms %v, error %v; want none and ErrNonFinite", bad, alarms, err)
 		}
-		for v, sp := range d.spots {
-			if !reflect.DeepEqual(sp.State(), before[v]) {
+		for v := range before {
+			if !reflect.DeepEqual(d.tails.State(v), before[v]) {
 				t.Fatalf("score %v on star %d stepped star %d", bad, stars-1, v)
 			}
 		}

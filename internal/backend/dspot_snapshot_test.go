@@ -147,14 +147,60 @@ func TestDSPOTStageRestoreRejectsBadWindowPos(t *testing.T) {
 	}
 }
 
+// TestDSPOTStageRestoreRejectsForeignTail: a checkpoint whose star carries
+// another risk level or q than the stage's config, counts outside
+// 0 ≤ peaks ≤ n, or a value past ±1e150 is refused, and the stage's
+// snapshot is byte-equal before and after. Before
+// the fix each restored: q −1 turned star 0's threshold NaN within 35
+// frames, after which every snapshot failed to encode; q 0.9 made star 0
+// alarm on 365 of the next 400 frames (2 unedited); n −5 silently moved
+// the threshold.
+func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
+	stage := wrappedDSPOTStage(t, 250)
+	before, err := stage.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, want string
+		edit       func(spots []evt.DSPOTState)
+	}{
+		{"q-negative", "q -1", func(spots []evt.DSPOTState) { spots[0].SPOT.Q = -1 }},
+		{"q-0.9", "q 0.9", func(spots []evt.DSPOTState) { spots[0].SPOT.Q = 0.9 }},
+		{"level-7", "level 7", func(spots []evt.DSPOTState) { spots[1].SPOT.Level = 7 }},
+		{"n-negative", "n -5", func(spots []evt.DSPOTState) { spots[0].SPOT.N = -5 }},
+		{"peaks-negative", "peaks -1", func(spots []evt.DSPOTState) { spots[2].SPOT.Peaks = -1 }},
+		{"since-refit-negative", "since_refit -2", func(spots []evt.DSPOTState) { spots[1].SPOT.SinceRefit = -2 }},
+		{"peaks-above-n", "peaks 29", func(spots []evt.DSPOTState) { spots[0].SPOT.N = 28 }},
+		{"window-1e300", "beyond", func(spots []evt.DSPOTState) { spots[2].Win[3] = 1e300 }},
+		{"sumsq-1e301", "beyond", func(spots []evt.DSPOTState) { spots[1].SPOT.SumSq = 1e301 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := editSnapshot(t, before, tc.edit)
+			if err := stage.RestoreState(bad); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("restore: error %v, want one containing %q", err, tc.want)
+			}
+			after, err := stage.SnapshotState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Fatal("refused restore changed the stage")
+			}
+		})
+	}
+}
+
 // FuzzDSPOTStageRestoreState feeds arbitrary bytes to RestoreState of a
 // warm fluxev+dspot stage whose rings have wrapped. A failed restore must
 // leave the stage's snapshot byte-equal to the one before it; a
-// successful one must be idempotent (snapshot → restore → snapshot), and
-// the 64 pushes that follow it must not panic. The seed corpus holds the
-// stage's own snapshot, copies with a drift-window position of 99 and
-// −1, eviction cursors out of range, a drift-window depth that does not
-// match, and a truncation.
+// successful one must be idempotent (snapshot → restore → snapshot), the
+// 64 pushes that follow it must not panic, and the stage must still
+// snapshot after them. The seed corpus holds the stage's own snapshot,
+// copies with a drift-window position of 99 and −1, eviction cursors out
+// of range, a drift-window depth that does not match, a q of −1 and 0.9,
+// a level of 7, an n of −5, a star whose next refit overflows its
+// quantile, and a truncation.
 func FuzzDSPOTStageRestoreState(f *testing.F) {
 	stage := wrappedDSPOTStage(f, 250)
 	valid, err := stage.SnapshotState()
@@ -168,6 +214,19 @@ func FuzzDSPOTStageRestoreState(f *testing.F) {
 		func(spots []evt.DSPOTState) { spots[0].SPOT.Evict = 1000 },
 		func(spots []evt.DSPOTState) { spots[2].SPOT.Evict = -3 },
 		func(spots []evt.DSPOTState) { spots[0].Depth, spots[0].Win = 19, spots[0].Win[:19] },
+		func(spots []evt.DSPOTState) { spots[0].SPOT.Q = -1 },
+		func(spots []evt.DSPOTState) { spots[0].SPOT.Q = 0.9 },
+		func(spots []evt.DSPOTState) { spots[1].SPOT.Level = 7 },
+		func(spots []evt.DSPOTState) { spots[0].SPOT.N = -5 },
+		// Found by this fuzzer: a star with an emptied ring, a near-empty
+		// drift window and a tail fraction of 29 in 6·10⁹ refits on eight
+		// near-equal excesses, whose quantile overflowed to −Inf.
+		func(spots []evt.DSPOTState) {
+			st := &spots[1]
+			st.SPOT.N, st.SPOT.Model, st.SPOT.Excesses = 6234912695, evt.GPD{}, nil
+			clear(st.Win)
+			st.Win[6], st.Win[9], st.Sum = 0.18220372770493198, 0.4076814799159677, 0.18988520762089967
+		},
 	} {
 		f.Add(editSnapshot(f, valid, edit))
 	}
@@ -178,6 +237,13 @@ func FuzzDSPOTStageRestoreState(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Put the stage back whatever the verdict, so one failing input
+		// does not fail every input tried after it (the minimizer's too).
+		defer func() {
+			if err := stage.RestoreState(before); err != nil {
+				t.Errorf("restoring the stage's own snapshot: %v", err)
+			}
+		}()
 		if err := stage.RestoreState(blob); err != nil {
 			if after, _ := stage.SnapshotState(); !bytes.Equal(before, after) {
 				t.Fatalf("failed restore (%v) changed the stage", err)
@@ -203,8 +269,8 @@ func FuzzDSPOTStageRestoreState(f *testing.F) {
 			}
 			stage.Push(frame) // an error is an answer; a panic is not
 		}
-		if err := stage.RestoreState(before); err != nil {
-			t.Fatal(err)
+		if _, err := stage.SnapshotState(); err != nil {
+			t.Fatalf("snapshot after a restore and 64 pushes: %v", err)
 		}
 	})
 }

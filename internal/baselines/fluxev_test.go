@@ -273,7 +273,7 @@ func TestStreamFluxEVRunningMaxMatchesScan(t *testing.T) {
 							}
 						}
 						for v := 0; v < n && ti > 0; v++ {
-							if d.res[v][d.cur] == d.hi[v] && d.hi[v] > 0 {
+							if d.ring(v)[d.cur] == d.hi[v] && d.hi[v] > 0 {
 								rescans++
 							}
 						}

@@ -95,11 +95,13 @@ type StreamFluxEV struct {
 	thr      float64
 	count    int // frames ingested
 	last     float64
-	ew       []float64   // per-variate EWMA of all points so far
-	res      [][]float64 // per-variate ring of the last `suppress` residuals
-	hi       []float64   // per-variate windowMax of the slots the next push reads
-	cur      int         // ring slot the next push writes: count % suppress
-	scores   []float64
+	// ew, hi, scores and res share one allocation of n·(3+suppress)
+	// floats: a tenant's window is one object however many stars it has.
+	ew     []float64 // per-variate EWMA of all points so far
+	hi     []float64 // per-variate windowMax of the slots the next push reads
+	scores []float64
+	res    []float64 // n × suppress slab: variate v's ring is ring(v)
+	cur    int       // ring slot the next push writes: count % suppress
 }
 
 // NewStreamFluxEV returns an uncalibrated streaming FluxEV adapter;
@@ -112,19 +114,21 @@ func NewStreamFluxEV(n int, cfg StreamConfig) (*StreamFluxEV, error) {
 		return nil, fmt.Errorf("baselines: FluxEV alpha %v outside (0, 1]", cfg.FluxEVAlpha)
 	}
 	w := max(cfg.FluxEVSuppress, 1)
-	d := &StreamFluxEV{
+	state := make([]float64, n*(3+w))
+	return &StreamFluxEV{
 		n:        n,
 		alpha:    cfg.FluxEVAlpha,
 		suppress: w,
-		ew:       make([]float64, n),
-		res:      make([][]float64, n),
-		hi:       make([]float64, n),
-		scores:   make([]float64, n),
-	}
-	for v := range d.res {
-		d.res[v] = make([]float64, w)
-	}
-	return d, nil
+		ew:       state[:n:n],
+		hi:       state[n : 2*n : 2*n],
+		scores:   state[2*n : 3*n : 3*n],
+		res:      state[3*n:],
+	}, nil
+}
+
+// ring returns variate v's ring of the last suppress residuals.
+func (d *StreamFluxEV) ring(v int) []float64 {
+	return d.res[v*d.suppress : (v+1)*d.suppress : (v+1)*d.suppress]
 }
 
 // Kind implements core.StreamBackend.
@@ -168,7 +172,7 @@ func (d *StreamFluxEV) PushScores(f core.Frame) ([]float64, error) {
 	if t == 0 {
 		for v := 0; v < d.n; v++ {
 			d.ew[v] = f.Magnitudes[v]
-			d.res[v][0] = 0 // the batch path's implicit res[0]
+			d.res[v*d.suppress] = 0 // the batch path's implicit res[0]
 			d.hi[v] = 0
 		}
 		d.cur = 1 % d.suppress
@@ -191,7 +195,7 @@ func (d *StreamFluxEV) PushScores(f core.Frame) ([]float64, error) {
 			sc = 0
 		}
 		d.scores[v] = sc
-		ring := d.res[v]
+		ring := d.ring(v)
 		old := ring[cur]
 		ring[cur] = r
 		if old == hi && hi > 0 { // the maximum may have left the window
@@ -277,9 +281,13 @@ func (d *StreamFluxEV) SwapArtifact(artifact []byte) error {
 
 // SnapshotState implements core.StreamBackend.
 func (d *StreamFluxEV) SnapshotState() ([]byte, error) {
+	rings := make([][]float64, d.n)
+	for v := range rings {
+		rings[v] = d.ring(v)
+	}
 	return json.Marshal(streamSnapshot{
 		Kind: KindFluxEV, Version: streamSnapshotVersion, N: d.n, Window: d.suppress,
-		Count: d.count, Last: d.last, Rings: d.res, EW: d.ew,
+		Count: d.count, Last: d.last, Rings: rings, EW: d.ew,
 	})
 }
 
@@ -317,9 +325,9 @@ func (d *StreamFluxEV) RestoreState(blob []byte) error {
 	d.count, d.last = st.Count, st.Last
 	d.cur = st.Count % d.suppress
 	read := min(st.Count, d.suppress) // slots the next push reads
-	for v := range d.res {
-		copy(d.res[v], st.Rings[v])
-		d.hi[v] = windowMax(d.res[v][:read])
+	for v, ring := range st.Rings {
+		copy(d.ring(v), ring)
+		d.hi[v] = windowMax(ring[:read])
 	}
 	copy(d.ew, st.EW)
 	return nil

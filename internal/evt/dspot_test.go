@@ -46,7 +46,7 @@ func TestDSPOTVsSPOTOnDrift(t *testing.T) {
 	for i := range init {
 		init[i] = rng.NormFloat64() * 0.3
 	}
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	if err := s.Fit(init); err != nil {
 		t.Fatal(err)
 	}
@@ -79,15 +79,16 @@ func TestDSPOTFitTooShort(t *testing.T) {
 
 func TestDSPOTTrailingMean(t *testing.T) {
 	d := NewDSPOT(0.99, 1e-3, 4)
+	s, win := &d.b.stars[0], d.b.window(0)
 	for _, v := range []float64{1, 2, 3, 4} {
-		d.push(v)
+		s.push(win, v)
 	}
-	if d.mean() != 2.5 {
-		t.Fatalf("mean %v", d.mean())
+	if s.mean(win) != 2.5 {
+		t.Fatalf("mean %v", s.mean(win))
 	}
-	d.push(5) // evicts 1
-	if math.Abs(d.mean()-3.5) > 1e-12 {
-		t.Fatalf("rolling mean %v", d.mean())
+	s.push(win, 5) // evicts 1
+	if math.Abs(s.mean(win)-3.5) > 1e-12 {
+		t.Fatalf("rolling mean %v", s.mean(win))
 	}
 }
 
@@ -126,11 +127,12 @@ func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
 			if fired, err := d.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
 				t.Fatalf("policy %+v: DSPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
 			}
-			spotBefore := d.spot.State()
-			if fired, err := d.spot.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
+			star := &d.b.stars[0]
+			spotBefore := d.b.tailState(star)
+			if fired, err := d.b.stepTail(star, bad); !errors.Is(err, ErrNonFinite) || fired {
 				t.Fatalf("policy %+v: SPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
 			}
-			if !reflect.DeepEqual(d.spot.State(), spotBefore) {
+			if !reflect.DeepEqual(d.b.tailState(star), spotBefore) {
 				t.Fatalf("policy %+v: SPOT.Step(%v) changed the state", pol, bad)
 			}
 			if !reflect.DeepEqual(d.State(), before) {

@@ -154,7 +154,7 @@ func TestSPOTFlagsInjectedExtremes(t *testing.T) {
 	for i := range init {
 		init[i] = math.Abs(rng.NormFloat64())
 	}
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	if err := s.Fit(init); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestSPOTFlagsInjectedExtremes(t *testing.T) {
 // ErrNotReady, for both SPOT and the DSPOT wrapper, and leave the
 // detector usable once Fit eventually runs.
 func TestSPOTStepBeforeFitTypedError(t *testing.T) {
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	if fired, err := s.Step(1); !errors.Is(err, ErrNotReady) || fired {
 		t.Fatalf("SPOT.Step before Fit: got (%v, %v), want (false, ErrNotReady)", fired, err)
 	}
@@ -209,7 +209,7 @@ func TestSPOTUpdatesTailModel(t *testing.T) {
 	for i := range init {
 		init[i] = rng.ExpFloat64()
 	}
-	s := NewSPOT(0.98, 1e-3)
+	s := newSPOT(0.98, 1e-3)
 	if err := s.Fit(init); err != nil {
 		t.Fatalf("fit: %v", err)
 	}

@@ -196,7 +196,7 @@ func TestPOTRejectsBadParams(t *testing.T) {
 		if (err == nil) != tc.ok {
 			t.Errorf("POT(level %v, q %v): err %v, want ok=%v", tc.level, tc.q, err, tc.ok)
 		}
-		if err := NewSPOT(tc.level, tc.q).Fit(scores); (err == nil) != tc.ok {
+		if err := newSPOT(tc.level, tc.q).Fit(scores); (err == nil) != tc.ok {
 			t.Errorf("SPOT.Fit(level %v, q %v): err %v, want ok=%v", tc.level, tc.q, err, tc.ok)
 		}
 	}

@@ -1,18 +1,15 @@
 package evt
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
-// ErrNotReady is returned by SPOT.Step and DSPOT.Step when the detector
-// has not been calibrated yet (Fit has not run, or a restore left it
+// ErrNotReady is returned by Bank.Step and DSPOT.Step when the star has
+// not been calibrated yet (Fit has not run, or a restore left it
 // unready). Callers that drive a detector per-score must treat it as a
 // per-sample failure, not a process-fatal condition.
 var ErrNotReady = errors.New("evt: Step before Fit")
 
-// ErrNonFinite is returned by SPOT.Step and DSPOT.Step for a NaN or ±Inf
-// observation, which is refused with the detector's state untouched: one
+// ErrNonFinite is returned by Bank.Step and DSPOT.Step for a NaN or ±Inf
+// observation, which is refused with the star's state untouched: one
 // such value in a tail ring or drift window would poison every later
 // verdict (a NaN baseline never alarms again, a −Inf one alarms forever).
 var ErrNonFinite = errors.New("evt: non-finite observation")
@@ -130,238 +127,14 @@ func (a RefitStats) Add(b RefitStats) RefitStats {
 	}
 }
 
-// SPOT is the streaming variant of POT: after calibration, each new score
-// either triggers an alarm (score > z), refines the tail fit (t < score ≤ z)
-// or is counted as normal (Siffer et al., Alg. 2). Policy schedules the
-// tail refits (see RefitPolicy); set it before Fit. The benign path
-// (x ≤ t) and the between-refits exceedance path are O(1), and allocation
-// free once the excess ring has grown to its cap: the ring holds what the
-// detector has seen, not what it may come to hold.
-type SPOT struct {
-	Level  float64
-	Q      float64
-	Policy RefitPolicy
-
-	t     float64
-	z     float64
-	model GPD
-
-	// excesses is a bounded ring: it grows to its limit (see ringLimit),
-	// doubling its backing array, then evict walks circularly over the
-	// oldest entries. sum/sumsq are running sufficient statistics over
-	// exactly the retained entries.
-	excesses []float64
-	evict    int
-	sum      float64
-	sumsq    float64
-
-	peaks      int // total exceedances observed — the Nt of the quantile
-	n          int
-	fitted     bool
-	sinceRefit int
-	refitMean  float64
-	ready      bool
-
-	refits, warmRefits, gridRefits uint64
-	refitNanos                     uint64
-}
-
-// NewSPOT returns a SPOT detector with the given initial quantile level and
-// target tail probability q, under the exact (bit-identical to textbook
-// SPOT) refit policy; assign Policy before Fit to amortize refits.
-func NewSPOT(level, q float64) *SPOT {
-	return &SPOT{Level: level, Q: q, Policy: ExactRefitPolicy()}
-}
-
-// Fit calibrates the detector on an initial batch. A Level or Q outside
-// (0, 1) is an error; too few peaks is not (see below).
-func (s *SPOT) Fit(init []float64) error {
-	if err := CheckPOTParams(s.Level, s.Q); err != nil {
-		return err
-	}
-	s.excesses = nil
-	s.evict, s.peaks, s.sum, s.sumsq = 0, 0, 0, 0
-	s.sinceRefit, s.refitMean = 0, 0
-	th, err := POT(init, s.Level, s.Q)
-	if err != nil && th.Peaks == 0 {
-		// Empirical fallback still yields usable t/z; the tail model forms
-		// once enough live exceedances accumulate.
-		s.t, s.z, s.model = th.Init, th.Z, GPD{}
-		s.n = len(init)
-		s.fitted = false
-		s.ready = true
-		return nil
-	}
-	s.t, s.z, s.model = th.Init, th.Z, th.Model
-	s.n = th.N
-	s.excesses = make([]float64, 0, min(th.Peaks, s.Policy.capacity()))
-	for _, v := range init {
-		if v > s.t {
-			s.pushExcess(v - s.t)
-		}
-	}
-	s.fitted = true
-	s.refitMean = s.tailMean()
-	s.ready = true
-	return nil
-}
-
-// Threshold returns the current alarm threshold z_q.
-func (s *SPOT) Threshold() float64 { return s.z }
-
-// TailThreshold returns the peaks-over-threshold level t: scores above it
-// feed the tail model, scores above Threshold alarm.
-func (s *SPOT) TailThreshold() float64 { return s.t }
-
-// RefitStats returns the detector's cumulative tail-maintenance counters.
-func (s *SPOT) RefitStats() RefitStats {
-	return RefitStats{
-		Exceedances: uint64(s.peaks),
-		Refits:      s.refits,
-		WarmRefits:  s.warmRefits,
-		GridRefits:  s.gridRefits,
-		RefitNanos:  s.refitNanos,
-	}
-}
-
-// ringLimit is the most excesses the ring retains: the policy's capacity,
-// or more when a snapshot restored a longer ring (SetState drops no
-// retained excess). The length never shrinks, so the limit never does.
-func (s *SPOT) ringLimit() int { return max(s.Policy.capacity(), len(s.excesses)) }
-
-// pushExcess inserts one excess into the ring, evicting the oldest entry
-// once the ring is at its limit, and maintains the running sufficient
-// statistics. Below the limit a full backing array is doubled (to at
-// least 2·minTailPeaks, at most the limit), so a ring reaches its limit
-// in O(log limit) allocations and then pushes allocation free.
-func (s *SPOT) pushExcess(e float64) {
-	if n, limit := len(s.excesses), s.ringLimit(); n < limit {
-		if n == cap(s.excesses) {
-			grown := make([]float64, n, min(max(2*n, 2*minTailPeaks), limit))
-			copy(grown, s.excesses)
-			s.excesses = grown
-		}
-		s.excesses = append(s.excesses, e)
-	} else {
-		old := s.excesses[s.evict]
-		s.sum -= old
-		s.sumsq -= old * old
-		s.excesses[s.evict] = e
-		s.evict++
-		if s.evict == len(s.excesses) {
-			s.evict = 0
-		}
-	}
-	s.sum += e
-	s.sumsq += e * e
-	s.peaks++
-}
-
-func (s *SPOT) tailMean() float64 {
-	if len(s.excesses) == 0 {
-		return 0
-	}
-	return s.sum / float64(len(s.excesses))
-}
-
-// shouldRefit decides whether this exceedance pays for a full fit: always
-// in exact mode (or before a first fit exists), every Policy.Every
-// exceedances, or early when the tail mean drifted past the tolerance.
-func (s *SPOT) shouldRefit() bool {
-	if s.Policy.Every <= 1 || !s.fitted {
-		return true
-	}
-	if s.sinceRefit >= s.Policy.Every {
-		return true
-	}
-	if tol := s.Policy.DriftTolerance; tol > 0 && s.refitMean > 0 {
-		if d := s.tailMean() - s.refitMean; d > tol*s.refitMean || -d > tol*s.refitMean {
-			return true
-		}
-	}
-	return false
-}
-
-// refit re-estimates (γ, σ) over the ring — warm-started Newton in
-// amortized mode, the full Grimshaw grid scan in exact mode or when the
-// warm start diverges — and rebases the threshold and drift reference.
-func (s *SPOT) refit() {
-	start := time.Now()
-	if s.Policy.Every > 1 && s.fitted {
-		if g, ok := fitGPDWarm(s.excesses, s.model, s.sum, s.sumsq); ok {
-			s.model = g
-			s.warmRefits++
-		} else {
-			s.model = FitGPD(s.excesses)
-			s.gridRefits++
-		}
-	} else {
-		s.model = FitGPD(s.excesses)
-		s.gridRefits++
-	}
-	s.refits++
-	s.fitted = true
-	s.z = s.model.Quantile(s.t, s.Q, s.n, s.peaks)
-	s.sinceRefit = 0
-	s.refitMean = s.tailMean()
-	s.refitNanos += uint64(time.Since(start))
-}
-
-// Step consumes one score and reports whether it is an anomaly.
-// Non-anomalous peaks update the tail model, following the SPOT update
-// rule under the refit policy: the benign path is a counter increment,
-// an exceedance is an O(1) ring push plus quantile update, and only every
-// Policy.Every-th exceedance (or a drift trigger) pays for a fit.
-// Stepping before Fit returns ErrNotReady, a non-finite x ErrNonFinite.
-func (s *SPOT) Step(x float64) (bool, error) {
-	if !s.ready {
-		return false, ErrNotReady
-	}
-	if !finite(x) {
-		return false, ErrNonFinite
-	}
-	// Alarm-boundary guard: a near-threshold score under a stale model is
-	// the one decision amortization could flip, so it pays for a fresh fit
-	// up front. sinceRefit > 0 gates repeats — after the refit, no further
-	// boundary fit until a new excess actually lands in the ring.
-	if b := s.Policy.Boundary; b > 0 && s.Policy.Every > 1 && s.fitted &&
-		s.sinceRefit > 0 && len(s.excesses) >= minTailPeaks {
-		if m := s.z - s.t; m > 0 {
-			if d := x - s.z; d < b*m && -d < b*m {
-				s.refit()
-			}
-		}
-	}
-	switch {
-	case x > s.z:
-		return true, nil
-	case x > s.t:
-		s.pushExcess(x - s.t)
-		s.n++
-		s.sinceRefit++
-		if len(s.excesses) >= minTailPeaks {
-			if s.shouldRefit() {
-				s.refit()
-			} else {
-				// O(1) between refits: stale (γ, σ), live tail fraction.
-				s.z = s.model.Quantile(s.t, s.Q, s.n, s.peaks)
-			}
-		}
-		return false, nil
-	default:
-		s.n++
-		return false, nil
-	}
-}
-
-// SPOTState is the serializable runtime state of a SPOT detector, used by
-// streaming-backend snapshots to checkpoint adaptive thresholds. Floats
+// SPOTState is the serializable runtime state of one star's SPOT tail
+// model, used by streaming-backend snapshots to checkpoint adaptive thresholds. Floats
 // survive a JSON round-trip bit-exactly (encoding/json emits the shortest
 // representation that parses back to the same float64).
 //
 // The ring bookkeeping fields (Evict, Peaks, Sum, SumSq, ...) were added
 // with the amortized-refit rework; snapshots taken before it lack them and
-// are detected by Peaks < len(Excesses), in which case SetState derives
+// are detected by Peaks < len(Excesses), in which case Bank.SetState derives
 // them from the excess slice (legacy snapshots predate any eviction, so
 // the derivation is exact).
 type SPOTState struct {
@@ -381,62 +154,4 @@ type SPOTState struct {
 	Fitted     bool    `json:"fitted,omitempty"`
 	SinceRefit int     `json:"since_refit,omitempty"`
 	RefitMean  float64 `json:"refit_mean,omitempty"`
-}
-
-// State captures the detector's current runtime state. The refit counters
-// are observability, not state, and are deliberately not snapshotted.
-func (s *SPOT) State() SPOTState {
-	return SPOTState{
-		Level: s.Level, Q: s.Q, T: s.t, Z: s.z, Model: s.model,
-		Excesses: append([]float64(nil), s.excesses...), N: s.n, Ready: s.ready,
-		Evict: s.evict, Peaks: s.peaks, Sum: s.sum, SumSq: s.sumsq,
-		Fitted: s.fitted, SinceRefit: s.sinceRefit, RefitMean: s.refitMean,
-	}
-}
-
-// SetState replaces the detector's runtime state with a snapshot taken by
-// State. The ring is allocated at the snapshot's retained length and grows
-// from there to its limit, the policy's capacity (or that length, when it
-// is larger, so no retained excess is dropped when restoring under a
-// smaller policy). A wrapped ring restored below its limit — a snapshot
-// taken under a smaller MaxExcesses — is laid out oldest first with the
-// eviction cursor at 0, so the ring refills and then evicts in age order.
-func (s *SPOT) SetState(st SPOTState) {
-	s.Level, s.Q = st.Level, st.Q
-	s.t, s.z, s.model = st.T, st.Z, st.Model
-	s.n = st.N
-	s.ready = st.Ready
-	s.excesses = make([]float64, 0, len(st.Excesses))
-	if st.Peaks < len(st.Excesses) {
-		// Legacy snapshot: no eviction can have happened, so the running
-		// statistics are exactly the slice's.
-		s.excesses = append(s.excesses, st.Excesses...)
-		s.evict = 0
-		s.peaks = len(st.Excesses)
-		s.sum, s.sumsq = 0, 0
-		for _, e := range s.excesses {
-			s.sum += e
-			s.sumsq += e * e
-		}
-		s.fitted = st.Model.Sigma > 0
-		s.sinceRefit = 0
-		s.refitMean = s.tailMean()
-		return
-	}
-	s.evict = st.Evict
-	if s.evict < 0 || s.evict >= max(len(st.Excesses), 1) {
-		s.evict = 0
-	}
-	// The oldest retained excess sits at the cursor. Below its limit the
-	// ring appends before it evicts again, so it is rotated to start there.
-	oldest := 0
-	if s.evict != 0 && len(st.Excesses) < s.Policy.capacity() {
-		oldest, s.evict = s.evict, 0
-	}
-	s.excesses = append(append(s.excesses, st.Excesses[oldest:]...), st.Excesses[:oldest]...)
-	s.peaks = st.Peaks
-	s.sum, s.sumsq = st.Sum, st.SumSq
-	s.fitted = st.Fitted
-	s.sinceRefit = st.SinceRefit
-	s.refitMean = st.RefitMean
 }

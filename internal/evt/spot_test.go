@@ -8,6 +8,27 @@ import (
 	"testing"
 )
 
+// spot drives star 0 of a one-star bank through the SPOT rule alone, on
+// raw scores with no drift window: the tail model as Siffer et al. state
+// it. The tests reach the bank's config and the star's fields through it.
+type spot struct {
+	*Bank
+	*tail
+}
+
+// newSPOT returns an unfitted SPOT under the exact refit policy; assign
+// policy before Fit to amortize refits.
+func newSPOT(level, q float64) spot {
+	b := NewBank(1, level, q, 1, ExactRefitPolicy())
+	return spot{&b, &b.stars[0]}
+}
+
+func (s spot) Fit(init []float64) error     { return s.fitTail(s.tail, init) }
+func (s spot) Step(x float64) (bool, error) { return s.stepTail(s.tail, x) }
+func (s spot) Threshold() float64           { return s.z }
+func (s spot) State() SPOTState             { return s.tailState(s.tail) }
+func (s spot) SetState(st SPOTState) error  { return s.setTailState(s.tail, st) }
+
 // spotCalib is the shared calibration batch for the SPOT policy tests:
 // heavy-ish one-sided noise, the shape of an anomaly-score stream.
 func spotCalib(seed int64, n int) []float64 {
@@ -32,8 +53,8 @@ func TestSPOTStateBounded(t *testing.T) {
 		{"amortized", DefaultRefitPolicy()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s := NewSPOT(0.99, 1e-3)
-			s.Policy = tc.policy
+			s := newSPOT(0.99, 1e-3)
+			s.policy = tc.policy
 			if err := s.Fit(spotCalib(11, 3000)); err != nil {
 				t.Fatal(err)
 			}
@@ -47,8 +68,8 @@ func TestSPOTStateBounded(t *testing.T) {
 				}
 				s.Step(x)
 			}
-			if s.ringLimit() != tc.policy.capacity() {
-				t.Fatalf("ring limit drifted: %d, want %d", s.ringLimit(), tc.policy.capacity())
+			if s.ringLimit(s.tail) != tc.policy.capacity() {
+				t.Fatalf("ring limit drifted: %d, want %d", s.ringLimit(s.tail), tc.policy.capacity())
 			}
 			st := s.State()
 			if len(st.Excesses) > tc.policy.capacity() {
@@ -75,15 +96,15 @@ func TestSPOTStateBounded(t *testing.T) {
 // incrementally-maintained sufficient statistics verbatim (recomputing the
 // sums from the slice is NOT bit-identical to the +=/-= history).
 func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
-	mk := func() *SPOT {
-		s := NewSPOT(0.99, 1e-3)
-		s.Policy = RefitPolicy{Every: 16, DriftTolerance: 0.2, MaxExcesses: 64}
+	mk := func() spot {
+		s := newSPOT(0.99, 1e-3)
+		s.policy = RefitPolicy{Every: 16, DriftTolerance: 0.2, MaxExcesses: 64}
 		if err := s.Fit(spotCalib(21, 2000)); err != nil {
 			t.Fatal(err)
 		}
 		return s
 	}
-	feed := func(s *SPOT, seed int64, n int) []bool {
+	feed := func(s spot, seed int64, n int) []bool {
 		rng := rand.New(rand.NewSource(seed))
 		out := make([]bool, n)
 		for i := range out {
@@ -109,9 +130,11 @@ func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 	if err := json.Unmarshal(blob, &st); err != nil {
 		t.Fatal(err)
 	}
-	resumed := NewSPOT(0.99, 1e-3)
-	resumed.Policy = cut.Policy
-	resumed.SetState(st)
+	resumed := newSPOT(0.99, 1e-3)
+	resumed.policy = cut.policy
+	if err := resumed.SetState(st); err != nil {
+		t.Fatal(err)
+	}
 	if resumed.peaks <= 64 {
 		t.Fatalf("ring never wrapped (peaks %d); eviction round-trip untested", resumed.peaks)
 	}
@@ -134,9 +157,11 @@ func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 		}
 		if i < 2000 {
 			if i == 1999 {
-				resumed = NewSPOT(0.99, 1e-3)
-				resumed.Policy = cut.Policy
-				resumed.SetState(st)
+				resumed = newSPOT(0.99, 1e-3)
+				resumed.policy = cut.policy
+				if err := resumed.SetState(st); err != nil {
+					t.Fatal(err)
+				}
 			}
 			continue
 		}
@@ -153,16 +178,18 @@ func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 // the bookkeeping fields; SetState must detect them (Peaks < len(Excesses))
 // and derive exact equivalents, so old engine checkpoints keep restoring.
 func TestSPOTLegacySnapshotCompat(t *testing.T) {
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	if err := s.Fit(spotCalib(41, 2000)); err != nil {
 		t.Fatal(err)
 	}
 	legacy := SPOTState{
-		Level: s.Level, Q: s.Q, T: s.t, Z: s.z, Model: s.model,
+		Level: s.level, Q: s.q, T: s.t, Z: s.z, Model: s.model,
 		Excesses: append([]float64(nil), s.excesses...), N: s.n, Ready: true,
 	}
-	r := NewSPOT(0.99, 1e-3)
-	r.SetState(legacy)
+	r := newSPOT(0.99, 1e-3)
+	if err := r.SetState(legacy); err != nil {
+		t.Fatal(err)
+	}
 	if r.peaks != len(legacy.Excesses) {
 		t.Fatalf("derived peaks %d, want %d", r.peaks, len(legacy.Excesses))
 	}
@@ -188,10 +215,10 @@ func TestSPOTLegacySnapshotCompat(t *testing.T) {
 // and converge to it at each refit boundary.
 func TestSPOTAmortizedTracksExact(t *testing.T) {
 	for _, seed := range []int64{51, 52, 53} {
-		exact := NewSPOT(0.99, 1e-3)
-		exact.Policy = ExactRefitPolicy()
-		amort := NewSPOT(0.99, 1e-3)
-		amort.Policy = DefaultRefitPolicy()
+		exact := newSPOT(0.99, 1e-3)
+		exact.policy = ExactRefitPolicy()
+		amort := newSPOT(0.99, 1e-3)
+		amort.policy = DefaultRefitPolicy()
 		calib := spotCalib(seed, 3000)
 		if err := exact.Fit(calib); err != nil {
 			t.Fatal(err)
@@ -233,7 +260,7 @@ func TestSPOTAmortizedTracksExact(t *testing.T) {
 // byte-for-byte the same fits as the textbook update (a full FitGPD over
 // all retained excesses per exceedance), pre-overflow.
 func TestSPOTExactPolicyBitIdentical(t *testing.T) {
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	if err := s.Fit(spotCalib(61, 2000)); err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +269,7 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 	tRef, zRef, n, model := s.t, s.z, s.n, s.model
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 3000; i++ {
-		if len(excesses) >= s.Policy.capacity() {
+		if len(excesses) >= s.policy.capacity() {
 			break // identity is only promised pre-overflow
 		}
 		x := math.Abs(rng.NormFloat64())
@@ -281,9 +308,9 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 // at its cap, are both zero-alloc (the quantile update is arithmetic).
 // TestSPOTRingGrowthAllocs covers the ring's way to its cap.
 func TestSPOTStepBenignAllocs(t *testing.T) {
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	// Refits disabled after Fit: isolates the between-refits path.
-	s.Policy = RefitPolicy{Every: 1 << 30}
+	s.policy = RefitPolicy{Every: 1 << 30}
 	if err := s.Fit(spotCalib(71, 3000)); err != nil {
 		t.Fatal(err)
 	}
@@ -295,11 +322,11 @@ func TestSPOTStepBenignAllocs(t *testing.T) {
 		i++
 		s.Step(s.t + 0.001 + 0.0001*float64(i%7))
 	}
-	for len(s.excesses) < s.Policy.capacity() {
+	for len(s.excesses) < s.policy.capacity() {
 		exceed()
 	}
-	if cap(s.excesses) != s.Policy.capacity() {
-		t.Fatalf("ring at its cap has backing array %d, want %d", cap(s.excesses), s.Policy.capacity())
+	if cap(s.excesses) != s.policy.capacity() {
+		t.Fatalf("ring at its cap has backing array %d, want %d", cap(s.excesses), s.policy.capacity())
 	}
 	if allocs := testing.AllocsPerRun(1000, exceed); allocs != 0 {
 		t.Fatalf("exceedance Step on a full ring allocates %.1f objects, want 0", allocs)
@@ -317,7 +344,7 @@ func TestSPOTStepBenignAllocs(t *testing.T) {
 // GOMAXPROCS 1, and it is replayed three times keeping the least count.
 func TestSPOTRingGrowthAllocs(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fitted := NewSPOT(0.99, 1e-3)
+	fitted := newSPOT(0.99, 1e-3)
 	if err := fitted.Fit(spotCalib(72, 2000)); err != nil {
 		t.Fatal(err)
 	}
@@ -333,10 +360,12 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 	caps := make([]int, steps)
 	least := uint64(math.MaxUint64)
 	for range 3 {
-		s := NewSPOT(0.99, 1e-3)
+		s := newSPOT(0.99, 1e-3)
 		// Refits disabled: every allocation left to count is the ring's.
-		s.Policy = RefitPolicy{Every: 1 << 30}
-		s.SetState(st)
+		s.policy = RefitPolicy{Every: 1 << 30}
+		if err := s.SetState(st); err != nil {
+			t.Fatal(err)
+		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i, x := range xs {
@@ -367,16 +396,16 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 // hold exactly the newest 64 excesses, oldest first from the cursor: a
 // stale eviction cursor would evict newer excesses before older ones.
 func TestSPOTRestoreLargerCapEvictsInAgeOrder(t *testing.T) {
-	s := NewSPOT(0.99, 1e-3)
+	s := newSPOT(0.99, 1e-3)
 	// Count and drift refits off: the threshold only rises with the tail
 	// fraction, so every step below stays in the tail.
-	s.Policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 32}
+	s.policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 32}
 	if err := s.Fit(spotCalib(91, 2000)); err != nil {
 		t.Fatal(err)
 	}
 	seen := append([]float64(nil), s.excesses...)
 	step := 1e-4 * (s.z - s.t)
-	feed := func(s *SPOT, n int) {
+	feed := func(s spot, n int) {
 		for range n {
 			x := s.t + step*float64(len(seen)+1)
 			if fired, err := s.Step(x); err != nil || fired {
@@ -390,9 +419,11 @@ func TestSPOTRestoreLargerCapEvictsInAgeOrder(t *testing.T) {
 	if st.Evict == 0 || len(st.Excesses) != 32 {
 		t.Fatalf("ring of %d excesses with cursor %d has not wrapped; the restore is untested", len(st.Excesses), st.Evict)
 	}
-	r := NewSPOT(0.99, 1e-3)
-	r.Policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 64}
-	r.SetState(st)
+	r := newSPOT(0.99, 1e-3)
+	r.policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 64}
+	if err := r.SetState(st); err != nil {
+		t.Fatal(err)
+	}
 	feed(r, 80)
 	got := append(append([]float64(nil), r.excesses[r.evict:]...), r.excesses[:r.evict]...)
 	want := seen[len(seen)-64:]
@@ -412,10 +443,10 @@ func TestSPOTRestoreLargerCapEvictsInAgeOrder(t *testing.T) {
 // exact mode that pays a full Grimshaw grid fit per exceedance — the
 // pre-rework price of every in-tail step.
 func BenchmarkSPOTStep(b *testing.B) {
-	setup := func(b *testing.B, p RefitPolicy) *SPOT {
+	setup := func(b *testing.B, p RefitPolicy) spot {
 		b.Helper()
-		s := NewSPOT(0.99, 1e-3)
-		s.Policy = p
+		s := newSPOT(0.99, 1e-3)
+		s.policy = p
 		if err := s.Fit(spotCalib(81, 3000)); err != nil {
 			b.Fatal(err)
 		}
