@@ -74,9 +74,12 @@ func (m *Model) newScratch(caps int) *scratch {
 	for i := 0; i < caps; i++ {
 		sc.caps = append(sc.caps, tm.newTemporalCapture(w, omega))
 	}
+	sinL, cosL := tensor.New(w, dm), tensor.New(w, dm)
+	suffix := (w - omega) * dm
 	sc.te = timeEmbedCache{
-		sinL: tensor.New(w, dm), cosL: tensor.New(w, dm),
-		sinS: tensor.New(omega, dm), cosS: tensor.New(omega, dm),
+		sinL: sinL, cosL: cosL,
+		sinS: tensor.FromSlice(omega, dm, sinL.Data[suffix:]),
+		cosS: tensor.FromSlice(omega, dm, cosL.Data[suffix:]),
 	}
 	sc.qRow = make([]float64, dm)
 	sc.ctxRow = make([]float64, dm)
@@ -112,9 +115,9 @@ func (m *Model) stage1Errors(p *prepared, end int, wt windowTimes, sc *scratch) 
 		}
 		return sc.e
 	}
-	te := m.temporal.te
-	te.sinCos(sc.te.sinL, sc.te.cosL, wt.posL, wt.dtL)
-	te.sinCos(sc.te.sinS, sc.te.cosS, wt.posS, wt.dtS)
+	// The short window's embedding is the long window's suffix (times()
+	// copies posS/dtS from posL/dtL), so sinS/cosS fill with it.
+	m.temporal.te.sinCos(sc.te.sinL, sc.te.cosL, wt.posL, wt.dtL)
 	sc.headL, sc.headS = 0, 0
 	if m.cfg.multivariateInput() {
 		m.longShort(p, 0, end, sc.long, sc.short)
@@ -138,15 +141,12 @@ func (m *Model) stage1Errors(p *prepared, end int, wt windowTimes, sc *scratch) 
 // commute.
 func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
 	long, short := sc.long, sc.short
-	w, omega := c.encP.Rows, c.decP.Rows
+	w, omega := long.Rows, short.Rows
 
-	// Encoder: input projection ring, then IE = encProj(x) + TE.
-	for r := 0; r < w; r++ {
-		tm.encProj.ApplyRow(c.encP.Row(r), long.Row(r))
-	}
+	// Encoder: IE = encProj(x) + TE, then the layer stack.
 	in, out := sc.fullA, sc.fullB
 	for r := 0; r < w; r++ {
-		sc.encoderInput(in.Row(r), c, r)
+		sc.encoderInput(tm, in.Row(r), long.Row(r), r)
 	}
 	for li, layer := range tm.enc {
 		kc, vc := c.enc[li].k, c.enc[li].v
@@ -165,22 +165,20 @@ func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
 		tm.decCross.Wv.ApplyRow(c.oeV.Row(r), in.Row(r))
 	}
 
-	// Decoder rings: input projection, then self-attention K/V from
-	// ID = decProj(x) + TE.
+	// Decoder: ID = decProj(x) + TE once per row, into the ping-pong buffer
+	// the encoder is done with, then the self-attention K/V rings from it.
+	id := out
 	for r := 0; r < omega; r++ {
-		tm.decProj.ApplyRow(c.decP.Row(r), short.Row(r))
-	}
-	for r := 0; r < omega; r++ {
-		id := sc.decoderInput(c, r)
-		tm.decSelf.Wk.ApplyRow(c.selfK.Row(r), id)
-		tm.decSelf.Wv.ApplyRow(c.selfV.Row(r), id)
+		sc.decoderInput(tm, id.Row(r), short.Row(r), r)
+		tm.decSelf.Wk.ApplyRow(c.selfK.Row(r), id.Row(r))
+		tm.decSelf.Wv.ApplyRow(c.selfV.Row(r), id.Row(r))
 	}
 
 	// Decoder forward, every short-window row, straight into the stage-1
 	// errors. The targets y are the short-window inputs themselves, so
 	// e = short − ŷ1 cell for cell.
 	for r := 0; r < omega; r++ {
-		sc.decodeRow(tm, c, sc.decoderInput(c, r), r, omega == w)
+		sc.decodeRow(tm, c, id.Row(r), r, omega == w)
 		if v >= 0 {
 			sc.e.Row(v)[r] = short.Row(r)[0] - sc.yRow[0]
 		} else {
@@ -192,24 +190,24 @@ func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
 	}
 }
 
-// encoderInput assembles IE = encProj(x) + TE for logical long-window row r
-// of capture c into dst.
-func (sc *scratch) encoderInput(dst []float64, c *temporalCapture, r int) {
-	ep, sr, cr := ringRow(c.encP, sc.headL, r), sc.te.sinL.Row(r), sc.te.cosL.Row(r)
+// encoderInput writes IE = encProj(x) + TE for input row x at logical
+// long-window row r into dst.
+func (sc *scratch) encoderInput(tm *temporalModule, dst, x []float64, r int) {
+	tm.encProj.ApplyRow(dst, x)
+	sr, cr := sc.te.sinL.Row(r), sc.te.cosL.Row(r)
 	for j := range dst {
-		dst[j] = ep[j] + (sr[j] + cr[j])
+		dst[j] += sr[j] + cr[j]
 	}
 }
 
-// decoderInput assembles ID = decProj(x) + TE for logical short-window row
-// r of capture c into sc.rowA and returns it.
-func (sc *scratch) decoderInput(c *temporalCapture, r int) []float64 {
-	id := sc.rowA
-	dp, sr, cr := ringRow(c.decP, sc.headS, r), sc.te.sinS.Row(r), sc.te.cosS.Row(r)
-	for j := range id {
-		id[j] = dp[j] + (sr[j] + cr[j])
+// decoderInput writes ID = decProj(x) + TE for input row x at logical
+// short-window row r into dst.
+func (sc *scratch) decoderInput(tm *temporalModule, dst, x []float64, r int) {
+	tm.decProj.ApplyRow(dst, x)
+	sr, cr := sc.te.sinS.Row(r), sc.te.cosS.Row(r)
+	for j := range dst {
+		dst[j] += sr[j] + cr[j]
 	}
-	return id
 }
 
 // encodeRow pushes input row x (window position r) through one encoder

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -26,9 +27,18 @@ func sameBits(t *testing.T, name string, rows, tape *tensor.Dense) {
 // tapeWindow is one window's two-stage forward computed on tapes: what the
 // row forward must reproduce.
 type tapeWindow struct {
+	tm       *temporalModule
 	e, final *tensor.Dense
 	te       timeEmbedCache
-	caps     []*temporalCapture // one per stage-1 pass
+	caps     []tapeCapture // one per stage-1 pass
+}
+
+// tapeCapture is one stage-1 pass on tapes: the rings the row forward keeps,
+// plus the pass's inputs and input embeddings, which it recomputes instead.
+type tapeCapture struct {
+	*temporalCapture
+	long, short *tensor.Dense // the inputs x
+	ie, id      *tensor.Dense // IE = encProj(x) + TE and ID = decProj(x) + TE
 }
 
 // tapeSinCos is the two halves of TimeEmbedding.Forward, whose sum is
@@ -46,20 +56,17 @@ func tapeSinCos(t *testing.T, te *TimeEmbedding, pos, dt []float64) (sin, cos *t
 
 // tapeStage1 runs one stage-1 pass through temporalModule.forward — the code
 // training runs — and returns its prediction (ω×inDim) plus the activations
-// the row forward keeps. forward hands out no intermediate nodes, so the
+// the row forward keeps or recomputes. forward hands out no intermediate nodes, so the
 // rings come from a second tape that composes the same layers piecewise and
 // projects each K/V itself; that tape's prediction must equal forward's.
-func tapeStage1(t *testing.T, tm *temporalModule, long, short *tensor.Dense, wt windowTimes) (*tensor.Dense, *temporalCapture) {
+func tapeStage1(t *testing.T, tm *temporalModule, long, short *tensor.Dense, wt windowTimes) (*tensor.Dense, tapeCapture) {
 	t.Helper()
 	pred := tm.forward(ag.NewTape(), long, short, wt).Value
 
 	tp := ag.NewTape()
 	c := &temporalCapture{}
-	encP := tm.encProj.Forward(tp, tp.Const(long))
-	ie := tp.Add(encP, tm.te.Forward(tp, wt.posL, wt.dtL))
-	decP := tm.decProj.Forward(tp, tp.Const(short))
-	id := tp.Add(decP, tm.te.Forward(tp, wt.posS, wt.dtS))
-	c.encP, c.decP = encP.Value, decP.Value
+	ie := tp.Add(tm.encProj.Forward(tp, tp.Const(long)), tm.te.Forward(tp, wt.posL, wt.dtL))
+	id := tp.Add(tm.decProj.Forward(tp, tp.Const(short)), tm.te.Forward(tp, wt.posS, wt.dtS))
 	oe := ie
 	for _, layer := range tm.enc {
 		c.enc = append(c.enc, capLayer{
@@ -73,7 +80,7 @@ func tapeStage1(t *testing.T, tm *temporalModule, long, short *tensor.Dense, wt 
 	md := tm.decLN1.Forward(tp, tp.Add(id, tm.decSelf.Forward(tp, id, id, id)))
 	od := tm.decLN2.Forward(tp, tp.Add(md, tm.decCross.Forward(tp, md, oe, oe)))
 	sameBits(t, "piecewise tape against temporalModule.forward", tp.Sigmoid(tm.outFFN.Forward(tp, od)).Value, pred)
-	return pred, c
+	return pred, tapeCapture{temporalCapture: c, long: long, short: short, ie: ie.Value, id: id.Value}
 }
 
 // tapeForward computes the window ending at end on tapes. dyn, when non-nil,
@@ -81,7 +88,7 @@ func tapeStage1(t *testing.T, tm *temporalModule, long, short *tensor.Dense, wt 
 func tapeForward(t *testing.T, m *Model, p *prepared, end int, wt windowTimes, dyn *dynamicGraphState) tapeWindow {
 	t.Helper()
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
-	ref := tapeWindow{e: tensor.New(m.n, omega), final: tensor.New(m.n, omega)}
+	ref := tapeWindow{tm: m.temporal, e: tensor.New(m.n, omega), final: tensor.New(m.n, omega)}
 	switch {
 	case !m.cfg.usesTemporal():
 		for v := 0; v < m.n; v++ {
@@ -129,9 +136,10 @@ func tapeForward(t *testing.T, m *Model, p *prepared, end int, wt windowTimes, d
 }
 
 // matches compares everything a row forward left in sc with the tape
-// window: stage-1 errors, final scores, the TE cache and every ring (at head
-// 0, where logical and physical rows coincide). A one-capture scratch holds
-// the last stage-1 pass's rings.
+// window: stage-1 errors, final scores, the TE cache, every ring (at head 0,
+// where logical and physical rows coincide) and, recomputed from each pass's
+// inputs, every input-embedding row. A one-capture scratch holds the last
+// stage-1 pass's rings.
 func (ref tapeWindow) matches(t *testing.T, sc *scratch) {
 	t.Helper()
 	sameBits(t, "e", sc.e, ref.e)
@@ -151,8 +159,6 @@ func (ref tapeWindow) matches(t *testing.T, sc *scratch) {
 		if len(sc.caps) == 1 {
 			tc = ref.caps[len(ref.caps)-1]
 		}
-		sameBits(t, "encP", rc.encP, tc.encP)
-		sameBits(t, "decP", rc.decP, tc.decP)
 		sameBits(t, "oeK", rc.oeK, tc.oeK)
 		sameBits(t, "oeV", rc.oeV, tc.oeV)
 		sameBits(t, "selfK", rc.selfK, tc.selfK)
@@ -160,6 +166,18 @@ func (ref tapeWindow) matches(t *testing.T, sc *scratch) {
 		for li := range rc.enc {
 			sameBits(t, "enc.k", rc.enc[li].k, tc.enc[li].k)
 			sameBits(t, "enc.v", rc.enc[li].v, tc.enc[li].v)
+		}
+	}
+	dm := ref.tm.te.dm
+	row := make([]float64, dm)
+	for i, tc := range ref.caps {
+		for r := 0; r < tc.long.Rows; r++ {
+			sc.encoderInput(ref.tm, row, tc.long.Row(r), r)
+			sameBits(t, fmt.Sprintf("pass %d ie row %d", i, r), tensor.FromSlice(1, dm, row), tensor.FromSlice(1, dm, tc.ie.Row(r)))
+		}
+		for r := 0; r < tc.short.Rows; r++ {
+			sc.decoderInput(ref.tm, row, tc.short.Row(r), r)
+			sameBits(t, fmt.Sprintf("pass %d id row %d", i, r), tensor.FromSlice(1, dm, row), tensor.FromSlice(1, dm, tc.id.Row(r)))
 		}
 	}
 }

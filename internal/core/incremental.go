@@ -114,7 +114,7 @@ type incrementalState struct {
 	sinA, cosA []float64
 	phaseLast  []float64
 
-	xRow            []float64     // entering frame, model input width
+	xs              *tensor.Dense // last max(Cone, ShortCone) input rows of the window
 	coneIn, coneOut *tensor.Dense // cone×d_m ping-pong buffers
 	dynBackup       *tensor.Dense // dyn.a snapshot for guard rollback
 
@@ -161,7 +161,7 @@ func newIncrementalState(m *Model, pol IncrementalPolicy) *incrementalState {
 			inc.cosA[j] = math.Cos(alpha[j])
 			inc.phaseLast[j] = f * float64(w-1)
 		}
-		inc.xRow = make([]float64, tm.inDim)
+		inc.xs = tensor.New(max(inc.pol.Cone, inc.pol.ShortCone), tm.inDim)
 		inc.coneIn = tensor.New(inc.pol.Cone, dm)
 		inc.coneOut = tensor.New(inc.pol.Cone, dm)
 	}
@@ -271,9 +271,7 @@ func (inc *incrementalState) push(s *StreamDetector) {
 			sc.headS = 0
 		}
 		if m.cfg.multivariateInput() {
-			for v := 0; v < n; v++ {
-				inc.xRow[v] = s.data[v][slot]
-			}
+			inc.loadInputs(s, -1)
 			inc.pushTemporal(m, sc.caps[0])
 			for v := 0; v < n; v++ {
 				erow := sc.e.Row(v)
@@ -282,7 +280,7 @@ func (inc *incrementalState) push(s *StreamDetector) {
 			}
 		} else {
 			for v := 0; v < n; v++ {
-				inc.xRow[0] = s.data[v][slot]
+				inc.loadInputs(s, v)
 				inc.pushTemporal(m, sc.caps[v])
 				erow := sc.e.Row(v)
 				copy(erow, erow[1:])
@@ -307,12 +305,14 @@ func (inc *incrementalState) push(s *StreamDetector) {
 // interval pin and the entering row are recomputed directly. Only the
 // cones' rows are maintained — the benign path reads no other row, each
 // cone row rotates out of the cone row after it, and a refresh rewrites
-// every row — so rows before a cone go stale until the next refresh.
+// every row — so rows before the cones go stale until the next refresh.
+// The short window's rows are the long window's last ω, so one rotation
+// from the earlier cone start serves both.
 func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
 	c := &inc.sc.te
 	dm := m.temporal.te.dm
-	w, omega := c.sinL.Rows, c.sinS.Rows
-	lo, loS := w-inc.pol.Cone, omega-inc.pol.ShortCone
+	w := c.sinL.Rows
+	lo := w - max(inc.pol.Cone, inc.pol.ShortCone)
 	rotateRows(c.sinL, c.cosL, lo, inc.sinF, inc.cosF)
 	if lo == 0 {
 		// times() pins dtL[0] to 1 regardless of the sample's real interval.
@@ -326,18 +326,6 @@ func (inc *incrementalState) rotateTE(m *Model, dtNew float64) {
 		sl[j] = math.Sin(th)
 		cl[j] = math.Cos(th)
 	}
-	rotateRows(c.sinS, c.cosS, loS, inc.sinF, inc.cosF)
-	if omega == w && loS == 0 {
-		// Only when the short window spans the long one does its row 0
-		// inherit the interval pin; otherwise row 0 sits mid-window and
-		// the rotation above already placed it exactly.
-		copy(c.sinS.Row(0), inc.sinA)
-		copy(c.cosS.Row(0), inc.cosA)
-	}
-	// The short window is the long window's suffix: its last row shares
-	// the long last row's position and interval.
-	copy(c.sinS.Row(omega-1), sl)
-	copy(c.cosS.Row(omega-1), cl)
 }
 
 // rotateRows shifts rows start… of a (sin, cos) pair up one row while
@@ -356,28 +344,45 @@ func rotateRows(sin, cos *tensor.Dense, start int, sinF, cosF []float64) {
 	}
 }
 
+// loadInputs copies the inputs of the window's last inc.xs.Rows frames
+// into inc.xs, oldest first: variate v's magnitudes, or every variate's
+// (one row per frame) when v is −1.
+func (inc *incrementalState) loadInputs(s *StreamDetector, v int) {
+	w, k := s.m.cfg.LongWindow, inc.xs.Rows
+	for i := 0; i < k; i++ {
+		slot := (s.count - k + i) % w
+		if v >= 0 {
+			inc.xs.Data[i] = s.data[v][slot]
+			continue
+		}
+		row := inc.xs.Row(i)
+		for vv := range row {
+			row[vv] = s.data[vv][slot]
+		}
+	}
+}
+
 // pushTemporal advances one stage-1 forward by a frame, the ring heads
-// already moved: re-project the entering row, recompute the trailing cone
-// through the encoder stack, and run the decoder for the newest timestep
-// only. c carries the variate's rings. The entering input row is in inc.xRow
-// and the reconstructed newest row lands in sc.yRow.
+// already moved: recompute the trailing cone through the encoder stack from
+// its input rows, and run the decoder for the newest timestep only. c
+// carries the variate's rings, inc.xs the window's last input rows, and the
+// reconstructed newest row lands in sc.yRow.
 func (inc *incrementalState) pushTemporal(m *Model, c *temporalCapture) {
 	tm := m.temporal
 	sc := inc.sc
-	w, omega := c.encP.Rows, c.decP.Rows
+	w, omega := c.oeK.Rows, c.selfK.Rows
 	hl, hs := sc.headL, sc.headS
 	cone, shortCone := inc.pol.Cone, inc.pol.ShortCone
+	// Logical long-window row r's input is inc.xs row r−(W−K).
+	xs, xOff := inc.xs, w-inc.xs.Rows
 
-	// Encoder input projection of the entering row.
-	tm.encProj.ApplyRow(ringRow(c.encP, hl, w-1), inc.xRow)
-
-	// Rebuild the trailing cone's input rows IE = encProj(x) + TE from the
-	// caches, then push them through every encoder layer, refreshing each
-	// layer's K/V ring along the way.
+	// Build the trailing cone's input rows IE = encProj(x) + TE, then push
+	// them through every encoder layer, refreshing each layer's K/V ring
+	// along the way.
 	coneStart := w - cone
 	in, out := inc.coneIn, inc.coneOut
 	for i := 0; i < cone; i++ {
-		sc.encoderInput(in.Row(i), c, coneStart+i)
+		sc.encoderInput(tm, in.Row(i), xs.Row(coneStart+i-xOff), coneStart+i)
 	}
 	for li, layer := range tm.enc {
 		kc, vc := c.enc[li].k, c.enc[li].v
@@ -399,11 +404,11 @@ func (inc *incrementalState) pushTemporal(m *Model, c *temporalCapture) {
 		tm.decCross.Wv.ApplyRow(ringRow(c.oeV, hl, r), in.Row(i))
 	}
 
-	// Decoder rings: input projection and self-attention K/V.
-	tm.decProj.ApplyRow(ringRow(c.decP, hs, omega-1), inc.xRow)
-	var id []float64
+	// Decoder self-attention K/V rings from ID = decProj(x) + TE; short row
+	// r is long row W−ω+r.
+	id := sc.rowA
 	for r := omega - shortCone; r < omega; r++ {
-		id = sc.decoderInput(c, r)
+		sc.decoderInput(tm, id, xs.Row(w-omega+r-xOff), r)
 		tm.decSelf.Wk.ApplyRow(ringRow(c.selfK, hs, r), id)
 		tm.decSelf.Wv.ApplyRow(ringRow(c.selfV, hs, r), id)
 	}

@@ -94,8 +94,11 @@ type dynamicGraphState struct {
 	decay float64
 }
 
+// graphDecay is the evolving graph's EWMA weight on its past.
+const graphDecay = 0.9
+
 func newDynamicGraphState(n int) *dynamicGraphState {
-	return &dynamicGraphState{a: completeGraph(n), decay: 0.9}
+	return &dynamicGraphState{a: completeGraph(n), decay: graphDecay}
 }
 
 // nextInto evolves the state with the current window similarities and

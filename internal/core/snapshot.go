@@ -69,9 +69,12 @@ func (s *StreamDetector) SnapshotState() ([]byte, error) {
 // backing model may be a different — e.g. freshly retrained — one, in
 // which case the window is re-normalized under its bounds.
 //
-// The blob is fully validated (magic, version, geometry, length, CRC)
-// before any detector state is touched: a corrupt or truncated snapshot
-// returns an error and leaves the detector exactly as it was.
+// The blob is fully validated (magic, version, geometry, length, CRC) before
+// any detector state is touched, and so is what it says: the time cursor and
+// the evolving graph must be a state PushScores could have left (see
+// checkCursor and checkGraph). A corrupt, truncated or impossible snapshot
+// returns an error and leaves the detector exactly as it was. Raw magnitudes
+// are not checked: PushScores accepts any, so a real snapshot may hold a NaN.
 func (s *StreamDetector) RestoreState(blob []byte) error {
 	r, err := snapfmt.Open(stateFormat, blob)
 	if err != nil {
@@ -104,6 +107,14 @@ func (s *StreamDetector) RestoreState(blob []byte) error {
 	}
 	if count > math.MaxInt64 {
 		return fmt.Errorf("core: detector state frame count %d overflows", count)
+	}
+	if err := checkCursor(int(count), last, times); err != nil {
+		return err
+	}
+	if hasDyn {
+		if err := checkGraph(decay, adj); err != nil {
+			return err
+		}
 	}
 
 	// Everything validated; commit.
@@ -142,5 +153,46 @@ func (s *StreamDetector) RestoreState(blob []byte) error {
 	// The restored window has nothing in common with the cached
 	// activations; the next scored frame must run a full exact pass.
 	s.InvalidateIncremental()
+	return nil
+}
+
+// checkCursor refuses a time cursor PushScores could not have left: a
+// non-finite last, filled ring slots that are non-finite or do not strictly
+// increase from oldest to newest, or a newest slot other than last. Such a
+// cursor would refuse every later frame or reach the time embedding as a
+// non-finite interval.
+func checkCursor(count int, last float64, times []float64) error {
+	if math.IsNaN(last) || math.IsInf(last, 0) {
+		return fmt.Errorf("core: snapshot time cursor %v is not finite", last)
+	}
+	w := len(times)
+	filled := min(count, w)
+	prev := math.Inf(-1)
+	for j := 0; j < filled; j++ {
+		t := times[(count-filled+j)%w]
+		if math.IsNaN(t) || math.IsInf(t, 0) || t <= prev {
+			return fmt.Errorf("core: snapshot time %v at frame %d does not follow %v", t, count-filled+j, prev)
+		}
+		prev = t
+	}
+	if count > 0 && prev != last {
+		return fmt.Errorf("core: snapshot time cursor %v is not its newest time %v", last, prev)
+	}
+	return nil
+}
+
+// checkGraph refuses an evolving graph a detector could not resume from: a
+// decay other than graphDecay, or a non-finite adjacency cell (which only a
+// non-finite magnitude evolves, and after which every score is non-finite
+// for good).
+func checkGraph(decay float64, adj []float64) error {
+	if decay != graphDecay {
+		return fmt.Errorf("core: snapshot graph decay %v, detectors evolve theirs at %v", decay, graphDecay)
+	}
+	for i, a := range adj {
+		if math.IsNaN(a) || math.IsInf(a, 0) {
+			return fmt.Errorf("core: snapshot graph cell %d is %v", i, a)
+		}
+	}
 	return nil
 }

@@ -456,7 +456,9 @@ func FuzzDetectorRestoreState(f *testing.F) {
 	})
 }
 
-// checkRestore is the fuzzers' oracle; it leaves det as it found it.
+// checkRestore is the fuzzers' oracle; it leaves det as it found it. Besides
+// the framing properties, a restored detector must be one PushScores could
+// resume: a finite time cursor and a frame after it accepted.
 func checkRestore(t *testing.T, det *StreamDetector, blob []byte) {
 	before, err := det.SnapshotState()
 	if err != nil {
@@ -478,7 +480,113 @@ func checkRestore(t *testing.T, det *StreamDetector, blob []byte) {
 	if twice, _ := det.SnapshotState(); !bytes.Equal(once, twice) {
 		t.Fatal("snapshot → restore → snapshot is not idempotent")
 	}
+	last, _ := det.LastTime()
+	if math.IsNaN(last) || math.IsInf(last, 0) {
+		t.Fatalf("restore set the time cursor to %v", last)
+	}
+	next := last + 1
+	if next == last {
+		next = math.Nextafter(last, math.Inf(1)) // +1 is absorbed above 2⁵³
+	}
+	if !math.IsInf(next, 0) {
+		if _, err := det.PushScores(Frame{Time: next, Magnitudes: make([]float64, det.Variates())}); err != nil {
+			t.Fatalf("restored detector refuses a frame after its cursor %v: %v", last, err)
+		}
+	}
 	if err := det.RestoreState(before); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Byte offsets of AEROSNAP fields (see snapshot.go's layout).
+const snapLast = 8 + 3*4 + 8 // newest timestamp
+
+func snapTime(slot int) int   { return snapLast + 8 + 8*slot }
+func snapDecay(n, w int) int  { return snapTime(w) + 8*n*w + 1 }
+func snapAdj(n, w, i int) int { return snapDecay(n, w) + 8 + 8*i }
+
+func snapF64(b []byte, off int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+}
+
+// f64At is a float64 to write at a byte offset of a snapshot.
+type f64At struct {
+	off int
+	v   float64
+}
+
+// withF64s returns a resealed copy of blob with sets written into it.
+func withF64s(blob []byte, sets ...f64At) []byte {
+	b := append([]byte(nil), blob...)
+	for _, s := range sets {
+		binary.LittleEndian.PutUint64(b[s.off:], math.Float64bits(s.v))
+	}
+	return reseal(b)
+}
+
+// checkRefused restores each case into victim: every one must fail and
+// leave victim's snapshot byte-equal; then good must restore.
+func checkRefused(t *testing.T, victim *StreamDetector, good []byte, cases map[string][]byte) {
+	t.Helper()
+	before, err := victim.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range cases {
+		if err := victim.RestoreState(bad); err == nil {
+			t.Errorf("%s: restored", name)
+		} else if after, _ := victim.SnapshotState(); !bytes.Equal(before, after) {
+			t.Errorf("%s: refused (%v) but changed the detector", name, err)
+		}
+	}
+	if err := victim.RestoreState(good); err != nil {
+		t.Fatalf("the untouched snapshot: %v", err)
+	}
+}
+
+// TestRestoreStateRejectsImpossibleCursor refuses time cursors PushScores
+// never leaves. A cursor of +Inf used to restore and then refuse every frame
+// after it; a NaN or out-of-order ring slot reaches the time embedding as a
+// non-finite or negative interval. The pinned AERO snapshot (w+3 frames: a
+// full ring whose oldest frame sits in slot 3) still restores.
+func TestRestoreStateRejectsImpossibleCursor(t *testing.T) {
+	det := warmAERODetector(t, 0)
+	blob, err := det.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := len(det.times)
+	at := func(slot int) float64 { return snapF64(blob, snapTime(slot)) }
+	inf := math.Inf(1)
+	checkRefused(t, warmAERODetector(t, 2), blob, map[string][]byte{
+		"last +Inf":          withF64s(blob, f64At{snapLast, inf}),
+		"last NaN":           withF64s(blob, f64At{snapLast, math.NaN()}),
+		"last ahead":         withF64s(blob, f64At{snapLast, at(2) + 1}),
+		"newest +Inf":        withF64s(blob, f64At{snapLast, inf}, f64At{snapTime(2), inf}),
+		"oldest NaN":         withF64s(blob, f64At{snapTime(3), math.NaN()}),
+		"oldest -Inf":        withF64s(blob, f64At{snapTime(3), -inf}),
+		"slots out of order": withF64s(blob, f64At{snapTime(5), at(6)}, f64At{snapTime(6), at(5)}),
+		"slot repeated":      withF64s(blob, f64At{snapTime(6), at(5)}),
+		"wrap out of order":  withF64s(blob, f64At{snapTime(w - 1), at(0) + 1}),
+	})
+}
+
+// TestRestoreStateRejectsImpossibleGraph refuses an evolving graph no
+// detector resumes from. A NaN decay used to restore and turn every later
+// score non-finite. The pinned dynamic-graph snapshot still restores.
+func TestRestoreStateRejectsImpossibleGraph(t *testing.T) {
+	det := warmDynamicDetector(t, 0)
+	blob, err := det.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, w := det.Variates(), len(det.times)
+	decay, cell := snapDecay(n, w), snapAdj(n, w, n+2)
+	checkRefused(t, warmDynamicDetector(t, 2), blob, map[string][]byte{
+		"decay NaN":  withF64s(blob, f64At{decay, math.NaN()}),
+		"decay +Inf": withF64s(blob, f64At{decay, math.Inf(1)}),
+		"decay 0.5":  withF64s(blob, f64At{decay, 0.5}),
+		"cell NaN":   withF64s(blob, f64At{cell, math.NaN()}),
+		"cell -Inf":  withF64s(blob, f64At{cell, math.Inf(-1)}),
+	})
 }

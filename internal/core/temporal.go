@@ -107,26 +107,32 @@ type capLayer struct {
 }
 
 // temporalCapture holds the intermediate activations of one stage-1 row
-// forward (stage1Rows), which the incremental streaming path reuses across
-// pushes. Every matrix is a ring over window positions: logical row r sits
-// at physical row (head+r) mod rows, with one head per window length kept by
-// the owning scratch. An exact forward overwrites every ring in full at head
-// 0 (logical = physical); the benign incremental path advances the heads by
+// forward (stage1Rows) that the incremental streaming path reuses across
+// pushes: the attention keys and values of every window row, which the
+// benign path recomputes for its cone rows only. The input projections
+// encProj(x) and decProj(x) are not kept: each is one projection of a row of
+// the normalized window the detector already holds, so the forward
+// recomputes them where it reads them. Every
+// matrix is a ring over window positions: logical row r sits at physical
+// row (head+r) mod rows, with one head per window length kept by the owning
+// scratch. An exact forward overwrites every ring in full at head 0
+// (logical = physical); the benign incremental path advances the heads by
 // one and rewrites only the entering rows. The two uses share storage by
 // design, so a refresh is also a cache rebuild.
 type temporalCapture struct {
-	encP         *tensor.Dense // W×d_m encoder input projection encProj(x)
 	enc          []capLayer    // per encoder layer K/V rings
 	oeK, oeV     *tensor.Dense // W×d_m decoder cross-attention K/V of the encoder output
-	decP         *tensor.Dense // ω×d_m decoder input projection decProj(x)
 	selfK, selfV *tensor.Dense // ω×d_m decoder self-attention K/V
 }
 
 // timeEmbedCache holds sin(θ) and cos(θ) of the time embedding for the long
-// window (W×d_m) and its short suffix (ω×d_m), in logical row order. θ is
-// data-independent, so one cache serves every variate of a window. The
-// incremental path rotates every retained row by one position per push, so
-// these are rewritten in full each frame and are not rings.
+// window (W×d_m) in logical row order. θ is data-independent, so one cache
+// serves every variate of a window. The short window is the long window's
+// suffix, with the same positions and intervals, so sinS/cosS are views of
+// the last ω rows of sinL/cosL, not a second cache. An exact pass rewrites
+// every row; the incremental path rotates only the rows its cones read
+// (rotateTE), so the rows before them go stale until the next exact pass.
+// They are not rings.
 type timeEmbedCache struct {
 	sinL, cosL *tensor.Dense
 	sinS, cosS *tensor.Dense
@@ -137,9 +143,7 @@ type timeEmbedCache struct {
 func (m *temporalModule) newTemporalCapture(w, omega int) *temporalCapture {
 	dm := m.te.dm
 	c := &temporalCapture{
-		encP: tensor.New(w, dm),
-		oeK:  tensor.New(w, dm), oeV: tensor.New(w, dm),
-		decP:  tensor.New(omega, dm),
+		oeK: tensor.New(w, dm), oeV: tensor.New(w, dm),
 		selfK: tensor.New(omega, dm), selfV: tensor.New(omega, dm),
 	}
 	for range m.enc {
