@@ -21,8 +21,11 @@ import (
 // tensors returned by scratch-threaded methods are owned by the scratch and
 // remain valid only until its next use.
 type scratch struct {
-	wt          windowTimes   // posL/dtL/posS/dtS of the window in flight
-	long, short *tensor.Dense // W×inDim and ω×inDim inputs of the stage-1 pass in flight
+	wt windowTimes // posL/dtL/posS/dtS of the window in flight
+	// W×inDim and ω×inDim inputs of the stage-1 pass in flight. Between
+	// exact passes the benign path keeps its entering input row in long's
+	// last row.
+	long, short *tensor.Dense
 
 	e     *tensor.Dense // N×ω stage-1 errors
 	final *tensor.Dense // N×ω final anomaly scores
@@ -46,7 +49,7 @@ type scratch struct {
 	rowA, rowB, rowC []float64
 	hidden           []float64
 	yRow             []float64     // decoder output row (sigmoid applied)
-	fullA, fullB     *tensor.Dense // W×d_m ping-pong buffers of the encoder stack
+	fullA, fullB     *tensor.Dense // W×d_m encoder ping-pong buffers; the benign path's are their row 0
 }
 
 // newScratch sizes a scratch for the model's window geometry with caps
@@ -213,7 +216,7 @@ func (sc *scratch) decoderInput(tm *temporalModule, dst, x []float64, r int) {
 // encodeRow pushes input row x (window position r) through one encoder
 // layer: banded self-attention over the layer's K/V rings, residual, layer
 // norm, FFN, residual, layer norm — the kernel chain shared by the exact
-// forward and the benign cone.
+// forward and the benign path's entering row.
 func (sc *scratch) encodeRow(layer *encoderLayer, x []float64, kc, vc *tensor.Dense, r int, out []float64) {
 	layer.attn.Wq.ApplyRow(sc.qRow, x)
 	layer.attn.AttendRow(sc.ctxRow, sc.attnScores, sc.qRow, kc, vc, sc.headL, r, true)

@@ -28,7 +28,6 @@ func TestVectorPathSelfCheck(t *testing.T) {
 		"math.Exp without FMA",
 		"--- SKIP: TestStreamScoreBitsPinned/full/vector",
 		"--- PASS: TestStreamScoreBitsPinned/full/scalar",
-		"--- PASS: TestStreamScoreBitsPinned/full-cone3/scalar",
 	} {
 		if !strings.Contains(string(out), want) {
 			t.Fatalf("child under GODEBUG=cpu.fma=off did not print %q:\n%s", want, out)

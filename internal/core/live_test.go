@@ -8,11 +8,12 @@ import (
 )
 
 // detectorLiveBytes is the most live heap an AERO detector at the serving
-// benchmark's geometry may hold once warm: 275,997 B as measured on amd64
+// benchmark's geometry may hold once warm: 274,735 B as measured on amd64
 // (stage-1 activation rings 229 KB, eight stars × six rings; window rings,
 // forward scratch and time-embedding cache the rest) plus 10 %. Before the
-// input projections were recomputed instead of kept it was 346,474 B.
-const detectorLiveBytes = 303597
+// input projections were recomputed instead of kept it was 346,474 B, and
+// 275,995 B before the benign path lost its cone buffers.
+const detectorLiveBytes = 302209
 
 // TestStreamDetectorLiveBytes counts what an AERO tenant's detector costs:
 // 32 detectors on one model at the benchmark's geometry (8 stars, W 48,

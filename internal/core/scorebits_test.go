@@ -45,42 +45,29 @@ func TestStreamScoreBitsPinned(t *testing.T) {
 	default:
 		t.Skipf("math.Exp(%v) = %#x is neither implementation the hashes were recorded with", expProbe, got)
 	}
-	cone := DefaultIncrementalPolicy()
-	cone.Cone, cone.ShortCone = 3, 2
-	whole := DefaultIncrementalPolicy()
-	whole.Cone, whole.ShortCone = incLongWindow, incLongWindow // ShortCone clamps to ω
 	cases := []struct {
 		name    string
 		variant Variant
-		pol     IncrementalPolicy
 		want    [2]uint64 // math.Exp with FMA, without
 	}{
-		{"full", VariantFull, DefaultIncrementalPolicy(), [2]uint64{0x1ddf56a290768f87, 0xfed0b2ae0500bd4a}},
-		{"multivariate-input", VariantMultivariateInput, DefaultIncrementalPolicy(), [2]uint64{0x2bd17dfdc474e6ed, 0x82b81358b09a97a8}},
-		{"dynamic-graph", VariantDynamicGraph, DefaultIncrementalPolicy(), [2]uint64{0x6a93851a44398a45, 0x74d975340a4b9669}},
-		{"no-short-window", VariantNoShortWindow, DefaultIncrementalPolicy(), [2]uint64{0xb686f6dab50f9ed7, 0x548eb59b582b590a}},
-		// Cone > 1 walks several ring rows per layer per frame, the path no
-		// benchmark workload exercises.
-		{"full-cone3", VariantFull, cone, [2]uint64{0xef2b299e3ce77ab8, 0xa733670144ff86e2}},
-		// A cone spanning both windows reads row 0, where the long window
-		// (and the short one, when it spans the long) pins the interval.
-		{"full-cone-whole", VariantFull, whole, [2]uint64{0x1a49be71acdab33a, 0x9bca7d4bd6d7aa34}},
-		{"no-short-window-cone-whole", VariantNoShortWindow, whole, [2]uint64{0x4580af7e036caefe, 0xe119ed544fefb4af}},
+		{"full", VariantFull, [2]uint64{0x1ddf56a290768f87, 0xfed0b2ae0500bd4a}},
+		{"multivariate-input", VariantMultivariateInput, [2]uint64{0x2bd17dfdc474e6ed, 0x82b81358b09a97a8}},
+		{"dynamic-graph", VariantDynamicGraph, [2]uint64{0x6a93851a44398a45, 0x74d975340a4b9669}},
+		{"no-short-window", VariantNoShortWindow, [2]uint64{0xb686f6dab50f9ed7, 0x548eb59b582b590a}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m, d := fitIncVariant(t, tc.variant)
-			eachKernelPath(t, func(t *testing.T) { scoreBitsCase(t, m, d, tc.pol, tc.want[column]) })
+			eachKernelPath(t, func(t *testing.T) { scoreBitsCase(t, m, d, tc.want[column]) })
 		})
 	}
 }
 
-func scoreBitsCase(t *testing.T, m *Model, d *dataset.Dataset, pol IncrementalPolicy, want uint64) {
+func scoreBitsCase(t *testing.T, m *Model, d *dataset.Dataset, want uint64) {
 	det, err := NewStreamDetector(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.SetIncrementalPolicy(pol)
 	h := fnv.New64a()
 	var b [8]byte
 	frame := Frame{Magnitudes: make([]float64, d.Test.N())}

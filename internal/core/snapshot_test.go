@@ -17,13 +17,35 @@ import (
 // test on error.
 func pushAt(t testing.TB, det *StreamDetector, d *dataset.Dataset, idx int) []Alarm {
 	t.Helper()
+	alarms, err := det.Push(frameAt(d, idx))
+	if err != nil {
+		t.Fatalf("push %d: %v", idx, err)
+	}
+	return alarms
+}
+
+// frameAt is test frame idx of d.
+func frameAt(d *dataset.Dataset, idx int) Frame {
 	frame := Frame{Time: d.Test.Time[idx], Magnitudes: make([]float64, d.Test.N())}
 	for v := 0; v < d.Test.N(); v++ {
 		frame.Magnitudes[v] = d.Test.Data[v][idx]
 	}
-	alarms, err := det.Push(frame)
+	return frame
+}
+
+// pushExact is the always-exact reference push: it drops det's cached
+// activations, then pushes f, so every scored frame runs the full exact
+// forward (det.scores holds the frame's scores afterwards). It fails the
+// test if det ever served a frame incrementally.
+func pushExact(t testing.TB, det *StreamDetector, f Frame) []Alarm {
+	t.Helper()
+	det.InvalidateIncremental()
+	alarms, err := det.Push(f)
 	if err != nil {
-		t.Fatalf("push %d: %v", idx, err)
+		t.Fatalf("push at %v: %v", f.Time, err)
+	}
+	if n := det.IncrementalStats().Incremental; n != 0 {
+		t.Fatalf("exact twin served %d frames incrementally", n)
 	}
 	return alarms
 }
@@ -149,31 +171,27 @@ func TestSnapshotRestoreDynamicGraph(t *testing.T) {
 	}
 	uninterrupted, _ := NewStreamDetector(m)
 	donor, _ := NewStreamDetector(m)
-	// Exact incremental mode: this test pins *raw scores* frame for frame,
-	// and under an approximate policy the restored detector's freshly
-	// rebuilt caches would legitimately diverge from the donor's warm ones
-	// on benign frames. Every=1 recomputes every window, so any mismatch
-	// here is a genuine EWMA round-trip bug. Alarm identity under the
-	// default policy is pinned by the incremental golden-replay tests.
-	uninterrupted.SetIncrementalPolicy(ExactIncrementalPolicy())
-	donor.SetIncrementalPolicy(ExactIncrementalPolicy())
+	// Exact pushes: this test pins *raw scores* frame for frame, and on
+	// benign frames the restored detector's freshly rebuilt caches would
+	// legitimately diverge from the donor's warm ones. Recomputing every
+	// window makes any mismatch here a genuine EWMA round-trip bug. Alarm
+	// identity on the incremental path is pinned by the golden-replay tests.
 	cut := cfg.LongWindow + 9 // past warm-up so the EWMA state has evolved
 	for i := 0; i < cut; i++ {
-		pushAt(t, uninterrupted, d, i)
-		pushAt(t, donor, d, i)
+		pushExact(t, uninterrupted, frameAt(d, i))
+		pushExact(t, donor, frameAt(d, i))
 	}
 	blob, err := donor.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	restored, _ := NewStreamDetector(m)
-	restored.SetIncrementalPolicy(ExactIncrementalPolicy())
 	if err := restored.RestoreState(blob); err != nil {
 		t.Fatal(err)
 	}
 	for i := cut; i < d.Test.Len(); i++ {
-		want := pushAt(t, uninterrupted, d, i)
-		got := pushAt(t, restored, d, i)
+		want := pushExact(t, uninterrupted, frameAt(d, i))
+		got := pushExact(t, restored, frameAt(d, i))
 		if !sameAlarms(want, got) {
 			t.Fatalf("frame %d: restored alarms %+v != uninterrupted %+v", i, got, want)
 		}
@@ -358,8 +376,8 @@ func warmAERODetector(t testing.TB, extra int) *StreamDetector {
 }
 
 // warmDynamicDetector is the evolving-graph arm: the model of
-// TestSnapshotRestoreDynamicGraph, pushed under the exact policy to its
-// cut plus extra frames.
+// TestSnapshotRestoreDynamicGraph, pushed exactly to its cut plus extra
+// frames.
 func warmDynamicDetector(t testing.TB, extra int) *StreamDetector {
 	cfg := testConfig()
 	cfg.Variant = VariantDynamicGraph
@@ -385,9 +403,8 @@ func warmDynamicDetector(t testing.TB, extra int) *StreamDetector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	det.SetIncrementalPolicy(ExactIncrementalPolicy())
 	for i := 0; i < cfg.LongWindow+9+extra; i++ {
-		pushAt(t, det, d, i)
+		pushExact(t, det, frameAt(d, i))
 	}
 	return det
 }

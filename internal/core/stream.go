@@ -42,7 +42,7 @@ type StreamDetector struct {
 	scores   []float64   // per-variate score of the newest frame
 	alarms   []Alarm     // Push's reusable alarm buffer
 
-	inc  *incrementalState // the forward's scratch, caches and policy
+	inc  *incrementalState // the forward's scratch and caches
 	snap *scratch          // GraphSnapshot's own scratch, allocated on first use
 }
 
@@ -83,36 +83,19 @@ func NewStreamDetector(m *Model) (*StreamDetector, error) {
 	if m.cfg.Variant == VariantDynamicGraph {
 		s.dyn = newDynamicGraphState(m.n)
 	}
-	s.SetIncrementalPolicy(DefaultIncrementalPolicy())
+	s.inc = newIncrementalState(m)
 	return s, nil
 }
 
-// SetIncrementalPolicy installs an incremental streaming policy (see
-// IncrementalPolicy), rebuilding the activation caches from scratch; the
-// next scored frame runs a full exact pass that repopulates them. The zero
-// policy disables the incremental path and drops the counters; otherwise
-// accumulated stats are preserved.
-func (s *StreamDetector) SetIncrementalPolicy(pol IncrementalPolicy) {
-	var st IncrementalStats
-	if s.inc != nil && pol.enabled() {
-		st = s.inc.stats
-	}
-	s.inc = newIncrementalState(s.m, pol)
-	s.inc.stats = st
-}
-
-// IncrementalPolicy returns the active incremental policy (the zero value
-// when disabled).
-func (s *StreamDetector) IncrementalPolicy() IncrementalPolicy { return s.inc.pol }
-
-// IncrementalStats reports how scored frames were served so far (all zero
-// while the incremental path is disabled).
+// IncrementalStats reports how scored frames were served so far.
 func (s *StreamDetector) IncrementalStats() IncrementalStats { return s.inc.stats }
 
 // InvalidateIncremental drops every cached activation; the next scored
 // frame runs a full exact pass. Hosts call it whenever the window contents
 // changed behind the detector's back (e.g. the engine's frame hygiene
-// repaired a frame in place).
+// repaired a frame in place); calling it before every push yields the
+// always-exact score stream, the reference the incremental path is tested
+// against.
 func (s *StreamDetector) InvalidateIncremental() { s.inc.valid = false }
 
 // Kind implements StreamBackend: the AERO backend kind tag.
@@ -251,9 +234,11 @@ func (s *StreamDetector) Swap(m *Model) error {
 		}
 	}
 	// Cached activations belong to the old weights (and possibly the old
-	// geometry): rebuild under the same policy, so the next frame scores
-	// with a full exact pass.
-	s.SetIncrementalPolicy(s.inc.pol)
+	// geometry): rebuild them, keeping the counters, so the next frame
+	// scores with a full exact pass.
+	st := s.inc.stats
+	s.inc = newIncrementalState(m)
+	s.inc.stats = st
 	s.snap = nil
 	return nil
 }

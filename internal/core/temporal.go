@@ -109,7 +109,7 @@ type capLayer struct {
 // temporalCapture holds the intermediate activations of one stage-1 row
 // forward (stage1Rows) that the incremental streaming path reuses across
 // pushes: the attention keys and values of every window row, which the
-// benign path recomputes for its cone rows only. The input projections
+// benign path writes for the entering row only. The input projections
 // encProj(x) and decProj(x) are not kept: each is one projection of a row of
 // the normalized window the detector already holds, so the forward
 // recomputes them where it reads them. Every
@@ -130,9 +130,9 @@ type temporalCapture struct {
 // serves every variate of a window. The short window is the long window's
 // suffix, with the same positions and intervals, so sinS/cosS are views of
 // the last ω rows of sinL/cosL, not a second cache. An exact pass rewrites
-// every row; the incremental path rotates only the rows its cones read
-// (rotateTE), so the rows before them go stale until the next exact pass.
-// They are not rings.
+// every row; the incremental path rewrites only the entering row W−1, the
+// one row it reads (embedEnteringRow), so the rows before it go stale until
+// the next exact pass. They are not rings.
 type timeEmbedCache struct {
 	sinL, cosL *tensor.Dense
 	sinS, cosS *tensor.Dense

@@ -57,10 +57,8 @@ func NewTimeEmbedding(dm int) *TimeEmbedding {
 // sinCos writes sin(θ) and cos(θ) (L×d_m each) for θ[l][j] = f_j·pos_l +
 // dt_l·α_j, the same per-cell arithmetic as the tape chain Add(phase,
 // MatMul(dt, α)) → Sin, Cos (TimeEmbedding.Forward in the tests). Training
-// and scoring both embed time through it. The streaming detector keeps the
-// halves because a window-local position shift of −1 rotates every retained
-// θ by exactly −f_j, so (sinθ, cosθ) advance by the angle-difference
-// identities without re-evaluating any trigonometry.
+// and scoring both embed time through it; the streaming detector's benign
+// path writes the entering row's cells with the same arithmetic.
 func (te *TimeEmbedding) sinCos(sin, cos *tensor.Dense, pos, dt []float64) {
 	phase := te.cachedPhase(pos)
 	if phase == nil {
