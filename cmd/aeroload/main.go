@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sync"
@@ -45,6 +46,20 @@ func main() {
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 		os.Exit(1)
+	}
+
+	// A value out of range is a usage error, reported as the flag package
+	// reports a value it cannot parse.
+	usageError := func(name string, value any, why string) {
+		fmt.Fprintf(os.Stderr, "invalid value %v for flag -%s: %s\n", value, name, why)
+		flag.Usage()
+		os.Exit(2)
+	}
+	if *tenants < 1 {
+		usageError("tenants", *tenants, "must be at least 1")
+	}
+	if *rate < 0 || math.IsNaN(*rate) {
+		usageError("rate", *rate, "must not be negative or NaN")
 	}
 
 	d, err := aero.ReadDataset(*dir, *name)

@@ -87,6 +87,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"os/signal"
 	"sync"
@@ -163,6 +164,9 @@ func main() {
 	}
 	if *tenants < 1 {
 		usageError("tenants", *tenants, "must be at least 1")
+	}
+	if *rate < 0 || math.IsNaN(*rate) {
+		usageError("rate", *rate, "must not be negative or NaN")
 	}
 	spec, ok := aero.LookupBackend(*kindFlag)
 	if !ok {

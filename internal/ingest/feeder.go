@@ -21,7 +21,8 @@ type FrameSource struct {
 	// continue strictly after its checkpointed cursor (see ResumeOffset).
 	Offset float64
 	// Rate paces the feed in frames per second; 0 replays as fast as the
-	// sink accepts.
+	// sink accepts, and so does a rate whose period rounds below one
+	// nanosecond (above 1e9 frames/s, or +Inf), which no ticker can keep.
 	Rate float64
 	// Stop, when non-nil, ends the feed early once closed: the frame in
 	// flight completes, no further frames are emitted.
@@ -40,8 +41,8 @@ var ErrStopped = errors.New("ingest: frame source stopped")
 func (fs *FrameSource) Feed(emit func(core.Frame) error) (int, error) {
 	frame := core.Frame{Magnitudes: make([]float64, len(fs.Data))}
 	var tick *time.Ticker
-	if fs.Rate > 0 {
-		tick = time.NewTicker(time.Duration(float64(time.Second) / fs.Rate))
+	if period := time.Duration(float64(time.Second) / fs.Rate); fs.Rate > 0 && period > 0 {
+		tick = time.NewTicker(period)
 		defer tick.Stop()
 	}
 	for t := range fs.Time {

@@ -495,3 +495,21 @@ func TestServerRefusesUnknownTenant(t *testing.T) {
 	l.Close()
 	<-serveDone
 }
+
+// TestFrameSourceUnpaceableRate feeds at rates whose period rounds to zero
+// nanoseconds: no ticker can pace them, so the feed runs unpaced and emits
+// every frame instead of panicking.
+func TestFrameSourceUnpaceableRate(t *testing.T) {
+	src := ingest.FrameSource{Time: []float64{1, 2, 3, 4}, Data: [][]float64{{5, 6, 7, 8}}}
+	for _, rate := range []float64{2e9, math.Inf(1)} {
+		src.Rate = rate
+		var got []float64
+		n, err := src.Feed(func(f core.Frame) error {
+			got = append(got, f.Time)
+			return nil
+		})
+		if err != nil || n != len(src.Time) || len(got) != len(src.Time) {
+			t.Fatalf("rate %v: fed %d frames (%d emitted), err %v; want all %d", rate, n, len(got), err, len(src.Time))
+		}
+	}
+}
