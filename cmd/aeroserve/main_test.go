@@ -66,9 +66,9 @@ func TestStatsZeroDisablesPeriodicLine(t *testing.T) {
 	}
 }
 
-// A negative -stats interval and a tenant count below one are usage
-// errors: exit 2 with the usage text, as for a value the flag package
-// cannot parse.
+// A negative -stats interval, a tenant count below one and a negative or
+// NaN -rate are usage errors: exit 2 with the usage text, as for a value
+// the flag package cannot parse.
 func TestStatsNegativeIsUsageError(t *testing.T) {
 	for _, args := range [][]string{
 		{"-stats", "-1s"},
@@ -76,6 +76,8 @@ func TestStatsNegativeIsUsageError(t *testing.T) {
 		// negative count in make.
 		{"-tenants", "0"},
 		{"-tenants", "-1"},
+		{"-rate", "-1"},
+		{"-rate", "NaN"},
 	} {
 		code, stderr := serve(t, args...)
 		if code != 2 {

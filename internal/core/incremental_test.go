@@ -40,8 +40,9 @@ func fitIncVariant(t *testing.T, variant Variant) (*Model, *dataset.Dataset) {
 }
 
 // TestIncrementalGoldenAlarmIdentity is the golden replay of the
-// alarm-boundary guard contract: on the incremental path the alarm stream — frames, variates, and exact scores — must be identical to
-// the always-exact detector's, for every graph variant the streaming path
+// alarm-boundary guard contract: on the incremental path the alarm stream —
+// frames, variates, and exact scores — must be identical to the
+// always-exact detector's, for every graph variant the streaming path
 // specializes on. The replay is rejected as vacuous unless alarms fired
 // and most frames were actually served incrementally.
 func TestIncrementalGoldenAlarmIdentity(t *testing.T) {
@@ -157,9 +158,9 @@ func sameAlarmsTol(a, b []Alarm, tol float64) bool {
 
 // TestIncrementalSwapRestoreInvalidation replays across a mid-stream Swap
 // (same weights, Save/Load round-trip) and a SnapshotState/RestoreState
-// hand-off, on the incremental path on both sides. Alarms
-// must stay identical to an uninterrupted always-exact twin, and each
-// boundary must show up in the stats as a cache invalidation.
+// hand-off, on the incremental path on both sides. Alarms must stay
+// identical to an uninterrupted always-exact twin, and each boundary must
+// show up in the stats as a cache invalidation.
 func TestIncrementalSwapRestoreInvalidation(t *testing.T) {
 	m, d := shared(t)
 	twin := saveLoadTwin(t, m)

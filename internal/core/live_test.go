@@ -11,8 +11,7 @@ import (
 // benchmark's geometry may hold once warm: 274,735 B as measured on amd64
 // (stage-1 activation rings 229 KB, eight stars × six rings; window rings,
 // forward scratch and time-embedding cache the rest) plus 10 %. Before the
-// input projections were recomputed instead of kept it was 346,474 B, and
-// 275,995 B before the benign path lost its cone buffers.
+// input projections were recomputed instead of kept it was 346,474 B.
 const detectorLiveBytes = 302209
 
 // TestStreamDetectorLiveBytes counts what an AERO tenant's detector costs:
