@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"hash/fnv"
 	"math"
+	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -27,6 +29,20 @@ func wrappedDSPOTConfig() backend.DSPOTConfig {
 // wrappedDSPOTStage returns a fluxev+dspot stage under wrappedDSPOTConfig,
 // warmed on the first frames of the dspot fixture's test split.
 func wrappedDSPOTStage(tb testing.TB, frames int) *backend.DSPOTStage {
+	return warmDSPOTStage(tb, wrappedDSPOTConfig(), frames)
+}
+
+// servingDSPOTConfig is the stage's serving config at level 0.95, so the
+// dspot fixture's calibration leaves about 19 excesses per star.
+func servingDSPOTConfig() backend.DSPOTConfig {
+	cfg := backend.DefaultDSPOTConfig()
+	cfg.Level = 0.95
+	return cfg
+}
+
+// warmDSPOTStage returns a fluxev+dspot stage under cfg, warmed on the
+// first frames of the dspot fixture's test split.
+func warmDSPOTStage(tb testing.TB, cfg backend.DSPOTConfig, frames int) *backend.DSPOTStage {
 	tb.Helper()
 	d := dspotTestData()
 	spec, _ := backend.Get(baselines.KindFluxEV)
@@ -34,21 +50,147 @@ func wrappedDSPOTStage(tb testing.TB, frames int) *backend.DSPOTStage {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	stage, err := backend.OpenAdaptive(spec, artifact, wrappedDSPOTConfig(), d.Train)
+	stage, err := backend.OpenAdaptive(spec, artifact, cfg, d.Train)
 	if err != nil {
 		tb.Fatal(err)
 	}
+	pushFrames(tb, stage, 0, frames)
+	return stage
+}
+
+// pushFrames pushes frames [lo, hi) of the dspot fixture's test split
+// and returns the alarms they raise.
+func pushFrames(tb testing.TB, stage *backend.DSPOTStage, lo, hi int) []alarmKey {
+	tb.Helper()
+	d := dspotTestData()
+	var out []alarmKey
 	frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
-	for ti := 0; ti < frames; ti++ {
+	for ti := lo; ti < hi; ti++ {
 		frame.Time = d.Test.Time[ti]
 		for v := range frame.Magnitudes {
 			frame.Magnitudes[v] = d.Test.Data[v][ti]
 		}
-		if _, err := stage.Push(frame); err != nil {
+		alarms, err := stage.Push(frame)
+		if err != nil {
 			tb.Fatal(err)
 		}
+		for _, a := range alarms {
+			out = append(out, alarmKey{v: a.Variate, t: a.Time, sc: a.Score})
+		}
 	}
-	return stage
+	return out
+}
+
+// wrappedCheckpoint is testdata/dspot_stage_wrapped.json: the snapshot of
+// a fluxev+dspot stage of the dspot fixture at level 0.95 after 250 test
+// frames, taken by a build whose excess rings held 24 excesses and
+// refitted every 16. Each star's ring has wrapped (its eviction cursor is
+// not 0), so the checkpoint is one that a serving stage, whose rings hold
+// 256, restores below its cap.
+func wrappedCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	blob, err := os.ReadFile("testdata/dspot_stage_wrapped.json")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return blob
+}
+
+// expColumn returns the column of a pin recorded once per math.Exp
+// implementation: 0 with FMA, 1 without. It skips off amd64, and on a
+// math.Exp that is neither.
+func expColumn(tb testing.TB) int {
+	tb.Helper()
+	if runtime.GOARCH != "amd64" {
+		tb.Skip("DSPOT snapshot bytes are pinned on amd64")
+	}
+	switch got := math.Float64bits(math.Exp(-0.1875)); got {
+	case 0x3fea876812c0877b:
+		return 0
+	case 0x3fea876812c0877c:
+		return 1
+	default:
+		tb.Skipf("math.Exp(-0.1875) = %#x is neither implementation the hashes were recorded with", got)
+	}
+	return 0
+}
+
+// checkBlob fails unless blob is size bytes with FNV-1a hash want.
+func checkBlob(tb testing.TB, what string, blob []byte, size int, want uint64) {
+	tb.Helper()
+	h := fnv.New64a()
+	h.Write(blob)
+	if len(blob) != size || h.Sum64() != want {
+		tb.Fatalf("%s is %d bytes with hash %#x, pinned %d bytes with %#x", what, len(blob), h.Sum64(), size, want)
+	}
+}
+
+// snapshotSpots decodes the tail states of a stage snapshot.
+func snapshotSpots(tb testing.TB, blob []byte) []evt.DSPOTState {
+	tb.Helper()
+	var st stageSnapshot
+	if err := json.Unmarshal(blob, &st); err != nil {
+		tb.Fatal(err)
+	}
+	return st.Spots
+}
+
+// TestDSPOTStageRestoresWrappedCheckpoint restores the wrapped checkpoint
+// into a serving stage of the same level. The fixture's bytes are checked
+// first, as the snapshot pin that wrote them hashed them. Every ring
+// comes back oldest first with its cursor at 0, so the restored stage
+// refills it before it evicts, in age order; the stage's re-snapshot and
+// the alarms of the 50 frames after the cut are pinned. Neither depends
+// on the FMA setting.
+func TestDSPOTStageRestoresWrappedCheckpoint(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("DSPOT snapshot bytes are pinned on amd64")
+	}
+	blob := wrappedCheckpoint(t)
+	checkBlob(t, "the fixture", blob, 4571, 0x9276467818bfdcb0)
+	stage := warmDSPOTStage(t, servingDSPOTConfig(), 0)
+	if err := stage.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	again, err := stage.SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBlob(t, "the restored stage's snapshot", again, 4541, 0x658689fd20c2c0c5)
+	for v, sp := range snapshotSpots(t, blob) {
+		if sp.SPOT.Evict == 0 || len(sp.SPOT.Excesses) != 24 {
+			t.Fatalf("star %d: the fixture's ring of %d excesses has cursor %d, not wrapped", v, len(sp.SPOT.Excesses), sp.SPOT.Evict)
+		}
+		ring, at := sp.SPOT.Excesses, sp.SPOT.Evict
+		oldestFirst := append(append([]float64(nil), ring[at:]...), ring[:at]...)
+		got := snapshotSpots(t, again)[v].SPOT
+		if got.Evict != 0 || !reflect.DeepEqual(got.Excesses, oldestFirst) {
+			t.Fatalf("star %d: restored ring %v with cursor %d, want %v with cursor 0", v, got.Excesses, got.Evict, oldestFirst)
+		}
+	}
+	got := pushFrames(t, stage, 250, 300)
+	want := []alarmKey{{0, 250, 2.123637320305437}, {1, 250, 1.093280079510654}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("frames 250-299 raised %v, want %v", got, want)
+	}
+}
+
+// TestDSPOTStageServingSnapshotBytesPinned pins, by length and FNV-1a
+// hash, the snapshot of a serving-schedule fluxev+dspot stage at level
+// 0.95 warmed on 250 test frames of the dspot fixture. A checkpoint on
+// disk restores only while they hold. The tail fits' floats differ with
+// the FMA setting, so the pin has a column per math.Exp implementation,
+// as core's TestSnapshotBytesPinned does.
+func TestDSPOTStageServingSnapshotBytesPinned(t *testing.T) {
+	column := expColumn(t)
+	blob, err := warmDSPOTStage(t, servingDSPOTConfig(), 250).SnapshotState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// math.Exp with FMA, without.
+	size := [2]int{4900, 4897}[column]
+	want := [2]uint64{0x52874edfbcc1fc92, 0x9c7d7e2405caaa25}[column]
+	checkBlob(t, "the snapshot", blob, size, want)
 }
 
 // TestDSPOTStageSnapshotBytesPinned pins, by length and FNV-1a hash, the
@@ -200,7 +342,7 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 // copies with a drift-window position of 99 and −1, eviction cursors out
 // of range, a drift-window depth that does not match, a q of −1 and 0.9,
 // a level of 7, an n of −5, a star whose next refit overflows its
-// quantile, and a truncation.
+// quantile, a truncation, and the wrapped checkpoint.
 func FuzzDSPOTStageRestoreState(f *testing.F) {
 	stage := wrappedDSPOTStage(f, 250)
 	valid, err := stage.SnapshotState()
@@ -231,6 +373,7 @@ func FuzzDSPOTStageRestoreState(f *testing.F) {
 		f.Add(editSnapshot(f, valid, edit))
 	}
 	f.Add(valid[:len(valid)-3])
+	f.Add(wrappedCheckpoint(f))
 	d := dspotTestData()
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		before, err := stage.SnapshotState()
