@@ -142,8 +142,8 @@ type DSPOTStage = backend.DSPOTStage
 type DSPOTConfig = backend.DSPOTConfig
 
 // DefaultDSPOTConfig mirrors the paper's POT protocol (level 0.99,
-// q 1e-3) with a 20-frame drift window and the amortized tail-refit
-// schedule.
+// q 1e-3). Level and Q are the stage's only settings: every star's
+// 20-frame drift window and amortized tail-refit schedule are fixed.
 func DefaultDSPOTConfig() DSPOTConfig { return backend.DefaultDSPOTConfig() }
 
 // RefitStats are a tail model's cumulative maintenance counters — how

@@ -15,25 +15,22 @@ import (
 	"aero/internal/tensor"
 )
 
-// DSPOTConfig parameterizes the adaptive-alarming stage: the POT level/q
-// of the streaming tail fit (paper §IV-B protocol), the trailing
-// drift-window depth of Siffer et al.'s DSPOT (§4.4), and the tail-model
-// refit schedule. A zero-value Refit is the exact policy (a full Grimshaw
-// fit per exceedance, bit-identical to the stage before amortized refits).
+// DSPOTConfig parameterizes the adaptive-alarming stage: the POT level
+// and q of the streaming tail fit (paper §IV-B protocol, Eq. 18). The
+// drift window and the refit schedule are fixed: every star re-centres on
+// its trailing dspotDepth scores (Siffer et al.'s DSPOT, §4.4), and its
+// tail model follows evt.Bank's serving schedule.
 type DSPOTConfig struct {
 	Level, Q float64
-	Depth    int
-	Refit    evt.RefitPolicy
 }
 
-// DefaultDSPOTConfig mirrors the paper's POT protocol with a 20-frame
-// drift window and the amortized refit schedule (evt.DefaultRefitPolicy:
-// warm refits every 384 exceedances, on a 30% tail-mean drift or near the
-// threshold, bounded excess ring) — the
-// serving default that keeps adaptive alarming within a small factor of
-// the bare backend's push.
+// dspotDepth is the drift window of every star, in frames.
+const dspotDepth = 20
+
+// DefaultDSPOTConfig mirrors the paper's POT protocol, level 0.99 and
+// q = 10⁻³.
 func DefaultDSPOTConfig() DSPOTConfig {
-	return DSPOTConfig{Level: 0.99, Q: 1e-3, Depth: 20, Refit: evt.DefaultRefitPolicy()}
+	return DSPOTConfig{Level: 0.99, Q: 1e-3}
 }
 
 // DSPOTStage wraps ANY StreamBackend and replaces its static fitted
@@ -66,7 +63,7 @@ type DSPOTStage struct {
 // NewDSPOTStage wraps inner with per-variate DSPOT alarmers calibrated
 // on the given score sequences (one per variate, as produced by
 // baselines.StreamScores over a calibration split). Every sequence must
-// exceed Depth+8 points, the DSPOT calibration minimum, and hold only
+// exceed dspotDepth+8 points, the DSPOT calibration minimum, and hold only
 // finite values, and Level and Q must lie in (0, 1).
 //
 // A tail fit is a pure function of the config and the calibration bits,
@@ -85,15 +82,12 @@ func NewDSPOTStage(inner core.StreamBackend, cfg DSPOTConfig, calib [][]float64)
 	if err := evt.CheckPOTParams(cfg.Level, cfg.Q); err != nil {
 		return nil, fmt.Errorf("backend: dspot config: %w", err)
 	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 1
-	}
 	d := &DSPOTStage{inner: inner, fired: make([]bool, n)}
 	if fit := lastFit.Load(); fit.matches(cfg, calib) {
 		d.tails = fit.tails.Clone()
 		return d, nil
 	}
-	d.tails = evt.NewBank(n, cfg.Level, cfg.Q, cfg.Depth, cfg.Refit)
+	d.tails = evt.NewBank(n, cfg.Level, cfg.Q, dspotDepth)
 	fit, err := d.fit(cfg, calib)
 	if err != nil {
 		return nil, err

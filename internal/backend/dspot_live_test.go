@@ -13,7 +13,8 @@ import (
 // idleStageBytes is the most live heap an idle eight-star fluxev+dspot
 // stage may hold after its warm-up: 6,394 B as measured on amd64 (tail
 // bank 2.3 KB, excess rings 2.1 KB, FluxEV window 1.7 KB, stage 0.2 KB)
-// plus 10 %. Before the tail bank it was 7,562 B.
+// plus 10 %. Before the tail bank it was 7,562 B; since the refit
+// schedule became constants it is 6,378 B.
 const idleStageBytes = 7030
 
 // TestDSPOTStageIdleLiveBytes counts what an idle tenant costs, as the

@@ -74,24 +74,23 @@ func reuseFeed(seed int64, stars, steps int) [][]float64 {
 	return rows
 }
 
-// fitAlone fits every star's DSPOT the way a stage without a record would.
-func fitAlone(t *testing.T, cfg DSPOTConfig, calib [][]float64) []*evt.DSPOT {
+// fitAlone fits every star of a bank the way a stage without a record
+// would, one star after another.
+func fitAlone(t *testing.T, cfg DSPOTConfig, calib [][]float64) *evt.Bank {
 	t.Helper()
-	spots := make([]*evt.DSPOT, len(calib))
-	for v := range spots {
-		spots[v] = evt.NewDSPOT(cfg.Level, cfg.Q, cfg.Depth)
-		spots[v].SetPolicy(cfg.Refit)
-		if err := spots[v].Fit(calib[v]); err != nil {
+	b := evt.NewBank(len(calib), cfg.Level, cfg.Q, dspotDepth)
+	for v := range calib {
+		if err := b.Fit(v, calib[v]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return spots
+	return &b
 }
 
-func sameStates(t *testing.T, what string, got *DSPOTStage, want []*evt.DSPOT) {
+func sameStates(t *testing.T, what string, got *DSPOTStage, want *evt.Bank) {
 	t.Helper()
-	for v := range want {
-		if g, w := got.tails.State(v), want[v].State(); !reflect.DeepEqual(g, w) {
+	for v := range want.Len() {
+		if g, w := got.tails.State(v), want.State(v); !reflect.DeepEqual(g, w) {
 			t.Fatalf("%s, star %d: state\n%+v\nfitted alone\n%+v", what, v, g, w)
 		}
 	}
@@ -117,76 +116,66 @@ func newStage(t *testing.T, cfg DSPOTConfig, calib [][]float64) *DSPOTStage {
 // stage built from the config and calibration bits of the last fit
 // restores that fit, and is then indistinguishable from a stage fitted
 // alone — every state before stepping, and after 20k steps every verdict,
-// state and refit counter. Anything else refits: another Depth, Level, Q
-// or refit policy, or scores changed in place since the record was made.
-// Each stage's state is its own, and concurrent builders agree.
+// state and refit counter. Anything else refits: another Level or Q, or
+// scores changed in place since the record was made. Each stage's state
+// is its own, and concurrent builders agree.
 func TestDSPOTStageReusesFittedTail(t *testing.T) {
 	const stars, steps = 3, 20000
 	calib := reuseCalib(1, stars, true)
 	feed := reuseFeed(2, stars, steps)
 
-	for _, pol := range []evt.RefitPolicy{evt.ExactRefitPolicy(), evt.DefaultRefitPolicy()} {
-		cfg := DefaultDSPOTConfig()
-		cfg.Refit = pol
-		lastFit.Store(nil)
-		first := newStage(t, cfg, calib)
-		rec := lastFit.Load()
-		if rec == nil {
-			t.Fatal("a successful fit left no record")
-		}
-		// Bit-equal scores in other slices: the record serves them.
-		copied := make([][]float64, stars)
-		for v := range calib {
-			copied[v] = append([]float64(nil), calib[v]...)
-		}
-		reused := newStage(t, cfg, copied)
-		if lastFit.Load() != rec {
-			t.Fatalf("policy %+v: a repeated calibration refitted", pol)
-		}
-		alone := fitAlone(t, cfg, calib)
-		if st := alone[stars-1].State().SPOT; st.Fitted || len(st.Excesses) != 0 {
-			t.Fatalf("star %d fitted a tail (%d excesses); the fallback case is vacuous", stars-1, len(st.Excesses))
-		}
-		sameStates(t, "fitted stage", first, alone)
-		sameStates(t, "restored stage", reused, alone)
-
-		// Step only the restored stage and the lone fits: the first stage
-		// and the record must not move.
-		alarms := 0
-		for i, row := range feed {
-			for v, x := range row {
-				got, err := reused.tails.Step(v, x)
-				want, werr := alone[v].Step(x)
-				if err != nil || werr != nil || got != want {
-					t.Fatalf("policy %+v, step %d, star %d: restored %v/%v, alone %v/%v", pol, i, v, got, err, want, werr)
-				}
-				if got {
-					alarms++
-				}
-			}
-		}
-		if alarms == 0 {
-			t.Fatal("no alarms in the feed; the comparison is vacuous")
-		}
-		// The stage counts refits once for all its stars.
-		var want evt.RefitStats
-		for v := range alone {
-			if g, w := reused.tails.State(v), alone[v].State(); !reflect.DeepEqual(g, w) {
-				t.Fatalf("policy %+v, star %d: state after %d steps differs", pol, v, steps)
-			}
-			want = want.Add(withoutNanos(alone[v].RefitStats()))
-		}
-		g := withoutNanos(reused.RefitStats())
-		if g != want {
-			t.Fatalf("policy %+v: refit stats %+v, alone %+v", pol, g, want)
-		}
-		if g.Refits == 0 {
-			t.Fatal("no refits in the feed; the comparison is vacuous")
-		}
-		fresh := fitAlone(t, cfg, calib)
-		sameStates(t, "unstepped twin stage", first, fresh)
-		sameStates(t, "stage restored after another stepped", newStage(t, cfg, calib), fresh)
+	cfg := DefaultDSPOTConfig()
+	lastFit.Store(nil)
+	first := newStage(t, cfg, calib)
+	rec := lastFit.Load()
+	if rec == nil {
+		t.Fatal("a successful fit left no record")
 	}
+	// Bit-equal scores in other slices: the record serves them.
+	copied := make([][]float64, stars)
+	for v := range calib {
+		copied[v] = append([]float64(nil), calib[v]...)
+	}
+	reused := newStage(t, cfg, copied)
+	if lastFit.Load() != rec {
+		t.Fatal("a repeated calibration refitted")
+	}
+	alone := fitAlone(t, cfg, calib)
+	if st := alone.State(stars - 1).SPOT; st.Fitted || len(st.Excesses) != 0 {
+		t.Fatalf("star %d fitted a tail (%d excesses); the fallback case is vacuous", stars-1, len(st.Excesses))
+	}
+	sameStates(t, "fitted stage", first, alone)
+	sameStates(t, "restored stage", reused, alone)
+
+	// Step only the restored stage and the lone fits: the first stage and
+	// the record must not move.
+	alarms := 0
+	for i, row := range feed {
+		for v, x := range row {
+			got, err := reused.tails.Step(v, x)
+			want, werr := alone.Step(v, x)
+			if err != nil || werr != nil || got != want {
+				t.Fatalf("step %d, star %d: restored %v/%v, alone %v/%v", i, v, got, err, want, werr)
+			}
+			if got {
+				alarms++
+			}
+		}
+	}
+	if alarms == 0 {
+		t.Fatal("no alarms in the feed; the comparison is vacuous")
+	}
+	sameStates(t, fmt.Sprintf("after %d steps", steps), reused, alone)
+	g, want := withoutNanos(reused.RefitStats()), withoutNanos(alone.RefitStats())
+	if g != want {
+		t.Fatalf("refit stats %+v, alone %+v", g, want)
+	}
+	if g.Refits == 0 {
+		t.Fatal("no refits in the feed; the comparison is vacuous")
+	}
+	fresh := fitAlone(t, cfg, calib)
+	sameStates(t, "unstepped twin stage", first, fresh)
+	sameStates(t, "stage restored after another stepped", newStage(t, cfg, calib), fresh)
 
 	t.Run("config", func(t *testing.T) {
 		base := DefaultDSPOTConfig()
@@ -194,11 +183,8 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 			name string
 			edit func(*DSPOTConfig)
 		}{
-			{"depth", func(c *DSPOTConfig) { c.Depth++ }},
 			{"level", func(c *DSPOTConfig) { c.Level = 0.98 }},
 			{"q", func(c *DSPOTConfig) { c.Q = 2e-3 }},
-			{"refit-every", func(c *DSPOTConfig) { c.Refit.Every++ }},
-			{"refit-ring", func(c *DSPOTConfig) { c.Refit.MaxExcesses = 64 }},
 		} {
 			newStage(t, base, calib)
 			rec := lastFit.Load()
@@ -227,7 +213,7 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		// A failed build records nothing.
 		rec = lastFit.Load()
 		short := append([][]float64(nil), scores...)
-		short[2] = short[2][:cfg.Depth+8]
+		short[2] = short[2][:dspotDepth+8]
 		if _, err := NewDSPOTStage(&scoreScript{n: stars}, cfg, short); err == nil {
 			t.Fatal("a short calibration built a stage")
 		}
@@ -239,7 +225,7 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 	t.Run("concurrent", func(t *testing.T) {
 		cfg := DefaultDSPOTConfig()
 		calibs := [2][][]float64{reuseCalib(4, stars, false), reuseCalib(5, stars, true)}
-		want := [2][]*evt.DSPOT{fitAlone(t, cfg, calibs[0]), fitAlone(t, cfg, calibs[1])}
+		want := [2]*evt.Bank{fitAlone(t, cfg, calibs[0]), fitAlone(t, cfg, calibs[1])}
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := range 8 {
@@ -253,8 +239,8 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 						errs <- err
 						return
 					}
-					for v := range want[k] {
-						if !reflect.DeepEqual(d.tails.State(v), want[k][v].State()) {
+					for v := range stars {
+						if !reflect.DeepEqual(d.tails.State(v), want[k].State(v)) {
 							errs <- errors.New("a concurrently built stage differs from its calibration's fit")
 							return
 						}
@@ -339,7 +325,7 @@ func TestDSPOTStageRejectsNonFiniteCalibration(t *testing.T) {
 	cfg := DefaultDSPOTConfig()
 	calib := reuseCalib(8, stars, false)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		for _, at := range []int{cfg.Depth / 2, cfg.Depth + 300} {
+		for _, at := range []int{dspotDepth / 2, dspotDepth + 300} {
 			c := append([][]float64(nil), calib...)
 			for _, v := range []int{3, 1} {
 				c[v] = append([]float64(nil), calib[v]...)

@@ -17,21 +17,6 @@ import (
 	"aero/internal/evt"
 )
 
-// wrappedDSPOTConfig keeps the tail rings small enough to wrap on the
-// dspot fixture: at level 0.95 a star's calibration leaves about 19
-// excesses, so a 24-excess ring is grown to its cap and then evicts
-// within the 300 test frames.
-func wrappedDSPOTConfig() backend.DSPOTConfig {
-	return backend.DSPOTConfig{Level: 0.95, Q: 1e-3, Depth: 20,
-		Refit: evt.RefitPolicy{Every: 16, DriftTolerance: 0.3, MaxExcesses: 24, Boundary: 0.1}}
-}
-
-// wrappedDSPOTStage returns a fluxev+dspot stage under wrappedDSPOTConfig,
-// warmed on the first frames of the dspot fixture's test split.
-func wrappedDSPOTStage(tb testing.TB, frames int) *backend.DSPOTStage {
-	return warmDSPOTStage(tb, wrappedDSPOTConfig(), frames)
-}
-
 // servingDSPOTConfig is the stage's serving config at level 0.95, so the
 // dspot fixture's calibration leaves about 19 excesses per star.
 func servingDSPOTConfig() backend.DSPOTConfig {
@@ -115,6 +100,18 @@ func expColumn(tb testing.TB) int {
 	return 0
 }
 
+// checkpointDSPOTStage returns a serving stage of the dspot fixture at
+// level 0.95 restored from the wrapped checkpoint: 250 frames in, with
+// rings of 24 excesses laid out oldest first.
+func checkpointDSPOTStage(tb testing.TB) *backend.DSPOTStage {
+	tb.Helper()
+	stage := warmDSPOTStage(tb, servingDSPOTConfig(), 0)
+	if err := stage.RestoreState(wrappedCheckpoint(tb)); err != nil {
+		tb.Fatal(err)
+	}
+	return stage
+}
+
 // checkBlob fails unless blob is size bytes with FNV-1a hash want.
 func checkBlob(tb testing.TB, what string, blob []byte, size int, want uint64) {
 	tb.Helper()
@@ -193,54 +190,6 @@ func TestDSPOTStageServingSnapshotBytesPinned(t *testing.T) {
 	checkBlob(t, "the snapshot", blob, size, want)
 }
 
-// TestDSPOTStageSnapshotBytesPinned pins, by length and FNV-1a hash, the
-// snapshot of a fluxev+dspot stage warmed on 250 test frames of the dspot
-// fixture, a cut at which a star's excess ring has wrapped (its eviction
-// cursor is not 0) after its ring grew from 18 or 19 calibration
-// excesses to the cap of 24. A checkpoint on disk restores only while
-// they hold. The tail fits' floats differ with the FMA setting, so the
-// pin has a column per math.Exp implementation, as core's
-// TestSnapshotBytesPinned does.
-func TestDSPOTStageSnapshotBytesPinned(t *testing.T) {
-	if runtime.GOARCH != "amd64" {
-		t.Skip("DSPOT snapshot bytes are pinned on amd64")
-	}
-	var column int
-	switch got := math.Float64bits(math.Exp(-0.1875)); got {
-	case 0x3fea876812c0877b:
-		column = 0
-	case 0x3fea876812c0877c:
-		column = 1
-	default:
-		t.Skipf("math.Exp(-0.1875) = %#x is neither implementation the hashes were recorded with", got)
-	}
-	blob, err := wrappedDSPOTStage(t, 250).SnapshotState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Spots []evt.DSPOTState `json:"spots"`
-	}
-	if err := json.Unmarshal(blob, &st); err != nil {
-		t.Fatal(err)
-	}
-	wrapped := false
-	for _, sp := range st.Spots {
-		wrapped = wrapped || sp.SPOT.Evict != 0
-	}
-	if !wrapped {
-		t.Fatal("no star's ring has wrapped; the pin does not cover eviction")
-	}
-	// math.Exp with FMA, without.
-	size := [2]int{4571, 4567}[column]
-	want := [2]uint64{0x9276467818bfdcb0, 0x60c57ffb03bef8b0}[column]
-	h := fnv.New64a()
-	h.Write(blob)
-	if len(blob) != size || h.Sum64() != want {
-		t.Fatalf("snapshot is %d bytes with hash %#x, pinned %d bytes with %#x", len(blob), h.Sum64(), size, want)
-	}
-}
-
 // stageSnapshot mirrors the JSON of a DSPOTStage snapshot, so a test can
 // rewrite one field of a valid blob.
 type stageSnapshot struct {
@@ -271,7 +220,7 @@ func editSnapshot(tb testing.TB, blob []byte, edit func(spots []evt.DSPOTState))
 // fix it restored and the next push panicked, indexing the window out of
 // range.
 func TestDSPOTStageRestoreRejectsBadWindowPos(t *testing.T) {
-	stage := wrappedDSPOTStage(t, 250)
+	stage := checkpointDSPOTStage(t)
 	before, err := stage.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
@@ -291,14 +240,16 @@ func TestDSPOTStageRestoreRejectsBadWindowPos(t *testing.T) {
 
 // TestDSPOTStageRestoreRejectsForeignTail: a checkpoint whose star carries
 // another risk level or q than the stage's config, counts outside
-// 0 ≤ peaks ≤ n, or a value past ±1e150 is refused, and the stage's
-// snapshot is byte-equal before and after. Before
-// the fix each restored: q −1 turned star 0's threshold NaN within 35
-// frames, after which every snapshot failed to encode; q 0.9 made star 0
-// alarm on 365 of the next 400 frames (2 unedited); n −5 silently moved
-// the threshold.
+// 0 ≤ peaks ≤ n, an eviction cursor outside its ring, or a value past
+// ±1e150 is refused, and the stage's snapshot is byte-equal before and
+// after. Before the fix each restored: q −1 turned star 0's threshold NaN
+// within 35 frames, after which every snapshot failed to encode; q 0.9
+// made star 0 alarm on 365 of the next 400 frames (2 unedited); n −5
+// silently moved the threshold; a cursor of 1000 or −3 was reset to 0, a
+// slot that is not the oldest, so a full ring would evict newer excesses
+// before older ones.
 func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
-	stage := wrappedDSPOTStage(t, 250)
+	stage := checkpointDSPOTStage(t)
 	before, err := stage.SnapshotState()
 	if err != nil {
 		t.Fatal(err)
@@ -314,6 +265,8 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 		{"peaks-negative", "peaks -1", func(spots []evt.DSPOTState) { spots[2].SPOT.Peaks = -1 }},
 		{"since-refit-negative", "since_refit -2", func(spots []evt.DSPOTState) { spots[1].SPOT.SinceRefit = -2 }},
 		{"peaks-above-n", "peaks 29", func(spots []evt.DSPOTState) { spots[0].SPOT.N = 28 }},
+		{"evict-1000", "cursor 1000", func(spots []evt.DSPOTState) { spots[0].SPOT.Evict = 1000 }},
+		{"evict-negative", "cursor -3", func(spots []evt.DSPOTState) { spots[2].SPOT.Evict = -3 }},
 		{"window-1e300", "beyond", func(spots []evt.DSPOTState) { spots[2].Win[3] = 1e300 }},
 		{"sumsq-1e301", "beyond", func(spots []evt.DSPOTState) { spots[1].SPOT.SumSq = 1e301 }},
 	} {
@@ -334,7 +287,7 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 }
 
 // FuzzDSPOTStageRestoreState feeds arbitrary bytes to RestoreState of a
-// warm fluxev+dspot stage whose rings have wrapped. A failed restore must
+// fluxev+dspot stage restored from the wrapped checkpoint. A failed restore must
 // leave the stage's snapshot byte-equal to the one before it; a
 // successful one must be idempotent (snapshot → restore → snapshot), the
 // 64 pushes that follow it must not panic, and the stage must still
@@ -342,9 +295,10 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 // copies with a drift-window position of 99 and −1, eviction cursors out
 // of range, a drift-window depth that does not match, a q of −1 and 0.9,
 // a level of 7, an n of −5, a star whose next refit overflows its
-// quantile, a truncation, and the wrapped checkpoint.
+// quantile, a truncation, and the wrapped checkpoint itself, whose rings
+// are restored below the cap and rotated.
 func FuzzDSPOTStageRestoreState(f *testing.F) {
-	stage := wrappedDSPOTStage(f, 250)
+	stage := checkpointDSPOTStage(f)
 	valid, err := stage.SnapshotState()
 	if err != nil {
 		f.Fatal(err)

@@ -25,15 +25,68 @@ func dspotTestData() *dataset.Dataset {
 	}.Generate()
 }
 
+// stageDepth is a stage's drift window, the backend's dspotDepth: the
+// references below build their banks and DSPOTs with it.
+const stageDepth = 20
+
 type alarmKey struct {
 	v  int
 	t  float64
 	sc float64
 }
 
+// scoredFrame is one frame's time and its per-star scores.
+type scoredFrame struct {
+	t      float64
+	scores []float64
+}
+
+// thresholdAlarms steps every frame's scores, star by star, through
+// step and returns the alarms it raises.
+func thresholdAlarms(t *testing.T, frames []scoredFrame, step func(v int, sc float64) (bool, error)) []alarmKey {
+	t.Helper()
+	var out []alarmKey
+	for _, f := range frames {
+		for v, sc := range f.scores {
+			if fired, err := step(v, sc); err != nil {
+				t.Fatal(err)
+			} else if fired {
+				out = append(out, alarmKey{v: v, t: f.t, sc: sc})
+			}
+		}
+	}
+	return out
+}
+
+// innerScores replays the test split through a fresh instance of the
+// artifact and returns the frames it scores.
+func innerScores(t *testing.T, spec backend.Spec, artifact []byte, test *dataset.Series) []scoredFrame {
+	t.Helper()
+	b, err := spec.Open(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []scoredFrame
+	frame := core.Frame{Magnitudes: make([]float64, test.N())}
+	for ti := 0; ti < test.Len(); ti++ {
+		frame.Time = test.Time[ti]
+		for v := range frame.Magnitudes {
+			frame.Magnitudes[v] = test.Data[v][ti]
+		}
+		scores, err := b.PushScores(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scores != nil {
+			out = append(out, scoredFrame{t: frame.Time, scores: append([]float64(nil), scores...)})
+		}
+	}
+	return out
+}
+
 // TestDSPOTStageMatchesDirectStep is the satellite identity contract:
 // the engine-served DSPOT stage must alarm exactly where feeding the
-// same per-variate score sequence through evt.DSPOT.Step directly does —
+// same per-variate score sequence through evt.Bank.Step directly does —
 // same frames, same variates, bit-identical scores. The stage is
 // plumbing, not math.
 func TestDSPOTStageMatchesDirectStep(t *testing.T) {
@@ -50,7 +103,7 @@ func TestDSPOTStageMatchesDirectStep(t *testing.T) {
 	dcfg := backend.DefaultDSPOTConfig()
 
 	// Reference: raw score sequence of the test split through a twin
-	// backend, thresholded by evt.DSPOT directly.
+	// backend, thresholded by an evt.Bank directly.
 	calibTwin, err := spec.Open(artifact)
 	if err != nil {
 		t.Fatal(err)
@@ -59,39 +112,13 @@ func TestDSPOTStageMatchesDirectStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scoreTwin, err := spec.Open(artifact)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want []alarmKey
-	{
-		spots := make([]*evt.DSPOT, d.Test.N())
-		for v := range spots {
-			spots[v] = evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
-			spots[v].SetPolicy(dcfg.Refit)
-			if err := spots[v].Fit(calib[v]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
-		for ti := 0; ti < d.Test.Len(); ti++ {
-			frame.Time = d.Test.Time[ti]
-			for v := 0; v < d.Test.N(); v++ {
-				frame.Magnitudes[v] = d.Test.Data[v][ti]
-			}
-			scores, err := scoreTwin.PushScores(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for v, sc := range scores {
-				if fired, serr := spots[v].Step(sc); serr != nil {
-					t.Fatal(serr)
-				} else if fired {
-					want = append(want, alarmKey{v: v, t: frame.Time, sc: sc})
-				}
-			}
+	bank := evt.NewBank(d.Test.N(), dcfg.Level, dcfg.Q, stageDepth)
+	for v := range calib {
+		if err := bank.Fit(v, calib[v]); err != nil {
+			t.Fatal(err)
 		}
 	}
+	want := thresholdAlarms(t, innerScores(t, spec, artifact, d.Test), bank.Step)
 	if len(want) == 0 {
 		t.Fatal("direct DSPOT produced no alarms; identity test is vacuous")
 	}
@@ -139,17 +166,36 @@ func TestDSPOTStageMatchesDirectStep(t *testing.T) {
 }
 
 // TestDSPOTStageAmortizedAlarmsGolden is the golden alarm-sequence check
-// for the amortized refit policy: on the standard replay fixture, serving
-// under the default (amortized) schedule must raise exactly the alarms the
-// exact per-exceedance schedule raises — the approximation may lag the
-// tail parameters by up to Refit.Every exceedances, but not enough to move
-// any alarm on real replay traffic. The fluxev leg serves through the
-// stage; the sr and tm legs hold the policy to two more tail shapes, the
-// scores of the batch SR and TemplateMatching detectors on the same
-// fixture, thresholded per star as the stage thresholds them.
+// for the serving refit schedule: on the standard replay fixture, the
+// amortized refits must raise exactly the alarms textbook SPOT raises
+// with a full Grimshaw fit per exceedance (evt.NewDSPOT, one per star) —
+// the schedule may lag the tail parameters by up to 384 exceedances, but
+// not enough to move any alarm on real replay traffic. The fluxev leg
+// serves through the stage, against DSPOTs fed the inner backend's
+// scores; the sr and tm legs hold the schedule, an evt.Bank as a stage
+// keeps, to two more tail shapes, the scores of the batch SR and
+// TemplateMatching detectors on the same fixture.
 func TestDSPOTStageAmortizedAlarmsGolden(t *testing.T) {
 	d := dspotTestData()
-	serve := func(refit evt.RefitPolicy) []alarmKey {
+	dcfg := backend.DefaultDSPOTConfig()
+	exact := func(calib [][]float64, frames []scoredFrame) []alarmKey {
+		spots := make([]*evt.DSPOT, len(calib))
+		for v := range spots {
+			spots[v] = evt.NewDSPOT(dcfg.Level, dcfg.Q, stageDepth)
+			if err := spots[v].Fit(calib[v]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		out := thresholdAlarms(t, frames, func(v int, sc float64) (bool, error) { return spots[v].Step(sc) })
+		for v, sp := range spots {
+			if rs := sp.RefitStats(); rs.WarmRefits != 0 {
+				t.Fatalf("star %d: the exact reference warm-started %d of %d refits", v, rs.WarmRefits, rs.Refits)
+			}
+		}
+		return out
+	}
+	type replay func() (exact, served []alarmKey)
+	fluxev := func() (exactAlarms, served []alarmKey) {
 		spec, ok := backend.Get(baselines.KindFluxEV)
 		if !ok {
 			t.Fatal("fluxev not registered")
@@ -158,34 +204,25 @@ func TestDSPOTStageAmortizedAlarmsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dcfg := backend.DefaultDSPOTConfig()
-		dcfg.Refit = refit
+		scratch, err := spec.Open(artifact)
+		if err != nil {
+			t.Fatal(err)
+		}
+		calib, err := baselines.StreamScores(scratch, d.Train)
+		if err != nil {
+			t.Fatal(err)
+		}
 		stage, err := backend.OpenAdaptive(spec, artifact, dcfg, d.Train)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []alarmKey
-		frame := core.Frame{Magnitudes: make([]float64, d.Test.N())}
-		for ti := 0; ti < d.Test.Len(); ti++ {
-			frame.Time = d.Test.Time[ti]
-			for v := 0; v < d.Test.N(); v++ {
-				frame.Magnitudes[v] = d.Test.Data[v][ti]
-			}
-			alarms, err := stage.Push(frame)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, a := range alarms {
-				out = append(out, alarmKey{v: a.Variate, t: a.Time, sc: a.Score})
-			}
-		}
-		return out
+		return exact(calib, innerScores(t, spec, artifact, d.Test)), pushFrames(t, stage, 0, d.Test.Len())
 	}
 	// batch feeds a batch detector's scores from frame warm on, the first
 	// frame its window covers: TemplateMatching leaves the frames before
 	// its first full window at zero, which are placeholders, not scores.
-	batch := func(det baselines.Detector, warm int) func(evt.RefitPolicy) []alarmKey {
-		return func(refit evt.RefitPolicy) []alarmKey {
+	batch := func(det baselines.Detector, warm int) replay {
+		return func() (exactAlarms, served []alarmKey) {
 			if err := det.Fit(d.Train); err != nil {
 				t.Fatal(err)
 			}
@@ -197,46 +234,40 @@ func TestDSPOTStageAmortizedAlarmsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			dcfg := backend.DefaultDSPOTConfig()
-			spots := make([]*evt.DSPOT, d.Test.N())
-			for v := range spots {
-				spots[v] = evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
-				spots[v].SetPolicy(refit)
-				if err := spots[v].Fit(calib[v][warm:]); err != nil {
+			bank := evt.NewBank(d.Test.N(), dcfg.Level, dcfg.Q, stageDepth)
+			for v := range calib {
+				calib[v] = calib[v][warm:]
+				if err := bank.Fit(v, calib[v]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			var out []alarmKey
+			var frames []scoredFrame
 			for ti := warm; ti < d.Test.Len(); ti++ {
-				for v, sp := range spots {
-					sc := scores[v][ti]
-					if fired, err := sp.Step(sc); err != nil {
-						t.Fatal(err)
-					} else if fired {
-						out = append(out, alarmKey{v: v, t: d.Test.Time[ti], sc: sc})
-					}
+				f := scoredFrame{t: d.Test.Time[ti], scores: make([]float64, d.Test.N())}
+				for v := range f.scores {
+					f.scores[v] = scores[v][ti]
 				}
+				frames = append(frames, f)
 			}
-			return out
+			return exact(calib, frames), thresholdAlarms(t, frames, bank.Step)
 		}
 	}
 	tm := baselines.NewTemplateMatching()
 	for _, leg := range []struct {
 		name   string
-		replay func(evt.RefitPolicy) []alarmKey
+		replay replay
 	}{
 		{"sr", batch(baselines.NewSR(), 0)},
 		{"tm", batch(tm, tm.TemplateLen-1)},
-		{baselines.KindFluxEV, serve},
+		{baselines.KindFluxEV, fluxev},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
-			exact := leg.replay(evt.ExactRefitPolicy())
+			exact, amortized := leg.replay()
 			if len(exact) == 0 {
-				t.Fatal("exact policy produced no alarms; golden test is vacuous")
+				t.Fatal("exact refits produced no alarms; golden test is vacuous")
 			}
-			amortized := leg.replay(evt.DefaultRefitPolicy())
 			if len(amortized) != len(exact) {
-				t.Fatalf("amortized policy raised %d alarms, exact %d", len(amortized), len(exact))
+				t.Fatalf("amortized refits raised %d alarms, exact %d", len(amortized), len(exact))
 			}
 			for i := range amortized {
 				if amortized[i] != exact[i] {
@@ -435,13 +466,12 @@ func TestDSPOTStageConcurrentFitMatchesSequential(t *testing.T) {
 				}
 			}
 			want := make([][]byte, stars)
+			alone := evt.NewBank(stars, dcfg.Level, dcfg.Q, stageDepth)
 			for v := range want {
-				sp := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth)
-				sp.SetPolicy(dcfg.Refit)
-				if err := sp.Fit(calib[v]); err != nil {
+				if err := alone.Fit(v, calib[v]); err != nil {
 					t.Fatal(err)
 				}
-				if want[v], err = json.Marshal(sp.State()); err != nil {
+				if want[v], err = json.Marshal(alone.State(v)); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -473,10 +503,11 @@ func TestDSPOTStageConcurrentFitMatchesSequential(t *testing.T) {
 			short := append([][]float64(nil), calib...)
 			first := -1
 			for v := stars - 1; v >= 0; v -= 1 + v%3 {
-				short[v] = calib[v][:dcfg.Depth+8]
+				short[v] = calib[v][:stageDepth+8]
 				first = v
 			}
-			ferr := evt.NewDSPOT(dcfg.Level, dcfg.Q, dcfg.Depth).Fit(short[first])
+			ref := evt.NewBank(stars, dcfg.Level, dcfg.Q, stageDepth)
+			ferr := ref.Fit(first, short[first])
 			wantErr := fmt.Sprintf("backend: dspot variate %d: %v", first, ferr)
 			if _, err := backend.NewDSPOTStage(inner, dcfg, short); err == nil || err.Error() != wantErr {
 				t.Fatalf("%d stars, GOMAXPROCS %d: error %v, want %s", stars, procs, err, wantErr)

@@ -9,7 +9,7 @@ import (
 // Bank is the adaptive tail state of one stage: the drift-aware SPOT
 // (Siffer et al., KDD 2017, §4.4) of each of its stars, in one flat
 // layout. What the stars share is held once per stage — Level, Q, the
-// drift-window depth, the refit policy and the refit counters. Each
+// drift-window depth, the refit schedule and the refit counters. Each
 // star's scalars are one element of a per-stage slice, and the drift
 // windows are one stars × depth slab; only a star's excess ring is an
 // allocation of its own, grown as its exceedances arrive (see
@@ -21,7 +21,7 @@ import (
 // slabs, so a second stage takes a Clone.
 type Bank struct {
 	level, q float64
-	policy   RefitPolicy
+	exact    bool // a grid-scan fit on every exceedance (NewDSPOT); else the serving schedule
 	depth    int
 	stars    []tail
 	win      []float64 // star i's drift window is win[i*depth : (i+1)*depth]
@@ -58,13 +58,12 @@ type tail struct {
 }
 
 // NewBank returns an unfitted bank of the given stars with a trailing
-// drift window of depth (at least 1) per star and the given refit
-// schedule (which also caps every star's excess ring). Level and Q are
-// checked by Fit.
-func NewBank(stars int, level, q float64, depth int, policy RefitPolicy) Bank {
+// drift window of depth (at least 1) per star, under the serving refit
+// schedule. Level and Q are checked by Fit.
+func NewBank(stars int, level, q float64, depth int) Bank {
 	depth = max(depth, 1)
 	return Bank{
-		level: level, q: q, policy: policy, depth: depth,
+		level: level, q: q, depth: depth,
 		stars: make([]tail, stars),
 		win:   make([]float64, stars*depth),
 	}
@@ -74,7 +73,11 @@ func NewBank(stars int, level, q float64, depth int, policy RefitPolicy) Bank {
 func (b *Bank) Len() int { return len(b.stars) }
 
 // Fresh returns an unfitted bank of b's stars under b's config.
-func (b *Bank) Fresh() Bank { return NewBank(len(b.stars), b.level, b.q, b.depth, b.policy) }
+func (b *Bank) Fresh() Bank {
+	f := NewBank(len(b.stars), b.level, b.q, b.depth)
+	f.exact = b.exact
+	return f
+}
 
 // Clone returns a bank with the same config, counters and state as b and
 // slabs and rings of its own; each ring is allocated at its length and
@@ -148,7 +151,7 @@ func (b *Bank) fitTail(s *tail, init []float64) error {
 	}
 	s.t, s.z, s.model = th.Init, th.Z, th.Model
 	s.n = th.N
-	s.excesses = make([]float64, 0, min(th.Peaks, b.policy.capacity()))
+	s.excesses = make([]float64, 0, min(th.Peaks, maxExcesses))
 	for _, v := range init {
 		if v > s.t {
 			b.pushExcess(s, v-s.t)
@@ -208,10 +211,10 @@ func (b *Bank) RefitStats() RefitStats {
 	}
 }
 
-// ringLimit is the most excesses s's ring retains: the policy's capacity,
-// or more when a snapshot restored a longer ring (setTailState drops no
-// retained excess). The length never shrinks, so the limit never does.
-func (b *Bank) ringLimit(s *tail) int { return max(b.policy.capacity(), len(s.excesses)) }
+// ringLimit is the most excesses s's ring retains: maxExcesses, or more
+// when a snapshot restored a longer ring (setTailState drops no retained
+// excess). The length never shrinks, so the limit never does.
+func ringLimit(s *tail) int { return max(maxExcesses, len(s.excesses)) }
 
 // pushExcess inserts one excess into s's ring, evicting the oldest entry
 // once the ring is at its limit, and maintains the running sufficient
@@ -219,7 +222,7 @@ func (b *Bank) ringLimit(s *tail) int { return max(b.policy.capacity(), len(s.ex
 // least 2·minTailPeaks, at most the limit), so a ring reaches its limit
 // in O(log limit) allocations and then pushes allocation free.
 func (b *Bank) pushExcess(s *tail, e float64) {
-	if n, limit := len(s.excesses), b.ringLimit(s); n < limit {
+	if n, limit := len(s.excesses), ringLimit(s); n < limit {
 		if n == cap(s.excesses) {
 			grown := make([]float64, n, min(max(2*n, 2*minTailPeaks), limit))
 			copy(grown, s.excesses)
@@ -249,17 +252,14 @@ func (s *tail) tailMean() float64 {
 }
 
 // shouldRefit decides whether this exceedance pays for a full fit: always
-// in exact mode (or before a first fit exists), every Policy.Every
-// exceedances, or early when the tail mean drifted past the tolerance.
+// in exact mode (or before a first fit exists), every refitEvery
+// exceedances, or early when the tail mean drifted past refitDrift.
 func (b *Bank) shouldRefit(s *tail) bool {
-	if b.policy.Every <= 1 || !s.fitted {
+	if b.exact || !s.fitted || s.sinceRefit >= refitEvery {
 		return true
 	}
-	if s.sinceRefit >= b.policy.Every {
-		return true
-	}
-	if tol := b.policy.DriftTolerance; tol > 0 && s.refitMean > 0 {
-		if d := s.tailMean() - s.refitMean; d > tol*s.refitMean || -d > tol*s.refitMean {
+	if s.refitMean > 0 {
+		if d := s.tailMean() - s.refitMean; d > refitDrift*s.refitMean || -d > refitDrift*s.refitMean {
 			return true
 		}
 	}
@@ -271,7 +271,7 @@ func (b *Bank) shouldRefit(s *tail) bool {
 // warm start diverges — and rebases the threshold and drift reference.
 func (b *Bank) refit(s *tail) {
 	start := time.Now()
-	if b.policy.Every > 1 && s.fitted {
+	if !b.exact && s.fitted {
 		if g, ok := fitGPDWarm(s.excesses, s.model, s.sum, s.sumsq); ok {
 			s.model = g
 			b.warmRefits++
@@ -320,11 +320,11 @@ func (b *Bank) Step(i int, x float64) (bool, error) {
 }
 
 // stepTail is the SPOT update rule (Siffer et al., Alg. 2) under the
-// refit policy: a score above z alarms, a score in (t, z] refines the
+// refit schedule: a score above z alarms, a score in (t, z] refines the
 // tail, anything else is counted as normal. The benign path is a counter
 // increment, an exceedance is an O(1) ring push plus quantile update, and
-// only every Policy.Every-th exceedance (or a drift or boundary trigger)
-// pays for a fit.
+// only every refitEvery-th exceedance (or a drift or boundary trigger)
+// pays for a fit; in exact mode every exceedance does.
 func (b *Bank) stepTail(s *tail, x float64) (bool, error) {
 	if !s.ready {
 		return false, ErrNotReady
@@ -336,10 +336,9 @@ func (b *Bank) stepTail(s *tail, x float64) (bool, error) {
 	// the one decision amortization could flip, so it pays for a fresh fit
 	// up front. sinceRefit > 0 gates repeats — after the refit, no further
 	// boundary fit until a new excess actually lands in the ring.
-	if bb := b.policy.Boundary; bb > 0 && b.policy.Every > 1 && s.fitted &&
-		s.sinceRefit > 0 && len(s.excesses) >= minTailPeaks {
+	if !b.exact && s.fitted && s.sinceRefit > 0 && len(s.excesses) >= minTailPeaks {
 		if m := s.z - s.t; m > 0 {
-			if d := x - s.z; d < bb*m && -d < bb*m {
+			if d := x - s.z; d < refitBoundary*m && -d < refitBoundary*m {
 				b.refit(s)
 			}
 		}
@@ -388,9 +387,11 @@ func (b *Bank) tailState(s *tail) SPOTState {
 // SetState replaces star i's runtime state with a snapshot taken by
 // State. The snapshot must be of this bank's config: its drift-window
 // depth, Level and Q. Its window position must lie in [0, depth), its
-// counts must hold 0 ≤ Peaks ≤ N and SinceRefit ≥ 0, and its scores,
-// thresholds and sums must lie within ±maxScore (sums of squares within
-// ±maxScore²). Otherwise the error leaves the star untouched.
+// eviction cursor in [0, len(Excesses)) (0 for an empty ring; a legacy
+// snapshot's is ignored), its counts must hold 0 ≤ Peaks ≤ N and
+// SinceRefit ≥ 0, and its scores, thresholds and sums must lie within
+// ±maxScore (sums of squares within ±maxScore²). Otherwise the error
+// leaves the star untouched.
 func (b *Bank) SetState(i int, st DSPOTState) error {
 	if st.Depth != b.depth || len(st.Win) != b.depth {
 		return fmt.Errorf("evt: DSPOT state depth %d (win %d), detector depth %d", st.Depth, len(st.Win), b.depth)
@@ -413,11 +414,11 @@ func (b *Bank) SetState(i int, st DSPOTState) error {
 // setTailState replaces s's tail state with a snapshot, after checking
 // it against the bank's config as SetState documents. The ring is
 // allocated at the snapshot's retained length and grows from there to its
-// limit, the policy's capacity (or that length, when it is larger, so no
-// retained excess is dropped when restoring under a smaller policy). A
-// wrapped ring restored below its limit — a snapshot taken under a
-// smaller MaxExcesses — is laid out oldest first with the eviction cursor
-// at 0, so the ring refills and then evicts in age order.
+// limit, maxExcesses (or that length, when it is larger, so no retained
+// excess is dropped). A wrapped ring restored below its limit — a
+// snapshot taken by a build with a smaller ring — is laid out oldest
+// first with the eviction cursor at 0, so the ring refills and then
+// evicts in age order.
 func (b *Bank) setTailState(s *tail, st SPOTState) error {
 	if st.Level != b.level || st.Q != b.q {
 		return fmt.Errorf("evt: SPOT state level %v, q %v; detector level %v, q %v", st.Level, st.Q, b.level, b.q)
@@ -442,6 +443,11 @@ func (b *Bank) setTailState(s *tail, st SPOTState) error {
 		return fmt.Errorf("evt: SPOT state counts n %d, peaks %d, since_refit %d, excesses %d outside 0 ≤ peaks ≤ n, since_refit ≥ 0",
 			st.N, st.Peaks, st.SinceRefit, len(st.Excesses))
 	}
+	// The cursor names the oldest retained excess; one past the ring
+	// would evict newer excesses before older ones.
+	if !legacy && (st.Evict < 0 || st.Evict >= max(len(st.Excesses), 1)) {
+		return fmt.Errorf("evt: SPOT state eviction cursor %d outside [0, %d)", st.Evict, max(len(st.Excesses), 1))
+	}
 	s.t, s.z, s.model = st.T, st.Z, st.Model
 	s.n, s.peaks = st.N, peaks
 	s.sum, s.sumsq = sum, sumsq
@@ -454,14 +460,10 @@ func (b *Bank) setTailState(s *tail, st SPOTState) error {
 		s.refitMean = s.tailMean()
 		return nil
 	}
-	evict := st.Evict
-	if evict < 0 || evict >= max(len(st.Excesses), 1) {
-		evict = 0
-	}
 	// The oldest retained excess sits at the cursor. Below its limit the
 	// ring appends before it evicts again, so it is rotated to start there.
-	oldest := 0
-	if evict != 0 && len(st.Excesses) < b.policy.capacity() {
+	evict, oldest := st.Evict, 0
+	if evict != 0 && len(st.Excesses) < maxExcesses {
 		oldest, evict = evict, 0
 	}
 	s.evict = int32(evict)

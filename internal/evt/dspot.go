@@ -8,17 +8,15 @@ package evt
 // Bank; a stage of many stars keeps one Bank instead.
 type DSPOT struct{ b Bank }
 
-// NewDSPOT returns a drift-aware SPOT with the given trailing window depth,
-// under the exact refit policy; use SetPolicy before Fit to amortize the
-// tail refits.
+// NewDSPOT returns a drift-aware SPOT with the given trailing window depth
+// that refits its tail model on every exceedance with the full Grimshaw
+// grid scan: textbook SPOT, the exact reference a serving Bank's
+// amortized refits are held to.
 func NewDSPOT(level, q float64, depth int) *DSPOT {
-	return &DSPOT{NewBank(1, level, q, depth, ExactRefitPolicy())}
+	b := NewBank(1, level, q, depth)
+	b.exact = true
+	return &DSPOT{b}
 }
-
-// SetPolicy configures the tail model's refit schedule; call it before
-// Fit or SetState (the policy also caps the excess ring, which grows to
-// that cap as exceedances arrive).
-func (d *DSPOT) SetPolicy(p RefitPolicy) { d.b.policy = p }
 
 // RefitStats returns the tail model's cumulative maintenance counters.
 func (d *DSPOT) RefitStats() RefitStats { return d.b.RefitStats() }

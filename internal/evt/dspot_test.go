@@ -107,9 +107,9 @@ func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
 	for i := range feed {
 		feed[i] = rng.ExpFloat64() * (1 + float64(i%97)/40)
 	}
-	mk := func(pol RefitPolicy) *DSPOT {
+	mk := func(exact bool) *DSPOT {
 		d := NewDSPOT(0.99, 1e-3, 20)
-		d.SetPolicy(pol)
+		d.b.exact = exact
 		if err := d.Fit(calib); err != nil {
 			t.Fatal(err)
 		}
@@ -120,40 +120,40 @@ func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
 		}
 		return d
 	}
-	for _, pol := range []RefitPolicy{ExactRefitPolicy(), DefaultRefitPolicy()} {
+	for _, exact := range []bool{true, false} {
 		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			d, twin := mk(pol), mk(pol)
+			d, twin := mk(exact), mk(exact)
 			before := d.State()
 			if fired, err := d.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
-				t.Fatalf("policy %+v: DSPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
+				t.Fatalf("exact %v: DSPOT.Step(%v) = %v, %v; want false, ErrNonFinite", exact, bad, fired, err)
 			}
 			star := &d.b.stars[0]
 			spotBefore := d.b.tailState(star)
 			if fired, err := d.b.stepTail(star, bad); !errors.Is(err, ErrNonFinite) || fired {
-				t.Fatalf("policy %+v: SPOT.Step(%v) = %v, %v; want false, ErrNonFinite", pol, bad, fired, err)
+				t.Fatalf("exact %v: SPOT.Step(%v) = %v, %v; want false, ErrNonFinite", exact, bad, fired, err)
 			}
 			if !reflect.DeepEqual(d.b.tailState(star), spotBefore) {
-				t.Fatalf("policy %+v: SPOT.Step(%v) changed the state", pol, bad)
+				t.Fatalf("exact %v: SPOT.Step(%v) changed the state", exact, bad)
 			}
 			if !reflect.DeepEqual(d.State(), before) {
-				t.Fatalf("policy %+v: DSPOT.Step(%v) changed the state", pol, bad)
+				t.Fatalf("exact %v: DSPOT.Step(%v) changed the state", exact, bad)
 			}
 			alarms := 0
 			for i, x := range feed[600:] {
 				got, err := d.Step(x)
 				want, werr := twin.Step(x)
 				if err != nil || werr != nil || got != want {
-					t.Fatalf("policy %+v, after %v, step %d: %v/%v vs twin %v/%v", pol, bad, i, got, err, want, werr)
+					t.Fatalf("exact %v, after %v, step %d: %v/%v vs twin %v/%v", exact, bad, i, got, err, want, werr)
 				}
 				if got {
 					alarms++
 				}
 			}
 			if alarms == 0 {
-				t.Fatalf("policy %+v: no alarms in 1,000 steps; the comparison is vacuous", pol)
+				t.Fatalf("exact %v: no alarms in 1,000 steps; the comparison is vacuous", exact)
 			}
 			if !reflect.DeepEqual(d.State(), twin.State()) {
-				t.Fatalf("policy %+v, after %v: final state differs from the twin's", pol, bad)
+				t.Fatalf("exact %v, after %v: final state differs from the twin's", exact, bad)
 			}
 		}
 	}

@@ -23,76 +23,26 @@ func finite(x float64) bool { return x == x && x-x == 0 }
 // streaming SPOT update rule.
 const minTailPeaks = 8
 
-// DefaultMaxExcesses is the default capacity of a streaming SPOT's excess
-// ring. A few hundred peaks is a statistically comfortable tail sample
-// (Siffer et al. calibrate on comparable peak counts), and the cap is what
-// bounds refit cost, snapshot size, and long-run memory: without it a
-// long-serving detector's excess buffer — and therefore the cost of every
-// Grimshaw refit over it — grows linearly in exceedance count.
-const DefaultMaxExcesses = 256
-
-// RefitPolicy schedules the expensive part of streaming SPOT: the Grimshaw
-// MLE refit of the GPD tail model over the excess buffer. Between full
-// refits the detector maintains running sufficient statistics (sum and
-// sum-of-squares of the retained excesses) and keeps the threshold live
-// with the O(1) quantile update z = model.Quantile(t, q, n, nPeaks) — the
-// (γ, σ) pair is stale, but the empirical tail fraction nPeaks/n it is
-// applied to is not.
-//
-// The approximation contract: with Every = K, the GPD parameters lag the
-// excess stream by at most K exceedances — or less, when a tail-mean shift
-// beyond DriftTolerance forces an early refit. Every = 1 disables the
-// amortization entirely and is bit-identical to the textbook SPOT update
-// (a full fit on every exceedance), at the cost that made it ~18,000× the
-// price of a cheap backend's push.
-type RefitPolicy struct {
-	// Every refits the tail model every K exceedances. 1 (or less) is the
-	// exact mode: a full Grimshaw grid-scan fit on every exceedance,
-	// bit-identical to SPOT before refits were amortized.
-	Every int
-	// DriftTolerance forces a refit early when the running tail mean has
-	// shifted by more than this fraction relative to the mean at the last
-	// refit — the drift trigger that keeps staleness data-dependent rather
-	// than purely count-based. 0 disables the trigger.
-	DriftTolerance float64
-	// MaxExcesses caps the excess ring; once full, the oldest retained
-	// excess is evicted per new exceedance. 0 means DefaultMaxExcesses.
-	MaxExcesses int
-	// Boundary is the alarm-boundary guard band, as a fraction of the
-	// threshold margin z−t: a score within Boundary·(z−t) of the stale
-	// threshold forces a refit before the alarm decision, so the verdicts
-	// amortization could actually flip — the near-threshold ones — are
-	// made against a fresh tail model. Scores far from z are insensitive
-	// to parameter staleness and skip the fit. 0 disables the trigger.
-	Boundary float64
-}
-
-// ExactRefitPolicy is the bit-identical-to-textbook-SPOT schedule: a full
-// Grimshaw fit on every exceedance (the ring is still bounded, so even
-// exact mode cannot leak memory or grow its snapshots without bound).
-func ExactRefitPolicy() RefitPolicy {
-	return RefitPolicy{Every: 1, MaxExcesses: DefaultMaxExcesses}
-}
-
-// DefaultRefitPolicy is the amortized serving schedule: a warm-started
-// refit every 384 exceedances, pulled forward whenever the tail mean
-// shifts by more than 30% or a score lands within 10% of the threshold
-// margin, over a DefaultMaxExcesses-deep ring. The constants are tuned on
-// the exceedance-heavy micro-benchmark field: the count schedule is a
-// backstop, and the drift and boundary triggers carry the fidelity (see
-// TestDSPOTStageAmortizedAlarmsGolden and TestSPOTAmortizedTracksExact).
-func DefaultRefitPolicy() RefitPolicy {
-	return RefitPolicy{Every: 384, DriftTolerance: 0.3, MaxExcesses: DefaultMaxExcesses, Boundary: 0.1}
-}
-
-// capacity resolves the policy's excess-ring capacity, flooring it so a
-// full ring always holds enough peaks for a meaningful fit.
-func (p RefitPolicy) capacity() int {
-	if p.MaxExcesses <= 0 {
-		return DefaultMaxExcesses
-	}
-	return max(p.MaxExcesses, 2*minTailPeaks)
-}
+// The serving refit schedule. Between Grimshaw refits a star keeps its
+// threshold live with the O(1) quantile update z = model.Quantile(t, q,
+// n, nPeaks): (γ, σ) are stale, the tail fraction nPeaks/n is not. The
+// count is a backstop; the drift and boundary triggers carry the fidelity
+// (TestDSPOTStageAmortizedAlarmsGolden, TestSPOTAmortizedTracksExact).
+// NewDSPOT, the exact reference, fits on every exceedance instead.
+const (
+	refitEvery = 384 // exceedances between refits, at most
+	// refitDrift refits early once the running tail mean has moved by
+	// more than this fraction of its value at the last refit.
+	refitDrift = 0.3
+	// refitBoundary refits before the verdict on a score within this
+	// fraction of the margin z−t of the stale threshold: the decisions
+	// amortization could flip are made against a fresh model.
+	refitBoundary = 0.1
+	// maxExcesses caps every star's excess ring, exact mode's too; a full
+	// ring evicts its oldest excess. The cap bounds refit cost, snapshot
+	// size and memory; a few hundred peaks is a comfortable tail sample.
+	maxExcesses = 256
+)
 
 // RefitStats are cumulative counters of a streaming tail model's
 // maintenance work: how many exceedances fed the ring, and how many of

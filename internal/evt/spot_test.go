@@ -16,10 +16,11 @@ type spot struct {
 	*tail
 }
 
-// newSPOT returns an unfitted SPOT under the exact refit policy; assign
-// policy before Fit to amortize refits.
+// newSPOT returns an unfitted SPOT that fits on every exceedance, as
+// NewDSPOT does; clear exact before Fit for the serving schedule.
 func newSPOT(level, q float64) spot {
-	b := NewBank(1, level, q, 1, ExactRefitPolicy())
+	b := NewBank(1, level, q, 1)
+	b.exact = true
 	return spot{&b, &b.stars[0]}
 }
 
@@ -42,19 +43,19 @@ func spotCalib(seed int64, n int) []float64 {
 
 // TestSPOTStateBounded pins the fix for the unbounded excess buffer: after
 // a million steps of in-tail traffic the retained state — and therefore
-// every snapshot and every refit — stays capped at the policy's ring
-// capacity, in exact mode too.
+// every snapshot and every refit — stays capped at maxExcesses, in exact
+// mode too.
 func TestSPOTStateBounded(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		policy RefitPolicy
+		name  string
+		exact bool
 	}{
-		{"exact", ExactRefitPolicy()},
-		{"amortized", DefaultRefitPolicy()},
+		{"exact", true},
+		{"amortized", false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSPOT(0.99, 1e-3)
-			s.policy = tc.policy
+			s.exact = tc.exact
 			if err := s.Fit(spotCalib(11, 3000)); err != nil {
 				t.Fatal(err)
 			}
@@ -68,12 +69,12 @@ func TestSPOTStateBounded(t *testing.T) {
 				}
 				s.Step(x)
 			}
-			if s.ringLimit(s.tail) != tc.policy.capacity() {
-				t.Fatalf("ring limit drifted: %d, want %d", s.ringLimit(s.tail), tc.policy.capacity())
+			if ringLimit(s.tail) != maxExcesses {
+				t.Fatalf("ring limit drifted: %d, want %d", ringLimit(s.tail), maxExcesses)
 			}
 			st := s.State()
-			if len(st.Excesses) > tc.policy.capacity() {
-				t.Fatalf("retained %d excesses, cap %d", len(st.Excesses), tc.policy.capacity())
+			if len(st.Excesses) > maxExcesses {
+				t.Fatalf("retained %d excesses, cap %d", len(st.Excesses), maxExcesses)
 			}
 			blob, err := json.Marshal(st)
 			if err != nil {
@@ -84,7 +85,7 @@ func TestSPOTStateBounded(t *testing.T) {
 			if len(blob) > 32*1024 {
 				t.Fatalf("snapshot is %d bytes after 1e6 steps; state is not bounded", len(blob))
 			}
-			if s.peaks < DefaultMaxExcesses {
+			if s.peaks < maxExcesses {
 				t.Fatalf("test fed only %d exceedances; ring never overflowed", s.peaks)
 			}
 		})
@@ -92,13 +93,14 @@ func TestSPOTStateBounded(t *testing.T) {
 }
 
 // TestSPOTSnapshotRoundTripAfterEviction pins resume bit-identity once the
-// ring has wrapped: State/SetState must carry the eviction cursor and the
-// incrementally-maintained sufficient statistics verbatim (recomputing the
-// sums from the slice is NOT bit-identical to the +=/-= history).
+// serving schedule's ring has wrapped: State/SetState must carry the
+// eviction cursor and the incrementally-maintained sufficient statistics
+// verbatim (recomputing the sums from the slice is NOT bit-identical to
+// the +=/-= history).
 func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 	mk := func() spot {
 		s := newSPOT(0.99, 1e-3)
-		s.policy = RefitPolicy{Every: 16, DriftTolerance: 0.2, MaxExcesses: 64}
+		s.exact = false
 		if err := s.Fit(spotCalib(21, 2000)); err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +133,11 @@ func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	resumed := newSPOT(0.99, 1e-3)
-	resumed.policy = cut.policy
+	resumed.exact = false
 	if err := resumed.SetState(st); err != nil {
 		t.Fatal(err)
 	}
-	if resumed.peaks <= 64 {
+	if resumed.peaks <= maxExcesses || resumed.evict == 0 {
 		t.Fatalf("ring never wrapped (peaks %d); eviction round-trip untested", resumed.peaks)
 	}
 	if resumed.sum != cut.sum || resumed.sumsq != cut.sumsq || resumed.evict != cut.evict {
@@ -158,7 +160,7 @@ func TestSPOTSnapshotRoundTripAfterEviction(t *testing.T) {
 		if i < 2000 {
 			if i == 1999 {
 				resumed = newSPOT(0.99, 1e-3)
-				resumed.policy = cut.policy
+				resumed.exact = false
 				if err := resumed.SetState(st); err != nil {
 					t.Fatal(err)
 				}
@@ -216,9 +218,8 @@ func TestSPOTLegacySnapshotCompat(t *testing.T) {
 func TestSPOTAmortizedTracksExact(t *testing.T) {
 	for _, seed := range []int64{51, 52, 53} {
 		exact := newSPOT(0.99, 1e-3)
-		exact.policy = ExactRefitPolicy()
 		amort := newSPOT(0.99, 1e-3)
-		amort.policy = DefaultRefitPolicy()
+		amort.exact = false
 		calib := spotCalib(seed, 3000)
 		if err := exact.Fit(calib); err != nil {
 			t.Fatal(err)
@@ -269,7 +270,7 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 	tRef, zRef, n, model := s.t, s.z, s.n, s.model
 	rng := rand.New(rand.NewSource(62))
 	for i := 0; i < 3000; i++ {
-		if len(excesses) >= s.policy.capacity() {
+		if len(excesses) >= maxExcesses {
 			break // identity is only promised pre-overflow
 		}
 		x := math.Abs(rng.NormFloat64())
@@ -304,13 +305,13 @@ func TestSPOTExactPolicyBitIdentical(t *testing.T) {
 }
 
 // TestSPOTStepBenignAllocs pins the serving-path allocation budget: the
-// benign step, and the between-refits exceedance step on a ring already
-// at its cap, are both zero-alloc (the quantile update is arithmetic).
-// TestSPOTRingGrowthAllocs covers the ring's way to its cap.
+// benign step, and the exceedance step on a ring already at its cap, are
+// both zero-alloc (the quantile update is arithmetic, and a refit's few
+// allocations average out). TestSPOTRingGrowthAllocs covers the ring's
+// way to its cap.
 func TestSPOTStepBenignAllocs(t *testing.T) {
 	s := newSPOT(0.99, 1e-3)
-	// Refits disabled after Fit: isolates the between-refits path.
-	s.policy = RefitPolicy{Every: 1 << 30}
+	s.exact = false
 	if err := s.Fit(spotCalib(71, 3000)); err != nil {
 		t.Fatal(err)
 	}
@@ -322,11 +323,11 @@ func TestSPOTStepBenignAllocs(t *testing.T) {
 		i++
 		s.Step(s.t + 0.001 + 0.0001*float64(i%7))
 	}
-	for len(s.excesses) < s.policy.capacity() {
+	for len(s.excesses) < maxExcesses {
 		exceed()
 	}
-	if cap(s.excesses) != s.policy.capacity() {
-		t.Fatalf("ring at its cap has backing array %d, want %d", cap(s.excesses), s.policy.capacity())
+	if cap(s.excesses) != maxExcesses {
+		t.Fatalf("ring at its cap has backing array %d, want %d", cap(s.excesses), maxExcesses)
 	}
 	if allocs := testing.AllocsPerRun(1000, exceed); allocs != 0 {
 		t.Fatalf("exceedance Step on a full ring allocates %.1f objects, want 0", allocs)
@@ -361,8 +362,7 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 	least := uint64(math.MaxUint64)
 	for range 3 {
 		s := newSPOT(0.99, 1e-3)
-		// Refits disabled: every allocation left to count is the ring's.
-		s.policy = RefitPolicy{Every: 1 << 30}
+		s.exact = false
 		if err := s.SetState(st); err != nil {
 			t.Fatal(err)
 		}
@@ -377,12 +377,12 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.Mallocs-before.Mallocs)
 		for i, c := range caps {
-			if c > DefaultMaxExcesses {
-				t.Fatalf("step %d: backing array %d exceeds the ring limit %d", i, c, DefaultMaxExcesses)
+			if c > maxExcesses {
+				t.Fatalf("step %d: backing array %d exceeds the ring limit %d", i, c, maxExcesses)
 			}
 		}
-		if len(s.excesses) != DefaultMaxExcesses || caps[steps-1] != DefaultMaxExcesses {
-			t.Fatalf("ring holds %d excesses in a %d array, want %d in %d", len(s.excesses), caps[steps-1], DefaultMaxExcesses, DefaultMaxExcesses)
+		if len(s.excesses) != maxExcesses || caps[steps-1] != maxExcesses {
+			t.Fatalf("ring holds %d excesses in a %d array, want %d in %d", len(s.excesses), caps[steps-1], maxExcesses, maxExcesses)
 		}
 	}
 	if least > 5 {
@@ -391,83 +391,97 @@ func TestSPOTRingGrowthAllocs(t *testing.T) {
 }
 
 // TestSPOTRestoreLargerCapEvictsInAgeOrder restores a wrapped 32-excess
-// ring under MaxExcesses 64 and feeds it in-tail steps whose excess grows
-// with age. Once the larger ring has refilled and wrapped again, it must
-// hold exactly the newest 64 excesses, oldest first from the cursor: a
-// stale eviction cursor would evict newer excesses before older ones.
+// ring, as a checkpoint of an older build with a 32-excess cap holds it
+// (slots 0–7 hold the 8 newest of 40 excesses, the cursor names slot 8),
+// and feeds it in-tail steps. Once the ring has refilled to maxExcesses
+// and wrapped again, it must hold exactly the newest maxExcesses
+// excesses, oldest first from the cursor: a stale cursor would evict the
+// restored newest 8 after excesses that arrived later.
 func TestSPOTRestoreLargerCapEvictsInAgeOrder(t *testing.T) {
-	s := newSPOT(0.99, 1e-3)
-	// Count and drift refits off: the threshold only rises with the tail
-	// fraction, so every step below stays in the tail.
-	s.policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 32}
-	if err := s.Fit(spotCalib(91, 2000)); err != nil {
+	fitted := newSPOT(0.99, 1e-3)
+	if err := fitted.Fit(spotCalib(91, 2000)); err != nil {
 		t.Fatal(err)
 	}
-	seen := append([]float64(nil), s.excesses...)
-	step := 1e-4 * (s.z - s.t)
-	feed := func(s spot, n int) {
-		for range n {
-			x := s.t + step*float64(len(seen)+1)
-			if fired, err := s.Step(x); err != nil || fired {
-				t.Fatalf("in-tail step %v: fired %v, err %v", x, fired, err)
-			}
-			seen = append(seen, x-s.t)
-		}
+	st := fitted.State()
+	// Distinct excesses within a fifth of the margin: far enough below z
+	// that the boundary guard never fires, with a tail mean that stays
+	// within refitDrift, and fewer steps than refitEvery, so the ring is
+	// never refitted and every step stays in the tail.
+	m := st.Z - st.T
+	excess := func(k int) float64 { return m * (0.05 + 0.15*math.Mod(float64(k)*0.6180339887498949, 1)) }
+	const restored, wrapped, steps = 32, 40, 300
+	st.Excesses = make([]float64, restored)
+	st.Sum, st.SumSq = 0, 0
+	for k := wrapped - restored; k < wrapped; k++ {
+		e := excess(k)
+		st.Excesses[k%restored] = e
+		st.Sum += e
+		st.SumSq += e * e
 	}
-	feed(s, 40)
-	st := s.State()
-	if st.Evict == 0 || len(st.Excesses) != 32 {
-		t.Fatalf("ring of %d excesses with cursor %d has not wrapped; the restore is untested", len(st.Excesses), st.Evict)
+	st.Evict, st.Peaks = wrapped%restored, wrapped
+	st.SinceRefit, st.RefitMean = 0, st.Sum/restored
+	// The feed refills the ring, then evicts past the restored excesses
+	// older than slot 0's, all before a count refit is due.
+	if steps >= refitEvery || steps-(maxExcesses-restored) <= restored-wrapped%restored {
+		t.Fatal("the feed does not wrap the refilled ring past the restored excesses")
 	}
 	r := newSPOT(0.99, 1e-3)
-	r.policy = RefitPolicy{Every: 1 << 30, MaxExcesses: 64}
+	r.exact = false
 	if err := r.SetState(st); err != nil {
 		t.Fatal(err)
 	}
-	feed(r, 80)
-	got := append(append([]float64(nil), r.excesses[r.evict:]...), r.excesses[:r.evict]...)
-	want := seen[len(seen)-64:]
-	if len(got) != len(want) {
-		t.Fatalf("ring holds %d excesses, want %d", len(got), len(want))
+	for k := wrapped; k < wrapped+steps; k++ {
+		if fired, err := r.Step(st.T + excess(k)); err != nil || fired {
+			t.Fatalf("in-tail step %d: fired %v, err %v", k, fired, err)
+		}
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ring slot %d from the cursor holds %v, want %v: not the newest 64 excesses in age order", i, got[i], want[i])
+	if rs := r.RefitStats(); rs.Refits != 0 {
+		t.Fatalf("%d refits; the feed was meant to stay between refits", rs.Refits)
+	}
+	got := append(append([]float64(nil), r.excesses[r.evict:]...), r.excesses[:r.evict]...)
+	if len(got) != maxExcesses {
+		t.Fatalf("ring holds %d excesses, want %d", len(got), maxExcesses)
+	}
+	for i, g := range got {
+		k := wrapped + steps - maxExcesses + i
+		// The ring holds each excess as pushed, x − t.
+		if want := (st.T + excess(k)) - st.T; g != want {
+			t.Fatalf("ring slot %d from the cursor holds %v, want excess %d (%v): not the newest %d in age order", i, g, k, want, maxExcesses)
 		}
 	}
 }
 
-// BenchmarkSPOTStep measures the three Step paths the refit policy
+// BenchmarkSPOTStep measures the three Step paths the refit schedule
 // separates: the benign O(1) common case, the amortized in-tail update
-// (ring push + O(1) quantile, a refit every Policy.Every-th call), and the
+// (ring push + O(1) quantile, a refit every refitEvery-th call), and the
 // exact mode that pays a full Grimshaw grid fit per exceedance — the
 // pre-rework price of every in-tail step.
 func BenchmarkSPOTStep(b *testing.B) {
-	setup := func(b *testing.B, p RefitPolicy) spot {
+	setup := func(b *testing.B, exact bool) spot {
 		b.Helper()
 		s := newSPOT(0.99, 1e-3)
-		s.policy = p
+		s.exact = exact
 		if err := s.Fit(spotCalib(81, 3000)); err != nil {
 			b.Fatal(err)
 		}
 		return s
 	}
 	b.Run("benign", func(b *testing.B) {
-		s := setup(b, DefaultRefitPolicy())
+		s := setup(b, false)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Step(0.1)
 		}
 	})
 	b.Run("exceedance", func(b *testing.B) {
-		s := setup(b, DefaultRefitPolicy())
+		s := setup(b, false)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Step(s.t + 0.001 + 0.0001*float64(i%7))
 		}
 	})
 	b.Run("refit", func(b *testing.B) {
-		s := setup(b, ExactRefitPolicy())
+		s := setup(b, true)
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			s.Step(s.t + 0.001 + 0.0001*float64(i%7))
