@@ -287,11 +287,11 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 }
 
 // FuzzDSPOTStageRestoreState feeds arbitrary bytes to RestoreState of a
-// fluxev+dspot stage restored from the wrapped checkpoint. A failed restore must
-// leave the stage's snapshot byte-equal to the one before it; a
-// successful one must be idempotent (snapshot → restore → snapshot), the
-// 64 pushes that follow it must not panic, and the stage must still
-// snapshot after them. The seed corpus holds the stage's own snapshot,
+// fluxev+dspot stage restored from the wrapped checkpoint. A failed
+// restore must leave the stage's snapshot byte-equal to the one before
+// it; a successful one must be idempotent (snapshot → restore →
+// snapshot), the 64 pushes that follow it must not panic, and the stage
+// must still snapshot after them. The seed corpus holds the stage's own snapshot,
 // copies with a drift-window position of 99 and −1, eviction cursors out
 // of range, a drift-window depth that does not match, a q of −1 and 0.9,
 // a level of 7, an n of −5, a star whose next refit overflows its
