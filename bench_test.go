@@ -195,7 +195,15 @@ func BenchmarkAblationEvalStride(b *testing.B) {
 // on amd64 with AVX2+FMA, the Go loops anywhere else and under
 // GODEBUG=cpu.fma=off (internal/nn's BenchmarkAttendRow/BenchmarkApplyRow
 // time both side by side).
-func BenchmarkStreamPush(b *testing.B) {
+func BenchmarkStreamPush(b *testing.B) { benchStreamPush(b, false) }
+
+// BenchmarkStreamPushExact is BenchmarkStreamPush with the incremental
+// caches invalidated before every push, so every frame is an exact refresh:
+// the stage-1 window pass over every star, then stage 2's newest column —
+// what a guard or invalidation refresh costs.
+func BenchmarkStreamPushExact(b *testing.B) { benchStreamPush(b, true) }
+
+func benchStreamPush(b *testing.B, exact bool) {
 	d := benchDataset()
 	m, err := aero.New(benchConfig(), d.Train.N())
 	if err != nil {
@@ -215,6 +223,9 @@ func BenchmarkStreamPush(b *testing.B) {
 		frame.Time = float64(t)
 		for v := 0; v < d.Test.N(); v++ {
 			frame.Magnitudes[v] = d.Test.Data[v][idx]
+		}
+		if exact {
+			s.InvalidateIncremental()
 		}
 		if _, err := s.Push(frame); err != nil {
 			b.Fatal(err)

@@ -3,16 +3,25 @@ package core
 import (
 	"math"
 
+	"aero/internal/nn"
 	"aero/internal/tensor"
 	"aero/internal/window"
 )
 
 // The inference forward: the two-stage AERO pass over one window, computed
-// row by row with internal/nn's ApplyRow/AttendRow kernels and no tape.
-// Batch scoring, threshold calibration, stage 2's frozen stage-1 pass and
-// every streaming refresh run windowScores (or its first half,
-// stage1Errors); the tape runs the same arithmetic for training only, and
-// TestRowForwardMatchesTape holds the two together bit for bit.
+// with internal/nn's row kernels and no tape. Batch scoring, threshold
+// calibration, stage 2's frozen stage-1 pass and every streaming refresh run
+// stage1Errors (batch scoring follows it with noiseScores, in windowScores;
+// a refresh with the newest column's stage 2 alone); the tape runs the same
+// arithmetic for training only, and TestRowForwardMatchesTape holds the two
+// together bit for bit.
+//
+// Stage 1 runs a layer at a time: every step of a layer — a projection, the
+// attention rows, a residual, a layer norm, an FFN — runs over all the rows
+// in flight before the next step starts, as one multi-row kernel call per
+// weight matrix. An exact pass has the window's W (encoder) or ω (decoder)
+// rows in flight; the benign streaming path pushes the one entering row
+// through the same code (encode, decode), so the two cannot drift apart.
 
 // scratch is the workspace of the inference forward: every buffer scoring
 // one window reads or writes besides the weights, so the forward allocates
@@ -28,28 +37,29 @@ type scratch struct {
 	long, short *tensor.Dense
 
 	e     *tensor.Dense // N×ω stage-1 errors
-	final *tensor.Dense // N×ω final anomaly scores
+	final *tensor.Dense // N×ω final scores; an exact stage-1 pass's ω×inDim output before them
 	adj   *tensor.Dense // N×N window-wise graph
 	h     *tensor.Dense // N×ω propagated error features
 
 	// Stage-1 activations (temporal variants only). A batch scratch has one
 	// capture that every variate's pass overwrites; a streaming detector
 	// keeps one per variate, because its benign path advances them between
-	// exact passes. headL/headS are the ring heads of the captures' W-row and
-	// ω-row matrices — the physical row holding logical row 0. All captures
-	// slide in lockstep, so one pair serves them all; stage1Errors resets
-	// both to 0.
+	// exact passes. headL/headS are the ring heads of the captures' W-slot and
+	// ω-slot rings — the physical slot holding logical position 0. All
+	// captures slide in lockstep, so one pair serves them all; stage1Errors
+	// resets both to 0.
 	caps         []*temporalCapture
 	te           timeEmbedCache
 	headL, headS int
 
-	// Row scratch.
-	qRow, ctxRow     []float64
-	attnScores       []float64
-	rowA, rowB, rowC []float64
-	hidden           []float64
-	yRow             []float64     // decoder output row (sigmoid applied)
-	fullA, fullB     *tensor.Dense // W×d_m encoder ping-pong buffers; the benign path's are their row 0
+	// act holds the rows in flight, d_m wide (W of them at most): a layer's
+	// input, overwritten in place by each residual and layer norm. spare is
+	// the scratch of one step at a time: a batch of keys on their way into a
+	// key-major ring, the queries and then the attention contexts, or as many
+	// FFN hidden rows as fit.
+	act, spare []float64
+	attnScores []float64
+	yRow       []float64 // the benign path's decoder output row (sigmoid applied)
 }
 
 // newScratch sizes a scratch for the model's window geometry with caps
@@ -84,16 +94,10 @@ func (m *Model) newScratch(caps int) *scratch {
 		sinS: tensor.FromSlice(omega, dm, sinL.Data[suffix:]),
 		cosS: tensor.FromSlice(omega, dm, cosL.Data[suffix:]),
 	}
-	sc.qRow = make([]float64, dm)
-	sc.ctxRow = make([]float64, dm)
+	sc.act = make([]float64, w*dm)
+	sc.spare = make([]float64, max(w*dm, m.cfg.FFNHidden))
 	sc.attnScores = make([]float64, w)
-	sc.rowA = make([]float64, dm)
-	sc.rowB = make([]float64, dm)
-	sc.rowC = make([]float64, dm)
-	sc.hidden = make([]float64, m.cfg.FFNHidden)
 	sc.yRow = make([]float64, tm.inDim)
-	sc.fullA = tensor.New(w, dm)
-	sc.fullB = tensor.New(w, dm)
 	return sc
 }
 
@@ -134,137 +138,125 @@ func (m *Model) stage1Errors(p *prepared, end int, wt windowTimes, sc *scratch) 
 	return sc.e
 }
 
-// stage1Rows runs one stage-1 forward over sc.long/sc.short with the row
-// kernels, writing every activation ring of capture c at head 0 and the
-// stage-1 errors e = y − ŷ1 into sc.e. v is the variate owning the error row
-// (−1 in multivariate mode, where one pass reconstructs every variate and
-// the ω×N output lands transposed). Bit-identity with temporalModule.forward
-// holds because the row kernels are pinned rowwise-identical to the tape
-// ops, sinCos is the tape's time embedding cell for cell, and residual adds
-// commute.
+// stage1Rows runs one exact stage-1 forward over sc.long/sc.short, writing
+// every ring of capture c at head 0 and the stage-1 errors e = y − ŷ1 into
+// sc.e. v is the variate owning the error row (−1 in multivariate mode,
+// where one pass reconstructs every variate and the ω×N output lands
+// transposed). Bit-identity with temporalModule.forward holds because the
+// row kernels are pinned rowwise-identical to the tape ops, sinCos is the
+// tape's time embedding cell for cell, and residual adds commute.
 func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
-	long, short := sc.long, sc.short
-	w, omega := long.Rows, short.Rows
-
-	// Encoder: IE = encProj(x) + TE, then the layer stack.
-	in, out := sc.fullA, sc.fullB
-	for r := 0; r < w; r++ {
-		sc.encoderInput(tm, in.Row(r), long.Row(r), r)
+	short := sc.short
+	omega := short.Rows
+	sc.encode(tm, c, sc.long.Data, sc.long.Rows, 0)
+	// The ω×inDim reconstruction borrows the final-score matrix (N×ω cells,
+	// at least as many), which stage 2 rewrites afterwards.
+	y := sc.final.Data[:omega*tm.inDim]
+	sc.decode(tm, c, short.Data, omega, 0, y)
+	// The targets are the short-window inputs themselves, so e = short − ŷ1
+	// cell for cell.
+	if v >= 0 {
+		erow := sc.e.Row(v)
+		for r, yv := range y {
+			erow[r] = short.Data[r] - yv
+		}
+		return
 	}
+	for r := 0; r < omega; r++ {
+		srow, yrow := short.Row(r), y[r*tm.inDim:(r+1)*tm.inDim]
+		for vv, yv := range yrow {
+			sc.e.Row(vv)[r] = srow[vv] - yv
+		}
+	}
+}
+
+// encode runs the encoder over the n input rows in (inDim wide each) at
+// logical long-window positions r0, r0+1, …: IE = encProj(x) + TE, then the
+// layer stack, every step over all the rows before the next. Each layer's
+// K/V of those rows and the decoder's cross-attention K/V of the encoder
+// output go into c's rings at the rows' positions. The encoder output is
+// left in sc.act.
+func (sc *scratch) encode(tm *temporalModule, c *temporalCapture, in []float64, n, r0 int) {
+	x := sc.act[:n*tm.te.dm]
+	sc.embed(tm.encProj, x, in, n, sc.te.sinL, sc.te.cosL, r0)
 	for li, layer := range tm.enc {
-		kc, vc := c.enc[li].k, c.enc[li].v
-		for r := 0; r < w; r++ {
-			layer.attn.Wk.ApplyRow(kc.Row(r), in.Row(r))
-			layer.attn.Wv.ApplyRow(vc.Row(r), in.Row(r))
+		ring := c.enc[li]
+		sc.projectKV(layer.attn, ring.k, ring.v, sc.headL, x, n, r0)
+		sc.attend(layer.attn, ring.k, ring.v, sc.headL, x, n, r0, true)
+		layer.ln1.ApplyRows(x, x, n)
+		layer.ffn.ApplyRows(x, sc.spare, x, n, true)
+		layer.ln2.ApplyRows(x, x, n)
+	}
+	sc.projectKV(tm.decCross, c.oeK, c.oeV, sc.headL, x, n, r0)
+}
+
+// decode runs the decoder for the n input rows in at logical short-window
+// positions r0, r0+1, …: ID = decProj(x) + TE, masked self-attention (its
+// K/V written into c's self rings first), cross-attention over the encoder
+// output rings, the output FFN and the sigmoid into y (inDim wide per row).
+// The cross-attention is banded only when it is square (ω == W), mirroring
+// the tape's band-mask rule.
+func (sc *scratch) decode(tm *temporalModule, c *temporalCapture, in []float64, n, r0 int, y []float64) {
+	x := sc.act[:n*tm.te.dm]
+	sc.embed(tm.decProj, x, in, n, sc.te.sinS, sc.te.cosS, r0)
+	sc.projectKV(tm.decSelf, c.selfK, c.selfV, sc.headS, x, n, r0)
+	sc.attend(tm.decSelf, c.selfK, c.selfV, sc.headS, x, n, r0, true)
+	tm.decLN1.ApplyRows(x, x, n)
+	sc.attend(tm.decCross, c.oeK, c.oeV, sc.headL, x, n, r0, c.selfK.Cols == c.oeK.Cols)
+	tm.decLN2.ApplyRows(x, x, n)
+	tm.outFFN.ApplyRows(y, sc.spare, x, n, false)
+	for j, yv := range y {
+		y[j] = 1 / (1 + math.Exp(-yv))
+	}
+}
+
+// embed writes proj(x) + TE for the n input rows in into x, the time
+// embedding read from rows r0, r0+1, … of sin/cos.
+func (sc *scratch) embed(proj *nn.Linear, x, in []float64, n int, sin, cos *tensor.Dense, r0 int) {
+	proj.ApplyRows(x, in, n, false)
+	s, c := sin.Data[r0*sin.Cols:][:len(x)], cos.Data[r0*cos.Cols:][:len(x)]
+	for j := range x {
+		x[j] += s[j] + c[j]
+	}
+}
+
+// projectKV writes K = x·W_K and V = x·W_V of the n rows x at logical
+// positions r0, r0+1, … into the rings k (key-major: each key a column) and
+// v (row-major), physical slot (head + position) mod the ring length.
+func (sc *scratch) projectKV(a *nn.MultiHeadAttention, k, v *tensor.Dense, head int, x []float64, n, r0 int) {
+	dm, slots := a.Dim, k.Cols
+	keys := sc.spare[:n*dm]
+	a.Wk.ApplyRows(keys, x, n, false)
+	p := head + r0
+	if p >= slots {
+		p -= slots
+	}
+	for i, col := 0, p; i < n; i, col = i+1, col+1 {
+		if col == slots {
+			col = 0
 		}
-		for r := 0; r < w; r++ {
-			sc.encodeRow(layer, in.Row(r), kc, vc, r, out.Row(r))
-		}
-		in, out = out, in
-	}
-	// in now holds the encoder output; cross-attention K/V ring.
-	for r := 0; r < w; r++ {
-		tm.decCross.Wk.ApplyRow(c.oeK.Row(r), in.Row(r))
-		tm.decCross.Wv.ApplyRow(c.oeV.Row(r), in.Row(r))
-	}
-
-	// Decoder: ID = decProj(x) + TE once per row, into the ping-pong buffer
-	// the encoder is done with, then the self-attention K/V rings from it.
-	id := out
-	for r := 0; r < omega; r++ {
-		sc.decoderInput(tm, id.Row(r), short.Row(r), r)
-		tm.decSelf.Wk.ApplyRow(c.selfK.Row(r), id.Row(r))
-		tm.decSelf.Wv.ApplyRow(c.selfV.Row(r), id.Row(r))
-	}
-
-	// Decoder forward, every short-window row, straight into the stage-1
-	// errors. The targets y are the short-window inputs themselves, so
-	// e = short − ŷ1 cell for cell.
-	for r := 0; r < omega; r++ {
-		sc.decodeRow(tm, c, id.Row(r), r, omega == w)
-		if v >= 0 {
-			sc.e.Row(v)[r] = short.Row(r)[0] - sc.yRow[0]
-		} else {
-			srow := short.Row(r)
-			for vv, yv := range sc.yRow {
-				sc.e.Row(vv)[r] = srow[vv] - yv
-			}
+		kc := k.Data[col:] // the key's column: dimension d at kc[d*slots]
+		for d, kv := range keys[i*dm : (i+1)*dm] {
+			kc[d*slots] = kv
 		}
 	}
-}
-
-// encoderInput writes IE = encProj(x) + TE for input row x at logical
-// long-window row r into dst.
-func (sc *scratch) encoderInput(tm *temporalModule, dst, x []float64, r int) {
-	tm.encProj.ApplyRow(dst, x)
-	sr, cr := sc.te.sinL.Row(r), sc.te.cosL.Row(r)
-	for j := range dst {
-		dst[j] += sr[j] + cr[j]
+	// The values' slots are at most two contiguous runs of rows: first rows
+	// from p, the rest from row 0.
+	first := min(n, slots-p)
+	a.Wv.ApplyRows(v.Data[p*dm:(p+first)*dm], x[:first*dm], first, false)
+	if first < n {
+		a.Wv.ApplyRows(v.Data, x[first*dm:], n-first, false)
 	}
 }
 
-// decoderInput writes ID = decProj(x) + TE for input row x at logical
-// short-window row r into dst.
-func (sc *scratch) decoderInput(tm *temporalModule, dst, x []float64, r int) {
-	tm.decProj.ApplyRow(dst, x)
-	sr, cr := sc.te.sinS.Row(r), sc.te.cosS.Row(r)
-	for j := range dst {
-		dst[j] += sr[j] + cr[j]
-	}
-}
-
-// encodeRow pushes input row x (window position r) through one encoder
-// layer: banded self-attention over the layer's K/V rings, residual, layer
-// norm, FFN, residual, layer norm — the kernel chain shared by the exact
-// forward and the benign path's entering row.
-func (sc *scratch) encodeRow(layer *encoderLayer, x []float64, kc, vc *tensor.Dense, r int, out []float64) {
-	layer.attn.Wq.ApplyRow(sc.qRow, x)
-	layer.attn.AttendRow(sc.ctxRow, sc.attnScores, sc.qRow, kc, vc, sc.headL, r, true)
-	layer.attn.Wo.ApplyRow(sc.rowA, sc.ctxRow)
-	for j := range sc.rowA {
-		sc.rowA[j] += x[j]
-	}
-	layer.ln1.ApplyRow(sc.rowA, sc.rowA)
-	layer.ffn.ApplyRow(sc.rowB, sc.hidden, sc.rowA)
-	for j := range sc.rowB {
-		sc.rowB[j] += sc.rowA[j]
-	}
-	layer.ln2.ApplyRow(out, sc.rowB)
-}
-
-// decodeRow runs the decoder for short-window row r from its input
-// embedding id: masked self-attention over the selfK/selfV rings,
-// cross-attention over the encoder-output rings, output FFN and sigmoid
-// into sc.yRow. square is whether the cross-attention is square (ω == W),
-// mirroring the tape's band-mask rule.
-func (sc *scratch) decodeRow(tm *temporalModule, c *temporalCapture, id []float64, r int, square bool) {
-	tm.decSelf.Wq.ApplyRow(sc.qRow, id)
-	tm.decSelf.AttendRow(sc.ctxRow, sc.attnScores, sc.qRow, c.selfK, c.selfV, sc.headS, r, true)
-	tm.decSelf.Wo.ApplyRow(sc.rowB, sc.ctxRow)
-	for j := range sc.rowB {
-		sc.rowB[j] += id[j]
-	}
-	tm.decLN1.ApplyRow(sc.rowB, sc.rowB)
-	tm.decCross.Wq.ApplyRow(sc.qRow, sc.rowB)
-	tm.decCross.AttendRow(sc.ctxRow, sc.attnScores, sc.qRow, c.oeK, c.oeV, sc.headL, r, square)
-	tm.decCross.Wo.ApplyRow(sc.rowC, sc.ctxRow)
-	for j := range sc.rowC {
-		sc.rowC[j] += sc.rowB[j]
-	}
-	tm.decLN2.ApplyRow(sc.rowC, sc.rowC)
-	tm.outFFN.ApplyRow(sc.yRow, sc.hidden, sc.rowC)
-	for j, yv := range sc.yRow {
-		sc.yRow[j] = 1 / (1 + math.Exp(-yv))
-	}
-}
-
-// ringRow returns logical row r of a ring whose logical row 0 is physical
-// row head.
-func ringRow(t *tensor.Dense, head, r int) []float64 {
-	if r += head; r >= t.Rows {
-		r -= t.Rows
-	}
-	return t.Row(r)
+// attend runs one attention sublayer and its residual over the n rows x at
+// logical positions r0, r0+1, …: the queries, each row's context over the
+// k/v rings (in place of its query), then x ← Wo(context) + x.
+func (sc *scratch) attend(a *nn.MultiHeadAttention, k, v *tensor.Dense, head int, x []float64, n, r0 int, square bool) {
+	q := sc.spare[:len(x)]
+	a.Wq.ApplyRows(q, x, n, false)
+	a.AttendRows(q, n, sc.attnScores, k, v, head, r0, square)
+	a.Wo.ApplyRows(x, q, n, true)
 }
 
 // adjacency returns the graph for the window given its stage-1 errors,

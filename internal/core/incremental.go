@@ -118,17 +118,18 @@ func (inc *incrementalState) score(s *StreamDetector) []float64 {
 	return inc.refresh(s)
 }
 
-// refresh runs the full exact two-stage forward over the detector's window
-// — the same windowScores batch scoring runs — which rebuilds every cache
-// as a side effect of scoring. It reads only the raw window rings and the
-// weights, so it serves every refresh cause (schedule, drift, guard,
+// refresh runs the exact stage-1 pass over the detector's window — the
+// stage1Errors batch scoring runs — which rebuilds every cache as a side
+// effect, then stage 2 for the newest column only (scoreStage2, the column
+// ω−1 of batch scoring's noiseScores). It reads only the raw window rings
+// and the weights, so it serves every refresh cause (schedule, drift, guard,
 // invalidation).
 func (inc *incrementalState) refresh(s *StreamDetector) []float64 {
-	w, omega := s.m.cfg.LongWindow, s.m.cfg.ShortWindow
-	final, _ := s.m.windowScores(s.window(), w-1, s.dyn, inc.sc)
-	for v := range s.scores {
-		s.scores[v] = final.At(v, omega-1)
-	}
+	m, sc := s.m, inc.sc
+	end := m.cfg.LongWindow - 1
+	p := s.window()
+	m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
+	inc.scoreStage2(s)
 	inc.sinceRefresh = 0
 	inc.valid = true
 	return s.scores
@@ -232,41 +233,17 @@ func (inc *incrementalState) embedEnteringRow(m *Model, dtNew float64) {
 }
 
 // pushTemporal advances one stage-1 forward by a frame, the ring heads
-// already moved: the entering input row x goes through the encoder stack,
-// writing its K/V row in every layer's ring and in the cross-attention
-// ring, and the decoder runs for the newest timestep only. c carries the
-// variate's rings; the reconstructed newest row lands in sc.yRow.
+// already moved: the entering input row x goes through the exact pass's
+// encode and decode as a batch of one row — at long-window position W−1,
+// writing its K/V slot in every layer's rings and in the cross-attention
+// rings, and at short-window position ω−1, the newest timestep only (older
+// short-window timesteps keep the error columns scored when they were
+// newest). c carries the variate's rings; the reconstructed newest row lands
+// in sc.yRow.
 func (inc *incrementalState) pushTemporal(m *Model, c *temporalCapture, x []float64) {
-	tm := m.temporal
 	sc := inc.sc
-	w, omega := c.oeK.Rows, c.selfK.Rows
-	hl, hs := sc.headL, sc.headS
-
-	// IE = encProj(x) + TE, then every encoder layer, refreshing each
-	// layer's K/V ring row along the way. Row 0 of the encoder's ping-pong
-	// buffers is idle between exact passes.
-	in, out := sc.fullA.Row(0), sc.fullB.Row(0)
-	sc.encoderInput(tm, in, x, w-1)
-	for li, layer := range tm.enc {
-		kc, vc := c.enc[li].k, c.enc[li].v
-		layer.attn.Wk.ApplyRow(ringRow(kc, hl, w-1), in)
-		layer.attn.Wv.ApplyRow(ringRow(vc, hl, w-1), in)
-		sc.encodeRow(layer, in, kc, vc, w-1, out)
-		in, out = out, in
-	}
-	// in now holds the encoder output's entering row; refresh the decoder
-	// cross-attention K/V ring from it.
-	tm.decCross.Wk.ApplyRow(ringRow(c.oeK, hl, w-1), in)
-	tm.decCross.Wv.ApplyRow(ringRow(c.oeV, hl, w-1), in)
-
-	// Decoder self-attention K/V ring row from ID = decProj(x) + TE, then
-	// the decoder forward for the newest row only (older short-window
-	// timesteps keep the error columns scored when they were newest).
-	id := sc.rowA
-	sc.decoderInput(tm, id, x, omega-1)
-	tm.decSelf.Wk.ApplyRow(ringRow(c.selfK, hs, omega-1), id)
-	tm.decSelf.Wv.ApplyRow(ringRow(c.selfV, hs, omega-1), id)
-	sc.decodeRow(tm, c, id, omega-1, omega == w)
+	sc.encode(m.temporal, c, x, 1, sc.long.Rows-1)
+	sc.decode(m.temporal, c, x, 1, sc.short.Rows-1, sc.yRow)
 }
 
 // scoreStage2 turns the rolling error matrix into the newest timestep's

@@ -481,3 +481,66 @@ func TestTimeEmbeddingPhaseCache(t *testing.T) {
 		}
 	}
 }
+
+// TestIncrementalRefreshMatchesWindowScores holds the streaming refresh — the
+// exact stage-1 pass, then stage 2 for the newest column alone — to batch
+// scoring: for every variant, on both kernel paths, a frame pushed after
+// InvalidateIncremental scores every star with the bits of column ω−1 of
+// windowScores over the same window, and leaves the evolving graph where
+// that pass leaves it.
+func TestIncrementalRefreshMatchesWindowScores(t *testing.T) {
+	type fit struct {
+		m *Model
+		d *dataset.Dataset
+	}
+	fits := map[Variant]fit{}
+	for v := VariantFull; v <= VariantDynamicGraph; v++ {
+		m, d := fitIncVariant(t, v)
+		fits[v] = fit{m, d}
+	}
+	eachKernelPath(t, func(t *testing.T) {
+		for v := VariantFull; v <= VariantDynamicGraph; v++ {
+			m, d := fits[v].m, fits[v].d
+			t.Run(v.String(), func(t *testing.T) {
+				det, err := NewStreamDetector(m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
+				sc := m.newScratch(1)
+				frame := Frame{Magnitudes: make([]float64, d.Test.N())}
+				for i := 0; i < w+16; i++ {
+					frame.Time = d.Test.Time[i]
+					for vv := range frame.Magnitudes {
+						frame.Magnitudes[vv] = d.Test.Data[vv][i]
+					}
+					exact := i >= w+8 // warm, with the ring heads moved, first
+					var refDyn *dynamicGraphState
+					if exact {
+						det.InvalidateIncremental()
+						if det.dyn != nil {
+							refDyn = newDynamicGraphState(m.n)
+							refDyn.a.CopyFrom(det.dyn.a)
+						}
+					}
+					scores, err := det.PushScores(frame)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !exact {
+						continue
+					}
+					final, _ := m.windowScores(det.window(), w-1, refDyn, sc)
+					for vv, got := range scores {
+						if want := final.At(vv, omega-1); math.Float64bits(got) != math.Float64bits(want) {
+							t.Fatalf("frame %d variate %d: refresh score %v != windowScores %v", i, vv, got, want)
+						}
+					}
+					if refDyn != nil {
+						sameBits(t, "dyn.a", det.dyn.a, refDyn.a)
+					}
+				}
+			})
+		}
+	})
+}

@@ -100,29 +100,35 @@ func newWindowTimes(w, omega int) windowTimes {
 	}
 }
 
-// capLayer holds one encoder layer's key/value projection rings (W×d_m
-// each): K = x·W_K and V = x·W_V of the layer's input.
+// capLayer holds one encoder layer's key/value projection rings of the
+// layer's input: K = x·W_K key-major (d_m×W, one column per window slot) and
+// V = x·W_V row-major (W×d_m).
 type capLayer struct {
 	k, v *tensor.Dense
 }
 
-// temporalCapture holds the intermediate activations of one stage-1 row
-// forward (stage1Rows) that the incremental streaming path reuses across
-// pushes: the attention keys and values of every window row, which the
-// benign path writes for the entering row only. The input projections
-// encProj(x) and decProj(x) are not kept: each is one projection of a row of
-// the normalized window the detector already holds, so the forward
-// recomputes them where it reads them. Every
-// matrix is a ring over window positions: logical row r sits at physical
-// row (head+r) mod rows, with one head per window length kept by the owning
-// scratch. An exact forward overwrites every ring in full at head 0
-// (logical = physical); the benign incremental path advances the heads by
-// one and rewrites only the entering rows. The two uses share storage by
-// design, so a refresh is also a cache rebuild.
+// temporalCapture holds the intermediate activations of one stage-1 forward
+// (stage1Rows) that the incremental streaming path reuses across pushes: the
+// attention keys and values of every window row, which the benign path
+// writes for the entering row only. The input projections encProj(x) and
+// decProj(x) are not kept: each is one projection of a row of the normalized
+// window the detector already holds, so the forward recomputes them where it
+// reads them.
+//
+// Every matrix is a ring over window positions: logical position r sits in
+// physical slot (head+r) mod L, with one head per window length L kept by the
+// owning scratch. Key rings are key-major — d_m rows, one column per slot,
+// so a query's scores over a run of slots are one column-dot leaf call
+// (tensor.DotCols) — and value rings row-major, one row per slot, so a
+// context is one row-combination call. An exact forward overwrites every ring
+// in full at head 0 (logical = physical); the benign incremental path
+// advances the heads by one and rewrites only the entering slot, a column of
+// each key ring and a row of each value ring, through the same projectKV.
+// The two uses share storage by design, so a refresh is also a cache rebuild.
 type temporalCapture struct {
 	enc          []capLayer    // per encoder layer K/V rings
-	oeK, oeV     *tensor.Dense // W×d_m decoder cross-attention K/V of the encoder output
-	selfK, selfV *tensor.Dense // ω×d_m decoder self-attention K/V
+	oeK, oeV     *tensor.Dense // decoder cross-attention K (d_m×W) and V (W×d_m) of the encoder output
+	selfK, selfV *tensor.Dense // decoder self-attention K (d_m×ω) and V (ω×d_m)
 }
 
 // timeEmbedCache holds sin(θ) and cos(θ) of the time embedding for the long
@@ -143,11 +149,11 @@ type timeEmbedCache struct {
 func (m *temporalModule) newTemporalCapture(w, omega int) *temporalCapture {
 	dm := m.te.dm
 	c := &temporalCapture{
-		oeK: tensor.New(w, dm), oeV: tensor.New(w, dm),
-		selfK: tensor.New(omega, dm), selfV: tensor.New(omega, dm),
+		oeK: tensor.New(dm, w), oeV: tensor.New(w, dm),
+		selfK: tensor.New(dm, omega), selfV: tensor.New(omega, dm),
 	}
 	for range m.enc {
-		c.enc = append(c.enc, capLayer{k: tensor.New(w, dm), v: tensor.New(w, dm)})
+		c.enc = append(c.enc, capLayer{k: tensor.New(dm, w), v: tensor.New(w, dm)})
 	}
 	return c
 }

@@ -87,27 +87,11 @@ func (l *LayerNorm) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 // mirroring the tape's LayerNormRows kernel bit for bit. x must be as wide as
 // the layer and dst at least as wide; otherwise it panics, as the tape does.
 func (l *LayerNorm) ApplyRow(dst, x []float64) {
-	gain, bias := l.Gain.Value.Data, l.Bias.Value.Data
-	if len(x) != len(gain) || len(bias) != len(gain) || len(dst) < len(gain) {
+	gain := l.Gain.Value.Data
+	if len(x) != len(gain) || len(dst) < len(gain) {
 		panic(fmt.Sprintf("nn: layernorm row width %d -> %d, layer is %d wide", len(x), len(dst), len(gain)))
 	}
-	cols := float64(len(x))
-	var mean float64
-	for _, v := range x {
-		mean += v
-	}
-	mean /= cols
-	var va float64
-	for _, v := range x {
-		d := v - mean
-		va += d * d
-	}
-	va /= cols
-	is := 1 / math.Sqrt(va+l.Eps)
-	for j, v := range x {
-		xh := (v - mean) * is
-		dst[j] = xh*gain[j] + bias[j]
-	}
+	l.ApplyRows(dst, x, 1)
 }
 
 // Params implements Module.

@@ -50,7 +50,7 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 	for _, rows := range []int{9, 16, 21} {
 		const dm, heads = 16, 2
 		m := NewMultiHeadAttention("attn", dm, heads, rng)
-		k := &tensor.Dense{Rows: rows, Cols: dm, Data: guarded(t, rng, rows*dm)}
+		k := &tensor.Dense{Rows: dm, Cols: rows, Data: guarded(t, rng, dm*rows)} // key-major
 		v := &tensor.Dense{Rows: rows, Cols: dm, Data: guarded(t, rng, rows*dm)}
 		q := guarded(t, rng, dm)
 		ctx, scores := guarded(t, rng, dm), guarded(t, rng, rows)

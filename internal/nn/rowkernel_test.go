@@ -113,13 +113,14 @@ func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense,
 	// The K/V matrices the row kernel attends over, projected the way
 	// Forward projects them.
 	k, v := m.Wk.Forward(tp, tp.Const(kv)), m.Wv.Forward(tp, tp.Const(kv))
+	kT := k.Value.T() // AttendRow's key ring is key-major
 	q := make([]float64, m.Dim)
 	ctx := make([]float64, m.Dim)
 	dst := make([]float64, m.Dim)
 	scores := make([]float64, k.Value.Rows)
 	for r := 0; r < query.Rows; r++ {
 		m.Wq.ApplyRow(q, query.Row(r))
-		m.AttendRow(ctx, scores, q, k.Value, v.Value, 0, r, square)
+		m.AttendRow(ctx, scores, q, kT, v.Value, 0, r, square)
 		m.Wo.ApplyRow(dst, ctx)
 		for j, got := range dst {
 			if got != out.Value.At(r, j) {
@@ -268,6 +269,108 @@ func testApplyRowMatchesReference(t *testing.T) {
 	}
 }
 
+// layerNormRowRef is LayerNorm.ApplyRow as it stood before the rows were
+// batched, verbatim: the oracle for the operation order of every normalised
+// cell.
+func layerNormRowRef(l *LayerNorm, dst, x []float64) {
+	gain, bias := l.Gain.Value.Data, l.Bias.Value.Data
+	cols := float64(len(x))
+	var mean float64
+	for _, v := range x {
+		mean += v
+	}
+	mean /= cols
+	var va float64
+	for _, v := range x {
+		d := v - mean
+		va += d * d
+	}
+	va /= cols
+	is := 1 / math.Sqrt(va+l.Eps)
+	for j, v := range x {
+		xh := (v - mean) * is
+		dst[j] = xh*gain[j] + bias[j]
+	}
+}
+
+// TestApplyRowsMatchesApplyRow holds the multi-row forms the exact window
+// pass runs — Linear.ApplyRows plain and residual, FFN.ApplyRows with its
+// hidden rows in one block or several, LayerNorm.ApplyRows in place and not —
+// to the one-row forms row by row, bit for bit on both kernel paths, for
+// 1–9 rows (each side of the four-row LayerNorm pass).
+func TestApplyRowsMatchesApplyRow(t *testing.T) { eachKernelPath(t, testApplyRowsMatchesApplyRow) }
+
+func testApplyRowsMatchesApplyRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for n := 1; n <= 9; n++ {
+		for _, dims := range [][2]int{{1, 16}, {16, 16}, {16, 5}, {7, 33}} {
+			in, out := dims[0], dims[1]
+			l := NewLinear("l", in, out, rng)
+			for j := range l.B.Value.Data {
+				l.B.Value.Data[j] = rng.NormFloat64()
+			}
+			x := tensor.Randn(n, in, 1, rng).Data
+			sprinkleZeros(x, rng)
+			old := tensor.Randn(n, out, 1, rng).Data
+			want, row := make([]float64, n*out), make([]float64, out)
+			for _, residual := range []bool{false, true} {
+				for i := 0; i < n; i++ {
+					l.ApplyRow(row, x[i*in:(i+1)*in])
+					for j, v := range row {
+						if residual {
+							v += old[i*out+j]
+						}
+						want[i*out+j] = v
+					}
+				}
+				got := append([]float64(nil), old...)
+				l.ApplyRows(got, x, n, residual)
+				if j, ok := sameBits(got, want); !ok {
+					t.Fatalf("Linear %d rows %d -> %d residual %v cell %d: ApplyRows %v != ApplyRow %v", n, in, out, residual, j, got[j], want[j])
+				}
+			}
+
+			f := NewFFN("f", in, 2*out, in, rng)
+			hidden := make([]float64, 2*out)
+			fwant, frow := make([]float64, n*in), make([]float64, in)
+			for i := 0; i < n; i++ {
+				f.ApplyRow(frow, hidden, x[i*in:(i+1)*in])
+				for j, v := range frow {
+					fwant[i*in+j] = v + x[i*in+j]
+				}
+			}
+			for _, blockRows := range []int{1, 2, 4, n} {
+				got := append([]float64(nil), x...)
+				f.ApplyRows(got, make([]float64, blockRows*2*out+1), got, n, true)
+				if j, ok := sameBits(got, fwant); !ok {
+					t.Fatalf("FFN %d rows %d -> %d, %d a block, cell %d: ApplyRows %v != ApplyRow %v", n, in, 2*out, blockRows, j, got[j], fwant[j])
+				}
+			}
+		}
+		for _, cols := range []int{1, 5, 16, 33} {
+			ln := NewLayerNorm("ln", cols)
+			for j := 0; j < cols; j++ {
+				ln.Gain.Value.Data[j] = rng.NormFloat64()
+				ln.Bias.Value.Data[j] = rng.NormFloat64()
+			}
+			x := tensor.Randn(n, cols, 3, rng).Data
+			want := make([]float64, n*cols)
+			for i := 0; i < n; i++ {
+				layerNormRowRef(ln, want[i*cols:(i+1)*cols], x[i*cols:(i+1)*cols])
+			}
+			got := make([]float64, n*cols)
+			ln.ApplyRows(got, x, n)
+			if j, ok := sameBits(got, want); !ok {
+				t.Fatalf("LayerNorm %d rows of %d cell %d: ApplyRows %v != reference %v", n, cols, j, got[j], want[j])
+			}
+			ln.ApplyRows(x, x, n)
+			if j, ok := sameBits(x, want); !ok {
+				t.Fatalf("LayerNorm %d rows of %d in place, cell %d: %v != reference %v", n, cols, j, x[j], want[j])
+			}
+		}
+	}
+}
+
 // didPanic reports whether f panics.
 func didPanic(f func()) (panicked bool) {
 	defer func() { panicked = recover() != nil }()
@@ -324,7 +427,8 @@ func testRowFormsRejectMisSizedRows(t *testing.T) {
 }
 
 // rotated returns the physically rotated copy of a logical-order matrix that
-// a ring with the given head holds: logical row j sits at row (head+j) mod rows.
+// a ring with the given head holds: logical row j sits at row (head+j) mod
+// rows. Its transpose is the key-major key ring AttendRow reads.
 func rotated(logical *tensor.Dense, head int) *tensor.Dense {
 	out := tensor.New(logical.Rows, logical.Cols)
 	for j := 0; j < logical.Rows; j++ {
@@ -356,14 +460,14 @@ func testAttendRowMatchesReference(t *testing.T) {
 						sprinkleZeros(q, rng)
 						attendRowRef(m, want, scratchRef, q, k, v, qPos, square)
 						for head := 0; head < rows; head++ {
-							m.AttendRow(got, scratch, q, rotated(k, head), rotated(v, head), head, qPos, square)
+							m.AttendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, qPos, square)
 							if c, ok := sameBits(got, want); !ok {
 								t.Fatalf("%s qPos %d head %d cell %d: AttendRow %v != reference %v", name, qPos, head, c, got[c], want[c])
 							}
 						}
 						// Documented aliasing: ctx may be q itself.
 						alias := append([]float64(nil), q...)
-						m.AttendRow(alias, scratch, alias, k, v, 0, qPos, square)
+						m.AttendRow(alias, scratch, alias, k.T(), v, 0, qPos, square)
 						if c, ok := sameBits(alias, want); !ok {
 							t.Fatalf("%s qPos %d cell %d: ctx aliasing q gives %v, want %v", name, qPos, c, alias[c], want[c])
 						}
@@ -406,7 +510,7 @@ func testAttendRowUnderflowSkip(t *testing.T) {
 		t.Fatal("no softmax cell underflowed; the p == 0 skip is not exercised")
 	}
 	for head := 0; head < rows; head++ {
-		m.AttendRow(got, scratch, q, rotated(k, head), rotated(v, head), head, 0, false)
+		m.AttendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, 0, false)
 		if c, ok := sameBits(got, want); !ok {
 			t.Fatalf("head %d cell %d: AttendRow %v != reference %v", head, c, got[c], want[c])
 		}
@@ -421,7 +525,7 @@ func BenchmarkAttendRow(b *testing.B) {
 	const rows, dm, heads = 48, 16, 2
 	rng := rand.New(rand.NewSource(31))
 	m := NewMultiHeadAttention("attn", dm, heads, rng)
-	k := tensor.Randn(rows, dm, 1, rng)
+	k := tensor.Randn(dm, rows, 1, rng) // key-major
 	v := tensor.Randn(rows, dm, 1, rng)
 	q := tensor.Randn(1, dm, 1, rng).Data
 	ctx, scores := make([]float64, dm), make([]float64, rows)

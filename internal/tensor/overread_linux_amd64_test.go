@@ -108,6 +108,65 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 		}
 	}
 
+	// DotCols: every column count 0…17 (no block, one, one and a remainder,
+	// two), every operand ending at the guard page.
+	for width := 0; width <= 17; width++ {
+		for _, dk := range []int{1, 5} {
+			for _, stride := range []int{width, width + 3} {
+				if stride == 0 {
+					continue
+				}
+				dst := guarded(t, rng, width)
+				q := guarded(t, rng, dk)
+				cols := guarded(t, rng, (dk-1)*stride+width)
+				want := make([]float64, width)
+				scalarly(func() { DotCols(want, q, cols, stride, 0.25) })
+				DotCols(dst, q, cols, stride, 0.25)
+				if j, ok := sameBits(dst, want); !ok {
+					t.Fatalf("dotcols width %d dk %d cell %d: vector %v != Go loop %v", width, dk, j, dst[j], want[j])
+				}
+			}
+		}
+	}
+
+	// AffineRows' residual form: the destination is read as well as written,
+	// through the same lane masks.
+	for width := 1; width <= 17; width++ {
+		for _, n := range []int{1, 3} {
+			const in = 5
+			x := guarded(t, rng, n*in)
+			w := guarded(t, rng, in*width)
+			b := guarded(t, rng, width)
+			dst := guarded(t, rng, n*width)
+			want := append([]float64(nil), dst...)
+			scalarly(func() { AffineRows(want, x, w, n, in, b, false, true) })
+			AffineRows(dst, x, w, n, in, b, false, true)
+			if j, ok := sameBits(dst, want); !ok {
+				t.Fatalf("residual width %d rows %d cell %d: vector %v != Go loops %v", width, n, j, dst[j], want[j])
+			}
+		}
+	}
+
+	// NormRows: every width mod 4 around one and two registers, groups of
+	// four rows and a remainder, in place and not.
+	for cols := 1; cols <= 9; cols++ {
+		for _, n := range []int{4, 5, 8} {
+			x := guarded(t, rng, n*cols)
+			gain, bias := guarded(t, rng, cols), guarded(t, rng, cols)
+			dst := guarded(t, rng, n*cols)
+			want := make([]float64, n*cols)
+			scalarly(func() { NormRows(want, x, n, gain, bias, 1e-5) })
+			NormRows(dst, x, n, gain, bias, 1e-5)
+			if j, ok := sameBits(dst, want); !ok {
+				t.Fatalf("norm %d rows of %d cell %d: vector %v != Go loops %v", n, cols, j, dst[j], want[j])
+			}
+			NormRows(x, x, n, gain, bias, 1e-5)
+			if j, ok := sameBits(x, want); !ok {
+				t.Fatalf("norm %d rows of %d in place, cell %d: vector %v != Go loops %v", n, cols, j, x[j], want[j])
+			}
+		}
+	}
+
 	// SoftmaxRow: every length mod 4, whole in range (the leaf divides) and
 	// with a −Inf cell (the leaf stops short and the Go loops finish).
 	for n := 0; n <= 17; n++ {

@@ -4,10 +4,16 @@ import "math"
 
 // Row kernels: the leaves every multiply-add and every softmax in the
 // library runs on — the matmul family in tensor.go and the tape's
-// SoftmaxRows (training), nn's ApplyRow/AttendRow (the streaming forward) —
-// and the logarithms of evt's Grimshaw scan. AffineRow and SoftmaxRow are
-// fused: a projection row (sum, bias, ReLU) and a softmax row (max, exp, sum,
-// divide) are one call each, and on the vector path one leaf each.
+// SoftmaxRows (training: DotRows, AddScaledRows, SoftmaxRow), nn's row forms
+// (the inference forward: AffineRows for every projection of a batch of
+// rows, NormRows for its layer norms, and AttendRow's DotCols, SoftmaxRow,
+// AffineRow and AddScaledRows) — and the logarithms of evt's Grimshaw scan.
+// AffineRow and SoftmaxRow are fused: a projection row (sum, bias, ReLU) and
+// a softmax row (max, exp, sum, divide) are one call each, and on the vector
+// path one leaf each; AffineRows is AffineRow over a batch, one call for the
+// batch. Attention keys are stored key-major, so DotCols scores a query
+// against a run of keys with one key per lane and no transposes; DotRows,
+// which transposes 4×4 blocks on the vector path, serves the tape's MatMulT.
 //
 // Each output cell sees a fixed sequence of float64 operations — products
 // summed in ascending order, multiply and add never fused, a division where
@@ -114,6 +120,127 @@ func DotRows(dst, q, rows []float64, stride int, scale float64) {
 	}
 }
 
+// DotCols writes dst[j] = scale·Σ_c q[c]·(column j)[c] for len(dst)
+// consecutive columns of a column-major block: dimension c of column j is
+// cols[c*stride+j]. Each sum starts from +0 and adds the products in
+// ascending c with no zero-skip, and is scaled afterwards — DotRows'
+// arithmetic, on keys stored key-major (one dimension per row, the keys
+// across it), so the vector path needs no transposes: every lane is one
+// column, and q[c] is broadcast against a contiguous run of them.
+func DotCols(dst, q, cols []float64, stride int, scale float64) {
+	if len(dst) == 0 {
+		return
+	}
+	if useVector && len(q) > 0 {
+		c := cols[:(len(q)-1)*stride+len(dst)] // the one bounds check
+		dotColsLeaf(dst, q, &c[0], stride, scale)
+		return
+	}
+	clear(dst)
+	for c, qv := range q {
+		col := cols[c*stride:][:len(dst)]
+		for j, kv := range col {
+			dst[j] += qv * kv
+		}
+	}
+	for j := range dst {
+		dst[j] *= scale
+	}
+}
+
+// AffineRows applies AffineRow to the n rows of a row-major batch: row i of
+// dst (len(bias) wide) is x's row i (in wide) times the in×len(bias) weight
+// matrix w, plus bias, then the ReLU if relu. With residual set, each cell
+// becomes (x·w + bias) + dst, the row's previous value added after the
+// bias — a residual connection written into its own stream. Every cell sees
+// AffineRow's operations, in its order; the rows are independent, and on the
+// vector path one leaf call runs them all. dst must not overlap x.
+func AffineRows(dst, x, w []float64, n, in int, bias []float64, relu, residual bool) {
+	out := len(bias)
+	if n == 0 || out == 0 {
+		return
+	}
+	dst, x = dst[:n*out], x[:n*in] // the batch's one bounds check
+	w = w[:in*out]
+	if useVector {
+		var r *float64
+		if in > 0 {
+			r = &w[0]
+		}
+		affineRowsLeaf(&dst[0], xPtr(x), n, in, out, r, out, &bias[0], relu, residual)
+		return
+	}
+	if !residual {
+		for i := range n {
+			AffineRow(dst[i*out:(i+1)*out], x[i*in:(i+1)*in], w, out, bias, relu)
+		}
+		return
+	}
+	// The sum of a block of cells goes to a register-sized scratch first:
+	// the residual is added to the finished sum, not accumulated into.
+	var blk [16]float64
+	for i := range n {
+		d, xr := dst[i*out:(i+1)*out], x[i*in:(i+1)*in]
+		for c0 := 0; c0 < out; c0 += len(blk) {
+			s := blk[:min(len(blk), out-c0)]
+			clear(s)
+			AddScaledRows(s, xr, w[c0:], out)
+			for j, v := range s {
+				v = v + bias[c0+j] + d[c0+j]
+				if relu && !(v > 0) {
+					v = 0
+				}
+				d[c0+j] = v
+			}
+		}
+	}
+}
+
+// xPtr is the address of x's first value, or nil for an empty x.
+func xPtr(x []float64) *float64 {
+	if len(x) == 0 {
+		return nil
+	}
+	return &x[0]
+}
+
+// NormRows layer-normalises the n rows of x (len(gain) wide) into dst, which
+// may be x itself: per row, mean = Σ x[j] from +0 in ascending j, divided by
+// the width; var = Σ (x[j] − mean)² likewise; is = 1/√(var + eps); and
+// dst[j] = ((x[j] − mean)·is)·gain[j] + bias[j] — the tape's LayerNormRows,
+// operation for operation. On the vector path four rows share each pass over
+// the columns, one row per lane, so their four dependent sums are in flight
+// at once, and each row's cells are then written four columns at a time; the
+// rows past the last group of four, and every row off it, take the Go loop.
+func NormRows(dst, x []float64, n int, gain, bias []float64, eps float64) {
+	cols := len(gain)
+	bias = bias[:cols]
+	dst, x = dst[:n*cols], x[:n*cols]
+	i := 0
+	if useVector && n >= 4 && cols > 0 {
+		i = n &^ 3
+		normRows4(&dst[0], &x[0], i, cols, &gain[0], &bias[0], eps)
+	}
+	w := float64(cols)
+	for ; i < n; i++ {
+		xr, y := x[i*cols:][:cols], dst[i*cols:][:cols]
+		var m float64
+		for _, v := range xr {
+			m += v
+		}
+		m /= w
+		var va float64
+		for _, v := range xr {
+			d := v - m
+			va += d * d
+		}
+		is := 1 / math.Sqrt(va/w+eps)
+		for j, g := range gain {
+			y[j] = (xr[j]-m)*is*g + bias[j]
+		}
+	}
+}
+
 // AffineRow writes dst[c] = Σ_k x[k]·(row k)[c] into every cell of dst, where
 // row k is the len(dst) values at rows[k*stride:]: the products summed from
 // +0 in ascending k, skipping x[k] == 0, then bias[c] added to the sum
@@ -142,7 +269,7 @@ func AffineRow(dst, x, rows []float64, stride int, bias []float64, relu bool) {
 		if bias != nil {
 			b = &bias[0]
 		}
-		affineRowLeaf(dst, x, r, stride, b, relu)
+		affineRowsLeaf(&dst[0], xPtr(x), 1, len(x), len(dst), r, stride, b, relu, false)
 		return
 	}
 	clear(dst)

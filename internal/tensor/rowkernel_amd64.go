@@ -19,7 +19,13 @@ var useVector = cpuHasAVX2FMA() && packedExpMatchesMathExp() && packedLogMatches
 func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int
 
 //go:noescape
-func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool)
+func affineRowsLeaf(dst, x *float64, n, in, out int, rows *float64, stride int, bias *float64, relu, residual bool)
+
+//go:noescape
+func normRows4(dst, x *float64, n, cols int, gain, bias *float64, eps float64)
+
+//go:noescape
+func dotColsLeaf(dst, q []float64, cols *float64, stride int, scale float64)
 
 //go:noescape
 func dotRows4(dst, q []float64, rows *float64, stride int, scale float64) int

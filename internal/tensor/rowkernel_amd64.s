@@ -137,27 +137,65 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 	VBROADCASTSD (SI), Y4; \
 	VCMPPD $4, Y15, Y4, Y9
 
-// func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool)
+// func affineRowsLeaf(dst, x *float64, n, in, out int, rows *float64, stride int, bias *float64, relu, residual bool)
 //
-// Every cell of dst, one cell per lane: dst[c] = Σ_k x[k]·rows[k*stride+c]
+// n rows, one after another: dst and x hold them contiguously (out and in
+// values a row), and every row runs against the same rows and bias. Every
+// cell of a row, one cell per lane: dst[c] = Σ_k x[k]·rows[k*stride+c]
 // summed from +0 (a zeroed register) in ascending k, skipping x[k] == ±0;
-// then + bias[c] unless bias is nil; then, if relu, VMAXPD against +0 with the
-// sum as the first operand, which keeps v where v > 0 and gives +0 otherwise
-// (NaN and −0 included) — Go's !(v > 0). Blocks of 16 cells while 16 are
-// left, then one of 8, then the last r < 8 through lane masks (VMASKMOVPD
-// reads and writes no masked lane, so no byte past the row is touched). Each
-// block of dst is stored once.
-TEXT ·affineRowLeaf(SB), NOSPLIT, $0-73
-	MOVQ dst_base+0(FP), DI
-	MOVQ dst_len+8(FP), BX
-	MOVQ x_base+24(FP), R9
-	MOVQ x_len+32(FP), R10
-	MOVQ rows+48(FP), R11
-	MOVQ stride+56(FP), R8
-	MOVQ bias+64(FP), R12
-	MOVBQZX relu+72(FP), R13
+// then + bias[c] unless bias is nil; then, if residual, + the value dst[c]
+// held on entry (read once, just before the block is stored); then, if relu,
+// VMAXPD against +0 with the sum as the first operand, which keeps v where
+// v > 0 and gives +0 otherwise (NaN and −0 included) — Go's !(v > 0). Blocks
+// of 16 cells while 16 are left, then one of 8, then the last r < 8 through
+// lane masks (VMASKMOVPD reads and writes no masked lane, so no byte past
+// the row is touched). Each block of dst is stored once. A row none of whose
+// coefficients is ±0 runs loops without the skip's masks: there is nothing to
+// skip, so the sums are the same. n must be positive.
+TEXT ·affineRowsLeaf(SB), NOSPLIT, $0-66
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), R9
+	MOVQ in+24(FP), R10
+	MOVQ stride+48(FP), R8
+	MOVBQZX relu+64(FP), R13
+	MOVBQZX residual+65(FP), AX
+	SHLQ $1, AX
+	ORQ  AX, R13 // bit 0 relu, bit 1 residual
 	SHLQ $3, R8
 	VXORPD Y15, Y15, Y15
+row:
+	MOVQ out+32(FP), BX
+	MOVQ rows+40(FP), R11
+	MOVQ bias+56(FP), R12
+	// R14 = 0 when no coefficient of the row is ±0: the skip can never
+	// trigger, so the blocks below run loops without the lane masks. Four
+	// coefficients a compare (VCMPPD equal, ordered: NaN is not zero), the
+	// last few one at a time.
+	XORQ R14, R14
+	MOVQ R9, SI
+	MOVQ R10, CX
+	VXORPD Y12, Y12, Y12
+scan4:
+	CMPQ CX, $4
+	JLT  scan1
+	VCMPPD $0, (SI), Y15, Y13
+	VORPD Y13, Y12, Y12
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JMP  scan4
+scan1:
+	TESTQ CX, CX
+	JZ   scanned
+	MOVQ (SI), AX
+	ADDQ $8, SI
+	DECQ CX
+	SHLQ $1, AX
+	JNZ  scan1
+	MOVQ $1, R14
+scanned:
+	VPTEST Y12, Y12
+	JZ   wide
+	MOVQ $1, R14
 wide:
 	CMPQ BX, $16
 	JLT  narrow
@@ -170,6 +208,23 @@ wide:
 	MOVQ R11, DX
 	TESTQ CX, CX
 	JZ   bias16
+	TESTQ R14, R14
+	JNZ  loop16
+dense16:
+	VBROADCASTSD (SI), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VMULPD 64(DX), Y4, Y7
+	VMULPD 96(DX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  dense16
+	JMP  bias16
 loop16:
 	COEF
 	VMULPD (DX), Y4, Y5
@@ -186,14 +241,21 @@ loop16:
 	JNZ  loop16
 bias16:
 	TESTQ R12, R12
-	JZ   relu16
+	JZ   res16
 	VADDPD (R12), Y0, Y0
 	VADDPD 32(R12), Y1, Y1
 	VADDPD 64(R12), Y2, Y2
 	VADDPD 96(R12), Y3, Y3
 	ADDQ $128, R12
+res16:
+	TESTQ $2, R13
+	JZ   relu16
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
+	VADDPD 64(DI), Y2, Y2
+	VADDPD 96(DI), Y3, Y3
 relu16:
-	TESTQ R13, R13
+	TESTQ $1, R13
 	JZ   store16
 	VMAXPD Y15, Y0, Y0
 	VMAXPD Y15, Y1, Y1
@@ -218,6 +280,19 @@ narrow:
 	MOVQ R11, DX
 	TESTQ CX, CX
 	JZ   bias8
+	TESTQ R14, R14
+	JNZ  loop8
+dense8:
+	VBROADCASTSD (SI), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  dense8
+	JMP  bias8
 loop8:
 	COEF
 	VMULPD (DX), Y4, Y5
@@ -230,12 +305,17 @@ loop8:
 	JNZ  loop8
 bias8:
 	TESTQ R12, R12
-	JZ   relu8
+	JZ   res8
 	VADDPD (R12), Y0, Y0
 	VADDPD 32(R12), Y1, Y1
 	ADDQ $64, R12
+res8:
+	TESTQ $2, R13
+	JZ   relu8
+	VADDPD (DI), Y0, Y0
+	VADDPD 32(DI), Y1, Y1
 relu8:
-	TESTQ R13, R13
+	TESTQ $1, R13
 	JZ   store8
 	VMAXPD Y15, Y0, Y0
 	VMAXPD Y15, Y1, Y1
@@ -247,7 +327,7 @@ store8:
 	SUBQ $8, BX
 tail:
 	TESTQ BX, BX
-	JZ   done
+	JZ   nextrow
 	MOVQ $8, AX
 	SUBQ BX, AX
 	LEAQ tailmask<>(SB), CX
@@ -274,17 +354,138 @@ loopt:
 	JNZ  loopt
 biast:
 	TESTQ R12, R12
-	JZ   relut
+	JZ   rest
 	VMASKMOVPD (R12), Y10, Y5
 	VMASKMOVPD 32(R12), Y11, Y6
 	VADDPD Y5, Y0, Y0
 	VADDPD Y6, Y1, Y1
+rest:
+	TESTQ $2, R13
+	JZ   relut
+	VMASKMOVPD (DI), Y10, Y5
+	VMASKMOVPD 32(DI), Y11, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
 relut:
-	TESTQ R13, R13
+	TESTQ $1, R13
 	JZ   storet
 	VMAXPD Y15, Y0, Y0
 	VMAXPD Y15, Y1, Y1
 storet:
+	VMASKMOVPD Y0, Y10, (DI)
+	VMASKMOVPD Y1, Y11, 32(DI)
+	LEAQ (DI)(BX*8), DI
+nextrow:
+	LEAQ (R9)(R10*8), R9
+	DECQ n+16(FP)
+	JNZ  row
+	VZEROUPPER
+	RET
+
+// func dotColsLeaf(dst, q []float64, cols *float64, stride int, scale float64)
+//
+// Every cell of dst, one column per lane: dst[j] = scale·Σ_c q[c]·cols[c*stride+j]
+// summed from +0 in ascending c with no zero-skip (VMULPD then VADDPD), the
+// scale multiplied after the sum. len(q) must be positive. Blocks of 16
+// columns while 16 are left, then one of 8, then the last r < 8 through lane
+// masks, as affineRowLeaf does.
+TEXT ·dotColsLeaf(SB), NOSPLIT, $0-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), BX
+	MOVQ q_base+24(FP), R9
+	MOVQ q_len+32(FP), R10
+	MOVQ cols+48(FP), R11
+	MOVQ stride+56(FP), R8
+	VBROADCASTSD scale+64(FP), Y15
+	SHLQ $3, R8
+wide:
+	CMPQ BX, $16
+	JLT  narrow
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+loop16:
+	VBROADCASTSD (SI), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VMULPD 64(DX), Y4, Y7
+	VMULPD 96(DX), Y4, Y8
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	VADDPD Y7, Y2, Y2
+	VADDPD Y8, Y3, Y3
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loop16
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	VMULPD Y15, Y2, Y2
+	VMULPD Y15, Y3, Y3
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, R11
+	SUBQ $16, BX
+	JMP  wide
+narrow:
+	CMPQ BX, $8
+	JLT  tail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+loop8:
+	VBROADCASTSD (SI), Y4
+	VMULPD (DX), Y4, Y5
+	VMULPD 32(DX), Y4, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loop8
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ $64, DI
+	ADDQ $64, R11
+	SUBQ $8, BX
+tail:
+	TESTQ BX, BX
+	JZ   done
+	MOVQ $8, AX
+	SUBQ BX, AX
+	LEAQ tailmask<>(SB), CX
+	VMOVUPD (CX)(AX*8), Y10
+	VMOVUPD 32(CX)(AX*8), Y11
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	MOVQ R9, SI
+	MOVQ R10, CX
+	MOVQ R11, DX
+loopt:
+	VBROADCASTSD (SI), Y4
+	VMASKMOVPD (DX), Y10, Y5
+	VMASKMOVPD 32(DX), Y11, Y6
+	VMULPD Y5, Y4, Y5
+	VMULPD Y6, Y4, Y6
+	VADDPD Y5, Y0, Y0
+	VADDPD Y6, Y1, Y1
+	ADDQ $8, SI
+	ADDQ R8, DX
+	DECQ CX
+	JNZ  loopt
+	VMULPD Y15, Y0, Y0
+	VMULPD Y15, Y1, Y1
 	VMASKMOVPD Y0, Y10, (DI)
 	VMASKMOVPD Y1, Y11, 32(DI)
 done:
@@ -694,4 +895,114 @@ group:
 done:
 	VZEROUPPER
 	MOVQ BX, ret+24(FP)
+	RET
+
+// GATHER4 loads dimension DX of four rows R8 bytes apart into the four lanes
+// of Y1, row i in lane i (R10 = 3·R8). Clobbers X2.
+#define GATHER4 \
+	VMOVSD (DX), X1; \
+	VMOVHPD (DX)(R8*1), X1, X1; \
+	VMOVSD (DX)(R8*2), X2; \
+	VMOVHPD (DX)(R10*1), X2, X2; \
+	VINSERTF128 $1, X2, Y1, Y1
+
+// func normRows4(dst, x *float64, n, cols int, gain, bias *float64, eps float64)
+//
+// Layer norm of n rows of x (n a positive multiple of four, cols > 0 values
+// a row) into dst, which may be x itself, four rows to a pass, one row per
+// lane: mean = Σ x[j] from +0 in ascending j (one VADDPD a column), divided
+// by cols; var = Σ (x[j] − mean)² likewise; is = 1/√(var + eps) (VSQRTPD,
+// VDIVPD). Then each row's cells, four columns a register (the last few
+// through lane masks): ((x[j] − mean)·is)·gain[j] + bias[j]. The per-row
+// mean and is are spilled to the frame and broadcast back.
+TEXT ·normRows4(SB), NOSPLIT, $64-56
+	MOVQ dst+0(FP), DI
+	MOVQ x+8(FP), SI
+	MOVQ n+16(FP), R9
+	MOVQ cols+24(FP), R13
+	MOVQ gain+32(FP), R11
+	MOVQ bias+40(FP), R12
+	CVTSQ2SD R13, X15
+	VBROADCASTSD X15, Y15
+	VBROADCASTSD eps+48(FP), Y14
+	VMOVUPD expconst<>+ONE(SB), Y13
+	MOVQ R13, R8
+	SHLQ $3, R8
+	LEAQ (R8)(R8*2), R10
+	MOVQ R13, AX
+	ANDQ $3, AX
+	MOVQ $8, DX
+	SUBQ AX, DX
+	LEAQ tailmask<>(SB), CX
+	VMOVUPD (CX)(DX*8), Y12
+group:
+	VXORPD Y0, Y0, Y0
+	MOVQ SI, DX
+	MOVQ R13, CX
+mean:
+	GATHER4
+	VADDPD Y1, Y0, Y0
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  mean
+	VDIVPD Y15, Y0, Y0
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, DX
+	MOVQ R13, CX
+variance:
+	GATHER4
+	VSUBPD Y0, Y1, Y1
+	VMULPD Y1, Y1, Y1
+	VADDPD Y1, Y3, Y3
+	ADDQ $8, DX
+	DECQ CX
+	JNZ  variance
+	VDIVPD Y15, Y3, Y3
+	VADDPD Y14, Y3, Y3
+	VSQRTPD Y3, Y3
+	VDIVPD Y3, Y13, Y4
+	VMOVUPD Y0, 0(SP)
+	VMOVUPD Y4, 32(SP)
+	MOVQ SI, DX
+	MOVQ DI, R14
+	XORQ AX, AX
+outrow:
+	VBROADCASTSD 0(SP)(AX*8), Y5
+	VBROADCASTSD 32(SP)(AX*8), Y6
+	XORQ CX, CX
+	MOVQ R13, BX
+cols4:
+	CMPQ BX, $4
+	JLT  coltail
+	VMOVUPD (DX)(CX*1), Y7
+	VSUBPD Y5, Y7, Y7
+	VMULPD Y6, Y7, Y7
+	VMULPD (R11)(CX*1), Y7, Y7
+	VADDPD (R12)(CX*1), Y7, Y7
+	VMOVUPD Y7, (R14)(CX*1)
+	ADDQ $32, CX
+	SUBQ $4, BX
+	JMP  cols4
+coltail:
+	TESTQ BX, BX
+	JZ   rowdone
+	VMASKMOVPD (DX)(CX*1), Y12, Y7
+	VSUBPD Y5, Y7, Y7
+	VMULPD Y6, Y7, Y7
+	VMASKMOVPD (R11)(CX*1), Y12, Y8
+	VMULPD Y8, Y7, Y7
+	VMASKMOVPD (R12)(CX*1), Y12, Y8
+	VADDPD Y8, Y7, Y7
+	VMASKMOVPD Y7, Y12, (R14)(CX*1)
+rowdone:
+	ADDQ R8, DX
+	ADDQ R8, R14
+	INCQ AX
+	CMPQ AX, $4
+	JLT  outrow
+	LEAQ (SI)(R8*4), SI
+	LEAQ (DI)(R8*4), DI
+	SUBQ $4, R9
+	JNZ  group
+	VZEROUPPER
 	RET

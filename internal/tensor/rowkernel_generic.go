@@ -12,7 +12,15 @@ func addScaledBlocks(acc, coef []float64, rows *float64, stride int) int {
 	panic("tensor: no vector kernels on this architecture")
 }
 
-func affineRowLeaf(dst, x []float64, rows *float64, stride int, bias *float64, relu bool) {
+func affineRowsLeaf(dst, x *float64, n, in, out int, rows *float64, stride int, bias *float64, relu, residual bool) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func normRows4(dst, x *float64, n, cols int, gain, bias *float64, eps float64) {
+	panic("tensor: no vector kernels on this architecture")
+}
+
+func dotColsLeaf(dst, q []float64, cols *float64, stride int, scale float64) {
 	panic("tensor: no vector kernels on this architecture")
 }
 

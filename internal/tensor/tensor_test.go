@@ -516,6 +516,127 @@ func testAffineRowMatchesReference(t *testing.T) {
 	}
 }
 
+// TestDotColsMatchesReference holds the column-dot score leaf to a scalar
+// loop — each logical key's dot product from +0 in ascending dimension, no
+// zero-skip, scaled after the sum — bit for bit on both kernel paths. The
+// keys sit key-major in a ring, and every query is scored the way AttendRow
+// scores it: its band (the whole ring, or ±1 and ±2 around every position)
+// read as at most two runs of slots, for every ring head. Ring lengths and
+// head dimensions that are not multiples of 4 or 8 reach every block and
+// the masked tail; NaN and ±Inf keys meet ±0 query cells, where a skip
+// would have hidden a NaN.
+func TestDotColsMatchesReference(t *testing.T) { eachKernelPath(t, testDotColsMatchesReference) }
+
+func testDotColsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	nan := math.Float64frombits(0xfff8_0000_0000_0000)
+	special := []float64{nan, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1)}
+	pick := func(pSpecial float64) float64 {
+		if rng.Float64() < pSpecial {
+			return special[rng.Intn(len(special))]
+		}
+		return rng.NormFloat64()
+	}
+	for _, slots := range []int{1, 3, 5, 8, 9, 16, 17, 21, 24, 35, 40} {
+		for _, dk := range []int{1, 3, 4, 5, 8, 13} {
+			keys := make([]float64, dk*slots) // key-major: dimension c of slot p at keys[c*slots+p]
+			for i := range keys {
+				keys[i] = pick(0.05)
+			}
+			q := make([]float64, dk)
+			for i := range q {
+				if q[i] = pick(0); rng.Intn(4) == 0 {
+					q[i] = math.Copysign(0, float64(rng.Intn(2)*2-1))
+				}
+			}
+			scale := 1 / math.Sqrt(float64(dk))
+			want, got := make([]float64, slots), make([]float64, slots)
+			check := func(head, jlo, jhi int) {
+				n := jhi - jlo
+				for j := jlo; j < jhi; j++ {
+					p := (head + j) % slots
+					var s float64
+					for c, qv := range q {
+						s += qv * keys[c*slots+p]
+					}
+					want[j-jlo] = s * scale
+				}
+				p0 := (head + jlo) % slots
+				n1 := min(n, slots-p0)
+				DotCols(got[:n1], q, keys[p0:], slots, scale)
+				DotCols(got[n1:n], q, keys, slots, scale)
+				if j, ok := sameBits(got[:n], want[:n]); !ok {
+					t.Fatalf("slots %d dk %d head %d keys [%d, %d) key %d: DotCols %#x != reference %#x",
+						slots, dk, head, jlo, jhi, jlo+j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+				}
+			}
+			for head := 0; head < slots; head++ {
+				check(head, 0, slots)
+				for _, band := range []int{1, 2} {
+					for qPos := 0; qPos < slots; qPos++ {
+						check(head, max(qPos-band, 0), min(qPos+band+1, slots))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAffineRowsMatchesReference holds the multi-row projection to
+// applyRowRef row by row, bit for bit on both kernel paths, for 0–9 rows,
+// widths on each side of the leaf's blocks, ReLU on and off, and the residual
+// form — the row's sum plus bias, then plus the value the destination held —
+// over operands holding ±0, NaN, ±Inf and overflowing values.
+func TestAffineRowsMatchesReference(t *testing.T) { eachKernelPath(t, testAffineRowsMatchesReference) }
+
+func testAffineRowsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(56))
+	nan := math.Float64frombits(0xfff8_0000_0000_0000)
+	special := []float64{nan, math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), math.MaxFloat64}
+	fill := func(n int, pSpecial float64) []float64 {
+		d := make([]float64, n)
+		for i := range d {
+			if d[i] = rng.NormFloat64(); rng.Float64() < pSpecial {
+				d[i] = special[rng.Intn(len(special))]
+			}
+		}
+		return d
+	}
+	for n := 0; n <= 9; n++ {
+		for _, in := range []int{1, 3, 16, 33} {
+			for _, out := range []int{1, 5, 8, 16, 19, 32} {
+				for _, pSpecial := range []float64{0, 0.05} {
+					x, w, bias := fill(n*in, pSpecial+0.1), fill(in*out, pSpecial), fill(out, pSpecial)
+					for _, relu := range []bool{false, true} {
+						for _, residual := range []bool{false, true} {
+							old := fill(n*out, pSpecial)
+							want := make([]float64, n*out)
+							for i := range n {
+								row := want[i*out : (i+1)*out]
+								applyRowRef(row, x[i*in:(i+1)*in], w, out, bias, false)
+								for j := range row {
+									if residual {
+										row[j] += old[i*out+j]
+									}
+									if relu && !(row[j] > 0) {
+										row[j] = 0
+									}
+								}
+							}
+							got := append([]float64(nil), old...)
+							AffineRows(got, x, w, n, in, bias, relu, residual)
+							if j, ok := sameBits(got, want); !ok {
+								t.Fatalf("%d rows %d -> %d (special %v, relu %v, residual %v) cell %d: AffineRows %#x != reference %#x",
+									n, in, out, pSpecial > 0, relu, residual, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestSoftmaxRowMatchesReference holds the fused softmax to softmaxRowRef bit
 // for bit on both kernel paths, widths 0–70, over rows of random values; rows
 // holding −Inf, +Inf or NaN cells; rows of equal values; a +0 and a −0
