@@ -958,7 +958,7 @@ func (t *Tape) TimeEmbed(dt, alpha *Node, sin, cos, sum *tensor.Dense) *Node {
 
 // SoftmaxRows applies a numerically stable softmax to each row of a: every
 // cell is exp(x − max) divided by the row's sum of those, added in ascending
-// order — the same leaf nn's AttendRow runs.
+// order — the same leaf nn's AttendRows runs.
 func (t *Tape) SoftmaxRows(a *Node) *Node {
 	v := t.out(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {

@@ -83,17 +83,6 @@ func (l *LayerNorm) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 	return t.LayerNormRows(x, t.Param(l.Gain), t.Param(l.Bias), l.Eps)
 }
 
-// ApplyRow normalizes the single row x into dst (dst may alias x),
-// mirroring the tape's LayerNormRows kernel bit for bit. x must be as wide as
-// the layer and dst at least as wide; otherwise it panics, as the tape does.
-func (l *LayerNorm) ApplyRow(dst, x []float64) {
-	gain := l.Gain.Value.Data
-	if len(x) != len(gain) || len(dst) < len(gain) {
-		panic(fmt.Sprintf("nn: layernorm row width %d -> %d, layer is %d wide", len(x), len(dst), len(gain)))
-	}
-	l.ApplyRows(dst, x, 1)
-}
-
 // Params implements Module.
 func (l *LayerNorm) Params() []*ag.Param { return []*ag.Param{l.Gain, l.Bias} }
 
@@ -249,6 +238,8 @@ func (f *FFN) Forward(t *ag.Tape, x *ag.Node) *ag.Node {
 
 // ApplyRow applies the block to the single row x into dst, using hidden
 // (at least the L1 output width) as scratch; mirrors Forward row for row.
+// The forward runs ApplyRows; this row form stays as the reference
+// TestApplyRowsMatchesApplyRow holds each batch row to.
 func (f *FFN) ApplyRow(dst, hidden, x []float64) {
 	f.L1.applyRow(hidden, x, true)
 	f.L2.applyRow(dst, hidden[:f.L1.W.Value.Cols], false)

@@ -33,7 +33,7 @@ func guarded(t *testing.T, rng *rand.Rand, n int) []float64 {
 	return s
 }
 
-// TestVectorKernelsStayInBounds is the AttendRow half of the guard-page
+// TestVectorKernelsStayInBounds is the attendRow half of the guard-page
 // canary (internal/tensor holds the leaves' own): both runs of the key and
 // value rings at every length and every ring head, the second run starting at
 // the matrix's first byte, the first ending at its last.
@@ -56,8 +56,8 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 		ctx, scores := guarded(t, rng, dm), guarded(t, rng, rows)
 		want, scratch := make([]float64, dm), make([]float64, rows)
 		for head := 0; head < rows; head++ {
-			scalarly(func() { m.AttendRow(want, scratch, q, k, v, head, 0, false) })
-			m.AttendRow(ctx, scores, q, k, v, head, 0, false)
+			scalarly(func() { m.attendRow(want, scratch, q, k, v, head, 0, false) })
+			m.attendRow(ctx, scores, q, k, v, head, 0, false)
 			if c, ok := sameBits(ctx, want); !ok {
 				t.Fatalf("rows %d head %d cell %d: vector %v != Go loops %v", rows, head, c, ctx[c], want[c])
 			}

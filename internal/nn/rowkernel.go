@@ -75,8 +75,8 @@ func (f *FFN) ApplyRows(dst, spare, x []float64, n int, residual bool) {
 }
 
 // ApplyRows normalises the n rows of the row-major batch x into dst, which
-// may be x itself: each row is ApplyRow's, four rows to a pass
-// (tensor.NormRows). An x that is not n rows, or a dst shorter than x,
+// may be x itself, mirroring the tape's LayerNormRows kernel bit for bit,
+// four rows to a pass (tensor.NormRows). An x that is not n rows, or a dst shorter than x,
 // panics.
 func (l *LayerNorm) ApplyRows(dst, x []float64, n int) {
 	gain, bias := l.Gain.Value.Data, l.Bias.Value.Data
@@ -86,19 +86,18 @@ func (l *LayerNorm) ApplyRows(dst, x []float64, n int) {
 	tensor.NormRows(dst, x, n, gain, bias, l.Eps)
 }
 
-// AttendRow computes one query row of scaled dot-product attention against
-// key/value rings (pre-head-split, dm wide). The keys are held key-major —
-// k is dm × L, dimension c of the key at physical slot p at k[c][p] — and
-// the values row-major (v is L × dm). Logical key j is physical slot
-// (head+j) mod L, so a cache that slides by one position advances head
-// instead of moving its keys, and an exact rebuild writes logical = physical
-// with head 0. The concatenated per-head context — the input to Wo — lands
-// in ctx (length Dim). scores is caller scratch of length ≥ L and must not
-// overlap ctx or q; ctx may be q itself (each head's slice of q is consumed
-// before its context is written). qPos is the query's logical position in
-// the attended sequence; the band restriction applies only when square is
-// true, mirroring Forward's bandMask rule (banded self-attention, unbanded
-// cross-attention).
+// AttendRows computes n query rows of scaled dot-product attention against
+// key/value rings (pre-head-split, dm wide). The queries are the rows of the
+// row-major batch qc (Dim wide each) at logical positions qPos, qPos+1, …,
+// and each row is replaced by its concatenated per-head context — the input
+// to Wo. The keys are held key-major — k is dm × L, dimension c of the key
+// at physical slot p at k[c][p] — and the values row-major (v is L × dm).
+// Logical key j is physical slot (head+j) mod L, so a cache that slides by
+// one position advances head instead of moving its keys, and an exact
+// rebuild writes logical = physical with head 0. scores is caller scratch of
+// length ≥ L and must not overlap qc. The band restriction applies only when
+// square is true, mirroring Forward's bandMask rule (banded self-attention,
+// unbanded cross-attention).
 //
 // The arithmetic mirrors the tape kernels op for op: per-cell dot products
 // from +0 in ascending key-dimension order with no zero-skip, the 1/√d_k
@@ -107,26 +106,20 @@ func (l *LayerNorm) ApplyRows(dst, x []float64, n int) {
 // zero-skip accumulation over value rows in ascending logical key order
 // (out-of-band tape cells are exact zeros — their −1e9-masked exponentials
 // underflow — so restricting the loops to the band is value-preserving).
-func (m *MultiHeadAttention) AttendRow(ctx, scores, q []float64, k, v *tensor.Dense, head, qPos int, square bool) {
-	dk := m.Dim / m.Heads
-	m.attendRow(ctx, scores, q, k, v, head, qPos, square, dk, 1/math.Sqrt(float64(dk)))
-}
-
-// AttendRows is AttendRow for the n query rows of the row-major batch qc
-// (Dim wide each) at logical positions qPos, qPos+1, …, each row replaced by
-// its context.
 func (m *MultiHeadAttention) AttendRows(qc []float64, n int, scores []float64, k, v *tensor.Dense, head, qPos int, square bool) {
-	dk := m.Dim / m.Heads
-	scale := 1 / math.Sqrt(float64(dk))
 	for i := range n {
 		qi := qc[i*m.Dim : (i+1)*m.Dim]
-		m.attendRow(qi, scores, qi, k, v, head, qPos+i, square, dk, scale)
+		m.attendRow(qi, scores, qi, k, v, head, qPos+i, square)
 	}
 }
 
-// attendRow is AttendRow with the head width dk and the score scale
-// 1/√dk worked out by the caller.
-func (m *MultiHeadAttention) attendRow(ctx, scores, q []float64, k, v *tensor.Dense, head, qPos int, square bool, dk int, scale float64) {
+// attendRow is one query row of AttendRows: the context of q, at logical
+// position qPos, lands in ctx (length Dim). scores must not overlap ctx or
+// q; ctx may be q itself (each head's slice of q is consumed before its
+// context is written).
+func (m *MultiHeadAttention) attendRow(ctx, scores, q []float64, k, v *tensor.Dense, head, qPos int, square bool) {
+	dk := m.Dim / m.Heads
+	scale := 1 / math.Sqrt(float64(dk))
 	rows, dm := k.Cols, v.Cols
 	jlo, jhi := 0, rows
 	if m.Band > 0 && square {

@@ -10,8 +10,8 @@ import (
 	"aero/internal/tensor"
 )
 
-// The streaming incremental path re-derives single rows with the ApplyRow/
-// AttendRow kernels instead of tape forwards. These tests pin the contract
+// The inference forward derives its rows with the row forms (ApplyRow,
+// ApplyRows, attendRow) instead of tape forwards. These tests pin the contract
 // those kernels advertise: fed the exact inputs, every row they produce is
 // bit-identical to the corresponding row of the tape forward — no epsilon.
 // Every test runs on both kernel paths (eachKernelPath) against one set of
@@ -63,7 +63,7 @@ func testLayerNormApplyRowMatchesForward(t *testing.T) {
 	out := ln.Forward(tp, tp.Const(x))
 	dst := make([]float64, 8)
 	for r := 0; r < x.Rows; r++ {
-		ln.ApplyRow(dst, x.Row(r))
+		ln.ApplyRows(dst, x.Row(r), 1)
 		for j, v := range dst {
 			if v != out.Value.At(r, j) {
 				t.Fatalf("row %d col %d: ApplyRow %v != Forward %v", r, j, v, out.Value.At(r, j))
@@ -72,7 +72,7 @@ func testLayerNormApplyRowMatchesForward(t *testing.T) {
 	}
 	// The kernel documents that dst may alias x; verify in-place use.
 	row := append([]float64(nil), x.Row(2)...)
-	ln.ApplyRow(row, row)
+	ln.ApplyRows(row, row, 1)
 	for j, v := range row {
 		if v != out.Value.At(2, j) {
 			t.Fatalf("aliased col %d: %v != %v", j, v, out.Value.At(2, j))
@@ -101,7 +101,7 @@ func testFFNApplyRowMatchesForward(t *testing.T) {
 }
 
 // attendAllRows reconstructs every output row of an attention forward with
-// the row kernels (Wq.ApplyRow → AttendRow → Wo.ApplyRow) and compares it
+// the row kernels (Wq.ApplyRow → attendRow → Wo.ApplyRow) and compares it
 // bitwise against the tape forward's output.
 func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense, square bool) {
 	t.Helper()
@@ -113,18 +113,18 @@ func attendAllRows(t *testing.T, m *MultiHeadAttention, query, kv *tensor.Dense,
 	// The K/V matrices the row kernel attends over, projected the way
 	// Forward projects them.
 	k, v := m.Wk.Forward(tp, tp.Const(kv)), m.Wv.Forward(tp, tp.Const(kv))
-	kT := k.Value.T() // AttendRow's key ring is key-major
+	kT := k.Value.T() // attendRow's key ring is key-major
 	q := make([]float64, m.Dim)
 	ctx := make([]float64, m.Dim)
 	dst := make([]float64, m.Dim)
 	scores := make([]float64, k.Value.Rows)
 	for r := 0; r < query.Rows; r++ {
 		m.Wq.ApplyRow(q, query.Row(r))
-		m.AttendRow(ctx, scores, q, kT, v.Value, 0, r, square)
+		m.attendRow(ctx, scores, q, kT, v.Value, 0, r, square)
 		m.Wo.ApplyRow(dst, ctx)
 		for j, got := range dst {
 			if got != out.Value.At(r, j) {
-				t.Fatalf("row %d col %d: AttendRow path %v != Forward %v (band %d, square %v)",
+				t.Fatalf("row %d col %d: attendRow path %v != Forward %v (band %d, square %v)",
 					r, j, got, out.Value.At(r, j), m.Band, square)
 			}
 		}
@@ -296,7 +296,8 @@ func layerNormRowRef(l *LayerNorm, dst, x []float64) {
 // TestApplyRowsMatchesApplyRow holds the multi-row forms the exact window
 // pass runs — Linear.ApplyRows plain and residual, FFN.ApplyRows with its
 // hidden rows in one block or several, LayerNorm.ApplyRows in place and not —
-// to the one-row forms row by row, bit for bit on both kernel paths, for
+// to the one-row forms (for LayerNorm, the loop it ran before it had a batch
+// form) row by row, bit for bit on both kernel paths, for
 // 1–9 rows (each side of the four-row LayerNorm pass).
 func TestApplyRowsMatchesApplyRow(t *testing.T) { eachKernelPath(t, testApplyRowsMatchesApplyRow) }
 
@@ -402,11 +403,11 @@ func testRowFormsRejectMisSizedRows(t *testing.T) {
 		{"Linear x 8 wide", func() { l.ApplyRow(row(16), row(8)) }, false},
 		{"Linear x 17 wide", func() { l.ApplyRow(row(16), row(17)) }, false},
 		{"Linear dst 8 wide", func() { l.ApplyRow(row(8), row(16)) }, false},
-		{"LayerNorm 16", func() { ln.ApplyRow(row(16), row(16)) }, true},
-		{"LayerNorm into a wider dst", func() { ln.ApplyRow(row(20), row(16)) }, true},
-		{"LayerNorm x 8 wide", func() { ln.ApplyRow(row(16), row(8)) }, false},
-		{"LayerNorm x 17 wide", func() { ln.ApplyRow(row(17), row(17)) }, false},
-		{"LayerNorm dst 8 wide", func() { ln.ApplyRow(row(8), row(16)) }, false},
+		{"LayerNorm 16", func() { ln.ApplyRows(row(16), row(16), 1) }, true},
+		{"LayerNorm into a wider dst", func() { ln.ApplyRows(row(20), row(16), 1) }, true},
+		{"LayerNorm x 8 wide", func() { ln.ApplyRows(row(16), row(8), 1) }, false},
+		{"LayerNorm x 17 wide", func() { ln.ApplyRows(row(17), row(17), 1) }, false},
+		{"LayerNorm dst 8 wide", func() { ln.ApplyRows(row(8), row(16), 1) }, false},
 		{"FFN 16 -> 32 -> 16", func() { f.ApplyRow(row(16), row(32), row(16)) }, true},
 		{"FFN with wider scratch", func() { f.ApplyRow(row(16), row(40), row(16)) }, true},
 		{"FFN scratch 16 wide", func() { f.ApplyRow(row(16), row(16), row(16)) }, false},
@@ -428,7 +429,7 @@ func testRowFormsRejectMisSizedRows(t *testing.T) {
 
 // rotated returns the physically rotated copy of a logical-order matrix that
 // a ring with the given head holds: logical row j sits at row (head+j) mod
-// rows. Its transpose is the key-major key ring AttendRow reads.
+// rows. Its transpose is the key-major key ring attendRow reads.
 func rotated(logical *tensor.Dense, head int) *tensor.Dense {
 	out := tensor.New(logical.Rows, logical.Cols)
 	for j := 0; j < logical.Rows; j++ {
@@ -460,14 +461,14 @@ func testAttendRowMatchesReference(t *testing.T) {
 						sprinkleZeros(q, rng)
 						attendRowRef(m, want, scratchRef, q, k, v, qPos, square)
 						for head := 0; head < rows; head++ {
-							m.AttendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, qPos, square)
+							m.attendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, qPos, square)
 							if c, ok := sameBits(got, want); !ok {
-								t.Fatalf("%s qPos %d head %d cell %d: AttendRow %v != reference %v", name, qPos, head, c, got[c], want[c])
+								t.Fatalf("%s qPos %d head %d cell %d: attendRow %v != reference %v", name, qPos, head, c, got[c], want[c])
 							}
 						}
 						// Documented aliasing: ctx may be q itself.
 						alias := append([]float64(nil), q...)
-						m.AttendRow(alias, scratch, alias, k.T(), v, 0, qPos, square)
+						m.attendRow(alias, scratch, alias, k.T(), v, 0, qPos, square)
 						if c, ok := sameBits(alias, want); !ok {
 							t.Fatalf("%s qPos %d cell %d: ctx aliasing q gives %v, want %v", name, qPos, c, alias[c], want[c])
 						}
@@ -510,9 +511,9 @@ func testAttendRowUnderflowSkip(t *testing.T) {
 		t.Fatal("no softmax cell underflowed; the p == 0 skip is not exercised")
 	}
 	for head := 0; head < rows; head++ {
-		m.AttendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, 0, false)
+		m.attendRow(got, scratch, q, rotated(k, head).T(), rotated(v, head), head, 0, false)
 		if c, ok := sameBits(got, want); !ok {
-			t.Fatalf("head %d cell %d: AttendRow %v != reference %v", head, c, got[c], want[c])
+			t.Fatalf("head %d cell %d: attendRow %v != reference %v", head, c, got[c], want[c])
 		}
 	}
 }
@@ -531,7 +532,7 @@ func BenchmarkAttendRow(b *testing.B) {
 	ctx, scores := make([]float64, dm), make([]float64, rows)
 	eachKernelPath(b, func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			m.AttendRow(ctx, scores, q, k, v, i%rows, 0, false)
+			m.attendRow(ctx, scores, q, k, v, i%rows, 0, false)
 		}
 		reportRow(b, 2*rows*dm) // q·K and p·V
 	})

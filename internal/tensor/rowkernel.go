@@ -6,7 +6,7 @@ import "math"
 // library runs on — the matmul family in tensor.go and the tape's
 // SoftmaxRows (training: DotRows, AddScaledRows, SoftmaxRow), nn's row forms
 // (the inference forward: AffineRows for every projection of a batch of
-// rows, NormRows for its layer norms, and AttendRow's DotCols, SoftmaxRow,
+// rows, NormRows for its layer norms, and AttendRows' DotCols, SoftmaxRow,
 // AffineRow and AddScaledRows) — and the logarithms of evt's Grimshaw scan.
 // AffineRow and SoftmaxRow are fused: a projection row (sum, bias, ReLU) and
 // a softmax row (max, exp, sum, divide) are one call each, and on the vector

@@ -149,9 +149,7 @@ GLOBL tailmask<>(SB), RODATA|NOPTR, $128
 // v > 0 and gives +0 otherwise (NaN and −0 included) — Go's !(v > 0). Blocks
 // of 16 cells while 16 are left, then one of 8, then the last r < 8 through
 // lane masks (VMASKMOVPD reads and writes no masked lane, so no byte past
-// the row is touched). Each block of dst is stored once. A row none of whose
-// coefficients is ±0 runs loops without the skip's masks: there is nothing to
-// skip, so the sums are the same. n must be positive.
+// the row is touched). Each block of dst is stored once. n must be positive.
 TEXT ·affineRowsLeaf(SB), NOSPLIT, $0-66
 	MOVQ dst+0(FP), DI
 	MOVQ x+8(FP), R9
@@ -167,35 +165,6 @@ row:
 	MOVQ out+32(FP), BX
 	MOVQ rows+40(FP), R11
 	MOVQ bias+56(FP), R12
-	// R14 = 0 when no coefficient of the row is ±0: the skip can never
-	// trigger, so the blocks below run loops without the lane masks. Four
-	// coefficients a compare (VCMPPD equal, ordered: NaN is not zero), the
-	// last few one at a time.
-	XORQ R14, R14
-	MOVQ R9, SI
-	MOVQ R10, CX
-	VXORPD Y12, Y12, Y12
-scan4:
-	CMPQ CX, $4
-	JLT  scan1
-	VCMPPD $0, (SI), Y15, Y13
-	VORPD Y13, Y12, Y12
-	ADDQ $32, SI
-	SUBQ $4, CX
-	JMP  scan4
-scan1:
-	TESTQ CX, CX
-	JZ   scanned
-	MOVQ (SI), AX
-	ADDQ $8, SI
-	DECQ CX
-	SHLQ $1, AX
-	JNZ  scan1
-	MOVQ $1, R14
-scanned:
-	VPTEST Y12, Y12
-	JZ   wide
-	MOVQ $1, R14
 wide:
 	CMPQ BX, $16
 	JLT  narrow
@@ -208,23 +177,6 @@ wide:
 	MOVQ R11, DX
 	TESTQ CX, CX
 	JZ   bias16
-	TESTQ R14, R14
-	JNZ  loop16
-dense16:
-	VBROADCASTSD (SI), Y4
-	VMULPD (DX), Y4, Y5
-	VMULPD 32(DX), Y4, Y6
-	VMULPD 64(DX), Y4, Y7
-	VMULPD 96(DX), Y4, Y8
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	VADDPD Y7, Y2, Y2
-	VADDPD Y8, Y3, Y3
-	ADDQ $8, SI
-	ADDQ R8, DX
-	DECQ CX
-	JNZ  dense16
-	JMP  bias16
 loop16:
 	COEF
 	VMULPD (DX), Y4, Y5
@@ -280,19 +232,6 @@ narrow:
 	MOVQ R11, DX
 	TESTQ CX, CX
 	JZ   bias8
-	TESTQ R14, R14
-	JNZ  loop8
-dense8:
-	VBROADCASTSD (SI), Y4
-	VMULPD (DX), Y4, Y5
-	VMULPD 32(DX), Y4, Y6
-	VADDPD Y5, Y0, Y0
-	VADDPD Y6, Y1, Y1
-	ADDQ $8, SI
-	ADDQ R8, DX
-	DECQ CX
-	JNZ  dense8
-	JMP  bias8
 loop8:
 	COEF
 	VMULPD (DX), Y4, Y5

@@ -519,7 +519,7 @@ func testAffineRowMatchesReference(t *testing.T) {
 // TestDotColsMatchesReference holds the column-dot score leaf to a scalar
 // loop — each logical key's dot product from +0 in ascending dimension, no
 // zero-skip, scaled after the sum — bit for bit on both kernel paths. The
-// keys sit key-major in a ring, and every query is scored the way AttendRow
+// keys sit key-major in a ring, and every query is scored the way AttendRows
 // scores it: its band (the whole ring, or ±1 and ±2 around every position)
 // read as at most two runs of slots, for every ring head. Ring lengths and
 // head dimensions that are not multiples of 4 or 8 reach every block and
