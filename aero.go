@@ -133,9 +133,10 @@ func TrainBackend(kind string, train *Series, opts BackendOptions) ([]byte, erro
 }
 
 // DSPOTStage wraps any StreamBackend with per-variate streaming DSPOT
-// (Siffer et al., KDD 2017 §4.4): raw scores are re-thresholded by a
-// drift-corrected EVT tail model that adapts online, instead of the
-// backend's static train-time threshold.
+// (Siffer et al., KDD 2017 §4.4): each raw score is re-centred on its
+// variate's trailing mean and alarms above the POT level calibrated on
+// that variate's scores, instead of the backend's pooled train-time
+// threshold.
 type DSPOTStage = backend.DSPOTStage
 
 // DSPOTConfig parameterizes the adaptive-alarming stage.
@@ -143,12 +144,12 @@ type DSPOTConfig = backend.DSPOTConfig
 
 // DefaultDSPOTConfig mirrors the paper's POT protocol (level 0.99,
 // q 1e-3). Level and Q are the stage's only settings: every star's
-// 20-frame drift window and amortized tail-refit schedule are fixed.
+// 20-frame drift window is fixed, and its level is set at calibration.
 func DefaultDSPOTConfig() DSPOTConfig { return backend.DefaultDSPOTConfig() }
 
-// RefitStats are a tail model's cumulative maintenance counters — how
-// many exceedances fed the ring and how many paid for a Grimshaw fit
-// (warm-started vs full grid scan).
+// RefitStats are a DSPOT stage's cumulative tail counters: its
+// exceedances, scores in (t, z]. The level is never refitted, so Refits
+// reads 0.
 type RefitStats = evt.RefitStats
 
 // NewDSPOTStage wraps a backend with DSPOT alarmers calibrated on

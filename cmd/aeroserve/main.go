@@ -579,14 +579,14 @@ func main() {
 		return firstErr
 	}
 
-	// refitTotals sums the adaptive tail models' maintenance counters
-	// across tenants (zero and false when the alarm stage is static).
-	refitTotals := func() (aero.RefitStats, bool) {
-		var total aero.RefitStats
+	// dspotExceedances sums the DSPOT stages' exceedance counts across
+	// tenants (zero and false when the alarm stage is static).
+	dspotExceedances := func() (uint64, bool) {
+		var total uint64
 		any := false
 		for _, sub := range subs {
 			if rs, ok := sub.RefitStats(); ok {
-				total = total.Add(rs)
+				total += rs.Exceedances
 				any = true
 			}
 		}
@@ -691,8 +691,8 @@ func main() {
 				line := fmt.Sprintf("stats: %d frames scored (%.0f/s), %d alarms (%d blocked), %d errors (%d reports dropped), %d queued",
 					t.Frames, t.FramesPerSec, t.Alarms, t.AlarmsBlocked, t.Errors, t.ErrorsDropped, t.QueueDepth)
 				line += latencySummary() + healthSummary() + chaosSummary()
-				if rs, ok := refitTotals(); ok {
-					line += fmt.Sprintf(", dspot %d exceedances / %d refits (%d warm)", rs.Exceedances, rs.Refits, rs.WarmRefits)
+				if n, ok := dspotExceedances(); ok {
+					line += fmt.Sprintf(", dspot %d exceedances", n)
 				}
 				if triageStream != nil {
 					ts := triageStream.Pipeline().Stats()
@@ -718,8 +718,8 @@ func main() {
 			checkpoint: checkpointAll,
 			extraStats: func() map[string]any {
 				out := make(map[string]any)
-				if rs, ok := refitTotals(); ok {
-					out["dspot"] = rs
+				if n, ok := dspotExceedances(); ok {
+					out["dspot"] = map[string]uint64{"exceedances": n}
 				}
 				if triageStream != nil {
 					out["triage"] = triageStream.Pipeline().Stats()
@@ -823,9 +823,8 @@ func main() {
 		}
 	}
 
-	if rs, ok := refitTotals(); ok {
-		fmt.Fprintf(os.Stderr, "dspot tails: %d exceedances, %d refits (%d warm-started, %d full grid scans)\n",
-			rs.Exceedances, rs.Refits, rs.WarmRefits, rs.GridRefits)
+	if n, ok := dspotExceedances(); ok {
+		fmt.Fprintf(os.Stderr, "dspot tails: %d exceedances\n", n)
 	}
 	total := eng.Totals()
 	if h := healthSummary() + chaosSummary(); h != "" {

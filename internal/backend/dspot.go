@@ -15,11 +15,11 @@ import (
 	"aero/internal/tensor"
 )
 
-// DSPOTConfig parameterizes the adaptive-alarming stage: the POT level
-// and q of the streaming tail fit (paper §IV-B protocol, Eq. 18). The
-// drift window and the refit schedule are fixed: every star re-centres on
-// its trailing dspotDepth scores (Siffer et al.'s DSPOT, §4.4), and its
-// tail model follows evt.Bank's serving schedule.
+// DSPOTConfig parameterizes the alarming stage: the POT level and q each
+// star's threshold is calibrated at (paper §IV-B protocol, Eq. 18). The
+// drift window is fixed: every star re-centres on its trailing dspotDepth
+// scores (Siffer et al.'s DSPOT, §4.4) and alarms on a residual above
+// that level, which stays where calibration set it.
 type DSPOTConfig struct {
 	Level, Q float64
 }
@@ -33,19 +33,18 @@ func DefaultDSPOTConfig() DSPOTConfig {
 	return DSPOTConfig{Level: 0.99, Q: 1e-3}
 }
 
-// DSPOTStage wraps ANY StreamBackend and replaces its static fitted
+// DSPOTStage wraps ANY StreamBackend and replaces its pooled fitted
 // threshold with per-variate streaming DSPOT: each push scores through
-// the inner backend, then every raw score is re-thresholded by a
-// drift-corrected EVT tail model that keeps adapting online. This is how
-// the paper's thresholding protocol behaves in the streaming pipeline —
-// the engine alarms on drift-corrected extreme-value tails instead of a
-// quantile frozen at train time.
+// the inner backend, then every raw score is re-centred on its variate's
+// trailing mean and alarms when the residual exceeds the POT level
+// calibrated on that variate's scores. This is the paper's thresholding
+// protocol (§IV-B, Eq. 18: one static level per risk q) over a baseline
+// that follows slow drift.
 //
 // The stage must come *after* scoring and before alarming, which is why
 // it wraps the backend rather than filtering the engine's alarm channel:
-// alarms derived from the inner backend's static threshold would already
-// have discarded the sub-threshold scores DSPOT needs to maintain its
-// tail model.
+// alarms derived from the inner backend's threshold would already have
+// discarded the sub-threshold scores the drift baseline is made of.
 type DSPOTStage struct {
 	inner core.StreamBackend
 	tails evt.Bank // every variate's tail state and the config, once per stage
@@ -201,8 +200,8 @@ func (d *DSPOTStage) Ready() bool { return d.inner.Ready() }
 func (d *DSPOTStage) LastTime() (float64, bool) { return d.inner.LastTime() }
 
 // Threshold reports the mean effective alarm level across variates
-// (drift baseline + residual-space tail threshold); unlike a static
-// backend's, it moves as the stage adapts.
+// (drift baseline + residual-space tail threshold). The residual level is
+// fixed at calibration; the baseline, and so the sum, follows the scores.
 func (d *DSPOTStage) Threshold() float64 {
 	var sum float64
 	for v := range d.tails.Len() {
@@ -211,11 +210,10 @@ func (d *DSPOTStage) Threshold() float64 {
 	return sum / float64(d.tails.Len())
 }
 
-// RefitStats returns the stage's tail maintenance counters — how many
-// exceedances fed the rings and how many paid for a Grimshaw fit (warm vs
-// full grid scan). Call it from the same goroutine that pushes, or behind
-// the engine's subscription lock (engine.Subscription.RefitStats does the
-// latter).
+// RefitStats returns the stage's tail counters: its exceedances, scores
+// in (t, z] over every variate (Refits is always 0). Call it from the
+// same goroutine that pushes, or behind the engine's subscription lock
+// (engine.Subscription.RefitStats does the latter).
 func (d *DSPOTStage) RefitStats() evt.RefitStats { return d.tails.RefitStats() }
 
 // PushScores implements core.StreamBackend: the inner backend's raw
@@ -262,16 +260,16 @@ func (d *DSPOTStage) Push(f core.Frame) ([]core.Alarm, error) {
 	return alarms, nil
 }
 
-// SwapArtifact delegates to the inner backend; the adaptive tail state
-// is deliberately kept across swaps — it tracks the *score stream*, which
-// a same-kind retrain perturbs far less than a cold refit would, and it
-// keeps adapting online either way.
+// SwapArtifact delegates to the inner backend; the tail state is kept
+// across swaps. The drift baselines follow the new scores, but every
+// level stays where calibration on the old model's scores set it, so a
+// swap that rescales the scores needs a stage calibrated anew.
 func (d *DSPOTStage) SwapArtifact(artifact []byte) error { return d.inner.SwapArtifact(artifact) }
 
 // Swap passes an in-memory model swap through to the inner backend when
 // it accepts one (AERO), so wrapped tenants keep the shared-weights fast
 // path — no per-tenant artifact re-parse under the subscription lock.
-// The adaptive tail state is kept, as with SwapArtifact.
+// The tail state is kept, as with SwapArtifact.
 func (d *DSPOTStage) Swap(m *core.Model) error {
 	sw, ok := d.inner.(interface{ Swap(m *core.Model) error })
 	if !ok {
@@ -320,10 +318,14 @@ func (d *DSPOTStage) GraphSnapshot() (*tensor.Dense, error) {
 	return nil, fmt.Errorf("backend: %s does not expose a graph snapshot", d.inner.Kind())
 }
 
-const dspotSnapshotVersion = 1
+// dspotSnapshotVersion 2 holds each star's calibrated level and no excess
+// ring. RestoreState also reads version 1, whose stars refitted online:
+// their rings are ignored and each Z is restored as the level in force.
+// A build that reads only version 1 refuses a version 2 blob.
+const dspotSnapshotVersion = 2
 
 // dspotSnapshot checkpoints the composition: the inner backend's own
-// snapshot plus every variate's adaptive tail state.
+// snapshot plus every variate's tail state.
 type dspotSnapshot struct {
 	Kind    string           `json:"kind"`
 	Version int              `json:"version"`
@@ -357,7 +359,7 @@ func (d *DSPOTStage) RestoreState(blob []byte) error {
 	if st.Kind != d.Kind() {
 		return fmt.Errorf("backend: state kind %q, want %q", st.Kind, d.Kind())
 	}
-	if st.Version != dspotSnapshotVersion {
+	if st.Version != 1 && st.Version != dspotSnapshotVersion {
 		return fmt.Errorf("backend: unsupported dspot state version %d", st.Version)
 	}
 	if len(st.Spots) != d.tails.Len() {

@@ -11,11 +11,11 @@ import (
 )
 
 // idleStageBytes is the most live heap an idle eight-star fluxev+dspot
-// stage may hold after its warm-up: 6,394 B as measured on amd64 (tail
-// bank 2.3 KB, excess rings 2.1 KB, FluxEV window 1.7 KB, stage 0.2 KB)
-// plus 10 %. Before the tail bank it was 7,562 B; since the refit
-// schedule became constants it is 6,378 B.
-const idleStageBytes = 7030
+// stage may hold after its warm-up: 3,498 B as measured on amd64 (tail
+// bank 1.8 KB — eight 64 B stars and eight 20-score drift windows —,
+// FluxEV window and stage 1.7 KB) plus 10 %. Before the tail bank it was
+// 7,562 B; with an excess ring per star it was 6,378 B.
+const idleStageBytes = 3848
 
 // TestDSPOTStageIdleLiveBytes counts what an idle tenant costs, as the
 // serving benchmark builds its idle tenants: 512 eight-star fluxev+dspot

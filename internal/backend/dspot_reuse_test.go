@@ -58,7 +58,7 @@ func reuseCalib(seed int64, stars int, fallback bool) [][]float64 {
 }
 
 // reuseFeed draws steps score rows: exponential noise with a slow drift and
-// a spike every 97 frames, so tails take exceedances, refit and alarm.
+// a spike every 97 frames, so tails take exceedances and alarm.
 func reuseFeed(seed int64, stars, steps int) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
 	rows := make([][]float64, steps)
@@ -96,13 +96,6 @@ func sameStates(t *testing.T, what string, got *DSPOTStage, want *evt.Bank) {
 	}
 }
 
-// withoutNanos drops the wall-clock counter, the one RefitStats field two
-// identical runs need not share.
-func withoutNanos(s evt.RefitStats) evt.RefitStats {
-	s.RefitNanos = 0
-	return s
-}
-
 func newStage(t *testing.T, cfg DSPOTConfig, calib [][]float64) *DSPOTStage {
 	t.Helper()
 	d, err := NewDSPOTStage(&scoreScript{n: len(calib)}, cfg, calib)
@@ -116,7 +109,7 @@ func newStage(t *testing.T, cfg DSPOTConfig, calib [][]float64) *DSPOTStage {
 // stage built from the config and calibration bits of the last fit
 // restores that fit, and is then indistinguishable from a stage fitted
 // alone — every state before stepping, and after 20k steps every verdict,
-// state and refit counter. Anything else refits: another Level or Q, or
+// state and tail counter. Anything else refits: another Level or Q, or
 // scores changed in place since the record was made. Each stage's state
 // is its own, and concurrent builders agree.
 func TestDSPOTStageReusesFittedTail(t *testing.T) {
@@ -141,8 +134,8 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		t.Fatal("a repeated calibration refitted")
 	}
 	alone := fitAlone(t, cfg, calib)
-	if st := alone.State(stars - 1).SPOT; st.Fitted || len(st.Excesses) != 0 {
-		t.Fatalf("star %d fitted a tail (%d excesses); the fallback case is vacuous", stars-1, len(st.Excesses))
+	if st := alone.State(stars - 1).SPOT; st.Peaks != 0 || st.T != st.Z {
+		t.Fatalf("star %d fitted a tail (%d peaks); the fallback case is vacuous", stars-1, st.Peaks)
 	}
 	sameStates(t, "fitted stage", first, alone)
 	sameStates(t, "restored stage", reused, alone)
@@ -166,12 +159,12 @@ func TestDSPOTStageReusesFittedTail(t *testing.T) {
 		t.Fatal("no alarms in the feed; the comparison is vacuous")
 	}
 	sameStates(t, fmt.Sprintf("after %d steps", steps), reused, alone)
-	g, want := withoutNanos(reused.RefitStats()), withoutNanos(alone.RefitStats())
+	g, want := reused.RefitStats(), alone.RefitStats()
 	if g != want {
-		t.Fatalf("refit stats %+v, alone %+v", g, want)
+		t.Fatalf("tail counters %+v, alone %+v", g, want)
 	}
-	if g.Refits == 0 {
-		t.Fatal("no refits in the feed; the comparison is vacuous")
+	if g.Exceedances == first.RefitStats().Exceedances {
+		t.Fatal("no exceedances in the feed; the comparison is vacuous")
 	}
 	fresh := fitAlone(t, cfg, calib)
 	sameStates(t, "unstepped twin stage", first, fresh)

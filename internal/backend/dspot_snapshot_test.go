@@ -66,12 +66,12 @@ func pushFrames(tb testing.TB, stage *backend.DSPOTStage, lo, hi int) []alarmKey
 	return out
 }
 
-// wrappedCheckpoint is testdata/dspot_stage_wrapped.json: the snapshot of
-// a fluxev+dspot stage of the dspot fixture at level 0.95 after 250 test
-// frames, taken by a build whose excess rings held 24 excesses and
-// refitted every 16. Each star's ring has wrapped (its eviction cursor is
-// not 0), so the checkpoint is one that a serving stage, whose rings hold
-// 256, restores below its cap.
+// wrappedCheckpoint is testdata/dspot_stage_wrapped.json: the version 1
+// snapshot of a fluxev+dspot stage of the dspot fixture at level 0.95
+// after 250 test frames, taken by a build that refitted each star's level
+// online over an excess ring of 24, every 16 exceedances. Each star's ring
+// has wrapped. A serving stage ignores the rings and alarms at each
+// star's snapshotted Z.
 func wrappedCheckpoint(tb testing.TB) []byte {
 	tb.Helper()
 	blob, err := os.ReadFile("testdata/dspot_stage_wrapped.json")
@@ -101,8 +101,7 @@ func expColumn(tb testing.TB) int {
 }
 
 // checkpointDSPOTStage returns a serving stage of the dspot fixture at
-// level 0.95 restored from the wrapped checkpoint: 250 frames in, with
-// rings of 24 excesses laid out oldest first.
+// level 0.95 restored from the wrapped checkpoint, 250 frames in.
 func checkpointDSPOTStage(tb testing.TB) *backend.DSPOTStage {
 	tb.Helper()
 	stage := warmDSPOTStage(tb, servingDSPOTConfig(), 0)
@@ -132,13 +131,12 @@ func snapshotSpots(tb testing.TB, blob []byte) []evt.DSPOTState {
 	return st.Spots
 }
 
-// TestDSPOTStageRestoresWrappedCheckpoint restores the wrapped checkpoint
-// into a serving stage of the same level. The fixture's bytes are checked
-// first, as the snapshot pin that wrote them hashed them. Every ring
-// comes back oldest first with its cursor at 0, so the restored stage
-// refills it before it evicts, in age order; the stage's re-snapshot and
-// the alarms of the 50 frames after the cut are pinned. Neither depends
-// on the FMA setting.
+// TestDSPOTStageRestoresWrappedCheckpoint restores the version 1 wrapped
+// checkpoint into a serving stage of the same level. The fixture's bytes
+// are checked first, as the snapshot pin that wrote them hashed them. The
+// stage's version 2 re-snapshot, which keeps each star's Z and drops its
+// ring, and the alarms of the 50 frames after the cut are pinned. Neither
+// depends on the FMA setting.
 func TestDSPOTStageRestoresWrappedCheckpoint(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("DSPOT snapshot bytes are pinned on amd64")
@@ -153,16 +151,10 @@ func TestDSPOTStageRestoresWrappedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBlob(t, "the restored stage's snapshot", again, 4541, 0x658689fd20c2c0c5)
+	checkBlob(t, "the restored stage's snapshot", again, 2720, 0x40e9ec9dc171704a)
 	for v, sp := range snapshotSpots(t, blob) {
-		if sp.SPOT.Evict == 0 || len(sp.SPOT.Excesses) != 24 {
-			t.Fatalf("star %d: the fixture's ring of %d excesses has cursor %d, not wrapped", v, len(sp.SPOT.Excesses), sp.SPOT.Evict)
-		}
-		ring, at := sp.SPOT.Excesses, sp.SPOT.Evict
-		oldestFirst := append(append([]float64(nil), ring[at:]...), ring[:at]...)
-		got := snapshotSpots(t, again)[v].SPOT
-		if got.Evict != 0 || !reflect.DeepEqual(got.Excesses, oldestFirst) {
-			t.Fatalf("star %d: restored ring %v with cursor %d, want %v with cursor 0", v, got.Excesses, got.Evict, oldestFirst)
+		if got := snapshotSpots(t, again)[v].SPOT; got.Z != sp.SPOT.Z {
+			t.Fatalf("star %d restored level %v, the checkpoint's Z is %v", v, got.Z, sp.SPOT.Z)
 		}
 	}
 	got := pushFrames(t, stage, 250, 300)
@@ -173,7 +165,7 @@ func TestDSPOTStageRestoresWrappedCheckpoint(t *testing.T) {
 }
 
 // TestDSPOTStageServingSnapshotBytesPinned pins, by length and FNV-1a
-// hash, the snapshot of a serving-schedule fluxev+dspot stage at level
+// hash, the snapshot of a serving fluxev+dspot stage at level
 // 0.95 warmed on 250 test frames of the dspot fixture. A checkpoint on
 // disk restores only while they hold. The tail fits' floats differ with
 // the FMA setting, so the pin has a column per math.Exp implementation,
@@ -185,8 +177,8 @@ func TestDSPOTStageServingSnapshotBytesPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	// math.Exp with FMA, without.
-	size := [2]int{4900, 4897}[column]
-	want := [2]uint64{0x52874edfbcc1fc92, 0x9c7d7e2405caaa25}[column]
+	size := [2]int{2720, 2718}[column]
+	want := [2]uint64{0x1d4e0e94fcb20008, 0xa9cb6b95923ff556}[column]
 	checkBlob(t, "the snapshot", blob, size, want)
 }
 
@@ -240,14 +232,11 @@ func TestDSPOTStageRestoreRejectsBadWindowPos(t *testing.T) {
 
 // TestDSPOTStageRestoreRejectsForeignTail: a checkpoint whose star carries
 // another risk level or q than the stage's config, counts outside
-// 0 ≤ peaks ≤ n, an eviction cursor outside its ring, or a value past
-// ±1e150 is refused, and the stage's snapshot is byte-equal before and
-// after. Before the fix each restored: q −1 turned star 0's threshold NaN
-// within 35 frames, after which every snapshot failed to encode; q 0.9
-// made star 0 alarm on 365 of the next 400 frames (2 unedited); n −5
-// silently moved the threshold; a cursor of 1000 or −3 was reset to 0, a
-// slot that is not the oldest, so a full ring would evict newer excesses
-// before older ones.
+// 0 ≤ peaks ≤ n, or a value past ±1e150 is refused, and the stage's
+// snapshot is byte-equal before and after. Before the fix each restored:
+// q −1 turned star 0's threshold NaN within 35 frames, after which every
+// snapshot failed to encode; q 0.9 made star 0 alarm on 365 of the next
+// 400 frames (2 unedited); n −5 silently moved the threshold.
 func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 	stage := checkpointDSPOTStage(t)
 	before, err := stage.SnapshotState()
@@ -263,12 +252,9 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 		{"level-7", "level 7", func(spots []evt.DSPOTState) { spots[1].SPOT.Level = 7 }},
 		{"n-negative", "n -5", func(spots []evt.DSPOTState) { spots[0].SPOT.N = -5 }},
 		{"peaks-negative", "peaks -1", func(spots []evt.DSPOTState) { spots[2].SPOT.Peaks = -1 }},
-		{"since-refit-negative", "since_refit -2", func(spots []evt.DSPOTState) { spots[1].SPOT.SinceRefit = -2 }},
 		{"peaks-above-n", "peaks 29", func(spots []evt.DSPOTState) { spots[0].SPOT.N = 28 }},
-		{"evict-1000", "cursor 1000", func(spots []evt.DSPOTState) { spots[0].SPOT.Evict = 1000 }},
-		{"evict-negative", "cursor -3", func(spots []evt.DSPOTState) { spots[2].SPOT.Evict = -3 }},
 		{"window-1e300", "beyond", func(spots []evt.DSPOTState) { spots[2].Win[3] = 1e300 }},
-		{"sumsq-1e301", "beyond", func(spots []evt.DSPOTState) { spots[1].SPOT.SumSq = 1e301 }},
+		{"z-1e300", "beyond", func(spots []evt.DSPOTState) { spots[1].SPOT.Z = 1e300 }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := editSnapshot(t, before, tc.edit)
@@ -291,12 +277,12 @@ func TestDSPOTStageRestoreRejectsForeignTail(t *testing.T) {
 // restore must leave the stage's snapshot byte-equal to the one before
 // it; a successful one must be idempotent (snapshot → restore →
 // snapshot), the 64 pushes that follow it must not panic, and the stage
-// must still snapshot after them. The seed corpus holds the stage's own snapshot,
-// copies with a drift-window position of 99 and −1, eviction cursors out
-// of range, a drift-window depth that does not match, a q of −1 and 0.9,
-// a level of 7, an n of −5, a star whose next refit overflows its
-// quantile, a truncation, and the wrapped checkpoint itself, whose rings
-// are restored below the cap and rotated.
+// must still snapshot after them. The seed corpus holds the stage's own
+// snapshot, copies with a drift-window position of 99 and −1, peaks of −1
+// and above n, a drift-window depth that does not match, a q of −1 and
+// 0.9, a level of 7, an n of −5, a star with an empty model and a
+// near-empty window, a truncation, and the wrapped checkpoint itself, a
+// version 1 blob whose rings are ignored.
 func FuzzDSPOTStageRestoreState(f *testing.F) {
 	stage := checkpointDSPOTStage(f)
 	valid, err := stage.SnapshotState()
@@ -307,19 +293,20 @@ func FuzzDSPOTStageRestoreState(f *testing.F) {
 	for _, edit := range []func(spots []evt.DSPOTState){
 		func(spots []evt.DSPOTState) { spots[0].Pos = 99 },
 		func(spots []evt.DSPOTState) { spots[1].Pos = -1 },
-		func(spots []evt.DSPOTState) { spots[0].SPOT.Evict = 1000 },
-		func(spots []evt.DSPOTState) { spots[2].SPOT.Evict = -3 },
+		func(spots []evt.DSPOTState) { spots[2].SPOT.Peaks = -1 },
+		func(spots []evt.DSPOTState) { spots[0].SPOT.Peaks = spots[0].SPOT.N + 1 },
 		func(spots []evt.DSPOTState) { spots[0].Depth, spots[0].Win = 19, spots[0].Win[:19] },
 		func(spots []evt.DSPOTState) { spots[0].SPOT.Q = -1 },
 		func(spots []evt.DSPOTState) { spots[0].SPOT.Q = 0.9 },
 		func(spots []evt.DSPOTState) { spots[1].SPOT.Level = 7 },
 		func(spots []evt.DSPOTState) { spots[0].SPOT.N = -5 },
-		// Found by this fuzzer: a star with an emptied ring, a near-empty
-		// drift window and a tail fraction of 29 in 6·10⁹ refits on eight
-		// near-equal excesses, whose quantile overflowed to −Inf.
+		// Found by this fuzzer while levels were refitted online: a star
+		// with a near-empty drift window and a tail fraction of 29 in 6·10⁹,
+		// whose next refit's quantile overflowed to −Inf. A level is now
+		// never recomputed, so the star keeps its restored Z.
 		func(spots []evt.DSPOTState) {
 			st := &spots[1]
-			st.SPOT.N, st.SPOT.Model, st.SPOT.Excesses = 6234912695, evt.GPD{}, nil
+			st.SPOT.N, st.SPOT.Model = 6234912695, evt.GPD{}
 			clear(st.Win)
 			st.Win[6], st.Win[9], st.Sum = 0.18220372770493198, 0.4076814799159677, 0.18988520762089967
 		},

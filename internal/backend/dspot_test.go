@@ -165,124 +165,12 @@ func TestDSPOTStageMatchesDirectStep(t *testing.T) {
 	}
 }
 
-// TestDSPOTStageAmortizedAlarmsGolden is the golden alarm-sequence check
-// for the serving refit schedule: on the standard replay fixture, the
-// amortized refits must raise exactly the alarms textbook SPOT raises
-// with a full Grimshaw fit per exceedance (evt.NewDSPOT, one per star) —
-// the schedule may lag the tail parameters by up to 384 exceedances, but
-// not enough to move any alarm on real replay traffic. The fluxev leg
-// serves through the stage, against DSPOTs fed the inner backend's
-// scores; the sr and tm legs hold the schedule, an evt.Bank as a stage
-// keeps, to two more tail shapes, the scores of the batch SR and
-// TemplateMatching detectors on the same fixture.
-func TestDSPOTStageAmortizedAlarmsGolden(t *testing.T) {
-	d := dspotTestData()
-	dcfg := backend.DefaultDSPOTConfig()
-	exact := func(calib [][]float64, frames []scoredFrame) []alarmKey {
-		spots := make([]*evt.DSPOT, len(calib))
-		for v := range spots {
-			spots[v] = evt.NewDSPOT(dcfg.Level, dcfg.Q, stageDepth)
-			if err := spots[v].Fit(calib[v]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		out := thresholdAlarms(t, frames, func(v int, sc float64) (bool, error) { return spots[v].Step(sc) })
-		for v, sp := range spots {
-			if rs := sp.RefitStats(); rs.WarmRefits != 0 {
-				t.Fatalf("star %d: the exact reference warm-started %d of %d refits", v, rs.WarmRefits, rs.Refits)
-			}
-		}
-		return out
-	}
-	type replay func() (exact, served []alarmKey)
-	fluxev := func() (exactAlarms, served []alarmKey) {
-		spec, ok := backend.Get(baselines.KindFluxEV)
-		if !ok {
-			t.Fatal("fluxev not registered")
-		}
-		artifact, err := spec.Train(d.Train, backend.SmallOptions())
-		if err != nil {
-			t.Fatal(err)
-		}
-		scratch, err := spec.Open(artifact)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calib, err := baselines.StreamScores(scratch, d.Train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stage, err := backend.OpenAdaptive(spec, artifact, dcfg, d.Train)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return exact(calib, innerScores(t, spec, artifact, d.Test)), pushFrames(t, stage, 0, d.Test.Len())
-	}
-	// batch feeds a batch detector's scores from frame warm on, the first
-	// frame its window covers: TemplateMatching leaves the frames before
-	// its first full window at zero, which are placeholders, not scores.
-	batch := func(det baselines.Detector, warm int) replay {
-		return func() (exactAlarms, served []alarmKey) {
-			if err := det.Fit(d.Train); err != nil {
-				t.Fatal(err)
-			}
-			calib, err := det.Scores(d.Train)
-			if err != nil {
-				t.Fatal(err)
-			}
-			scores, err := det.Scores(d.Test)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bank := evt.NewBank(d.Test.N(), dcfg.Level, dcfg.Q, stageDepth)
-			for v := range calib {
-				calib[v] = calib[v][warm:]
-				if err := bank.Fit(v, calib[v]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var frames []scoredFrame
-			for ti := warm; ti < d.Test.Len(); ti++ {
-				f := scoredFrame{t: d.Test.Time[ti], scores: make([]float64, d.Test.N())}
-				for v := range f.scores {
-					f.scores[v] = scores[v][ti]
-				}
-				frames = append(frames, f)
-			}
-			return exact(calib, frames), thresholdAlarms(t, frames, bank.Step)
-		}
-	}
-	tm := baselines.NewTemplateMatching()
-	for _, leg := range []struct {
-		name   string
-		replay replay
-	}{
-		{"sr", batch(baselines.NewSR(), 0)},
-		{"tm", batch(tm, tm.TemplateLen-1)},
-		{baselines.KindFluxEV, fluxev},
-	} {
-		t.Run(leg.name, func(t *testing.T) {
-			exact, amortized := leg.replay()
-			if len(exact) == 0 {
-				t.Fatal("exact refits produced no alarms; golden test is vacuous")
-			}
-			if len(amortized) != len(exact) {
-				t.Fatalf("amortized refits raised %d alarms, exact %d", len(amortized), len(exact))
-			}
-			for i := range amortized {
-				if amortized[i] != exact[i] {
-					t.Fatalf("alarm %d: amortized %+v != exact %+v", i, amortized[i], exact[i])
-				}
-			}
-		})
-	}
-}
-
-// TestDSPOTStagePushAllocs pins the adaptive stage at the same
-// steady-state budget as the raw adapters: a warm benign push (score in
-// the below-tail common case) performs zero allocations. It covers benign
-// frames only; an exceedance may grow a tail ring that is still below its
-// cap (evt's TestSPOTRingGrowthAllocs bounds that growth).
+// TestDSPOTStagePushAllocs pins the stage at the same steady-state
+// budget as the raw adapters: a warm benign push (score in the below-tail
+// common case) performs zero allocations, and so does the tail step of a
+// frame that alarms — a star's state is a few scalars and a slot in the
+// bank's window slab, with nothing to grow. An alarming Push allocates
+// only the alarm slice it returns.
 func TestDSPOTStagePushAllocs(t *testing.T) {
 	d := dspotTestData()
 	for _, kind := range []string{baselines.KindFluxEV} {
@@ -325,6 +213,43 @@ func TestDSPOTStagePushAllocs(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(64, push); allocs != 0 {
 				t.Fatalf("steady-state %s+dspot Push allocates %.1f objects/frame, want 0", kind, allocs)
+			}
+			// A spike on star 0, then flat frames until its score has left
+			// the inner window: every spike alarms, and nothing else does.
+			flat := frame.Magnitudes[0]
+			alarms, spikes := 0, 0
+			spike := func(pushScores bool) func() {
+				return func() {
+					spikes++
+					frame.Magnitudes[0] = flat + 1e3
+					frame.Time = float64(next)
+					next++
+					var got []core.Alarm
+					var err error
+					if pushScores {
+						_, err = stage.PushScores(frame)
+					} else {
+						got, err = stage.Push(frame)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					alarms += len(got)
+					frame.Magnitudes[0] = flat
+					for range 150 {
+						push()
+					}
+				}
+			}
+			if allocs := testing.AllocsPerRun(8, spike(true)); allocs != 0 {
+				t.Fatalf("%s+dspot PushScores of an alarming frame allocates %.1f objects, want 0", kind, allocs)
+			}
+			spikes, alarms = 0, 0
+			if allocs := testing.AllocsPerRun(8, spike(false)); allocs != 1 {
+				t.Fatalf("%s+dspot Push of an alarming frame allocates %.1f objects, want 1 (the alarm slice)", kind, allocs)
+			}
+			if alarms != spikes {
+				t.Fatalf("%d spikes raised %d alarms; the alarming case is untested", spikes, alarms)
 			}
 		})
 	}

@@ -8,8 +8,7 @@ import (
 
 // The incremental streaming forward: the sliding-window activation reuse
 // that makes StreamDetector.Push sub-linear in the window length on benign
-// frames. It is the stage-1 analogue of evt.Bank's tail refit schedule,
-// and the exactness contract is the same shape:
+// frames. Its exactness contract:
 //
 //   - Benign frames take the incremental path: the cached per-layer
 //     activation rings advance one position, only the entering row of the
@@ -29,7 +28,7 @@ import (
 // activations computed when they entered; banded attention makes the newest
 // row's view of them decay with distance.
 //
-// As in evt's refit schedule, the count is a backstop: at W ≤ 128 every
+// The count is a backstop: at W ≤ 128 every
 // cached row is re-derived exactly at least once per two window lengths,
 // and the amortized full-forward cost stays under 1% of the frame rate. The
 // guard owns near-alarm frames; the drift trigger is insurance against

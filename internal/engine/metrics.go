@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"aero/internal/core"
-	"aero/internal/evt"
 	"aero/internal/metrics"
 )
 
@@ -147,7 +146,7 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 	reg.CounterFunc("aero_engine_fallback_frames_total", "frames served by warm fallback backends",
 		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.fallbackFrames) }))
 
-	// Incremental-forward and tail-refit counters live inside backends
+	// Incremental-forward and DSPOT tail counters live inside backends
 	// and are only coherent behind the subscription lock; the scrape
 	// takes each tenant's lock briefly, exactly like /stats does.
 	incSum := func(read func(core.IncrementalStats) uint64) func() float64 {
@@ -182,41 +181,18 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 		reg.CounterFunc("aero_incremental_refreshes_total", "full exact refreshes by cause",
 			incSum(c.read), "cause", c.cause)
 	}
-	refitSum := func(read func(evt.RefitStats) uint64) func() float64 {
-		return func() float64 {
-			var total uint64
-			e.mu.RLock()
-			defer e.mu.RUnlock()
-			for _, sub := range e.subs {
-				sub.mu.Lock()
-				if r, ok := sub.det.(tailRefitter); ok {
-					total += read(r.RefitStats())
-				}
-				sub.mu.Unlock()
-			}
-			return float64(total)
-		}
-	}
-	reg.CounterFunc("aero_dspot_exceedances_total", "tail exceedances fed to excess rings",
-		refitSum(func(r evt.RefitStats) uint64 { return r.Exceedances }))
-	reg.CounterFunc("aero_dspot_refits_total", "tail-model fits (warm + grid)",
-		refitSum(func(r evt.RefitStats) uint64 { return r.Refits }))
-	reg.CounterFunc("aero_dspot_warm_refits_total", "refits settled by the warm Newton search",
-		refitSum(func(r evt.RefitStats) uint64 { return r.WarmRefits }))
-	reg.CounterFunc("aero_dspot_grid_refits_total", "refits that ran the full Grimshaw grid scan",
-		refitSum(func(r evt.RefitStats) uint64 { return r.GridRefits }))
-	reg.CounterFunc("aero_dspot_refit_seconds_total", "wall time spent inside tail refits", func() float64 {
+	reg.CounterFunc("aero_dspot_exceedances_total", "scores in (t, z]", func() float64 {
 		var total uint64
 		e.mu.RLock()
 		defer e.mu.RUnlock()
 		for _, sub := range e.subs {
 			sub.mu.Lock()
 			if r, ok := sub.det.(tailRefitter); ok {
-				total += r.RefitStats().RefitNanos
+				total += r.RefitStats().Exceedances
 			}
 			sub.mu.Unlock()
 		}
-		return float64(total) / 1e9
+		return float64(total)
 	})
 	return obs
 }

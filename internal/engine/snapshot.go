@@ -35,8 +35,7 @@ import (
 //	crc          uint32   IEEE CRC-32 of every preceding byte
 //
 // The cumulative transition counters (quarantines, recoveries, ...) are
-// observability, not state, and are deliberately not snapshotted — the
-// same convention evt.RefitStats follows.
+// observability, not state, and are deliberately not snapshotted.
 var subSnapFormat = snapfmt.Format{Magic: "AEROHLTH", Version: 1, Pkg: "engine", Name: "subscription state"}
 
 // SnapshotState serializes the tenant's warm detector state (rings,

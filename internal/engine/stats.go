@@ -297,15 +297,15 @@ func (s *Subscription) Threshold() float64 {
 	return s.sub.det.Threshold()
 }
 
-// tailRefitter is the optional capability adaptive alarming stages expose:
-// cumulative tail-model maintenance counters (backend.DSPOTStage
-// implements it, summed across variates).
+// tailRefitter is the optional capability DSPOT stages expose: cumulative
+// tail counters (backend.DSPOTStage implements it, summed across
+// variates).
 type tailRefitter interface {
 	RefitStats() evt.RefitStats
 }
 
-// RefitStats returns the tenant's adaptive tail-model refit counters and
-// whether the backend exposes them (false for static-threshold tenants).
+// RefitStats returns the tenant's DSPOT tail counters and whether the
+// backend exposes them (false for tenants without a DSPOT stage).
 // The read takes the subscription mutex, so it is safe against a
 // concurrently draining worker — periodic stats loops can poll it live.
 func (s *Subscription) RefitStats() (evt.RefitStats, bool) {

@@ -17,8 +17,8 @@ func TestDSPOTHandlesDrift(t *testing.T) {
 	for i := range init {
 		init[i] = rng.NormFloat64() * 0.3
 	}
-	d := NewDSPOT(0.99, 1e-3, 50)
-	if err := d.Fit(init); err != nil {
+	d := NewBank(1, 0.99, 1e-3, 50)
+	if err := d.Fit(0, init); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
 	// Slow linear drift: plain SPOT would alarm constantly once the level
@@ -27,7 +27,7 @@ func TestDSPOTHandlesDrift(t *testing.T) {
 	level := 0.0
 	for i := 0; i < 3000; i++ {
 		level += 0.005 // total drift = 15, far above the initial tail
-		if fired, _ := d.Step(level + rng.NormFloat64()*0.3); fired {
+		if fired, _ := d.Step(0, level+rng.NormFloat64()*0.3); fired {
 			alarms++
 		}
 	}
@@ -35,7 +35,7 @@ func TestDSPOTHandlesDrift(t *testing.T) {
 		t.Fatalf("DSPOT alarmed %d times on pure drift", alarms)
 	}
 	// A genuine spike on top of the drifted level must still fire.
-	if fired, _ := d.Step(level + 10); !fired {
+	if fired, _ := d.Step(0, level+10); !fired {
 		t.Fatal("DSPOT missed a spike above the drifted baseline")
 	}
 }
@@ -50,8 +50,8 @@ func TestDSPOTVsSPOTOnDrift(t *testing.T) {
 	if err := s.Fit(init); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDSPOT(0.99, 1e-3, 50)
-	if err := d.Fit(init); err != nil {
+	d := NewBank(1, 0.99, 1e-3, 50)
+	if err := d.Fit(0, init); err != nil {
 		t.Fatal(err)
 	}
 	spotAlarms, dspotAlarms := 0, 0
@@ -62,7 +62,7 @@ func TestDSPOTVsSPOTOnDrift(t *testing.T) {
 		if x > s.Threshold() {
 			spotAlarms++
 		}
-		if fired, _ := d.Step(x); fired {
+		if fired, _ := d.Step(0, x); fired {
 			dspotAlarms++
 		}
 	}
@@ -72,14 +72,15 @@ func TestDSPOTVsSPOTOnDrift(t *testing.T) {
 }
 
 func TestDSPOTFitTooShort(t *testing.T) {
-	if err := NewDSPOT(0.99, 1e-3, 50).Fit(make([]float64, 30)); err == nil {
+	d := NewBank(1, 0.99, 1e-3, 50)
+	if err := d.Fit(0, make([]float64, 30)); err == nil {
 		t.Fatal("expected error for too-short calibration")
 	}
 }
 
 func TestDSPOTTrailingMean(t *testing.T) {
-	d := NewDSPOT(0.99, 1e-3, 4)
-	s, win := &d.b.stars[0], d.b.window(0)
+	d := NewBank(1, 0.99, 1e-3, 4)
+	s, win := &d.stars[0], d.window(0)
 	for _, v := range []float64{1, 2, 3, 4} {
 		s.push(win, v)
 	}
@@ -93,10 +94,10 @@ func TestDSPOTTrailingMean(t *testing.T) {
 }
 
 // TestNonFiniteStepLeavesStateUntouched: a NaN, +Inf or −Inf observation
-// is refused by SPOT.Step and DSPOT.Step with ErrNonFinite and changes no
-// state, so the next 1,000 finite steps equal an untouched twin's — where
-// before a NaN silenced the drift baseline for good and a −Inf made it
-// alarm on every frame.
+// is refused by the tail's step and by Bank.Step with ErrNonFinite and
+// changes no state, so the next 1,000 finite steps equal an untouched
+// twin's — where before a NaN silenced the drift baseline for good and a
+// −Inf made it alarm on every frame.
 func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	calib := make([]float64, 1500)
@@ -107,54 +108,51 @@ func TestNonFiniteStepLeavesStateUntouched(t *testing.T) {
 	for i := range feed {
 		feed[i] = rng.ExpFloat64() * (1 + float64(i%97)/40)
 	}
-	mk := func(exact bool) *DSPOT {
-		d := NewDSPOT(0.99, 1e-3, 20)
-		d.b.exact = exact
-		if err := d.Fit(calib); err != nil {
+	mk := func() *Bank {
+		d := NewBank(1, 0.99, 1e-3, 20)
+		if err := d.Fit(0, calib); err != nil {
 			t.Fatal(err)
 		}
 		for _, x := range feed[:600] {
-			if _, err := d.Step(x); err != nil {
+			if _, err := d.Step(0, x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return d
+		return &d
 	}
-	for _, exact := range []bool{true, false} {
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			d, twin := mk(exact), mk(exact)
-			before := d.State()
-			if fired, err := d.Step(bad); !errors.Is(err, ErrNonFinite) || fired {
-				t.Fatalf("exact %v: DSPOT.Step(%v) = %v, %v; want false, ErrNonFinite", exact, bad, fired, err)
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		d, twin := mk(), mk()
+		before := d.State(0)
+		if fired, err := d.Step(0, bad); !errors.Is(err, ErrNonFinite) || fired {
+			t.Fatalf("Bank.Step(%v) = %v, %v; want false, ErrNonFinite", bad, fired, err)
+		}
+		star := &d.stars[0]
+		spotBefore := d.tailState(star)
+		if fired, err := star.stepTail(bad); !errors.Is(err, ErrNonFinite) || fired {
+			t.Fatalf("SPOT step(%v) = %v, %v; want false, ErrNonFinite", bad, fired, err)
+		}
+		if !reflect.DeepEqual(d.tailState(star), spotBefore) {
+			t.Fatalf("SPOT step(%v) changed the state", bad)
+		}
+		if !reflect.DeepEqual(d.State(0), before) {
+			t.Fatalf("Bank.Step(%v) changed the state", bad)
+		}
+		alarms := 0
+		for i, x := range feed[600:] {
+			got, err := d.Step(0, x)
+			want, werr := twin.Step(0, x)
+			if err != nil || werr != nil || got != want {
+				t.Fatalf("after %v, step %d: %v/%v vs twin %v/%v", bad, i, got, err, want, werr)
 			}
-			star := &d.b.stars[0]
-			spotBefore := d.b.tailState(star)
-			if fired, err := d.b.stepTail(star, bad); !errors.Is(err, ErrNonFinite) || fired {
-				t.Fatalf("exact %v: SPOT.Step(%v) = %v, %v; want false, ErrNonFinite", exact, bad, fired, err)
+			if got {
+				alarms++
 			}
-			if !reflect.DeepEqual(d.b.tailState(star), spotBefore) {
-				t.Fatalf("exact %v: SPOT.Step(%v) changed the state", exact, bad)
-			}
-			if !reflect.DeepEqual(d.State(), before) {
-				t.Fatalf("exact %v: DSPOT.Step(%v) changed the state", exact, bad)
-			}
-			alarms := 0
-			for i, x := range feed[600:] {
-				got, err := d.Step(x)
-				want, werr := twin.Step(x)
-				if err != nil || werr != nil || got != want {
-					t.Fatalf("exact %v, after %v, step %d: %v/%v vs twin %v/%v", exact, bad, i, got, err, want, werr)
-				}
-				if got {
-					alarms++
-				}
-			}
-			if alarms == 0 {
-				t.Fatalf("exact %v: no alarms in 1,000 steps; the comparison is vacuous", exact)
-			}
-			if !reflect.DeepEqual(d.State(), twin.State()) {
-				t.Fatalf("exact %v, after %v: final state differs from the twin's", exact, bad)
-			}
+		}
+		if alarms == 0 {
+			t.Fatalf("no alarms in 1,000 steps; the comparison is vacuous")
+		}
+		if !reflect.DeepEqual(d.State(0), twin.State(0)) {
+			t.Fatalf("after %v: final state differs from the twin's", bad)
 		}
 	}
 }
@@ -174,13 +172,15 @@ func TestDSPOTFitRejectsNonFinite(t *testing.T) {
 		for _, at := range []int{0, depth - 1, depth, 250, len(calib) - 1} {
 			c := append([]float64(nil), calib...)
 			c[at] = bad
-			err := NewDSPOT(0.99, 1e-3, depth).Fit(c)
+			d := NewBank(1, 0.99, 1e-3, depth)
+			err := d.Fit(0, c)
 			if want := fmt.Sprintf("point %d is %v", at, bad); err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("%v at %d: error %v, want one containing %q", bad, at, err, want)
 			}
 		}
 	}
-	if err := NewDSPOT(0.99, 1e-3, depth).Fit(calib); err != nil {
+	d := NewBank(1, 0.99, 1e-3, depth)
+	if err := d.Fit(0, calib); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -195,27 +195,27 @@ func TestDSPOTSetStateRejectsBadPos(t *testing.T) {
 	for i := range calib {
 		calib[i] = rng.ExpFloat64()
 	}
-	d := NewDSPOT(0.99, 1e-3, depth)
-	if err := d.Fit(calib); err != nil {
+	d := NewBank(1, 0.99, 1e-3, depth)
+	if err := d.Fit(0, calib); err != nil {
 		t.Fatal(err)
 	}
-	good := d.State()
+	good := d.State(0)
 	for _, pos := range []int{depth, -1} {
-		r := NewDSPOT(0.99, 1e-3, depth)
-		if err := r.Fit(calib[:200]); err != nil {
+		r := NewBank(1, 0.99, 1e-3, depth)
+		if err := r.Fit(0, calib[:200]); err != nil {
 			t.Fatal(err)
 		}
-		before := r.State()
+		before := r.State(0)
 		bad := good
 		bad.Pos = pos
-		err := r.SetState(bad)
+		err := r.SetState(0, bad)
 		if want := fmt.Sprintf("position %d outside [0, %d)", pos, depth); err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("pos %d: error %v, want one containing %q", pos, err, want)
 		}
-		if !reflect.DeepEqual(r.State(), before) {
+		if !reflect.DeepEqual(r.State(0), before) {
 			t.Fatalf("pos %d: refused restore changed the detector", pos)
 		}
-		if _, err := r.Step(1); err != nil {
+		if _, err := r.Step(0, 1); err != nil {
 			t.Fatal(err)
 		}
 	}

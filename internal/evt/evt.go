@@ -132,7 +132,7 @@ func FitGPD(y []float64) GPD {
 // v(x) = 1 + (1/n)Σ log(1+x·yᵢ) in one pass over y. Both sums run from zero
 // in ascending i, as two separate loops would, and each log is math.Log's
 // bits (tensor.LogRow), so fusing the passes changes no result. The chunks
-// live on the stack: a streaming refit pays no allocation for them.
+// live on the stack.
 func grimshawUV(y []float64, x float64) (u, v float64) {
 	const chunk = 64
 	var d, logs [chunk]float64
@@ -214,6 +214,9 @@ type Threshold struct {
 // above the initial threshold to fit a tail distribution.
 var ErrTooFewPeaks = errors.New("evt: too few peaks over initial threshold")
 
+// minTailPeaks is the fewest excesses POT fits a tail distribution to.
+const minTailPeaks = 8
+
 // POT calibrates an anomaly threshold from scores: the initial threshold is
 // the `level` empirical quantile, a GPD is fitted to the excesses, and the
 // final threshold is the q tail quantile (Siffer et al., Alg. 1).
@@ -272,166 +275,4 @@ func CheckPOTParams(level, q float64) error {
 		return fmt.Errorf("evt: POT level %v and q %v must both lie in (0, 1)", level, q)
 	}
 	return nil
-}
-
-// fitGPDWarm re-fits a GPD to y by Newton iteration on Grimshaw's scalar
-// equation w(x) = u(x)·v(x) − 1 = 0, seeded at the previous fit's root
-// x* = γ/σ. Between consecutive refits of a streaming tail model the root
-// moves little, so a handful of Newton steps replaces the 64-point grid
-// scan plus bisections of FitGPD. The converged root competes against the
-// method-of-moments and exponential candidates (built O(1) from the
-// caller's running sum / sum-of-squares) on log-likelihood, exactly as in
-// FitGPD's candidate set.
-//
-// When the Newton search is unavailable — the seed is the trivial root
-// x = 0 (the previous fit WAS a moment candidate), lands outside the
-// feasibility domain, leaves its branch, or fails to converge — the
-// refreshed moment candidates alone are the fit: they are FitGPD's own
-// non-root candidates, and a tail they misdescribe yields a nontrivial
-// seed that re-arms Newton at the next refit. ok is false only when the
-// data itself is degenerate (fewer than 2 excesses, no positive excess,
-// invalid previous scale); the caller then falls back to the grid scan.
-func fitGPDWarm(y []float64, prev GPD, sum, sumsq float64) (g GPD, ok bool) {
-	n := float64(len(y))
-	if len(y) < 2 || prev.Sigma <= 0 {
-		return GPD{}, false
-	}
-	ymax := y[0]
-	for _, v := range y[1:] {
-		if v > ymax {
-			ymax = v
-		}
-	}
-	if !(ymax > 0) {
-		return GPD{}, false
-	}
-	mean := sum / n
-	variance := sumsq/n - mean*mean
-	// ll is GPD.LogLikelihood with the exponential limit evaluated O(1)
-	// from the running sum — candidate selection is the only consumer, so
-	// the accumulation-order difference from a fresh Σy is immaterial.
-	ll := func(c GPD) float64 {
-		if math.Abs(c.Gamma) < 1e-12 {
-			return -n*math.Log(c.Sigma) - sum/c.Sigma
-		}
-		return c.LogLikelihood(y)
-	}
-	moments := func() (GPD, bool) {
-		cands := momentCandidates(mean, variance)
-		best := cands[0]
-		if cands[1] != cands[0] && ll(cands[1]) > ll(best) {
-			best = cands[1]
-		}
-		return best, true
-	}
-	x := prev.Gamma / prev.Sigma
-	lo := -1 / ymax // feasibility: 1 + x·yᵢ > 0 for every excess
-	// A seed at (or numerically indistinguishable from) the trivial root
-	// x = 0 cannot be improved by Newton — w(0) = 0 identically.
-	if math.IsNaN(x) || math.IsInf(x, 0) || x <= lo || math.Abs(x) < 1e-8/math.Max(mean, 1e-300) {
-		return moments()
-	}
-
-	const maxIter = 12
-	root, converged := x, false
-	var rootSlog float64 // Σ log(1+x·yᵢ) at the converged root
-	for i := 0; i < maxIter; i++ {
-		var su, slog, sd, sd2 float64
-		feasible := true
-		for _, v := range y {
-			d := 1 + x*v
-			if d <= 0 {
-				feasible = false
-				break
-			}
-			inv := 1 / d
-			su += inv
-			slog += math.Log(d)
-			sd += v * inv
-			sd2 += v * inv * inv
-		}
-		if !feasible {
-			return moments()
-		}
-		u := su / n
-		v := 1 + slog/n
-		w := u*v - 1
-		if math.Abs(w) < 1e-10 {
-			root, converged, rootSlog = x, true, slog
-			break
-		}
-		// w'(x) = u'(x)·v(x) + u(x)·v'(x), with u' = −(1/n)Σ yᵢ/(1+xyᵢ)²
-		// and v' = (1/n)Σ yᵢ/(1+xyᵢ).
-		wp := (-sd2/n)*v + u*(sd/n)
-		if wp == 0 || math.IsNaN(wp) {
-			return moments()
-		}
-		nx := x - w/wp
-		if math.IsNaN(nx) || math.IsInf(nx, 0) {
-			return moments()
-		}
-		// Stay on the seed's branch: the two root regions are (lo, 0) and
-		// (0, ∞); crossing zero means the iteration is escaping toward the
-		// trivial root or the opposite tail shape — that is a diverged warm
-		// start, not a refinement.
-		if (x > 0) != (nx > 0) {
-			return moments()
-		}
-		if nx <= lo {
-			nx = 0.5 * (x + lo)
-		}
-		// Early accept: a Newton step this small cannot move w back above
-		// tolerance (quadratic convergence), so skip the O(n) verification
-		// pass and keep the current iterate's sums.
-		if d := nx - x; nx == x || (d < 1e-9*math.Abs(x) && -d < 1e-9*math.Abs(x)) {
-			root, converged, rootSlog = x, true, slog
-			break
-		}
-		x = nx
-	}
-	if !converged {
-		return moments()
-	}
-
-	// Recover (γ, σ) from the root — γ = (1/n)Σ log(1+x*·yᵢ), already in
-	// hand from the converged iteration — and pit the fit against the
-	// moment candidates. The root candidate's log-likelihood is closed-form
-	// from the same sum (−n·log σ − (1+1/γ)·Σlog), so the whole tournament
-	// costs one data pass (the MoM candidate's likelihood).
-	gamma := rootSlog / n
-	if math.Abs(gamma) < 1e-12 || math.Abs(root) < 1e-300 {
-		return moments()
-	}
-	sigma := gamma / root
-	if sigma <= 0 {
-		return moments()
-	}
-	best := GPD{Gamma: gamma, Sigma: sigma}
-	bestLL := -n*math.Log(sigma) - (1+1/gamma)*rootSlog
-	cands := momentCandidates(mean, variance)
-	for i, c := range cands {
-		if i > 0 && c == cands[0] {
-			continue
-		}
-		if l := ll(c); l > bestLL {
-			best, bestLL = c, l
-		}
-	}
-	return best, true
-}
-
-// momentCandidates builds the method-of-moments and exponential GPD
-// candidates from the tail's running mean and (biased) variance — the
-// sufficient-statistics form of FitGPDMoments, O(1) given the sums.
-func momentCandidates(mean, variance float64) [2]GPD {
-	exp := GPD{Gamma: 0, Sigma: math.Max(mean, 1e-12)}
-	if mean <= 0 || variance <= 0 {
-		return [2]GPD{exp, exp}
-	}
-	r := mean * mean / variance
-	mom := GPD{Gamma: 0.5 * (1 - r), Sigma: 0.5 * mean * (r + 1)}
-	if mom.Sigma <= 0 {
-		mom = exp
-	}
-	return [2]GPD{mom, exp}
 }

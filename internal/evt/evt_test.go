@@ -177,15 +177,15 @@ func TestSPOTFlagsInjectedExtremes(t *testing.T) {
 // TestSPOTStepBeforeFitTypedError is the regression test for the old
 // behavior, where an unwarmed Step panicked and could take an engine
 // shard worker down with it: Step before Fit must instead report
-// ErrNotReady, for both SPOT and the DSPOT wrapper, and leave the
+// ErrNotReady, for both the SPOT rule and a DSPOT bank, and leave the
 // detector usable once Fit eventually runs.
 func TestSPOTStepBeforeFitTypedError(t *testing.T) {
 	s := newSPOT(0.99, 1e-3)
 	if fired, err := s.Step(1); !errors.Is(err, ErrNotReady) || fired {
 		t.Fatalf("SPOT.Step before Fit: got (%v, %v), want (false, ErrNotReady)", fired, err)
 	}
-	d := NewDSPOT(0.99, 1e-3, 5)
-	if fired, err := d.Step(1); !errors.Is(err, ErrNotReady) || fired {
+	d := NewBank(1, 0.99, 1e-3, 5)
+	if fired, err := d.Step(0, 1); !errors.Is(err, ErrNotReady) || fired {
 		t.Fatalf("DSPOT.Step before Fit: got (%v, %v), want (false, ErrNotReady)", fired, err)
 	}
 	// The failed step must not have corrupted anything: Fit afterwards
@@ -203,7 +203,10 @@ func TestSPOTStepBeforeFitTypedError(t *testing.T) {
 	}
 }
 
-func TestSPOTUpdatesTailModel(t *testing.T) {
+// TestSPOTCountsExceedancesAtFixedLevel: live scores in (t, z] are
+// counted as exceedances, every score that does not alarm as an
+// observation, and the level stays where calibration set it.
+func TestSPOTCountsExceedancesAtFixedLevel(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	init := make([]float64, 2000)
 	for i := range init {
@@ -213,14 +216,29 @@ func TestSPOTUpdatesTailModel(t *testing.T) {
 	if err := s.Fit(init); err != nil {
 		t.Fatalf("fit: %v", err)
 	}
-	z0 := s.Threshold()
-	// Feed moderately large (peak but sub-threshold) values: threshold
-	// should adapt without alarming forever.
+	t0, z0, peaks0, n0 := s.t, s.Threshold(), s.peaks, s.n
+	var alarms, exceed int
 	for i := 0; i < 500; i++ {
-		s.Step(rng.ExpFloat64())
+		x := rng.ExpFloat64()
+		fired, err := s.Step(x)
+		if err != nil || fired != (x > z0) {
+			t.Fatalf("step %d (%v): fired %v, err %v; level %v", i, x, fired, err, z0)
+		}
+		switch {
+		case fired:
+			alarms++
+		case x > t0:
+			exceed++
+		}
 	}
-	if s.Threshold() <= 0 || math.IsNaN(s.Threshold()) {
-		t.Fatalf("threshold degenerated from %v to %v", z0, s.Threshold())
+	if exceed == 0 {
+		t.Fatal("no score fell in (t, z]; the count is untested")
+	}
+	if s.Threshold() != z0 || s.t != t0 {
+		t.Fatalf("level moved from (%v, %v) to (%v, %v)", t0, z0, s.t, s.Threshold())
+	}
+	if s.peaks != peaks0+exceed || s.n != n0+500-alarms {
+		t.Fatalf("counts peaks %d, n %d; want %d, %d", s.peaks, s.n, peaks0+exceed, n0+500-alarms)
 	}
 }
 
