@@ -28,11 +28,11 @@ import (
 // activations computed when they entered; banded attention makes the newest
 // row's view of them decay with distance.
 //
-// The count is a backstop: at W ≤ 128 every
-// cached row is re-derived exactly at least once per two window lengths,
-// and the amortized full-forward cost stays under 1% of the frame rate. The
-// guard owns near-alarm frames; the drift trigger is insurance against
-// level shifts far outside the trained magnitude range.
+// The count is a backstop: at W ≤ 128 every cached row is re-derived
+// exactly at least once per two window lengths, and the amortized
+// full-forward cost stays under 1% of the frame rate. The guard owns
+// near-alarm frames; the drift trigger is insurance against level shifts
+// far outside the trained magnitude range.
 const (
 	refreshEvery   = 128 // scored frames between scheduled exact recomputes
 	guardBoundary  = 0.1 // guard margin, a fraction of the threshold Z

@@ -70,10 +70,10 @@ type Config struct {
 	Health HealthConfig
 	// Metrics, when non-nil, receives the engine's observability series:
 	// frame/alarm/error counters, per-shard queue gauges, per-kind score
-	// and tail latency histograms, incremental-path and DSPOT exceedance counters —
-	// and enables the per-tenant frame-trace ring (see Trace). Nil (the
-	// default) disables observability entirely; the hot path then pays
-	// only nil-checks.
+	// and tail latency histograms, incremental-path and DSPOT exceedance
+	// counters — and enables the per-tenant frame-trace ring (see Trace).
+	// Nil (the default) disables observability entirely; the hot path then
+	// pays only nil-checks.
 	Metrics *metrics.Registry
 	// Trace configures the per-tenant flight recorder; effective only
 	// when Metrics is set.

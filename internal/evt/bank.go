@@ -30,7 +30,7 @@ type Bank struct {
 type tail struct {
 	t, z  float64
 	model GPD
-	peaks int // exceedances observed, calibration's included — the Nt of the quantile
+	peaks int // scores in (t, z] counted, calibration's included
 	n     int
 
 	// dsum is the drift window's running sum and dpos the slot the next

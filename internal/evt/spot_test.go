@@ -23,8 +23,6 @@ func newSPOT(level, q float64) spot {
 func (s spot) Fit(init []float64) error     { return s.fitTail(s.tail, init) }
 func (s spot) Step(x float64) (bool, error) { return s.stepTail(x) }
 func (s spot) Threshold() float64           { return s.z }
-func (s spot) State() SPOTState             { return s.tailState(s.tail) }
-func (s spot) SetState(st SPOTState) error  { return s.setTailState(s.tail, st) }
 
 // spotCalib is the shared calibration batch for the SPOT policy tests:
 // heavy-ish one-sided noise, the shape of an anomaly-score stream.
