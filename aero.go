@@ -139,7 +139,7 @@ func TrainBackend(kind string, train *Series, opts BackendOptions) ([]byte, erro
 // threshold.
 type DSPOTStage = backend.DSPOTStage
 
-// DSPOTConfig parameterizes the adaptive-alarming stage.
+// DSPOTConfig parameterizes the DSPOT alarming stage.
 type DSPOTConfig = backend.DSPOTConfig
 
 // DefaultDSPOTConfig mirrors the paper's POT protocol (level 0.99,

@@ -124,7 +124,7 @@ func main() {
 	name := flag.String("dataset", "SyntheticMiddle", "dataset name")
 	config := flag.String("config", "small", "model configuration: small or paper")
 	kindFlag := flag.String("backend", "aero", fmt.Sprintf("serving backend kind: %v", aero.BackendKinds()))
-	alarmFlag := flag.String("alarm", "auto", "alarming stage: auto, static (fitted POT threshold) or dspot (adaptive drift-corrected EVT)")
+	alarmFlag := flag.String("alarm", "auto", "alarming stage: auto, static (fitted POT threshold) or dspot (per-variate POT level over a drift-corrected baseline)")
 	load := flag.String("load", "", "load a saved model instead of training (aero backend only)")
 	checkpoint := flag.String("checkpoint", "", "artifact registry directory: reuse the newest published artifact, restore warm backend states, checkpoint on shutdown")
 	retrainEvery := flag.Duration("retrain-every", 0, "background retrain + hot-swap interval (0 = disabled)")
