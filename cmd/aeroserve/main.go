@@ -66,16 +66,21 @@
 // line then reports tenant health states, fallback service, and
 // injection counters.
 //
+// Every count the stats line and the epilogue print is read from the one
+// metrics registry, the same series GET /metrics serves.
+//
 // With -listen and/or -http the process becomes a network ingest server
 // instead of a replayer: -listen serves the compact binary frame
 // protocol (credit-based flow control sized to engine queue headroom —
 // see internal/ingest and cmd/aeroload for the matching client), -http
-// serves the JSON-lines /ingest interop endpoint plus /stats and
-// /healthz. SIGINT/SIGTERM drain losslessly (every accepted frame
-// scored and checkpointed before clients are told what to release);
-// SIGUSR2 additionally hands the listening socket to a re-exec'd
-// successor for a zero-downtime restart — drained clients reconnect and
-// resend their unacknowledged suffix, resuming mid-episode.
+// serves the JSON-lines /ingest interop endpoint, /healthz, the
+// registry's Prometheus text on /metrics and each tenant's flight
+// recorder, health state and counters on /trace/{tenant}.
+// SIGINT/SIGTERM drain losslessly (every accepted frame scored and
+// checkpointed before clients are told what to release); SIGUSR2
+// additionally hands the listening socket to a re-exec'd successor for
+// a zero-downtime restart — drained clients reconnect and resend their
+// unacknowledged suffix, resuming mid-episode.
 //
 // In replay mode SIGINT/SIGTERM stop the feed at the next frame and run
 // the normal shutdown path, so an interrupted replay still checkpoints
@@ -90,12 +95,13 @@ import (
 	"math"
 	"os"
 	"os/signal"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
 	"aero"
+	"aero/internal/faultinject"
 )
 
 // truncate returns the first n frames of a series (the series itself when
@@ -142,9 +148,8 @@ func main() {
 	chaosN := flag.Int("chaos", 0, "wrap the first N tenants in the deterministic fault-injection harness (panics, errors, NaN scores, latency spikes)")
 	chaosSeed := flag.Uint64("chaos-seed", 1, "chaos harness schedule seed (per-tenant seed = seed + tenant index)")
 	listenAddr := flag.String("listen", "", "serve the binary frame protocol on this TCP address instead of replaying (clients: aeroload); SIGUSR2 restarts with zero downtime")
-	httpAddr := flag.String("http", "", "serve HTTP endpoints on this address: POST /ingest (JSON lines), GET /stats, GET /healthz")
+	httpAddr := flag.String("http", "", "serve HTTP endpoints on this address: POST /ingest (JSON lines), GET /healthz, GET /metrics, GET /trace/{tenant}")
 	httpPprof := flag.Bool("http-pprof", false, "mount net/http/pprof under /debug/pprof/ on the -http listener (profile a serving process in place)")
-	metricsOn := flag.Bool("metrics", true, "enable the zero-alloc metrics layer: stage latency histograms, queue gauges, per-tenant flight recorder; adds GET /metrics and GET /trace/{tenant} to the -http listener")
 	flag.Parse()
 
 	fail := func(format string, args ...any) {
@@ -328,13 +333,19 @@ func main() {
 		}
 	}
 
-	// One registry carries every layer's series: engine stage histograms,
-	// DSPOT refit counters, ingest flow, triage timing, retrain rounds.
-	var mreg *aero.MetricsRegistry
-	if *metricsOn {
-		mreg = aero.NewMetricsRegistry()
+	// One registry carries every layer's series — engine counters and
+	// stage histograms, DSPOT exceedances, ingest flow, the triage funnel,
+	// retrain rounds, chaos injections — and is the one source of the
+	// counts the stats lines print.
+	mreg := aero.NewMetricsRegistry()
+	// count reads one aggregate: a series, or a name summed over its
+	// label sets.
+	count := func(name string, labels ...string) uint64 {
+		v, _ := mreg.Value(name, labels...)
+		return uint64(v)
 	}
 
+	engineUp := time.Now()
 	eng := aero.NewEngine(aero.EngineConfig{
 		Metrics: mreg,
 		Hygiene: aero.HygieneConfig{Policy: hygienePolicy},
@@ -373,7 +384,8 @@ func main() {
 			}
 		}
 	}
-	if *chaosN > 0 {
+	if len(chaosBackends) > 0 {
+		faultinject.Observe(mreg, chaosBackends)
 		fmt.Fprintf(os.Stderr, "chaos harness armed on %d tenants (seed %d)\n", *chaosN, *chaosSeed)
 	}
 	// Warm restarts: restore checkpointed backend states so tenants
@@ -399,7 +411,6 @@ func main() {
 
 	// Background lifecycle: retrain on the configured interval through
 	// the kind's trainer and hot-swap every tenant on publish.
-	var retrains, hotSwaps atomic.Uint64
 	var retrainer *aero.Retrainer
 	if *retrainEvery > 0 {
 		hooks := retrainHooks{spec: spec, opts: opts, subs: subs}
@@ -418,9 +429,7 @@ func main() {
 					fmt.Fprintf(os.Stderr, "retrain: %v\n", res.Err)
 					return
 				}
-				retrains.Add(1)
 				n := hooks.swap(res)
-				hotSwaps.Add(uint64(n))
 				seed := ""
 				if isAERO {
 					seed = fmt.Sprintf(", seed %d", hooks.seed(res.Round))
@@ -487,8 +496,7 @@ func main() {
 				if rerr := triageStream.Pipeline().RestoreState(blob); rerr != nil {
 					fmt.Fprintf(os.Stderr, "restore triage state: %v\n", rerr)
 				} else {
-					st := triageStream.Pipeline().Stats()
-					fmt.Fprintf(os.Stderr, "restored triage state (%d episodes resume mid-flight)\n", st.OpenEpisodes)
+					fmt.Fprintf(os.Stderr, "restored triage state (%d episodes resume mid-flight)\n", count("aero_triage_open_episodes"))
 				}
 			}
 		}
@@ -573,58 +581,28 @@ func main() {
 				}
 			} else {
 				fmt.Fprintf(os.Stderr, "checkpointed triage state (%d open episodes resume next run)\n",
-					p.Stats().OpenEpisodes)
+					count("aero_triage_open_episodes"))
 			}
 		}
 		return firstErr
 	}
 
-	// dspotExceedances sums the DSPOT stages' exceedance counts across
-	// tenants (zero and false when the alarm stage is static).
-	dspotExceedances := func() (uint64, bool) {
-		var total uint64
-		any := false
-		for _, sub := range subs {
-			if rs, ok := sub.RefitStats(); ok {
-				total += rs.Exceedances
-				any = true
-			}
-		}
-		return total, any
-	}
-
-	// healthSummary folds the tenants' supervision counters into one
+	// healthSummary renders the tenants' supervision counters as one
 	// stats-line fragment: tenants per non-healthy state, cumulative
 	// faults/quarantines/recoveries, and fallback service. Empty while
 	// everything is healthy and nothing has ever faulted.
 	healthSummary := func() string {
-		var degraded, quarantined, probation int
-		var faults, panics, quarantines, recoveries, fbFrames, dropped, repaired uint64
-		for _, sub := range subs {
-			st := sub.Stats()
-			switch st.Health {
-			case aero.HealthDegraded:
-				degraded++
-			case aero.HealthQuarantined:
-				quarantined++
-			case aero.HealthProbation:
-				probation++
-			}
-			faults += st.Faults
-			panics += st.Panics
-			quarantines += st.Quarantines
-			recoveries += st.Recoveries
-			fbFrames += st.FallbackFrames
-			dropped += st.HygieneDropped
-			repaired += st.HygieneRepaired
-		}
+		faults := count("aero_engine_faults_total")
+		dropped, repaired := count("aero_engine_hygiene_dropped_total"), count("aero_engine_hygiene_repaired_total")
 		if faults == 0 && dropped == 0 && repaired == 0 {
 			return ""
 		}
+		tenantsIn := func(h fmt.Stringer) uint64 { return count("aero_engine_tenants", "health", h.String()) }
 		line := fmt.Sprintf(", health %d degraded/%d quarantined/%d probation (%d faults, %d panics, %d quarantines, %d recoveries)",
-			degraded, quarantined, probation, faults, panics, quarantines, recoveries)
-		if fbFrames > 0 {
-			line += fmt.Sprintf(", fallback served %d frames", fbFrames)
+			tenantsIn(aero.HealthDegraded), tenantsIn(aero.HealthQuarantined), tenantsIn(aero.HealthProbation),
+			faults, count("aero_engine_panics_total"), count("aero_engine_quarantines_total"), count("aero_engine_recoveries_total"))
+		if fb := count("aero_engine_fallback_frames_total"); fb > 0 {
+			line += fmt.Sprintf(", fallback served %d frames", fb)
 		}
 		if dropped+repaired > 0 {
 			line += fmt.Sprintf(", hygiene %d dropped/%d repaired", dropped, repaired)
@@ -635,15 +613,16 @@ func main() {
 		if len(chaosBackends) == 0 {
 			return ""
 		}
-		var panics, errs, nans, delays uint64
-		for _, cb := range chaosBackends {
-			st := cb.Stats()
-			panics += st.Panics
-			errs += st.Errors
-			nans += st.NaNs
-			delays += st.Delays
+		injected := func(fault string) uint64 { return count("aero_chaos_injections_total", "fault", fault) }
+		return fmt.Sprintf(", chaos injected %d panics/%d errors/%d nans/%d delays",
+			injected("panic"), injected("error"), injected("nan"), injected("delay"))
+	}
+	// triageReduction is the percentage of alarms triage folded away.
+	triageReduction := func(alarms, incidents uint64) float64 {
+		if alarms == 0 {
+			return 0
 		}
-		return fmt.Sprintf(", chaos injected %d panics/%d errors/%d nans/%d delays", panics, errs, nans, delays)
+		return 100 * (1 - float64(incidents)/float64(alarms))
 	}
 
 	// latencySummary renders the serving kind's score-stage percentiles
@@ -652,9 +631,6 @@ func main() {
 	// changes the registered kind), so lookup and registration agree.
 	kindLabel := subs[len(subs)-1].Kind()
 	latencySummary := func() string {
-		if mreg == nil {
-			return ""
-		}
 		h := mreg.FindHistogram("aero_engine_score_seconds", "kind", kindLabel)
 		if h == nil {
 			return ""
@@ -687,16 +663,19 @@ func main() {
 		for {
 			select {
 			case <-tickC:
-				t := eng.Totals()
+				frames := count("aero_engine_frames_total")
 				line := fmt.Sprintf("stats: %d frames scored (%.0f/s), %d alarms (%d blocked), %d errors (%d reports dropped), %d queued",
-					t.Frames, t.FramesPerSec, t.Alarms, t.AlarmsBlocked, t.Errors, t.ErrorsDropped, t.QueueDepth)
+					frames, float64(frames)/time.Since(engineUp).Seconds(),
+					count("aero_engine_alarms_total"), count("aero_engine_alarms_blocked_total"),
+					count("aero_engine_errors_total"), count("aero_engine_errors_dropped_total"),
+					count("aero_engine_queue_depth"))
 				line += latencySummary() + healthSummary() + chaosSummary()
-				if n, ok := dspotExceedances(); ok {
-					line += fmt.Sprintf(", dspot %d exceedances", n)
+				if alarm == "dspot" {
+					line += fmt.Sprintf(", dspot %d exceedances", count("aero_dspot_exceedances_total"))
 				}
 				if triageStream != nil {
-					ts := triageStream.Pipeline().Stats()
-					line += fmt.Sprintf(", triage %d→%d (%.1f%% reduction)", ts.Alarms, ts.Incidents, 100*ts.Reduction)
+					alarmsIn, incidents := count("aero_triage_alarms_total"), count("aero_triage_incidents_total")
+					line += fmt.Sprintf(", triage %d→%d (%.1f%% reduction)", alarmsIn, incidents, triageReduction(alarmsIn, incidents))
 				}
 				fmt.Fprintln(os.Stderr, line)
 			case <-statsDone:
@@ -716,16 +695,6 @@ func main() {
 			eng: eng, subs: subs, metrics: mreg,
 			listenAddr: *listenAddr, httpAddr: *httpAddr, httpPprof: *httpPprof,
 			checkpoint: checkpointAll,
-			extraStats: func() map[string]any {
-				out := make(map[string]any)
-				if n, ok := dspotExceedances(); ok {
-					out["dspot"] = map[string]uint64{"exceedances": n}
-				}
-				if triageStream != nil {
-					out["triage"] = triageStream.Pipeline().Stats()
-				}
-				return out
-			},
 		})
 	} else {
 		// Replay mode: one feeder per tenant replays the test split
@@ -770,12 +739,15 @@ func main() {
 	}
 	eng.Flush()
 	elapsed := time.Since(start)
-	for _, s := range eng.Stats() {
-		if s.Subscriptions == 0 && s.Frames == 0 {
-			continue
+	for i := 0; ; i++ {
+		shard := strconv.Itoa(i)
+		tenantsN, ok := mreg.Value("aero_engine_shard_tenants", "shard", shard)
+		if !ok {
+			break
 		}
-		fmt.Fprintf(os.Stderr, "shard %d: %d tenants, %d frames, %d alarms (%d blocked), %d errors (%d reports dropped)\n",
-			s.Shard, s.Subscriptions, s.Frames, s.Alarms, s.AlarmsBlocked, s.Errors, s.ErrorsDropped)
+		if frames := count("aero_engine_shard_frames_total", "shard", shard); tenantsN > 0 || frames > 0 {
+			fmt.Fprintf(os.Stderr, "shard %d: %d tenants, %d frames\n", i, uint64(tenantsN), frames)
+		}
 	}
 	close(statsDone)
 	eng.Close()
@@ -803,9 +775,10 @@ func main() {
 			}
 			out.Flush()
 		}
-		ts := p.Stats()
+		alarmsIn, incidents := count("aero_triage_alarms_total"), count("aero_triage_incidents_total")
 		fmt.Fprintf(os.Stderr, "triage: %d alarms → %d incidents (%.1f%% reduction; %d deduped, %d episodes, %d still open)\n",
-			ts.Alarms, ts.Incidents, 100*ts.Reduction, ts.Deduped, ts.Episodes, ts.OpenEpisodes)
+			alarmsIn, incidents, triageReduction(alarmsIn, incidents), count("aero_triage_deduped_total"),
+			count("aero_triage_episodes_total"), count("aero_triage_open_episodes"))
 		for i, inc := range topIncidents {
 			tag := ""
 			if inc.Demoted {
@@ -823,19 +796,19 @@ func main() {
 		}
 	}
 
-	if n, ok := dspotExceedances(); ok {
-		fmt.Fprintf(os.Stderr, "dspot tails: %d exceedances\n", n)
+	if alarm == "dspot" {
+		fmt.Fprintf(os.Stderr, "dspot tails: %d exceedances\n", count("aero_dspot_exceedances_total"))
 	}
-	total := eng.Totals()
 	if h := healthSummary() + chaosSummary(); h != "" {
 		fmt.Fprintf(os.Stderr, "containment:%s\n", h[1:])
 	}
 	if l := latencySummary(); l != "" {
 		fmt.Fprintf(os.Stderr, "latency:%s\n", l[1:])
 	}
+	frames := count("aero_engine_frames_total")
 	fmt.Fprintf(os.Stderr, "done: %d frames over %d tenants in %s (%.0f frames/s), %d alarms, %d retrains, %d hot-swaps\n",
-		total.Frames, *tenants, elapsed.Round(time.Millisecond), float64(total.Frames)/elapsed.Seconds(),
-		total.Alarms, retrains.Load(), hotSwaps.Load())
+		frames, *tenants, elapsed.Round(time.Millisecond), float64(frames)/elapsed.Seconds(),
+		count("aero_engine_alarms_total"), count("aero_lifecycle_publishes_total"), count("aero_engine_swaps_total"))
 	if relaunched {
 		fmt.Fprintln(os.Stderr, "successor process is serving; this process exits")
 	}

@@ -66,6 +66,29 @@ func TestStatsZeroDisablesPeriodicLine(t *testing.T) {
 	}
 }
 
+// The epilogue reads every count from the metrics registry: a run with
+// chaos, a warm fallback, hygiene repair and triage prints the
+// containment, triage and done lines from it. -metrics is gone: the
+// registry is always built.
+func TestEpilogueReadsRegistry(t *testing.T) {
+	code, stderr := serve(t, "-triage", "-chaos", "1", "-fallback", "fluxev", "-hygiene", "hold", "-stats", "0")
+	if code != 0 {
+		t.Fatalf("exit %d, want 0:\n%s", code, stderr)
+	}
+	for _, want := range []string{
+		"\ncontainment: health ", " panics, ", ", chaos injected ",
+		"\ntriage: ", " alarms → ",
+		"\ndone: 400 frames over 2 tenants",
+	} {
+		if !strings.Contains(stderr, want) {
+			t.Fatalf("epilogue lacks %q:\n%s", want, stderr)
+		}
+	}
+	if code, stderr := serve(t, "-metrics=false"); code != 2 || !strings.Contains(stderr, "flag provided but not defined: -metrics") {
+		t.Fatalf("-metrics: exit %d, want the undefined-flag exit 2:\n%s", code, stderr)
+	}
+}
+
 // A negative -stats interval, a tenant count below one and a negative or
 // NaN -rate are usage errors: exit 2 with the usage text, as for a value
 // the flag package cannot parse.

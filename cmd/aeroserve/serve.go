@@ -26,7 +26,6 @@ type serveEnv struct {
 	httpAddr   string
 	httpPprof  bool
 	checkpoint func() error
-	extraStats func() map[string]any
 }
 
 // runServe serves until SIGINT/SIGTERM (drain, checkpoint, exit) or
@@ -48,10 +47,8 @@ func runServe(env serveEnv) bool {
 			}
 			return nil, fmt.Errorf("no such tenant (serving %d fields)", len(byID))
 		},
-		Subscriptions: func() []*aero.Subscription { return env.subs },
-		Checkpoint:    env.checkpoint,
-		ExtraStats:    env.extraStats,
-		Logf:          func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
+		Checkpoint: env.checkpoint,
+		Logf:       func(f string, a ...any) { fmt.Fprintf(os.Stderr, f+"\n", a...) },
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ingest server: %v\n", err)
@@ -80,10 +77,7 @@ func runServe(env serveEnv) bool {
 				fmt.Fprintf(os.Stderr, "http: %v\n", herr)
 			}
 		}()
-		endpoints := "/ingest /stats /healthz"
-		if env.metrics != nil {
-			endpoints += " /metrics /trace/{tenant}"
-		}
+		endpoints := "/ingest /healthz /metrics /trace/{tenant}"
 		if env.httpPprof {
 			endpoints += " /debug/pprof/"
 		}

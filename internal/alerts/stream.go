@@ -30,7 +30,10 @@ func Attach(e *engine.Engine, cfg Config, buffer int) (*Stream, error) {
 
 // AttachObserved is Attach with an optional metrics registry: when reg is
 // non-nil, each alarm's triage push (dedup, episode assembly, ranking) is
-// timed into aero_triage_push_seconds and finalized incidents are counted.
+// timed into aero_triage_push_seconds, and the pipeline's funnel — alarms
+// in, deduped, episodes, incidents, open episodes — is exposed as
+// scrape-time reads of its own counters, so the series count every
+// incident Push or Finalize emits and resume with a restored snapshot.
 // The stamp pair lives in the tap callback, outside the pipeline's own
 // locks, so an unobserved stream pays nothing.
 func AttachObserved(e *engine.Engine, cfg Config, buffer int, reg *metrics.Registry) (*Stream, error) {
@@ -39,7 +42,19 @@ func AttachObserved(e *engine.Engine, cfg Config, buffer int, reg *metrics.Regis
 	}
 	s := &Stream{p: NewPipeline(cfg), incidents: make(chan Incident, buffer)}
 	push := reg.Histogram("aero_triage_push_seconds", "Triage pipeline push: dedup, episode assembly, ranking for one alarm.")
-	incidents := reg.Counter("aero_triage_incidents_total", "Incidents finalized by the triage pipeline.")
+	stat := func(read func(Stats) uint64) func() float64 {
+		return func() float64 { return float64(read(s.p.Stats())) }
+	}
+	reg.CounterFunc("aero_triage_alarms_total", "Alarms pushed into the triage pipeline.",
+		stat(func(st Stats) uint64 { return st.Alarms }))
+	reg.CounterFunc("aero_triage_deduped_total", "Alarms dropped as same-bucket duplicates.",
+		stat(func(st Stats) uint64 { return st.Deduped }))
+	reg.CounterFunc("aero_triage_episodes_total", "Episodes closed by the triage pipeline.",
+		stat(func(st Stats) uint64 { return st.Episodes }))
+	reg.CounterFunc("aero_triage_incidents_total", "Incidents finalized by the triage pipeline.",
+		stat(func(st Stats) uint64 { return st.Incidents }))
+	reg.GaugeFunc("aero_triage_open_episodes", "Episodes currently mid-flight.",
+		stat(func(st Stats) uint64 { return uint64(st.OpenEpisodes) }))
 	err := e.Tap(func(a engine.Alarm) {
 		var t0 int64
 		if push != nil {
@@ -48,7 +63,6 @@ func AttachObserved(e *engine.Engine, cfg Config, buffer int, reg *metrics.Regis
 		incs := s.p.Push(a)
 		if push != nil {
 			push.Record(metrics.Now() - t0)
-			incidents.Add(uint64(len(incs)))
 		}
 		for _, inc := range incs {
 			s.incidents <- inc

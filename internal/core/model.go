@@ -307,9 +307,6 @@ func (m *Model) Scores(s *dataset.Series) ([][]float64, error) {
 // Threshold returns the calibrated POT threshold.
 func (m *Model) Threshold() float64 { return m.thr.Z }
 
-// ThresholdInfo returns the full POT calibration result.
-func (m *Model) ThresholdInfo() evt.Threshold { return m.thr }
-
 // Detect scores the series and applies the calibrated threshold, returning
 // binary labels (N×T).
 func (m *Model) Detect(s *dataset.Series) ([][]bool, error) {

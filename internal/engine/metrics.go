@@ -109,6 +109,14 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 			defer sh.mu.Unlock()
 			return float64(len(sh.queue) - sh.count)
 		}, "shard", label)
+		reg.CounterFunc("aero_engine_shard_frames_total", "frames scored by the shard", func() float64 {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return float64(sh.frames)
+		}, "shard", label)
+		reg.GaugeFunc("aero_engine_shard_tenants", "tenants pinned to the shard", func() float64 {
+			return float64(sh.subsCount())
+		}, "shard", label)
 	}
 	for _, st := range []HealthState{HealthHealthy, HealthDegraded, HealthQuarantined, HealthProbation} {
 		st := st
@@ -145,10 +153,16 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.hygieneRepaired) }))
 	reg.CounterFunc("aero_engine_fallback_frames_total", "frames served by warm fallback backends",
 		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.fallbackFrames) }))
+	reg.CounterFunc("aero_engine_quarantines_total", "health transitions into quarantine",
+		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.quarantines) }))
+	reg.CounterFunc("aero_engine_recoveries_total", "health transitions from probation back to healthy",
+		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.recoveries) }))
+	reg.CounterFunc("aero_engine_swaps_total", "model hot-swaps applied to tenants",
+		sumSubs(func(s *subscription) uint64 { return atomic.LoadUint64(&s.swaps) }))
 
 	// Incremental-forward and DSPOT tail counters live inside backends
 	// and are only coherent behind the subscription lock; the scrape
-	// takes each tenant's lock briefly, exactly like /stats does.
+	// takes each tenant's lock briefly, as Subscription.RefitStats does.
 	incSum := func(read func(core.IncrementalStats) uint64) func() float64 {
 		return func() float64 {
 			var total uint64

@@ -202,17 +202,6 @@ func (s *Subscription) SetFallback(det core.StreamBackend) error {
 	return nil
 }
 
-// FallbackKind returns the installed fallback backend's kind tag, or ""
-// when the tenant has none.
-func (s *Subscription) FallbackKind() string {
-	s.sub.mu.Lock()
-	defer s.sub.mu.Unlock()
-	if s.sub.fallback == nil {
-		return ""
-	}
-	return s.sub.fallback.Kind()
-}
-
 // modelSwapper is the AERO-specific capability behind Subscription.Swap:
 // installing an in-memory *core.Model without a serialize/parse round
 // trip. StreamDetector implements it; DSPOT-wrapped or baseline tenants

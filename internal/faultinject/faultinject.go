@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"aero/internal/core"
+	"aero/internal/metrics"
 )
 
 // ErrInjected is the error the harness returns on an error-injection
@@ -160,6 +161,29 @@ func (b *Backend) Stats() Stats {
 		Errors: atomic.LoadUint64(&b.errs),
 		NaNs:   atomic.LoadUint64(&b.nans),
 		Delays: atomic.LoadUint64(&b.delays),
+	}
+}
+
+// Observe registers the harness's injections on reg: one scrape-time
+// series per fault kind, summed over bs.
+func Observe(reg *metrics.Registry, bs []*Backend) {
+	for _, c := range []struct {
+		fault string
+		count func(*Backend) *uint64
+	}{
+		{"panic", func(b *Backend) *uint64 { return &b.panics }},
+		{"error", func(b *Backend) *uint64 { return &b.errs }},
+		{"nan", func(b *Backend) *uint64 { return &b.nans }},
+		{"delay", func(b *Backend) *uint64 { return &b.delays }},
+	} {
+		count := c.count
+		reg.CounterFunc("aero_chaos_injections_total", "Faults injected by the chaos harness.", func() float64 {
+			var n uint64
+			for _, b := range bs {
+				n += atomic.LoadUint64(count(b))
+			}
+			return float64(n)
+		}, "fault", c.fault)
 	}
 }
 

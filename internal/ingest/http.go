@@ -10,6 +10,7 @@ import (
 
 	"aero/internal/core"
 	"aero/internal/engine"
+	"aero/internal/metrics"
 )
 
 // httpFrame is one JSON-lines ingest record.
@@ -19,21 +20,12 @@ type httpFrame struct {
 	Mags []float64 `json:"mags"`
 }
 
-// statsPayload is the /stats response document.
-type statsPayload struct {
-	Server        ServerStats                 `json:"server"`
-	Totals        engine.ShardStats           `json:"totals"`
-	Shards        []engine.ShardStats         `json:"shards"`
-	Subscriptions map[string]subscriptionInfo `json:"subscriptions,omitempty"`
-	Extra         map[string]any              `json:"extra,omitempty"`
-}
-
-// subscriptionInfo augments the raw counters with the tenant's kind and
-// a human-readable health state. The counters nest under "stats" so the
-// readable health string does not collide with the numeric Health field
-// inside SubscriptionStats.
-type subscriptionInfo struct {
-	Kind   string                   `json:"kind"`
+// traceDoc is the /trace/{tenant} response: the flight-recorder ring
+// plus the tenant's health state and counters. The counters nest under
+// "stats" so the readable health string does not collide with the
+// numeric Health field inside SubscriptionStats.
+type traceDoc struct {
+	metrics.TraceJSON
 	Health string                   `json:"health"`
 	Stats  engine.SubscriptionStats `json:"stats"`
 }
@@ -41,13 +33,13 @@ type subscriptionInfo struct {
 // Handler returns the server's HTTP surface:
 //
 //	POST /ingest   JSON lines {"sub":"field-000","time":12.5,"mags":[...]}
-//	GET  /stats    engine + server + per-tenant counters as JSON
 //	GET  /healthz  200 "ok" while serving, 503 "draining" during drain
 //
 // With ServerConfig.Metrics, two observability routes are added:
 //
 //	GET  /metrics        Prometheus text exposition of the registry
-//	GET  /trace/{tenant} the tenant's flight-recorder ring as JSON
+//	GET  /trace/{tenant} the tenant's flight-recorder ring, health state
+//	                     and counters as JSON
 //
 // With ServerConfig.EnablePprof, net/http/pprof's endpoints are mounted
 // under /debug/pprof/ as well (the explicit routes below, not the default
@@ -61,7 +53,6 @@ type subscriptionInfo struct {
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/ingest", s.handleIngest)
 	if s.cfg.Metrics != nil {
 		mux.HandleFunc("/metrics", s.handleMetrics)
@@ -86,32 +77,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	p := statsPayload{
-		Server: s.Stats(),
-		Totals: s.cfg.Engine.Totals(),
-		Shards: s.cfg.Engine.Stats(),
-	}
-	if s.cfg.Subscriptions != nil {
-		subs := s.cfg.Subscriptions()
-		p.Subscriptions = make(map[string]subscriptionInfo, len(subs))
-		for _, sub := range subs {
-			p.Subscriptions[sub.ID] = subscriptionInfo{
-				Kind:   sub.Kind(),
-				Health: sub.Health().String(),
-				Stats:  sub.Stats(),
-			}
-		}
-	}
-	if s.cfg.ExtraStats != nil {
-		p.Extra = s.cfg.ExtraStats()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(p)
-}
-
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.cfg.Metrics.WritePrometheus(w)
@@ -119,7 +84,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace serves GET /trace/{tenant}: the tenant's flight-recorder
 // snapshot — recent frames with per-stage latencies, plus the slowest
-// frame pinned since startup — as JSON.
+// frame pinned since startup — with its health state and counters, as
+// JSON.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tenant := strings.TrimPrefix(r.URL.Path, "/trace/")
 	if tenant == "" || strings.ContainsRune(tenant, '/') {
@@ -136,7 +102,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "frame tracing disabled for this tenant", http.StatusNotFound)
 		return
 	}
-	doc := snap.JSON()
+	doc := traceDoc{TraceJSON: snap.JSON(), Health: sub.Health().String(), Stats: sub.Stats()}
 	doc.Tenant = sub.ID
 	doc.Kind = sub.Kind()
 	w.Header().Set("Content-Type", "application/json")

@@ -10,19 +10,25 @@ import (
 	"testing"
 	"time"
 
+	"aero/internal/engine"
 	"aero/internal/ingest"
+	"aero/internal/metrics"
 )
 
 // TestHTTPEndpoints covers the interop surface: JSON-lines ingest with
-// per-line validation, the /stats document, and /healthz flipping to 503
-// once a drain begins.
+// per-line validation, the counts on /metrics, the per-tenant view on
+// /trace/{tenant}, no /stats, and /healthz flipping to 503 once a drain
+// begins.
 func TestHTTPEndpoints(t *testing.T) {
-	d, _ := fixture(t)
-	e, subs := newTestEngine(t, "field-000")
+	reg := metrics.NewRegistry()
+	e := engine.New(engine.Config{Shards: 2, Workers: 2, QueueDepth: 16, BatchSize: 4, Metrics: reg})
+	sub, err := e.SubscribeBackend("field-000", openFixtureBackend(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := map[string]*engine.Subscription{"field-000": sub}
 	_, wg := collectAlarms(e)
-	srv := newTestServer(t, e, subs, ingest.ServerConfig{
-		ExtraStats: func() map[string]any { return map[string]any{"custom": 42} },
-	})
+	srv := newTestServer(t, e, subs, ingest.ServerConfig{Metrics: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -84,39 +90,35 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Fatalf("GET /ingest: %d", resp.StatusCode)
 	}
 
-	// /stats exposes server, engine, per-tenant and extra sections.
-	resp, body = get("/stats")
+	// The counts live on /metrics; /stats is gone.
+	if resp, _ := get("/stats"); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /stats: %d, want 404", resp.StatusCode)
+	}
+	resp, body = get("/metrics")
+	for _, want := range []string{"aero_ingest_http_frames_total 3\n", "aero_engine_frames_total 3\n"} {
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Fatalf("metrics: %d, want %q in:\n%s", resp.StatusCode, want, body)
+		}
+	}
+
+	// /trace/{tenant} carries the tenant's health state and counters.
+	resp, body = get("/trace/field-000")
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d", resp.StatusCode)
+		t.Fatalf("trace: %d %q", resp.StatusCode, body)
 	}
-	var stats struct {
-		Server struct {
-			HTTPFrames uint64 `json:"http_frames"`
-		} `json:"server"`
-		Totals struct {
+	var doc struct {
+		Kind   string `json:"kind"`
+		Health string `json:"health"`
+		Stats  struct {
 			Frames uint64
-		} `json:"totals"`
-		Subscriptions map[string]struct {
-			Kind   string `json:"kind"`
-			Health string `json:"health"`
-			Stats  struct {
-				Frames uint64
-			} `json:"stats"`
-		} `json:"subscriptions"`
-		Extra map[string]any `json:"extra"`
+		} `json:"stats"`
+		Total uint64 `json:"total_frames"`
 	}
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatalf("stats JSON: %v in %q", err, body)
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("trace JSON: %v in %q", err, body)
 	}
-	if stats.Server.HTTPFrames != 3 || stats.Totals.Frames != 3 {
-		t.Fatalf("stats counters %+v, want 3 http frames and 3 scored", stats)
-	}
-	sub, ok := stats.Subscriptions["field-000"]
-	if !ok || sub.Kind == "" || sub.Health == "" || sub.Stats.Frames != 3 {
-		t.Fatalf("subscription section %+v, want kind/health and 3 frames", stats.Subscriptions)
-	}
-	if v, ok := stats.Extra["custom"]; !ok || v != float64(42) {
-		t.Fatalf("extra section %+v, want custom=42", stats.Extra)
+	if doc.Kind == "" || doc.Health != "healthy" || doc.Stats.Frames != 3 || doc.Total != 3 {
+		t.Fatalf("trace document %+v, want kind, healthy and 3 frames", doc)
 	}
 
 	// Draining: health flips to 503 and new ingest is refused, in both
@@ -133,7 +135,6 @@ func TestHTTPEndpoints(t *testing.T) {
 
 	e.Close()
 	wg.Wait()
-	_ = d
 }
 
 // TestHTTPIngestDrainMidRequest pins the drain barrier on the JSON-lines

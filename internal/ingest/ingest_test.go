@@ -85,15 +85,6 @@ func newTestServer(t *testing.T, e *engine.Engine, subs map[string]*engine.Subsc
 	cfg.Lookup = func(tenant string) (*engine.Subscription, error) {
 		return subs[tenant], nil
 	}
-	if cfg.Subscriptions == nil {
-		cfg.Subscriptions = func() []*engine.Subscription {
-			out := make([]*engine.Subscription, 0, len(subs))
-			for _, s := range subs {
-				out = append(out, s)
-			}
-			return out
-		}
-	}
 	srv, err := ingest.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -19,12 +19,12 @@ import (
 	"aero/internal/metrics"
 )
 
-// TestMetricsScrapeConcurrent hammers GET /stats, /healthz and /metrics
-// from parallel scrapers while a live protocol client streams frames
-// over a real TCP socket — the race detector's view of the whole
-// observability read path (scrape-time CounterFuncs walking engine and
-// server atomics, histogram snapshots, trace rings) against the hot
-// write path.
+// TestMetricsScrapeConcurrent hammers GET /healthz, /metrics and
+// /trace/{tenant} from parallel scrapers while a live protocol client
+// streams frames over a real TCP socket — the race detector's view of
+// the whole observability read path (scrape-time CounterFuncs walking
+// engine and server atomics, histogram snapshots, trace rings) against
+// the hot write path.
 func TestMetricsScrapeConcurrent(t *testing.T) {
 	d, _ := fixture(t)
 	reg := metrics.NewRegistry()
@@ -82,7 +82,7 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 	// instant it lands at.
 	stopScrape := make(chan struct{})
 	var scrapers sync.WaitGroup
-	for _, path := range []string{"/stats", "/healthz", "/metrics", "/trace/field-000"} {
+	for _, path := range []string{"/healthz", "/metrics", "/trace/field-000"} {
 		scrapers.Add(1)
 		go func(path string) {
 			defer scrapers.Done()
@@ -103,7 +103,7 @@ func TestMetricsScrapeConcurrent(t *testing.T) {
 					t.Errorf("GET %s: %d %q", path, resp.StatusCode, body)
 					return
 				}
-				if path == "/stats" || strings.HasPrefix(path, "/trace/") {
+				if strings.HasPrefix(path, "/trace/") {
 					var doc map[string]any
 					if err := json.Unmarshal(body, &doc); err != nil {
 						t.Errorf("GET %s: bad JSON %v in %q", path, err, body)

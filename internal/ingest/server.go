@@ -34,9 +34,6 @@ type ServerConfig struct {
 	Engine *engine.Engine
 	// Lookup resolves a handshake tenant id to its subscription. Required.
 	Lookup func(tenant string) (*engine.Subscription, error)
-	// Subscriptions enumerates the served tenants for the /stats
-	// endpoint; optional.
-	Subscriptions func() []*engine.Subscription
 	// CreditWindow caps one connection's outstanding (granted but
 	// unacknowledged) frames; it also bounds the client's resend buffer
 	// and the connection's read-burst staging. Defaults to 64.
@@ -45,9 +42,6 @@ type ServerConfig struct {
 	// scored and before clients are told which prefix is safe to drop —
 	// the hook that persists warm detector + triage state. Optional.
 	Checkpoint func() error
-	// ExtraStats contributes additional sections (e.g. triage counters)
-	// to the /stats payload. Optional.
-	ExtraStats func() map[string]any
 	// Metrics, when non-nil, registers the front end's counters and
 	// conn-loop stage histograms (read wait, engine wait, frame
 	// round-trip) and enables GET /metrics (Prometheus text) and

@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,28 +84,18 @@ type metric struct {
 
 func (m *metric) key() string { return m.name + m.labels }
 
-// Registry holds all registered series, sharded by series-key hash so
-// concurrent registrations and scrapes do not serialize on one lock.
-// Registration is the slow path (startup/subscribe time); the hot path
-// only touches the returned instrument pointers.
+// Registry holds all registered series in one map under one lock.
+// Registration is the slow path (startup/subscribe time) and scrapes come
+// seconds apart; the hot path only touches the returned instrument
+// pointers and never takes the lock.
 type Registry struct {
-	shards [registryShards]regShard
-}
-
-const registryShards = 16
-
-type regShard struct {
 	mu sync.RWMutex
 	m  map[string]*metric
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string]*metric)
-	}
-	return r
+	return &Registry{m: make(map[string]*metric)}
 }
 
 // ValidName reports whether name is a valid metric name for this stack:
@@ -178,12 +167,6 @@ func escapeLabel(v string) string {
 	return string(out)
 }
 
-func shardFor(key string) uint32 {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return h.Sum32() % registryShards
-}
-
 // register installs a series or returns the existing one. It panics on
 // an invalid name or when the key is already registered with a different
 // kind — both are programmer errors caught at wiring time, never during
@@ -193,10 +176,9 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 		panic("metrics: invalid metric name " + name)
 	}
 	m := &metric{name: name, labels: renderLabels(labels), help: help, kind: kind}
-	sh := &r.shards[shardFor(m.key())]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if prev, ok := sh.m[m.key()]; ok {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if prev, ok := r.m[m.key()]; ok {
 		if prev.kind != kind {
 			panic(fmt.Sprintf("metrics: %s re-registered as a different kind", m.key()))
 		}
@@ -210,7 +192,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels []string)
 	case kindHistogram:
 		m.hist = &Histogram{}
 	}
-	sh.m[m.key()] = m
+	r.m[m.key()] = m
 	return m
 }
 
@@ -266,14 +248,52 @@ func (r *Registry) FindHistogram(name string, labels ...string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	key := name + renderLabels(labels)
-	sh := &r.shards[shardFor(key)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	if m, ok := sh.m[key]; ok && m.kind == kindHistogram {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	if m, ok := r.m[name+renderLabels(labels)]; ok && m.kind == kindHistogram {
 		return m.hist
 	}
 	return nil
+}
+
+// Value reads a counter or gauge series — a plain instrument or a
+// scrape-time func — as Prometheus would scrape it. With labels it reads
+// the one series of that label set; without, it sums every label set of
+// the name. ok is false when no such series is registered (histograms
+// are not values: read them through FindHistogram).
+func (r *Registry) Value(name string, labels ...string) (v float64, ok bool) {
+	if r == nil {
+		return 0, false
+	}
+	var ms []*metric
+	r.mu.RLock()
+	if len(labels) > 0 {
+		if m, found := r.m[name+renderLabels(labels)]; found {
+			ms = append(ms, m)
+		}
+	} else {
+		for _, m := range r.m {
+			if m.name == name {
+				ms = append(ms, m)
+			}
+		}
+	}
+	r.mu.RUnlock()
+	// Funcs run outside the lock: they take the locks of what they read.
+	for _, m := range ms {
+		switch m.kind {
+		case kindCounter:
+			v += float64(m.ctr.Value())
+		case kindGauge:
+			v += float64(m.gauge.Value())
+		case kindCounterFunc, kindGaugeFunc:
+			v += m.fn()
+		default:
+			continue
+		}
+		ok = true
+	}
+	return v, ok
 }
 
 // SeriesNames returns every registered series key (name plus rendered
@@ -282,30 +302,24 @@ func (r *Registry) SeriesNames() []string {
 	if r == nil {
 		return nil
 	}
-	var out []string
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]string, 0, len(r.m))
+	for k := range r.m {
+		out = append(out, k)
 	}
+	r.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }
 
 // snapshotMetrics returns all series sorted by key for exposition.
 func (r *Registry) snapshotMetrics() []*metric {
-	var out []*metric
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.RLock()
-		for _, m := range sh.m {
-			out = append(out, m)
-		}
-		sh.mu.RUnlock()
+	r.mu.RLock()
+	out := make([]*metric, 0, len(r.m))
+	for _, m := range r.m {
+		out = append(out, m)
 	}
+	r.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].name != out[j].name {
 			return out[i].name < out[j].name

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -188,6 +189,45 @@ func TestRegistryRegisterAndDedupe(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("SeriesNames[%d] = %q, want %q", i, names[i], want[i])
 		}
+	}
+}
+
+// TestRegistryValue reads every value kind back through Value: one label
+// set exactly, a name summed across its label sets, and absent series.
+func TestRegistryValue(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("aero_v_total", "h").Add(3)
+	r.Gauge("aero_v_depth", "h").Set(-2)
+	r.CounterFunc("aero_v_func_total", "h", func() float64 { return 7 })
+	for shard, n := range []float64{4, 5, 6} {
+		n := n
+		r.GaugeFunc("aero_v_shard", "h", func() float64 { return n }, "shard", strconv.Itoa(shard))
+	}
+	r.Histogram("aero_v_seconds", "h").Record(10)
+
+	for _, c := range []struct {
+		name   string
+		labels []string
+		want   float64
+		ok     bool
+	}{
+		{"aero_v_total", nil, 3, true},
+		{"aero_v_depth", nil, -2, true},
+		{"aero_v_func_total", nil, 7, true},
+		{"aero_v_shard", []string{"shard", "1"}, 5, true},
+		{"aero_v_shard", nil, 15, true},
+		{"aero_v_shard", []string{"shard", "3"}, 0, false},
+		{"aero_v_absent_total", nil, 0, false},
+		{"aero_v_total", []string{"shard", "0"}, 0, false},
+		{"aero_v_seconds", nil, 0, false},
+	} {
+		if got, ok := r.Value(c.name, c.labels...); got != c.want || ok != c.ok {
+			t.Errorf("Value(%s, %v) = %v, %v; want %v, %v", c.name, c.labels, got, ok, c.want, c.ok)
+		}
+	}
+	var nilReg *Registry
+	if v, ok := nilReg.Value("aero_v_total"); v != 0 || ok {
+		t.Fatalf("nil registry Value = %v, %v", v, ok)
 	}
 }
 

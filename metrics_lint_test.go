@@ -7,6 +7,7 @@ import (
 	"aero"
 	"aero/internal/core"
 	"aero/internal/engine"
+	"aero/internal/faultinject"
 	"aero/internal/metrics"
 )
 
@@ -26,7 +27,7 @@ func (lintBackend) SnapshotState() ([]byte, error)           { return []byte{1},
 func (lintBackend) RestoreState([]byte) error                { return nil }
 
 // TestMetricNameLint wires every instrumented layer — engine, triage,
-// ingest server, retrainer — onto one registry and lints the resulting
+// ingest server, retrainer, chaos harness — onto one registry and lints the resulting
 // series names: each base name must be aero_-prefixed snake case (no
 // doubled or trailing underscores), and no full series key may repeat.
 // A new metric with a bad name fails here before it ever reaches a
@@ -41,7 +42,9 @@ func TestMetricNameLint(t *testing.T) {
 	if _, err := aero.AttachTriageObserved(e, aero.DefaultTriageConfig(), 0, reg); err != nil {
 		t.Fatal(err)
 	}
-	sub, err := e.SubscribeBackend("lint", lintBackend{})
+	chaos := aero.NewChaosBackend(lintBackend{}, aero.ChaosPlan{})
+	faultinject.Observe(reg, []*aero.ChaosBackend{chaos})
+	sub, err := e.SubscribeBackend("lint", chaos)
 	if err != nil {
 		t.Fatal(err)
 	}
