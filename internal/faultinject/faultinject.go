@@ -167,24 +167,20 @@ func (b *Backend) Stats() Stats {
 // Observe registers the harness's injections on reg: one scrape-time
 // series per fault kind, summed over bs.
 func Observe(reg *metrics.Registry, bs []*Backend) {
-	for _, c := range []struct {
-		fault string
-		count func(*Backend) *uint64
-	}{
-		{"panic", func(b *Backend) *uint64 { return &b.panics }},
-		{"error", func(b *Backend) *uint64 { return &b.errs }},
-		{"nan", func(b *Backend) *uint64 { return &b.nans }},
-		{"delay", func(b *Backend) *uint64 { return &b.delays }},
-	} {
-		count := c.count
-		reg.CounterFunc("aero_chaos_injections_total", "Faults injected by the chaos harness.", func() float64 {
+	sum := func(read func(Stats) uint64) func() float64 {
+		return func() float64 {
 			var n uint64
 			for _, b := range bs {
-				n += atomic.LoadUint64(count(b))
+				n += read(b.Stats())
 			}
 			return float64(n)
-		}, "fault", c.fault)
+		}
 	}
+	const help = "Faults injected by the chaos harness."
+	reg.CounterFunc("aero_chaos_injections_total", help, sum(func(s Stats) uint64 { return s.Panics }), "fault", "panic")
+	reg.CounterFunc("aero_chaos_injections_total", help, sum(func(s Stats) uint64 { return s.Errors }), "fault", "error")
+	reg.CounterFunc("aero_chaos_injections_total", help, sum(func(s Stats) uint64 { return s.NaNs }), "fault", "nan")
+	reg.CounterFunc("aero_chaos_injections_total", help, sum(func(s Stats) uint64 { return s.Delays }), "fault", "delay")
 }
 
 // begin claims the next frame index and resolves its fault class,
