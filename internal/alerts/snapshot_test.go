@@ -5,8 +5,11 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"hash/fnv"
+	"os"
 	"strings"
 	"testing"
+
+	"aero/internal/engine"
 )
 
 // warmPipeline feeds enough of the recorded sequence to leave episodes,
@@ -233,5 +236,50 @@ func checkRestore(t *testing.T, p *Pipeline, blob []byte) {
 	}
 	if err := p.RestoreState(before); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTriageRestoresV1Checkpoint restores testdata/triage_v1.bin — the
+// version 1 AEROTRIA blob of warmPipeline, written with the default
+// 65,536-cell dedup filter — feeds the rest of the recorded sequence and
+// requires exactly the incidents an uninterrupted run emits from the
+// same alarm on. A checkpoint written before the format changed keeps
+// resuming.
+func TestTriageRestoresV1Checkpoint(t *testing.T) {
+	blob, err := os.ReadFile("testdata/triage_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(blob)
+	if len(blob) != 66370 || h.Sum64() != 0xa170861d019b1d8b {
+		t.Fatalf("fixture is %d bytes with hash %#x, want warmPipeline's version 1 blob", len(blob), h.Sum64())
+	}
+	seq := recordedSequence()
+	cut := 0
+	for cut < len(seq) && seq[cut].Time < 540 {
+		cut++
+	}
+	finish := func(p *Pipeline, rest []engine.Alarm) string {
+		incs := feed(p, rest)
+		for _, inc := range p.Finalize() {
+			inc.Episodes = append([]Episode(nil), inc.Episodes...)
+			incs = append(incs, inc)
+		}
+		return renderIncidents(incs)
+	}
+	whole := NewPipeline(testConfig())
+	feed(whole, seq[:cut])
+	want := finish(whole, seq[cut:])
+
+	p := NewPipeline(testConfig())
+	if err := p.RestoreState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := finish(p, seq[cut:]); got != want {
+		t.Fatalf("restored v1 checkpoint diverged:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", want, got)
+	}
+	if want == "" {
+		t.Fatal("no incidents after the cut; the test is vacuous")
 	}
 }
