@@ -21,14 +21,15 @@
 // that keeps up at survey rates. -alarm selects
 // the alarming stage: "static" thresholds on the kind's fitted POT
 // threshold, "dspot" wraps the backend in per-variate streaming DSPOT
-// (drift-corrected EVT tails that keep adapting online — the paper's
+// (each star alarms at the static POT level its calibration set, taken
+// over a drift baseline that follows its scores — the paper's
 // thresholding protocol, live). The default "auto" serves AERO with its
 // calibrated static threshold and every other kind with DSPOT.
 //
 // With -triage the raw alarm flood is triaged into a short, ranked
-// incident feed before it reaches stdout: a stable Bloom filter dedups
-// repeat alarms per (tenant, star, time-bucket), surviving alarms
-// coalesce into per-source episodes, episodes whose onsets coincide
+// incident feed before it reaches stdout: a repeat alarm per (tenant,
+// star, time-bucket) drops while its source's episode is open, surviving
+// alarms coalesce into per-source episodes, episodes whose onsets coincide
 // across tenants correlate into candidate incidents (the astronomical
 // cross-match — a real transient hits many fields, an artifact hits
 // one), and incidents are ranked by cluster breadth × peak score.
@@ -38,8 +39,8 @@
 // the alarm stream's watermark, so it assumes the roughly synchronized
 // field feeds a survey camera produces — pass -rate to keep the
 // simulated tenants in lockstep instead of letting each replay sprint
-// ahead independently. With -checkpoint the triage state (dedup filter,
-// mid-flight episodes, pending incidents) is checkpointed and restored
+// ahead independently. With -checkpoint the triage state (mid-flight
+// episodes, pending incidents, lead-lag histograms) is checkpointed and restored
 // alongside the detector states, so a restart resumes episodes
 // mid-flight.
 //

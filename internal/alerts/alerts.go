@@ -6,10 +6,10 @@
 // event — which fields brightened, when each onset was, how wide the
 // event reached. The pipeline runs four stages in order:
 //
-//  1. Dedup: a stable Bloom filter over (tenant, variate, time-bucket)
-//     keys drops repeat alarms for the same source in the same bucket.
-//     Aging keeps the filter stable on unbounded streams (old keys are
-//     probabilistically evicted, so it never saturates).
+//  1. Dedup: an alarm whose (tenant, variate) has an open episode that
+//     last extended in the alarm's time bucket is a repeat and drops. The
+//     episode stage already holds each source's last surviving alarm, so
+//     the check needs no state of its own.
 //  2. Episodes: surviving alarms for one (tenant, variate) coalesce into
 //     an episode — onset, end, peak score, frame count — which closes
 //     when the stream goes quiet for EpisodeGap or the episode exceeds
@@ -50,15 +50,10 @@ import (
 // every ~15 s).
 type Config struct {
 	// BucketWidth is the dedup time-bucket: repeat alarms for one
-	// (tenant, variate) inside one bucket collapse to the first.
+	// (tenant, variate) inside one bucket collapse to the first, as long
+	// as that source's episode is still open (see Pipeline.Push).
 	// Defaults to 5.
 	BucketWidth float64
-	// BloomCells sizes the stable Bloom filter (rounded up to a power of
-	// two; one byte per cell). Defaults to 65536.
-	BloomCells int
-	// BloomAging is the number of cells aged toward zero per insert —
-	// the eviction rate that keeps the filter stable. Defaults to 32.
-	BloomAging int
 	// EpisodeGap closes an episode after this much silence. It must
 	// exceed BucketWidth (dedup thins an ongoing episode to one
 	// surviving alarm per bucket, so a smaller gap would fragment every
@@ -76,16 +71,12 @@ type Config struct {
 	Window float64
 }
 
-// Fixed triage knobs. The dedup filter probes bloomHashes cells per key,
-// and a cell counts up to bloomMax: with BloomAging it sets how long a
-// key stays remembered (≈ cells·max/aging unique inserts). An incident
-// reaching fewer than minTenants tenants is demoted as a probable
-// single-field artifact, its severity scaled by demotion.
+// Fixed triage knobs. An incident reaching fewer than minTenants tenants
+// is demoted as a probable single-field artifact, its severity scaled by
+// demotion.
 const (
-	bloomHashes       = 4
-	bloomMax    uint8 = 2
-	minTenants        = 2
-	demotion          = 0.25
+	minTenants = 2
+	demotion   = 0.25
 )
 
 // DefaultConfig returns the production defaults described on Config.
@@ -94,12 +85,6 @@ func DefaultConfig() Config { return Config{}.withDefaults() }
 func (c Config) withDefaults() Config {
 	if c.BucketWidth <= 0 {
 		c.BucketWidth = 5
-	}
-	if c.BloomCells <= 0 {
-		c.BloomCells = 1 << 16
-	}
-	if c.BloomAging <= 0 {
-		c.BloomAging = 32
 	}
 	if c.EpisodeGap <= c.BucketWidth {
 		c.EpisodeGap = 3 * c.BucketWidth
@@ -215,8 +200,6 @@ type Pipeline struct {
 	mu  sync.Mutex
 	cfg Config
 
-	bloom *stableBloom
-
 	open     map[epKey]*Episode
 	openList []*Episode // insertion-ordered view of open; scan order is part of determinism
 	epFree   []*Episode
@@ -254,7 +237,6 @@ func NewPipeline(cfg Config) *Pipeline {
 	cfg = cfg.withDefaults()
 	return &Pipeline{
 		cfg:          cfg,
-		bloom:        newStableBloom(cfg.BloomCells, bloomHashes, cfg.BloomAging, bloomMax),
 		open:         make(map[epKey]*Episode),
 		lags:         make(map[pairKey]*lagHist),
 		nextExpiry:   math.Inf(1),
@@ -275,7 +257,11 @@ func (p *Pipeline) Config() Config { return p.cfg }
 // this); tenants may interleave freely. The pipeline's clock is the
 // watermark — the newest alarm time seen across all tenants — so a
 // tenant lagging far behind the rest may have a quiet episode closed by
-// the others' progress.
+// the others' progress, and its next alarm then opens a fresh episode
+// even inside the closed one's last bucket. An alarm that arrives within
+// EpisodeGap − BucketWidth of the watermark always finds its source's
+// episode open, so dedup keeps exactly the first alarm per (tenant,
+// variate, bucket).
 func (p *Pipeline) Push(a engine.Alarm) []Incident {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -286,14 +272,14 @@ func (p *Pipeline) Push(a engine.Alarm) []Incident {
 		p.seenWM = true
 	}
 
-	// Stage 1: dedup.
-	h := dedupHash(a.Sub, a.Variate, int64(math.Floor(a.Time/p.cfg.BucketWidth)))
-	if p.bloom.seen(h) {
+	// Stage 1: dedup against the source's open episode, after closing
+	// the episodes the watermark has left behind.
+	p.expire()
+	ep := p.open[epKey{a.Sub, a.Variate}]
+	if ep != nil && math.Floor(ep.End/p.cfg.BucketWidth) == math.Floor(a.Time/p.cfg.BucketWidth) {
 		p.nDeduped++
 	} else {
-		p.bloom.insert(h)
-		p.expire() // close overdue episodes before admitting, so a gap-stale episode for this key is gone
-		p.admit(a)
+		p.admit(a, ep)
 	}
 	// Benign fast path: closing and finalizing both require the
 	// watermark strictly past the deadline, so equality stays here.
@@ -309,10 +295,9 @@ func (p *Pipeline) Push(a engine.Alarm) []Incident {
 	return p.out
 }
 
-// admit opens or extends the episode for the alarm's (tenant, variate).
-func (p *Pipeline) admit(a engine.Alarm) {
-	k := epKey{a.Sub, a.Variate}
-	ep := p.open[k]
+// admit opens or extends ep, the open episode for the alarm's (tenant,
+// variate), or nil when there is none.
+func (p *Pipeline) admit(a engine.Alarm, ep *Episode) {
 	if ep != nil && (a.Time-ep.End > p.cfg.EpisodeGap || a.Time-ep.Onset >= p.cfg.MaxEpisodeLen) {
 		// Gap-stale (possible when this tenant itself drives the
 		// watermark) or over the duration cap: close and start fresh.
@@ -322,7 +307,7 @@ func (p *Pipeline) admit(a engine.Alarm) {
 	if ep == nil {
 		ep = p.getEpisode()
 		*ep = Episode{Tenant: a.Sub, Variate: a.Variate, Onset: a.Time, End: a.Time, Peak: a.Score, PeakTime: a.Time, Frames: 1}
-		p.open[k] = ep
+		p.open[epKey{a.Sub, a.Variate}] = ep
 		p.openList = append(p.openList, ep)
 	} else {
 		if a.Time > ep.End {
@@ -537,9 +522,10 @@ func incidentLess(a, b *Incident) bool {
 
 // Finalize closes every in-flight episode and candidate and returns the
 // resulting incidents, most-severe first — the end-of-feed flush. The
-// dedup filter, watermark, counters and lead-lag histograms survive, so
-// the pipeline remains usable. The returned slice is reused by the next
-// Push/Finalize.
+// watermark, counters and lead-lag histograms survive, so the pipeline
+// remains usable; with every episode closed, a later alarm opens a fresh
+// one even in a bucket a closed episode ended in. The returned slice is
+// reused by the next Push/Finalize.
 //
 // Checkpointing deployments snapshot instead of finalizing: a snapshot
 // keeps episodes mid-flight so a restart resumes them.

@@ -283,28 +283,67 @@ func TestTriageEpisodeCoalescing(t *testing.T) {
 	}
 }
 
-// TestTriageDedup pins the dedup stage: same-bucket repeats drop, and
-// the stable filter's aging eventually readmits an old key.
+// TestTriageDedup pins the dedup stage: same-bucket repeats drop, and a
+// source's same-bucket repeat is still a duplicate after 500 other
+// sources' alarms — the check reads the source's own open episode, which
+// no other source's alarm can evict.
 func TestTriageDedup(t *testing.T) {
-	cfg := testConfig()
-	cfg.BloomCells = 256 // tiny filter so aging is observable
-	cfg.BloomAging = 8
-	p := NewPipeline(cfg)
+	p := NewPipeline(testConfig())
 	p.Push(alarm("a", 0, 0, 1))
 	p.Push(alarm("a", 0, 1, 1)) // same bucket → duplicate
 	p.Push(alarm("a", 0, 2, 1)) // same bucket → duplicate
 	if st := p.Stats(); st.Deduped != 2 || st.Alarms != 3 {
 		t.Fatalf("dedup stats %+v, want 2 deduped of 3", st)
 	}
-	// Flood the tiny filter with unique keys; the original key must age
-	// out (its cells decay) so a later repeat is readmitted.
 	for i := 0; i < 500; i++ {
 		p.Push(alarm("flood", i, 3, 1))
 	}
-	before := p.Stats().Deduped
-	p.Push(alarm("a", 0, 4, 1)) // same bucket as t=0..4 alarms
-	if st := p.Stats(); st.Deduped != before {
-		t.Fatal("aged-out key still treated as duplicate; filter is not stable")
+	if st := p.Stats(); st.Deduped != 2 {
+		t.Fatalf("500 distinct sources' first alarms: %d deduped, want 2", st.Deduped)
+	}
+	p.Push(alarm("a", 0, 4, 1)) // same bucket as the t=0..2 alarms
+	if st := p.Stats(); st.Deduped != 3 {
+		t.Fatalf("same-bucket repeat after a flood of other sources: %d deduped, want 3", st.Deduped)
+	}
+}
+
+// TestTriageDedupKeepsEveryNovelSource: 10,000 sources (4 tenants ×
+// 2,500 variates) alarm once each inside one bucket. Every alarm is a
+// source's first in its bucket, so none may drop, and Finalize closes
+// one episode per source.
+func TestTriageDedupKeepsEveryNovelSource(t *testing.T) {
+	const tenants, variates = 4, 2500
+	ids := [tenants]string{"field-0", "field-1", "field-2", "field-3"}
+	p := NewPipeline(testConfig())
+	for i := 0; i < tenants*variates; i++ {
+		p.Push(alarm(ids[i%tenants], i/tenants, float64(i)/(2*tenants*variates)*testConfig().BucketWidth, 1))
+	}
+	p.Finalize()
+	if st := p.Stats(); st.Deduped != 0 || st.Episodes != tenants*variates {
+		t.Fatalf("%d deduped, %d episodes; want 0 and %d", st.Deduped, st.Episodes, tenants*variates)
+	}
+	if n := len(p.LeadLag(1)); n != tenants*(tenants-1)/2 {
+		t.Fatalf("%d lead-lag pairs, want %d", n, tenants*(tenants-1)/2)
+	}
+}
+
+// TestTriageDedupAfterLagClose: the watermark closes a lagging source's
+// quiet episode, so the source's next alarm opens a fresh episode even
+// inside the closed one's last bucket.
+func TestTriageDedupAfterLagClose(t *testing.T) {
+	p := NewPipeline(testConfig())  // 5-unit buckets, 15-unit gap
+	p.Push(alarm("slow", 0, 0, 1))  // opens slow/0 in bucket 0
+	p.Push(alarm("fast", 0, 16, 1)) // watermark 16 closes slow/0 (16 − 0 > 15)
+	if st := p.Stats(); st.Episodes != 1 {
+		t.Fatalf("after the watermark passed slow/0: %+v; want 1 closed episode", st)
+	}
+	p.Push(alarm("slow", 0, 2, 1)) // bucket 0 again, 14 behind the watermark
+	if st := p.Stats(); st.Deduped != 0 || st.OpenEpisodes != 2 {
+		t.Fatalf("after the lagging alarm: %+v; want 0 deduped, 2 open episodes", st)
+	}
+	p.Finalize()
+	if st := p.Stats(); st.Episodes != 3 {
+		t.Fatalf("%d episodes, want 3 (slow twice, fast once)", st.Episodes)
 	}
 }
 

@@ -15,19 +15,13 @@ import (
 // resumes episodes mid-flight with bit-identical downstream incidents.
 //
 //	magic    [8]byte  "AEROTRIA"
-//	version  uint32   currently 1
-//	cells    uint32   Bloom cell count        ┐
-//	hashes   uint32   Bloom probes per key    │ config echo; restore
-//	aging    uint32   cells aged per insert   │ rejects a snapshot from
-//	max      uint8    cell ceiling            │ a differently-configured
-//	bucket   float64  dedup bucket width      │ pipeline (episode and
-//	gap      float64  episode gap             │ candidate state is only
-//	maxlen   float64  episode duration cap    │ meaningful under the
-//	window   float64  correlation window      │ parameters that built it)
-//	mintens  uint32   demotion breadth bound  │
-//	demotion float64  demotion factor         ┘
-//	cursor   uint32   Bloom aging cursor
-//	cellbody [cells]uint8
+//	version  uint32   currently 2
+//	bucket   float64  dedup bucket width      ┐ config echo; restore rejects
+//	gap      float64  episode gap             │ a snapshot from a differently-
+//	maxlen   float64  episode duration cap    │ configured pipeline (episode
+//	window   float64  correlation window      │ and candidate state is only
+//	mintens  uint32   demotion breadth bound  │ meaningful under the
+//	demotion float64  demotion factor         ┘ parameters that built it)
 //	seen     uint8    1 iff any alarm has arrived (watermark valid)
 //	wm       float64  watermark
 //	expiry   float64  next episode-expiry deadline (+Inf when none)
@@ -43,29 +37,31 @@ import (
 // float64 plus its member episodes; a pair histogram is two tenant
 // strings, a uint64 total and leadLagBins uint64 bins. internal/snapfmt
 // writes and checks the framing (magic, version, CRC, truncation).
-var triageFormat = snapfmt.Format{Magic: "AEROTRIA", Version: 1, Pkg: "alerts", Name: "triage state"}
+//
+// Version 1 also held a probabilistic dedup filter: its geometry (cells,
+// hashes, aging uint32, max uint8) before the config echo, and its aging
+// cursor (uint32) and cells ([cells]uint8) after it. RestoreState still reads
+// version 1 and skips the filter; dedup now consults the open episodes,
+// which both versions carry.
+var (
+	triageFormat   = snapfmt.Format{Magic: "AEROTRIA", Version: 2, Pkg: "alerts", Name: "triage state"}
+	triageV1Format = snapfmt.Format{Magic: "AEROTRIA", Version: 1, Pkg: "alerts", Name: "triage state"}
+)
 
-// SnapshotState serializes the pipeline's entire warm state — dedup
-// filter, open episodes, pending candidates, lead-lag histograms,
-// watermark and counters — into a self-validating binary blob. A tenant
-// ID longer than 65,535 bytes does not fit its length field and is an
-// error.
+// SnapshotState serializes the pipeline's entire warm state — open
+// episodes, pending candidates, lead-lag histograms, watermark and
+// counters — into a self-validating binary blob. A tenant ID longer than
+// 65,535 bytes does not fit its length field and is an error.
 func (p *Pipeline) SnapshotState() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := snapfmt.NewWriter(triageFormat, 64+len(p.bloom.cells)+64*(len(p.openList)+len(p.cands))+64*len(p.lags))
-	w.U32(uint32(len(p.bloom.cells)))
-	w.U32(uint32(p.bloom.k))
-	w.U32(uint32(p.bloom.age))
-	w.U8(p.bloom.max)
+	w := snapfmt.NewWriter(triageFormat, 128+64*(len(p.openList)+len(p.cands))+64*len(p.lags))
 	w.F64(p.cfg.BucketWidth)
 	w.F64(p.cfg.EpisodeGap)
 	w.F64(p.cfg.MaxEpisodeLen)
 	w.F64(p.cfg.Window)
 	w.U32(minTenants)
 	w.F64(demotion)
-	w.U32(p.bloom.cur)
-	w.Bytes(p.bloom.cells)
 	w.Bool(p.seenWM)
 	w.F64(p.watermark)
 	w.F64(p.nextExpiry)
@@ -111,25 +107,27 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 }
 
 // RestoreState replaces the pipeline's runtime state with a snapshot
-// taken by SnapshotState on an identically-configured pipeline. The blob
-// is fully validated (magic, version, dedup-filter geometry, length,
-// CRC) before any state is touched: a corrupt or mismatched snapshot
-// returns an error and leaves the pipeline exactly as it was.
+// taken by SnapshotState on an identically-configured pipeline (either
+// format version). The blob is fully validated (magic, version, config,
+// length, CRC) before any state is touched: a corrupt or mismatched
+// snapshot returns an error and leaves the pipeline exactly as it was.
 func (p *Pipeline) RestoreState(blob []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	r, err := snapfmt.Open(triageFormat, blob)
+	v1 := false
+	if err != nil {
+		if r1, err1 := snapfmt.Open(triageV1Format, blob); err1 == nil {
+			r, err, v1 = r1, nil, true
+		}
+	}
 	if err != nil {
 		return err
 	}
-	cells, hashes, aging := int(r.U32()), int(r.U32()), int(r.U32())
-	max := r.U8()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cells != len(p.bloom.cells) || hashes != p.bloom.k || aging != p.bloom.age || max != p.bloom.max {
-		return fmt.Errorf("alerts: snapshot dedup filter is %d cells/k=%d/age=%d/max=%d, pipeline is %d/%d/%d/%d",
-			cells, hashes, aging, max, len(p.bloom.cells), p.bloom.k, p.bloom.age, p.bloom.max)
+	cells := 0
+	if v1 {
+		cells = int(r.U32())
+		r.Bytes(4 + 4 + 1) // hashes, aging, max
 	}
 	// The time-domain parameters must match too: open episodes and
 	// candidate deadlines are only meaningful under the bucket/gap/cap/
@@ -146,8 +144,9 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 			bucket, gap, maxLen, window, snapMinTenants, snapDemotion,
 			p.cfg.BucketWidth, p.cfg.EpisodeGap, p.cfg.MaxEpisodeLen, p.cfg.Window, minTenants, demotion)
 	}
-	cursor := r.U32()
-	cellBody := r.Bytes(cells)
+	if v1 {
+		r.Bytes(4 + cells) // cursor, cells
+	}
 	seen := r.Bool()
 	wm := r.F64()
 	expiry := r.F64()
@@ -196,8 +195,6 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 	}
 
 	// Everything validated; commit.
-	p.bloom.cur = cursor
-	copy(p.bloom.cells, cellBody)
 	p.seenWM = seen
 	p.watermark = wm
 	p.nextExpiry = expiry

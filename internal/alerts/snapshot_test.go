@@ -101,14 +101,6 @@ func TestTriageSnapshotValidation(t *testing.T) {
 		}
 		intact(t, q)
 	})
-	t.Run("geometry mismatch", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.BloomCells = 1 << 10
-		q := NewPipeline(cfg)
-		if err := q.RestoreState(blob); err == nil || !strings.Contains(err.Error(), "filter") {
-			t.Fatalf("geometry mismatch: %v", err)
-		}
-	})
 	t.Run("config mismatch", func(t *testing.T) {
 		// Episode and candidate state is only meaningful under the
 		// time-domain parameters that built it.
@@ -133,13 +125,14 @@ func TestTriageSnapshotValidation(t *testing.T) {
 
 // TestTriageSnapshotBytesPinned pins the AEROTRIA bytes of warmPipeline by
 // length and FNV-1a hash. A checkpoint on disk restores only while they
-// hold.
+// hold. They are testdata/triage_v1.bin less its dedup filter, under
+// version 2.
 func TestTriageSnapshotBytesPinned(t *testing.T) {
 	blob, err := warmPipeline(t).SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size, want = 66370, 0xa170861d019b1d8b
+	const size, want = 817, 0x200fa3a3b902ba20
 	h := fnv.New64a()
 	h.Write(blob)
 	if len(blob) != size || h.Sum64() != want {
@@ -182,21 +175,19 @@ func TestTriageSnapshotRejectsLongTenantID(t *testing.T) {
 }
 
 // FuzzTriageRestoreState feeds arbitrary bytes to RestoreState of a
-// pipeline warmed like warmPipeline on a 256-cell dedup filter, as given
-// and with the trailing CRC recomputed, so mutations also reach the fields
-// behind the checksum. A failed restore must leave the pipeline's
-// snapshot byte-equal to the one before it; a successful one must be
-// idempotent (snapshot → restore → snapshot). The seed corpus holds the
-// filter's snapshot at warmPipeline's cut and
-// TestTriageSnapshotValidation's corrupt cases built from it; the
-// pipeline itself is 20 alarm times further on, so a restore that commits
-// before it fails shows in its snapshot. The pinned snapshot is 66 KB,
-// almost all of it the default filter's empty cells, and stalls the
-// mutator.
+// pipeline warmed like warmPipeline, as given and with the trailing CRC
+// recomputed, so mutations also reach the fields behind the checksum. A
+// failed restore must leave the pipeline's snapshot byte-equal to the one
+// before it; a successful one must be idempotent (snapshot → restore →
+// snapshot). The seed corpus holds warmPipeline's version 2 snapshot
+// (warm-v2) and version 1 snapshots written with a 256-cell dedup filter:
+// at warmPipeline's cut (warm-small-filter, and
+// TestTriageSnapshotValidation's corrupt cases built from it) and at the
+// fuzzed pipeline's (v1-fuzz-pipeline). The pipeline itself is 20 alarm
+// times past the cut, so a restore that commits before it fails shows in
+// its snapshot.
 func FuzzTriageRestoreState(f *testing.F) {
-	cfg := testConfig()
-	cfg.BloomCells = 256
-	p := NewPipeline(cfg)
+	p := NewPipeline(testConfig())
 	for _, a := range recordedSequence() {
 		if a.Time >= 560 {
 			break

@@ -11,6 +11,7 @@ import (
 	"aero/internal/dataset"
 	"aero/internal/engine"
 	"aero/internal/faultinject"
+	"aero/internal/metrics"
 )
 
 // fluxevArtifact trains one fluxev artifact shared by the chaos tests
@@ -591,4 +592,75 @@ func TestSnapshotRestoreMidQuarantine(t *testing.T) {
 		t.Fatalf("legacy restore cursor (%v,%v), want (%v,true)", lt, ok, s.Time[29])
 	}
 	eD.Close()
+}
+
+// TestChaosWrappedTenantKeepsCapabilities: the chaos harness forwards only
+// the core backend interface, so the engine finds an optional capability
+// by walking its Inner chain. Under an empty Plan, which injects nothing,
+// a chaos-wrapped AERO+DSPOT tenant keeps everything its stage offers: a
+// model swap lands, a hygiene repair invalidates the inner detector's
+// incremental caches (one invalidation refresh), and the tenant's tail
+// counts in aero_dspot_exceedances_total.
+func TestChaosWrappedTenantKeepsCapabilities(t *testing.T) {
+	m, _ := fixture(t)
+	artifact, err := m.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, _ := backend.Get(core.KindAERO)
+	stage, err := backend.OpenAdaptive(spec, artifact, backend.DefaultDSPOTConfig(), fixD.Train)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := metrics.NewRegistry()
+	e := engine.New(engine.Config{Shards: 1, Workers: 1, Metrics: reg,
+		Hygiene: engine.HygieneConfig{Policy: engine.HygieneHoldLast}})
+	sub, err := e.SubscribeBackend("chaos", faultinject.New(stage, faultinject.Plan{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sub.Swap(m); err != nil {
+		t.Fatalf("model swap into a chaos-wrapped tenant: %v", err)
+	}
+	if st := sub.Stats(); st.Swaps != 1 {
+		t.Fatalf("swap not counted: %+v", st)
+	}
+
+	_, wg := collectAlarms(e)
+	series := tenantSeries(0).Test
+	invalidations := func() float64 {
+		e.Flush()
+		v, _ := reg.Value("aero_incremental_refreshes_total", "cause", "invalidation")
+		return v
+	}
+	frame := core.Frame{Magnitudes: make([]float64, series.N())}
+	push := func(ti int) {
+		frame.Time = series.Time[ti]
+		for v := range frame.Magnitudes {
+			frame.Magnitudes[v] = series.Data[v][ti]
+		}
+		if ti == series.Len()/2 {
+			frame.Magnitudes[0] = math.NaN() // repaired by hold-last
+		}
+		if err := e.Ingest("chaos", frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for ti := 0; ti < series.Len()/2; ti++ {
+		push(ti)
+	}
+	before := invalidations()
+	for ti := series.Len() / 2; ti < series.Len(); ti++ {
+		push(ti)
+	}
+	if got := invalidations() - before; got != 1 {
+		t.Fatalf("the repaired frame caused %v invalidation refreshes, want 1", got)
+	}
+	exceedances, _ := reg.Value("aero_dspot_exceedances_total")
+	tail, ok := sub.RefitStats()
+	e.Close()
+	wg.Wait()
+	if want := stage.RefitStats().Exceedances; !ok || want == 0 || tail.Exceedances != want || exceedances != float64(want) {
+		t.Fatalf("exceedances: series %v, Subscription.RefitStats %d (ok=%v), stage %d", exceedances, tail.Exceedances, ok, want)
+	}
 }

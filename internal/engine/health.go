@@ -259,7 +259,7 @@ func (sub *subscription) score(t float64, mags []float64, t0 int64) scoreResult 
 		// cached activations across frames to score it with a full exact
 		// pass rather than an incremental update seeded by fabricated
 		// inputs.
-		if inv, ok := sub.det.(core.IncrementalInvalidator); ok {
+		if inv, ok := capability[core.IncrementalInvalidator](sub.det); ok {
 			inv.InvalidateIncremental()
 		}
 	}

@@ -201,7 +201,7 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 		defer e.mu.RUnlock()
 		for _, sub := range e.subs {
 			sub.mu.Lock()
-			if r, ok := sub.det.(tailRefitter); ok {
+			if r, ok := capability[tailRefitter](sub.det); ok {
 				total += r.RefitStats().Exceedances
 			}
 			sub.mu.Unlock()
@@ -216,7 +216,7 @@ func (e *Engine) newEngineObs(reg *metrics.Registry, trace TraceConfig) *engineO
 // (stage split clock, incremental-path counters). Called under e.mu at
 // subscribe time; sub is not yet visible to workers.
 func (e *Engine) attachObs(sub *subscription) {
-	if inc, ok := sub.det.(incrementalStatser); ok {
+	if inc, ok := capability[incrementalStatser](sub.det); ok {
 		sub.incStats = inc
 	}
 	if e.obs == nil {
@@ -228,7 +228,7 @@ func (e *Engine) attachObs(sub *subscription) {
 		score: e.obs.reg.Histogram("aero_engine_score_seconds",
 			"primary backend push latency (hygiene excluded)", "kind", kind),
 	}
-	if sp, ok := sub.det.(stageSplitter); ok {
+	if sp, ok := capability[stageSplitter](sub.det); ok {
 		sub.splitter = sp
 		sp.SetStageClock(metrics.Now)
 		obs.tail = e.obs.reg.Histogram("aero_dspot_step_seconds",

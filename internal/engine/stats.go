@@ -202,6 +202,26 @@ func (s *Subscription) SetFallback(det core.StreamBackend) error {
 	return nil
 }
 
+// capability returns the first backend in det's wrapper chain — det, then
+// each Inner() in turn, the way errors.As walks Unwrap — that implements
+// the optional capability C. A wrapper that forwards only the core
+// interface (the chaos harness) thus keeps its inner backend's
+// capabilities, while one that implements C itself (the DSPOT stage)
+// answers first.
+func capability[C any](det core.StreamBackend) (C, bool) {
+	for {
+		if c, ok := det.(C); ok {
+			return c, true
+		}
+		w, ok := det.(interface{ Inner() core.StreamBackend })
+		if !ok {
+			var none C
+			return none, false
+		}
+		det = w.Inner()
+	}
+}
+
 // modelSwapper is the AERO-specific capability behind Subscription.Swap:
 // installing an in-memory *core.Model without a serialize/parse round
 // trip. StreamDetector implements it; DSPOT-wrapped or baseline tenants
@@ -225,7 +245,7 @@ type modelSwapper interface {
 func (s *Subscription) Swap(m *core.Model) error {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()
-	sw, ok := s.sub.det.(modelSwapper)
+	sw, ok := capability[modelSwapper](s.sub.det)
 	if !ok {
 		return fmt.Errorf("engine: %s backend does not accept a model swap; use SwapArtifact", s.sub.det.Kind())
 	}
@@ -263,7 +283,7 @@ func (s *Subscription) Kind() string {
 func (s *Subscription) GraphSnapshot() (*tensor.Dense, error) {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()
-	g, ok := s.sub.det.(core.GraphSnapshotter)
+	g, ok := capability[core.GraphSnapshotter](s.sub.det)
 	if !ok {
 		return nil, fmt.Errorf("engine: %s backend does not expose a graph snapshot", s.sub.det.Kind())
 	}
@@ -300,7 +320,7 @@ type tailRefitter interface {
 func (s *Subscription) RefitStats() (evt.RefitStats, bool) {
 	s.sub.mu.Lock()
 	defer s.sub.mu.Unlock()
-	r, ok := s.sub.det.(tailRefitter)
+	r, ok := capability[tailRefitter](s.sub.det)
 	if !ok {
 		return evt.RefitStats{}, false
 	}
