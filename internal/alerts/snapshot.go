@@ -40,8 +40,8 @@ import (
 //
 // Version 1 also held a probabilistic dedup filter: its geometry (cells,
 // hashes, aging uint32, max uint8) before the config echo, and its aging
-// cursor (uint32) and cells ([cells]uint8) after it. RestoreState still reads
-// version 1 and skips the filter; dedup now consults the open episodes,
+// cursor (uint32) and cells ([cells]uint8) after it. RestoreState still
+// reads version 1 and skips the filter: dedup consults the open episodes,
 // which both versions carry.
 var (
 	triageFormat   = snapfmt.Format{Magic: "AEROTRIA", Version: 2, Pkg: "alerts", Name: "triage state"}
