@@ -418,8 +418,8 @@ func BenchmarkDetectorRestore(b *testing.B) {
 }
 
 // BenchmarkSubscriptionSwap measures engine-level hot-swap latency: the
-// frame-boundary installation of a new model into a warm serving tenant,
-// including the scratch rebuild and window re-normalization.
+// frame-boundary installation of a new model into a warm serving tenant.
+// Twins share the detector's state shape, so the swap keeps its buffers.
 func BenchmarkSubscriptionSwap(b *testing.B) {
 	d := benchDataset()
 	m, err := aero.New(benchConfig(), d.Train.N())

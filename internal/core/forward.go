@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"sync"
 
 	"aero/internal/nn"
 	"aero/internal/tensor"
@@ -23,34 +24,28 @@ import (
 // rows in flight; the benign streaming path pushes the one entering row
 // through the same code (encode, decode), so the two cannot drift apart.
 
-// scratch is the workspace of the inference forward: every buffer scoring
-// one window reads or writes besides the weights, so the forward allocates
-// nothing. A scratch belongs to a single logical stream (one StreamDetector,
-// or one batch-scoring worker) and must not be shared across goroutines;
-// tensors returned by scratch-threaded methods are owned by the scratch and
-// remain valid only until its next use.
+// scratch is the work space of one inference forward call: every buffer
+// scoring one window overwrites before it reads, besides the weights and
+// the stage-1 state the call is handed. A scratch carries nothing from one
+// call to the next, so it is not owned by a detector: callers borrow one
+// from the model's free list (borrowScratch) and give it back when the call
+// returns (returnScratch). It must not be shared across goroutines while
+// borrowed; tensors returned by scratch-threaded methods are owned by the
+// scratch and remain valid only until it is given back.
 type scratch struct {
-	wt windowTimes // posL/dtL/posS/dtS of the window in flight
-	// W×inDim and ω×inDim inputs of the stage-1 pass in flight. Between
-	// exact passes the benign path keeps its entering input row in long's
-	// last row.
+	wt   windowTimes // posL/dtL/posS/dtS of the window in flight
+	prep prepared    // a detector's window, linearized and normalized
+	// W×inDim and ω×inDim inputs of the stage-1 pass in flight. The benign
+	// path writes its entering input row into long's last row.
 	long, short *tensor.Dense
 
-	e     *tensor.Dense // N×ω stage-1 errors
 	final *tensor.Dense // N×ω final scores; an exact stage-1 pass's ω×inDim output before them
 	adj   *tensor.Dense // N×N window-wise graph
 	h     *tensor.Dense // N×ω propagated error features
 
-	// Stage-1 activations (temporal variants only). A batch scratch has one
-	// capture that every variate's pass overwrites; a streaming detector
-	// keeps one per variate, because its benign path advances them between
-	// exact passes. headL/headS are the ring heads of the captures' W-slot and
-	// ω-slot rings — the physical slot holding logical position 0. All
-	// captures slide in lockstep, so one pair serves them all; stage1Errors
-	// resets both to 0.
-	caps         []*temporalCapture
-	te           timeEmbedCache
-	headL, headS int
+	// The time embedding of the window in flight. An exact pass writes every
+	// row; the benign path writes the entering row W−1, the one row it reads.
+	te timeEmbedCache
 
 	// act holds the rows in flight, d_m wide (W of them at most): a layer's
 	// input, overwritten in place by each residual and layer norm. spare is
@@ -60,33 +55,63 @@ type scratch struct {
 	act, spare []float64
 	attnScores []float64
 	yRow       []float64 // the benign path's decoder output row (sigmoid applied)
+
+	// own is the one-capture stage-1 state of callers that keep none between
+	// calls (batch scoring, graph snapshots, training), sized on first use.
+	own *stage1State
 }
 
-// newScratch sizes a scratch for the model's window geometry with caps
-// stage-1 captures: 1 for a caller that only wants a window's scores, one
-// per variate for a caller that keeps the activations (multivariate input
-// has a single stage-1 pass, so one either way).
-func (m *Model) newScratch(caps int) *scratch {
+// stage1State is what a stage-1 pass leaves behind: the N×ω error matrix
+// and the activation rings. A batch caller reads them once (the scratch's
+// own state, with one capture that every variate's pass overwrites); a
+// streaming detector keeps one state, with one capture per variate, because
+// its benign path advances them between exact passes. headL/headS are the
+// ring heads of the captures' W-slot and ω-slot rings — the physical slot
+// holding logical position 0. All captures slide in lockstep, so one pair
+// serves them all; stage1Errors resets both to 0.
+type stage1State struct {
+	e            *tensor.Dense // N×ω stage-1 errors
+	caps         []*temporalCapture
+	headL, headS int
+}
+
+// newStage1State sizes a stage-1 state for the model's window geometry with
+// caps stage-1 captures: 1 for a caller that only wants a window's errors,
+// one per variate for a caller that keeps the activations (multivariate
+// input has a single stage-1 pass, so one either way).
+func (m *Model) newStage1State(caps int) *stage1State {
+	st := &stage1State{e: tensor.New(m.n, m.cfg.ShortWindow)}
+	if !m.cfg.usesTemporal() {
+		return st
+	}
+	if m.cfg.multivariateInput() {
+		caps = 1
+	}
+	for i := 0; i < caps; i++ {
+		st.caps = append(st.caps, m.temporal.newTemporalCapture(m.cfg.LongWindow, m.cfg.ShortWindow))
+	}
+	return st
+}
+
+// newScratch sizes a scratch for the model's window geometry.
+func (m *Model) newScratch() *scratch {
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
 	sc := &scratch{
 		wt:    newWindowTimes(w, omega),
-		e:     tensor.New(m.n, omega),
+		prep:  prepared{data: make([][]float64, m.n), time: make([]float64, w)},
 		final: tensor.New(m.n, omega),
 		adj:   tensor.New(m.n, m.n),
 		h:     tensor.New(m.n, omega),
+	}
+	for v := range sc.prep.data {
+		sc.prep.data[v] = make([]float64, w)
 	}
 	if !m.cfg.usesTemporal() {
 		return sc
 	}
 	tm := m.temporal
 	dm := tm.te.dm
-	if m.cfg.multivariateInput() {
-		caps = 1
-	}
 	sc.long, sc.short = tensor.New(w, tm.inDim), tensor.New(omega, tm.inDim)
-	for i := 0; i < caps; i++ {
-		sc.caps = append(sc.caps, tm.newTemporalCapture(w, omega))
-	}
 	sinL, cosL := tensor.New(w, dm), tensor.New(w, dm)
 	suffix := (w - omega) * dm
 	sc.te = timeEmbedCache{
@@ -101,62 +126,107 @@ func (m *Model) newScratch(caps int) *scratch {
 	return sc
 }
 
+// scratches is a model's free list of work scratches. It holds as many as
+// were ever borrowed at once — the number of goroutines that scored on the
+// model together, not the number of detectors serving it — and never drops
+// one: a list the collector could empty would allocate on the hot path
+// after every collection.
+type scratches struct {
+	mu   sync.Mutex
+	free []*scratch
+}
+
+// borrowScratch takes a scratch off the model's free list, sizing a new one
+// when every scratch is out. Give it back with returnScratch once the
+// call's results are consumed.
+func (m *Model) borrowScratch() *scratch {
+	l := &m.scratches
+	l.mu.Lock()
+	if n := len(l.free); n > 0 {
+		sc := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
+		l.mu.Unlock()
+		return sc
+	}
+	l.mu.Unlock()
+	return m.newScratch()
+}
+
+// returnScratch puts a borrowed scratch back on the model's free list.
+func (m *Model) returnScratch(sc *scratch) {
+	l := &m.scratches
+	l.mu.Lock()
+	l.free = append(l.free, sc)
+	l.mu.Unlock()
+}
+
+// ownState returns the scratch's own one-capture stage-1 state, sizing it
+// on first use.
+func (m *Model) ownState(sc *scratch) *stage1State {
+	if sc.own == nil {
+		sc.own = m.newStage1State(1)
+	}
+	return sc.own
+}
+
 // windowScores computes the final per-point anomaly scores
 // |Y − Ŷ1 − Ŷ2| for one window (N×ω), plus the intermediate stage-1
-// errors. dyn is the evolving-graph state for the dynamic ablation. The
-// returned tensors are owned by the scratch.
+// errors, in the scratch's own stage-1 state. dyn is the evolving-graph
+// state for the dynamic ablation. The returned tensors are owned by the
+// scratch.
 func (m *Model) windowScores(p *prepared, end int, dyn *dynamicGraphState, sc *scratch) (final, e1 *tensor.Dense) {
-	e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
+	e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), m.ownState(sc), sc)
 	return m.noiseScores(e, dyn, sc), e
 }
 
 // stage1Errors runs stage 1 over the window ending at end and returns
-// E = Y − Ŷ1 (N×ω, in sc.e) — the quantity scoring, stage-2 training and
+// E = Y − Ŷ1 (N×ω, in st.e) — the quantity scoring, stage-2 training and
 // the graph snapshots are built on. As a side effect it rewrites the
-// scratch's time-embedding cache and every activation ring at head 0.
-func (m *Model) stage1Errors(p *prepared, end int, wt windowTimes, sc *scratch) *tensor.Dense {
+// scratch's time embedding and every activation ring of st at head 0.
+func (m *Model) stage1Errors(p *prepared, end int, wt windowTimes, st *stage1State, sc *scratch) *tensor.Dense {
 	if !m.cfg.usesTemporal() {
 		// VariantNoTemporal: Ŷ1 ≡ 0, so the error is the target itself.
 		for v := 0; v < m.n; v++ {
-			copy(sc.e.Row(v), window.Slice(p.data[v], end, m.cfg.ShortWindow))
+			copy(st.e.Row(v), window.Slice(p.data[v], end, m.cfg.ShortWindow))
 		}
-		return sc.e
+		return st.e
 	}
 	// The short window's embedding is the long window's suffix (times()
 	// copies posS/dtS from posL/dtL), so sinS/cosS fill with it.
 	m.temporal.te.sinCos(sc.te.sinL, sc.te.cosL, wt.posL, wt.dtL)
-	sc.headL, sc.headS = 0, 0
+	st.headL, st.headS = 0, 0
 	if m.cfg.multivariateInput() {
 		m.longShort(p, 0, end, sc.long, sc.short)
-		sc.stage1Rows(m.temporal, sc.caps[0], -1)
-		return sc.e
+		sc.stage1Rows(m.temporal, st, st.caps[0], -1)
+		return st.e
 	}
 	for v := 0; v < m.n; v++ {
 		m.longShort(p, v, end, sc.long, sc.short)
-		sc.stage1Rows(m.temporal, sc.caps[v%len(sc.caps)], v)
+		sc.stage1Rows(m.temporal, st, st.caps[v%len(st.caps)], v)
 	}
-	return sc.e
+	return st.e
 }
 
 // stage1Rows runs one exact stage-1 forward over sc.long/sc.short, writing
 // every ring of capture c at head 0 and the stage-1 errors e = y − ŷ1 into
-// sc.e. v is the variate owning the error row (−1 in multivariate mode,
+// st.e. v is the variate owning the error row (−1 in multivariate mode,
 // where one pass reconstructs every variate and the ω×N output lands
 // transposed). Bit-identity with temporalModule.forward holds because the
 // row kernels are pinned rowwise-identical to the tape ops, sinCos is the
 // tape's time embedding cell for cell, and residual adds commute.
-func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
+func (sc *scratch) stage1Rows(tm *temporalModule, st *stage1State, c *temporalCapture, v int) {
 	short := sc.short
 	omega := short.Rows
-	sc.encode(tm, c, sc.long.Data, sc.long.Rows, 0)
+	sc.encode(tm, c, 0, sc.long.Data, sc.long.Rows, 0)
 	// The ω×inDim reconstruction borrows the final-score matrix (N×ω cells,
 	// at least as many), which stage 2 rewrites afterwards.
 	y := sc.final.Data[:omega*tm.inDim]
-	sc.decode(tm, c, short.Data, omega, 0, y)
+	sc.decode(tm, c, 0, 0, short.Data, omega, 0, y)
 	// The targets are the short-window inputs themselves, so e = short − ŷ1
 	// cell for cell.
 	if v >= 0 {
-		erow := sc.e.Row(v)
+		erow := st.e.Row(v)
 		for r, yv := range y {
 			erow[r] = short.Data[r] - yv
 		}
@@ -165,7 +235,7 @@ func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
 	for r := 0; r < omega; r++ {
 		srow, yrow := short.Row(r), y[r*tm.inDim:(r+1)*tm.inDim]
 		for vv, yv := range yrow {
-			sc.e.Row(vv)[r] = srow[vv] - yv
+			st.e.Row(vv)[r] = srow[vv] - yv
 		}
 	}
 }
@@ -174,35 +244,35 @@ func (sc *scratch) stage1Rows(tm *temporalModule, c *temporalCapture, v int) {
 // logical long-window positions r0, r0+1, …: IE = encProj(x) + TE, then the
 // layer stack, every step over all the rows before the next. Each layer's
 // K/V of those rows and the decoder's cross-attention K/V of the encoder
-// output go into c's rings at the rows' positions. The encoder output is
-// left in sc.act.
-func (sc *scratch) encode(tm *temporalModule, c *temporalCapture, in []float64, n, r0 int) {
+// output go into c's rings, whose head is headL, at the rows' positions.
+// The encoder output is left in sc.act.
+func (sc *scratch) encode(tm *temporalModule, c *temporalCapture, headL int, in []float64, n, r0 int) {
 	x := sc.act[:n*tm.te.dm]
 	sc.embed(tm.encProj, x, in, n, sc.te.sinL, sc.te.cosL, r0)
 	for li, layer := range tm.enc {
 		ring := c.enc[li]
-		sc.projectKV(layer.attn, ring.k, ring.v, sc.headL, x, n, r0)
-		sc.attend(layer.attn, ring.k, ring.v, sc.headL, x, n, r0, true)
+		sc.projectKV(layer.attn, ring.k, ring.v, headL, x, n, r0)
+		sc.attend(layer.attn, ring.k, ring.v, headL, x, n, r0, true)
 		layer.ln1.ApplyRows(x, x, n)
 		layer.ffn.ApplyRows(x, sc.spare, x, n, true)
 		layer.ln2.ApplyRows(x, x, n)
 	}
-	sc.projectKV(tm.decCross, c.oeK, c.oeV, sc.headL, x, n, r0)
+	sc.projectKV(tm.decCross, c.oeK, c.oeV, headL, x, n, r0)
 }
 
 // decode runs the decoder for the n input rows in at logical short-window
 // positions r0, r0+1, …: ID = decProj(x) + TE, masked self-attention (its
-// K/V written into c's self rings first), cross-attention over the encoder
-// output rings, the output FFN and the sigmoid into y (inDim wide per row).
-// The cross-attention is banded only when it is square (ω == W), mirroring
-// the tape's band-mask rule.
-func (sc *scratch) decode(tm *temporalModule, c *temporalCapture, in []float64, n, r0 int, y []float64) {
+// K/V written into c's self rings, head headS, first), cross-attention over
+// the encoder output rings (head headL), the output FFN and the sigmoid
+// into y (inDim wide per row). The cross-attention is banded only when it
+// is square (ω == W), mirroring the tape's band-mask rule.
+func (sc *scratch) decode(tm *temporalModule, c *temporalCapture, headL, headS int, in []float64, n, r0 int, y []float64) {
 	x := sc.act[:n*tm.te.dm]
 	sc.embed(tm.decProj, x, in, n, sc.te.sinS, sc.te.cosS, r0)
-	sc.projectKV(tm.decSelf, c.selfK, c.selfV, sc.headS, x, n, r0)
-	sc.attend(tm.decSelf, c.selfK, c.selfV, sc.headS, x, n, r0, true)
+	sc.projectKV(tm.decSelf, c.selfK, c.selfV, headS, x, n, r0)
+	sc.attend(tm.decSelf, c.selfK, c.selfV, headS, x, n, r0, true)
 	tm.decLN1.ApplyRows(x, x, n)
-	sc.attend(tm.decCross, c.oeK, c.oeV, sc.headL, x, n, r0, c.selfK.Cols == c.oeK.Cols)
+	sc.attend(tm.decCross, c.oeK, c.oeV, headL, x, n, r0, c.selfK.Cols == c.oeK.Cols)
 	tm.decLN2.ApplyRows(x, x, n)
 	tm.outFFN.ApplyRows(y, sc.spare, x, n, false)
 	for j, yv := range y {

@@ -128,7 +128,7 @@ func tapeForward(t *testing.T, m *Model, p *prepared, end int, wt windowTimes, d
 	}
 	// The graph has one implementation; the reconstruction over it is the
 	// tape's.
-	a := m.adjacency(ref.e, dyn, m.newScratch(1))
+	a := m.adjacency(ref.e, dyn, m.newScratch())
 	yhat2 := m.noise.forward(ag.NewTape(), propagateInto(a, ref.e, tensor.New(m.n, omega))).Value
 	for i, ev := range ref.e.Data {
 		ref.final.Data[i] = math.Abs(ev - yhat2.Data[i])
@@ -136,31 +136,31 @@ func tapeForward(t *testing.T, m *Model, p *prepared, end int, wt windowTimes, d
 	return ref
 }
 
-// matches compares everything a row forward left in sc with the tape
-// window: stage-1 errors, final scores (when final is set: a streaming
+// matches compares everything a row forward left in st and sc with the
+// tape window: stage-1 errors, final scores (when final is set: a streaming
 // refresh scores the newest column alone, and its caller compares that), the
 // TE cache, every ring (at head 0, where logical and physical slots
 // coincide) and, recomputed from each pass's inputs, every input-embedding
-// row. A one-capture scratch holds the last stage-1 pass's rings.
-func (ref tapeWindow) matches(t *testing.T, sc *scratch, final bool) {
+// row. A one-capture state holds the last stage-1 pass's rings.
+func (ref tapeWindow) matches(t *testing.T, st *stage1State, sc *scratch, final bool) {
 	t.Helper()
-	sameBits(t, "e", sc.e, ref.e)
+	sameBits(t, "e", st.e, ref.e)
 	if final {
 		sameBits(t, "final", sc.final, ref.final)
 	}
 	if len(ref.caps) == 0 {
 		return
 	}
-	if sc.headL != 0 || sc.headS != 0 {
-		t.Fatalf("ring heads %d/%d after an exact forward, want 0/0", sc.headL, sc.headS)
+	if st.headL != 0 || st.headS != 0 {
+		t.Fatalf("ring heads %d/%d after an exact forward, want 0/0", st.headL, st.headS)
 	}
 	sameBits(t, "sinL", sc.te.sinL, ref.te.sinL)
 	sameBits(t, "cosL", sc.te.cosL, ref.te.cosL)
 	sameBits(t, "sinS", sc.te.sinS, ref.te.sinS)
 	sameBits(t, "cosS", sc.te.cosS, ref.te.cosS)
-	for i, rc := range sc.caps {
+	for i, rc := range st.caps {
 		tc := ref.caps[i]
-		if len(sc.caps) == 1 {
+		if len(st.caps) == 1 {
 			tc = ref.caps[len(ref.caps)-1]
 		}
 		sameBits(t, "oeK", rc.oeK, tc.oeK)
@@ -252,13 +252,13 @@ func newDynFor(m *Model) *dynamicGraphState {
 func rowForwardBatch(t *testing.T, m *Model, s *dataset.Series) {
 	p := m.prepare(s)
 	w := m.cfg.LongWindow
-	sc := m.newScratch(1)
+	sc := m.newScratch()
 	wt := newWindowTimes(w, m.cfg.ShortWindow)
 	dyn, refDyn := newDynFor(m), newDynFor(m)
 	for _, end := range []int{w - 1, w + 7, w + 8, s.Len() - 1} {
 		ref := tapeForward(t, m, p, end, m.times(p, end, &wt), refDyn)
 		m.windowScores(p, end, dyn, sc)
-		ref.matches(t, sc, true)
+		ref.matches(t, sc.own, sc, true)
 		if dyn != nil {
 			sameBits(t, "dyn.a", dyn.a, refDyn.a)
 		}
@@ -288,9 +288,9 @@ func rowForwardStream(t *testing.T, m *Model, s *dataset.Series) {
 		}
 		benign = det.IncrementalStats().Incremental > before
 	}
-	sc := det.inc.sc
-	if m.cfg.usesTemporal() && (sc.headL == 0 || sc.headS == 0) {
-		t.Fatalf("ring heads %d/%d did not advance; the rebuild is not exercised mid-ring", sc.headL, sc.headS)
+	st := &det.inc.st
+	if m.cfg.usesTemporal() && (st.headL == 0 || st.headS == 0) {
+		t.Fatalf("ring heads %d/%d did not advance; the rebuild is not exercised mid-ring", st.headL, st.headS)
 	}
 	var refDyn *dynamicGraphState
 	if det.dyn != nil {
@@ -298,10 +298,11 @@ func rowForwardStream(t *testing.T, m *Model, s *dataset.Series) {
 		refDyn.a.CopyFrom(det.dyn.a)
 	}
 	wt := newWindowTimes(w, omega)
-	p := det.window()
+	p := det.window(m.newScratch())
 	ref := tapeForward(t, m, p, w-1, m.times(p, w-1, &wt), refDyn)
-	scores := det.inc.refresh(det)
-	ref.matches(t, sc, false)
+	sc := m.newScratch()
+	scores := det.inc.refresh(det, sc)
+	ref.matches(t, st, sc, false)
 	for v, got := range scores {
 		if want := ref.final.At(v, omega-1); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("variate %d: refresh score %v != tape score %v", v, got, want)
@@ -316,7 +317,7 @@ func rowForwardScattered(t *testing.T, m *Model, s *dataset.Series) {
 	p := m.prepare(s)
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
 	end := w + 3
-	sc := m.newScratch(m.n)
+	sc, st := m.newScratch(), m.newStage1State(m.n)
 	wt := m.times(p, end, &sc.wt)
 	// Positions with holes: no contiguous run the phase cache could serve,
 	// in the long window or in its suffix.
@@ -329,8 +330,8 @@ func rowForwardScattered(t *testing.T, m *Model, s *dataset.Series) {
 	}
 	dyn, refDyn := newDynFor(m), newDynFor(m)
 	ref := tapeForward(t, m, p, end, wt, refDyn)
-	m.noiseScores(m.stage1Errors(p, end, wt, sc), dyn, sc)
-	ref.matches(t, sc, true)
+	m.noiseScores(m.stage1Errors(p, end, wt, st, sc), dyn, sc)
+	ref.matches(t, st, sc, true)
 }
 
 // TestStageErrorsGraphAtValidate holds Scores, StageErrors and GraphAt to

@@ -51,13 +51,14 @@ type IncrementalStats struct {
 }
 
 // incrementalState is the per-detector state behind the streaming forward:
-// the scratch every forward runs in — whose activation rings, time-embedding
-// cache and stage-1 error matrix the benign path keeps rolling between exact
-// passes — and the position part of the entering row's time embedding.
+// the stage-1 state — activation rings and error matrix — the benign path
+// keeps rolling between exact passes, and the position part of the entering
+// row's time embedding. The work buffers of each forward are borrowed from
+// the model (borrowScratch) for the call alone.
 type incrementalState struct {
-	// sc.e doubles as the rolling N×ω stage-1 error matrix: an exact pass
+	// st.e doubles as the rolling N×ω stage-1 error matrix: an exact pass
 	// rewrites it in full, a benign push shifts it one column.
-	sc *scratch
+	st stage1State
 
 	// phaseLast is f_j·(W−1), the entering row's position phase.
 	phaseLast []float64
@@ -72,7 +73,7 @@ type incrementalState struct {
 // starts invalid: the first scored frame runs a full exact pass that also
 // populates every cache.
 func newIncrementalState(m *Model) *incrementalState {
-	inc := &incrementalState{sc: m.newScratch(m.n)}
+	inc := &incrementalState{st: *m.newStage1State(m.n)}
 	if m.cfg.usesTemporal() {
 		last := float64(m.cfg.LongWindow - 1)
 		inc.phaseLast = make([]float64, len(m.temporal.te.freq))
@@ -86,10 +87,11 @@ func newIncrementalState(m *Model) *incrementalState {
 	return inc
 }
 
-// score serves one warm frame: the incremental path when the caches are
-// fresh and the frame is benign, a full exact recompute (which rebuilds
-// every cache) otherwise. Fills and returns s.scores.
-func (inc *incrementalState) score(s *StreamDetector) []float64 {
+// score serves one warm frame in the borrowed scratch sc: the incremental
+// path when the caches are fresh and the frame is benign, a full exact
+// recompute (which rebuilds every cache) otherwise. Fills and returns
+// s.scores.
+func (inc *incrementalState) score(s *StreamDetector, sc *scratch) []float64 {
 	inc.stats.Frames++
 	switch {
 	case !inc.valid:
@@ -99,7 +101,7 @@ func (inc *incrementalState) score(s *StreamDetector) []float64 {
 	case inc.drifted(s):
 		inc.stats.DriftRefreshes++
 	default:
-		inc.push(s)
+		inc.push(s, sc)
 		if !inc.nearBoundary(s) {
 			inc.stats.Incremental++
 			inc.sinceRefresh++
@@ -114,7 +116,7 @@ func (inc *incrementalState) score(s *StreamDetector) []float64 {
 			s.dyn.a.CopyFrom(inc.dynBackup)
 		}
 	}
-	return inc.refresh(s)
+	return inc.refresh(s, sc)
 }
 
 // refresh runs the exact stage-1 pass over the detector's window — the
@@ -123,12 +125,12 @@ func (inc *incrementalState) score(s *StreamDetector) []float64 {
 // ω−1 of batch scoring's noiseScores). It reads only the raw window rings
 // and the weights, so it serves every refresh cause (schedule, drift, guard,
 // invalidation).
-func (inc *incrementalState) refresh(s *StreamDetector) []float64 {
-	m, sc := s.m, inc.sc
+func (inc *incrementalState) refresh(s *StreamDetector, sc *scratch) []float64 {
+	m := s.m
 	end := m.cfg.LongWindow - 1
-	p := s.window()
-	m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
-	inc.scoreStage2(s)
+	p := s.window(sc)
+	m.stage1Errors(p, end, m.times(p, end, &sc.wt), &inc.st, sc)
+	inc.scoreStage2(s, sc)
 	inc.sinceRefresh = 0
 	inc.valid = true
 	return s.scores
@@ -141,7 +143,7 @@ func (inc *incrementalState) drifted(s *StreamDetector) bool {
 	cur := (s.count - 1) % w
 	prev := (s.count - 2 + w) % w
 	for v := 0; v < s.m.n; v++ {
-		if math.Abs(s.data[v][cur]-s.data[v][prev]) > driftTolerance {
+		if math.Abs(s.value(v, cur)-s.value(v, prev)) > driftTolerance {
 			return true
 		}
 	}
@@ -162,65 +164,64 @@ func (inc *incrementalState) nearBoundary(s *StreamDetector) bool {
 
 // push advances every cache by one frame and scores the newest timestep
 // incrementally into s.scores. Allocation-free.
-func (inc *incrementalState) push(s *StreamDetector) {
-	m, sc := s.m, inc.sc
+func (inc *incrementalState) push(s *StreamDetector, sc *scratch) {
+	m, st := s.m, &inc.st
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
 	n := m.n
 	slot := (s.count - 1) % w
 
 	if m.cfg.usesTemporal() {
 		prev := (s.count - 2 + w) % w
-		inc.embedEnteringRow(m, (s.times[slot]-s.times[prev])/m.dtScale)
+		inc.embedEnteringRow(m, sc, (s.times[slot]-s.times[prev])/m.dtScale)
 		// Slide every ring one position: the slot of the row that left the
 		// window becomes the entering row's.
-		if sc.headL++; sc.headL == w {
-			sc.headL = 0
+		if st.headL++; st.headL == w {
+			st.headL = 0
 		}
-		if sc.headS++; sc.headS == omega {
-			sc.headS = 0
+		if st.headS++; st.headS == omega {
+			st.headS = 0
 		}
-		// The entering input row: the window's last row, which an exact
-		// pass rebuilds, so sc.long's copy is free to hold it meanwhile.
+		// The entering input row, in sc.long's last row.
 		x := sc.long.Row(w - 1)
 		if m.cfg.multivariateInput() {
 			for v := range x {
-				x[v] = s.data[v][slot]
+				x[v] = s.value(v, slot)
 			}
-			inc.pushTemporal(m, sc.caps[0], x)
+			inc.pushTemporal(m, sc, st.caps[0], x)
 			for v := 0; v < n; v++ {
-				erow := sc.e.Row(v)
+				erow := st.e.Row(v)
 				copy(erow, erow[1:])
-				erow[omega-1] = s.data[v][slot] - sc.yRow[v]
+				erow[omega-1] = x[v] - sc.yRow[v]
 			}
 		} else {
 			for v := 0; v < n; v++ {
-				x[0] = s.data[v][slot]
-				inc.pushTemporal(m, sc.caps[v], x)
-				erow := sc.e.Row(v)
+				x[0] = s.value(v, slot)
+				inc.pushTemporal(m, sc, st.caps[v], x)
+				erow := st.e.Row(v)
 				copy(erow, erow[1:])
-				erow[omega-1] = s.data[v][slot] - sc.yRow[0]
+				erow[omega-1] = x[0] - sc.yRow[0]
 			}
 		}
 	} else {
 		// VariantNoTemporal: Ŷ1 ≡ 0, so the error column is the target
 		// itself and the shifted history is exact.
 		for v := 0; v < n; v++ {
-			erow := sc.e.Row(v)
+			erow := st.e.Row(v)
 			copy(erow, erow[1:])
-			erow[omega-1] = s.data[v][slot]
+			erow[omega-1] = s.value(v, slot)
 		}
 	}
 
-	inc.scoreStage2(s)
+	inc.scoreStage2(s, sc)
 }
 
 // embedEnteringRow writes the time embedding of the window's entering row,
-// logical row W−1, whose interval to the frame before is dtNew: θ_j =
-// f_j·(W−1) + dtNew·α_j, the cell sinCos writes there in an exact pass. It
-// is the only row the benign path reads (the short window's row ω−1 is the
-// same cells); the rows before it go stale until the next exact pass.
-func (inc *incrementalState) embedEnteringRow(m *Model, dtNew float64) {
-	c := &inc.sc.te
+// logical row W−1, whose interval to the frame before is dtNew, into sc:
+// θ_j = f_j·(W−1) + dtNew·α_j, the cell sinCos writes there in an exact
+// pass. It is the only row the benign path reads (the short window's row
+// ω−1 is the same cells).
+func (inc *incrementalState) embedEnteringRow(m *Model, sc *scratch, dtNew float64) {
+	c := &sc.te
 	w := c.sinL.Rows
 	alpha := m.temporal.te.Alpha.Value.Data
 	sl, cl := c.sinL.Row(w-1), c.cosL.Row(w-1)
@@ -239,19 +240,19 @@ func (inc *incrementalState) embedEnteringRow(m *Model, dtNew float64) {
 // short-window timesteps keep the error columns scored when they were
 // newest). c carries the variate's rings; the reconstructed newest row lands
 // in sc.yRow.
-func (inc *incrementalState) pushTemporal(m *Model, c *temporalCapture, x []float64) {
-	sc := inc.sc
-	sc.encode(m.temporal, c, x, 1, sc.long.Rows-1)
-	sc.decode(m.temporal, c, x, 1, sc.short.Rows-1, sc.yRow)
+func (inc *incrementalState) pushTemporal(m *Model, sc *scratch, c *temporalCapture, x []float64) {
+	st := &inc.st
+	sc.encode(m.temporal, c, st.headL, x, 1, sc.long.Rows-1)
+	sc.decode(m.temporal, c, st.headL, st.headS, x, 1, sc.short.Rows-1, sc.yRow)
 }
 
 // scoreStage2 turns the rolling error matrix into the newest timestep's
 // final scores, mirroring noiseScores column ω−1: the graph and the
 // propagated features are recomputed in full (they are O(N²·ω), cheap),
 // the noise reconstruction only for the newest column.
-func (inc *incrementalState) scoreStage2(s *StreamDetector) {
-	m, sc := s.m, inc.sc
-	e := sc.e
+func (inc *incrementalState) scoreStage2(s *StreamDetector, sc *scratch) {
+	m := s.m
+	e := inc.st.e
 	col := m.cfg.ShortWindow - 1
 	if !m.cfg.usesNoise() {
 		for v := range s.scores {

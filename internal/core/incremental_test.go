@@ -340,17 +340,31 @@ func TestIncrementalErrorBound(t *testing.T) {
 func TestIncrementalEnteringRowTimeEmbedding(t *testing.T) {
 	m, d := fitIncVariant(t, VariantFull)
 	s := jittered(d.Test, m.dtScale)
-	inc, err := NewStreamDetector(m)
+	// Each detector serves a Save/Load twin of its own, so each twin's free
+	// list holds the one scratch its detector's pushes borrow, and the rows
+	// read from it are the ones that detector's last push wrote.
+	blob, err := m.MarshalBytes()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := NewStreamDetector(m)
-	if err != nil {
-		t.Fatal(err)
+	var dets [2]*StreamDetector
+	for i := range dets {
+		twin, err := LoadBytes(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dets[i], err = NewStreamDetector(twin); err != nil {
+			t.Fatal(err)
+		}
 	}
+	inc, exact := dets[0], dets[1]
 	w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
 	rows := func(det *StreamDetector) [4][]float64 {
-		c := det.inc.sc.te
+		free := det.m.scratches.free
+		if len(free) != 1 {
+			t.Fatalf("%d scratches on the model's free list, want the one its detector borrows", len(free))
+		}
+		c := free[0].te
 		return [4][]float64{c.sinL.Row(w - 1), c.cosL.Row(w - 1), c.sinS.Row(omega - 1), c.cosS.Row(omega - 1)}
 	}
 	frame := Frame{Magnitudes: make([]float64, s.N())}
@@ -507,7 +521,7 @@ func TestIncrementalRefreshMatchesWindowScores(t *testing.T) {
 					t.Fatal(err)
 				}
 				w, omega := m.cfg.LongWindow, m.cfg.ShortWindow
-				sc := m.newScratch(1)
+				sc := m.newScratch()
 				frame := Frame{Magnitudes: make([]float64, d.Test.N())}
 				for i := 0; i < w+16; i++ {
 					frame.Time = d.Test.Time[i]
@@ -530,7 +544,7 @@ func TestIncrementalRefreshMatchesWindowScores(t *testing.T) {
 					if !exact {
 						continue
 					}
-					final, _ := m.windowScores(det.window(), w-1, refDyn, sc)
+					final, _ := m.windowScores(det.window(sc), w-1, refDyn, sc)
 					for vv, got := range scores {
 						if want := final.At(vv, omega-1); math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("frame %d variate %d: refresh score %v != windowScores %v", i, vv, got, want)

@@ -34,6 +34,29 @@ type Model struct {
 	// Epochs1 and Epochs2 record how many epochs each stage actually ran
 	// (after early stopping); useful for efficiency reporting.
 	Epochs1, Epochs2 int
+
+	scratches scratches // the inference forward's work buffers, lent per call
+}
+
+// stateShape is what sizes the state a detector keeps for a model: the
+// window geometry and, with a temporal module, its width, depth and input
+// width, and whether an evolving graph is kept. Two models of one shape
+// can serve one detector's buffers.
+type stateShape struct {
+	n, w, omega    int
+	dm, layers, in int // 0 without a temporal module
+	evolvingGraph  bool
+}
+
+func (m *Model) stateShape() stateShape {
+	sh := stateShape{
+		n: m.n, w: m.cfg.LongWindow, omega: m.cfg.ShortWindow,
+		evolvingGraph: m.cfg.Variant == VariantDynamicGraph,
+	}
+	if tm := m.temporal; tm != nil {
+		sh.dm, sh.layers, sh.in = tm.te.dm, len(tm.enc), tm.inDim
+	}
+	return sh
 }
 
 // New constructs an untrained AERO model for n variates.
@@ -161,7 +184,7 @@ func (m *Model) Fit(train *dataset.Series) error {
 // prepared series, following Algorithm 2 with the configured EvalStride.
 // Timestamps before the first full window score zero.
 //
-// Every worker owns one scratch, so window scoring reuses its buffers
+// Every worker borrows one scratch, so window scoring reuses its buffers
 // instead of re-allocating per window; each window writes a disjoint
 // score range ((prevEnd, end], clipped to the short window), which makes
 // the copy-out safe to run inside the workers.
@@ -195,7 +218,8 @@ func (m *Model) scoreSeries(p *prepared) [][]float64 {
 	if m.cfg.Variant == VariantDynamicGraph {
 		// The evolving graph is sequential by construction.
 		dyn := newDynamicGraphState(m.n)
-		sc := m.newScratch(1)
+		sc := m.borrowScratch()
+		defer m.returnScratch(sc)
 		for i, inst := range insts {
 			final, _ := m.windowScores(p, inst.End, dyn, sc)
 			writeWindow(i, final)
@@ -210,8 +234,8 @@ func (m *Model) scoreSeries(p *prepared) [][]float64 {
 }
 
 // parallelWindows runs f(i, sc) for i in [0, n) on the configured worker
-// pool; each worker owns a scratch, so a window's forward is one goroutine
-// while windows proceed in parallel.
+// pool; each worker borrows a scratch for its run, so a window's forward is
+// one goroutine while windows proceed in parallel.
 func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 	workers := m.cfg.Workers
 	if workers <= 0 {
@@ -221,7 +245,8 @@ func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 		workers = n
 	}
 	if workers <= 1 {
-		sc := m.newScratch(1)
+		sc := m.borrowScratch()
+		defer m.returnScratch(sc)
 		for i := 0; i < n; i++ {
 			f(i, sc)
 		}
@@ -233,7 +258,8 @@ func (m *Model) parallelWindows(n int, f func(i int, sc *scratch)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := m.newScratch(1)
+			sc := m.borrowScratch()
+			defer m.returnScratch(sc)
 			for i := range ch {
 				f(i, sc)
 			}
@@ -344,7 +370,8 @@ func (m *Model) StageErrors(s *dataset.Series) (stage1, final [][]float64, err e
 	if m.cfg.Variant == VariantDynamicGraph {
 		dyn = newDynamicGraphState(m.n)
 	}
-	sc := m.newScratch(1)
+	sc := m.borrowScratch()
+	defer m.returnScratch(sc)
 	omega := m.cfg.ShortWindow
 	prevEnd := insts[0].End - omega
 	for _, inst := range insts {
@@ -376,6 +403,7 @@ func (m *Model) GraphAt(s *dataset.Series, end int) (*tensor.Dense, error) {
 		return nil, fmt.Errorf("core: window end %d out of range [%d, %d)", end, m.cfg.LongWindow-1, s.Len())
 	}
 	p := m.prepare(s)
-	sc := m.newScratch(1)
-	return windowGraph(m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)), nil
+	sc := m.borrowScratch()
+	defer m.returnScratch(sc)
+	return windowGraph(m.stage1Errors(p, end, m.times(p, end, &sc.wt), m.ownState(sc), sc)), nil
 }

@@ -26,12 +26,11 @@ import (
 //	crc     uint32   IEEE CRC-32 of every preceding byte
 //
 // internal/snapfmt writes and checks the framing (magic, version, CRC,
-// truncation). The rings store *raw* magnitudes, not normalized values,
-// so a snapshot can be restored into a retrained model: RestoreState
-// re-normalizes the window under the restoring model's bounds. Restored
-// into the same model, the ring is bit-identical to the one the snapshot
-// captured, because normalize-on-insert applied the same pure function
-// to the same inputs.
+// truncation). The rings store *raw* magnitudes, as the detector does, so
+// a snapshot can be restored into a retrained model: the window is read
+// under the restoring model's bounds. Restored into the same model, the
+// scores are bit-identical to the snapshotted detector's, because
+// normalization applies the same pure function to the same inputs.
 var stateFormat = snapfmt.Format{Magic: "AEROSNAP", Version: 1, Pkg: "core", Name: "detector state"}
 
 // SnapshotState serializes the detector's runtime state — rings, cursors,
@@ -67,7 +66,7 @@ func (s *StreamDetector) SnapshotState() ([]byte, error) {
 // with a full warm window instead of a cold ring. The snapshot must match
 // the detector's ring geometry (variate count and long-window length); the
 // backing model may be a different — e.g. freshly retrained — one, in
-// which case the window is re-normalized under its bounds.
+// which case the window is read under its bounds.
 //
 // The blob is fully validated (magic, version, geometry, length, CRC) before
 // any detector state is touched, and so is what it says: the time cursor and
@@ -121,19 +120,8 @@ func (s *StreamDetector) RestoreState(blob []byte) error {
 	s.count = int(count)
 	s.last = last
 	copy(s.times, times)
-	filled := s.count
-	if filled > w {
-		filled = w
-	}
 	for v := 0; v < n; v++ {
 		copy(s.raw[v], raw[v])
-		for i := 0; i < w; i++ {
-			if i < filled {
-				s.data[v][i] = s.m.norm.TransformValue(v, s.raw[v][i])
-			} else {
-				s.data[v][i] = 0
-			}
-		}
 	}
 	if s.m.cfg.Variant == VariantDynamicGraph {
 		if s.dyn == nil {

@@ -285,7 +285,7 @@ func TestRestoreStateRejectsCorrupt(t *testing.T) {
 // detector level: replaying a feed with a mid-stream Swap to the *same*
 // weights (a Save/Load round-trip of the serving model) must be
 // bit-identical to never swapping at all — the warm window survives the
-// swap re-normalized to the same bits.
+// swap and normalizes to the same bits.
 func TestSwapSameWeightsBitIdentical(t *testing.T) {
 	m, d := shared(t)
 	path := filepath.Join(t.TempDir(), "twin.json")
@@ -322,6 +322,73 @@ func TestSwapSameWeightsBitIdentical(t *testing.T) {
 	}
 	if fired == 0 {
 		t.Fatal("no alarms fired; swap bit-identity check is vacuous")
+	}
+}
+
+// TestSwapKeepsStateShapeBuffers pins the allocation-free swap: between
+// models of one state shape (Save/Load twins here) Swap keeps the
+// detector's rings, rolling errors and rollback buffer and only marks the
+// caches invalid, so alternating swaps allocate nothing. The next frame runs
+// a full exact pass over the kept buffers, so from then on the scores are
+// bit-equal to a detector that never swapped and was invalidated at the same
+// frame, and the counters carry over.
+func TestSwapKeepsStateShapeBuffers(t *testing.T) {
+	m, d := shared(t)
+	blob, err := m.MarshalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var twins [2]*Model
+	for i := range twins {
+		if twins[i], err = LoadBytes(blob); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plain, err := NewStreamDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swapped, err := NewStreamDetector(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut := m.cfg.LongWindow + 8
+	for i := 0; i < cut; i++ {
+		pushAt(t, plain, d, i)
+		pushAt(t, swapped, d, i)
+	}
+	inc := swapped.inc
+	allocs := testing.AllocsPerRun(50, func() {
+		for _, twin := range twins {
+			if err := swapped.Swap(twin); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a swap between twins allocates %.1f objects, want 0", allocs)
+	}
+	if swapped.inc != inc || swapped.inc.valid {
+		t.Fatal("the swap did not keep the detector's state, or left its caches valid")
+	}
+	if got, want := swapped.IncrementalStats(), plain.IncrementalStats(); got != want {
+		t.Fatalf("counters %+v after the swaps, %+v without", got, want)
+	}
+	plain.InvalidateIncremental()
+	for i := cut; i < d.Test.Len(); i++ {
+		want, err := plain.PushScores(frameAt(d, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := swapped.PushScores(frameAt(d, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("frame %d variate %d: score %v after the swaps, %v without", i, v, got[v], want[v])
+			}
+		}
 	}
 }
 

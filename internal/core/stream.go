@@ -14,36 +14,35 @@ import (
 // and once the window is full every frame is scored against the calibrated
 // POT threshold — the paper's Algorithm 2 with stride 1, incrementally.
 //
-// The hot path is allocation-free in steady state: frames are normalized
-// on insertion, the ring never grows, and all scoring buffers (window
-// views, time metadata, tensors, activation rings) live in a per-detector
-// scratch that is reused on every Push.
+// The hot path is allocation-free in steady state: the rings never grow.
+// A detector keeps only the state it carries from frame to frame — the raw
+// window, the activation rings and rolling stage-1 errors, the evolving
+// graph and its counters. Every buffer a forward overwrites before it reads
+// (window views, time metadata, the time embedding, activations in flight)
+// is borrowed from the model's free list for the call, so a model serving
+// many detectors holds one set per goroutine scoring on it, not one per
+// detector.
 //
 // A StreamDetector is not safe for concurrent use; the engine package
 // provides a sharded multi-tenant front end that serializes access.
 type StreamDetector struct {
 	m *Model
 
-	// Fixed-size rings over the last LongWindow frames. data holds
-	// normalized magnitudes; raw holds the magnitudes as pushed, so Swap
-	// and RestoreState can re-normalize the warm window under a different
-	// model's bounds. Slot i of each ring is frame (count-1) when
-	// (count-1) % w == i.
+	// Fixed-size rings over the last LongWindow frames. raw holds the
+	// magnitudes as pushed; every read normalizes them under the serving
+	// model's bounds (value), so Swap and RestoreState need not. Slot i of
+	// each ring is frame (count-1) when (count-1) % w == i.
 	times []float64
-	data  [][]float64 // [variate][ring slot], normalized
 	raw   [][]float64 // [variate][ring slot], as pushed
 	count int
 	last  float64 // timestamp of the newest frame
 
 	dyn *dynamicGraphState // only for VariantDynamicGraph models
 
-	prep     prepared    // chronological window view, rebuilt per score
-	prepData [][]float64 // backing storage for prep.data
-	scores   []float64   // per-variate score of the newest frame
-	alarms   []Alarm     // Push's reusable alarm buffer
+	scores []float64 // per-variate score of the newest frame
+	alarms []Alarm   // Push's reusable alarm buffer
 
-	inc  *incrementalState // the forward's scratch and caches
-	snap *scratch          // GraphSnapshot's own scratch, allocated on first use
+	inc *incrementalState // the forward's activation rings and caches
 }
 
 // Frame is one observation instant: the magnitudes of all stars at Time.
@@ -66,20 +65,15 @@ func NewStreamDetector(m *Model) (*StreamDetector, error) {
 	}
 	w := m.cfg.LongWindow
 	s := &StreamDetector{
-		m:        m,
-		times:    make([]float64, w),
-		data:     make([][]float64, m.n),
-		raw:      make([][]float64, m.n),
-		prepData: make([][]float64, m.n),
-		scores:   make([]float64, m.n),
-		alarms:   make([]Alarm, 0, m.n),
+		m:      m,
+		times:  make([]float64, w),
+		raw:    make([][]float64, m.n),
+		scores: make([]float64, m.n),
+		alarms: make([]Alarm, 0, m.n),
 	}
 	for v := 0; v < m.n; v++ {
-		s.data[v] = make([]float64, w)
 		s.raw[v] = make([]float64, w)
-		s.prepData[v] = make([]float64, w)
 	}
-	s.prep.time = make([]float64, w)
 	if m.cfg.Variant == VariantDynamicGraph {
 		s.dyn = newDynamicGraphState(m.n)
 	}
@@ -159,47 +153,58 @@ func (s *StreamDetector) PushScores(f Frame) ([]float64, error) {
 	slot := s.count % w
 	s.times[slot] = f.Time
 	for v := 0; v < s.m.n; v++ {
-		// Normalizing on insertion keeps re-scoring the window from
-		// re-transforming all W×N values on every frame; the raw value is
-		// retained so Swap/RestoreState can re-normalize later.
 		s.raw[v][slot] = f.Magnitudes[v]
-		s.data[v][slot] = s.m.norm.TransformValue(v, f.Magnitudes[v])
 	}
 	s.count++
 	s.last = f.Time
 	if !s.Ready() {
 		return nil, nil
 	}
-	return s.inc.score(s), nil
+	sc := s.m.borrowScratch()
+	scores := s.inc.score(s, sc)
+	s.m.returnScratch(sc)
+	return scores, nil
 }
 
-// window linearizes the rings into the reusable chronological prepared
-// view. Callers must consume the view before the next Push.
-func (s *StreamDetector) window() *prepared {
+// value is the normalized magnitude of variate v in ring slot i.
+func (s *StreamDetector) value(v, i int) float64 {
+	return s.m.norm.TransformValue(v, s.raw[v][i])
+}
+
+// window linearizes and normalizes the rings into sc's chronological
+// window view and returns it, valid while sc is borrowed.
+func (s *StreamDetector) window(sc *scratch) *prepared {
 	w := s.m.cfg.LongWindow
 	head := s.count % w // ring slot of the oldest retained frame
-	copy(s.prep.time, s.times[head:])
-	copy(s.prep.time[w-head:], s.times[:head])
-	for v := 0; v < s.m.n; v++ {
-		copy(s.prepData[v], s.data[v][head:])
-		copy(s.prepData[v][w-head:], s.data[v][:head])
+	p := &sc.prep
+	copy(p.time, s.times[head:])
+	copy(p.time[w-head:], s.times[:head])
+	norm := s.m.norm
+	for v, row := range p.data {
+		for i, x := range s.raw[v][head:] {
+			row[i] = norm.TransformValue(v, x)
+		}
+		for i, x := range s.raw[v][:head] {
+			row[w-head+i] = norm.TransformValue(v, x)
+		}
 	}
-	s.prep.data = s.prepData
-	return &s.prep
+	return p
 }
 
 // Swap installs a different fitted model into the warm detector without
-// losing the window: the retained raw magnitudes are re-normalized under
-// the new model's bounds, so the next Push scores a full window with the
+// losing the window: the retained raw magnitudes are read under the new
+// model's bounds from the next Push on, which scores a full window with the
 // new weights instead of restarting a cold ring. The new model must have
 // the same variate count and long-window length (the ring geometry);
 // everything else — weights, normalizer, threshold, short window, even
-// the graph variant — may differ.
+// the graph variant — may differ. A model whose forward has the detector's
+// state shape (stateShape) keeps its buffers, so such a swap allocates
+// nothing.
 //
 // Swapping in a model with bit-identical weights and calibration (e.g. a
 // Save/Load round-trip of the current model) leaves the score stream
-// bit-identical: re-normalization applies the same pure function to the
-// same raw values.
+// bit-identical: normalization applies the same pure function to the same
+// raw values.
 //
 // Like every StreamDetector method, Swap must not race Push; the engine
 // serializes the two on the subscription lock so a swap always lands at a
@@ -214,7 +219,7 @@ func (s *StreamDetector) Swap(m *Model) error {
 	if m.cfg.LongWindow != s.m.cfg.LongWindow {
 		return fmt.Errorf("core: swap model window %d, detector window %d", m.cfg.LongWindow, s.m.cfg.LongWindow)
 	}
-	w := m.cfg.LongWindow
+	same := m.stateShape() == s.m.stateShape()
 	s.m = m
 	switch {
 	case m.cfg.Variant != VariantDynamicGraph:
@@ -222,30 +227,22 @@ func (s *StreamDetector) Swap(m *Model) error {
 	case s.dyn == nil:
 		s.dyn = newDynamicGraphState(m.n)
 	}
-	// Re-normalize the retained window. Ring slots fill in order 0..w-1
-	// before wrapping, so exactly min(count, w) leading slots hold frames.
-	filled := s.count
-	if filled > w {
-		filled = w
+	// Cached activations belong to the old weights, so the next frame
+	// scores with a full exact pass, which rewrites every ring at head 0.
+	// Under another geometry the buffers are resized first; the counters
+	// stay either way.
+	if !same {
+		st := s.inc.stats
+		s.inc = newIncrementalState(m)
+		s.inc.stats = st
 	}
-	for v := 0; v < m.n; v++ {
-		for i := 0; i < filled; i++ {
-			s.data[v][i] = m.norm.TransformValue(v, s.raw[v][i])
-		}
-	}
-	// Cached activations belong to the old weights (and possibly the old
-	// geometry): rebuild them, keeping the counters, so the next frame
-	// scores with a full exact pass.
-	st := s.inc.stats
-	s.inc = newIncrementalState(m)
-	s.inc.stats = st
-	s.snap = nil
+	s.InvalidateIncremental()
 	return nil
 }
 
 // SwapArtifact implements StreamBackend: the AERO artifact is the model
 // JSON written by Model.Save, decoded and installed via Swap (the warm
-// window is kept and re-normalized under the new model's bounds).
+// window is kept and read under the new model's bounds).
 func (s *StreamDetector) SwapArtifact(artifact []byte) error {
 	m, err := LoadBytes(artifact)
 	if err != nil {
@@ -281,16 +278,17 @@ func (s *StreamDetector) Replay(series *dataset.Series) ([]Alarm, error) {
 // copy owned by the caller. Returns an error before the window is warm.
 //
 // A snapshot is an observation: it recomputes the window's stage-1 errors
-// exactly, in a scratch of its own, and leaves the detector's caches,
-// evolving graph and counters as they were.
+// exactly, in a scratch borrowed from the model and that scratch's own
+// stage-1 state, and leaves the detector's caches, evolving graph and
+// counters as they were. The detector holds nothing for it afterwards.
 func (s *StreamDetector) GraphSnapshot() (*tensor.Dense, error) {
 	if !s.Ready() {
 		return nil, fmt.Errorf("core: window not yet full (%d/%d frames)", s.count, s.m.cfg.LongWindow)
 	}
-	if s.snap == nil {
-		s.snap = s.m.newScratch(1)
-	}
-	end := s.m.cfg.LongWindow - 1
-	p := s.window()
-	return windowGraph(s.m.stage1Errors(p, end, s.m.times(p, end, &s.snap.wt), s.snap)), nil
+	m := s.m
+	sc := m.borrowScratch()
+	defer m.returnScratch(sc)
+	end := m.cfg.LongWindow - 1
+	p := s.window(sc)
+	return windowGraph(m.stage1Errors(p, end, m.times(p, end, &sc.wt), m.ownState(sc), sc)), nil
 }

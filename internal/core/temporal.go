@@ -117,7 +117,7 @@ type capLayer struct {
 //
 // Every matrix is a ring over window positions: logical position r sits in
 // physical slot (head+r) mod L, with one head per window length L kept by the
-// owning scratch. Key rings are key-major — d_m rows, one column per slot,
+// owning stage1State. Key rings are key-major — d_m rows, one column per slot,
 // so a query's scores over a run of slots are one column-dot leaf call
 // (tensor.DotCols) — and value rings row-major, one row per slot, so a
 // context is one row-combination call. An exact forward overwrites every ring
@@ -135,10 +135,10 @@ type temporalCapture struct {
 // window (W×d_m) in logical row order. θ is data-independent, so one cache
 // serves every variate of a window. The short window is the long window's
 // suffix, with the same positions and intervals, so sinS/cosS are views of
-// the last ω rows of sinL/cosL, not a second cache. An exact pass rewrites
-// every row; the incremental path rewrites only the entering row W−1, the
-// one row it reads (embedEnteringRow), so the rows before it go stale until
-// the next exact pass. They are not rings.
+// the last ω rows of sinL/cosL, not a second cache. It lives in the borrowed
+// scratch: an exact pass rewrites every row; the incremental path rewrites
+// only the entering row W−1, the one row it reads (embedEnteringRow), so it
+// reads nothing another call left. Its rows are not a ring.
 type timeEmbedCache struct {
 	sinL, cosL *tensor.Dense
 	sinS, cosS *tensor.Dense

@@ -207,9 +207,10 @@ func (m *Model) trainStage2(p *prepared) int {
 	errs := make([]*tensor.Dense, len(insts))
 	m.parallelWindows(len(insts), func(i int, sc *scratch) {
 		end := insts[i].End
-		errs[i] = m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc).Clone()
+		errs[i] = m.stage1Errors(p, end, m.times(p, end, &sc.wt), m.ownState(sc), sc).Clone()
 	})
-	sc := m.newScratch(1)
+	sc := m.borrowScratch()
+	defer m.returnScratch(sc)
 	// Graph building reuses the scratch across all windows, and the stage-2
 	// backward reuses one tape; each window's tensors are consumed (forward
 	// + backward) before the next window overwrites them.

@@ -153,11 +153,11 @@ func TestStage2StepSteadyStateAllocs(t *testing.T) {
 	params := m.noise.params()
 	opt := nn.NewAdam(m.cfg.LR)
 	opt.MaxGradNorm = 5
-	sc := m.newScratch(1)
+	sc := m.newScratch()
 	tape := ag.NewTape()
 	end := m.cfg.LongWindow - 1
 	step := func() {
-		e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), sc)
+		e := m.stage1Errors(p, end, m.times(p, end, &sc.wt), m.ownState(sc), sc)
 		m.stage2Step(e, nil, sc, tape, opt, params)
 	}
 	step() // warm

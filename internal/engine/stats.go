@@ -236,8 +236,8 @@ type modelSwapper interface {
 // no frame is ever scored by a half-installed model, no queued frame is
 // dropped or re-ordered — frames enqueued before the swap completes score
 // under whichever model is installed when their turn comes, in strict
-// arrival order. The warm window is preserved (core re-normalizes it
-// under the new model's bounds), so a swapped tenant never re-warms.
+// arrival order. The warm window is preserved (core reads it under the new
+// model's bounds), so a swapped tenant never re-warms.
 //
 // The new model must match the tenant's variate count and window length
 // (see core.StreamDetector.Swap for the exact contract), and the tenant
