@@ -230,22 +230,14 @@ func checkRestore(t *testing.T, p *Pipeline, blob []byte) {
 	}
 }
 
-// TestTriageRestoresV1Checkpoint restores testdata/triage_v1.bin — the
-// version 1 AEROTRIA blob of warmPipeline, written with the default
-// 65,536-cell dedup filter — feeds the rest of the recorded sequence and
-// requires exactly the incidents an uninterrupted run emits from the
-// same alarm on. A checkpoint written before the format changed keeps
-// resuming.
+// TestTriageRestoresV1Checkpoint restores each checked-in AEROTRIA blob
+// of warmPipeline written by an earlier format version — version 1
+// (testdata/triage_v1.bin, with the default 65,536-cell dedup filter)
+// and version 2 (testdata/triage_v2.bin) — feeds the rest of the
+// recorded sequence and requires exactly the incidents an uninterrupted
+// run emits from the same alarm on. A checkpoint written before the
+// format changed keeps resuming.
 func TestTriageRestoresV1Checkpoint(t *testing.T) {
-	blob, err := os.ReadFile("testdata/triage_v1.bin")
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := fnv.New64a()
-	h.Write(blob)
-	if len(blob) != 66370 || h.Sum64() != 0xa170861d019b1d8b {
-		t.Fatalf("fixture is %d bytes with hash %#x, want warmPipeline's version 1 blob", len(blob), h.Sum64())
-	}
 	seq := recordedSequence()
 	cut := 0
 	for cut < len(seq) && seq[cut].Time < 540 {
@@ -262,15 +254,35 @@ func TestTriageRestoresV1Checkpoint(t *testing.T) {
 	whole := NewPipeline(testConfig())
 	feed(whole, seq[:cut])
 	want := finish(whole, seq[cut:])
-
-	p := NewPipeline(testConfig())
-	if err := p.RestoreState(blob); err != nil {
-		t.Fatal(err)
-	}
-	if got := finish(p, seq[cut:]); got != want {
-		t.Fatalf("restored v1 checkpoint diverged:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", want, got)
-	}
 	if want == "" {
 		t.Fatal("no incidents after the cut; the test is vacuous")
+	}
+
+	for _, tc := range []struct {
+		name, file string
+		size       int
+		hash       uint64
+	}{
+		{"v1", "testdata/triage_v1.bin", 66370, 0xa170861d019b1d8b},
+		{"v2", "testdata/triage_v2.bin", 817, 0x200fa3a3b902ba20},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := os.ReadFile(tc.file)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			h.Write(blob)
+			if len(blob) != tc.size || h.Sum64() != tc.hash {
+				t.Fatalf("fixture is %d bytes with hash %#x, want warmPipeline's %s blob", len(blob), h.Sum64(), tc.name)
+			}
+			p := NewPipeline(testConfig())
+			if err := p.RestoreState(blob); err != nil {
+				t.Fatal(err)
+			}
+			if got := finish(p, seq[cut:]); got != want {
+				t.Fatalf("restored %s checkpoint diverged:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", tc.name, want, got)
+			}
+		})
 	}
 }
