@@ -180,7 +180,8 @@ func TestTriageSnapshotRejectsLongTenantID(t *testing.T) {
 // failed restore must leave the pipeline's snapshot byte-equal to the one
 // before it; a successful one must be idempotent (snapshot → restore →
 // snapshot). The seed corpus holds warmPipeline's version 2 snapshot
-// (warm-v2) and version 1 snapshots written with a 256-cell dedup filter:
+// (warm-v2), testdata/triage_v2_leadlag.bin (v2-leadlag, a version 2
+// snapshot carrying lead-lag pair histograms) and version 1 snapshots written with a 256-cell dedup filter:
 // at warmPipeline's cut (warm-small-filter, and
 // TestTriageSnapshotValidation's corrupt cases built from it) and at the
 // fuzzed pipeline's (v1-fuzz-pipeline). The pipeline itself is 20 alarm
@@ -231,18 +232,16 @@ func checkRestore(t *testing.T, p *Pipeline, blob []byte) {
 }
 
 // TestTriageRestoresV1Checkpoint restores each checked-in AEROTRIA blob
-// of warmPipeline written by an earlier format version — version 1
-// (testdata/triage_v1.bin, with the default 65,536-cell dedup filter)
-// and version 2 (testdata/triage_v2.bin) — feeds the rest of the
-// recorded sequence and requires exactly the incidents an uninterrupted
-// run emits from the same alarm on. A checkpoint written before the
-// format changed keeps resuming.
+// written by an earlier format version, feeds the rest of the recorded
+// sequence and requires exactly the incidents an uninterrupted run emits
+// from the same alarm on. A checkpoint written before the format changed
+// keeps resuming. The blobs are warmPipeline's at version 1
+// (testdata/triage_v1.bin, with the default 65,536-cell dedup filter) and
+// version 2 (testdata/triage_v2.bin), and a version 2 blob cut at time 800
+// (testdata/triage_v2_leadlag.bin), after the cross-tenant event's
+// incident has filled 15 lead-lag pair histograms.
 func TestTriageRestoresV1Checkpoint(t *testing.T) {
 	seq := recordedSequence()
-	cut := 0
-	for cut < len(seq) && seq[cut].Time < 540 {
-		cut++
-	}
 	finish := func(p *Pipeline, rest []engine.Alarm) string {
 		incs := feed(p, rest)
 		for _, inc := range p.Finalize() {
@@ -251,20 +250,15 @@ func TestTriageRestoresV1Checkpoint(t *testing.T) {
 		}
 		return renderIncidents(incs)
 	}
-	whole := NewPipeline(testConfig())
-	feed(whole, seq[:cut])
-	want := finish(whole, seq[cut:])
-	if want == "" {
-		t.Fatal("no incidents after the cut; the test is vacuous")
-	}
-
 	for _, tc := range []struct {
 		name, file string
+		cut        float64 // the recorded time the blob was taken at
 		size       int
 		hash       uint64
 	}{
-		{"v1", "testdata/triage_v1.bin", 66370, 0xa170861d019b1d8b},
-		{"v2", "testdata/triage_v2.bin", 817, 0x200fa3a3b902ba20},
+		{"v1", "testdata/triage_v1.bin", 540, 66370, 0xa170861d019b1d8b},
+		{"v2", "testdata/triage_v2.bin", 540, 817, 0x200fa3a3b902ba20},
+		{"v2-leadlag", "testdata/triage_v2_leadlag.bin", 800, 2764, 0xd26fbc6b34f4442b},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			blob, err := os.ReadFile(tc.file)
@@ -274,7 +268,17 @@ func TestTriageRestoresV1Checkpoint(t *testing.T) {
 			h := fnv.New64a()
 			h.Write(blob)
 			if len(blob) != tc.size || h.Sum64() != tc.hash {
-				t.Fatalf("fixture is %d bytes with hash %#x, want warmPipeline's %s blob", len(blob), h.Sum64(), tc.name)
+				t.Fatalf("fixture is %d bytes with hash %#x, want %d bytes with %#x", len(blob), h.Sum64(), tc.size, tc.hash)
+			}
+			cut := 0
+			for cut < len(seq) && seq[cut].Time < tc.cut {
+				cut++
+			}
+			whole := NewPipeline(testConfig())
+			feed(whole, seq[:cut])
+			want := finish(whole, seq[cut:])
+			if want == "" {
+				t.Fatal("no incidents after the cut; the test is vacuous")
 			}
 			p := NewPipeline(testConfig())
 			if err := p.RestoreState(blob); err != nil {
