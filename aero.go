@@ -230,10 +230,10 @@ func NewChaosBackend(inner StreamBackend, plan ChaosPlan) *ChaosBackend {
 // TriagePipeline is the streaming alert-triage subsystem: the engine's
 // raw cross-tenant alarm flood reduced to a short, ranked incident feed
 // through four stages — per-source dedup against the open episode,
-// per-source episode coalescing, cross-tenant onset correlation (with lead-lag histograms
-// per tenant pair), and breadth-weighted severity ranking. Deterministic
-// for a fixed alarm sequence, allocation-free on the benign path, and
-// checkpointable mid-episode. See internal/alerts.
+// per-source episode coalescing, cross-tenant onset correlation, and
+// breadth-weighted severity ranking. Deterministic for a fixed alarm
+// sequence, allocation-free on the benign path, and checkpointable
+// mid-episode, with state linear in open episodes and pending incidents. See internal/alerts.
 type TriagePipeline = alerts.Pipeline
 
 // TriageConfig parameterizes the triage pipeline; the zero value uses

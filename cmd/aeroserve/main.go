@@ -34,15 +34,14 @@
 // cross-match — a real transient hits many fields, an artifact hits
 // one), and incidents are ranked by cluster breadth × peak score.
 // Per-alarm output is replaced by INCIDENT lines; the final stats report
-// the alarm→incident reduction ratio and the strongest lead-lag
-// orderings between fields. Correlation clusters episode onsets against
+// the alarm→incident reduction ratio and the top-ranked incidents.
+// Correlation clusters episode onsets against
 // the alarm stream's watermark, so it assumes the roughly synchronized
 // field feeds a survey camera produces — pass -rate to keep the
 // simulated tenants in lockstep instead of letting each replay sprint
 // ahead independently. With -checkpoint the triage state (mid-flight
-// episodes, pending incidents, lead-lag histograms) is checkpointed and restored
-// alongside the detector states, so a restart resumes episodes
-// mid-flight.
+// episodes and pending incidents) is checkpointed and restored alongside
+// the detector states, so a restart resumes episodes mid-flight.
 //
 // With -checkpoint the server keeps an artifact registry at the given
 // directory: the newest published artifact of the selected kind is used
@@ -446,8 +445,8 @@ func main() {
 		retrainer.Start()
 	}
 
-	// Frame period of the replayed feed, used for the triage defaults and
-	// to convert lead-lag offsets back into frames.
+	// Frame period of the replayed feed: the unit of the triage defaults,
+	// and the stride a restored tenant's replay resumes past its cursor by.
 	step := 1.0
 	if d.Test.Len() > 1 {
 		step = d.Test.Time[1] - d.Test.Time[0]
@@ -765,12 +764,10 @@ func main() {
 	// Triage epilogue: with a registry the mid-flight state was
 	// checkpointed above (episodes resume on restart); without one flush
 	// the remaining episodes into final incidents. Then report the
-	// reduction, the top-ranked incidents and the strongest lead-lag
-	// orderings.
+	// reduction and the top-ranked incidents.
 	if triageStream != nil {
-		p := triageStream.Pipeline()
 		if reg == nil {
-			for _, inc := range p.Finalize() {
+			for _, inc := range triageStream.Pipeline().Finalize() {
 				noteIncident(inc)
 				printIncident(inc)
 			}
@@ -787,13 +784,6 @@ func main() {
 			}
 			fmt.Fprintf(os.Stderr, "  top %d: incident #%d onset=%.0fs tenants=%d peak=%.4f severity=%.2f%s\n",
 				i+1, inc.ID, inc.Onset, inc.Tenants, inc.Peak, inc.Severity, tag)
-		}
-		for i, ll := range p.LeadLag(3) {
-			if i == 5 {
-				break
-			}
-			fmt.Fprintf(os.Stderr, "  leadlag: %s leads %s by ~%.1f frames (%.0f%% of %d pairings)\n",
-				ll.Lead, ll.Lag, ll.Offset/step, 100*ll.Share, ll.Count)
 		}
 	}
 

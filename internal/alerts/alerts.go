@@ -17,8 +17,9 @@
 //  3. Correlation: closed episodes whose onsets fall within Window of
 //     each other form one candidate incident — the astronomical
 //     cross-match: a real transient hits many fields at once, an
-//     artifact hits one. Every finalized incident also feeds per
-//     tenant-pair lead-lag histograms ("A leads B by ~N frames").
+//     artifact hits one. Nothing outlives the incident: the paper's
+//     concurrent noise hits a field's stars at the same moment, so
+//     triage uses coincidence, not which field's onset came first.
 //  4. Ranking: incident severity is peak score boosted by cluster
 //     breadth, with single-tenant incidents demoted as probable
 //     artifacts; each Push returns its finalized incidents most-severe
@@ -38,7 +39,7 @@ package alerts
 
 import (
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"aero/internal/engine"
@@ -151,16 +152,6 @@ type Stats struct {
 	Reduction float64
 }
 
-// LeadLagStat summarizes one ordered tenant pair's onset-offset
-// histogram: across incidents containing both tenants, Lead's onset
-// preceded Lag's by ~Offset time units in Share of observations.
-type LeadLagStat struct {
-	Lead, Lag string
-	Offset    float64 // mode histogram bin center, in time units
-	Share     float64 // fraction of observations in the mode bin
-	Count     uint64  // total observations for the pair
-}
-
 // epKey addresses one alarm source.
 type epKey struct {
 	tenant  string
@@ -176,22 +167,6 @@ type candidate struct {
 	deadline float64
 	eps      []Episode
 }
-
-// pairKey orders one lead-lag tenant pair.
-type pairKey struct {
-	lead, lag string
-}
-
-// lagHist is one pair's onset-offset histogram over [0, 2·Window] —
-// two members of one candidate can onset up to Window on either side of
-// the anchor, so pair offsets reach twice the window.
-type lagHist struct {
-	bins  []uint64
-	total uint64
-}
-
-// leadLagBins is the histogram resolution over [0, 2·Window].
-const leadLagBins = 16
 
 // Pipeline is the four-stage triage state machine. Create one with
 // NewPipeline, feed it alarms in stream order with Push, and read the
@@ -209,8 +184,6 @@ type Pipeline struct {
 	cands    []*candidate // creation-ordered
 	candFree []*candidate
 
-	lags map[pairKey]*lagHist
-
 	watermark    float64 // max alarm time seen
 	nextExpiry   float64 // earliest possible episode close; +Inf when none
 	nextDeadline float64 // earliest candidate finalize deadline; +Inf when none
@@ -221,15 +194,9 @@ type Pipeline struct {
 	nEpisodes  uint64
 	nIncidents uint64
 
-	out    []Incident    // Push/Finalize result buffer, reused
-	tlist  []tenantOnset // emit scratch: per-tenant earliest onset
-	seenWM bool          // whether any alarm has arrived (watermark valid)
-}
-
-// tenantOnset is emit's scratch entry: one member tenant's first onset.
-type tenantOnset struct {
-	tenant string
-	onset  float64
+	out     []Incident // Push/Finalize result buffer, reused
+	tenants []string   // emit scratch: distinct member tenants
+	seenWM  bool       // whether any alarm has arrived (watermark valid)
 }
 
 // NewPipeline returns an empty triage pipeline.
@@ -238,7 +205,6 @@ func NewPipeline(cfg Config) *Pipeline {
 	return &Pipeline{
 		cfg:          cfg,
 		open:         make(map[epKey]*Episode),
-		lags:         make(map[pairKey]*lagHist),
 		nextExpiry:   math.Inf(1),
 		nextDeadline: math.Inf(1),
 	}
@@ -415,15 +381,14 @@ func (p *Pipeline) finalizeDue(flush bool) {
 	p.nextDeadline = next
 }
 
-// emit turns one candidate into an Incident, updates the lead-lag
-// histograms, and recycles the candidate.
+// emit turns one candidate into an Incident and recycles the candidate.
 func (p *Pipeline) emit(c *candidate) {
 	sortEpisodes2(c.eps)
 	inc := Incident{
 		Onset:    math.Inf(1),
 		Episodes: append([]Episode(nil), c.eps...),
 	}
-	p.tlist = p.tlist[:0]
+	p.tenants = p.tenants[:0]
 	for i := range c.eps {
 		ep := &c.eps[i]
 		if ep.Onset < inc.Onset {
@@ -436,56 +401,19 @@ func (p *Pipeline) emit(c *candidate) {
 			inc.Peak = ep.Peak
 		}
 		inc.Frames += ep.Frames
-		known := false
-		for _, t := range p.tlist {
-			if t.tenant == ep.Tenant {
-				known = true
-				break
-			}
-		}
-		if !known {
-			p.tlist = append(p.tlist, tenantOnset{ep.Tenant, ep.Onset})
+		if !slices.Contains(p.tenants, ep.Tenant) {
+			p.tenants = append(p.tenants, ep.Tenant)
 		}
 	}
-	inc.Tenants = len(p.tlist)
+	inc.Tenants = len(p.tenants)
 	inc.Severity = inc.Peak * (1 + math.Log2(float64(inc.Tenants)))
 	if inc.Tenants < minTenants {
 		inc.Severity *= demotion
 		inc.Demoted = true
 	}
-	p.recordLeadLag()
 	p.out = append(p.out, inc)
 	c.eps = c.eps[:0]
 	p.candFree = append(p.candFree, c)
-}
-
-// recordLeadLag feeds every ordered pair of member tenants' first onsets
-// into the pair's offset histogram. tlist is in episode order, i.e.
-// sorted by onset (ties broken by tenant name), so the earlier-onset
-// tenant of each pair leads.
-func (p *Pipeline) recordLeadLag() {
-	for i := 0; i < len(p.tlist); i++ {
-		for j := i + 1; j < len(p.tlist); j++ {
-			lead, lag := p.tlist[i], p.tlist[j]
-			d := lag.onset - lead.onset
-			if d < 0 { // equal-onset ties keep list order; negatives cannot happen
-				lead, lag = lag, lead
-				d = -d
-			}
-			k := pairKey{lead.tenant, lag.tenant}
-			h := p.lags[k]
-			if h == nil {
-				h = &lagHist{bins: make([]uint64, leadLagBins)}
-				p.lags[k] = h
-			}
-			bin := int(d / (2 * p.cfg.Window) * leadLagBins)
-			if bin >= leadLagBins {
-				bin = leadLagBins - 1
-			}
-			h.bins[bin]++
-			h.total++
-		}
-	}
 }
 
 // rank orders the Push's emitted incidents most-severe first (severity
@@ -522,8 +450,7 @@ func incidentLess(a, b *Incident) bool {
 
 // Finalize closes every in-flight episode and candidate and returns the
 // resulting incidents, most-severe first — the end-of-feed flush. The
-// watermark, counters and lead-lag histograms survive, so the pipeline
-// remains usable; with every episode closed, a later alarm opens a fresh
+// watermark and counters survive, so the pipeline remains usable; with every episode closed, a later alarm opens a fresh
 // one even in a bucket a closed episode ended in. The returned slice is
 // reused by the next Push/Finalize.
 //
@@ -561,44 +488,6 @@ func (p *Pipeline) Stats() Stats {
 		s.Reduction = 1 - float64(s.Incidents)/float64(s.Alarms)
 	}
 	return s
-}
-
-// LeadLag reports every ordered tenant pair observed at least minCount
-// times, most-observed first (ties by pair name): Lead's episodes start
-// ~Offset time units before Lag's in Share of their co-occurrences.
-func (p *Pipeline) LeadLag(minCount uint64) []LeadLagStat {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	binWidth := 2 * p.cfg.Window / leadLagBins
-	var out []LeadLagStat
-	for k, h := range p.lags {
-		if h.total < minCount || h.total == 0 {
-			continue
-		}
-		mode, best := 0, uint64(0)
-		for i, c := range h.bins {
-			if c > best {
-				mode, best = i, c
-			}
-		}
-		out = append(out, LeadLagStat{
-			Lead:   k.lead,
-			Lag:    k.lag,
-			Offset: (float64(mode) + 0.5) * binWidth,
-			Share:  float64(best) / float64(h.total),
-			Count:  h.total,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		if out[i].Lead != out[j].Lead {
-			return out[i].Lead < out[j].Lead
-		}
-		return out[i].Lag < out[j].Lag
-	})
-	return out
 }
 
 func (p *Pipeline) getEpisode() *Episode {

@@ -35,8 +35,7 @@ func alarm(sub string, variate int, t, score float64) engine.Alarm {
 //   - one injected cross-tenant event: frames 500–559, variate 2 of
 //     tenants 0–5, ramping to a peak of ≈9.5 near frame 530, with
 //     tenant i's onset lagging 2i frames (the transient sweeping across
-//     fields — should triage to the single top-ranked incident and feed
-//     the lead-lag histograms);
+//     fields — should triage to the single top-ranked incident);
 //   - a single-tenant artifact: frames 300–329, tenant 6 variate 5 at
 //     score 4 (should rank below the event via breadth demotion).
 func recordedSequence() []engine.Alarm {
@@ -211,37 +210,6 @@ func TestTriageFloodReductionAndRanking(t *testing.T) {
 	}
 }
 
-// TestTriageLeadLag checks the lead-lag histograms recover the injected
-// event's onset ordering: field-0's episodes start before field-5's by
-// ~10 time units (tenant i lags 2i frames).
-func TestTriageLeadLag(t *testing.T) {
-	p := NewPipeline(testConfig())
-	feed(p, recordedSequence())
-	p.Finalize()
-	stats := p.LeadLag(1)
-	if len(stats) == 0 {
-		t.Fatal("no lead-lag pairs recorded")
-	}
-	found := false
-	for _, s := range stats {
-		if s.Lead == "field-0" && s.Lag == "field-5" {
-			found = true
-			if s.Offset < 7.5 || s.Offset > 12.5 {
-				t.Fatalf("field-0→field-5 offset %.2f, want ≈10", s.Offset)
-			}
-			if s.Share <= 0 || s.Count == 0 {
-				t.Fatalf("degenerate lead-lag stat %+v", s)
-			}
-		}
-		if s.Lead == "field-5" && s.Lag == "field-0" {
-			t.Fatalf("lead-lag direction inverted: %+v", s)
-		}
-	}
-	if !found {
-		t.Fatalf("no field-0 leads field-5 entry in %+v", stats)
-	}
-}
-
 // TestTriageEpisodeCoalescing pins the episode stage's bookkeeping on a
 // hand-built run: consecutive buckets coalesce, a gap splits, peak and
 // extent are tracked, and the duration cap forces a split.
@@ -310,7 +278,7 @@ func TestTriageDedup(t *testing.T) {
 // TestTriageDedupKeepsEveryNovelSource: 10,000 sources (4 tenants ×
 // 2,500 variates) alarm once each inside one bucket. Every alarm is a
 // source's first in its bucket, so none may drop, and Finalize closes
-// one episode per source.
+// one episode per source and correlates them into one incident.
 func TestTriageDedupKeepsEveryNovelSource(t *testing.T) {
 	const tenants, variates = 4, 2500
 	ids := [tenants]string{"field-0", "field-1", "field-2", "field-3"}
@@ -318,12 +286,15 @@ func TestTriageDedupKeepsEveryNovelSource(t *testing.T) {
 	for i := 0; i < tenants*variates; i++ {
 		p.Push(alarm(ids[i%tenants], i/tenants, float64(i)/(2*tenants*variates)*testConfig().BucketWidth, 1))
 	}
-	p.Finalize()
+	incs := p.Finalize()
 	if st := p.Stats(); st.Deduped != 0 || st.Episodes != tenants*variates {
 		t.Fatalf("%d deduped, %d episodes; want 0 and %d", st.Deduped, st.Episodes, tenants*variates)
 	}
-	if n := len(p.LeadLag(1)); n != tenants*(tenants-1)/2 {
-		t.Fatalf("%d lead-lag pairs, want %d", n, tenants*(tenants-1)/2)
+	if len(incs) != 1 {
+		t.Fatalf("Finalize returned %d incidents, want 1", len(incs))
+	}
+	if inc := incs[0]; inc.Tenants != tenants || len(inc.Episodes) != tenants*variates {
+		t.Fatalf("incident reaches %d tenants with %d episodes; want %d and %d", inc.Tenants, len(inc.Episodes), tenants, tenants*variates)
 	}
 }
 

@@ -3,7 +3,6 @@ package alerts
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"aero/internal/snapfmt"
 )
@@ -15,7 +14,7 @@ import (
 // resumes episodes mid-flight with bit-identical downstream incidents.
 //
 //	magic    [8]byte  "AEROTRIA"
-//	version  uint32   currently 2
+//	version  uint32   currently 3
 //	bucket   float64  dedup bucket width      ┐ config echo; restore rejects
 //	gap      float64  episode gap             │ a snapshot from a differently-
 //	maxlen   float64  episode duration cap    │ configured pipeline (episode
@@ -29,33 +28,36 @@ import (
 //	counters 4×uint64 alarms, deduped, episodes, incidents
 //	open     uint32 + episodes      (openList order — scan order matters)
 //	cands    uint32 + candidates    (creation order)
-//	lags     uint32 + pair histograms (sorted by pair)
 //	crc      uint32   IEEE CRC-32 of every preceding byte
 //
 // where an episode is tenant(uint16+bytes), variate uint32, onset, end,
-// peak, peakTime float64, frames uint32; a candidate is anchor, deadline
-// float64 plus its member episodes; a pair histogram is two tenant
-// strings, a uint64 total and leadLagBins uint64 bins. internal/snapfmt
-// writes and checks the framing (magic, version, CRC, truncation).
+// peak, peakTime float64, frames uint32, and a candidate is anchor,
+// deadline float64 plus its member episodes. The state is linear in open
+// episodes and pending candidates. internal/snapfmt writes and checks the
+// framing (magic, version, CRC, truncation).
 //
+// RestoreState also reads the two earlier versions and skips what they
+// carry beyond version 3. Versions 1 and 2 end with lead-lag histograms,
+// one per tenant pair that ever shared an incident: a uint32 pair count,
+// then per pair two tenant strings, a uint64 total and 16 uint64 bins.
 // Version 1 also held a probabilistic dedup filter: its geometry (cells,
 // hashes, aging uint32, max uint8) before the config echo, and its aging
-// cursor (uint32) and cells ([cells]uint8) after it. RestoreState still
-// reads version 1 and skips the filter: dedup consults the open episodes,
-// which both versions carry.
-var (
-	triageFormat   = snapfmt.Format{Magic: "AEROTRIA", Version: 2, Pkg: "alerts", Name: "triage state"}
-	triageV1Format = snapfmt.Format{Magic: "AEROTRIA", Version: 1, Pkg: "alerts", Name: "triage state"}
-)
+// cursor (uint32) and cells ([cells]uint8) after it. Dedup consults the
+// open episodes, which every version carries.
+var triageFormats = [...]snapfmt.Format{ // newest first; SnapshotState writes the first
+	{Magic: "AEROTRIA", Version: 3, Pkg: "alerts", Name: "triage state"},
+	{Magic: "AEROTRIA", Version: 2, Pkg: "alerts", Name: "triage state"},
+	{Magic: "AEROTRIA", Version: 1, Pkg: "alerts", Name: "triage state"},
+}
 
 // SnapshotState serializes the pipeline's entire warm state — open
-// episodes, pending candidates, lead-lag histograms, watermark and
-// counters — into a self-validating binary blob. A tenant ID longer than
-// 65,535 bytes does not fit its length field and is an error.
+// episodes, pending candidates, watermark and counters — into a
+// self-validating binary blob. A tenant ID longer than 65,535 bytes does
+// not fit its length field and is an error.
 func (p *Pipeline) SnapshotState() ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	w := snapfmt.NewWriter(triageFormat, 128+64*(len(p.openList)+len(p.cands))+64*len(p.lags))
+	w := snapfmt.NewWriter(triageFormats[0], 128+64*(len(p.openList)+len(p.cands)))
 	w.F64(p.cfg.BucketWidth)
 	w.F64(p.cfg.EpisodeGap)
 	w.F64(p.cfg.MaxEpisodeLen)
@@ -83,49 +85,33 @@ func (p *Pipeline) SnapshotState() ([]byte, error) {
 			writeEpisode(w, &c.eps[i])
 		}
 	}
-	pairs := make([]pairKey, 0, len(p.lags))
-	for k := range p.lags {
-		pairs = append(pairs, k)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].lead != pairs[j].lead {
-			return pairs[i].lead < pairs[j].lead
-		}
-		return pairs[i].lag < pairs[j].lag
-	})
-	w.U32(uint32(len(pairs)))
-	for _, k := range pairs {
-		h := p.lags[k]
-		w.Str(k.lead)
-		w.Str(k.lag)
-		w.U64(h.total)
-		for _, b := range h.bins {
-			w.U64(b)
-		}
-	}
 	return w.Seal()
 }
 
 // RestoreState replaces the pipeline's runtime state with a snapshot
-// taken by SnapshotState on an identically-configured pipeline (either
+// taken by SnapshotState on an identically-configured pipeline (any
 // format version). The blob is fully validated (magic, version, config,
 // length, CRC) before any state is touched: a corrupt or mismatched
 // snapshot returns an error and leaves the pipeline exactly as it was.
 func (p *Pipeline) RestoreState(blob []byte) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	r, err := snapfmt.Open(triageFormat, blob)
-	v1 := false
-	if err != nil {
-		if r1, err1 := snapfmt.Open(triageV1Format, blob); err1 == nil {
-			r, err, v1 = r1, nil, true
+	var (
+		r       *snapfmt.Reader
+		err     error
+		version uint32
+	)
+	for _, f := range triageFormats {
+		if r, err = snapfmt.Open(f, blob); err == nil {
+			version = f.Version
+			break
 		}
 	}
 	if err != nil {
 		return err
 	}
 	cells := 0
-	if v1 {
+	if version == 1 {
 		cells = int(r.U32())
 		r.Bytes(4 + 4 + 1) // hashes, aging, max
 	}
@@ -144,7 +130,7 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 			bucket, gap, maxLen, window, snapMinTenants, snapDemotion,
 			p.cfg.BucketWidth, p.cfg.EpisodeGap, p.cfg.MaxEpisodeLen, p.cfg.Window, minTenants, demotion)
 	}
-	if v1 {
+	if version == 1 {
 		r.Bytes(4 + cells) // cursor, cells
 	}
 	seen := r.Bool()
@@ -180,15 +166,13 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 		cands = append(cands, c)
 	}
 
-	nPairs := r.Count("lead-lag pairs")
-	lags := make(map[pairKey]*lagHist, nPairs)
-	for i := 0; i < nPairs && r.Err() == nil; i++ {
-		k := pairKey{lead: r.Str(), lag: r.Str()}
-		h := &lagHist{total: r.U64(), bins: make([]uint64, leadLagBins)}
-		for b := range h.bins {
-			h.bins[b] = r.U64()
+	if version < 3 {
+		nPairs := r.Count("lead-lag pairs")
+		for i := 0; i < nPairs && r.Err() == nil; i++ {
+			r.Bytes(int(r.U16())) // lead
+			r.Bytes(int(r.U16())) // lag
+			r.Bytes(8 * (1 + 16)) // total, bins
 		}
-		lags[k] = h
 	}
 	if err := r.Done(); err != nil {
 		return err
@@ -209,7 +193,6 @@ func (p *Pipeline) RestoreState(blob []byte) error {
 			p.nextDeadline = c.deadline
 		}
 	}
-	p.lags = lags
 	p.closed = p.closed[:0]
 	p.out = p.out[:0]
 	return nil

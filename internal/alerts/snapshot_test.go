@@ -3,6 +3,7 @@ package alerts
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"os"
@@ -12,8 +13,8 @@ import (
 	"aero/internal/engine"
 )
 
-// warmPipeline feeds enough of the recorded sequence to leave episodes,
-// candidates and lead-lag history in flight.
+// warmPipeline feeds enough of the recorded sequence to leave episodes
+// and candidates in flight.
 func warmPipeline(t testing.TB) *Pipeline {
 	t.Helper()
 	p := NewPipeline(testConfig())
@@ -125,14 +126,14 @@ func TestTriageSnapshotValidation(t *testing.T) {
 
 // TestTriageSnapshotBytesPinned pins the AEROTRIA bytes of warmPipeline by
 // length and FNV-1a hash. A checkpoint on disk restores only while they
-// hold. They are testdata/triage_v1.bin less its dedup filter, under
-// version 2.
+// hold. They are testdata/triage_v2.bin less its (empty) lead-lag pair
+// section, under version 3.
 func TestTriageSnapshotBytesPinned(t *testing.T) {
 	blob, err := warmPipeline(t).SnapshotState()
 	if err != nil {
 		t.Fatal(err)
 	}
-	const size, want = 817, 0x200fa3a3b902ba20
+	const size, want = 813, 0x8cfc51da90c19dc5
 	h := fnv.New64a()
 	h.Write(blob)
 	if len(blob) != size || h.Sum64() != want {
@@ -179,14 +180,15 @@ func TestTriageSnapshotRejectsLongTenantID(t *testing.T) {
 // recomputed, so mutations also reach the fields behind the checksum. A
 // failed restore must leave the pipeline's snapshot byte-equal to the one
 // before it; a successful one must be idempotent (snapshot → restore →
-// snapshot). The seed corpus holds warmPipeline's version 2 snapshot
-// (warm-v2), testdata/triage_v2_leadlag.bin (v2-leadlag, a version 2
-// snapshot carrying lead-lag pair histograms) and version 1 snapshots written with a 256-cell dedup filter:
-// at warmPipeline's cut (warm-small-filter, and
-// TestTriageSnapshotValidation's corrupt cases built from it) and at the
-// fuzzed pipeline's (v1-fuzz-pipeline). The pipeline itself is 20 alarm
-// times past the cut, so a restore that commits before it fails shows in
-// its snapshot.
+// snapshot). The seed corpus holds warmPipeline's version 3 snapshot
+// (warm-v3) and, as inputs in the legacy versions restore still reads,
+// its version 2 snapshot (warm-v2), testdata/triage_v2_leadlag.bin
+// (v2-leadlag, a version 2 snapshot carrying lead-lag pair histograms)
+// and version 1 snapshots written with a 256-cell dedup filter: at
+// warmPipeline's cut (warm-small-filter, and TestTriageSnapshotValidation's
+// corrupt cases built from it) and at the fuzzed pipeline's
+// (v1-fuzz-pipeline). The pipeline itself is 20 alarm times past the cut,
+// so a restore that commits before it fails shows in its snapshot.
 func FuzzTriageRestoreState(f *testing.F) {
 	p := NewPipeline(testConfig())
 	for _, a := range recordedSequence() {
@@ -288,5 +290,33 @@ func TestTriageRestoresV1Checkpoint(t *testing.T) {
 				t.Fatalf("restored %s checkpoint diverged:\n--- uninterrupted ---\n%s\n--- restored ---\n%s", tc.name, want, got)
 			}
 		})
+	}
+}
+
+// TestTriageStateLinearInTenants: a finalized pipeline holds no episode
+// and no candidate, so its snapshot is the same length whether the one
+// lockstep incident behind it reached 8 tenants or 500. Triage state is
+// linear in open episodes and pending candidates; nothing it keeps grows
+// with the pairs of tenants that once shared an incident.
+func TestTriageStateLinearInTenants(t *testing.T) {
+	size := func(tenants int) int {
+		p := NewPipeline(testConfig())
+		for ti := 0.0; ti < 20; ti++ {
+			for i := 0; i < tenants; i++ {
+				p.Push(alarm(fmt.Sprintf("field-%03d", i), 0, ti, 2))
+			}
+		}
+		incs := p.Finalize()
+		if len(incs) != 1 || incs[0].Tenants != tenants {
+			t.Fatalf("%d lockstep tenants: %s; want one incident reaching all of them", tenants, renderIncidents(incs))
+		}
+		blob, err := p.SnapshotState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(blob)
+	}
+	if small, large := size(8), size(500); small != large {
+		t.Fatalf("finalized snapshot is %d B after an 8-tenant incident and %d B after a 500-tenant one", small, large)
 	}
 }

@@ -78,7 +78,7 @@ func AttachObserved(e *engine.Engine, cfg Config, buffer int, reg *metrics.Regis
 // it closes after Engine.Close drains the alarm stream.
 func (s *Stream) Incidents() <-chan Incident { return s.incidents }
 
-// Pipeline returns the underlying pipeline for stats, lead-lag reports,
-// snapshot/restore and the end-of-feed Finalize. All pipeline methods
-// are safe to call while alarms flow.
+// Pipeline returns the underlying pipeline for stats, snapshot/restore
+// and the end-of-feed Finalize. All pipeline methods are safe to call
+// while alarms flow.
 func (s *Stream) Pipeline() *Pipeline { return s.p }
