@@ -233,7 +233,8 @@ func NewChaosBackend(inner StreamBackend, plan ChaosPlan) *ChaosBackend {
 // per-source episode coalescing, cross-tenant onset correlation, and
 // breadth-weighted severity ranking. Deterministic for a fixed alarm
 // sequence, allocation-free on the benign path, and checkpointable
-// mid-episode, with state linear in open episodes and pending incidents. See internal/alerts.
+// mid-episode, with state linear in open episodes and pending
+// incidents. See internal/alerts.
 type TriagePipeline = alerts.Pipeline
 
 // TriageConfig parameterizes the triage pipeline; the zero value uses

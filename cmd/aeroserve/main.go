@@ -35,13 +35,13 @@
 // one), and incidents are ranked by cluster breadth × peak score.
 // Per-alarm output is replaced by INCIDENT lines; the final stats report
 // the alarm→incident reduction ratio and the top-ranked incidents.
-// Correlation clusters episode onsets against
-// the alarm stream's watermark, so it assumes the roughly synchronized
-// field feeds a survey camera produces — pass -rate to keep the
-// simulated tenants in lockstep instead of letting each replay sprint
-// ahead independently. With -checkpoint the triage state (mid-flight
-// episodes and pending incidents) is checkpointed and restored alongside
-// the detector states, so a restart resumes episodes mid-flight.
+// Correlation clusters episode onsets against the alarm stream's
+// watermark, so it assumes the roughly synchronized field feeds a survey
+// camera produces — pass -rate to keep the simulated tenants in lockstep
+// instead of letting each replay sprint ahead independently. With
+// -checkpoint the triage state (mid-flight episodes and pending
+// incidents) is checkpointed and restored alongside the detector states,
+// so a restart resumes episodes mid-flight.
 //
 // With -checkpoint the server keeps an artifact registry at the given
 // directory: the newest published artifact of the selected kind is used
