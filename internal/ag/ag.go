@@ -2,16 +2,17 @@
 // matrices (a "tape" or Wengert list).
 //
 // A Tape records every operation applied to Nodes as a typed op record;
-// Backward replays the records in reverse, accumulating gradients.
-// Parameters (Param) live outside any tape so that the same weights can be
-// used across many forward passes and across goroutines: each Backward call
-// accumulates into Param.Grad under the parameter's lock, which makes
-// data-parallel training safe. For deterministic parallel training, use
-// BackwardGrads on each tape concurrently and then apply the parameter
-// gradients from a single goroutine in a fixed tape order — FlushParamGrads
-// straight from the tape, or a GradStash copied from it so the tape can be
-// reused first. Either applies the same additions in the same sequence as
-// Backward would, without locking.
+// Backward replays the records in reverse, accumulating gradients, and then
+// adds the parameter leaves' gradients into their Params. Parameters (Param)
+// live outside any tape so that the same weights can be used across many
+// forward passes and across goroutines, but no lock guards their gradients:
+// running Backward concurrently on tapes that share parameters is a data
+// race. Data-parallel training runs BackwardGrads on each tape concurrently
+// and then applies the parameter gradients from a single goroutine in a
+// fixed tape order — FlushParamGrads straight from the tape, or a GradStash
+// copied from it so the tape can be reused first. The float additions then
+// happen in one sequence whatever the scheduler does, so training is
+// bit-reproducible per seed.
 //
 // A tape is a gradient tape: node values and gradients are drawn from
 // positional tensor.Arenas, so after Reset a same-shape forward/backward
@@ -29,21 +30,18 @@ package ag
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
 
 	"aero/internal/tensor"
 )
 
 // Param is a trainable parameter: a value matrix plus an accumulated
-// gradient. Params are shared between tapes; gradient accumulation is
-// guarded by mu so concurrent Backward calls are safe.
+// gradient. Params are shared between tapes, but nothing guards Grad: only
+// one goroutine at a time may apply gradients to a parameter set, which the
+// tape does through FlushParamGrads or a GradStash.
 type Param struct {
 	Name  string
 	Value *tensor.Dense
 	Grad  *tensor.Dense
-
-	mu sync.Mutex
 }
 
 // NewParam creates a named parameter wrapping value.
@@ -53,13 +51,6 @@ func NewParam(name string, value *tensor.Dense) *Param {
 
 // ZeroGrad clears the accumulated gradient.
 func (p *Param) ZeroGrad() { p.Grad.Zero() }
-
-// addGrad accumulates g into p.Grad under the parameter lock.
-func (p *Param) addGrad(g *tensor.Dense) {
-	p.mu.Lock()
-	p.Grad.AddInPlace(g)
-	p.mu.Unlock()
-}
 
 // opKind identifies the operation that produced a node. Backward replays
 // these records in reverse instead of invoking per-node closures, which
@@ -72,22 +63,16 @@ const (
 	opAdd
 	opSub
 	opMul
-	opDiv
 	opAddRow
 	opScale
 	opAddConst
 	opMatMul
 	opMatMulT
-	opTranspose
-	opReshape
 	opSliceCols
-	opSliceRows
 	opConcatCols
-	opConcatRows
 	opSigmoid
 	opTanh
 	opReLU
-	opGELU
 	opExp
 	opLog
 	opSqrt
@@ -95,7 +80,6 @@ const (
 	opSin
 	opCos
 	opAbs
-	opDropout
 	opSoftmaxRows
 	opLayerNorm
 	opSumAll
@@ -217,42 +201,36 @@ func (t *Tape) Param(p *Param) *Node {
 }
 
 // Backward seeds loss (which must be 1×1) with gradient 1, propagates
-// gradients through the tape in reverse order, and accumulates parameter
-// gradients into their Params under each parameter's lock.
+// gradients through the tape in reverse order, and then adds each parameter
+// leaf's gradient into its Param: BackwardGrads followed by FlushParamGrads.
+// It writes the Params unguarded, so running it on tapes that share
+// parameters from more than one goroutine is a data race; run BackwardGrads
+// concurrently instead and flush the tapes in a fixed order afterwards.
 func (t *Tape) Backward(loss *Node) {
-	t.backward(loss, true)
+	t.BackwardGrads(loss)
+	t.FlushParamGrads()
 }
 
-// BackwardGrads computes node gradients exactly like Backward but does NOT
-// touch any Param: pair it with FlushParamGrads (or StashParamGrads and
-// GradStash.Flush) to apply parameter-gradient accumulation from a single
-// goroutine in a caller-chosen tape order, which makes data-parallel
-// training deterministic (float accumulation order is fixed) while the
-// backward passes themselves run concurrently.
+// BackwardGrads computes every node's gradient but does NOT touch any Param:
+// pair it with FlushParamGrads (or StashParamGrads and GradStash.Flush) to
+// apply parameter-gradient accumulation from a single goroutine in a
+// caller-chosen tape order, which makes data-parallel training deterministic
+// (float accumulation order is fixed) while the backward passes themselves
+// run concurrently.
 func (t *Tape) BackwardGrads(loss *Node) {
-	t.backward(loss, false)
-}
-
-func (t *Tape) backward(loss *Node, applyParams bool) {
 	if loss.Value.Rows != 1 || loss.Value.Cols != 1 {
 		panic(fmt.Sprintf("ag: Backward expects scalar loss, got %dx%d", loss.Value.Rows, loss.Value.Cols))
 	}
 	t.gradOf(loss).Data[0] = 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := t.nodes[i]
-		if n.Grad == nil {
-			continue // not on any path to the loss
-		}
-		t.step(n)
-		if applyParams && n.param != nil {
-			n.param.addGrad(n.Grad)
+		if n := t.nodes[i]; n.Grad != nil { // nil: not on any path to the loss
+			t.step(n)
 		}
 	}
 }
 
-// FlushParamGrads applies the parameter-gradient accumulation a Backward
-// call would have performed, in the identical order (reverse tape order),
-// without locking. Call it after BackwardGrads, from one goroutine at a
+// FlushParamGrads adds every parameter leaf's gradient into its Param, in
+// reverse tape order. Call it after BackwardGrads, from one goroutine at a
 // time per parameter set.
 func (t *Tape) FlushParamGrads() {
 	for i := len(t.nodes) - 1; i >= 0; i-- {
@@ -313,8 +291,8 @@ func (t *Tape) step(n *Node) {
 	G := n.Grad
 	switch n.op {
 	case opLeaf:
-		// Leaves have no parents; parameter accumulation is handled by the
-		// Backward/FlushParamGrads drivers.
+		// Leaves have no parents; FlushParamGrads applies parameter
+		// gradients.
 	case opAdd:
 		addTo(t.gradOf(n.a).Data, G.Data)
 		addTo(t.gradOf(n.b).Data, G.Data)
@@ -329,16 +307,6 @@ func (t *Tape) step(n *Node) {
 		for i, gi := range g {
 			ga[i] += gi * bv[i]
 			gb[i] += gi * av[i]
-		}
-	case opDiv:
-		ga, gb := t.gradOf(n.a).Data, t.gradOf(n.b).Data
-		g := G.Data[:len(ga)]
-		av, bv := n.a.Value.Data[:len(ga)], n.b.Value.Data[:len(ga)]
-		gb = gb[:len(ga)]
-		for i, gi := range g {
-			bi := bv[i]
-			ga[i] += gi / bi
-			gb[i] -= gi * av[i] / (bi * bi)
 		}
 	case opAddRow:
 		ga := t.gradOf(n.a)
@@ -360,21 +328,11 @@ func (t *Tape) step(n *Node) {
 		// C = A·Bᵀ: dA += dC·B ; dB += dCᵀ·A
 		G.MatMulAddInto(n.b.Value, t.gradOf(n.a))
 		G.TMatMulAddInto(n.a.Value, t.gradOf(n.b))
-	case opTranspose:
-		t.gradOf(n.a).AddTransposed(G)
-	case opReshape:
-		addTo(t.gradOf(n.a).Data, G.Data)
 	case opSliceCols:
 		ga := t.gradOf(n.a)
 		lo := n.i0
 		for i := 0; i < G.Rows; i++ {
 			addTo(ga.Row(i)[lo:lo+G.Cols], G.Row(i))
-		}
-	case opSliceRows:
-		ga := t.gradOf(n.a)
-		lo := n.i0
-		for i := 0; i < G.Rows; i++ {
-			addTo(ga.Row(lo+i), G.Row(i))
 		}
 	case opConcatCols:
 		at := 0
@@ -384,21 +342,6 @@ func (t *Tape) step(n *Node) {
 				addTo(g.Row(i), G.Row(i)[at:at+g.Cols])
 			}
 			at += p.Value.Cols
-		}
-	case opConcatRows:
-		at := 0
-		for _, p := range t.parents[n.i0 : n.i0+n.i1] {
-			g := t.gradOf(p)
-			for i := 0; i < g.Rows; i++ {
-				addTo(g.Row(i), G.Row(at+i))
-			}
-			at += p.Value.Rows
-		}
-	case opDropout:
-		ga := t.gradOf(n.a).Data
-		g, mask := G.Data[:len(ga)], n.aux.Data[:len(ga)]
-		for i, gi := range g {
-			ga[i] += gi * mask[i]
 		}
 	case opSoftmaxRows:
 		ga := t.gradOf(n.a)
@@ -466,10 +409,6 @@ func (t *Tape) unaryBackward(n *Node) {
 				d = 1
 			}
 			ga[i] += gi * d
-		}
-	case opGELU:
-		for i, gi := range g {
-			ga[i] += gi * geluDeriv(xs[i])
 		}
 	case opExp:
 		for i, gi := range g {
@@ -629,15 +568,6 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	return t.record(t.node(v), opMul, a, b)
 }
 
-// Div returns the elementwise quotient a / b.
-func (t *Tape) Div(a, b *Node) *Node {
-	v, x, y, z := t.binary(a, b)
-	for i := range z {
-		z[i] = x[i] / y[i]
-	}
-	return t.record(t.node(v), opDiv, a, b)
-}
-
 // AddRow broadcasts the 1×C row vector v across the rows of a.
 func (t *Tape) AddRow(a, v *Node) *Node {
 	if v.Value.Rows != 1 || v.Value.Cols != a.Value.Cols {
@@ -696,28 +626,6 @@ func (t *Tape) MatMulT(a, b *Node) *Node {
 	return t.record(t.node(v), opMatMulT, a, b)
 }
 
-// Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Node) *Node {
-	av := a.Value
-	v := t.out(av.Cols, av.Rows)
-	for i := 0; i < av.Rows; i++ {
-		for j := 0; j < av.Cols; j++ {
-			v.Data[j*av.Rows+i] = av.Data[i*av.Cols+j]
-		}
-	}
-	return t.record(t.node(v), opTranspose, a, nil)
-}
-
-// Reshape reinterprets a as r×c (row-major order preserved).
-func (t *Tape) Reshape(a *Node, r, c int) *Node {
-	if r*c != a.Value.Rows*a.Value.Cols {
-		panic(fmt.Sprintf("ag: reshape %dx%d -> %dx%d", a.Value.Rows, a.Value.Cols, r, c))
-	}
-	v := t.out(r, c)
-	copy(v.Data, a.Value.Data)
-	return t.record(t.node(v), opReshape, a, nil)
-}
-
 // SliceCols returns columns [lo, hi) of a.
 func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 	av := a.Value
@@ -726,16 +634,6 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 		copy(v.Row(i), av.Row(i)[lo:hi])
 	}
 	n := t.record(t.node(v), opSliceCols, a, nil)
-	n.i0 = lo
-	return n
-}
-
-// SliceRows returns rows [lo, hi) of a.
-func (t *Tape) SliceRows(a *Node, lo, hi int) *Node {
-	av := a.Value
-	v := t.out(hi-lo, av.Cols)
-	copy(v.Data, av.Data[lo*av.Cols:hi*av.Cols])
-	n := t.record(t.node(v), opSliceRows, a, nil)
 	n.i0 = lo
 	return n
 }
@@ -770,25 +668,6 @@ func (t *Tape) ConcatCols(parts ...*Node) *Node {
 		}
 	}
 	return t.recordParents(t.node(v), opConcatCols, parts)
-}
-
-// ConcatRows concatenates nodes vertically.
-func (t *Tape) ConcatRows(parts ...*Node) *Node {
-	cols := parts[0].Value.Cols
-	rows := 0
-	for _, p := range parts {
-		if p.Value.Cols != cols {
-			panic("ag: concat rows column mismatch")
-		}
-		rows += p.Value.Rows
-	}
-	v := t.out(rows, cols)
-	at := 0
-	for _, p := range parts {
-		copy(v.Data[at:], p.Value.Data)
-		at += len(p.Value.Data)
-	}
-	return t.recordParents(t.node(v), opConcatRows, parts)
 }
 
 // --- elementwise nonlinearities ----------------------------------------------
@@ -831,25 +710,6 @@ func (t *Tape) ReLU(a *Node) *Node {
 		}
 	}
 	return t.record(t.node(v), opReLU, a, nil)
-}
-
-const geluC = 0.7978845608028654 // sqrt(2/pi)
-
-// geluDeriv is the derivative of the tanh-approximated GELU.
-func geluDeriv(x float64) float64 {
-	u := geluC * (x + 0.044715*x*x*x)
-	th := math.Tanh(u)
-	du := geluC * (1 + 3*0.044715*x*x)
-	return 0.5*(1+th) + 0.5*x*(1-th*th)*du
-}
-
-// GELU returns the Gaussian error linear unit (tanh approximation).
-func (t *Tape) GELU(a *Node) *Node {
-	v, x, y := t.unary(a)
-	for i, xi := range x {
-		y[i] = 0.5 * xi * (1 + math.Tanh(geluC*(xi+0.044715*xi*xi*xi)))
-	}
-	return t.record(t.node(v), opGELU, a, nil)
 }
 
 // Exp returns e^a elementwise.
@@ -913,26 +773,6 @@ func (t *Tape) Abs(a *Node) *Node {
 		y[i] = math.Abs(xi)
 	}
 	return t.record(t.node(v), opAbs, a, nil)
-}
-
-// Dropout zeroes each element with probability rate and scales survivors by
-// 1/(1-rate) (inverted dropout). With train=false it is the identity.
-func (t *Tape) Dropout(a *Node, rate float64, rng *rand.Rand, train bool) *Node {
-	if !train || rate <= 0 {
-		return a
-	}
-	keep := 1 - rate
-	mask := t.alloc(a.Value.Rows, a.Value.Cols)
-	v := t.alloc(a.Value.Rows, a.Value.Cols)
-	for i, x := range a.Value.Data {
-		if rng.Float64() < keep {
-			mask.Data[i] = 1 / keep
-			v.Data[i] = x / keep
-		}
-	}
-	n := t.record(t.node(v), opDropout, a, nil)
-	n.aux = mask
-	return n
 }
 
 // TimeEmbed records an interval-aware time embedding as one op: the value

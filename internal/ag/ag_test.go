@@ -63,17 +63,6 @@ func TestGradAddSubMul(t *testing.T) {
 	})
 }
 
-func TestGradDiv(t *testing.T) {
-	a := randParam("a", 2, 3, 3)
-	b := randParam("b", 2, 3, 4)
-	for i := range b.Value.Data {
-		b.Value.Data[i] = 1 + math.Abs(b.Value.Data[i]) // keep away from 0
-	}
-	checkGrad(t, []*Param{a, b}, func(tp *Tape) *Node {
-		return tp.MeanAll(tp.Div(tp.Param(a), tp.Param(b)))
-	})
-}
-
 func TestGradMatMul(t *testing.T) {
 	a := randParam("a", 3, 5, 5)
 	b := randParam("b", 5, 2, 6)
@@ -87,15 +76,6 @@ func TestGradMatMulT(t *testing.T) {
 	b := randParam("b", 4, 5, 8)
 	checkGrad(t, []*Param{a, b}, func(tp *Tape) *Node {
 		return tp.MeanAll(tp.Square(tp.MatMulT(tp.Param(a), tp.Param(b))))
-	})
-}
-
-func TestGradTransposeReshape(t *testing.T) {
-	a := randParam("a", 3, 4, 9)
-	checkGrad(t, []*Param{a}, func(tp *Tape) *Node {
-		x := tp.Transpose(tp.Param(a))
-		x = tp.Reshape(x, 2, 6)
-		return tp.MeanAll(tp.Square(x))
 	})
 }
 
@@ -115,7 +95,6 @@ func TestGradActivations(t *testing.T) {
 		{"sigmoid", func(tp *Tape, x *Node) *Node { return tp.Sigmoid(x) }},
 		{"tanh", func(tp *Tape, x *Node) *Node { return tp.Tanh(x) }},
 		{"relu", func(tp *Tape, x *Node) *Node { return tp.ReLU(x) }},
-		{"gelu", func(tp *Tape, x *Node) *Node { return tp.GELU(x) }},
 		{"exp", func(tp *Tape, x *Node) *Node { return tp.Exp(x) }},
 		{"square", func(tp *Tape, x *Node) *Node { return tp.Square(x) }},
 		{"abs", func(tp *Tape, x *Node) *Node { return tp.Abs(x) }},
@@ -170,10 +149,7 @@ func TestGradSliceConcat(t *testing.T) {
 		x := tp.Param(a)
 		l := tp.SliceCols(x, 0, 2)
 		r := tp.SliceCols(x, 2, 6)
-		cat := tp.ConcatCols(r, l) // swap halves
-		top := tp.SliceRows(cat, 0, 1)
-		rest := tp.SliceRows(cat, 1, 3)
-		return tp.MeanAll(tp.Square(tp.ConcatRows(rest, top)))
+		return tp.MeanAll(tp.Square(tp.ConcatCols(r, l))) // swap halves
 	})
 }
 
@@ -248,27 +224,6 @@ func TestGradAccumulatesAcrossBackwardCalls(t *testing.T) {
 		if math.Abs(p.Grad.Data[i]-2*q.Grad.Data[i]) > 1e-12 {
 			t.Fatal("gradients should accumulate additively across Backward calls")
 		}
-	}
-}
-
-func TestDropoutEvalIsIdentity(t *testing.T) {
-	tp := NewTape()
-	x := tp.Const(tensor.FromSlice(1, 4, []float64{1, 2, 3, 4}))
-	y := tp.Dropout(x, 0.5, rand.New(rand.NewSource(1)), false)
-	if y != x {
-		t.Fatal("eval-mode dropout must be identity")
-	}
-}
-
-func TestDropoutTrainPreservesExpectation(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tp := NewTape()
-	big := tensor.New(1, 20000)
-	big.Fill(1)
-	x := tp.Const(big)
-	y := tp.Dropout(x, 0.3, rng, true)
-	if m := y.Value.Mean(); math.Abs(m-1) > 0.05 {
-		t.Fatalf("inverted dropout mean = %v, want ~1", m)
 	}
 }
 

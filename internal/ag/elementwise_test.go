@@ -73,9 +73,6 @@ func unaryRef(op opKind) (f func(float64) float64, deriv func(x, y float64) floa
 				}
 				return 0
 			}
-	case opGELU:
-		return func(x float64) float64 { return 0.5 * x * (1 + math.Tanh(geluC*(x+0.044715*x*x*x))) },
-			func(x, _ float64) float64 { return geluDeriv(x) }
 	case opExp:
 		return math.Exp, func(_, y float64) float64 { return y }
 	case opLog:
@@ -129,9 +126,9 @@ func TestUnaryOpsMatchReference(t *testing.T) {
 		f    func(tp *Tape, a *Node) *Node
 	}{
 		{"sigmoid", opSigmoid, (*Tape).Sigmoid}, {"tanh", opTanh, (*Tape).Tanh}, {"relu", opReLU, (*Tape).ReLU},
-		{"gelu", opGELU, (*Tape).GELU}, {"exp", opExp, (*Tape).Exp}, {"log", opLog, (*Tape).Log},
-		{"sqrt", opSqrt, (*Tape).Sqrt}, {"square", opSquare, (*Tape).Square}, {"sin", opSin, (*Tape).Sin},
-		{"cos", opCos, (*Tape).Cos}, {"abs", opAbs, (*Tape).Abs},
+		{"exp", opExp, (*Tape).Exp}, {"log", opLog, (*Tape).Log}, {"sqrt", opSqrt, (*Tape).Sqrt},
+		{"square", opSquare, (*Tape).Square}, {"sin", opSin, (*Tape).Sin}, {"cos", opCos, (*Tape).Cos},
+		{"abs", opAbs, (*Tape).Abs},
 	}
 	rng := rand.New(rand.NewSource(81))
 	tp := NewTape()
@@ -177,8 +174,6 @@ func TestRowOpsMatchReference(t *testing.T) {
 			func(g, _, _, ga, gb float64) (float64, float64) { ga += g; gb += -1 * g; return ga, gb }},
 		{"mul", (*Tape).Mul, func(a, b float64) float64 { return a * b },
 			func(g, a, b, ga, gb float64) (float64, float64) { ga += g * b; gb += g * a; return ga, gb }},
-		{"div", (*Tape).Div, func(a, b float64) float64 { return a / b },
-			func(g, a, b, ga, gb float64) (float64, float64) { ga += g / b; gb -= g * a / (b * b); return ga, gb }},
 	} {
 		name := br.name
 		a, b, g := specialCells(r, c, rng), specialCells(r, c, rng), specialCells(r, c, rng)

@@ -54,7 +54,9 @@ type Config struct {
 	// EvalStride controls scoring granularity: each scored window stamps
 	// the timestamps since the previous scored window.
 	EvalStride int
-	// Workers bounds data-parallel goroutines (0 = GOMAXPROCS).
+	// Workers bounds data-parallel goroutines (0 = GOMAXPROCS). It sets
+	// speed only: training and scoring give the same score bits at every
+	// value.
 	Workers int
 	// Seed fixes initialization and shuffling.
 	Seed int64

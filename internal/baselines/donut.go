@@ -88,18 +88,26 @@ func (d *Donut) Fit(train *dataset.Series) error {
 	opt := nn.NewAdam(d.cfg.LR)
 	opt.MaxGradNorm = 5
 
+	// One tape per star: the backward passes run concurrently, and the
+	// parameter gradients are flushed after the join in ascending star
+	// order, so the float additions never depend on the scheduler.
+	tapes := make([]*ag.Tape, d.n)
+	for v := range tapes {
+		tapes[v] = ag.NewTape()
+	}
 	for epoch := 0; epoch < d.cfg.Epochs; epoch++ {
 		rng.Shuffle(len(insts), func(i, j int) { insts[i], insts[j] = insts[j], insts[i] })
 		for _, inst := range insts {
-			losses := make([]float64, d.n)
 			parallelFor(d.n, d.cfg.Workers, func(v int) {
 				seedRng := rand.New(rand.NewSource(d.cfg.Seed ^ int64(epoch*1000+inst.End*10+v)))
-				t := ag.NewTape()
+				t := tapes[v]
+				t.Reset()
 				win := tensor.FromSlice(1, d.cfg.Window, window.Slice(data[v], inst.End, d.cfg.Window))
-				loss := d.elbo(t, win, seedRng)
-				t.Backward(loss)
-				losses[v] = loss.Value.Data[0]
+				t.BackwardGrads(d.elbo(t, win, seedRng))
 			})
+			for _, t := range tapes {
+				t.FlushParamGrads()
+			}
 			opt.Step(d.params)
 		}
 	}

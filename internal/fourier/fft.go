@@ -135,15 +135,6 @@ func FFTReal(x []float64) []complex128 {
 	return FFT(cx)
 }
 
-// Amplitudes returns |X_k| for every bin of the spectrum.
-func Amplitudes(spec []complex128) []float64 {
-	out := make([]float64, len(spec))
-	for i, c := range spec {
-		out[i] = math.Hypot(real(c), imag(c))
-	}
-	return out
-}
-
 // Periodogram returns the single-sided power spectrum of a real signal:
 // bins 1..n/2 with power |X_k|²/n, along with the corresponding periods
 // (n/k in samples). Bin 0 (the mean) is excluded.

@@ -107,10 +107,10 @@ func TestFFTRealOfSinusoidPeaksAtFrequency(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(k) * float64(i) / float64(n))
 	}
-	amps := Amplitudes(FFTReal(x))
+	spec := FFTReal(x)
 	best := 0
 	for i := 1; i < n/2; i++ {
-		if amps[i] > amps[best] {
+		if cmplx.Abs(spec[i]) > cmplx.Abs(spec[best]) {
 			best = i
 		}
 	}

@@ -9,8 +9,8 @@
 //     tag on every entry (AERO models and streaming-baseline
 //     calibrations share one registry), and warm backend-state
 //     checkpoints alongside the artifacts;
-//   - Retrainer: a bounded background worker pool that refits tenant
-//     detectors on a schedule or on demand through a caller-supplied
+//   - Retrainer: a background worker that refits tenant detectors one at
+//     a time, on a schedule or on demand through a caller-supplied
 //     trainer (typically a closure over the backend kind's Train, with a
 //     round-derived seed so every retrain is reproducible) and publishes
 //     each result to the registry.

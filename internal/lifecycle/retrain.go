@@ -15,25 +15,22 @@ type RetrainerConfig struct {
 	// Registry receives every successfully trained model. Required.
 	Registry *Registry
 	// Source fetches the training series for a tenant — typically the
-	// latest archived frames of its field. Required; called from worker
-	// goroutines.
+	// latest archived frames of its field. Required; called from the
+	// worker goroutine.
 	Source func(tenant string) (*dataset.Series, error)
 	// Train fits a tenant's round-th retrain (rounds count from 1) on the
 	// fetched series and returns the (kind, artifact) pair to publish —
 	// typically a closure over a backend.Spec's Train. Deriving the
 	// training seed from the round makes every retrain reproducible:
 	// core training is bit-deterministic for a fixed seed at any worker
-	// count. Required; called from worker goroutines.
+	// count. Required; called from the worker goroutine.
 	Train func(tenant string, round int, train *dataset.Series) (kind string, artifact []byte, err error)
-	// Workers bounds the concurrent retrains. Defaults to 1: background
-	// retraining should sip cores that live scoring is using.
-	Workers int
 	// Interval, when positive, retrains every registered tenant on this
 	// period. Zero means on-demand only (Trigger/TriggerAll).
 	Interval time.Duration
 	// OnResult, when non-nil, observes every finished retrain — failures
-	// included — from the worker goroutine that ran it. This is where a
-	// deployment hot-swaps the published model into its serving tenants.
+	// included — from the worker goroutine. This is where a deployment
+	// hot-swaps the published model into its serving tenants.
 	OnResult func(Result)
 	// Logf, when non-nil, receives progress lines (version, duration).
 	Logf func(format string, args ...any)
@@ -64,9 +61,10 @@ type Result struct {
 	Err error
 }
 
-// Retrainer refits tenant models in the background on a bounded worker
-// pool, on a schedule or on demand, publishing each result to the
-// registry. Create with NewRetrainer, call Start, and Close when done.
+// Retrainer refits tenant models one at a time on a background worker
+// goroutine, on a schedule or on demand, publishing each result to the
+// registry: background retraining should sip the cores live scoring is
+// using. Create with NewRetrainer, call Start, and Close when done.
 type Retrainer struct {
 	cfg RetrainerConfig
 
@@ -102,8 +100,7 @@ func newRetrainObs(reg *metrics.Registry) *retrainObs {
 	}
 }
 
-// job is one queued retrain; the round is fixed at trigger time so results
-// report trigger order even when workers finish out of order.
+// job is one queued retrain; the round is fixed at trigger time.
 type job struct {
 	tenant string
 	round  int
@@ -120,9 +117,6 @@ func NewRetrainer(cfg RetrainerConfig) (*Retrainer, error) {
 	}
 	if cfg.Train == nil {
 		return nil, fmt.Errorf("lifecycle: retrainer needs a trainer")
-	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 1
 	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
@@ -154,7 +148,7 @@ func (rt *Retrainer) Register(tenant string) {
 	rt.tenants = append(rt.tenants, tenant)
 }
 
-// Start launches the worker pool and, when Interval is set, the schedule.
+// Start launches the worker and, when Interval is set, the schedule.
 func (rt *Retrainer) Start() {
 	rt.mu.Lock()
 	if rt.started || rt.closed {
@@ -163,10 +157,8 @@ func (rt *Retrainer) Start() {
 	}
 	rt.started = true
 	rt.mu.Unlock()
-	for i := 0; i < rt.cfg.Workers; i++ {
-		rt.wg.Add(1)
-		go rt.worker()
-	}
+	rt.wg.Add(1)
+	go rt.worker()
 	if rt.cfg.Interval > 0 {
 		rt.wg.Add(1)
 		go func() {

@@ -86,7 +86,7 @@ func (a *Adam) Step(params []*ag.Param) {
 }
 
 // sumSquaredGrads walks the gradients once, in param order, and returns the
-// sum of squares — the shared kernel behind clipping and GradNorm.
+// sum of squares: Adam's fused clip and clipGradNorm both take its root.
 func sumSquaredGrads(params []*ag.Param) float64 {
 	var total float64
 	for _, p := range params {
@@ -99,7 +99,7 @@ func sumSquaredGrads(params []*ag.Param) float64 {
 
 // clipGradNorm rescales all gradients so their global L2 norm is at most
 // max. Adam folds the scale into its fused update instead; this standalone
-// form is kept for callers that clip without stepping.
+// pass is the reference optim_test holds that fused clip to, bit for bit.
 func clipGradNorm(params []*ag.Param, max float64) {
 	norm := math.Sqrt(sumSquaredGrads(params))
 	if norm <= max || norm == 0 {
@@ -109,18 +109,4 @@ func clipGradNorm(params []*ag.Param, max float64) {
 	for _, p := range params {
 		p.Grad.ScaleInPlace(scale)
 	}
-}
-
-// ZeroGrads clears the gradients of all params.
-func ZeroGrads(params []*ag.Param) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
-}
-
-// GradNorm returns the global L2 norm of the accumulated gradients
-// (useful for tests and training diagnostics). It walks the gradients in
-// param order in a single pass with no temporaries.
-func GradNorm(params []*ag.Param) float64 {
-	return math.Sqrt(sumSquaredGrads(params))
 }

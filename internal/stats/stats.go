@@ -35,9 +35,6 @@ func Var(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// Std returns the population standard deviation of xs.
-func Std(xs []float64) float64 { return math.Sqrt(Var(xs)) }
-
 // MeanStd returns both the mean and population standard deviation in one pass.
 func MeanStd(xs []float64) (mean, std float64) {
 	if len(xs) == 0 {
@@ -227,32 +224,6 @@ func MovingMean(xs []float64, w int) []float64 {
 	return out
 }
 
-// MovingStd returns the trailing moving standard deviation with window w.
-func MovingStd(xs []float64, w int) []float64 {
-	if w < 1 {
-		w = 1
-	}
-	out := make([]float64, len(xs))
-	var sum, sq float64
-	for i, v := range xs {
-		sum += v
-		sq += v * v
-		n := float64(i + 1)
-		if i >= w {
-			sum -= xs[i-w]
-			sq -= xs[i-w] * xs[i-w]
-			n = float64(w)
-		}
-		m := sum / n
-		va := sq/n - m*m
-		if va < 0 {
-			va = 0
-		}
-		out[i] = math.Sqrt(va)
-	}
-	return out
-}
-
 // ZScore returns (xs - mean) / std elementwise; std 0 maps to zeros.
 func ZScore(xs []float64) []float64 {
 	m, s := MeanStd(xs)
@@ -352,18 +323,4 @@ func TopKIndices(xs []float64, k int) []int {
 	}
 	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] > xs[idx[b]] })
 	return idx[:k]
-}
-
-// Clip returns xs with every element clamped to [lo, hi].
-func Clip(xs []float64, lo, hi float64) []float64 {
-	out := make([]float64, len(xs))
-	for i, v := range xs {
-		if v < lo {
-			v = lo
-		} else if v > hi {
-			v = hi
-		}
-		out[i] = v
-	}
-	return out
 }

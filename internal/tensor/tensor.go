@@ -71,15 +71,6 @@ func Uniform(r, c int, lo, hi float64, rng *rand.Rand) *Dense {
 	return m
 }
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Dense {
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		m.Data[i*n+i] = 1
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Dense) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
@@ -168,16 +159,6 @@ func (m *Dense) Sub(o *Dense) *Dense {
 	return out
 }
 
-// MulElem returns the Hadamard product m ⊙ o.
-func (m *Dense) MulElem(o *Dense) *Dense {
-	m.assertSameShape(o)
-	out := New(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] * o.Data[i]
-	}
-	return out
-}
-
 // Scale returns s * m.
 func (m *Dense) Scale(s float64) *Dense {
 	out := New(m.Rows, m.Cols)
@@ -193,15 +174,6 @@ func (m *Dense) ScaleInPlace(s float64) *Dense {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Apply returns f applied elementwise.
-func (m *Dense) Apply(f func(float64) float64) *Dense {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
 }
 
 // T returns the transpose as a new matrix.
@@ -356,20 +328,6 @@ func (m *Dense) TMatMulAddInto(o, out *Dense) {
 	}
 }
 
-// AddTransposed sets m += oᵀ without materialising the transpose.
-func (m *Dense) AddTransposed(o *Dense) *Dense {
-	if m.Rows != o.Cols || m.Cols != o.Rows {
-		panic(fmt.Sprintf("tensor: add-transposed shape mismatch %dx%d += (%dx%d)ᵀ", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	for i := 0; i < m.Rows; i++ {
-		dst := m.Row(i)
-		for j := range dst {
-			dst[j] += o.Data[j*o.Cols+i]
-		}
-	}
-	return m
-}
-
 // TMatMul returns mᵀ · o without materialising the transpose.
 func (m *Dense) TMatMul(o *Dense) *Dense {
 	if m.Rows != o.Rows {
@@ -385,16 +343,6 @@ func (m *Dense) TMatMul(o *Dense) *Dense {
 		}
 	}
 	return out
-}
-
-// Dot returns the Frobenius inner product ⟨m, o⟩.
-func (m *Dense) Dot(o *Dense) float64 {
-	m.assertSameShape(o)
-	var s float64
-	for i, v := range m.Data {
-		s += v * o.Data[i]
-	}
-	return s
 }
 
 // Sum returns the sum of all elements.
@@ -445,16 +393,6 @@ func (m *Dense) Min() float64 {
 	return mn
 }
 
-// SliceRows returns a copy of rows [lo, hi).
-func (m *Dense) SliceRows(lo, hi int) *Dense {
-	if lo < 0 || hi > m.Rows || lo > hi {
-		panic(fmt.Sprintf("tensor: row slice [%d,%d) out of range for %d rows", lo, hi, m.Rows))
-	}
-	out := New(hi-lo, m.Cols)
-	copy(out.Data, m.Data[lo*m.Cols:hi*m.Cols])
-	return out
-}
-
 // SliceCols returns a copy of columns [lo, hi).
 func (m *Dense) SliceCols(lo, hi int) *Dense {
 	if lo < 0 || hi > m.Cols || lo > hi {
@@ -463,38 +401,6 @@ func (m *Dense) SliceCols(lo, hi int) *Dense {
 	out := New(m.Rows, hi-lo)
 	for i := 0; i < m.Rows; i++ {
 		copy(out.Row(i), m.Row(i)[lo:hi])
-	}
-	return out
-}
-
-// SetSubmatrix copies src into m starting at (r0, c0).
-func (m *Dense) SetSubmatrix(r0, c0 int, src *Dense) {
-	if r0+src.Rows > m.Rows || c0+src.Cols > m.Cols {
-		panic("tensor: submatrix out of range")
-	}
-	for i := 0; i < src.Rows; i++ {
-		copy(m.Row(r0 + i)[c0:c0+src.Cols], src.Row(i))
-	}
-}
-
-// ConcatRows stacks matrices vertically.
-func ConcatRows(ms ...*Dense) *Dense {
-	if len(ms) == 0 {
-		return New(0, 0)
-	}
-	cols := ms[0].Cols
-	rows := 0
-	for _, m := range ms {
-		if m.Cols != cols {
-			panic("tensor: concat rows column mismatch")
-		}
-		rows += m.Rows
-	}
-	out := New(rows, cols)
-	at := 0
-	for _, m := range ms {
-		copy(out.Data[at:], m.Data)
-		at += len(m.Data)
 	}
 	return out
 }
